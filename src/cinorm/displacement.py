@@ -127,22 +127,22 @@ def find_strong_displacer(d: GroupDescriptor, h: SubgroupSpec, m: int,
         if _strongly_displaces(mul, inv, phi, gens, m):
             e = Element(d, phi)
             witnesses = tuple(e ** k for k in range(1, m + 1))
-            _assert_witness_valid(d, h, witnesses)
+            _assert_witnesses(h, h, witnesses)
             return DisplacementReport(h, m, "strong", witnesses, True)
     return DisplacementReport(h, m, "strong", (), False)
 
 
-def _assert_witness_valid(d: GroupDescriptor, h: SubgroupSpec,
-                          witnesses: tuple[Element, ...]) -> None:
-    # never trust the search loop: re-check with the public predicate
-    conjugated = [h] + [
-        SubgroupSpec(tuple(compose(compose(w, g), invert(w))
-                           for g in h.generators), label=f"conj{k}")
-        for k, w in enumerate(witnesses, start=1)]
-    for i in range(len(conjugated)):
-        for j in range(i + 1, len(conjugated)):
-            if not subgroups_commute(conjugated[i], conjugated[j]):
-                raise AssertionError("witness failed subgroup commutation re-check")
+def _assert_witnesses(fixed: SubgroupSpec, moved: SubgroupSpec,
+                      witnesses: tuple[Element, ...]) -> None:
+    """Re-check a search result with the public predicate: ``fixed`` and the
+    conjugates ``w moved w^-1`` of ``moved`` must pairwise commute."""
+    specs = [fixed] + [
+        SubgroupSpec(tuple(compose(compose(w, g), invert(w)) for g in moved.generators))
+        for w in witnesses]
+    for i in range(len(specs)):
+        for j in range(i + 1, len(specs)):
+            if not subgroups_commute(specs[i], specs[j]):
+                raise AssertionError("witness failed the subgroup commutation re-check")
 
 
 def displacement_energy(d: GroupDescriptor, h: SubgroupSpec, m: int,
@@ -166,7 +166,7 @@ def displacement_energy(d: GroupDescriptor, h: SubgroupSpec, m: int,
     if best_phi is None:
         return EnergyResult(m, None, None)
     minimizer = Element(d, best_phi)
-    _assert_witness_valid(d, h, tuple(minimizer ** k for k in range(1, m + 1)))
+    _assert_witnesses(h, h, tuple(minimizer ** k for k in range(1, m + 1)))
     return EnergyResult(m, best, minimizer)
 
 
@@ -210,7 +210,9 @@ def disjunction_energy(d: GroupDescriptor, h1: SubgroupSpec, h2: SubgroupSpec,
                 break
     if best_phi is None:
         return EnergyResult(1, None, None)
-    return EnergyResult(1, best, Element(d, best_phi))
+    minimizer = Element(d, best_phi)
+    _assert_witnesses(h1, h2, (minimizer,))
+    return EnergyResult(1, best, minimizer)
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +276,8 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec, m_cap: int = 16,
     p = len(best)
     witnesses = tuple(Element(d, order_seen[v]) for v in best[1:])
     report = DisplacementReport(h, p - 1, "weak", witnesses, p > 1)
-    _assert_weak_witnesses(d, h, witnesses)
+    _assert_witnesses(h, h, witnesses)
     return PackingResult(p, report, exhausted=p < cap)
-
-
-def _assert_weak_witnesses(d: GroupDescriptor, h: SubgroupSpec,
-                           witnesses: tuple[Element, ...]) -> None:
-    specs = [h] + [SubgroupSpec(tuple(compose(compose(w, g), invert(w))
-                                      for g in h.generators))
-                   for w in witnesses]
-    for i in range(len(specs)):
-        for j in range(i + 1, len(specs)):
-            if not subgroups_commute(specs[i], specs[j]):
-                raise AssertionError("packing witnesses failed commutation re-check")
 
 
 # ---------------------------------------------------------------------------

@@ -126,26 +126,25 @@ def closure_of(spec: SubgroupSpec, limit: int = ENUMERATION_GUARD) -> set[Elemen
 def conjugacy_closure(base: Iterable[Element], d: GroupDescriptor,
                       limit: int | None = None) -> set[Element]:
     """All conjugates of ``base`` and its inverses; closed under conjugation."""
-    seeds = set(base)
-    seeds |= {invert(b) for b in seeds}
-    out: set[Element] = set()
-    for phi in enumerate_elements(d, limit):
-        phi_inv = invert(phi)
-        for b in seeds:
-            out.add(compose(compose(phi, b), phi_inv))
-    return out
+    from .kernel import group_kernel  # the kernel is built on enumeration
+    G = group_kernel(d, limit)
+    seeds = {G.index_of(b) for b in base}
+    seeds |= {G.inv[b] for b in seeds}
+    out: set[int] = set()
+    for phi in range(G.n):
+        out.update([G.conj(phi, b) for b in seeds])
+    return {G.elements[i] for i in out}
 
 
 def commutator_pool(elements: Iterable[Element]) -> set[Element]:
-    """The set of simple commutators ``[a, b]`` over all pairs."""
+    """The set of simple commutators ``[a, b]`` over all pairs of elements
+    of a finite subgroup."""
+    from .kernel import commutator_indices, domain_kernel
     elems = list(elements)
-    inverses = {g: invert(g) for g in elems}
-    out = set()
-    for a in elems:
-        a_inv = inverses[a]
-        for b in elems:
-            out.add(compose(compose(a, b), compose(a_inv, inverses[b])))
-    return out
+    if not elems:
+        return set()
+    G = domain_kernel(elems[0].descriptor, elems)
+    return {G.elements[i] for i in commutator_indices(G)}
 
 
 def derived_subgroup(d: GroupDescriptor, limit: int | None = None) -> set[Element]:

@@ -10,25 +10,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from . import descriptors as gd
 from .descriptors import GroupDescriptor, PERMUTATION_FAMILIES
 from .elements import (
     Element,
+    _compose_payload,
     compose,
     identity,
     invert,
     moved_points,
     sort_key,
 )
-from .enumeration import (
-    commutator_pool,
-    conjugacy_closure,
-    enumerate_elements,
-    subgroup_closure,
+from .enumeration import conjugacy_closure, enumerate_elements, subgroup_closure
+from .errors import NotCGeneratingError
+from .kernel import (
+    FiniteGroup,
+    commutator_indices,
+    domain_kernel,
+    group_kernel,
+    scaled,
 )
-from .errors import InfiniteGroupError, NotCGeneratingError
 from .literals import to_literal
 
 ZERO = Fraction(0)
@@ -91,51 +95,58 @@ def verify_norm_axioms(table: NormTable, max_violations: int = 25) -> AxiomRepor
     """Exhaustively check all five norm axioms on the table's domain.
 
     Reports violations instead of raising.  For tables on a subgroup the
-    conjugators range over that subgroup.
+    conjugators range over that subgroup.  Pairs ``(f, g)`` run in domain
+    order and each row stops at its first violation; ``pairs_checked``
+    counts the pair that stopped it.
     """
     vals = table.values
+    G = domain_kernel(table.descriptor, vals)
+    elems, inv, mul = G.elements, G.inv, G.mul
+    iv, _ = scaled(vals[g] for g in elems)
     violations: list[tuple[str, tuple[Element, ...]]] = []
 
-    def record(axiom: str, *witness: Element) -> bool:
-        violations.append((axiom, witness))
+    def record(axiom: str, *witness: int) -> bool:
+        violations.append((axiom, tuple(elems[i] for i in witness)))
         return len(violations) >= max_violations
 
-    elems = table.domain()
-    one = identity(table.descriptor)
-    if vals.get(one, ZERO) != 0:
+    one = G.one
+    if one >= 0 and iv[one] != 0:
         record("i", one)
     full = True
-    for g in elems:
-        if vals[g] != vals[invert(g)]:
+    for g in range(G.n):
+        if inv[g] < 0:
+            raise KeyError(invert(elems[g]))
+        if iv[g] != iv[inv[g]]:
             full = not record("ii", g)
             if not full:
                 break
-        if g != one and vals[g] <= 0:
+        if g != one and iv[g] <= 0:
             full = not record("v", g)
             if not full:
                 break
     pairs = 0
     if full:
-        inverses = {g: invert(g) for g in elems}
-        for f in elems:
-            f_inv = inverses[f]
-            vf = vals[f]
-            for g in elems:
+        for f in range(G.n):
+            row = G.row(f)
+            vf = iv[f]
+            for g, fg in enumerate(row):
                 pairs += 1
-                fg = compose(f, g)
-                if fg not in vals:
-                    full = not record("domain", f, g)
-                    break
-                if vals[fg] > vf + vals[g]:
-                    full = not record("iii", f, g)
-                    break
-                conj = compose(compose(f, g), f_inv)
-                if vals.get(conj) != vals[g]:
-                    full = not record("iv", f, g)
-                    break
+                if fg < 0:
+                    axiom = "domain"
+                elif iv[fg] > vf + iv[g]:
+                    axiom = "iii"
+                else:
+                    # f g f^-1 = f (f g^-1)^-1, read from f's row alone
+                    x = row[inv[g]]
+                    conj = row[inv[x]] if x >= 0 and inv[x] >= 0 else mul(fg, inv[f])
+                    if conj >= 0 and iv[conj] == iv[g]:
+                        continue
+                    axiom = "iv"
+                full = not record(axiom, f, g)
+                break
             if not full:
                 break
-    return AxiomReport(not violations, violations, pairs, len(elems))
+    return AxiomReport(not violations, violations, pairs, G.n)
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +161,33 @@ class CGenSpec:
     closure: frozenset[Element]
 
 
-def cgen_spec(d: GroupDescriptor, K: Iterable[Element]) -> CGenSpec:
+def cgen_spec(d: GroupDescriptor, K: Iterable[Element],
+              limit: int | None = None) -> CGenSpec:
     members = tuple(sorted(set(K), key=sort_key))
     if not members:
         raise ValueError("conjugation-generating set must be non-empty")
-    return CGenSpec(members, frozenset(conjugacy_closure(members, d)))
+    return CGenSpec(members, frozenset(conjugacy_closure(members, d, limit)))
 
 
 def _bfs_distances(d: GroupDescriptor, step: Iterable[Element]) -> dict[Element, int]:
-    gens = sorted(step, key=sort_key)
-    dist = {identity(d): 0}
-    frontier = [identity(d)]
+    # breadth-first search on payloads: one Element per element reached
+    mul = partial(_compose_payload, d)
+    gens = [s.payload for s in sorted(step, key=sort_key)]
+    one = identity(d).payload
+    dist = {one: 0}
+    frontier = [one]
     n = 0
     while frontier:
         n += 1
         nxt = []
         for g in frontier:
             for s in gens:
-                h = compose(g, s)
+                h = mul(g, s)
                 if h not in dist:
                     dist[h] = n
                     nxt.append(h)
         frontier = nxt
-    return dist
+    return {Element(d, p): k for p, k in dist.items()}
 
 
 def c_generates(d: GroupDescriptor, K: Iterable[Element]) -> bool:
@@ -184,14 +199,12 @@ def qk_norm(d: GroupDescriptor, K: Iterable[Element],
             limit: int | None = None) -> NormTable:
     """Minimal number of conjugates of ``K``-members (or their inverses)
     multiplying to each element: BFS distance from the identity over the
-    conjugacy closure of ``K``."""
-    spec = cgen_spec(d, K)
+    conjugacy closure of ``K``.  ``limit`` guards the group order."""
+    spec = cgen_spec(d, K, limit)
     size = gd.order(d)
-    if size is None:
-        raise InfiniteGroupError(f"{d} is infinite")
     dist = _bfs_distances(d, spec.closure)
     if len(dist) != size:
-        missing = [g for g in enumerate_elements(d) if g not in dist]
+        missing = [g for g in group_kernel(d, limit).elements if g not in dist]
         sample = ", ".join(to_literal(g) for g in missing[:5])
         raise NotCGeneratingError(
             f"K reaches only {len(dist)} of {size} elements of {d}; "
@@ -205,21 +218,25 @@ def qk_norm(d: GroupDescriptor, K: Iterable[Element],
     return NormTable(d, values, meta)
 
 
+def _commutator_length(G: FiniteGroup, name: str) -> NormTable:
+    pool = [G.elements[i] for i in commutator_indices(G)]
+    dist = _bfs_distances(G.descriptor, pool)
+    values = {g: Fraction(n) for g, n in dist.items()}
+    meta = NormTableMeta(name=name, diameter=max(values.values()))
+    return NormTable(G.descriptor, values, meta)
+
+
 def commutator_length_over(elements: Iterable[Element], d: GroupDescriptor,
                            name: str = "cl") -> NormTable:
     """Commutator length on the derived subgroup of the given subgroup:
     BFS over the set of its simple commutators."""
-    pool = commutator_pool(elements)
-    dist = _bfs_distances(d, pool)
-    values = {g: Fraction(n) for g, n in dist.items()}
-    meta = NormTableMeta(name=name, diameter=max(values.values()))
-    return NormTable(d, values, meta)
+    return _commutator_length(domain_kernel(d, elements), name)
 
 
 def commutator_length(d: GroupDescriptor, limit: int | None = None) -> NormTable:
     """Commutator length on the derived subgroup of a finite group; the
     table's diameter is the commutator length diameter."""
-    return commutator_length_over(enumerate_elements(d, limit), d, name="cl")
+    return _commutator_length(group_kernel(d, limit), "cl")
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +442,20 @@ def quasinorm_to_norm(q: QuasiNormSpec, d: GroupDescriptor,
     """Convert a quasi-norm into a genuine norm on a finite group:
     symmetrize with the inverse, replace by the maximum over the conjugacy
     class, then add ``c_add + c_conj + 1`` to every non-identity value."""
-    elems = enumerate_elements(d, limit)
-    sym = {a: max(q.value(a), q.value(invert(a))) for a in elems}
-    inverses = {b: invert(b) for b in elems}
-    conj_sup: dict[Element, Fraction] = {}
-    for a in elems:
-        best = sym[a]
-        for b in elems:
-            c = compose(compose(b, a), inverses[b])
-            if sym[c] > best:
-                best = sym[c]
-        conj_sup[a] = best
+    G = group_kernel(d, limit)
+    elems = G.elements
+    sym, den = scaled(max(q.value(a), q.value(elems[G.inv[i]]))
+                      for i, a in enumerate(elems))
+    conj_sup: list[int | None] = [None] * G.n
+    for a in range(G.n):
+        if conj_sup[a] is None:
+            orbit = {G.conj(b, a) for b in range(G.n)}
+            best = max(sym[c] for c in orbit)
+            for c in orbit:
+                conj_sup[c] = best
     const = q.c_add + q.c_conj + 1
-    one = identity(d)
-    values = {a: (ZERO if a == one else conj_sup[a] + const) for a in elems}
+    values = {g: (ZERO if i == G.one else Fraction(conj_sup[i], den) + const)
+              for i, g in enumerate(elems)}
     meta = NormTableMeta(
         name=f"normed[{q.name}]",
         diameter=max(values.values()),
@@ -482,35 +499,31 @@ def coset_extension_qnorm(d: GroupDescriptor,
             name="coset-extension",
             notes={"C": "1", "transversal": ("1", "z^1", "t", "z^1 t")})
     cl = commutator_length(d, limit)
-    derived = set(cl.values)
-    elems = sorted(enumerate_elements(d, limit), key=sort_key)
+    G = group_kernel(d, limit)
+    elems, inv = G.elements, G.inv
+    cl_of = [cl.values.get(g) for g in elems]
+    derived = [i for i, v in enumerate(cl_of) if v is not None]
+    # label each right coset D g of the derived subgroup D by its least element
+    coset = [-1] * G.n
+    for g in range(G.n):
+        if coset[g] < 0:
+            for h in derived:
+                coset[G.mul(h, g)] = g
     if reps is None:
-        reps = []
-        for g in elems:
-            if not any(compose(g, invert(r)) in derived for r in reps):
-                reps.append(g)
+        rep_idx = [g for g in range(G.n) if coset[g] == g]
+        reps = [elems[g] for g in rep_idx]
     else:
-        seen = set()
-        for r in reps:
-            key = frozenset(compose(h, r) for h in derived)
-            if key in seen:
-                raise ValueError("representative list is not a transversal")
-            seen.add(key)
-        if len(reps) * len(derived) != len(elems):
+        rep_idx = [G.index_of(r) for r in reps]
+        if len({coset[r] for r in rep_idx}) != len(reps) or \
+                len(reps) * len(derived) != G.n:
             raise ValueError("representative list is not a transversal")
+    rep_of = {coset[r]: r for r in rep_idx}
 
-    def rep_of(g: Element) -> Element:
-        for r in reps:
-            if compose(g, invert(r)) in derived:
-                return r
-        raise AssertionError("transversal failed to cover the group")
+    def derived_part(g: int) -> Fraction:
+        return cl_of[G.mul(g, inv[rep_of[coset[g]]])]
 
-    table = {g: cl.values[compose(g, invert(rep_of(g)))] for g in elems}
-    c_big = ZERO
-    for s1 in reps:
-        for s2 in reps:
-            prod = compose(s1, s2)
-            c_big = max(c_big, cl.values[compose(prod, invert(rep_of(prod)))])
+    table = {elems[g]: derived_part(g) for g in range(G.n)}
+    c_big = max(derived_part(G.mul(s1, s2)) for s1 in rep_idx for s2 in rep_idx)
     return QuasiNormSpec(
         d, c_add=1 + c_big, c_conj=Fraction(1), table=table,
         name="coset-extension",

@@ -22,10 +22,10 @@ from .elements import (
     identity,
     invert,
     power,
-    sort_key,
 )
-from .enumeration import SubgroupSpec, closure_of, enumerate_elements
+from .enumeration import SubgroupSpec, closure_of
 from .errors import InfiniteGroupError
+from .kernel import domain_kernel, group_kernel, scaled
 from .literals import to_literal
 from .sampling import random_element
 
@@ -123,13 +123,14 @@ def defect(q: QuasiMorphism, mode: str = "exact", budget: int = 2000,
     if mode == "exact":
         if not gd.finite(q.domain):
             raise InfiniteGroupError("exact defect needs a finite domain")
-        elems = enumerate_elements(q.domain)
-        vals = {g: q(g) for g in elems}
-        best = ZERO
-        for a in elems:
-            for b in elems:
-                best = max(best, abs(vals[compose(a, b)] - vals[a] - vals[b]))
-        return DefectEstimate(best, "exact", len(elems) ** 2, None)
+        G = group_kernel(q.domain)
+        vals, den = scaled(q(g) for g in G.elements)
+        best = 0
+        for a in range(G.n):
+            # |q(ab) - q(a) - q(b)| over the row, from the extremes of q(ab) - q(b)
+            diffs = [vals[ab] - vb for ab, vb in zip(G.row(a), vals)]
+            best = max(best, max(diffs) - vals[a], vals[a] - min(diffs))
+        return DefectEstimate(Fraction(best, den), "exact", G.n ** 2, None)
     if mode != "sampled":
         raise ValueError(f"unknown defect mode {mode!r}")
     import random
@@ -290,11 +291,7 @@ def commutator_sup(q: QuasiMorphism, h: SubgroupSpec | None = None,
     if mode == "exact":
         if h is None:
             raise ValueError("exact mode needs a subgroup")
-        elems = sorted(closure_of(h), key=sort_key)
-        for x in elems:
-            for y in elems:
-                consider(x, y)
-        return CommutatorSupEstimate(best, witnesses, "exact", len(elems) ** 2)
+        return _exact_commutator_sup(q, h, max_witnesses)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     import random
@@ -304,6 +301,26 @@ def commutator_sup(q: QuasiMorphism, h: SubgroupSpec | None = None,
                  random_element(q.domain, rng, size=size))
     return CommutatorSupEstimate(best, witnesses, "sampled_lower_bound",
                                  budget, seed)
+
+
+def _exact_commutator_sup(q: QuasiMorphism, h: SubgroupSpec,
+                          max_witnesses: int) -> CommutatorSupEstimate:
+    # the sup is over all pairs, clamped below at 0; witnesses are the first
+    # pairs in (x, y) order that attain a positive sup, at least one of them
+    G = domain_kernel(h.descriptor, closure_of(h))
+    elems, inv, mul = G.elements, G.inv, G.mul
+    vals, den = scaled(q(g) for g in elems)
+    cap = max(max_witnesses, 1)
+    best, witnesses = 0, []
+    for x in range(G.n):
+        xy, xiyi = G.row(x), G.row(inv[x])
+        row = [vals[mul(xy[y], xiyi[inv[y]])] for y in range(G.n)]
+        top = max(row)
+        if top > best:
+            best, witnesses = top, []
+        if top == best > 0 and len(witnesses) < cap:
+            witnesses += [(elems[x], elems[y]) for y, v in enumerate(row) if v == best]
+    return CommutatorSupEstimate(Fraction(best, den), witnesses[:cap], "exact", G.n ** 2)
 
 
 @dataclass
@@ -361,10 +378,13 @@ def scl_bounds(w: Element, q: QuasiMorphism,
                powers: Sequence[int] = (1, 2, 4, 8)) -> SclBounds:
     """Certified-elementary bounds for the stable commutator length.
 
-    Lower: the low end of the homogenization interval divided by twice the
-    *declared* defect upper bound (clamped at zero, which scl always
-    satisfies).  Upper: the best ``cl(w^k)/k`` an oracle provides; on finite
-    groups this degenerates to zero.
+    Lower: Bavard duality gives ``scl(w) >= hq(w) / (2 D(hq))`` for the
+    homogenization hq of q.  The declared ``defect_upper`` D bounds the
+    defect of the non-homogeneous q, and D(hq) <= 2D (Calegari, *scl*, MSJ
+    Memoirs 20, Lemma 2.58), so the certified bound is the low end of the
+    homogenization interval divided by ``4 D`` (clamped at zero, which scl
+    always satisfies).  Upper: the best ``cl(w^k)/k`` an oracle provides; on
+    finite groups this degenerates to zero.
     """
     lower = None
     lower_prov: dict = {}
@@ -378,7 +398,7 @@ def scl_bounds(w: Element, q: QuasiMorphism,
             lower_prov = {"qm": q.name, "defect_upper": "0/1", "n": n}
         else:
             interval = homogenize(q, w, n, defect_upper)
-            lower = max(ZERO, interval.low / (2 * defect_upper))
+            lower = max(ZERO, interval.low / (4 * defect_upper))
             lower_prov = {"qm": q.name,
                           "defect_upper": str(defect_upper),
                           "n": n, "certified": True}

@@ -156,7 +156,7 @@ def test_qm_commands(tmp_path):
                  "--defect-upper", "6", "--n-max", "64",
                  "--out", str(out)]) == 0
     rep2 = json.loads(out.read_text())
-    assert rep2["lower"] == "29/384"
+    assert rep2["lower"] == "29/768"  # (1 - 6/64) / (4 * 6)
 
 
 def test_cache_roundtrip_and_eviction(tmp_path):

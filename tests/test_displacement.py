@@ -2,6 +2,8 @@
 
 from itertools import permutations
 
+import pytest
+
 from cinorm import (
     Element,
     SubgroupSpec,
@@ -9,6 +11,7 @@ from cinorm import (
     disjunction_energy,
     displacement_energy,
     find_strong_displacer,
+    identity,
     invert,
     packing_number,
     perm_from_cycles,
@@ -195,3 +198,20 @@ def test_witness_revalidation_runs():
                                       invert(rep.witnesses[0]))
                               for g in h.generators))
     assert subgroups_commute(h, conj)
+
+
+def test_tampered_witness_trips_the_recheck():
+    # every search result goes through one re-checker before it is returned
+    from cinorm.displacement import _assert_witnesses
+    h = sym_block(S6, (1, 2, 3))
+    good = find_strong_displacer(S6, h, 1).witnesses
+    _assert_witnesses(h, h, good)
+    # good maps {1,2,3} onto {4,5,6}; after (3 4) the image is {4,5,1}
+    tampered = (compose(good[0], perm_from_cycles(S6, (3, 4))),)
+    with pytest.raises(AssertionError):
+        _assert_witnesses(h, h, tampered)
+    h1, h2 = sym_block(S8, (1, 2, 3)), sym_block(S8, (2, 3, 4))
+    e = disjunction_energy(S8, h1, h2, support_norm)
+    _assert_witnesses(h1, h2, (e.minimizer,))
+    with pytest.raises(AssertionError):
+        _assert_witnesses(h1, h2, (identity(S8),))

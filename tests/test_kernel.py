@@ -1,0 +1,451 @@
+"""Differential tests: every path routed through the indexed kernel against
+the elementwise loop it replaced, kept here as the oracle.
+
+The oracles below are the library's former ``Element``-level loops, verbatim
+in logic: they compose, invert and hash ``Element`` objects and do
+``Fraction`` arithmetic pair by pair.  Every finite family with at most 200
+elements is covered, once deterministically per family and again under
+hypothesis with seeded tables, tamperings and subgroups.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cinorm import (
+    GuardExceededError,
+    NormTable,
+    NormTableMeta,
+    QuasiMorphism,
+    QuasiNormSpec,
+    SubgroupSpec,
+    c_generates,
+    closure_of,
+    commutator_length,
+    commutator_length_over,
+    commutator_of,
+    commutator_pool,
+    commutator_sup,
+    compose,
+    conjugacy_closure,
+    coset_extension_qnorm,
+    defect,
+    enumerate_elements,
+    identity,
+    invert,
+    parse_descriptor,
+    perm_from_cycles,
+    qk_norm,
+    quasinorm_to_norm,
+    sort_key,
+    support_norm_table,
+    symmetric,
+    to_literal,
+    trivial_norm_table,
+    verify_norm_axioms,
+)
+from cinorm.kernel import TABLE_BOUND, domain_kernel, group_kernel
+
+FAMILIES = ("sn:3", "sn:4", "sn:5", "an:4", "an:5", "slp:2:3", "slp:2:5",
+            "bar:sn:3", "product:sn:3,sn:3", "wreath:sn:2:zn:2")
+ZERO = Fraction(0)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the elementwise loops
+
+
+def oracle_axioms(table, max_violations=25):
+    vals = table.values
+    violations = []
+
+    def record(axiom, *witness):
+        violations.append((axiom, witness))
+        return len(violations) >= max_violations
+
+    elems = table.domain()
+    one = identity(table.descriptor)
+    if vals.get(one, ZERO) != 0:
+        record("i", one)
+    full = True
+    for g in elems:
+        if vals[g] != vals[invert(g)]:
+            full = not record("ii", g)
+            if not full:
+                break
+        if g != one and vals[g] <= 0:
+            full = not record("v", g)
+            if not full:
+                break
+    pairs = 0
+    if full:
+        inverses = {g: invert(g) for g in elems}
+        for f in elems:
+            f_inv = inverses[f]
+            vf = vals[f]
+            for g in elems:
+                pairs += 1
+                fg = compose(f, g)
+                if fg not in vals:
+                    full = not record("domain", f, g)
+                    break
+                if vals[fg] > vf + vals[g]:
+                    full = not record("iii", f, g)
+                    break
+                conj = compose(compose(f, g), f_inv)
+                if vals.get(conj) != vals[g]:
+                    full = not record("iv", f, g)
+                    break
+            if not full:
+                break
+    return (not violations, violations, pairs, len(elems))
+
+
+def oracle_conjugacy_closure(base, d):
+    seeds = set(base)
+    seeds |= {invert(b) for b in seeds}
+    return {compose(compose(phi, b), invert(phi))
+            for phi in enumerate_elements(d) for b in seeds}
+
+
+def oracle_commutator_pool(elements):
+    elems = list(elements)
+    return {compose(compose(a, b), compose(invert(a), invert(b)))
+            for a in elems for b in elems}
+
+
+def oracle_bfs(d, step):
+    gens = sorted(step, key=sort_key)
+    dist = {identity(d): 0}
+    frontier = [identity(d)]
+    n = 0
+    while frontier:
+        n += 1
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = compose(g, s)
+                if h not in dist:
+                    dist[h] = n
+                    nxt.append(h)
+        frontier = nxt
+    return dist
+
+
+def oracle_qk_values(d, K):
+    closure = oracle_conjugacy_closure(K, d)
+    return [(g, Fraction(n)) for g, n in oracle_bfs(d, closure).items()]
+
+
+def oracle_cl_values(elements, d):
+    dist = oracle_bfs(d, oracle_commutator_pool(elements))
+    return [(g, Fraction(n)) for g, n in dist.items()]
+
+
+def oracle_quasinorm_to_norm(q, d):
+    elems = enumerate_elements(d)
+    sym = {a: max(q.value(a), q.value(invert(a))) for a in elems}
+    conj_sup = {}
+    for a in elems:
+        best = sym[a]
+        for b in elems:
+            c = compose(compose(b, a), invert(b))
+            if sym[c] > best:
+                best = sym[c]
+        conj_sup[a] = best
+    const = q.c_add + q.c_conj + 1
+    one = identity(d)
+    return [(a, ZERO if a == one else conj_sup[a] + const) for a in elems]
+
+
+def oracle_coset_extension(d, reps=None):
+    cl = commutator_length(d)
+    derived = set(cl.values)
+    elems = sorted(enumerate_elements(d), key=sort_key)
+    if reps is None:
+        reps = []
+        for g in elems:
+            if not any(compose(g, invert(r)) in derived for r in reps):
+                reps.append(g)
+    else:
+        seen = set()
+        for r in reps:
+            key = frozenset(compose(h, r) for h in derived)
+            if key in seen:
+                raise ValueError("representative list is not a transversal")
+            seen.add(key)
+        if len(reps) * len(derived) != len(elems):
+            raise ValueError("representative list is not a transversal")
+
+    def rep_of(g):
+        return next(r for r in reps if compose(g, invert(r)) in derived)
+
+    table = {g: cl.values[compose(g, invert(rep_of(g)))] for g in elems}
+    c_big = ZERO
+    for s1 in reps:
+        for s2 in reps:
+            prod = compose(s1, s2)
+            c_big = max(c_big, cl.values[compose(prod, invert(rep_of(prod)))])
+    return list(table.items()), reps, c_big
+
+
+def oracle_defect(q):
+    elems = enumerate_elements(q.domain)
+    vals = {g: q(g) for g in elems}
+    best = ZERO
+    for a in elems:
+        for b in elems:
+            best = max(best, abs(vals[compose(a, b)] - vals[a] - vals[b]))
+    return best, len(elems) ** 2
+
+
+def oracle_commutator_sup(q, h, max_witnesses):
+    best = ZERO
+    witnesses = []
+    elems = sorted(closure_of(h), key=sort_key)
+    for x in elems:
+        for y in elems:
+            v = q(commutator_of(x, y))
+            if v > best:
+                best = v
+                witnesses = [(x, y)]
+            elif v == best and v > 0 and len(witnesses) < max_witnesses:
+                witnesses.append((x, y))
+    return best, witnesses, len(elems) ** 2
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def report_tuple(rep):
+    return (rep.passed, rep.violations, rep.pairs_checked, rep.domain_size)
+
+
+def random_fraction(rng, top=4):
+    return Fraction(rng.randint(0, top), rng.choice((1, 1, 2, 3)))
+
+
+def c_generating_set(d, rng):
+    elems = enumerate_elements(d)
+    K = [rng.choice(elems[1:])]
+    while not c_generates(d, K):
+        K.append(rng.choice(elems))
+    return K
+
+
+def tables_for(d, rng):
+    """Valid tables on the whole group and on its derived subgroup."""
+    tables = [trivial_norm_table(d), qk_norm(d, c_generating_set(d, rng)),
+              commutator_length(d)]
+    if d.family in ("sn", "an"):
+        tables.append(support_norm_table(d))
+    return tables
+
+
+def tampered(table, rng):
+    """The table with one value changed, or with a few elements dropped from
+    its domain; both break some axiom."""
+    vals = dict(table.values)
+    keys = sorted(vals, key=sort_key)
+    if rng.random() < 0.5:
+        g = rng.choice(keys)
+        vals[g] = random_fraction(rng, top=6)
+    else:
+        for g in rng.sample(keys, min(len(keys) - 1, rng.randint(1, 3))):
+            vals.pop(g, None)
+            if rng.random() < 0.8:  # else an inverse is left without its partner
+                vals.pop(invert(g), None)
+    return NormTable(table.descriptor, vals, NormTableMeta(name="tampered"))
+
+
+def assert_axioms_agree(table, max_violations=25):
+    try:
+        expected = oracle_axioms(table, max_violations)
+    except KeyError as exc:  # an inverse outside the domain
+        with pytest.raises(KeyError) as info:
+            verify_norm_axioms(table, max_violations)
+        assert info.value.args == exc.args
+        return None
+    got = report_tuple(verify_norm_axioms(table, max_violations))
+    assert got == expected
+    return got
+
+
+# ---------------------------------------------------------------------------
+# the kernel itself
+
+
+@pytest.mark.parametrize("text", FAMILIES)
+def test_kernel_indexes_the_group_in_payload_order(text):
+    d = parse_descriptor(text)
+    G = group_kernel(d)
+    elems = enumerate_elements(d)
+    assert G.elements == elems == sorted(elems, key=sort_key)
+    assert group_kernel(d) is G  # cached per descriptor
+    assert [G.elements[i] for i in G.inv] == [invert(g) for g in elems]
+    assert G.elements[G.one] == identity(d)
+    rng = random.Random(text)
+    for i in rng.sample(range(G.n), min(G.n, 6)):
+        row = G.row(i)
+        assert [G.elements[k] for k in row] == [compose(elems[i], g) for g in elems]
+        j = rng.randrange(G.n)
+        assert G.mul(i, j) == row[j]
+        assert G.elements[G.conj(j, i)] == compose(compose(elems[j], elems[i]),
+                                                   invert(elems[j]))
+
+
+def test_subset_kernel_marks_products_outside_with_minus_one():
+    d = symmetric(4)
+    sub = [g for g in enumerate_elements(d) if g.payload[3] == 3]  # a copy of S3
+    G = domain_kernel(d, sub)
+    assert not G.full and G.n == 6
+    G.require_closed()
+    t = perm_from_cycles(d, (1, 2))
+    H = domain_kernel(d, [identity(d), t, perm_from_cycles(d, (1, 2, 3))])
+    assert -1 in H.inv  # the 3-cycle's inverse is missing
+    assert -1 in H.row(H.index_of(t))  # (1 2)(1 2 3) is missing
+    assert H.row(H.index_of(t))[H.index_of(t)] == H.one
+    with pytest.raises(ValueError):
+        H.require_closed()
+
+
+def test_rows_above_the_table_bound_are_recomputed():
+    d = parse_descriptor("an:7")  # 2520 elements
+    G = group_kernel(d)
+    assert G.n > TABLE_BOUND
+    i = G.n // 3
+    row = G.row(i)
+    assert row is not G.row(i)  # not kept
+    elems = G.elements
+    assert all(G.elements[row[j]] == compose(elems[i], elems[j])
+               for j in range(0, G.n, 97))
+    assert G.mul(i, 5) == row[5]
+
+
+def test_a_whole_group_in_any_order_gets_the_cached_kernel():
+    d = symmetric(3)
+    assert domain_kernel(d, reversed(enumerate_elements(d))) is group_kernel(d)
+
+
+def test_qk_limit_guards_before_any_work():
+    d = symmetric(6)
+    with pytest.raises(GuardExceededError):
+        qk_norm(d, [perm_from_cycles(d, (1, 2))], limit=100)
+    with pytest.raises(GuardExceededError):
+        commutator_length(d, limit=100)
+
+
+# ---------------------------------------------------------------------------
+# deterministic sweep: one seeded instance per family
+
+
+@pytest.mark.parametrize("text", FAMILIES)
+def test_tables_match_oracle(text):
+    d = parse_descriptor(text)
+    rng = random.Random(f"tables:{text}")
+    K = c_generating_set(d, rng)
+    assert list(qk_norm(d, K).values.items()) == oracle_qk_values(d, K)
+    elems = enumerate_elements(d)
+    assert list(commutator_length(d).values.items()) == oracle_cl_values(elems, d)
+    assert conjugacy_closure(K, d) == oracle_conjugacy_closure(K, d)
+    assert commutator_pool(elems) == oracle_commutator_pool(elems)
+    q = coset_extension_qnorm(d)
+    table, reps, c_big = oracle_coset_extension(d)
+    assert list(q.table.items()) == table
+    assert q.notes["transversal"] == tuple(to_literal(r) for r in reps)
+    assert q.c_add == 1 + c_big and q.notes["C"] == str(c_big)
+    # a transversal given by the caller, and one with two reps in one coset
+    derived = sorted(commutator_length(d).values, key=sort_key)
+    other = [compose(derived[-1 - k % len(derived)], r) for k, r in enumerate(reps)][::-1]
+    given = coset_extension_qnorm(d, other)
+    table, _, c_big = oracle_coset_extension(d, other)
+    assert list(given.table.items()) == table and given.notes["C"] == str(c_big)
+    if len(derived) > 1:
+        with pytest.raises(ValueError):
+            oracle_coset_extension(d, [reps[0], compose(derived[1], reps[0])])
+        with pytest.raises(ValueError):
+            coset_extension_qnorm(d, [reps[0], compose(derived[1], reps[0])])
+    out = quasinorm_to_norm(q, d)
+    assert list(out.values.items()) == oracle_quasinorm_to_norm(q, d)
+
+
+@pytest.mark.parametrize("text", FAMILIES)
+def test_axiom_reports_match_oracle(text):
+    d = parse_descriptor(text)
+    rng = random.Random(f"axioms:{text}")
+    for table in tables_for(d, rng):
+        assert assert_axioms_agree(table)[0]  # valid tables pass
+        for _ in range(3):
+            assert_axioms_agree(tampered(table, rng), rng.choice((1, 3, 25)))
+
+
+@pytest.mark.parametrize("text", FAMILIES)
+def test_exact_quasimorphism_paths_match_oracle(text):
+    d = parse_descriptor(text)
+    rng = random.Random(f"qm:{text}")
+    vals = {g: random_fraction(rng) - 2 for g in enumerate_elements(d)}
+    q = QuasiMorphism(d, vals.__getitem__, name="random")
+    est = defect(q, "exact")
+    assert (est.value, est.sample_count) == oracle_defect(q)
+    gens = tuple(rng.choice(enumerate_elements(d)) for _ in range(2))
+    cs = commutator_sup(q, SubgroupSpec(gens), "exact", max_witnesses=4)
+    assert (cs.value, cs.witnesses, cs.sample_count) == \
+        oracle_commutator_sup(q, SubgroupSpec(gens), 4)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: seeded variations on every family
+
+families = st.sampled_from(FAMILIES)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(families, seeds, st.sampled_from((1, 2, 5, 25)))
+def test_tampered_and_subset_reports_match_oracle(text, seed, max_violations):
+    d = parse_descriptor(text)
+    rng = random.Random(seed)
+    table = rng.choice(tables_for(d, rng))
+    assert_axioms_agree(tampered(table, rng), max_violations)
+
+
+@settings(max_examples=20, deadline=None)
+@given(families, seeds)
+def test_subgroup_tables_match_oracle(text, seed):
+    # cl_H and axioms on the closure of a seeded subgroup: a subset kernel
+    d = parse_descriptor(text)
+    rng = random.Random(seed)
+    elems = enumerate_elements(d)
+    closure = sorted(closure_of(SubgroupSpec((rng.choice(elems), rng.choice(elems)))),
+                     key=sort_key)
+    cl = commutator_length_over(closure, d, name="cl_H")
+    assert list(cl.values.items()) == oracle_cl_values(closure, d)
+    support = {g: Fraction(0 if g.is_identity() else rng.randint(1, 2)) for g in closure}
+    table = NormTable(d, support, NormTableMeta(name="seeded"))
+    assert_axioms_agree(table, rng.choice((1, 25)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(families, seeds, st.integers(0, 6))
+def test_quasimorphism_and_quasinorm_paths_match_oracle(text, seed, max_witnesses):
+    d = parse_descriptor(text)
+    rng = random.Random(seed)
+    elems = enumerate_elements(d)
+    vals = {g: random_fraction(rng, top=3) - 1 for g in elems}
+    q = QuasiMorphism(d, vals.__getitem__, name="random")
+    est = defect(q, "exact")
+    assert (est.value, est.sample_count) == oracle_defect(q)
+    h = SubgroupSpec(tuple(rng.choice(elems) for _ in range(rng.randint(1, 2))))
+    cs = commutator_sup(q, h, "exact", max_witnesses=max_witnesses)
+    assert (cs.value, cs.witnesses, cs.sample_count) == \
+        oracle_commutator_sup(q, h, max_witnesses)
+    qn = QuasiNormSpec(d, random_fraction(rng), random_fraction(rng),
+                       table={g: abs(v) for g, v in vals.items()})
+    out = quasinorm_to_norm(qn, d)
+    assert list(out.values.items()) == oracle_quasinorm_to_norm(qn, d)
+    assert out.meta == NormTableMeta(
+        name="normed[q]", diameter=max(out.values.values()),
+        notes={"added_constant": str(qn.c_add + qn.c_conj + 1)})

@@ -208,10 +208,22 @@ def test_scl_bounds_commutator():
     q = counting_qm(AB)
     w = commutator_of(free_word(F2, (1,)), free_word(F2, (2,)))
     sb = scl_bounds(w, q, defect_upper=Fraction(6), n=64)
-    assert sb.lower == Fraction(29, 384)  # (1 - 6/64) / 12, by hand
+    # (1 - 6/64) / (4 * 6), by hand: D bounds the defect of q, and the
+    # homogenization's defect is at most 2D
+    assert sb.lower == Fraction(29, 768)
     assert sb.lower > 0  # certifies stably unbounded commutator length
     assert sb.upper is None
     assert sb.lower_provenance["defect_upper"] == "6"
+
+
+def test_scl_bounds_sharp_defect_stays_below_true_scl():
+    # count[a b] has defect at most 3(k - 1) = 3 for its length-2 pattern,
+    # q((a b A B)^64) = 64, and scl([a, b]) = 1/2 exactly in F2
+    q = counting_qm(AB)
+    w = commutator_of(free_word(F2, (1,)), free_word(F2, (2,)))
+    sb = scl_bounds(w, q, defect_upper=Fraction(3), n=64)
+    assert sb.lower == Fraction(61, 768)  # (1 - 3/64) / (4 * 3)
+    assert sb.lower <= Fraction(1, 2)
 
 
 def test_scl_bounds_trivial_qm():
