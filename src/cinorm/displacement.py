@@ -2,29 +2,37 @@
 finite groups, with exhaustive verification of the associated norm
 inequalities.
 
-Scans run over raw payloads in lexicographic order, so every reported witness
-or minimizer is the least valid one and reruns are bit-identical.
+Norm values and the powers phi^k (k >= 2) aside, the searches see a
+conjugator phi only through ``phi H phi^-1``, which is constant on the coset
+``phi N`` of ``N = N_G(H)``.  So they run by orbit-stabilizer
+(:func:`_conjugates`) over the ``|G : N|`` distinct conjugates and expand
+only the cosets that can hold a witness.  Each search keeps the least
+(value, payload) it meets in ``sort_key`` order and packing lists each
+conjugate by its least conjugator, so every witness or minimizer is the one
+a full payload-order scan of G finds, and reruns are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import partial
+from itertools import combinations
 
 from . import descriptors as gd
-from .descriptors import PERMUTATION_FAMILIES, GroupDescriptor
+from .descriptors import WREATH_FAMILIES, GroupDescriptor
 from .elements import (
     Element,
     _compose_payload,
+    _identity_payload,
     _invert_payload,
-    _perm_parity,
+    _key,
     commutator_of,
     compose,
     invert,
     sort_key,
 )
-from .enumeration import SubgroupSpec, closure_of, enumerate_elements
+from .enumeration import SubgroupSpec, _extend_closure, closure_of, group_generators
 from .errors import GuardExceededError, InfiniteGroupError
 from .literals import to_literal
 from .norms import NormLike, commutator_length, commutator_length_over, norm_value_fn
@@ -33,6 +41,10 @@ from .norms import NormLike, commutator_length, commutator_length_over, norm_val
 PACKING_GUARD = 1_000_000
 #: Ambient-order guard for energy scans.
 ENERGY_GUARD = 10_000_000
+#: Most distinct conjugate subgroups a packing search builds its graph on.
+CLIQUE_GUARD = 20_000
+#: Families whose payloads hold Elements: ``_key`` orders them as ``sort_key``.
+_NESTED = WREATH_FAMILIES | {"bar", "product"}
 
 
 @dataclass(frozen=True)
@@ -72,64 +84,109 @@ def is_abelian_subgroup(h: SubgroupSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# payload-level scan machinery
+# orbit-stabilizer search over the conjugates of a subgroup
 
 
-def _payload_ops(d: GroupDescriptor):
-    if d.family in PERMUTATION_FAMILIES:
-        def mul(a, b):
-            return tuple(map(a.__getitem__, b))
-
-        def inv(a):
-            out = [0] * len(a)
-            for i, j in enumerate(a):
-                out[j] = i
-            return tuple(out)
-        return mul, inv
-    return (lambda a, b: _compose_payload(d, a, b),
-            lambda a: _invert_payload(d, a))
-
-
-def _iter_payloads(d: GroupDescriptor, limit: int):
+def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
+                cap: int | None = None) -> tuple[list, list, list]:
+    """Orbit-stabilizer for H under conjugation (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, ch. 4): a transversal
+    ``t`` (``t[i] H t[i]^-1`` is the i-th distinct conjugate, ``t[0] = 1``),
+    its inverses, and the normalizer N, closed from the Schreier generators
+    ``t[j]^-1 s t[i]``.  The conjugators of the i-th conjugate are the coset
+    ``t[i] N``.  ``cap`` bounds the number of conjugates."""
     size = gd.order(d)
     if size is None:
         raise InfiniteGroupError(f"{d} is infinite")
     if size > limit:
         raise GuardExceededError(f"|{d}| = {size} exceeds the scan guard {limit}")
-    if d.family == "sn":
-        return permutations(range(d.n))
-    if d.family == "an":
-        return (p for p in permutations(range(d.n)) if not _perm_parity(p))
-    return (e.payload for e in enumerate_elements(d, limit))
+    mul, inv = partial(_compose_payload, d), partial(_invert_payload, d)
+    steps = [(s.payload, inv(s.payload)) for s in group_generators(d)]
+    one = _identity_payload(d)
+    points = [frozenset(g.payload for g in closure_of(h))]
+    where = {points[0]: 0}
+    trans, trans_inv = [one], [one]
+    normalizer, n_gens = {one}, []
+    for i, t in enumerate(trans):  # trans grows while it is walked: a BFS
+        for s, si in steps:
+            k = frozenset([mul(mul(s, x), si) for x in points[i]])
+            j = where.get(k)
+            if j is None:
+                if cap is not None and len(points) >= cap:
+                    raise GuardExceededError(
+                        f"{len(points) + 1} conjugate subgroups reached, "
+                        f"above the clique guard {cap}")
+                where[k] = len(points)
+                points.append(k)
+                trans.append(mul(s, t))
+                trans_inv.append(mul(trans_inv[i], si))
+            else:
+                g = mul(trans_inv[j], mul(s, t))
+                if g not in normalizer:
+                    _extend_closure(normalizer, n_gens, g, mul, size)
+    if len(points) * len(normalizer) != size:
+        raise AssertionError(f"orbit-stabilizer count {len(points)} * "
+                             f"{len(normalizer)} is not |{d}| = {size}")
+    return trans, trans_inv, list(normalizer)
 
 
-def _strongly_displaces(mul, inv, phi, gens, m: int) -> bool:
-    # pairwise commutation of Conj_{phi^i}(H) reduces to H vs Conj_{phi^k}(H)
-    pw = None
-    for k in range(1, m + 1):
-        pw = phi if k == 1 else mul(phi, pw)
-        pwi = inv(pw)
-        for g in gens:
-            c = mul(mul(pw, g), pwi)
-            for h in gens:
-                if mul(c, h) != mul(h, c):
+def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec,
+                     m: int, value, limit: int) -> EnergyResult:
+    """Least ``(value, payload order)`` over the ``phi`` for which every
+    ``phi^k moved phi^-k`` (k = 1..m) commutes with ``fixed``; without
+    ``value`` the payload order alone decides.  Commutation is decided on
+    generators, and the result is re-checked."""
+    if m < 1:
+        raise ValueError(f"m = {m}: a displacer needs m >= 1")
+    trans, trans_inv, normalizer = _conjugates(d, moved, limit)
+    mul, inv = partial(_compose_payload, d), partial(_invert_payload, d)
+    rank = _key if d.family in _NESTED else None
+    moved_gens = tuple(g.payload for g in moved.generators)
+    fixed_gens = tuple(g.payload for g in fixed.generators)
+
+    def commutes(t, ti) -> bool:
+        for g in moved_gens:
+            c = mul(mul(t, g), ti)
+            for x in fixed_gens:
+                if mul(c, x) != mul(x, c):
                     return False
-    return True
+        return True
+
+    def powers_commute(phi, phi_inv) -> bool:
+        pw, pwi = phi, phi_inv
+        for _ in range(2, m + 1):
+            pw, pwi = mul(phi, pw), mul(pwi, phi_inv)
+            if not commutes(pw, pwi):
+                return False
+        return True
+
+    inverses = [inv(x) for x in normalizer] if m > 1 else normalizer
+    best = None
+    for t, ti in zip(trans, trans_inv):
+        # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
+        if not commutes(t, ti):
+            continue
+        for x, xi in zip(normalizer, inverses):
+            phi = mul(t, x)
+            key = (value(Element(d, phi)) if value else 0,
+                   phi if rank is None else rank(phi))
+            if (best is None or key < best[0]) and (
+                    m == 1 or powers_commute(phi, mul(xi, ti))):
+                best = (key, phi)
+    if best is None:
+        return EnergyResult(m, None, None)
+    minimizer = Element(d, best[1])
+    _assert_witnesses(fixed, moved, tuple(minimizer ** k for k in range(1, m + 1)))
+    return EnergyResult(m, Fraction(best[0][0]), minimizer)
 
 
 def find_strong_displacer(d: GroupDescriptor, h: SubgroupSpec, m: int,
                           limit: int = ENERGY_GUARD) -> DisplacementReport:
-    """Lexicographically first element whose powers ``phi^1..phi^m`` displace
-    the subgroup, by full deterministic scan."""
-    mul, inv = _payload_ops(d)
-    gens = tuple(g.payload for g in h.generators)
-    for phi in _iter_payloads(d, limit):
-        if _strongly_displaces(mul, inv, phi, gens, m):
-            e = Element(d, phi)
-            witnesses = tuple(e ** k for k in range(1, m + 1))
-            _assert_witnesses(h, h, witnesses)
-            return DisplacementReport(h, m, "strong", witnesses, True)
-    return DisplacementReport(h, m, "strong", (), False)
+    """Least element, in payload order, whose powers ``phi^1..phi^m``
+    displace the subgroup."""
+    e = _least_displacer(d, h, h, m, None, limit).minimizer
+    witnesses = () if e is None else tuple(e ** k for k in range(1, m + 1))
+    return DisplacementReport(h, m, "strong", witnesses, e is not None)
 
 
 def _assert_witnesses(fixed: SubgroupSpec, moved: SubgroupSpec,
@@ -139,80 +196,22 @@ def _assert_witnesses(fixed: SubgroupSpec, moved: SubgroupSpec,
     specs = [fixed] + [
         SubgroupSpec(tuple(compose(compose(w, g), invert(w)) for g in moved.generators))
         for w in witnesses]
-    for i in range(len(specs)):
-        for j in range(i + 1, len(specs)):
-            if not subgroups_commute(specs[i], specs[j]):
-                raise AssertionError("witness failed the subgroup commutation re-check")
+    if not all(subgroups_commute(a, b) for a, b in combinations(specs, 2)):
+        raise AssertionError("witness failed the subgroup commutation re-check")
 
 
 def displacement_energy(d: GroupDescriptor, h: SubgroupSpec, m: int,
                         norm: NormLike, limit: int = ENERGY_GUARD) -> EnergyResult:
     """Exact minimum of the norm over all strong m-displacers of the
     subgroup; the minimizer is the least one in payload order."""
-    mul, inv = _payload_ops(d)
-    gens = tuple(g.payload for g in h.generators)
-    value = norm_value_fn(norm)
-    positive = _min_positive(d, norm)
-    best: Fraction | None = None
-    best_phi = None
-    for phi in _iter_payloads(d, limit):
-        v = Fraction(value(Element(d, phi)))
-        if best is not None and v >= best:
-            continue
-        if _strongly_displaces(mul, inv, phi, gens, m):
-            best, best_phi = v, phi
-            if best == 0 or (positive is not None and best == positive):
-                break
-    if best_phi is None:
-        return EnergyResult(m, None, None)
-    minimizer = Element(d, best_phi)
-    _assert_witnesses(h, h, tuple(minimizer ** k for k in range(1, m + 1)))
-    return EnergyResult(m, best, minimizer)
-
-
-def _min_positive(d: GroupDescriptor, norm: NormLike) -> Fraction | None:
-    # smallest positive value, used to stop scans once unbeatable
-    from .norms import NormTable
-    if isinstance(norm, NormTable):
-        vals = [v for v in norm.values.values() if v > 0]
-        return min(vals) if vals else None
-    return None
+    return _least_displacer(d, h, h, m, norm_value_fn(norm), limit)
 
 
 def disjunction_energy(d: GroupDescriptor, h1: SubgroupSpec, h2: SubgroupSpec,
                        norm: NormLike, limit: int = ENERGY_GUARD) -> EnergyResult:
     """Exact minimum norm over elements conjugating ``h2`` to commute with
-    ``h1``."""
-    mul, inv = _payload_ops(d)
-    gens1 = tuple(g.payload for g in h1.generators)
-    gens2 = tuple(g.payload for g in h2.generators)
-    value = norm_value_fn(norm)
-    positive = _min_positive(d, norm)
-    best: Fraction | None = None
-    best_phi = None
-    for phi in _iter_payloads(d, limit):
-        v = Fraction(value(Element(d, phi)))
-        if best is not None and v >= best:
-            continue
-        pwi = inv(phi)
-        ok = True
-        for g in gens2:
-            c = mul(mul(phi, g), pwi)
-            for h in gens1:
-                if mul(c, h) != mul(h, c):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            best, best_phi = v, phi
-            if best == 0 or (positive is not None and best == positive):
-                break
-    if best_phi is None:
-        return EnergyResult(1, None, None)
-    minimizer = Element(d, best_phi)
-    _assert_witnesses(h1, h2, (minimizer,))
-    return EnergyResult(1, best, minimizer)
+    ``h1``; the minimizer is the least one in payload order."""
+    return _least_displacer(d, h1, h2, 1, norm_value_fn(norm), limit)
 
 
 # ---------------------------------------------------------------------------
@@ -224,40 +223,31 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec, m_cap: int = 16,
     """Largest number of pairwise-commuting conjugates of the subgroup
     (including itself), via the commutation graph on distinct conjugates.
 
-    Enumerating distinct conjugate subgroups first collapses the search over
-    conjugator tuples to a clique search; the scan over conjugators is still
-    full, so ``exhausted`` is True whenever no guard tripped.
+    The distinct conjugates are the orbit points of :func:`_conjugates`;
+    each is listed by, and reported with, its least conjugator (the least
+    element of its coset ``t N``), so the clique search sees them in the
+    order of a payload-order scan of the group.  At most
+    :data:`CLIQUE_GUARD` conjugates are built.  ``exhausted`` is True
+    whenever no guard tripped.
     """
     if is_abelian_subgroup(h):
         return PackingResult(None, None, True, degenerate=True)
-    mul, inv = _payload_ops(d)
-    closure = [g.payload for g in closure_of(h)]
+    trans, trans_inv, normalizer = _conjugates(d, h, limit, cap=CLIQUE_GUARD)
+    mul = partial(_compose_payload, d)
+    rank = _key if d.family in _NESTED else None
+    least = [min([mul(t, x) for x in normalizer], key=rank) for t in trans]
+    order = sorted(range(len(trans)),
+                   key=lambda i: least[i] if rank is None else rank(least[i]))
     gens = tuple(g.payload for g in h.generators)
+    conj_gens = [tuple(mul(mul(trans[i], g), trans_inv[i]) for g in gens) for i in order]
+    neighbors: list[set[int]] = [set() for _ in order]
+    for i, j in combinations(range(len(order)), 2):
+        if all(mul(x, y) == mul(y, x) for x in conj_gens[i] for y in conj_gens[j]):
+            neighbors[i].add(j)
+            neighbors[j].add(i)
 
-    reps: dict[frozenset, tuple] = {}
-    conj_gens: list[tuple] = []
-    order_seen: list[tuple] = []
-    for phi in _iter_payloads(d, limit):
-        pwi = inv(phi)
-        key = frozenset(mul(mul(phi, x), pwi) for x in closure)
-        if key not in reps:
-            reps[key] = phi
-            order_seen.append(phi)
-            conj_gens.append(tuple(mul(mul(phi, g), pwi) for g in gens))
-    n = len(order_seen)
-    if n > 20000:
-        raise GuardExceededError(f"{n} conjugate subgroups exceed the clique guard")
-
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if all(mul(x, y) == mul(y, x)
-                   for x in conj_gens[i] for y in conj_gens[j]):
-                neighbors[i].add(j)
-                neighbors[j].add(i)
-
-    # identity is the lexicographically least conjugator, so vertex 0 is H
-    best = [0]
+    root = order.index(0)  # the vertex of H itself
+    best = [root]
     cap = m_cap + 1
 
     def grow(clique: list[int], cand: list[int]) -> None:
@@ -272,9 +262,9 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec, m_cap: int = 16,
             grow(clique + [v],
                  [u for u in cand[idx + 1:] if u in neighbors[v]])
 
-    grow([0], sorted(neighbors[0]))
+    grow([root], sorted(neighbors[root]))
     p = len(best)
-    witnesses = tuple(Element(d, order_seen[v]) for v in best[1:])
+    witnesses = tuple(Element(d, least[order[v]]) for v in best[1:])
     report = DisplacementReport(h, p - 1, "weak", witnesses, p > 1)
     _assert_witnesses(h, h, witnesses)
     return PackingResult(p, report, exhausted=p < cap)

@@ -7,6 +7,7 @@ witness and coset representative in the library is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product as iter_product
 from typing import Iterable
 
@@ -14,14 +15,18 @@ from . import descriptors as gd
 from .descriptors import GroupDescriptor
 from .elements import (
     Element,
+    _compose_payload,
+    _identity_payload,
     _perm_parity,
-    compose,
+    bar_element,
     elementary,
     identity,
-    invert,
+    perm_from_cycles,
+    product_element,
     sort_key,
+    wreath_element,
 )
-from .errors import GuardExceededError, InfiniteGroupError
+from .errors import DescriptorMismatchError, GuardExceededError, InfiniteGroupError
 
 #: Default ceiling on exhaustive element counts.
 ENUMERATION_GUARD = 10_000_000
@@ -66,10 +71,7 @@ def enumerate_elements(d: GroupDescriptor, limit: int | None = None) -> list[Ele
         elems = [Element(d, p) for p in permutations(range(d.n))
                  if not _perm_parity(p)]
     elif f == "slp":
-        gens = [elementary(d, i, j, s)
-                for i in range(1, d.n + 1) for j in range(1, d.n + 1)
-                if i != j for s in (1, d.p - 1)]
-        elems = sorted(subgroup_closure(gens, limit=size), key=sort_key)
+        elems = sorted(subgroup_closure(group_generators(d), limit=size), key=sort_key)
     elif f == "wreath-zn":
         base_elems = enumerate_elements(d.base, limit)
         elems = []
@@ -94,6 +96,36 @@ def enumerate_elements(d: GroupDescriptor, limit: int | None = None) -> list[Ele
     return elems
 
 
+def group_generators(d: GroupDescriptor) -> tuple[Element, ...]:
+    """A small generating set of a finite group, in a fixed order."""
+    f = d.family
+    if f == "sn":
+        gens = [perm_from_cycles(d, c, one_based=False)
+                for c in ((0, 1), range(d.n)) if d.n >= 2]
+    elif f == "an":
+        gens = [perm_from_cycles(d, (0, 1, i), one_based=False) for i in range(2, d.n)]
+    elif f == "slp":
+        gens = [elementary(d, i, j, s) for i in range(1, d.n + 1)
+                for j in range(1, d.n + 1) if i != j for s in (1, d.p - 1)]
+    elif f in ("wreath-zn", "bar", "product"):
+        parts = d.parts or (d.base,)
+        ones = [identity(p) for p in parts]
+        embedded = [ones[:i] + [g] + ones[i + 1:]
+                    for i, p in enumerate(parts) for g in group_generators(p)]
+        if f == "wreath-zn":  # lamp generators at 0, and the shift
+            gens = [wreath_element(d, {0: g}) for (g,) in embedded]
+            gens.append(wreath_element(d, {}, 1))
+        elif f == "bar":  # first-coordinate generators, and the swap
+            gens = [bar_element(d, g, ones[0]) for (g,) in embedded]
+            gens.append(bar_element(d, ones[0], ones[0], 1))
+        else:
+            gens = [product_element(d, comps) for comps in embedded]
+    else:
+        raise InfiniteGroupError(f"{d} has no finite generating set")
+    gens = [g for g in dict.fromkeys(gens) if not g.is_identity()]
+    return tuple(gens) or (identity(d),)
+
+
 def subgroup_closure(generators: Iterable[Element],
                      limit: int = ENUMERATION_GUARD) -> set[Element]:
     """Subgroup generated by the elements; raises once ``limit`` is passed."""
@@ -101,22 +133,33 @@ def subgroup_closure(generators: Iterable[Element],
     if not gens:
         raise ValueError("closure needs at least one generator")
     d = gens[0].descriptor
-    step = {g for g in gens} | {invert(g) for g in gens}
-    seen = {identity(d)}
-    frontier = [identity(d)]
+    if any(g.descriptor != d for g in gens):
+        raise DescriptorMismatchError("closure generators must share one descriptor")
+    elems, used, mul = {_identity_payload(d)}, [], partial(_compose_payload, d)
+    for g in gens:
+        if g.payload not in elems:
+            _extend_closure(elems, used, g.payload, mul, limit)
+    return {Element(d, p) for p in elems}
+
+
+def _extend_closure(elems: set, gens: list, g, mul, limit: int) -> None:
+    """Add ``g`` to ``gens`` and grow ``elems`` (payloads holding the identity
+    and closed under right multiplication by ``gens``) to stay closed: in a
+    finite group, the subgroup generated.  Raises once ``limit`` is passed."""
+    gens.append(g)
+    frontier, step = list(elems), (g,)
     while frontier:
         nxt = []
-        for g in frontier:
+        for x in frontier:
             for s in step:
-                h = compose(g, s)
-                if h not in seen:
-                    if len(seen) >= limit:
+                y = mul(x, s)
+                if y not in elems:
+                    if len(elems) >= limit:
                         raise GuardExceededError(
                             f"subgroup closure exceeded {limit} elements")
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return seen
+                    elems.add(y)
+                    nxt.append(y)
+        frontier, step = nxt, gens
 
 
 def closure_of(spec: SubgroupSpec, limit: int = ENUMERATION_GUARD) -> set[Element]:

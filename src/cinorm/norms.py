@@ -18,6 +18,7 @@ from .descriptors import GroupDescriptor, PERMUTATION_FAMILIES
 from .elements import (
     Element,
     _compose_payload,
+    _identity_payload,
     compose,
     identity,
     invert,
@@ -245,8 +246,8 @@ def commutator_length(d: GroupDescriptor, limit: int | None = None) -> NormTable
 
 def trivial_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTable:
     """1 on every non-identity element."""
-    values = {g: Fraction(0 if g.is_identity() else 1)
-              for g in enumerate_elements(d, limit)}
+    one, zero, e = Fraction(1), Fraction(0), _identity_payload(d)
+    values = {g: zero if g.payload == e else one for g in enumerate_elements(d, limit)}
     return NormTable(d, values, NormTableMeta(name="trivial", diameter=Fraction(1)))
 
 
