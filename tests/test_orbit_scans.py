@@ -19,12 +19,14 @@ from cinorm import (
     Element,
     GuardExceededError,
     SubgroupSpec,
+    bar_element,
     closure_of,
     disjunction_energy,
     displacement_energy,
     enumerate_elements,
     find_strong_displacer,
     group_generators,
+    identity,
     mod_matrix,
     order,
     packing_number,
@@ -34,6 +36,7 @@ from cinorm import (
     support_norm,
     symmetric,
     trivial_norm_table,
+    wreath_element,
 )
 from cinorm import displacement
 from cinorm.descriptors import PERMUTATION_FAMILIES
@@ -167,11 +170,28 @@ def scan_packing(d, h, m_cap=16):
 def family_and_subgroups(draw):
     d = parse_descriptor(draw(st.sampled_from(FAMILIES)))
     elems = enumerate_elements(d)
+    # subgroups of one corner (first points, first factor, lamp 0) leave room
+    # for commuting conjugates, so packings above 1 and finite energies occur
+    pools = [elems, [e for e in elems if _in_corner(e)] or elems]
 
     def subgroup():
-        k = draw(st.integers(1, 2))
-        return SubgroupSpec(tuple(draw(st.sampled_from(elems)) for _ in range(k)))
+        pool = draw(st.sampled_from(pools))
+        return SubgroupSpec(tuple(draw(st.sampled_from(pool))
+                                  for _ in range(draw(st.integers(1, 2)))))
     return d, subgroup(), subgroup()
+
+
+def _in_corner(e):
+    d, p = e.descriptor, e.payload
+    if d.family in PERMUTATION_FAMILIES:
+        return all(p[i] == i for i in range(3 if d.family == "sn" else 4, d.n))
+    if d.family == "bar":
+        return p[1].is_identity() and p[2] == 0
+    if d.family == "product":
+        return all(c.is_identity() for c in p[1:])
+    if d.family == "wreath-zn":
+        return p[1] == 0 and all(i == 0 for i, _ in p[0])
+    return False
 
 
 def _packing(res):
@@ -185,10 +205,7 @@ def _norms(d):
     return out
 
 
-@settings(deadline=None)
-@given(family_and_subgroups())
-def test_searches_match_full_scans(case):
-    d, h, h2 = case
+def assert_matches_full_scans(d, h, h2):
     for m in (1, 2):
         rep = find_strong_displacer(d, h, m)
         assert rep.witnesses == scan_strong_displacer(d, h, m)
@@ -205,6 +222,12 @@ def test_searches_match_full_scans(case):
     assert res.degenerate == (res.p is None)
 
 
+@settings(deadline=None, max_examples=60)
+@given(family_and_subgroups())
+def test_searches_match_full_scans(case):
+    assert_matches_full_scans(*case)
+
+
 def sym_block(d, pts):
     return SubgroupSpec((perm_from_cycles(d, pts[:2]), perm_from_cycles(d, pts)))
 
@@ -214,15 +237,24 @@ def sym_block(d, pts):
                                    (7, (2, 7)), (7, (1, 2, 3, 4, 5))])
 def test_sym_blocks_match_full_scans(n, pts):
     d = symmetric(n)
-    h = sym_block(d, pts)
-    for m in (1, 2):
-        assert find_strong_displacer(d, h, m).witnesses == scan_strong_displacer(d, h, m)
-        e = displacement_energy(d, h, m, support_norm)
-        assert (e.value, e.minimizer) == scan_displacement_energy(d, h, m, support_norm)
-    c3 = SubgroupSpec((perm_from_cycles(d, (1, 2, 3)),))
-    e = disjunction_energy(d, h, c3, support_norm)
-    assert (e.value, e.minimizer) == scan_disjunction_energy(d, h, c3, support_norm)
-    assert _packing(packing_number(d, h)) == scan_packing(d, h)
+    assert_matches_full_scans(d, sym_block(d, pts),
+                              SubgroupSpec((perm_from_cycles(d, (1, 2, 3)),)))
+
+
+@pytest.mark.parametrize("text", ["bar:sn:3", "wreath:sn:3:zn:2", "wreath:sn:3:zn:3"])
+def test_corner_sym3_matches_full_scans(text):
+    # Sym{1,2,3} in the first coordinate: its conjugates in the other
+    # coordinates commute with it, so p is the number of coordinates and the
+    # energies are finite and positive
+    d = parse_descriptor(text)
+    s3 = symmetric(3)
+    gens = [perm_from_cycles(s3, (1, 2)), perm_from_cycles(s3, (1, 2, 3))]
+    if d.family == "bar":
+        h = SubgroupSpec(tuple(bar_element(d, g, identity(s3)) for g in gens))
+    else:
+        h = SubgroupSpec(tuple(wreath_element(d, {0: g}) for g in gens))
+    assert packing_number(d, h).p == (2 if d.family == "bar" else d.n)
+    assert_matches_full_scans(d, h, SubgroupSpec(h.generators[1:]))
 
 
 @pytest.mark.parametrize("text", FAMILIES + ["sn:1", "sn:2", "an:3", "an:4", "slp:2:2",
