@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from ._version import __version__
@@ -44,9 +45,10 @@ def cache_put(key: str, payload: dict) -> Path:
     path = _entry_path(key)
     path.parent.mkdir(parents=True, exist_ok=True)
     entry = {"key": key, "digest": _digest(payload), "payload": payload}
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-    tmp.replace(path)
+    with tempfile.NamedTemporaryFile("w", dir=path.parent, suffix=".tmp",
+                                     delete=False) as tmp:  # one per writer
+        tmp.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+    os.replace(tmp.name, path)
     return path
 
 

@@ -637,7 +637,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if cmd == "packing":
         d = parse_descriptor(args.group)
         h = SubgroupSpec(tuple(_parse_elements(d, args.subgroup)))
-        res = packing_number(d, h, m_cap=cfg.m if cfg.m > 1 else 16)
+        res = packing_number(d, h)
         report = {
             "group": str(d), "p": res.p, "exhausted": res.exhausted,
             "degenerate": res.degenerate,

@@ -19,6 +19,7 @@ from .elements import (
     _identity_payload,
     _perm_parity,
     bar_element,
+    commutator_of,
     elementary,
     identity,
     perm_from_cycles,
@@ -191,17 +192,18 @@ def commutator_pool(elements: Iterable[Element]) -> set[Element]:
 
 
 def derived_subgroup(d: GroupDescriptor, limit: int | None = None) -> set[Element]:
-    """Subgroup generated by all simple commutators, by brute force."""
-    elems = enumerate_elements(d, limit)
-    pool = commutator_pool(elems)
-    return subgroup_closure(pool, limit=len(elems))
+    """G' as the normal closure of the commutators of :func:`group_generators`
+    (true of any generating set), without the N^2 commutator pool."""
+    gens = group_generators(d)
+    return subgroup_closure(conjugacy_closure(
+        [commutator_of(s, t) for s in gens for t in gens], d, limit))
 
 
 def abelianization_order(d: GroupDescriptor, limit: int | None = None) -> int | None:
     """Order of the abelian quotient; ``None`` means infinite.
 
-    Finite families are handled by enumeration; infinite families carry the
-    analytic answer of their presentation.
+    Finite families divide the order by that of :func:`derived_subgroup`;
+    infinite families carry the analytic answer of their presentation.
     """
     f = d.family
     if f in ("free", "z2inf", "wreath-z"):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .descriptors import GroupDescriptor, order, wreath_z, wreath_zn
 from .elements import (
@@ -24,7 +25,8 @@ from .elements import (
     invert,
     power,
 )
-from .enumeration import enumerate_elements
+from .displacement import subgroups_commute
+from .enumeration import SubgroupSpec, group_generators
 from .norms import NormLike, norm_value_fn
 
 
@@ -73,8 +75,9 @@ def wreath_environment(base: GroupDescriptor, capacity: int,
     """Build the standard environment: base wreath a shift with at least
     ``capacity + 1`` distinct coordinates (``ring`` may widen the finite ring).
 
-    The commuting-copies hypothesis is checked on construction for small
-    finite bases.
+    For every finite base, the copies at coordinates 0..capacity are checked
+    to commute pairwise, on the shifted generators of the base: two subgroups
+    commute elementwise iff their generators do.
     """
     if capacity < 1:
         raise ValueError("capacity must be at least 1")
@@ -86,22 +89,14 @@ def wreath_environment(base: GroupDescriptor, capacity: int,
             raise ValueError(f"ring size {ring} cannot host {capacity} shifted copies")
         ambient = wreath_zn(base, ring)
     env = FCommEnvironment(ambient, base, capacity, Element(ambient, ((), 1)))
-    base_order = order(base)
-    if base_order is not None and base_order <= 120:
-        _check_commuting_copies(env)
+    if order(base) is not None:
+        gens = group_generators(base)
+        copies = [SubgroupSpec(tuple(env.shifted(g, i) for g in gens))
+                  for i in range(capacity + 1)]
+        for (i, a), (j, b) in combinations(enumerate(copies), 2):
+            if not subgroups_commute(a, b):
+                raise AssertionError(f"coordinates {i} and {j} fail to commute")
     return env
-
-
-def _check_commuting_copies(env: FCommEnvironment) -> None:
-    elems = enumerate_elements(env.base)
-    copies = [[env.shifted(g, i) for g in elems] for i in range(env.capacity + 1)]
-    for i in range(env.capacity + 1):
-        for j in range(i + 1, env.capacity + 1):
-            for x in copies[i]:
-                for y in copies[j]:
-                    if compose(x, y) != compose(y, x):
-                        raise AssertionError(
-                            f"coordinates {i} and {j} fail to commute")
 
 
 @dataclass(frozen=True)

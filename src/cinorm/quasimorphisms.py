@@ -23,6 +23,7 @@ from .elements import (
     invert,
     power,
 )
+from .displacement import subgroups_commute
 from .enumeration import SubgroupSpec, closure_of
 from .errors import InfiniteGroupError
 from .kernel import domain_kernel, group_kernel, scaled
@@ -340,7 +341,6 @@ def verify_witness_additivity(q: QuasiMorphism, factors: Sequence[SubgroupSpec],
     supremum over a commuting product; the upper half is a supremum over an
     unbounded set and is not certified here.
     """
-    from .displacement import subgroups_commute
     if len(factors) != len(witnesses):
         raise ValueError("one witness pair per factor is required")
     for i in range(len(factors)):

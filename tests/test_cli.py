@@ -2,11 +2,14 @@
 
 import io
 import json
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from cinorm import alternating, norm_table_from_payload, perm_from_cycles, qk_norm
-from cinorm.cache import cache_get, cache_key, cache_put
+from cinorm.cache import cache_dir, cache_get, cache_key, cache_put
 from cinorm.cli import ExperimentConfig, main, run_suite
 from cinorm.serialize import norm_table_payload, norm_table_to_json
 
@@ -136,6 +139,18 @@ def test_packing_and_energy_commands(tmp_path):
     assert rep2["energies"][1]["value"] == "infinite"
 
 
+def test_packing_command_is_not_capped_by_m(tmp_path):
+    # the default --m 2 once capped the clique at 3 and left S9 not exhausted
+    out = tmp_path / "p.json"
+    assert main(["packing", "--group", "sn:9", "--h", "(1 2);(1 2 3)",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    golden = Path(__file__).parent / "golden" / "verify-packing-s9.json"
+    suite = json.loads(golden.read_text())["checks"][0]["detail"]
+    assert rep["p"] == suite["p"] == 3 and rep["exhausted"]
+    assert rep["witnesses"] == suite["witnesses"]
+
+
 def test_fcomm_command(tmp_path):
     out = tmp_path / "f.json"
     assert main(["fcomm", "--base", "sn:3", "--m", "2", "--seed", "3",
@@ -172,6 +187,34 @@ def test_cache_roundtrip_and_eviction(tmp_path):
     path.write_text(path.read_text().replace("hello", "hacked"))
     assert cache_get(key) is None
     assert not path.exists()
+
+
+def test_cache_put_concurrent_writers():
+    # more writers than cores, and frequent thread switches, on one key
+    key = cache_key("an:5", "q_K", ("(1 2 3 4 5)",))
+    payload = {"hello": list(range(100))}
+    errors = []
+
+    def writer():
+        try:
+            for _ in range(30):
+                cache_put(key, payload)
+        except Exception as exc:  # collected: a thread's raise would be lost
+            errors.append(exc)
+    threads = [threading.Thread(target=writer) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert cache_get(key) == payload
+    assert [p.name for p in cache_dir().iterdir()] == [f"{key}.json"]  # no temp left
 
 
 def test_run_suite_unknown_name():

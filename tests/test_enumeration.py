@@ -22,6 +22,7 @@ from cinorm import (
     free_group,
     in_class_g,
     invert,
+    parse_descriptor,
     perm_from_cycles,
     sl_mod,
     sort_key,
@@ -117,6 +118,23 @@ def test_derived_subgroups():
     # abelian models have trivial derived subgroup
     assert derived_subgroup(symmetric(2)) == {Element(symmetric(2), (0, 1))}
     assert len(derived_subgroup(alternating(3))) == 1
+
+
+@pytest.mark.parametrize("name", [
+    "sn:2", "sn:3", "sn:4", "sn:5", "an:3", "an:4", "an:5", "slp:2:3", "slp:2:5",
+    "bar:sn:3", "product:sn:3,sn:3", "wreath:sn:2:zn:2"])
+def test_derived_subgroup_against_commutator_pool(name):
+    # oracle: the subgroup generated by every simple commutator of G
+    d = parse_descriptor(name)
+    elems = enumerate_elements(d)
+    oracle = subgroup_closure(commutator_pool(elems))
+    assert derived_subgroup(d) == oracle
+    assert abelianization_order(d) == len(elems) // len(oracle)
+
+
+def test_derived_subgroup_guard():
+    with pytest.raises(GuardExceededError):
+        derived_subgroup(symmetric(8), limit=100)
 
 
 def test_abelianization():

@@ -3,10 +3,12 @@ contract, so nearly every test multiplies factors back out."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cinorm import (
+    Element,
     QuasiNormSpec,
     commutator_of,
     compose,
@@ -14,6 +16,7 @@ from cinorm import (
     fcomm_norm_bound,
     identity,
     invert,
+    parse_descriptor,
     perm_from_cycles,
     power,
     quasinorm_to_norm,
@@ -28,6 +31,7 @@ from cinorm import (
     wreath_environment,
     wreath_zn,
 )
+from cinorm.fcommutator import FCommEnvironment
 from cinorm.norms import NormTable, NormTableMeta
 
 S3 = symmetric(3)
@@ -50,6 +54,52 @@ def test_environment_embedding_and_shift():
     h = perm_from_cycles(S3, (1, 2, 3))
     a, b = env.shifted(g, 0), env.shifted(h, 1)
     assert compose(a, b) == compose(b, a)
+
+
+def oracle_copies_commute(env):
+    """Every pair of base elements at every pair of coordinates 0..capacity:
+    the element sweep the generator check in wreath_environment replaced."""
+    base = enumerate_elements(env.base)
+    copies = [[env.shifted(g, i) for g in base] for i in range(env.capacity + 1)]
+    return all(compose(x, y) == compose(y, x)
+               for a, b in combinations(copies, 2) for x in a for y in b)
+
+
+def environment_check_passes(base, capacity, ring):
+    try:
+        wreath_environment(base, capacity, ring=ring)
+    except AssertionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["sn:3", "sn:4", "an:4", "an:5", "slp:2:3"])
+@pytest.mark.parametrize("capacity", [1, 2, 3])
+@pytest.mark.parametrize("collapse", [False, True])
+def test_commuting_copies_check_against_element_sweep(name, capacity, collapse,
+                                                      monkeypatch):
+    # collapse maps coordinates i and i + 1 (i even) to one copy, so the
+    # copies fail to commute and both checks must say so
+    if collapse:
+        shifted = FCommEnvironment.shifted
+        monkeypatch.setattr(FCommEnvironment, "shifted",
+                            lambda env, h, i: shifted(env, h, i // 2))
+    base = parse_descriptor(name)
+    ring = capacity + 2
+    ambient = wreath_zn(base, ring)
+    env = FCommEnvironment(ambient, base, capacity, Element(ambient, ((), 1)))
+    expected = oracle_copies_commute(env)
+    assert expected is not collapse
+    assert environment_check_passes(base, capacity, ring) is expected
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_unshifted_copies_are_rejected(n, monkeypatch):
+    # S6 has 720 elements, above the order at which the element sweep ran
+    monkeypatch.setattr(FCommEnvironment, "shifted",
+                        lambda env, h, i: env.embed(h))
+    with pytest.raises(AssertionError, match="coordinates 0 and 1 fail to commute"):
+        wreath_environment(symmetric(n), capacity=2)
 
 
 def test_componentwise_product_law():
