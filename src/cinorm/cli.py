@@ -68,13 +68,7 @@ from .quasimorphisms import (
     QuasiMorphism,
 )
 from .sampling import random_element, random_permutation
-from .serialize import (
-    dumps,
-    fraction_str,
-    norm_table_payload,
-    norm_table_to_json,
-    norm_table_to_tsv,
-)
+from .serialize import dumps, fraction_str, norm_table_payload, payload_to_tsv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -462,24 +456,16 @@ def run_suite(name: str, cfg: ExperimentConfig,
 # table emission and element parsing helpers
 
 
-def emit_table(table, path: str | None, fmt: str, console=sys.stdout) -> None:
-    text = norm_table_to_json(table) if fmt == "json" else norm_table_to_tsv(table)
-    if path:
-        Path(path).write_text(text)
+def _emit(text: str, out: str | None) -> None:
+    """The one writer of tables and reports: to the file ``out``, or stdout."""
+    if out:
+        Path(out).write_text(text)
     else:
-        console.write(text)
+        sys.stdout.write(text)
 
 
 def _parse_elements(d, text: str) -> list[Element]:
     return [from_literal(d, part.strip()) for part in text.split(";") if part.strip()]
-
-
-def _write_report(report: dict, out: str | None, console=sys.stdout) -> None:
-    text = dumps(report)
-    if out:
-        Path(out).write_text(text)
-    else:
-        console.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -589,29 +575,19 @@ def _dispatch(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     cmd = args.command
 
-    if cmd == "qk":
+    if cmd in ("qk", "cl"):
         d = parse_descriptor(args.group)
-        members = _parse_elements(d, args.k)
-        lits = tuple(sorted(to_literal(k) for k in members))
-        key = cache_mod.cache_key(str(d), "q_K", lits)
-        payload = cache_mod.cache_get(key)
-        if payload is None:
-            table = qk_norm(d, members)
-            payload = norm_table_payload(table)
-            cache_mod.cache_put(key, payload)
-        text = dumps(payload)
-        if cfg.fmt == "tsv":
-            from .serialize import norm_table_from_payload
-            text = norm_table_to_tsv(norm_table_from_payload(payload))
-        if cfg.out:
-            Path(cfg.out).write_text(text)
+        if cmd == "cl":
+            payload = norm_table_payload(commutator_length(d))
         else:
-            sys.stdout.write(text)
-        return EXIT_OK
-
-    if cmd == "cl":
-        d = parse_descriptor(args.group)
-        emit_table(commutator_length(d), cfg.out, cfg.fmt)
+            members = _parse_elements(d, args.k)
+            lits = tuple(sorted(to_literal(k) for k in members))
+            key = cache_mod.cache_key(str(d), "q_K", lits)
+            payload = cache_mod.cache_get(key)
+            if payload is None:
+                payload = norm_table_payload(qk_norm(d, members))
+                cache_mod.cache_put(key, payload)
+        _emit(dumps(payload) if cfg.fmt == "json" else payload_to_tsv(payload), cfg.out)
         return EXIT_OK
 
     if cmd == "cld":
@@ -631,7 +607,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 {"axiom": a, "witness": [to_literal(x) for x in w]}
                 for a, w in rep.violations],
         }
-        _write_report(report, cfg.out)
+        _emit(dumps(report), cfg.out)
         return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
     if cmd == "packing":
@@ -644,7 +620,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             "witnesses": [] if res.certificate is None else
             [to_literal(w) for w in res.certificate.witnesses],
         }
-        _write_report(report, cfg.out)
+        _emit(dumps(report), cfg.out)
         return EXIT_OK
 
     if cmd == "energy":
@@ -659,7 +635,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 "value": "infinite" if e.value is None else fraction_str(e.value),
                 "minimizer": None if e.minimizer is None else to_literal(e.minimizer),
             })
-        _write_report({"group": str(d), "energies": energies}, cfg.out)
+        _emit(dumps({"group": str(d), "energies": energies}), cfg.out)
         return EXIT_OK
 
     if cmd == "fcomm":
@@ -681,7 +657,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             "verified": dec.verified,
             "audit": {k: to_literal(v) for k, v in dec.audit.items()},
         }
-        _write_report(report, cfg.out)
+        _emit(dumps(report), cfg.out)
         return EXIT_OK if dec.verified else EXIT_CHECK_FAILED
 
     if cmd == "qm":
@@ -711,12 +687,12 @@ def _dispatch(args: argparse.Namespace) -> int:
                       "lower": fraction_str(sb.lower),
                       "provenance": sb.lower_provenance}
         report["seed"] = cfg.seed
-        _write_report(report, cfg.out)
+        _emit(dumps(report), cfg.out)
         return EXIT_OK
 
     if cmd == "verify":
         code, report = run_suite(args.suite, cfg)
-        _write_report(report, cfg.out)
+        _emit(dumps(report), cfg.out)
         return code
 
     if cmd == "cache":

@@ -33,7 +33,7 @@ from .elements import (
     sort_key,
 )
 from .enumeration import SubgroupSpec, _extend_closure, closure_of, group_generators
-from .errors import GuardExceededError, InfiniteGroupError
+from .errors import DescriptorMismatchError, GuardExceededError, InfiniteGroupError
 from .literals import to_literal
 from .norms import NormLike, commutator_length, commutator_length_over, norm_value_fn
 
@@ -95,6 +95,8 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     its inverses, and the normalizer N, closed from the Schreier generators
     ``t[j]^-1 s t[i]``.  The conjugators of the i-th conjugate are the coset
     ``t[i] N``.  ``cap`` bounds the number of conjugates."""
+    if h.descriptor != d:
+        raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
     size = gd.order(d)
     if size is None:
         raise InfiniteGroupError(f"{d} is infinite")
@@ -138,6 +140,8 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     generators, and the result is re-checked."""
     if m < 1:
         raise ValueError(f"m = {m}: a displacer needs m >= 1")
+    if fixed.descriptor != d:
+        raise DescriptorMismatchError(f"the subgroup lives in {fixed.descriptor}, not {d}")
     trans, trans_inv, normalizer = _conjugates(d, moved, limit)
     mul, inv = partial(_compose_payload, d), partial(_invert_payload, d)
     rank = _key if d.family in _NESTED else None
@@ -230,7 +234,7 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec, m_cap: int = 16,
     :data:`CLIQUE_GUARD` conjugates are built.  ``exhausted`` is True
     whenever no guard tripped.
     """
-    if is_abelian_subgroup(h):
+    if h.descriptor == d and is_abelian_subgroup(h):  # else _conjugates refuses h
         return PackingResult(None, None, True, degenerate=True)
     trans, trans_inv, normalizer = _conjugates(d, h, limit, cap=CLIQUE_GUARD)
     mul = partial(_compose_payload, d)

@@ -170,14 +170,9 @@ def closure_of(spec: SubgroupSpec, limit: int = ENUMERATION_GUARD) -> set[Elemen
 def conjugacy_closure(base: Iterable[Element], d: GroupDescriptor,
                       limit: int | None = None) -> set[Element]:
     """All conjugates of ``base`` and its inverses; closed under conjugation."""
-    from .kernel import group_kernel  # the kernel is built on enumeration
+    from .kernel import conjugacy_indices, group_kernel  # built on enumeration
     G = group_kernel(d, limit)
-    seeds = {G.index_of(b) for b in base}
-    seeds |= {G.inv[b] for b in seeds}
-    out: set[int] = set()
-    for phi in range(G.n):
-        out.update([G.conj(phi, b) for b in seeds])
-    return {G.elements[i] for i in out}
+    return {G.elements[i] for i in conjugacy_indices(G, base)}
 
 
 def commutator_pool(elements: Iterable[Element]) -> set[Element]:

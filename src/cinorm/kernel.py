@@ -62,13 +62,21 @@ class FiniteGroup:
             raise DescriptorMismatchError(f"{e} is not an element of {self.descriptor}")
         return self.index[e.payload]
 
+    def products(self, i: int, js: Iterable[int]) -> list[int]:
+        """Indices of ``elements[i] * elements[j]`` for each j of ``js``; the
+        row is read when built, never built."""
+        r = self._rows[i] if self._rows is not None else None
+        if r is not None:
+            return [r[j] for j in js]
+        a, mul, get, p = self.payloads[i], self._mul, self.index.get, self.payloads
+        return [get(mul(a, p[j]), -1) for j in js]
+
     def row(self, i: int) -> array:
         """Indices of ``elements[i] * elements[j]`` for every j."""
         rows = self._rows
         if rows is not None and rows[i] is not None:
             return rows[i]
-        a, mul, get = self.payloads[i], self._mul, self.index.get
-        r = array("i", [get(mul(a, b), -1) for b in self.payloads])
+        r = array("i", self.products(i, range(self.n)))
         if rows is not None:
             rows[i] = r  # threads racing here store equal rows, so no lock
         return r
@@ -84,6 +92,16 @@ class FiniteGroup:
         """Index of ``b a b^-1``; ``b`` must have its inverse in the set."""
         ab = self.mul(b, a)
         return -1 if ab < 0 else self.mul(ab, self.inv[b])
+
+    def conjugates(self, seeds: Iterable[int]) -> set[int]:
+        """Indices of ``b s b^-1`` for every b and every seed s."""
+        seeds, conj = list(seeds), self.conj
+        return {conj(b, s) for b in range(self.n) for s in seeds}
+
+    def commutators(self, x: int) -> list[int]:
+        """Indices of ``[x, y] = x y x^-1 y^-1`` for every y, in a closed set."""
+        xy, xiyi, inv, mul = self.row(x), self.row(self.inv[x]), self.inv, self.mul
+        return [mul(xy[y], xiyi[inv[y]]) for y in range(self.n)]
 
     def require_closed(self) -> None:
         """Raise unless the set is closed under products and inverses."""
@@ -127,12 +145,16 @@ def scaled(values: Iterable) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in fracs], den
 
 
+def conjugacy_indices(G: FiniteGroup, base: Iterable[Element]) -> list[int]:
+    """Sorted indices of the conjugates of ``base`` and of its inverses."""
+    seeds = {G.index_of(b) for b in base}
+    return sorted(G.conjugates(seeds | {G.inv[s] for s in seeds}))
+
+
 def commutator_indices(G: FiniteGroup) -> list[int]:
     """Sorted indices of the simple commutators ``x y x^-1 y^-1``."""
     G.require_closed()
-    inv, mul = G.inv, G.mul
     out: set[int] = set()
     for x in range(G.n):
-        xy, xiyi = G.row(x), G.row(inv[x])
-        out.update([mul(xy[y], xiyi[inv[y]]) for y in range(G.n)])
+        out.update(G.commutators(x))
     return sorted(out)

@@ -32,7 +32,7 @@ from .elements import (
     identity,
     int_matrix,
     mod_matrix,
-    permutation,
+    perm_from_cycles,
     product_element,
     wreath_element,
 )
@@ -129,14 +129,8 @@ def _parse_perm(d: GroupDescriptor, s: str) -> Element:
         return identity(d)
     if not re.fullmatch(r"(\([\d\s,]*\)\s*)+", s):
         raise ValueError(f"bad cycle notation {s!r}")
-    images = list(range(d.n))
-    for body in re.findall(r"\(([\d\s,]*)\)", s):
-        pts = [int(t) - 1 for t in re.split(r"[\s,]+", body.strip()) if t]
-        for k, pt in enumerate(pts):
-            if not 0 <= pt < d.n or images[pt] != pt:
-                raise ValueError(f"bad or overlapping point {pt + 1} in {s!r}")
-            images[pt] = pts[(k + 1) % len(pts)]
-    return permutation(d, images)
+    return perm_from_cycles(d, *(re.findall(r"\d+", body)
+                                 for body in re.findall(r"\(([\d\s,]*)\)", s)))
 
 
 def _parse_affz(s: str) -> Element:

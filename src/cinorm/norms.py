@@ -10,26 +10,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from . import descriptors as gd
 from .descriptors import GroupDescriptor, PERMUTATION_FAMILIES
 from .elements import (
     Element,
-    _compose_payload,
     _identity_payload,
     compose,
-    identity,
     invert,
     moved_points,
     sort_key,
 )
-from .enumeration import conjugacy_closure, enumerate_elements, subgroup_closure
+from .enumeration import enumerate_elements, subgroup_closure
 from .errors import NotCGeneratingError
 from .kernel import (
     FiniteGroup,
     commutator_indices,
+    conjugacy_indices,
     domain_kernel,
     group_kernel,
     scaled,
@@ -162,67 +160,69 @@ class CGenSpec:
     closure: frozenset[Element]
 
 
-def cgen_spec(d: GroupDescriptor, K: Iterable[Element],
-              limit: int | None = None) -> CGenSpec:
+def _cgen(d: GroupDescriptor, K: Iterable[Element], limit: int | None
+          ) -> tuple[FiniteGroup, tuple[Element, ...], list[int]]:
+    # the kernel, the sorted members of K and the indices of their closure
     members = tuple(sorted(set(K), key=sort_key))
     if not members:
         raise ValueError("conjugation-generating set must be non-empty")
-    return CGenSpec(members, frozenset(conjugacy_closure(members, d, limit)))
+    G = group_kernel(d, limit)
+    return G, members, conjugacy_indices(G, members)
 
 
-def _bfs_distances(d: GroupDescriptor, step: Iterable[Element]) -> dict[Element, int]:
-    # breadth-first search on payloads: one Element per element reached
-    mul = partial(_compose_payload, d)
-    gens = [s.payload for s in sorted(step, key=sort_key)]
-    one = identity(d).payload
-    dist = {one: 0}
-    frontier = [one]
-    n = 0
+def cgen_spec(d: GroupDescriptor, K: Iterable[Element],
+              limit: int | None = None) -> CGenSpec:
+    G, members, closure = _cgen(d, K, limit)
+    return CGenSpec(members, frozenset(G.elements[i] for i in closure))
+
+
+def _bfs_values(G: FiniteGroup, steps: list[int]) -> dict[Element, Fraction]:
+    # distances from the identity of a closed kernel by right multiplication
+    # with the steps in index order, one Fraction per level, in discovery order
+    seen = bytearray(G.n)
+    seen[G.one] = 1
+    frontier, n, values = [G.one], 0, {}
     while frontier:
-        n += 1
-        nxt = []
+        v, nxt = Fraction(n), []
         for g in frontier:
-            for s in gens:
-                h = mul(g, s)
-                if h not in dist:
-                    dist[h] = n
+            values[G.elements[g]] = v
+            for h in G.products(g, steps):
+                if not seen[h]:
+                    seen[h] = 1
                     nxt.append(h)
-        frontier = nxt
-    return {Element(d, p): k for p, k in dist.items()}
+        frontier, n = nxt, n + 1
+    return values
 
 
 def c_generates(d: GroupDescriptor, K: Iterable[Element]) -> bool:
-    spec = cgen_spec(d, K)
-    return len(_bfs_distances(d, spec.closure)) == gd.order(d)
+    """Whether the conjugates of ``K`` generate the finite group ``d``."""
+    G, _, closure = _cgen(d, K, None)
+    return len(_bfs_values(G, closure)) == G.n
 
 
 def qk_norm(d: GroupDescriptor, K: Iterable[Element],
             limit: int | None = None) -> NormTable:
     """Minimal number of conjugates of ``K``-members (or their inverses)
-    multiplying to each element: BFS distance from the identity over the
-    conjugacy closure of ``K``.  ``limit`` guards the group order."""
-    spec = cgen_spec(d, K, limit)
-    size = gd.order(d)
-    dist = _bfs_distances(d, spec.closure)
-    if len(dist) != size:
-        missing = [g for g in group_kernel(d, limit).elements if g not in dist]
+    multiplying to each element: breadth-first distance from the identity
+    over the conjugacy closure of ``K``.  ``limit`` guards the group order."""
+    G, members, closure = _cgen(d, K, limit)
+    values = _bfs_values(G, closure)
+    if len(values) != G.n:
+        missing = [g for g in G.elements if g not in values]
         sample = ", ".join(to_literal(g) for g in missing[:5])
         raise NotCGeneratingError(
-            f"K reaches only {len(dist)} of {size} elements of {d}; "
+            f"K reaches only {len(values)} of {G.n} elements of {d}; "
             f"unreached include {sample}")
-    values = {g: Fraction(n) for g, n in dist.items()}
     meta = NormTableMeta(
-        name="q_K[" + "; ".join(to_literal(k) for k in spec.members) + "]",
+        name="q_K[" + "; ".join(to_literal(k) for k in members) + "]",
         diameter=max(values.values()),
-        generator_set=tuple(to_literal(k) for k in spec.members),
+        generator_set=tuple(to_literal(k) for k in members),
     )
     return NormTable(d, values, meta)
 
 
 def _commutator_length(G: FiniteGroup, name: str) -> NormTable:
-    pool = [G.elements[i] for i in commutator_indices(G)]
-    dist = _bfs_distances(G.descriptor, pool)
-    values = {g: Fraction(n) for g, n in dist.items()}
+    values = _bfs_values(G, commutator_indices(G))
     meta = NormTableMeta(name=name, diameter=max(values.values()))
     return NormTable(G.descriptor, values, meta)
 
@@ -230,7 +230,7 @@ def _commutator_length(G: FiniteGroup, name: str) -> NormTable:
 def commutator_length_over(elements: Iterable[Element], d: GroupDescriptor,
                            name: str = "cl") -> NormTable:
     """Commutator length on the derived subgroup of the given subgroup:
-    BFS over the set of its simple commutators."""
+    breadth-first search over its simple commutators, on its own kernel."""
     return _commutator_length(domain_kernel(d, elements), name)
 
 
@@ -450,7 +450,7 @@ def quasinorm_to_norm(q: QuasiNormSpec, d: GroupDescriptor,
     conj_sup: list[int | None] = [None] * G.n
     for a in range(G.n):
         if conj_sup[a] is None:
-            orbit = {G.conj(b, a) for b in range(G.n)}
+            orbit = G.conjugates((a,))
             best = max(sym[c] for c in orbit)
             for c in orbit:
                 conj_sup[c] = best
@@ -499,8 +499,8 @@ def coset_extension_qnorm(d: GroupDescriptor,
             d, c_add=Fraction(2), c_conj=Fraction(1), fn=value,
             name="coset-extension",
             notes={"C": "1", "transversal": ("1", "z^1", "t", "z^1 t")})
-    cl = commutator_length(d, limit)
     G = group_kernel(d, limit)
+    cl = _commutator_length(G, "cl")
     elems, inv = G.elements, G.inv
     cl_of = [cl.values.get(g) for g in elems]
     derived = [i for i, v in enumerate(cl_of) if v is not None]
@@ -549,8 +549,11 @@ def stabilization_upper(norm: NormLike, f: Element, n_max: int) -> Stabilization
 
     The sequence ``v(f^n)`` is subadditive, so the limit equals the infimum
     and any prefix minimum of ``v(f^n)/n`` is a true upper bound; it hits 0
-    exactly when a power of ``f`` is the identity within the horizon.
+    exactly when a power of ``f`` is the identity within the horizon.  An
+    empty horizon bounds nothing, so ``n_max < 1`` is refused.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
     value = norm_value_fn(norm)
     best: Fraction | None = None
     cur = f
@@ -561,7 +564,7 @@ def stabilization_upper(norm: NormLike, f: Element, n_max: int) -> Stabilization
         if best is None or v < best:
             best = v
         cur = compose(cur, f)
-    return StabilizationEstimate(f, best if best is not None else ZERO, False, n_max)
+    return StabilizationEstimate(f, best, False, n_max)
 
 
 @dataclass

@@ -171,9 +171,12 @@ def homogenize(q: QuasiMorphism, g: Element, n: int,
 
     With a declared defect upper bound D the subadditivity argument pins the
     limit inside ``q(g^n)/n +- D/n``; without one the radius is heuristic.
+    A defect is never negative, so a negative D is refused.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if defect_upper is not None and Fraction(defect_upper) < 0:
+        raise ValueError(f"defect upper bound {defect_upper} is negative")
     center = q(power(g, n)) / n
     if defect_upper is None:
         return HomogenizationInterval(g, n, center, None, False)
@@ -309,13 +312,12 @@ def _exact_commutator_sup(q: QuasiMorphism, h: SubgroupSpec,
     # the sup is over all pairs, clamped below at 0; witnesses are the first
     # pairs in (x, y) order that attain a positive sup, at least one of them
     G = domain_kernel(h.descriptor, closure_of(h))
-    elems, inv, mul = G.elements, G.inv, G.mul
+    elems = G.elements
     vals, den = scaled(q(g) for g in elems)
     cap = max(max_witnesses, 1)
     best, witnesses = 0, []
     for x in range(G.n):
-        xy, xiyi = G.row(x), G.row(inv[x])
-        row = [vals[mul(xy[y], xiyi[inv[y]])] for y in range(G.n)]
+        row = [vals[c] for c in G.commutators(x)]
         top = max(row)
         if top > best:
             best, witnesses = top, []

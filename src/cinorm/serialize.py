@@ -67,9 +67,11 @@ def norm_table_from_payload(payload: dict) -> NormTable:
     return NormTable(d, values, meta)
 
 
+def payload_to_tsv(payload: dict) -> str:
+    """The rows of a table payload as TSV, in the payload's sorted order."""
+    return "".join(f"{lit}\t{val}\n"
+                   for lit, val in [("element", "value"), *payload["values"]])
+
+
 def norm_table_to_tsv(table: NormTable) -> str:
-    lines = ["element\tvalue"]
-    lines += [f"{lit}\t{val}"
-              for lit, val in sorted((to_literal(g), fraction_str(v))
-                                     for g, v in table.values.items())]
-    return "\n".join(lines) + "\n"
+    return payload_to_tsv(norm_table_payload(table))

@@ -174,6 +174,30 @@ def test_qm_commands(tmp_path):
     assert rep2["lower"] == "29/768"  # (1 - 6/64) / (4 * 6)
 
 
+@pytest.mark.parametrize("action", ["scl-bounds", "homogenize"])
+def test_qm_negative_defect_upper_exits_2(action, tmp_path, capsys):
+    out = tmp_path / "qm.json"
+    assert main(["qm", action, "--word", "B A b a", "--defect-upper=-1",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["qk", "--group", "an:5", "--k", "(1 2 3)"],
+    ["qk", "--group", "sn:4", "--k", "(1 2)", "--format", "tsv"],
+    ["cl", "--group", "sn:4"],
+    ["cl", "--group", "an:4", "--format", "tsv"],
+    ["norm-verify", "--group", "sn:3"],
+])
+def test_stdout_and_out_file_carry_the_same_bytes(args, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main(args + ["--out", str(out)]) in (0, 1)
+    assert capsys.readouterr().out == ""
+    assert main(args) in (0, 1)
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_cache_roundtrip_and_eviction(tmp_path):
     key = cache_key("an:5", "q_K", ("(1 2 3 4 5)",))
     payload = {"hello": [1, 2, 3]}

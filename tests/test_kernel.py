@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from cinorm import (
     GuardExceededError,
     NormTable,
+    NotCGeneratingError,
     NormTableMeta,
     QuasiMorphism,
     QuasiNormSpec,
@@ -46,7 +47,7 @@ from cinorm import (
     trivial_norm_table,
     verify_norm_axioms,
 )
-from cinorm.kernel import TABLE_BOUND, domain_kernel, group_kernel
+from cinorm.kernel import TABLE_BOUND, FiniteGroup, domain_kernel, group_kernel
 
 FAMILIES = ("sn:3", "sn:4", "sn:5", "an:4", "an:5", "slp:2:3", "slp:2:5",
             "bar:sn:3", "product:sn:3,sn:3", "wreath:sn:2:zn:2")
@@ -328,6 +329,79 @@ def test_rows_above_the_table_bound_are_recomputed():
 def test_a_whole_group_in_any_order_gets_the_cached_kernel():
     d = symmetric(3)
     assert domain_kernel(d, reversed(enumerate_elements(d))) is group_kernel(d)
+
+
+@pytest.mark.parametrize("text", ["sn:4", "slp:2:3", "an:7"])
+def test_products_match_the_row_and_store_none(text):
+    d = parse_descriptor(text)
+    elems = enumerate_elements(d)
+    G = FiniteGroup(d, elems, full=True)  # a fresh kernel: no row built yet
+    rng = random.Random(text)
+    for i in rng.sample(range(G.n), 4):
+        js = sorted(rng.sample(range(G.n), 12)) + [i, 0, i]
+        got = G.products(i, js)
+        assert got == [G.index[compose(elems[i], elems[j]).payload] for j in js]
+        assert G._rows is None or G._rows[i] is None  # no row stored
+        row = G.row(i)  # kept when the order is at most TABLE_BOUND
+        assert G.products(i, js) == [row[j] for j in js] == got
+        assert G.products(i, range(G.n)) == list(row)
+
+
+@pytest.mark.parametrize("text", FAMILIES)
+def test_conjugates_match_oracle(text):
+    d = parse_descriptor(text)
+    G = group_kernel(d)
+    rng = random.Random(f"conjugates:{text}")
+    for size in (1, 2, 3):
+        base = rng.sample(G.elements, size)
+        seeds = {G.index_of(b) for b in base}
+        with_inverses = G.conjugates(seeds | {G.inv[s] for s in seeds})
+        assert {G.elements[i] for i in with_inverses} == \
+            oracle_conjugacy_closure(base, d)
+        assert {G.elements[i] for i in G.conjugates(seeds)} == {
+            compose(compose(phi, b), invert(phi)) for phi in G.elements for b in base}
+
+
+@pytest.mark.parametrize("text", FAMILIES)
+def test_c_generates_matches_oracle(text):
+    d = parse_descriptor(text)
+    elems = enumerate_elements(d)
+    rng = random.Random(f"cgen:{text}")
+    derived = sorted(commutator_length(d).values, key=sort_key)
+    candidates = [[identity(d)], [rng.choice(derived)], [rng.choice(elems)],
+                  rng.sample(elems, 2), c_generating_set(d, rng)]
+    answers = []
+    for K in candidates:
+        expected = len(oracle_bfs(d, oracle_conjugacy_closure(K, d))) == len(elems)
+        assert c_generates(d, K) == expected
+        answers.append(expected)
+    assert answers[0] is False and answers[-1] is True
+
+
+def test_not_c_generating_message():
+    d = symmetric(4)
+    with pytest.raises(NotCGeneratingError) as info:
+        qk_norm(d, [perm_from_cycles(d, (1, 2, 3))])
+    assert str(info.value) == (
+        "K reaches only 12 of 24 elements of sn:4; unreached include "
+        "(3 4), (2 3), (2 4), (1 2), (1 2 3 4)")
+
+
+def test_one_kernel_per_call_above_the_table_bound(monkeypatch):
+    # above TABLE_BOUND every group_kernel call builds a kernel afresh
+    from cinorm import kernel
+    monkeypatch.setattr(kernel, "TABLE_BOUND", 10)
+    built = []
+    init = FiniteGroup.__init__
+    monkeypatch.setattr(FiniteGroup, "__init__",
+                        lambda self, *a, **k: built.append(a[0]) or init(self, *a, **k))
+    d = symmetric(4)
+    for call in (lambda: qk_norm(d, [perm_from_cycles(d, (1, 2))]),
+                 lambda: commutator_length(d),
+                 lambda: coset_extension_qnorm(d)):
+        built.clear()
+        call()
+        assert built == [d]
 
 
 def test_qk_limit_guards_before_any_work():

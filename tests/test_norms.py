@@ -402,3 +402,15 @@ def test_domination_never_fails_for_verified_norms(seed, use_support):
     table = support_norm_table(d) if use_support else trivial_norm_table(d)
     rep = check_extremal_domination(table, K)
     assert rep.witness_checked == 24
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_stabilization_needs_a_positive_horizon(n_max):
+    # word length on free:2: the stable norm of a is 1, so an upper bound 0
+    # from an empty horizon would be false
+    def word_length(g):
+        return Fraction(len(g.payload))
+    a = Element(free_group(2), (1,))  # the generator a
+    assert stabilization_upper(word_length, a, 1).upper == 1
+    with pytest.raises(ValueError):
+        stabilization_upper(word_length, a, n_max)

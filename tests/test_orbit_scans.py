@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cinorm import (
+    DescriptorMismatchError,
     Element,
     GuardExceededError,
+    alternating,
     SubgroupSpec,
     bar_element,
     closure_of,
@@ -330,3 +332,25 @@ def test_trivial_norm_table_values(text):
     assert table.values == {g: Fraction(0 if g.is_identity() else 1)
                             for g in enumerate_elements(d)}
     assert sorted(table.values, key=sort_key) == enumerate_elements(d)
+
+
+def _foreign_subgroup_cases():
+    # an A4 subgroup with S4 (same payloads: silently p = 1 and infinite
+    # energy before the check), and an S5 subgroup with S9 (a bare IndexError)
+    a4 = alternating(4)
+    yield symmetric(4), SubgroupSpec((perm_from_cycles(a4, (1, 2, 3)),
+                                      perm_from_cycles(a4, (2, 3, 4))))
+    yield symmetric(9), sym_block(symmetric(5), (1, 2, 3))
+
+
+@pytest.mark.parametrize("d,h", list(_foreign_subgroup_cases()))
+def test_scans_refuse_a_subgroup_of_another_group(d, h):
+    own = sym_block(d, (1, 2, 3))
+    calls = [lambda: packing_number(d, h),
+             lambda: find_strong_displacer(d, h, 1),
+             lambda: displacement_energy(d, h, 1, support_norm),
+             lambda: disjunction_energy(d, own, h, support_norm),
+             lambda: disjunction_energy(d, h, own, support_norm)]  # fixed side
+    for call in calls:
+        with pytest.raises(DescriptorMismatchError):
+            call()

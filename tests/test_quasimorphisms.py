@@ -248,3 +248,15 @@ def test_scl_bounds_zero_defect_contradiction():
     q = counting_qm(AB)
     with pytest.raises(ValueError):
         scl_bounds(free_word(F2, (1, 2)), q, defect_upper=Fraction(0))
+
+
+@pytest.mark.parametrize("du", [Fraction(-1, 100), Fraction(-1)])
+def test_negative_defect_upper_is_refused(du):
+    # a defect is never negative; with D = -1/100 the "certified" lower bound
+    # on scl([b, a]) came out as 6399/256, against the true value 1/2
+    q = counting_qm(AB)
+    w = commutator_of(free_word(F2, (-2,)), free_word(F2, (-1,)))
+    with pytest.raises(ValueError, match="negative"):
+        scl_bounds(w, q, du)
+    with pytest.raises(ValueError, match="negative"):
+        homogenize(q, w, 64, du)
