@@ -479,11 +479,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, m_help=None):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=1000)
         p.add_argument("--n-max", type=int, default=32)
-        p.add_argument("--m", type=int, default=2)
+        p.add_argument("--m", type=int, default=2, help=m_help)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None)
         p.add_argument("--format", dest="fmt", choices=("json", "tsv"),
@@ -512,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pack.add_argument("--group", required=True)
     p_pack.add_argument("--h", required=True, dest="subgroup",
                         help="semicolon-separated subgroup generators")
-    common(p_pack)
+    common(p_pack, m_help="accepted and ignored: the clique is not capped by m")
 
     p_en = sub.add_parser("energy", help="displacement energy")
     p_en.add_argument("--group", required=True)

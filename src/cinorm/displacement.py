@@ -10,6 +10,25 @@ only the cosets that can hold a witness.  Each search keeps the least
 (value, payload) it meets in ``sort_key`` order and packing lists each
 conjugate by its least conjugator, so every witness or minimizer is the one
 a full payload-order scan of G finds, and reruns are bit-identical.
+
+The conjugates form a commutation graph, which conjugation by any element
+maps onto itself.  So only H is tested against the conjugates, which gives
+its neighbourhood N(0); the neighbourhood of a conjugate reached from its BFS
+parent by the generator s is s N(parent), read off the generators' action on
+the orbit points (a Schreier vector).  A clique through H only meets N(0),
+so packing needs least conjugators there alone.  For ``sn`` and ``an``, where
+payload order is the lexicographic order of image tuples, the least element
+of a coset t N is found by greedy descent of a point-stabilizer chain of N
+with base 0, 1, ..., n-1: take the image b of the next base point with the
+least t(b), then go on in the stabilizer (Sims; Seress, *Permutation Group
+Algorithms*, 2003, ch. 4).  Other families take min(t N).
+
+Clique bound.  If H is non-abelian and phi is a strong m-displacer of H, the
+m+1 conjugates phi^k H phi^-k (k = 0..m) form an (m+1)-clique through H.
+Proof: conjugating by phi^-i takes the pair (i, j), i < j, to the pair
+(0, j-i), and phi^(j-i) H phi^-(j-i) commutes with H; two of them are equal
+only if H commutes with itself.  So when N(0) holds no m-clique, e_m(H) is
+infinite and no coset is expanded.
 """
 
 from __future__ import annotations
@@ -18,9 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from typing import NamedTuple
 
 from . import descriptors as gd
-from .descriptors import WREATH_FAMILIES, GroupDescriptor
+from .descriptors import PERMUTATION_FAMILIES, WREATH_FAMILIES, GroupDescriptor
 from .elements import (
     Element,
     _compose_payload,
@@ -87,14 +107,29 @@ def is_abelian_subgroup(h: SubgroupSpec) -> bool:
 # orbit-stabilizer search over the conjugates of a subgroup
 
 
+class _Orbit(NamedTuple):
+    """The conjugates ``H_i = t[i] H t[i]^-1`` of H (``H_0 = H``), in BFS
+    order from H under conjugation by the generators of G."""
+    trans: list  # t[i], with t[0] = 1; the conjugators of H_i are t[i] N
+    trans_inv: list
+    normalizer: list  # N = N_G(H)
+    action: list[list[int]]  # action[s][i] = j where s H_i s^-1 = H_j
+    tree: list  # tree[i] = (parent, s): H_i = s H_parent s^-1, for i >= 1
+
+    def commuting(self, commutes) -> list[int]:
+        """The i with ``commutes(t[i], t[i]^-1)``, in orbit order."""
+        return [i for i, (t, ti) in enumerate(zip(self.trans, self.trans_inv))
+                if commutes(t, ti)]
+
+
 def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
-                cap: int | None = None) -> tuple[list, list, list]:
+                cap: int | None = None) -> _Orbit:
     """Orbit-stabilizer for H under conjugation (Holt, Eick and O'Brien,
-    *Handbook of Computational Group Theory*, 2005, ch. 4): a transversal
-    ``t`` (``t[i] H t[i]^-1`` is the i-th distinct conjugate, ``t[0] = 1``),
-    its inverses, and the normalizer N, closed from the Schreier generators
-    ``t[j]^-1 s t[i]``.  The conjugators of the i-th conjugate are the coset
-    ``t[i] N``.  ``cap`` bounds the number of conjugates."""
+    *Handbook of Computational Group Theory*, 2005, ch. 4 and §4.1): the
+    transversal and its inverses, the normalizer N closed from the Schreier
+    generators ``t[j]^-1 s t[i]``, and the action of each generator on the
+    orbit points with the BFS tree (a Schreier vector).  ``cap`` bounds the
+    number of conjugates."""
     if h.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
     size = gd.order(d)
@@ -107,44 +142,38 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     one = _identity_payload(d)
     points = [frozenset(g.payload for g in closure_of(h))]
     where = {points[0]: 0}
-    trans, trans_inv = [one], [one]
+    trans, trans_inv, tree = [one], [one], [None]
+    action: list[list[int]] = [[] for _ in steps]
     normalizer, n_gens = {one}, []
     for i, t in enumerate(trans):  # trans grows while it is walked: a BFS
-        for s, si in steps:
-            k = frozenset([mul(mul(s, x), si) for x in points[i]])
+        for si, (s, s_inv) in enumerate(steps):
+            k = frozenset([mul(mul(s, x), s_inv) for x in points[i]])
             j = where.get(k)
             if j is None:
                 if cap is not None and len(points) >= cap:
                     raise GuardExceededError(
                         f"{len(points) + 1} conjugate subgroups reached, "
                         f"above the clique guard {cap}")
-                where[k] = len(points)
+                j = where[k] = len(points)
                 points.append(k)
                 trans.append(mul(s, t))
-                trans_inv.append(mul(trans_inv[i], si))
+                trans_inv.append(mul(trans_inv[i], s_inv))
+                tree.append((i, si))
             else:
                 g = mul(trans_inv[j], mul(s, t))
                 if g not in normalizer:
                     _extend_closure(normalizer, n_gens, g, mul, size)
+            action[si].append(j)
     if len(points) * len(normalizer) != size:
         raise AssertionError(f"orbit-stabilizer count {len(points)} * "
                              f"{len(normalizer)} is not |{d}| = {size}")
-    return trans, trans_inv, list(normalizer)
+    return _Orbit(trans, trans_inv, list(normalizer), action, tree)
 
 
-def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec,
-                     m: int, value, limit: int) -> EnergyResult:
-    """Least ``(value, payload order)`` over the ``phi`` for which every
-    ``phi^k moved phi^-k`` (k = 1..m) commutes with ``fixed``; without
-    ``value`` the payload order alone decides.  Commutation is decided on
-    generators, and the result is re-checked."""
-    if m < 1:
-        raise ValueError(f"m = {m}: a displacer needs m >= 1")
-    if fixed.descriptor != d:
-        raise DescriptorMismatchError(f"the subgroup lives in {fixed.descriptor}, not {d}")
-    trans, trans_inv, normalizer = _conjugates(d, moved, limit)
-    mul, inv = partial(_compose_payload, d), partial(_invert_payload, d)
-    rank = _key if d.family in _NESTED else None
+def _commuter(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec):
+    """``commutes(t, t^-1)``: whether ``t moved t^-1`` commutes with
+    ``fixed``, decided on generators."""
+    mul = partial(_compose_payload, d)
     moved_gens = tuple(g.payload for g in moved.generators)
     fixed_gens = tuple(g.payload for g in fixed.generators)
 
@@ -155,6 +184,111 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
                 if mul(c, x) != mul(x, c):
                     return False
         return True
+    return commutes
+
+
+def _commutation_graph(orb: _Orbit, near0: list[int]):
+    """Neighbourhoods in the commutation graph on the conjugates, from the
+    one of H: conjugation by a generator s is an automorphism of the graph
+    that takes ``H_parent`` to ``H_j``, so ``N(j) = s N(parent)``.  Each
+    ``N(j)`` is mapped down the BFS tree when first asked for."""
+    nbr: list = [None] * len(orb.trans)
+    nbr[0] = frozenset(near0)
+
+    def near(j: int) -> frozenset:
+        path = [j]
+        while nbr[path[-1]] is None:
+            path.append(orb.tree[path[-1]][0])
+        for k in reversed(path[:-1]):
+            parent, s = orb.tree[k]
+            act = orb.action[s]
+            nbr[k] = frozenset([act[x] for x in nbr[parent]])
+        return nbr[j]
+    return near
+
+
+def _max_clique(near, cap: int, key=None) -> list[int]:
+    """A largest clique through vertex 0 of at most ``cap`` vertices, found
+    by branch and bound over its neighbours in ``key`` order; the first
+    largest one in that order wins."""
+    best = [0]
+
+    def grow(clique: list[int], cand: list[int]) -> None:
+        nonlocal best
+        if len(clique) > len(best):
+            best = list(clique)
+        if len(clique) >= cap:
+            return
+        for idx, v in enumerate(cand):
+            if len(clique) + len(cand) - idx <= len(best):
+                break
+            adjacent = near(v)
+            grow(clique + [v], [u for u in cand[idx + 1:] if u in adjacent])
+
+    grow([0], sorted(near(0), key=key))
+    return best
+
+
+def _base_image_chain(normalizer: list) -> list[dict]:
+    """Stabilizer chain of a permutation group with base 0, 1, ..., n-1,
+    bucketed from its elements: level k maps each point b of the orbit of k
+    under ``N_k`` (the pointwise stabilizer of 0..k-1) to an element of
+    ``N_k`` taking k to b.  Levels whose orbit is {k} are left out."""
+    chain, group = [], normalizer
+    for k in range(len(normalizer[0])):
+        if len(group) == 1:
+            break
+        reps: dict = {}
+        for x in group:
+            reps.setdefault(x[k], x)
+        if len(reps) > 1:
+            chain.append(reps)
+            group = [x for x in group if x[k] == k]
+    return chain
+
+
+def _least_in_coset(t: tuple, chain: list[dict]) -> tuple:
+    """Least element of ``t N`` in image-tuple order, by greedy descent of
+    the chain of N: ``(t x)(k) = t(x(k))``, so at each level the base image
+    ``b`` with the least ``t(b)`` is taken, and ``t`` moves to ``t u_b``."""
+    for reps in chain:
+        u = reps[min(reps, key=t.__getitem__)]
+        t = tuple(map(t.__getitem__, u))
+    return t
+
+
+def _least_conjugators(d: GroupDescriptor, orb: _Orbit, which: list[int]) -> dict:
+    """The least element, in ``sort_key`` order, of each coset ``t[i] N``."""
+    if d.family in PERMUTATION_FAMILIES:
+        chain = _base_image_chain(orb.normalizer)
+        return {i: _least_in_coset(orb.trans[i], chain) for i in which}
+    mul = partial(_compose_payload, d)
+    rank = _key if d.family in _NESTED else None
+    return {i: min([mul(orb.trans[i], x) for x in orb.normalizer], key=rank)
+            for i in which}
+
+
+def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec,
+                     m: int, value, limit: int) -> EnergyResult:
+    """Least ``(value, payload order)`` over the ``phi`` for which every
+    ``phi^k moved phi^-k`` (k = 1..m) commutes with ``fixed``; without
+    ``value`` the payload order alone decides.  Commutation is decided on
+    generators, and the result is re-checked.  A strong m-displacer of a
+    non-abelian H needs an (m+1)-clique through H in the commutation graph,
+    so without one no coset is expanded."""
+    if m < 1:
+        raise ValueError(f"m = {m}: a displacer needs m >= 1")
+    if fixed.descriptor != d:
+        raise DescriptorMismatchError(f"the subgroup lives in {fixed.descriptor}, not {d}")
+    orb = _conjugates(d, moved, limit)
+    mul, inv = partial(_compose_payload, d), partial(_invert_payload, d)
+    rank = _key if d.family in _NESTED else None
+    commutes = _commuter(d, fixed, moved)
+    # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
+    near0 = orb.commuting(commutes)
+    if fixed is moved and m >= 2 and not is_abelian_subgroup(fixed):
+        if len(_max_clique(_commutation_graph(orb, near0), m + 1)) <= m:
+            return EnergyResult(m, None, None)
 
     def powers_commute(phi, phi_inv) -> bool:
         pw, pwi = phi, phi_inv
@@ -164,12 +298,11 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
                 return False
         return True
 
+    normalizer = orb.normalizer
     inverses = [inv(x) for x in normalizer] if m > 1 else normalizer
     best = None
-    for t, ti in zip(trans, trans_inv):
-        # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
-        if not commutes(t, ti):
-            continue
+    for i in near0:
+        t, ti = orb.trans[i], orb.trans_inv[i]
         for x, xi in zip(normalizer, inverses):
             phi = mul(t, x)
             key = (value(Element(d, phi)) if value else 0,
@@ -236,39 +369,16 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec, m_cap: int = 16,
     """
     if h.descriptor == d and is_abelian_subgroup(h):  # else _conjugates refuses h
         return PackingResult(None, None, True, degenerate=True)
-    trans, trans_inv, normalizer = _conjugates(d, h, limit, cap=CLIQUE_GUARD)
-    mul = partial(_compose_payload, d)
+    orb = _conjugates(d, h, limit, cap=CLIQUE_GUARD)
+    near0 = orb.commuting(_commuter(d, h, h))
+    # the clique search meets only H's vertex 0 and its neighbours
+    least = _least_conjugators(d, orb, near0)
     rank = _key if d.family in _NESTED else None
-    least = [min([mul(t, x) for x in normalizer], key=rank) for t in trans]
-    order = sorted(range(len(trans)),
-                   key=lambda i: least[i] if rank is None else rank(least[i]))
-    gens = tuple(g.payload for g in h.generators)
-    conj_gens = [tuple(mul(mul(trans[i], g), trans_inv[i]) for g in gens) for i in order]
-    neighbors: list[set[int]] = [set() for _ in order]
-    for i, j in combinations(range(len(order)), 2):
-        if all(mul(x, y) == mul(y, x) for x in conj_gens[i] for y in conj_gens[j]):
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-
-    root = order.index(0)  # the vertex of H itself
-    best = [root]
     cap = m_cap + 1
-
-    def grow(clique: list[int], cand: list[int]) -> None:
-        nonlocal best
-        if len(clique) > len(best):
-            best = list(clique)
-        if len(clique) >= cap:
-            return
-        for idx, v in enumerate(cand):
-            if len(clique) + len(cand) - idx <= len(best):
-                break
-            grow(clique + [v],
-                 [u for u in cand[idx + 1:] if u in neighbors[v]])
-
-    grow([root], sorted(neighbors[root]))
+    best = _max_clique(_commutation_graph(orb, near0), cap,
+                       key=lambda i: least[i] if rank is None else rank(least[i]))
     p = len(best)
-    witnesses = tuple(Element(d, least[order[v]]) for v in best[1:])
+    witnesses = tuple(Element(d, least[v]) for v in best[1:])
     report = DisplacementReport(h, p - 1, "weak", witnesses, p > 1)
     _assert_witnesses(h, h, witnesses)
     return PackingResult(p, report, exhausted=p < cap)

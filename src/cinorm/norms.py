@@ -200,19 +200,25 @@ def c_generates(d: GroupDescriptor, K: Iterable[Element]) -> bool:
     return len(_bfs_values(G, closure)) == G.n
 
 
+def _qk_values(G: FiniteGroup, closure: list[int]) -> dict[Element, Fraction]:
+    # q_K over the kernel, refused unless the closure generates the group
+    values = _bfs_values(G, closure)
+    if len(values) != G.n:
+        missing = [g for g in G.elements if g not in values]
+        sample = ", ".join(to_literal(g) for g in missing[:5])
+        raise NotCGeneratingError(
+            f"K reaches only {len(values)} of {G.n} elements of {G.descriptor}; "
+            f"unreached include {sample}")
+    return values
+
+
 def qk_norm(d: GroupDescriptor, K: Iterable[Element],
             limit: int | None = None) -> NormTable:
     """Minimal number of conjugates of ``K``-members (or their inverses)
     multiplying to each element: breadth-first distance from the identity
     over the conjugacy closure of ``K``.  ``limit`` guards the group order."""
     G, members, closure = _cgen(d, K, limit)
-    values = _bfs_values(G, closure)
-    if len(values) != G.n:
-        missing = [g for g in G.elements if g not in values]
-        sample = ", ".join(to_literal(g) for g in missing[:5])
-        raise NotCGeneratingError(
-            f"K reaches only {len(values)} of {G.n} elements of {d}; "
-            f"unreached include {sample}")
+    values = _qk_values(G, closure)
     meta = NormTableMeta(
         name="q_K[" + "; ".join(to_literal(k) for k in members) + "]",
         diameter=max(values.values()),
@@ -578,14 +584,13 @@ def check_extremal_domination(q: NormTable, K: Iterable[Element]) -> DominationR
     """Verify the extremal property of conjugation-generated norms: any norm
     bounded on K is dominated by ``lambda * q_K`` with lambda its maximum on
     the conjugacy closure of K."""
-    d = q.descriptor
-    spec = cgen_spec(d, K)
-    base = qk_norm(d, spec.members)
-    lam = max(q.values[c] for c in spec.closure)
+    G, _, closure = _cgen(q.descriptor, K, None)
+    base = _qk_values(G, closure)
+    lam = max(q.values[G.elements[c]] for c in closure)
     checked = 0
     for g, v in q.values.items():
-        if v > lam * base.values[g]:
+        if v > lam * base[g]:
             raise AssertionError(
-                f"domination failed at {to_literal(g)}: {v} > {lam} * {base.values[g]}")
+                f"domination failed at {to_literal(g)}: {v} > {lam} * {base[g]}")
         checked += 1
     return DominationReport(q.meta.name, lam, checked)

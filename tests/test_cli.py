@@ -151,6 +151,14 @@ def test_packing_command_is_not_capped_by_m(tmp_path):
     assert rep["witnesses"] == suite["witnesses"]
 
 
+def test_packing_help_says_m_is_ignored(capsys):
+    assert main(["packing", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--m M accepted and ignored" in help_text
+    # still accepted, so scripts that pass it keep running
+    assert main(["packing", "--group", "sn:4", "--h", "(1 2);(1 2 3)", "--m", "5"]) == 0
+
+
 def test_fcomm_command(tmp_path):
     out = tmp_path / "f.json"
     assert main(["fcomm", "--base", "sn:3", "--m", "2", "--seed", "3",

@@ -30,6 +30,11 @@ CASES = {
                              "--m", "2", "--norm", "support"],
     "energy-sn8-b-trivial": ["energy", "--group", "sn:8", "--h", TWISTED,
                              "--m", "2", "--norm", "trivial"],
+    # e_1 = 6 and e_2 = 9, while e_3 is infinite: S9 has no four pairwise
+    # commuting conjugates of Sym{1,2,3}
+    "energy-sn9-m3-support": ["energy", "--group", "sn:9", "--h", SYM123,
+                              "--m", "3", "--norm", "support"],
+    "packing-an8": ["packing", "--group", "an:8", "--h", "(1 2 3);(1 2)(3 4)"],
 }
 
 

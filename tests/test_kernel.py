@@ -23,6 +23,7 @@ from cinorm import (
     QuasiNormSpec,
     SubgroupSpec,
     c_generates,
+    check_extremal_domination,
     closure_of,
     commutator_length,
     commutator_length_over,
@@ -402,6 +403,31 @@ def test_one_kernel_per_call_above_the_table_bound(monkeypatch):
         built.clear()
         call()
         assert built == [d]
+
+
+def test_extremal_domination_builds_one_kernel(monkeypatch):
+    # q_K and lambda come from one conjugacy closure on one kernel
+    from cinorm import kernel
+    d = symmetric(4)
+    K = [perm_from_cycles(d, (1, 2))]
+    table = support_norm_table(d)
+    monkeypatch.setattr(kernel, "TABLE_BOUND", 10)
+    built = []
+    init = FiniteGroup.__init__
+    monkeypatch.setattr(FiniteGroup, "__init__",
+                        lambda self, *a, **k: built.append(a[0]) or init(self, *a, **k))
+    rep = check_extremal_domination(table, K)
+    assert built == [d]
+    assert rep.lam == 2 and rep.witness_checked == 24
+
+
+def test_extremal_domination_keeps_the_not_c_generating_message():
+    d = symmetric(4)
+    with pytest.raises(NotCGeneratingError) as info:
+        check_extremal_domination(support_norm_table(d), [perm_from_cycles(d, (1, 2, 3))])
+    assert str(info.value) == (
+        "K reaches only 12 of 24 elements of sn:4; unreached include "
+        "(3 4), (2 3), (2 4), (1 2), (1 2 3 4)")
 
 
 def test_qk_limit_guards_before_any_work():

@@ -6,9 +6,12 @@ payload order and keep the first best one.  Two deliberate differences from
 those scans: the energy scans do not stop at the smallest positive table
 value (that exit skipped a later identity of norm 0 in ``slp``, whose least
 element is not the identity), and the packing clique is rooted at H's own
-vertex rather than at vertex 0.
+vertex rather than at vertex 0.  The graph from one vertex and the chain
+descent are checked against what they replaced: the r^2 pairwise
+commutation test and the least of all products t n.
 """
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -17,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from cinorm import (
     DescriptorMismatchError,
+    from_literal,
     Element,
     GuardExceededError,
     alternating,
@@ -42,7 +46,18 @@ from cinorm import (
 )
 from cinorm import displacement
 from cinorm.descriptors import PERMUTATION_FAMILIES
-from cinorm.displacement import _assert_witnesses, is_abelian_subgroup
+from cinorm.displacement import (
+    _assert_witnesses,
+    _base_image_chain,
+    _commutation_graph,
+    _commuter,
+    _conjugates,
+    _least_conjugators,
+    _least_displacer,
+    _least_in_coset,
+    _max_clique,
+    is_abelian_subgroup,
+)
 from cinorm.elements import _compose_payload, _invert_payload, _perm_parity, sort_key
 from cinorm.norms import norm_value_fn
 from cinorm.cli import main
@@ -354,3 +369,154 @@ def test_scans_refuse_a_subgroup_of_another_group(d, h):
     for call in calls:
         with pytest.raises(DescriptorMismatchError):
             call()
+
+
+# ---------------------------------------------------------------------------
+# the orbit action: the graph from one vertex, chain descent, the clique bound
+
+
+def _subgroup(text, h):
+    d = parse_descriptor(text)
+    return d, SubgroupSpec(tuple(from_literal(d, x) for x in h.split(";")))
+
+
+def _orbit_and_graph(d, h):
+    orb = _conjugates(d, h, 10 ** 7)
+    return orb, _commutation_graph(orb, orb.commuting(_commuter(d, h, h)))
+
+
+def pairwise_graph(d, orb, h):
+    """The r^2 commutation test on every pair of conjugates, itself included."""
+    mul, _ = _payload_ops(d)
+    gens = [g.payload for g in h.generators]
+    conj = [[mul(mul(t, g), ti) for g in gens] for t, ti in zip(orb.trans, orb.trans_inv)]
+    return [frozenset(k for k, ys in enumerate(conj)
+                      if all(mul(x, y) == mul(y, x) for x in xs for y in ys))
+            for xs in conj]
+
+
+def assert_graph_from_one_vertex(d, h):
+    orb, near = _orbit_and_graph(d, h)
+    assert [near(j) for j in reversed(range(len(orb.trans)))][::-1] == \
+        pairwise_graph(d, orb, h)
+
+
+# Sym(A) for blocks A of 3 and 4 points in S6-S9
+SYM_BLOCKS = [(6, (1, 2, 3)), (6, (2, 5, 3, 4)), (7, (4, 1, 6)), (8, (1, 2, 3)),
+              (8, (3, 8, 5, 6)), (9, (1, 2, 3)), (9, (9, 4, 7))]
+
+
+@settings(deadline=None, max_examples=40)
+@given(family_and_subgroups())
+def test_graph_from_one_vertex_matches_pairwise(case):
+    d, h, _ = case
+    assert_graph_from_one_vertex(d, h)
+
+
+@pytest.mark.parametrize("n,pts", SYM_BLOCKS)
+def test_graph_from_one_vertex_matches_pairwise_on_sym_blocks(n, pts):
+    d = symmetric(n)
+    assert_graph_from_one_vertex(d, sym_block(d, pts))
+
+
+def _least_by_products(d, t, normalizer):
+    mul, _ = _payload_ops(d)
+    return min(mul(t, x) for x in normalizer)
+
+
+def assert_chain_descent(d, h, rng):
+    orb = _conjugates(d, h, 10 ** 7)
+    everyone = list(range(len(orb.trans)))
+    least = _least_conjugators(d, orb, everyone)
+    assert least == {i: _least_by_products(d, orb.trans[i], orb.normalizer)
+                     for i in everyone}
+    # and on cosets t N of elements that are not transversal elements
+    chain = _base_image_chain(orb.normalizer)
+    for _ in range(20):
+        t = tuple(rng.sample(range(d.n), d.n))
+        if d.family == "an" and _perm_parity(t):
+            t = (t[1], t[0]) + t[2:]
+        assert _least_in_coset(t, chain) == _least_by_products(d, t, orb.normalizer)
+
+
+@settings(deadline=None, max_examples=40)
+@given(family_and_subgroups(), st.randoms(use_true_random=False))
+def test_chain_descent_matches_min_over_coset(case, rng):
+    d, h, _ = case
+    if d.family in PERMUTATION_FAMILIES:
+        assert_chain_descent(d, h, rng)
+
+
+@pytest.mark.parametrize("n,pts", SYM_BLOCKS)
+def test_chain_descent_matches_min_over_coset_on_sym_blocks(n, pts):
+    d = symmetric(n)
+    assert_chain_descent(d, sym_block(d, pts), random.Random(f"{n}:{pts}"))
+
+
+@pytest.mark.parametrize("text,h", [
+    ("sn:4", "(1 2)(3 4);(1 3)(2 4)"),  # V4 is normal in S4
+    ("sn:6", "(1 2 3);(1 2 4);(1 2 5);(1 2 6)"),  # A6
+    ("an:5", "(1 2 3);(1 2 3 4 5)"),  # A5 itself
+    ("sn:7", "(1 2);(1 2 3 4 5 6 7)"),  # S7 itself
+    ("an:8", "(1 2 3);(1 2)(3 4)"),
+])
+def test_chain_descent_with_a_normal_or_large_normalizer(text, h):
+    d, spec = _subgroup(text, h)
+    assert_chain_descent(d, spec, random.Random(text))
+
+
+def clique_bound_fires(d, h, m):
+    _, near = _orbit_and_graph(d, h)
+    return len(_max_clique(near, m + 1)) <= m
+
+
+def assert_clique_bound(d, h, m):
+    """The bound may only fire where the full scan finds no displacer, and
+    every search still matches the full scan; returns (fires, found)."""
+    fires = not is_abelian_subgroup(h) and clique_bound_fires(d, h, m)
+    rep = find_strong_displacer(d, h, m)
+    assert rep.witnesses == scan_strong_displacer(d, h, m)
+    assert not (fires and rep.found)
+    if d.family in PERMUTATION_FAMILIES:
+        e = displacement_energy(d, h, m, support_norm)
+        assert (e.value, e.minimizer) == scan_displacement_energy(
+            d, h, m, norm_value_fn(support_norm))
+    return fires, rep.found
+
+
+@settings(deadline=None, max_examples=40)
+@given(family_and_subgroups(), st.sampled_from([2, 3]))
+def test_clique_bound_matches_full_scans(case, m):
+    d, h, _ = case
+    assert_clique_bound(d, h, m)
+
+
+@pytest.mark.parametrize("text,h,m,verdict", [
+    ("sn:6", "(1 2);(1 2 3)", 2, (True, False)),  # p = 2
+    ("sn:6", "(1 2)(3 4);(1 3)", 3, (True, False)),
+    ("sn:7", "(4 1);(4 1 6)", 2, (True, False)),
+    ("sn:8", "(1 2)(3 4);(1 3)(2 4);(1 2)", 2, (True, False)),
+    # Sym{1,2,3} at lamps 0, 1, 2 commute pairwise, and the shift cycles them
+    ("wreath:sn:3:zn:3", "{0:(1 2)};{0:(1 2 3)}", 2, (False, True)),
+    ("wreath:sn:3:zn:3", "{0:(1 2)};{0:(1 2 3)}", 3, (True, False)),
+    # abelian: the bound does not apply, and the identity displaces H when no
+    # other conjugate commutes with it
+    ("sn:6", "(1 2 3 4 5 6)", 2, (False, True)),
+    ("sn:7", "(1 2);(3 4)(5 6)", 3, (False, True)),
+])
+def test_clique_bound_verdicts(text, h, m, verdict):
+    d, spec = _subgroup(text, h)
+    assert assert_clique_bound(d, spec, m) == verdict
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_clique_bound_is_not_applied_to_two_subgroups(m):
+    # the bound speaks of one subgroup's own conjugates: here the identity
+    # is the least phi whose powers move <(6 7)> to commute with Sym{1..5},
+    # while <(6 7)> is the only conjugate that does
+    d = symmetric(7)
+    fixed = sym_block(d, (1, 2, 3, 4, 5))
+    moved = SubgroupSpec((perm_from_cycles(d, (6, 7)),))
+    assert _least_displacer(d, fixed, moved, m, None, 10 ** 7).minimizer == identity(d)
+    value = norm_value_fn(support_norm)
+    assert _least_displacer(d, fixed, moved, m, value, 10 ** 7).value == 0
