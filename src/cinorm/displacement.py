@@ -328,12 +328,16 @@ def find_strong_displacer(d: GroupDescriptor, h: SubgroupSpec, m: int,
 
 def _assert_witnesses(fixed: SubgroupSpec, moved: SubgroupSpec,
                       witnesses: tuple[Element, ...]) -> None:
-    """Re-check a search result with the public predicate: ``fixed`` and the
-    conjugates ``w moved w^-1`` of ``moved`` must pairwise commute."""
-    specs = [fixed] + [
+    """Re-check a search result with the public predicate: each conjugate
+    ``w moved w^-1`` of ``moved`` must commute with ``fixed``, and when
+    ``fixed`` is ``moved`` (packing, strong displacement) with each other."""
+    conjugates = [
         SubgroupSpec(tuple(compose(compose(w, g), invert(w)) for g in moved.generators))
         for w in witnesses]
-    if not all(subgroups_commute(a, b) for a, b in combinations(specs, 2)):
+    pairs = [(fixed, c) for c in conjugates]
+    if fixed is moved:
+        pairs += combinations(conjugates, 2)
+    if not all(subgroups_commute(a, b) for a, b in pairs):
         raise AssertionError("witness failed the subgroup commutation re-check")
 
 

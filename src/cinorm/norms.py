@@ -250,8 +250,13 @@ def commutator_length(d: GroupDescriptor, limit: int | None = None) -> NormTable
 # concrete norms
 
 
-def trivial_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTable:
+def trivial_norm(g: Element) -> Fraction:
     """1 on every non-identity element."""
+    return Fraction(0 if g.is_identity() else 1)
+
+
+def trivial_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTable:
+    """:func:`trivial_norm` on every element."""
     one, zero, e = Fraction(1), Fraction(0), _identity_payload(d)
     values = {g: zero if g.payload == e else one for g in enumerate_elements(d, limit)}
     return NormTable(d, values, NormTableMeta(name="trivial", diameter=Fraction(1)))

@@ -1,16 +1,18 @@
 """CLI surface: exit codes, deterministic reports, cache behaviour."""
 
+import argparse
 import io
 import json
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from cinorm import alternating, norm_table_from_payload, perm_from_cycles, qk_norm
 from cinorm.cache import cache_dir, cache_get, cache_key, cache_put
-from cinorm.cli import ExperimentConfig, main, run_suite
+from cinorm.cli import ExperimentConfig, _build_parser, main, run_suite
 from cinorm.serialize import norm_table_payload, norm_table_to_json
 
 
@@ -139,6 +141,16 @@ def test_packing_and_energy_commands(tmp_path):
     assert rep2["energies"][1]["value"] == "infinite"
 
 
+def test_energy_with_trivial_norm_does_not_enumerate(tmp_path, monkeypatch):
+    def enumerate_all(d):
+        raise AssertionError("energy built a table over the whole group")
+    monkeypatch.setattr("cinorm.cli.trivial_norm_table", enumerate_all)
+    out = tmp_path / "e.json"
+    assert main(["energy", "--group", "sn:6", "--h", "(1 2);(1 2 3)",
+                 "--norm", "trivial", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["energies"][0]["value"] == "1/1"
+
+
 def test_packing_command_is_not_capped_by_m(tmp_path):
     # the default --m 2 once capped the clique at 3 and left S9 not exhausted
     out = tmp_path / "p.json"
@@ -151,12 +163,10 @@ def test_packing_command_is_not_capped_by_m(tmp_path):
     assert rep["witnesses"] == suite["witnesses"]
 
 
-def test_packing_help_says_m_is_ignored(capsys):
+def test_packing_help_has_no_m(capsys):
+    # packing once took --m and ignored it; now --m is a usage error
     assert main(["packing", "--help"]) == 0
-    help_text = " ".join(capsys.readouterr().out.split())
-    assert "--m M accepted and ignored" in help_text
-    # still accepted, so scripts that pass it keep running
-    assert main(["packing", "--group", "sn:4", "--h", "(1 2);(1 2 3)", "--m", "5"]) == 0
+    assert "--m" not in capsys.readouterr().out
 
 
 def test_fcomm_command(tmp_path):
@@ -252,3 +262,57 @@ def test_cache_put_concurrent_writers():
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
         run_suite("nope", ExperimentConfig(), console=io.StringIO())
+
+
+# each command takes exactly the options its branch of the CLI reads
+OPTIONS = {
+    "qk": {"--group", "--k", "--out", "--format"},
+    "cl": {"--group", "--out", "--format"},
+    "cld": {"--group"},
+    "norm-verify": {"--group", "--norm", "--out"},
+    "packing": {"--group", "--h", "--out"},
+    "energy": {"--group", "--h", "--norm", "--m", "--out"},
+    "fcomm": {"--base", "--seed", "--m", "--out"},
+    "qm": {"action", "--pattern", "--word", "--defect-upper", "--seed", "--budget",
+           "--n-max", "--out"},
+    "verify": {"--suite", "--seed", "--threads", "--out"},
+    "cache": {"action"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    (commands,) = [a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {a.option_strings[0] if a.option_strings else a.dest
+                    for a in p._actions if not isinstance(a, argparse._HelpAction)}
+             for name, p in commands.choices.items()}
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 36
+    assert [f.name for f in fields(ExperimentConfig)] == ["seed", "threads"]
+
+
+@pytest.mark.parametrize("args", [
+    ["cld", "--group", "an:5", "--out", "f"],
+    ["norm-verify", "--group", "sn:3", "--format", "tsv"],
+    ["packing", "--group", "sn:4", "--h", "(1 2);(1 2 3)", "--m", "5"],
+    ["qk", "--group", "an:5", "--k", "(1 2 3)", "--seed", "1"],
+    ["verify", "--suite", "aff-z", "--budget", "5"],
+    ["fcomm", "--threads", "2"],
+], ids=lambda args: f"{args[0]}{args[-2]}")
+def test_unread_option_exits_2(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # cld --out f wrote no f
+
+
+def test_config_echo_with_a_nonzero_seed(tmp_path):
+    # the keys and values reports had when verify also took --budget,
+    # --n-max, --m and --format
+    echo = {"budget": 1000, "elements": None, "format": "json", "group": None,
+            "m": 2, "n_max": 32, "seed": 5}
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "aff-z", "--seed", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == echo
+    _, report = run_suite("aff-z", ExperimentConfig(seed=5), console=io.StringIO())
+    assert report["config"] == echo

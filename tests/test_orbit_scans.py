@@ -41,6 +41,7 @@ from cinorm import (
     subgroup_closure,
     support_norm,
     symmetric,
+    trivial_norm,
     trivial_norm_table,
     wreath_element,
 )
@@ -346,6 +347,7 @@ def test_trivial_norm_table_values(text):
     table = trivial_norm_table(d)
     assert table.values == {g: Fraction(0 if g.is_identity() else 1)
                             for g in enumerate_elements(d)}
+    assert all(trivial_norm(g) == v for g, v in table.values.items())
     assert sorted(table.values, key=sort_key) == enumerate_elements(d)
 
 
@@ -520,3 +522,51 @@ def test_clique_bound_is_not_applied_to_two_subgroups(m):
     assert _least_displacer(d, fixed, moved, m, None, 10 ** 7).minimizer == identity(d)
     value = norm_value_fn(support_norm)
     assert _least_displacer(d, fixed, moved, m, value, 10 ** 7).value == 0
+
+
+def scan_two_subgroup_displacer(d, fixed, moved, m):
+    """The least phi in payload order whose powers phi^1..phi^m each
+    conjugate ``moved`` to commute with ``fixed``."""
+    mul, inv = _payload_ops(d)
+    fixed_gens = tuple(g.payload for g in fixed.generators)
+    moved_gens = tuple(g.payload for g in moved.generators)
+    for phi in _iter_payloads(d):
+        pw = phi
+        for k in range(1, m + 1):
+            pw = phi if k == 1 else mul(phi, pw)
+            pwi = inv(pw)
+            if not all(mul(c, x) == mul(x, c)
+                       for c in (mul(mul(pw, g), pwi) for g in moved_gens)
+                       for x in fixed_gens):
+                break
+        else:
+            return Element(d, phi)
+    return None
+
+
+@pytest.mark.parametrize("fixed_pts,moved_pts", [((5, 6, 7), (1, 2, 3)),
+                                                  ((1, 2, 3), (3, 4, 5))])
+def test_two_subgroup_displacer_matches_full_scan(fixed_pts, moved_pts):
+    # the conjugates of `moved` must commute with `fixed`, not with each
+    # other: the re-check once demanded both and raised on these results
+    d = symmetric(7)
+    fixed, moved = sym_block(d, fixed_pts), sym_block(d, moved_pts)
+    phi = _least_displacer(d, fixed, moved, 2, None, 10 ** 7).minimizer
+    assert phi == scan_two_subgroup_displacer(d, fixed, moved, 2)
+    assert (phi == identity(d)) == (fixed_pts == (5, 6, 7))
+    _assert_witnesses(fixed, moved, (phi, phi ** 2))
+    # a conjugate of `moved` that meets `fixed` still trips the re-check
+    with pytest.raises(AssertionError):
+        _assert_witnesses(fixed, moved, (phi, perm_from_cycles(d, (3, 5))))
+
+
+def test_recheck_of_one_subgroup_pairs_the_conjugates():
+    # both conjugates are Sym{4,5,6}, which commutes with H = Sym{1,2,3}
+    # but not with itself
+    d = symmetric(9)
+    h = sym_block(d, (1, 2, 3))
+    w = perm_from_cycles(d, (1, 4), (2, 5), (3, 6))
+    _assert_witnesses(h, h, (w,))
+    with pytest.raises(AssertionError):
+        _assert_witnesses(h, h, (w, w))
+    _assert_witnesses(h, sym_block(d, (1, 2, 3)), (w, w))
