@@ -283,10 +283,9 @@ def _suite_witness_additivity(cfg: ExperimentConfig) -> list[Check]:
             comps[i] = e
             return product_element(P, comps)
 
-        q = QuasiMorphism(
-            P, lambda g: sum((counting_qm(free_word(f2, (1, 2)))(c)
-                              for c in g.payload), Fraction(0)),
-            name="sum-count")
+        count = counting_qm(free_word(f2, (1, 2)))
+        q = QuasiMorphism(P, lambda g: sum((count(c) for c in g.payload), Fraction(0)),
+                          name="sum-count")
         factors = [SubgroupSpec((emb(i, free_word(f2, (1,))),
                                  emb(i, free_word(f2, (2,))))) for i in range(3)]
         for trial in range(1000):
@@ -308,13 +307,10 @@ def _suite_stabilization(cfg: ExperimentConfig) -> list[Check]:
 
     def torsion_zero():
         rng = random.Random(cfg.seed)
-        cases = []
         s5 = gd.symmetric(5)
-        sup = support_norm_table(s5)
-        cases += [(sup, random_permutation(s5, rng)) for _ in range(10)]
+        cases = [(support_norm, random_permutation(s5, rng)) for _ in range(10)]
         w3 = gd.wreath_zn(gd.symmetric(3), 3)
-        triv = trivial_norm_table(w3)
-        cases += [(triv, random_element(w3, rng)) for _ in range(10)]
+        cases += [(trivial_norm, random_element(w3, rng)) for _ in range(10)]
         cases += [(support_norm, random_element(gd.z2_infinity(), rng))
                   for _ in range(10)]
         checked = 0
@@ -464,6 +460,16 @@ def _parse_elements(d, text: str) -> list[Element]:
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cinorm",
@@ -482,10 +488,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--defect-upper": dict(),
         "--suite": dict(required=True),
         "--seed": dict(type=int, default=0),
-        "--budget": dict(type=int, default=1000),
-        "--n-max": dict(type=int, default=32),
-        "--m": dict(type=int, default=2),
-        "--threads": dict(type=int, default=1),
+        "--budget": dict(type=_positive_int, default=1000),
+        "--n-max": dict(type=_positive_int, default=32),
+        "--m": dict(type=_positive_int, default=2),
+        "--threads": dict(type=_positive_int, default=1),
         "--out": dict(),
         "--format": dict(dest="fmt", choices=("json", "tsv"), default="json"),
     }

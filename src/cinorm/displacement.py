@@ -40,20 +40,26 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import descriptors as gd
-from .descriptors import PERMUTATION_FAMILIES, WREATH_FAMILIES, GroupDescriptor
+from .descriptors import PERMUTATION_FAMILIES, GroupDescriptor
 from .elements import (
     Element,
     _compose_payload,
     _identity_payload,
     _invert_payload,
-    _key,
+    _payload_rank,
     commutator_of,
     compose,
     invert,
     sort_key,
 )
-from .enumeration import SubgroupSpec, _extend_closure, closure_of, group_generators
-from .errors import DescriptorMismatchError, GuardExceededError, InfiniteGroupError
+from .enumeration import (
+    SubgroupSpec,
+    _checked_order,
+    _extend_closure,
+    closure_of,
+    group_generators,
+)
+from .errors import DescriptorMismatchError, GuardExceededError
 from .literals import to_literal
 from .norms import NormLike, commutator_length, commutator_length_over, norm_value_fn
 
@@ -63,8 +69,11 @@ PACKING_GUARD = 1_000_000
 ENERGY_GUARD = 10_000_000
 #: Most distinct conjugate subgroups a packing search builds its graph on.
 CLIQUE_GUARD = 20_000
-#: Families whose payloads hold Elements: ``_key`` orders them as ``sort_key``.
-_NESTED = WREATH_FAMILIES | {"bar", "product"}
+#: Largest ambient order on which the master inequalities also check
+#: ``cl_G(x) <= 2``, by a whole commutator length table of G: S6 (720) is in;
+#: S7 (5040) is above the kernel's ``TABLE_BOUND`` of 2048, where each
+#: commutator row costs 3|G| payload products, about 76M in all.
+AMBIENT_CL_LIMIT = 800
 
 
 @dataclass(frozen=True)
@@ -132,11 +141,7 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     number of conjugates."""
     if h.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
-    size = gd.order(d)
-    if size is None:
-        raise InfiniteGroupError(f"{d} is infinite")
-    if size > limit:
-        raise GuardExceededError(f"|{d}| = {size} exceeds the scan guard {limit}")
+    size = _checked_order(d, limit)
     mul, inv = partial(_compose_payload, d), partial(_invert_payload, d)
     steps = [(s.payload, inv(s.payload)) for s in group_generators(d)]
     one = _identity_payload(d)
@@ -262,8 +267,7 @@ def _least_conjugators(d: GroupDescriptor, orb: _Orbit, which: list[int]) -> dic
     if d.family in PERMUTATION_FAMILIES:
         chain = _base_image_chain(orb.normalizer)
         return {i: _least_in_coset(orb.trans[i], chain) for i in which}
-    mul = partial(_compose_payload, d)
-    rank = _key if d.family in _NESTED else None
+    mul, rank = partial(_compose_payload, d), _payload_rank(d)
     return {i: min([mul(orb.trans[i], x) for x in orb.normalizer], key=rank)
             for i in which}
 
@@ -282,7 +286,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
         raise DescriptorMismatchError(f"the subgroup lives in {fixed.descriptor}, not {d}")
     orb = _conjugates(d, moved, limit)
     mul, inv = partial(_compose_payload, d), partial(_invert_payload, d)
-    rank = _key if d.family in _NESTED else None
+    rank = _payload_rank(d)
     commutes = _commuter(d, fixed, moved)
     # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
     near0 = orb.commuting(commutes)
@@ -359,7 +363,7 @@ def disjunction_energy(d: GroupDescriptor, h1: SubgroupSpec, h2: SubgroupSpec,
 # packing numbers
 
 
-def packing_number(d: GroupDescriptor, h: SubgroupSpec, m_cap: int = 16,
+def packing_number(d: GroupDescriptor, h: SubgroupSpec,
                    limit: int = PACKING_GUARD) -> PackingResult:
     """Largest number of pairwise-commuting conjugates of the subgroup
     (including itself), via the commutation graph on distinct conjugates.
@@ -377,15 +381,14 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec, m_cap: int = 16,
     near0 = orb.commuting(_commuter(d, h, h))
     # the clique search meets only H's vertex 0 and its neighbours
     least = _least_conjugators(d, orb, near0)
-    rank = _key if d.family in _NESTED else None
-    cap = m_cap + 1
-    best = _max_clique(_commutation_graph(orb, near0), cap,
+    rank = _payload_rank(d)
+    best = _max_clique(_commutation_graph(orb, near0), len(near0) + 1,
                        key=lambda i: least[i] if rank is None else rank(least[i]))
     p = len(best)
     witnesses = tuple(Element(d, least[v]) for v in best[1:])
     report = DisplacementReport(h, p - 1, "weak", witnesses, p > 1)
     _assert_witnesses(h, h, witnesses)
-    return PackingResult(p, report, exhausted=p < cap)
+    return PackingResult(p, report, exhausted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +415,6 @@ class MasterReport:
 
 def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
                                norm: NormLike, *,
-                               ambient_cl_limit: int = 800,
                                energy: EnergyResult | None = None) -> MasterReport:
     """Pointwise check of the displacement inequalities on a finite group.
 
@@ -420,7 +422,7 @@ def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
     the subgroup is m: ``v(x) <= 4 e_1`` when m = 1 (plus the pointwise chain
     ``v([f,g]) <= 2 v([f,phi]) <= 4 v(phi)`` for the found minimizer), and
     ``v(x) <= 14 e_m`` for m >= 2.  Ambient commutator length <= 2 is checked
-    when the ambient group is small enough to brute-force.
+    when the ambient order is at most :data:`AMBIENT_CL_LIMIT`.
     """
     value = norm_value_fn(norm)
     closure = sorted(closure_of(h), key=sort_key)
@@ -431,7 +433,7 @@ def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
 
     ambient_cl = None
     size = gd.order(d)
-    if size is not None and size <= ambient_cl_limit:
+    if size is not None and size <= AMBIENT_CL_LIMIT:
         ambient_cl = commutator_length(d)
 
     factor = 4 if m == 1 else 14

@@ -53,9 +53,6 @@ class Element:
     def is_identity(self) -> bool:
         return self.payload == _identity_payload(self.descriptor)
 
-    def conjugated_by(self, by: "Element") -> "Element":
-        return conjugate_of(self, by)
-
     def __repr__(self) -> str:
         return f"Element({self.descriptor}, {self.payload!r})"
 
@@ -128,6 +125,17 @@ def _key(p):
     if isinstance(p, tuple):
         return tuple(_key(x) for x in p)
     return p
+
+
+#: Families whose payloads hold Elements, which compare only through ``_key``.
+_NESTED = WREATH_FAMILIES | {"bar", "product"}
+
+
+def _payload_rank(d: GroupDescriptor):
+    """The key that orders ``d``'s raw payloads as ``sort_key`` orders its
+    elements: ``_key`` where payloads hold Elements, else ``None`` (the
+    payloads themselves)."""
+    return _key if d.family in _NESTED else None
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,8 @@ def enumerate_elements(d: GroupDescriptor, limit: int | None = None) -> list[Ele
         elems.sort(key=sort_key)
     else:
         raise InfiniteGroupError(f"{d} cannot be enumerated")
-    assert len(elems) == size
+    if len(elems) != size:
+        raise AssertionError(f"enumerated {len(elems)} elements of {d}, not {size}")
     return elems
 
 

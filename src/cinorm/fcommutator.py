@@ -124,6 +124,14 @@ class FCommutatorDecomposition:
     audit: dict = field(default_factory=dict, compare=False)
 
 
+def _backward(d: GroupDescriptor, gs) -> Element:
+    """The product ``g_m ... g_1`` of a list ``g_1 .. g_m`` in ``d``."""
+    out = identity(d)
+    for g in reversed(gs):
+        out = compose(out, g)
+    return out
+
+
 def _spread(env: FCommEnvironment, gs, start: int = 0) -> Element:
     """``prod_i Conj_{F^(start+i)}(embed(g_i))`` by actual conjugation."""
     out = identity(env.ambient)
@@ -167,9 +175,7 @@ def rearrange(env: FCommEnvironment, gs) -> tuple[FCommutator, Element]:
     """Express ``embed(g_m ... g_1)`` as one shift-commutator times the
     residual spread ``prod_{i=1..m} Conj_{F^i}(g_i)``."""
     gs = list(gs)
-    g = identity(env.base)
-    for x in reversed(gs):
-        g = compose(g, x)
+    g = _backward(env.base, gs)
     padded = [g] + [invert(x) for x in gs]
     _, c = solve_rearrange_id(env, padded)
     residual = _spread(env, gs, start=1)
@@ -209,20 +215,14 @@ def seven_fcommutators(env: FCommEnvironment, pairs) -> FCommutatorDecomposition
         raise ValueError(
             f"{m} pairs need capacity {max(m, 2)}, environment has {env.capacity}")
     comms = [commutator_of(f, g) for f, g in pairs]
-    target_base = identity(env.base)
-    for cmt in reversed(comms):
-        target_base = compose(target_base, cmt)
-    target = env.embed(target_base)
+    target = env.embed(_backward(env.base, comms))
 
     c0, theta = rearrange(env, comms)
     cx, phi = rearrange(env, [f for f, _ in pairs])
     cy, psi = rearrange(env, [g for _, g in pairs])
 
-    f_base = identity(env.base)
-    g_base = identity(env.base)
-    for f, g in reversed(pairs):
-        f_base = compose(f_base, f)
-        g_base = compose(g_base, g)
+    f_base = _backward(env.base, [f for f, _ in pairs])
+    g_base = _backward(env.base, [g for _, g in pairs])
     fa = env.embed(f_base)
     ga = env.embed(g_base)
 
@@ -273,10 +273,7 @@ def two_commutator_witness(env: FCommEnvironment, pairs) -> TwoCommutatorWitness
     if env.capacity < m:
         raise ValueError(f"{m} pairs exceed capacity {env.capacity}")
     comms = [commutator_of(f, g) for f, g in pairs]
-    target_base = identity(env.base)
-    for cmt in reversed(comms):
-        target_base = compose(target_base, cmt)
-    target = env.embed(target_base)
+    target = env.embed(_backward(env.base, comms))
     c0, _ = rearrange(env, comms)
     phi = _spread(env, [f for f, _ in pairs], start=1)
     psi = _spread(env, [g for _, g in pairs], start=1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from . import descriptors as gd
 from .descriptors import GroupDescriptor, PERMUTATION_FAMILIES
@@ -55,26 +55,18 @@ class NormTable:
     values: dict[Element, Fraction]
     meta: NormTableMeta
 
-    def value(self, g: Element) -> Fraction:
-        return self.values[g]
-
-    def __contains__(self, g: Element) -> bool:
-        return g in self.values
-
     def domain(self) -> list[Element]:
         return sorted(self.values, key=sort_key)
 
 
-NormLike = NormTable | Mapping | Callable[[Element], Fraction]
+NormLike = NormTable | Callable[[Element], Fraction]
 
 
 def norm_value_fn(norm: NormLike) -> Callable[[Element], Fraction]:
-    """Uniform accessor: tables and mappings for finite groups, callables for
-    windowed infinite-family norms."""
+    """Uniform accessor: tables for finite groups, callables for windowed
+    infinite-family norms."""
     if isinstance(norm, NormTable):
         return norm.values.__getitem__
-    if isinstance(norm, Mapping):
-        return norm.__getitem__
     return norm
 
 
@@ -152,14 +144,6 @@ def verify_norm_axioms(table: NormTable, max_violations: int = 25) -> AxiomRepor
 # conjugation-generated norms
 
 
-@dataclass(frozen=True)
-class CGenSpec:
-    """A candidate conjugation-generating set and its conjugacy closure."""
-
-    members: tuple[Element, ...]
-    closure: frozenset[Element]
-
-
 def _cgen(d: GroupDescriptor, K: Iterable[Element], limit: int | None
           ) -> tuple[FiniteGroup, tuple[Element, ...], list[int]]:
     # the kernel, the sorted members of K and the indices of their closure
@@ -168,12 +152,6 @@ def _cgen(d: GroupDescriptor, K: Iterable[Element], limit: int | None
         raise ValueError("conjugation-generating set must be non-empty")
     G = group_kernel(d, limit)
     return G, members, conjugacy_indices(G, members)
-
-
-def cgen_spec(d: GroupDescriptor, K: Iterable[Element],
-              limit: int | None = None) -> CGenSpec:
-    G, members, closure = _cgen(d, K, limit)
-    return CGenSpec(members, frozenset(G.elements[i] for i in closure))
 
 
 def _bfs_values(G: FiniteGroup, steps: list[int]) -> dict[Element, Fraction]:
@@ -259,7 +237,8 @@ def trivial_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTabl
     """:func:`trivial_norm` on every element."""
     one, zero, e = Fraction(1), Fraction(0), _identity_payload(d)
     values = {g: zero if g.payload == e else one for g in enumerate_elements(d, limit)}
-    return NormTable(d, values, NormTableMeta(name="trivial", diameter=Fraction(1)))
+    diameter = one if len(values) > 1 else zero  # the trivial group has only 0
+    return NormTable(d, values, NormTableMeta(name="trivial", diameter=diameter))
 
 
 def support_norm(g: Element) -> Fraction:

@@ -412,6 +412,6 @@ def scl_bounds(w: Element, q: QuasiMorphism,
             if upper is None or v < upper:
                 upper = v
                 upper_prov = {"n": k, "cl": str(Fraction(cl_oracle(power(w, k))))}
-    if lower is not None and upper is not None:
-        assert lower <= upper, "certified lower bound exceeded the upper bound"
+    if lower is not None and upper is not None and lower > upper:
+        raise AssertionError("certified lower bound exceeded the upper bound")
     return SclBounds(w, lower, lower_prov, upper, upper_prov)

@@ -71,7 +71,3 @@ def payload_to_tsv(payload: dict) -> str:
     """The rows of a table payload as TSV, in the payload's sorted order."""
     return "".join(f"{lit}\t{val}\n"
                    for lit, val in [("element", "value"), *payload["values"]])
-
-
-def norm_table_to_tsv(table: NormTable) -> str:
-    return payload_to_tsv(norm_table_payload(table))

@@ -306,6 +306,23 @@ def test_unread_option_exits_2(args, tmp_path, monkeypatch, capsys):
     assert not any(tmp_path.iterdir())  # cld --out f wrote no f
 
 
+@pytest.mark.parametrize("args", [
+    ["energy", "--group", "sn:5", "--h", "(1 2)", "--m", "0"],
+    ["energy", "--group", "sn:5", "--h", "(1 2)", "--m", "-2"],
+    ["fcomm", "--m", "0"],
+    ["verify", "--suite", "aff-z", "--threads", "0"],
+    ["qm", "defect", "--budget", "0"],
+    ["qm", "homogenize", "--n-max", "0"],
+    ["qm", "scl-bounds", "--defect-upper", "3", "--n-max", "-1"],
+    ["fcomm", "--m", "two"],
+])
+def test_integer_options_must_be_positive(args, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(args + ["--out", str(out)]) == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_echo_with_a_nonzero_seed(tmp_path):
     # the keys and values reports had when verify also took --budget,
     # --n-max, --m and --format

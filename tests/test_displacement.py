@@ -1,15 +1,20 @@
 """Displaceability and packing against plain brute-force tuple searches."""
 
+import inspect
 from itertools import permutations
 
 import pytest
 
+import cinorm
 from cinorm import (
     Element,
+    GuardExceededError,
+    NormTable,
     SubgroupSpec,
     compose,
     disjunction_energy,
     displacement_energy,
+    enumerate_elements,
     find_strong_displacer,
     identity,
     invert,
@@ -23,6 +28,7 @@ from cinorm import (
     verify_disjunction_inequality,
     verify_master_inequalities,
 )
+from cinorm.displacement import PACKING_GUARD
 
 S5 = symmetric(5)
 S6 = symmetric(6)
@@ -215,3 +221,26 @@ def test_tampered_witness_trips_the_recheck():
     _assert_witnesses(h1, h2, (e.minimizer,))
     with pytest.raises(AssertionError):
         _assert_witnesses(h1, h2, (identity(S8),))
+
+
+def test_library_surface_has_no_unread_parameters_or_names():
+    assert "m_cap" not in inspect.signature(packing_number).parameters
+    assert "ambient_cl_limit" not in \
+        inspect.signature(verify_master_inequalities).parameters
+    for name in ("cgen_spec", "CGenSpec", "norm_table_to_tsv"):
+        assert not hasattr(cinorm, name)
+    assert not hasattr(cinorm.serialize, "norm_table_to_tsv")
+    assert not hasattr(Element, "conjugated_by")
+    assert not hasattr(NormTable, "value")
+    assert not hasattr(NormTable, "__contains__")
+
+
+def test_scan_guard_is_the_enumeration_order_check():
+    # S10 (3 628 800 elements) is above the packing guard of 10^6
+    d = symmetric(10)
+    with pytest.raises(GuardExceededError) as scan:
+        packing_number(d, sym_block(d, (1, 2, 3)))
+    with pytest.raises(GuardExceededError) as listing:
+        enumerate_elements(d, limit=PACKING_GUARD)
+    assert str(scan.value) == str(listing.value) == \
+        "|sn:10| = 3628800 exceeds the guard 1000000"

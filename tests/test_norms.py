@@ -34,6 +34,7 @@ from cinorm import (
     free_group,
     generator_filtration_norm,
     identity,
+    parse_descriptor,
     perm_from_cycles,
     product,
     product_element,
@@ -228,6 +229,13 @@ def test_generator_filtration_norm():
 
 # ---------------------------------------------------------------------------
 # quasi-norms
+
+
+@pytest.mark.parametrize("text,diameter", [("sn:1", 0), ("sn:2", 1), ("sn:4", 1),
+                                           ("an:5", 1)])
+def test_trivial_norm_table_diameter(text, diameter):
+    # the trivial group has the single value 0, so its diameter is 0
+    assert trivial_norm_table(parse_descriptor(text)).meta.diameter == diameter
 
 
 def test_true_norm_is_a_quasinorm():

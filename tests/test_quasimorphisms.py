@@ -1,11 +1,16 @@
 """Quasi-morphism machinery; frozen values were derived by hand from the
 reduced-word combinatorics (no cancellation in the test words)."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cinorm
 from cinorm import (
     QuasiMorphism,
     SubgroupSpec,
@@ -248,6 +253,24 @@ def test_scl_bounds_zero_defect_contradiction():
     q = counting_qm(AB)
     with pytest.raises(ValueError):
         scl_bounds(free_word(F2, (1, 2)), q, defect_upper=Fraction(0))
+
+
+def test_certified_bound_check_survives_python_O():
+    # an upper-bound oracle of 0 is below the certified 61/768 for [a, b];
+    # the check must raise even when -O strips assert statements
+    code = (
+        "from fractions import Fraction\n"
+        "from cinorm import commutator_of, counting_qm, free_group, free_word, scl_bounds\n"
+        "F2 = free_group(2)\n"
+        "w = commutator_of(free_word(F2, (1,)), free_word(F2, (2,)))\n"
+        "scl_bounds(w, counting_qm(free_word(F2, (1, 2))), Fraction(3), n=64,\n"
+        "           cl_oracle=lambda g: 0)\n")
+    src = str(Path(cinorm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert "AssertionError: certified lower bound exceeded the upper bound" in run.stderr
 
 
 @pytest.mark.parametrize("du", [Fraction(-1, 100), Fraction(-1)])
