@@ -8,9 +8,15 @@ payload -> index dict, an inverse array and the rows of the Cayley table,
 of Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
 ch. 4).
 
-Rows are built on first use and kept only for orders up to
-:data:`TABLE_BOUND`, so the table costs at most 16 MiB; above it every row is
-recomputed from payload products and memory stays O(N).  On a subset, a
+A whole group of order up to :data:`TABLE_BOUND` (so the table costs at
+most 16 MiB) builds its whole table at the first product asked of it, with
+N |gens| payload products: the left multiplications ``lambda_x`` by the
+generators x of :func:`~cinorm.enumeration.group_generators`, then a
+breadth-first Schreier tree from the identity, g_i = x_i g_parent(i), along
+which ``row(i)`` is ``lambda_{x_i}`` gathered over ``row(parent(i))``.
+Subset kernels, which have no generators of their own, build and keep each
+row from payload products on first use; above :data:`TABLE_BOUND` every row
+is recomputed from payload products and memory stays O(N).  On a subset, a
 product or inverse that leaves the subset is -1.
 """
 
@@ -20,6 +26,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
+from operator import itemgetter
 from typing import Iterable
 
 from . import descriptors as gd
@@ -31,7 +38,7 @@ from .elements import (
     _invert_payload,
     sort_key,
 )
-from .enumeration import _checked_order, enumerate_elements
+from .enumeration import _checked_order, enumerate_elements, group_generators
 from .errors import DescriptorMismatchError
 
 #: Largest order whose Cayley-table rows are kept: 2048^2 four-byte indices.
@@ -54,18 +61,52 @@ class FiniteGroup:
         get = self.index.get
         self.inv = array("i", [get(_invert_payload(d, p), -1) for p in self.payloads])
         self.one = get(_identity_payload(d), -1)
+        kept = self.n <= TABLE_BOUND
+        # a whole group gathers its table at first use, a subset keeps rows
+        self._gathered = kept and full
         self._rows: list[array | None] | None = \
-            [None] * self.n if self.n <= TABLE_BOUND else None
+            [None] * self.n if kept and not full else None
 
     def index_of(self, e: Element) -> int:
         if e.descriptor != self.descriptor:
             raise DescriptorMismatchError(f"{e} is not an element of {self.descriptor}")
         return self.index[e.payload]
 
+    def _table(self) -> list[array | None] | None:
+        # the kept rows; a whole group gathers all of them at first use
+        if self._rows is None and self._gathered:
+            self._rows = self._gather()  # one assignment: racers see all or none
+        return self._rows
+
+    def _gather(self) -> list[array | None]:
+        """The Cayley table from N |gens| payload products: along a Schreier
+        tree g_i = x g_p, ``row(i)[k] = lambda_x[row(p)[k]]``."""
+        index, mul, p, n = self.index, self._mul, self.payloads, self.n
+        lams = [[index[mul(x.payload, q)] for q in p]
+                for x in group_generators(self.descriptor)]
+        rows: list[array | None] = [None] * n
+        rows[self.one] = array("i", range(n))
+        frontier = [self.one]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for lam in lams:
+                    j = lam[i]
+                    if rows[j] is None:
+                        rows[j] = array("i", itemgetter(*rows[i])(lam))
+                        nxt.append(j)
+            frontier = nxt
+        if None in rows:  # not an assert: the check must survive python -O
+            raise AssertionError(f"the generators of {self.descriptor} reach "
+                                 f"{n - rows.count(None)} of {n} elements")
+        return rows
+
     def products(self, i: int, js: Iterable[int]) -> list[int]:
-        """Indices of ``elements[i] * elements[j]`` for each j of ``js``; the
-        row is read when built, never built."""
-        r = self._rows[i] if self._rows is not None else None
+        """Indices of ``elements[i] * elements[j]`` for each j of ``js``: read
+        from the table (a whole group gathers it on the first call), else
+        from a subset's kept row, else from payload products."""
+        rows = self._table()
+        r = rows[i] if rows is not None else None
         if r is not None:
             return [r[j] for j in js]
         a, mul, get, p = self.payloads[i], self._mul, self.index.get, self.payloads
@@ -73,7 +114,7 @@ class FiniteGroup:
 
     def row(self, i: int) -> array:
         """Indices of ``elements[i] * elements[j]`` for every j."""
-        rows = self._rows
+        rows = self._table()
         if rows is not None and rows[i] is not None:
             return rows[i]
         r = array("i", self.products(i, range(self.n)))
@@ -82,8 +123,8 @@ class FiniteGroup:
         return r
 
     def mul(self, i: int, j: int) -> int:
-        """Index of one product; a row is read when built, never built."""
-        rows = self._rows
+        """Index of one product, read from the table or a kept row if any."""
+        rows = self._table()
         if rows is not None and rows[i] is not None:
             return rows[i][j]
         return self.index.get(self._mul(self.payloads[i], self.payloads[j]), -1)

@@ -8,12 +8,18 @@ elements is covered, once deterministically per family and again under
 hypothesis with seeded tables, tamperings and subgroups.
 """
 
+import os
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cinorm
 from cinorm import (
     GuardExceededError,
     NormTable,
@@ -48,6 +54,9 @@ from cinorm import (
     trivial_norm_table,
     verify_norm_axioms,
 )
+from cinorm import kernel
+from cinorm.elements import _compose_payload
+from cinorm.enumeration import group_generators
 from cinorm.kernel import TABLE_BOUND, FiniteGroup, domain_kernel, group_kernel
 
 FAMILIES = ("sn:3", "sn:4", "sn:5", "an:4", "an:5", "slp:2:3", "slp:2:5",
@@ -337,15 +346,107 @@ def test_products_match_the_row_and_store_none(text):
     d = parse_descriptor(text)
     elems = enumerate_elements(d)
     G = FiniteGroup(d, elems, full=True)  # a fresh kernel: no row built yet
+    assert G._rows is None
     rng = random.Random(text)
     for i in rng.sample(range(G.n), 4):
         js = sorted(rng.sample(range(G.n), 12)) + [i, 0, i]
         got = G.products(i, js)
         assert got == [G.index[compose(elems[i], elems[j]).payload] for j in js]
-        assert G._rows is None or G._rows[i] is None  # no row stored
-        row = G.row(i)  # kept when the order is at most TABLE_BOUND
+        if G.n <= TABLE_BOUND:  # the first call gathered the whole table
+            assert len(G._rows) == G.n and None not in G._rows
+        else:  # nothing is stored
+            assert G._rows is None
+        row = G.row(i)
         assert G.products(i, js) == [row[j] for j in js] == got
         assert G.products(i, range(G.n)) == list(row)
+
+
+@pytest.mark.parametrize("text", FAMILIES + ("sn:1", "an:6"))
+def test_gathered_table_matches_payload_products(text):
+    d = parse_descriptor(text)
+    G = FiniteGroup(d, enumerate_elements(d), full=True)
+    p = G.payloads
+    for i in range(G.n):
+        row = G.row(i)
+        assert list(row) == [G.index[_compose_payload(d, p[i], q)] for q in p]
+        assert row[G.inv[i]] == G.one
+
+
+def test_gather_refuses_generators_that_miss_elements(monkeypatch):
+    # without the 4-cycle, (1 2) reaches 2 of the 24 elements of S4
+    d = symmetric(4)
+    monkeypatch.setattr(kernel, "group_generators", lambda d: group_generators(d)[:1])
+    G = FiniteGroup(d, enumerate_elements(d), full=True)
+    with pytest.raises(AssertionError, match="reach 2 of 24 elements"):
+        G.row(0)
+    assert G._rows is None  # nothing half-built is published
+
+
+def test_gather_check_survives_python_O():
+    code = (
+        "from cinorm import enumerate_elements, kernel, symmetric\n"
+        "gens = kernel.group_generators\n"
+        "kernel.group_generators = lambda d: gens(d)[:1]\n"
+        "d = symmetric(4)\n"
+        "kernel.FiniteGroup(d, enumerate_elements(d), full=True).row(0)\n")
+    src = str(Path(cinorm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert "AssertionError: the generators of sn:4 reach 2 of 24 elements" in run.stderr
+
+
+@pytest.fixture
+def cold_cache():
+    # whole-group kernels built by the test are dropped again after it
+    kernel._cached_group.cache_clear()
+    yield
+    kernel._cached_group.cache_clear()
+
+
+def test_qk_does_generator_products_only(monkeypatch, cold_cache):
+    # q_K reads the gathered table: N |gens| payload products build it and
+    # the BFS adds none (without a table it did N |closure|, here 15 456)
+    d = parse_descriptor("slp:2:7")
+    K = c_generating_set(d, random.Random("work:slp:2:7"))
+    kernel._cached_group.cache_clear()
+    count = []
+    monkeypatch.setattr(kernel, "_compose_payload",
+                        lambda *a: count.append(1) or _compose_payload(*a))
+    table = qk_norm(d, K)
+    assert len(table.values) == 336
+    assert len(count) <= 336 * (len(group_generators(d)) + 1)
+
+
+def test_first_use_from_threads_gives_equal_tables(cold_cache):
+    # four threads race to gather the table of one cached kernel
+    d = parse_descriptor("an:6")
+    K = [perm_from_cycles(d, (1, 2, 3))]
+    tables, errors = [], []
+
+    def work():
+        try:
+            tables.append(qk_norm(d, K).values)
+        except Exception as exc:  # collected: a thread's raise would be lost
+            errors.append(exc)
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(tables) == 4
+    assert all(list(t.items()) == list(tables[0].items()) for t in tables)
+    G = group_kernel(d)
+    assert None not in G._rows
+    assert list(qk_norm(d, K).values.items()) == oracle_qk_values(d, K)
 
 
 @pytest.mark.parametrize("text", FAMILIES)
