@@ -36,16 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 from . import descriptors as gd
 from .descriptors import PERMUTATION_FAMILIES, GroupDescriptor
 from .elements import (
     Element,
-    _compose_payload,
     _identity_payload,
     _invert_payload,
+    _payload_mul,
     _payload_rank,
     commutator_of,
     compose,
@@ -61,7 +61,7 @@ from .enumeration import (
 )
 from .errors import DescriptorMismatchError, GuardExceededError
 from .literals import to_literal
-from .norms import NormLike, commutator_length, commutator_length_over, norm_value_fn
+from .norms import NormLike, commutator_length, commutator_length_over, payload_value_fn
 
 #: Ambient-order guard for packing searches.
 PACKING_GUARD = 1_000_000
@@ -142,7 +142,7 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     if h.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
     size = _checked_order(d, limit)
-    mul, inv = partial(_compose_payload, d), partial(_invert_payload, d)
+    mul, inv = _payload_mul(d), partial(_invert_payload, d)
     steps = [(s.payload, inv(s.payload)) for s in group_generators(d)]
     one = _identity_payload(d)
     points = [frozenset(g.payload for g in closure_of(h))]
@@ -178,7 +178,7 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
 def _commuter(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec):
     """``commutes(t, t^-1)``: whether ``t moved t^-1`` commutes with
     ``fixed``, decided on generators."""
-    mul = partial(_compose_payload, d)
+    mul = _payload_mul(d)
     moved_gens = tuple(g.payload for g in moved.generators)
     fixed_gens = tuple(g.payload for g in fixed.generators)
 
@@ -267,25 +267,31 @@ def _least_conjugators(d: GroupDescriptor, orb: _Orbit, which: list[int]) -> dic
     if d.family in PERMUTATION_FAMILIES:
         chain = _base_image_chain(orb.normalizer)
         return {i: _least_in_coset(orb.trans[i], chain) for i in which}
-    mul, rank = partial(_compose_payload, d), _payload_rank(d)
+    mul, rank = _payload_mul(d), _payload_rank(d)
     return {i: min([mul(orb.trans[i], x) for x in orb.normalizer], key=rank)
             for i in which}
 
 
 def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec,
-                     m: int, value, limit: int) -> EnergyResult:
+                     m: int, norm: NormLike | None, limit: int) -> EnergyResult:
     """Least ``(value, payload order)`` over the ``phi`` for which every
     ``phi^k moved phi^-k`` (k = 1..m) commutes with ``fixed``; without
-    ``value`` the payload order alone decides.  Commutation is decided on
+    ``norm`` the payload order alone decides.  Commutation is decided on
     generators, and the result is re-checked.  A strong m-displacer of a
     non-abelian H needs an (m+1)-clique through H in the commutation graph,
-    so without one no coset is expanded."""
+    so without one no coset is expanded.
+
+    Each coset is expanded as raw payloads keyed ``(value, rank, payload)``
+    with the exact payload values of :func:`~cinorm.norms.payload_value_fn`:
+    for m = 1 its least key is the coset's candidate, for m >= 2 the powers
+    are tested only on keys below the best so far."""
     if m < 1:
         raise ValueError(f"m = {m}: a displacer needs m >= 1")
     if fixed.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {fixed.descriptor}, not {d}")
+    value = None if norm is None else payload_value_fn(d, norm)
     orb = _conjugates(d, moved, limit)
-    mul, inv = partial(_compose_payload, d), partial(_invert_payload, d)
+    mul, inv = _payload_mul(d), partial(_invert_payload, d)
     rank = _payload_rank(d)
     commutes = _commuter(d, fixed, moved)
     # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
@@ -293,6 +299,11 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     if fixed is moved and m >= 2 and not is_abelian_subgroup(fixed):
         if len(_max_clique(_commutation_graph(orb, near0), m + 1)) <= m:
             return EnergyResult(m, None, None)
+
+    def keyed(coset: list):
+        # the rank decides between equal values, and no two payloads tie
+        return zip(repeat(0) if value is None else map(value, coset),
+                   coset if rank is None else map(rank, coset), coset)
 
     def powers_commute(phi, phi_inv) -> bool:
         pw, pwi = phi, phi_inv
@@ -303,22 +314,22 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
         return True
 
     normalizer = orb.normalizer
-    inverses = [inv(x) for x in normalizer] if m > 1 else normalizer
-    best = None
-    for i in near0:
-        t, ti = orb.trans[i], orb.trans_inv[i]
-        for x, xi in zip(normalizer, inverses):
-            phi = mul(t, x)
-            key = (value(Element(d, phi)) if value else 0,
-                   phi if rank is None else rank(phi))
-            if (best is None or key < best[0]) and (
-                    m == 1 or powers_commute(phi, mul(xi, ti))):
-                best = (key, phi)
+    if m == 1:
+        best = min((min(keyed([mul(orb.trans[i], x) for x in normalizer]))
+                    for i in near0), default=None)
+    else:
+        inverses = [inv(x) for x in normalizer]
+        best = None
+        for i in near0:
+            t, ti = orb.trans[i], orb.trans_inv[i]
+            for key, xi in zip(keyed([mul(t, x) for x in normalizer]), inverses):
+                if (best is None or key < best) and powers_commute(key[2], mul(xi, ti)):
+                    best = key
     if best is None:
         return EnergyResult(m, None, None)
-    minimizer = Element(d, best[1])
+    minimizer = Element(d, best[2])
     _assert_witnesses(fixed, moved, tuple(minimizer ** k for k in range(1, m + 1)))
-    return EnergyResult(m, Fraction(best[0][0]), minimizer)
+    return EnergyResult(m, Fraction(best[0]), minimizer)
 
 
 def find_strong_displacer(d: GroupDescriptor, h: SubgroupSpec, m: int,
@@ -349,14 +360,14 @@ def displacement_energy(d: GroupDescriptor, h: SubgroupSpec, m: int,
                         norm: NormLike, limit: int = ENERGY_GUARD) -> EnergyResult:
     """Exact minimum of the norm over all strong m-displacers of the
     subgroup; the minimizer is the least one in payload order."""
-    return _least_displacer(d, h, h, m, norm_value_fn(norm), limit)
+    return _least_displacer(d, h, h, m, norm, limit)
 
 
 def disjunction_energy(d: GroupDescriptor, h1: SubgroupSpec, h2: SubgroupSpec,
                        norm: NormLike, limit: int = ENERGY_GUARD) -> EnergyResult:
     """Exact minimum norm over elements conjugating ``h2`` to commute with
     ``h1``; the minimizer is the least one in payload order."""
-    return _least_displacer(d, h1, h2, 1, norm_value_fn(norm), limit)
+    return _least_displacer(d, h1, h2, 1, norm, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +435,7 @@ def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
     ``v(x) <= 14 e_m`` for m >= 2.  Ambient commutator length <= 2 is checked
     when the ambient order is at most :data:`AMBIENT_CL_LIMIT`.
     """
-    value = norm_value_fn(norm)
+    value = payload_value_fn(d, norm)
     closure = sorted(closure_of(h), key=sort_key)
     cl_h = commutator_length_over(closure, d, name="cl_H")
     e = energy if energy is not None else displacement_energy(d, h, m, norm)
@@ -441,7 +452,7 @@ def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
         if clv != m:
             continue
         if e.value is not None:
-            lhs = Fraction(value(x))
+            lhs = Fraction(value(x.payload))
             rhs = factor * e.value
             rows.append(InequalityRow(
                 f"v(x) <= {factor} e_{m}", (to_literal(x),), lhs, rhs, lhs <= rhs))
@@ -452,11 +463,11 @@ def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
 
     if m == 1 and e.value is not None and e.minimizer is not None:
         phi = e.minimizer
-        vphi = Fraction(value(phi))
+        vphi = Fraction(value(phi.payload))
         for f in closure:
-            part = Fraction(value(commutator_of(f, phi)))
+            part = Fraction(value(commutator_of(f, phi).payload))
             for g in closure:
-                lhs = Fraction(value(commutator_of(f, g)))
+                lhs = Fraction(value(commutator_of(f, g).payload))
                 chain.append(InequalityRow(
                     "v([f,g]) <= 2 v([f,phi])",
                     (to_literal(f), to_literal(g)), lhs, 2 * part, lhs <= 2 * part))
@@ -473,13 +484,13 @@ def verify_disjunction_inequality(d: GroupDescriptor, h1: SubgroupSpec,
                                   energy: EnergyResult | None = None) -> MasterReport:
     """Check ``v([x1, x2]) <= 4 e(H1, H2)`` for all pairs from the two
     subgroup closures."""
-    value = norm_value_fn(norm)
+    value = payload_value_fn(d, norm)
     e = energy if energy is not None else disjunction_energy(d, h1, h2, norm)
     rows: list[InequalityRow] = []
     if e.value is not None:
         for x1 in sorted(closure_of(h1), key=sort_key):
             for x2 in sorted(closure_of(h2), key=sort_key):
-                lhs = Fraction(value(commutator_of(x1, x2)))
+                lhs = Fraction(value(commutator_of(x1, x2).payload))
                 rhs = 4 * e.value
                 rows.append(InequalityRow(
                     "v([x1,x2]) <= 4 e(H1,H2)",

@@ -24,7 +24,7 @@ Payload shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Iterable, Mapping
 
 from .descriptors import (
@@ -36,10 +36,15 @@ from .descriptors import (
 from .errors import DescriptorMismatchError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     descriptor: GroupDescriptor
     payload: Any
+
+    def __hash__(self) -> int:
+        # equal payloads of two groups (sn:3 and an:3) collide, and __eq__
+        # still tells them apart
+        return hash(self.payload)
 
     def __mul__(self, other: "Element") -> "Element":
         return compose(self, other)
@@ -212,6 +217,16 @@ def _compose_payload(d: GroupDescriptor, a, b):
             f1, f2 = f2, f1
         return (compose(g1, f1), compose(g2, f2), (e + fe) & 1)
     return tuple(compose(x, y) for x, y in zip(a, b))
+
+
+def _gather(a, b):
+    return tuple(map(a.__getitem__, b))
+
+
+def _payload_mul(d: GroupDescriptor):
+    """The product of two raw payloads of ``d``: the image-tuple gather for
+    permutations, else :func:`_compose_payload` bound to ``d``."""
+    return _gather if d.family in PERMUTATION_FAMILIES else partial(_compose_payload, d)
 
 
 def _invert_payload(d: GroupDescriptor, a):

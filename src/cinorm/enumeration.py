@@ -7,7 +7,6 @@ witness and coset representative in the library is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import permutations, product as iter_product
 from typing import Iterable
 
@@ -15,8 +14,8 @@ from . import descriptors as gd
 from .descriptors import GroupDescriptor
 from .elements import (
     Element,
-    _compose_payload,
     _identity_payload,
+    _payload_mul,
     _perm_parity,
     bar_element,
     commutator_of,
@@ -137,7 +136,7 @@ def subgroup_closure(generators: Iterable[Element],
     d = gens[0].descriptor
     if any(g.descriptor != d for g in gens):
         raise DescriptorMismatchError("closure generators must share one descriptor")
-    elems, used, mul = {_identity_payload(d)}, [], partial(_compose_payload, d)
+    elems, used, mul = {_identity_payload(d)}, [], _payload_mul(d)
     for g in gens:
         if g.payload not in elems:
             _extend_closure(elems, used, g.payload, mul, limit)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import lcm
 from operator import itemgetter
 from typing import Iterable
@@ -33,9 +33,9 @@ from . import descriptors as gd
 from .descriptors import GroupDescriptor
 from .elements import (
     Element,
-    _compose_payload,
     _identity_payload,
     _invert_payload,
+    _payload_mul,
     sort_key,
 )
 from .enumeration import _checked_order, enumerate_elements, group_generators
@@ -57,7 +57,7 @@ class FiniteGroup:
         self.index = {p: i for i, p in enumerate(self.payloads)}
         self.n = len(elements)
         self.full = full
-        self._mul = partial(_compose_payload, d)
+        self._mul = _payload_mul(d)
         get = self.index.get
         self.inv = array("i", [get(_invert_payload(d, p), -1) for p in self.payloads])
         self.one = get(_identity_payload(d), -1)

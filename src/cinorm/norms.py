@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from operator import ne
+from typing import Any, Callable, Iterable
 
 from . import descriptors as gd
 from .descriptors import GroupDescriptor, PERMUTATION_FAMILIES
@@ -18,12 +19,13 @@ from .elements import (
     Element,
     _identity_payload,
     compose,
+    identity,
     invert,
     moved_points,
     sort_key,
 )
 from .enumeration import enumerate_elements, subgroup_closure
-from .errors import NotCGeneratingError
+from .errors import DescriptorMismatchError, NotCGeneratingError
 from .kernel import (
     FiniteGroup,
     commutator_indices,
@@ -68,6 +70,27 @@ def norm_value_fn(norm: NormLike) -> Callable[[Element], Fraction]:
     if isinstance(norm, NormTable):
         return norm.values.__getitem__
     return norm
+
+
+def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]:
+    """``norm`` as a function of the raw payloads of ``d``, with the same
+    exact values: the moved-point count (an int) for :func:`support_norm` on
+    ``sn``/``an``, ``payload != identity`` (a bool) for :func:`trivial_norm`,
+    and the norm of ``Element(d, payload)`` for tables and every other
+    callable, so those raise as and when they did.  A table of another group
+    is refused."""
+    if isinstance(norm, NormTable):
+        if norm.descriptor != d:
+            raise DescriptorMismatchError(
+                f"the norm table is on {norm.descriptor}, not {d}")
+        get = norm.values.__getitem__
+        return lambda p: get(Element(d, p))
+    if norm is support_norm and d.family in PERMUTATION_FAMILIES:
+        one = _identity_payload(d)
+        return lambda p: sum(map(ne, p, one))
+    if norm is trivial_norm:
+        return _identity_payload(d).__ne__
+    return lambda p: norm(Element(d, p))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +258,9 @@ def trivial_norm(g: Element) -> Fraction:
 
 def trivial_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTable:
     """:func:`trivial_norm` on every element."""
-    one, zero, e = Fraction(1), Fraction(0), _identity_payload(d)
-    values = {g: zero if g.payload == e else one for g in enumerate_elements(d, limit)}
+    one, zero = Fraction(1), Fraction(0)
+    values = dict.fromkeys(enumerate_elements(d, limit), one)
+    values[identity(d)] = zero
     diameter = one if len(values) > 1 else zero  # the trivial group has only 0
     return NormTable(d, values, NormTableMeta(name="trivial", diameter=diameter))
 

@@ -127,6 +127,17 @@ def test_descriptor_mismatch_raises():
         compose(identity(S3), identity(symmetric(4)))
 
 
+def test_equal_payloads_of_two_groups_are_two_keys():
+    # Element hashes its payload alone: the identities of sn:3 and an:3
+    # collide, and equality still tells them apart
+    s, a = identity(S3), identity(alternating(3))
+    assert s.payload == a.payload and hash(s) == hash(a)
+    assert s != a
+    keys = {s: "sn", a: "an"}
+    assert len(keys) == 2 and keys[identity(S3)] == "sn" and keys[a] == "an"
+    assert not hasattr(s, "__dict__")
+
+
 # ---------------------------------------------------------------------------
 # AffZ against its affine action on the integers
 

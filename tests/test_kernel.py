@@ -55,7 +55,7 @@ from cinorm import (
     verify_norm_axioms,
 )
 from cinorm import kernel
-from cinorm.elements import _compose_payload
+from cinorm.elements import _compose_payload, _payload_mul
 from cinorm.enumeration import group_generators
 from cinorm.kernel import TABLE_BOUND, FiniteGroup, domain_kernel, group_kernel
 
@@ -412,8 +412,11 @@ def test_qk_does_generator_products_only(monkeypatch, cold_cache):
     K = c_generating_set(d, random.Random("work:slp:2:7"))
     kernel._cached_group.cache_clear()
     count = []
-    monkeypatch.setattr(kernel, "_compose_payload",
-                        lambda *a: count.append(1) or _compose_payload(*a))
+
+    def counting_mul(d):
+        mul = _payload_mul(d)
+        return lambda a, b: count.append(1) or mul(a, b)
+    monkeypatch.setattr(kernel, "_payload_mul", counting_mul)
     table = qk_norm(d, K)
     assert len(table.values) == 336
     assert len(count) <= 336 * (len(group_generators(d)) + 1)

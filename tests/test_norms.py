@@ -45,11 +45,13 @@ from cinorm import (
     support_norm,
     support_norm_table,
     symmetric,
+    trivial_norm,
     trivial_norm_table,
     verify_norm_axioms,
     verify_quasinorm,
     z2_infinity,
 )
+from cinorm.norms import payload_value_fn
 from cinorm.sampling import random_element
 
 S3 = symmetric(3)
@@ -93,6 +95,28 @@ def cl_oracle(elements, d):
             return expected
         for g in new:
             expected[g] = n
+
+
+@pytest.mark.parametrize("text", ["sn:1", "sn:2", "sn:3", "sn:4", "sn:5", "sn:6",
+                                  "an:3", "an:4", "an:5", "an:6"])
+def test_payload_forms_agree_with_the_norms(text):
+    d = parse_descriptor(text)
+    support, trivial = payload_value_fn(d, support_norm), payload_value_fn(d, trivial_norm)
+    for g in enumerate_elements(d):
+        v = support(g.payload)
+        assert type(v) is int and v == support_norm(g)
+        assert trivial(g.payload) == trivial_norm(g)
+
+
+@pytest.mark.parametrize("text", ["slp:2:3", "bar:sn:3", "product:sn:3,sn:3",
+                                  "wreath:sn:2:zn:2"])
+def test_trivial_payload_form_agrees_off_permutations(text):
+    d = parse_descriptor(text)
+    trivial = payload_value_fn(d, trivial_norm)
+    assert all(trivial(g.payload) == trivial_norm(g) for g in enumerate_elements(d))
+    # the support norm keeps the Element path and its error
+    with pytest.raises(ValueError, match="support norm undefined"):
+        payload_value_fn(d, support_norm)(identity(d).payload)
 
 
 # ---------------------------------------------------------------------------

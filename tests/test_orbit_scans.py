@@ -34,6 +34,7 @@ from cinorm import (
     group_generators,
     identity,
     mod_matrix,
+    moved_points,
     order,
     packing_number,
     parse_descriptor,
@@ -216,10 +217,22 @@ def _packing(res):
     return res.p, () if res.certificate is None else res.certificate.witnesses
 
 
+def _halved_support(g):
+    return Fraction(moved_points(g), 2)
+
+
+def _third_off_identity(g):
+    return Fraction(0 if g.is_identity() else 1, 3)
+
+
 def _norms(d):
-    out = [trivial_norm_table(d)]
+    # tables, both payload forms, and a rational callable that goes through
+    # Element: values with denominators other than 1 reach the scan keys
+    out = [trivial_norm_table(d), trivial_norm]
     if d.family in PERMUTATION_FAMILIES:
-        out.append(support_norm)
+        out += [support_norm, _halved_support]
+    else:
+        out.append(_third_off_identity)
     return out
 
 
@@ -370,6 +383,41 @@ def test_scans_refuse_a_subgroup_of_another_group(d, h):
              lambda: disjunction_energy(d, h, own, support_norm)]  # fixed side
     for call in calls:
         with pytest.raises(DescriptorMismatchError):
+            call()
+
+
+@pytest.mark.parametrize("text,table_text", [("sn:7", "sn:5"), ("sn:5", "an:5")])
+def test_scans_refuse_a_norm_table_of_another_group(text, table_text, monkeypatch):
+    # an S5 table with S7 once read "infinite" for m = 2 (the clique bound
+    # fired before any lookup) and raised a bare KeyError for m = 1; an A5
+    # table with S5 did the same; now each call refuses before any work
+    d = parse_descriptor(text)
+    table = trivial_norm_table(parse_descriptor(table_text))
+    h, h2 = sym_block(d, (1, 2, 3)), SubgroupSpec((perm_from_cycles(d, (3, 4, 5)),))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the norm was checked")
+    for name in ("_conjugates", "closure_of", "commutator_length_over"):
+        monkeypatch.setattr(displacement, name, no_work)
+    calls = [lambda: displacement_energy(d, h, 1, table),
+             lambda: displacement_energy(d, h, 2, table),
+             lambda: disjunction_energy(d, h, h2, table),
+             lambda: displacement.verify_master_inequalities(d, h, 1, table),
+             lambda: displacement.verify_disjunction_inequality(d, h, h2, table)]
+    for call in calls:
+        with pytest.raises(DescriptorMismatchError, match=f"on {table_text}, not {text}"):
+            call()
+
+
+def test_support_energy_off_permutations_raises_as_before():
+    # the support norm has no payload form on slp: the Element path raises
+    # the norm's own error at the first candidate
+    d = parse_descriptor("slp:2:3")
+    centre = SubgroupSpec((mod_matrix(d, [[2, 0], [0, 2]]),))
+    for call in (lambda: displacement_energy(d, centre, 1, support_norm),
+                 lambda: displacement_energy(d, centre, 2, support_norm),
+                 lambda: disjunction_energy(d, centre, centre, support_norm)):
+        with pytest.raises(ValueError, match=r"^support norm undefined for family 'slp'$"):
             call()
 
 
