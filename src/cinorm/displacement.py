@@ -61,7 +61,14 @@ from .enumeration import (
 )
 from .errors import DescriptorMismatchError, GuardExceededError
 from .literals import to_literal
-from .norms import NormLike, commutator_length, commutator_length_over, payload_value_fn
+from .norms import (
+    NormLike,
+    commutator_length,
+    commutator_length_over,
+    norm_value_fn,
+    payload_value_fn,
+    refuse_foreign_table,
+)
 
 #: Ambient-order guard for packing searches.
 PACKING_GUARD = 1_000_000
@@ -424,6 +431,14 @@ class MasterReport:
     ok: bool
 
 
+def _refuse_foreign(d: GroupDescriptor, norm: NormLike, *subgroups: SubgroupSpec) -> None:
+    """Refuse a norm table or a subgroup of a group other than ``d``."""
+    refuse_foreign_table(d, norm)
+    for h in subgroups:
+        if h.descriptor != d:
+            raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
+
+
 def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
                                norm: NormLike, *,
                                energy: EnergyResult | None = None) -> MasterReport:
@@ -435,7 +450,8 @@ def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
     ``v(x) <= 14 e_m`` for m >= 2.  Ambient commutator length <= 2 is checked
     when the ambient order is at most :data:`AMBIENT_CL_LIMIT`.
     """
-    value = payload_value_fn(d, norm)
+    _refuse_foreign(d, norm, h)
+    value = norm_value_fn(norm)
     closure = sorted(closure_of(h), key=sort_key)
     cl_h = commutator_length_over(closure, d, name="cl_H")
     e = energy if energy is not None else displacement_energy(d, h, m, norm)
@@ -452,7 +468,7 @@ def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
         if clv != m:
             continue
         if e.value is not None:
-            lhs = Fraction(value(x.payload))
+            lhs = Fraction(value(x))
             rhs = factor * e.value
             rows.append(InequalityRow(
                 f"v(x) <= {factor} e_{m}", (to_literal(x),), lhs, rhs, lhs <= rhs))
@@ -463,11 +479,11 @@ def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
 
     if m == 1 and e.value is not None and e.minimizer is not None:
         phi = e.minimizer
-        vphi = Fraction(value(phi.payload))
+        vphi = Fraction(value(phi))
         for f in closure:
-            part = Fraction(value(commutator_of(f, phi).payload))
+            part = Fraction(value(commutator_of(f, phi)))
             for g in closure:
-                lhs = Fraction(value(commutator_of(f, g).payload))
+                lhs = Fraction(value(commutator_of(f, g)))
                 chain.append(InequalityRow(
                     "v([f,g]) <= 2 v([f,phi])",
                     (to_literal(f), to_literal(g)), lhs, 2 * part, lhs <= 2 * part))
@@ -484,13 +500,14 @@ def verify_disjunction_inequality(d: GroupDescriptor, h1: SubgroupSpec,
                                   energy: EnergyResult | None = None) -> MasterReport:
     """Check ``v([x1, x2]) <= 4 e(H1, H2)`` for all pairs from the two
     subgroup closures."""
-    value = payload_value_fn(d, norm)
+    _refuse_foreign(d, norm, h1, h2)
+    value = norm_value_fn(norm)
     e = energy if energy is not None else disjunction_energy(d, h1, h2, norm)
     rows: list[InequalityRow] = []
     if e.value is not None:
         for x1 in sorted(closure_of(h1), key=sort_key):
             for x2 in sorted(closure_of(h2), key=sort_key):
-                lhs = Fraction(value(commutator_of(x1, x2).payload))
+                lhs = Fraction(value(commutator_of(x1, x2)))
                 rhs = 4 * e.value
                 rows.append(InequalityRow(
                     "v([x1,x2]) <= 4 e(H1,H2)",

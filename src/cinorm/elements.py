@@ -165,10 +165,14 @@ def _identity_payload(d: GroupDescriptor):
     return tuple(identity(p) for p in d.parts)
 
 
+def _gather(a, b):
+    return tuple(map(a.__getitem__, b))
+
+
 def _compose_payload(d: GroupDescriptor, a, b):
     f = d.family
     if f in PERMUTATION_FAMILIES:
-        return tuple(map(a.__getitem__, b))
+        return _gather(a, b)
     if f == "free":
         out = list(a)
         for x in b:
@@ -217,10 +221,6 @@ def _compose_payload(d: GroupDescriptor, a, b):
             f1, f2 = f2, f1
         return (compose(g1, f1), compose(g2, f2), (e + fe) & 1)
     return tuple(compose(x, y) for x, y in zip(a, b))
-
-
-def _gather(a, b):
-    return tuple(map(a.__getitem__, b))
 
 
 def _payload_mul(d: GroupDescriptor):

@@ -72,25 +72,25 @@ def norm_value_fn(norm: NormLike) -> Callable[[Element], Fraction]:
     return norm
 
 
+def refuse_foreign_table(d: GroupDescriptor, norm: NormLike) -> None:
+    """Raise :class:`DescriptorMismatchError` when ``norm`` is a table of a
+    group other than ``d``."""
+    if isinstance(norm, NormTable) and norm.descriptor != d:
+        raise DescriptorMismatchError(f"the norm table is on {norm.descriptor}, not {d}")
+
+
 def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]:
     """``norm`` as a function of the raw payloads of ``d``, with the same
     exact values: the moved-point count (an int) for :func:`support_norm` on
-    ``sn``/``an``, ``payload != identity`` (a bool) for :func:`trivial_norm`,
-    and the norm of ``Element(d, payload)`` for tables and every other
-    callable, so those raise as and when they did.  A table of another group
-    is refused."""
-    if isinstance(norm, NormTable):
-        if norm.descriptor != d:
-            raise DescriptorMismatchError(
-                f"the norm table is on {norm.descriptor}, not {d}")
-        get = norm.values.__getitem__
-        return lambda p: get(Element(d, p))
+    ``sn``/``an``, and the norm of ``Element(d, payload)`` for tables and
+    every other callable, so those raise as and when they did.  A table of
+    another group is refused."""
+    refuse_foreign_table(d, norm)
     if norm is support_norm and d.family in PERMUTATION_FAMILIES:
         one = _identity_payload(d)
         return lambda p: sum(map(ne, p, one))
-    if norm is trivial_norm:
-        return _identity_payload(d).__ne__
-    return lambda p: norm(Element(d, p))
+    value = norm_value_fn(norm)
+    return lambda p: value(Element(d, p))
 
 
 # ---------------------------------------------------------------------------

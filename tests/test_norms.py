@@ -110,11 +110,12 @@ def test_payload_forms_agree_with_the_norms(text):
 
 @pytest.mark.parametrize("text", ["slp:2:3", "bar:sn:3", "product:sn:3,sn:3",
                                   "wreath:sn:2:zn:2"])
-def test_trivial_payload_form_agrees_off_permutations(text):
+def test_payload_values_agree_off_permutations(text):
+    # off permutations every norm goes through Element(d, payload)
     d = parse_descriptor(text)
     trivial = payload_value_fn(d, trivial_norm)
     assert all(trivial(g.payload) == trivial_norm(g) for g in enumerate_elements(d))
-    # the support norm keeps the Element path and its error
+    # so the support norm keeps its error
     with pytest.raises(ValueError, match="support norm undefined"):
         payload_value_fn(d, support_norm)(identity(d).payload)
 

@@ -226,8 +226,9 @@ def _third_off_identity(g):
 
 
 def _norms(d):
-    # tables, both payload forms, and a rational callable that goes through
-    # Element: values with denominators other than 1 reach the scan keys
+    # tables, the trivial norm as a callable, the support norm's payload
+    # form, and a rational callable that goes through Element: values with
+    # denominators other than 1 reach the scan keys
     out = [trivial_norm_table(d), trivial_norm]
     if d.family in PERMUTATION_FAMILIES:
         out += [support_norm, _halved_support]
@@ -383,6 +384,25 @@ def test_scans_refuse_a_subgroup_of_another_group(d, h):
              lambda: disjunction_energy(d, h, own, support_norm)]  # fixed side
     for call in calls:
         with pytest.raises(DescriptorMismatchError):
+            call()
+
+
+@pytest.mark.parametrize("d,h", list(_foreign_subgroup_cases()))
+def test_inequality_checks_refuse_a_subgroup_of_another_group(d, h, monkeypatch):
+    # a caller-supplied energy skips the scans' own check, so the inequality
+    # checks refuse the subgroup themselves, before any work
+    own = sym_block(d, (1, 2, 3))
+    e = displacement_energy(d, own, 1, support_norm)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the subgroup was checked")
+    for name in ("closure_of", "commutator_length_over"):
+        monkeypatch.setattr(displacement, name, no_work)
+    calls = [lambda: displacement.verify_master_inequalities(d, h, 1, support_norm, energy=e),
+             lambda: displacement.verify_disjunction_inequality(d, own, h, support_norm, e),
+             lambda: displacement.verify_disjunction_inequality(d, h, own, support_norm, e)]
+    for call in calls:
+        with pytest.raises(DescriptorMismatchError, match=f"lives in {h.descriptor}, not {d}"):
             call()
 
 
