@@ -47,7 +47,8 @@ from .fcommutator import (
     two_commutator_witness,
     wreath_environment,
 )
-from .literals import from_literal, to_literal
+from .kernel import conjugacy_closure
+from .literals import _split_top, from_literal, to_literal
 from .norms import (
     commutator_length,
     qk_norm,
@@ -210,7 +211,6 @@ def _suite_qk_a5(cfg: ExperimentConfig) -> list[Check]:
     def oracle():
         d = gd.alternating(5)
         table = qk_norm(d, [from_literal(d, "(1 2 3 4 5)")])
-        from .enumeration import conjugacy_closure
         closure = conjugacy_closure([from_literal(d, "(1 2 3 4 5)")], d)
         # independent oracle: iterated set products of the closure
         expected = {identity(d): 0}
@@ -453,7 +453,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _parse_elements(d, text: str) -> list[Element]:
-    return [from_literal(d, part.strip()) for part in text.split(";") if part.strip()]
+    return [from_literal(d, part.strip()) for part in _split_top(text, ";") if part.strip()]
 
 
 # ---------------------------------------------------------------------------

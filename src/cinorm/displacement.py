@@ -58,6 +58,7 @@ from .enumeration import (
     _extend_closure,
     closure_of,
     group_generators,
+    subgroups_commute,
 )
 from .errors import DescriptorMismatchError, GuardExceededError
 from .literals import to_literal
@@ -105,14 +106,6 @@ class EnergyResult:
     m: int
     value: Fraction | None  # None means +infinity: no strong m-displacer
     minimizer: Element | None
-
-
-def subgroups_commute(a: SubgroupSpec, b: SubgroupSpec) -> bool:
-    """Elementwise commutation of two subgroups, decided on generator pairs."""
-    if a.descriptor != b.descriptor:
-        raise ValueError("subgroups live in different ambient groups")
-    return all(compose(x, y) == compose(y, x)
-               for x in a.generators for y in b.generators)
 
 
 def is_abelian_subgroup(h: SubgroupSpec) -> bool:

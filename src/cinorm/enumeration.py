@@ -7,6 +7,7 @@ witness and coset representative in the library is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product as iter_product
 from typing import Iterable
 
@@ -15,10 +16,11 @@ from .descriptors import GroupDescriptor
 from .elements import (
     Element,
     _identity_payload,
+    _invert_payload,
     _payload_mul,
     _perm_parity,
     bar_element,
-    commutator_of,
+    compose,
     elementary,
     identity,
     perm_from_cycles,
@@ -49,6 +51,14 @@ class SubgroupSpec:
     @property
     def descriptor(self) -> GroupDescriptor:
         return self.generators[0].descriptor
+
+
+def subgroups_commute(a: SubgroupSpec, b: SubgroupSpec) -> bool:
+    """Elementwise commutation of two subgroups, decided on generator pairs."""
+    if a.descriptor != b.descriptor:
+        raise ValueError("subgroups live in different ambient groups")
+    return all(compose(x, y) == compose(y, x)
+               for x in a.generators for y in b.generators)
 
 
 def _checked_order(d: GroupDescriptor, limit: int | None) -> int:
@@ -167,31 +177,24 @@ def closure_of(spec: SubgroupSpec, limit: int = ENUMERATION_GUARD) -> set[Elemen
     return subgroup_closure(spec.generators, limit)
 
 
-def conjugacy_closure(base: Iterable[Element], d: GroupDescriptor,
-                      limit: int | None = None) -> set[Element]:
-    """All conjugates of ``base`` and its inverses; closed under conjugation."""
-    from .kernel import conjugacy_indices, group_kernel  # built on enumeration
-    G = group_kernel(d, limit)
-    return {G.elements[i] for i in conjugacy_indices(G, base)}
-
-
-def commutator_pool(elements: Iterable[Element]) -> set[Element]:
-    """The set of simple commutators ``[a, b]`` over all pairs of elements
-    of a finite subgroup."""
-    from .kernel import commutator_indices, domain_kernel
-    elems = list(elements)
-    if not elems:
-        return set()
-    G = domain_kernel(elems[0].descriptor, elems)
-    return {G.elements[i] for i in commutator_indices(G)}
-
-
 def derived_subgroup(d: GroupDescriptor, limit: int | None = None) -> set[Element]:
     """G' as the normal closure of the commutators of :func:`group_generators`
-    (true of any generating set), without the N^2 commutator pool."""
-    gens = group_generators(d)
-    return subgroup_closure(conjugacy_closure(
-        [commutator_of(s, t) for s in gens for t in gens], d, limit))
+    (true of any generating set), grown on payloads: each new normal generator
+    g queues ``s g s^-1`` for every generator s, so the closure ends normal
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005)."""
+    # generators before the guard, so an infinite group still names the part
+    # that has no finite generating set
+    gens = [g.payload for g in group_generators(d)]
+    size = _checked_order(d, limit)
+    mul, inv = _payload_mul(d), partial(_invert_payload, d)
+    elems, used = {_identity_payload(d)}, []
+    queue = [mul(mul(s, t), mul(inv(s), inv(t))) for s in gens for t in gens]
+    while queue:
+        g = queue.pop()
+        if g not in elems:
+            _extend_closure(elems, used, g, mul, size)
+            queue.extend(mul(mul(s, g), inv(s)) for s in gens)
+    return {Element(d, p) for p in elems}
 
 
 def abelianization_order(d: GroupDescriptor, limit: int | None = None) -> int | None:

@@ -25,8 +25,7 @@ from .elements import (
     invert,
     power,
 )
-from .displacement import subgroups_commute
-from .enumeration import SubgroupSpec, group_generators
+from .enumeration import SubgroupSpec, group_generators, subgroups_commute
 from .norms import NormLike, norm_value_fn
 
 

@@ -192,6 +192,13 @@ def conjugacy_indices(G: FiniteGroup, base: Iterable[Element]) -> list[int]:
     return sorted(G.conjugates(seeds | {G.inv[s] for s in seeds}))
 
 
+def conjugacy_closure(base: Iterable[Element], d: GroupDescriptor,
+                      limit: int | None = None) -> set[Element]:
+    """All conjugates of ``base`` and its inverses; closed under conjugation."""
+    G = group_kernel(d, limit)
+    return {G.elements[i] for i in conjugacy_indices(G, base)}
+
+
 def commutator_indices(G: FiniteGroup) -> list[int]:
     """Sorted indices of the simple commutators ``x y x^-1 y^-1``."""
     G.require_closed()

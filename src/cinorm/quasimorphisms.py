@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import descriptors as gd
 from .descriptors import GroupDescriptor
@@ -23,8 +23,7 @@ from .elements import (
     invert,
     power,
 )
-from .displacement import subgroups_commute
-from .enumeration import SubgroupSpec, closure_of
+from .enumeration import SubgroupSpec, closure_of, subgroups_commute
 from .errors import InfiniteGroupError
 from .kernel import domain_kernel, group_kernel, scaled
 from .literals import to_literal
@@ -48,16 +47,6 @@ class QuasiMorphism:
         if g.descriptor != self.domain:
             raise ValueError(f"{self.name} is defined on {self.domain}, not {g.descriptor}")
         return Fraction(self.fn(g))
-
-
-def check_homogeneity(q: QuasiMorphism, samples: Iterable[Element],
-                      powers: Sequence[int] = (2, 3, 5)) -> bool:
-    """Spot-check ``q(g^n) = n q(g)`` on sample elements."""
-    for g in samples:
-        for n in powers:
-            if q(power(g, n)) != n * q(g):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +397,11 @@ def scl_bounds(w: Element, q: QuasiMorphism,
     upper_prov: dict = {}
     if cl_oracle is not None:
         for k in powers:
-            v = Fraction(cl_oracle(power(w, k)), k)
+            cl = cl_oracle(power(w, k))
+            v = Fraction(cl, k)
             if upper is None or v < upper:
                 upper = v
-                upper_prov = {"n": k, "cl": str(Fraction(cl_oracle(power(w, k))))}
+                upper_prov = {"n": k, "cl": str(Fraction(cl))}
     if lower is not None and upper is not None and lower > upper:
         raise AssertionError("certified lower bound exceeded the upper bound")
     return SclBounds(w, lower, lower_prov, upper, upper_prov)

@@ -141,6 +141,17 @@ def test_packing_and_energy_commands(tmp_path):
     assert rep2["energies"][1]["value"] == "infinite"
 
 
+def test_element_lists_split_only_between_literals(tmp_path):
+    # bar and product literals carry a ";" between their coordinates
+    h = "((1 2);());((1 2 3);())"
+    out = tmp_path / "p.json"
+    assert main(["packing", "--group", "bar:sn:3", "--h", h, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["p"] == 2 and rep["witnesses"] == ["(();())t"]
+    assert main(["energy", "--group", "product:sn:3,sn:3", "--h", h,
+                 "--out", str(tmp_path / "e.json")]) == 0
+
+
 def test_energy_with_trivial_norm_does_not_enumerate(tmp_path, monkeypatch):
     def enumerate_all(d):
         raise AssertionError("energy built a table over the whole group")

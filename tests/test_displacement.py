@@ -227,8 +227,11 @@ def test_library_surface_has_no_unread_parameters_or_names():
     assert "m_cap" not in inspect.signature(packing_number).parameters
     assert "ambient_cl_limit" not in \
         inspect.signature(verify_master_inequalities).parameters
-    for name in ("cgen_spec", "CGenSpec", "norm_table_to_tsv"):
+    for name in ("cgen_spec", "CGenSpec", "norm_table_to_tsv", "commutator_pool",
+                 "check_homogeneity"):
         assert not hasattr(cinorm, name)
+    assert not hasattr(cinorm.enumeration, "commutator_pool")
+    assert not hasattr(cinorm.quasimorphisms, "check_homogeneity")
     assert not hasattr(cinorm.serialize, "norm_table_to_tsv")
     assert not hasattr(Element, "conjugated_by")
     assert not hasattr(NormTable, "value")

@@ -1,0 +1,61 @@
+"""The import graph between the modules of the package, read from the source
+with ``ast`` (imports inside functions included)."""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cinorm"
+MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+
+
+def _imports(path: Path) -> set[str]:
+    """The package modules one module imports, at any depth of its body."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module and node.module.startswith("cinorm"):
+                base = node.module.split(".")[1:]
+            elif node.level == 1:
+                base = node.module.split(".") if node.module else []
+            else:
+                continue
+            if base:
+                out.add(base[0])
+            else:  # from . import x
+                out.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names
+                       if a.name.startswith("cinorm."))
+    return (out & MODULES) - {path.stem}
+
+
+GRAPH = {p.stem: _imports(p) for p in PACKAGE.glob("*.py")}
+
+
+def test_module_imports_are_acyclic():
+    # the parser sees the imports at all
+    assert {"descriptors", "elements", "errors"} <= GRAPH["enumeration"]
+    assert {"kernel", "literals"} <= GRAPH["cli"] and "enumeration" in GRAPH["kernel"]
+    try:
+        tuple(TopologicalSorter(GRAPH).static_order())
+    except CycleError as exc:
+        raise AssertionError(f"import cycle: {exc.args[1]}") from None
+
+
+def test_enumeration_does_not_import_the_kernel():
+    assert "kernel" not in GRAPH["enumeration"]
+
+
+def test_generator_level_modules_do_not_import_the_scans():
+    assert "displacement" not in GRAPH["fcommutator"]
+    assert "displacement" not in GRAPH["quasimorphisms"]
+
+
+def test_moved_functions_keep_their_public_names():
+    import cinorm
+    from cinorm import displacement, enumeration, kernel
+
+    assert cinorm.conjugacy_closure is kernel.conjugacy_closure
+    assert cinorm.subgroups_commute is enumeration.subgroups_commute
+    assert displacement.subgroups_commute is enumeration.subgroups_commute

@@ -82,8 +82,8 @@ def closure_metric_oracle(d, K):
 def cl_oracle(elements, d):
     """Independent oracle: minimal n with g in the n-fold product of the
     commutator set."""
-    from cinorm import commutator_pool
-    pool = commutator_pool(elements)
+    elements = list(elements)
+    pool = {commutator_of(a, b) for a in elements for b in elements}
     expected = {identity(d): 0}
     level = {identity(d)}
     n = 0

@@ -33,6 +33,7 @@ from cinorm import (
     identity,
     invert,
     perm_from_cycles,
+    power,
     product,
     product_element,
     scl_bounds,
@@ -40,11 +41,15 @@ from cinorm import (
     verify_bar_splitting,
     verify_witness_additivity,
 )
-from cinorm.quasimorphisms import check_homogeneity
 from cinorm.sampling import random_element
 
 F2 = free_group(2)
 AB = free_word(F2, (1, 2))
+
+
+def check_homogeneity(q, samples, powers=(2, 3, 5)):
+    """Spot-check ``q(g^n) = n q(g)`` on sample elements."""
+    return all(q(power(g, n)) == n * q(g) for g in samples for n in powers)
 
 
 def test_counting_values():
@@ -241,12 +246,20 @@ def test_scl_bounds_trivial_qm():
 def test_scl_bounds_finite_group_degenerate():
     a5 = alternating(5)
     cl = commutator_length(a5)
+    asked = []
+
+    def oracle(g):  # counts its calls: one per power, even when k improves
+        asked.append(g)
+        return int(cl.values[g])
+
     zero = QuasiMorphism(a5, lambda g: Fraction(0), name="zero")
     w = perm_from_cycles(a5, (1, 2, 3))
-    sb = scl_bounds(w, zero, defect_upper=Fraction(1),
-                    cl_oracle=lambda g: int(cl.values[g]), powers=(1, 2, 3, 6))
+    powers = (1, 2, 3, 6)
+    sb = scl_bounds(w, zero, defect_upper=Fraction(1), cl_oracle=oracle, powers=powers)
     assert sb.upper == 0  # torsion: cl(w^3)/3 = 0
     assert sb.lower == 0
+    assert sb.upper_provenance == {"n": 3, "cl": "0"}
+    assert asked == [power(w, k) for k in powers]
 
 
 def test_scl_bounds_zero_defect_contradiction():
