@@ -401,9 +401,12 @@ SUITES: dict[str, Callable[[ExperimentConfig], list[Check]]] = {
 
 
 def run_suite(name: str, cfg: ExperimentConfig,
-              console=sys.stdout) -> tuple[int, dict]:
-    """Execute one suite, print per-check timing to the console and return
-    (exit code, deterministic report dict)."""
+              console=None) -> tuple[int, dict]:
+    """Execute one suite, print per-check timing to the console (standard
+    output when None, looked up at call time) and return (exit code,
+    deterministic report dict)."""
+    if console is None:
+        console = sys.stdout
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     checks = SUITES[name](cfg)

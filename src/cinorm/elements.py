@@ -299,20 +299,33 @@ def _mat_det(rows) -> int:
 
 
 def _mat_adjugate(a, mod: int):
-    # with determinant one the adjugate is the exact inverse
+    # with determinant one the adjugate is the exact inverse.  One
+    # fraction-free Gauss-Jordan pass (Bareiss) on [A | I]: every division is
+    # exact, the left block ends as det(PA) I and the right block as
+    # adj(PA) P = sign(P) adj(A), P the row swaps made for zero pivots.
     n = len(a)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [[a[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            v = _mat_det(minor) if n > 1 else 1
-            if (i + j) & 1:
-                v = -v
-            row.append(v % mod if mod else v)
-        rows.append(tuple(row))
-    return tuple(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                raise ValueError("singular matrix has no inverse")
+        rk = m[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], rk)]
+        prev = p
+    if mod:
+        return tuple(tuple(sign * x % mod for x in row[n:]) for row in m)
+    return tuple(tuple(sign * x for x in row[n:]) for row in m)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import partial
+from operator import countOf
+from typing import Any, Callable, Sequence
 
 from . import descriptors as gd
 from .descriptors import GroupDescriptor
 from .elements import (
     Element,
+    _invert_payload,
+    _payload_mul,
     commutator_of,
     compose,
     identity,
@@ -42,22 +46,51 @@ class QuasiMorphism:
     homogeneous: bool = False
     name: str = "qm"
     notes: dict = field(default_factory=dict)
+    #: The same function as an int on raw payloads, set only by the library's
+    #: own integer-valued constructors; the sampled loops run on it.
+    _int_fn: Callable[[Any], int] | None = field(default=None, init=False,
+                                                 repr=False, compare=False)
 
     def __call__(self, g: Element) -> Fraction:
+        self._check(g)
+        if self._int_fn is not None:
+            return Fraction(self._int_fn(g.payload))
+        return Fraction(self.fn(g))
+
+    def _check(self, g: Element) -> None:
         if g.descriptor != self.domain:
             raise ValueError(f"{self.name} is defined on {self.domain}, not {g.descriptor}")
-        return Fraction(self.fn(g))
+
+
+def _integer_qm(domain: GroupDescriptor, count: Callable[[Any], int],
+                **kw) -> QuasiMorphism:
+    """A quasi-morphism with the integer path: ``count`` on raw payloads,
+    and ``fn`` its value as a Fraction on Elements."""
+    q = QuasiMorphism(domain, lambda g: Fraction(count(g.payload)), **kw)
+    q._int_fn = count
+    return q
+
+
+def _values(q: QuasiMorphism) -> Callable[[Element], Any]:
+    """q without its domain check: an int from the raw payload when q has
+    the integer path, else q itself."""
+    iq = q._int_fn
+    return q if iq is None else (lambda g: iq(g.payload))
 
 
 # ---------------------------------------------------------------------------
 # counting quasi-morphisms on free groups
 
 
-def _occurrences(word: tuple, pattern: tuple) -> int:
-    k = len(pattern)
-    if k == 0 or k > len(word):
-        return 0
-    return sum(1 for i in range(len(word) - k + 1) if word[i:i + k] == pattern)
+def _signed_count(pat: tuple, pat_inv: tuple) -> Callable[[tuple], int]:
+    """Occurrences of ``pat`` minus those of ``pat_inv`` in a word: zipping
+    the word's k shifts yields each length-k window once, overlaps included."""
+    starts = range(len(pat))
+
+    def count(w: tuple) -> int:
+        shifts = [w[i:] for i in starts]
+        return countOf(zip(*shifts), pat) - countOf(zip(*shifts), pat_inv)
+    return count
 
 
 def counting_qm(pattern: Element) -> QuasiMorphism:
@@ -69,26 +102,19 @@ def counting_qm(pattern: Element) -> QuasiMorphism:
         raise ValueError("counting quasi-morphisms live on free groups")
     if not pattern.payload:
         raise ValueError("pattern must be non-empty")
-    pat = pattern.payload
-    pat_inv = invert(pattern).payload
-
-    def fn(g: Element) -> Fraction:
-        w = g.payload
-        return Fraction(_occurrences(w, pat) - _occurrences(w, pat_inv))
-
-    return QuasiMorphism(pattern.descriptor, fn, kind="counting",
-                         name=f"count[{to_literal(pattern)}]",
-                         notes={"occurrences": "all overlapping"})
+    return _integer_qm(pattern.descriptor,
+                       _signed_count(pattern.payload, invert(pattern).payload),
+                       kind="counting", name=f"count[{to_literal(pattern)}]",
+                       notes={"occurrences": "all overlapping"})
 
 
 def exponent_sum_qm(d: GroupDescriptor, generator: int = 1) -> QuasiMorphism:
     """Exponent-sum homomorphism of one generator: a true homomorphism, hence
     a quasi-morphism with defect zero."""
-    def fn(g: Element) -> Fraction:
-        return Fraction(sum(1 if x == generator else -1 if x == -generator else 0
-                            for x in g.payload))
-    return QuasiMorphism(d, fn, kind="homomorphism", homogeneous=True,
-                         name=f"exp[{generator}]")
+    def count(w: tuple) -> int:
+        return countOf(w, generator) - countOf(w, -generator)
+    return _integer_qm(d, count, kind="homomorphism", homogeneous=True,
+                       name=f"exp[{generator}]")
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +151,27 @@ def defect(q: QuasiMorphism, mode: str = "exact", budget: int = 2000,
         raise ValueError(f"unknown defect mode {mode!r}")
     import random
     rng = random.Random(seed)
-    best = ZERO
+    gap = _additivity_gap(q)
+    best = 0
     for _ in range(budget):
         a = random_element(q.domain, rng, size=size)
         b = random_element(q.domain, rng, size=size)
-        best = max(best, abs(q(compose(a, b)) - q(a) - q(b)))
-    return DefectEstimate(best, "sampled_lower_bound", budget, seed)
+        best = max(best, gap(a, b))
+    return DefectEstimate(Fraction(best), "sampled_lower_bound", budget, seed)
+
+
+def _additivity_gap(q: QuasiMorphism) -> Callable[[Element, Element], Any]:
+    """``|q(ab) - q(a) - q(b)|`` for two elements of q's domain, as an int
+    from raw payloads when q has the integer path."""
+    iq = q._int_fn
+    if iq is None:
+        return lambda a, b: abs(q(compose(a, b)) - q(a) - q(b))
+    mul = _payload_mul(q.domain)
+
+    def gap(a: Element, b: Element) -> int:
+        a, b = a.payload, b.payload
+        return abs(iq(mul(a, b)) - iq(a) - iq(b))
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +224,11 @@ def bar_extension(r: QuasiMorphism, bar_descriptor: GroupDescriptor | None = Non
     if bd.family != "bar" or bd.base != r.domain:
         raise ValueError("target descriptor must be the bar cover of the domain")
 
+    base = r._int_fn
+    if base is not None:
+        return _integer_qm(bd, lambda p: base(p[0].payload) + base(p[1].payload),
+                           kind="bar_extension", name=f"bar[{r.name}]")
+
     def fn(h: Element) -> Fraction:
         g1, g2, _ = h.payload
         return r(g1) + r(g2)
@@ -207,10 +253,14 @@ def bar_defect_decomposition(r: QuasiMorphism, rbar: QuasiMorphism,
     f1, f2, _ = f.payload
     if he:
         f1, f2 = f2, f1
-    lhs = abs(rbar(compose(h, f)) - rbar(h) - rbar(f))
-    rhs = (abs(r(compose(h1, f1)) - r(h1) - r(f1))
-           + abs(r(compose(h2, f2)) - r(h2) - r(f2)))
-    return DefectDecompositionRow(h, f, lhs, rhs, lhs <= rhs)
+    # q's domain checks, made once here since the payload path skips them
+    hf = compose(h, f)
+    rbar._check(hf)
+    r._check(h1)
+    vbar, gap = _values(rbar), _additivity_gap(r)
+    lhs = abs(vbar(hf) - vbar(h) - vbar(f))
+    rhs = gap(h1, f1) + gap(h2, f2)
+    return DefectDecompositionRow(h, f, Fraction(lhs), Fraction(rhs), lhs <= rhs)
 
 
 @dataclass
@@ -269,18 +319,6 @@ def commutator_sup(q: QuasiMorphism, h: SubgroupSpec | None = None,
     Exact over a finite subgroup closure; otherwise a seeded sampled lower
     bound over the whole domain.
     """
-    best = ZERO
-    witnesses: list[tuple[Element, Element]] = []
-
-    def consider(x: Element, y: Element) -> None:
-        nonlocal best, witnesses
-        v = q(commutator_of(x, y))
-        if v > best:
-            best = v
-            witnesses = [(x, y)]
-        elif v == best and v > 0 and len(witnesses) < max_witnesses:
-            witnesses.append((x, y))
-
     if mode == "exact":
         if h is None:
             raise ValueError("exact mode needs a subgroup")
@@ -289,11 +327,34 @@ def commutator_sup(q: QuasiMorphism, h: SubgroupSpec | None = None,
         raise ValueError(f"unknown mode {mode!r}")
     import random
     rng = random.Random(seed)
+    value = _commutator_value(q)
+    best = 0
+    witnesses: list[tuple[Element, Element]] = []
     for _ in range(budget):
-        consider(random_element(q.domain, rng, size=size),
-                 random_element(q.domain, rng, size=size))
-    return CommutatorSupEstimate(best, witnesses, "sampled_lower_bound",
+        x = random_element(q.domain, rng, size=size)
+        y = random_element(q.domain, rng, size=size)
+        v = value(x, y)
+        if v > best:
+            best = v
+            witnesses = [(x, y)]
+        elif v == best and v > 0 and len(witnesses) < max_witnesses:
+            witnesses.append((x, y))
+    return CommutatorSupEstimate(Fraction(best), witnesses, "sampled_lower_bound",
                                  budget, seed)
+
+
+def _commutator_value(q: QuasiMorphism) -> Callable[[Element, Element], Any]:
+    """``q([x, y])``, as an int from the raw payload product ``x y x^-1 y^-1``
+    when q has the integer path."""
+    iq = q._int_fn
+    if iq is None:
+        return lambda x, y: q(commutator_of(x, y))
+    mul, inv = _payload_mul(q.domain), partial(_invert_payload, q.domain)
+
+    def value(x: Element, y: Element) -> int:
+        a, b = x.payload, y.payload
+        return iq(mul(mul(a, b), mul(inv(a), inv(b))))
+    return value
 
 
 def _exact_commutator_sup(q: QuasiMorphism, h: SubgroupSpec,

@@ -21,7 +21,6 @@ from .elements import (
     binary_word,
     compose,
     elementary,
-    free_word,
     identity,
 )
 
@@ -36,14 +35,19 @@ def random_permutation(d: GroupDescriptor, rng: Random) -> Element:
 
 def random_word(d: GroupDescriptor, rng: Random, length: int) -> Element:
     """Uniform-ish reduced word of exactly the requested length."""
+    if d.family != "free":
+        raise ValueError(f"{d} is not a free group")
+    # letters are valid and never cancel, so the word is reduced as drawn
+    randint, choice = rng.randint, rng.choice
+    n = d.n
     letters: list[int] = []
     for _ in range(length):
         while True:
-            x = rng.randint(1, d.n) * rng.choice((1, -1))
+            x = randint(1, n) * choice((1, -1))
             if not letters or letters[-1] != -x:
                 break
         letters.append(x)
-    return free_word(d, letters)
+    return Element(d, tuple(letters))
 
 
 def random_element(d: GroupDescriptor, rng: Random, size: int = 8) -> Element:

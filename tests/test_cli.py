@@ -1,8 +1,10 @@
 """CLI surface: exit codes, deterministic reports, cache behaviour."""
 
 import argparse
+import contextlib
 import io
 import json
+import re
 import sys
 import threading
 from dataclasses import fields
@@ -268,6 +270,17 @@ def test_cache_put_concurrent_writers():
     assert errors == []
     assert cache_get(key) == payload
     assert [p.name for p in cache_dir().iterdir()] == [f"{key}.json"]  # no temp left
+
+
+def test_suite_console_follows_redirected_stdout(tmp_path):
+    # the per-check timing lines go to whatever sys.stdout is at call time
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["verify", "--suite", "aff-z",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    lines = buf.getvalue().splitlines()
+    assert lines and all(re.fullmatch(r"\[aff-z\] \S+: ok \(\d+\.\d{3}s\)", line)
+                         for line in lines)
 
 
 def test_run_suite_unknown_name():

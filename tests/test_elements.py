@@ -7,6 +7,7 @@ uses the library's own multiplication on the family under test.
 """
 
 import random
+from itertools import permutations
 from itertools import product as iproduct
 
 import pytest
@@ -43,8 +44,8 @@ from cinorm import (
     wreath_zn,
     z2_infinity,
 )
-from cinorm.elements import normalized
-from cinorm.sampling import random_element
+from cinorm.elements import _mat_adjugate, _mat_det, normalized
+from cinorm.sampling import random_element, random_word
 
 S3 = symmetric(3)
 AFFZ = aff_z()
@@ -326,3 +327,118 @@ def test_product_componentwise():
     ab = compose(a, b)
     assert ab.payload[0] == compose(a.payload[0], b.payload[0])
     assert ab.payload[1].payload == (1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the SL(n) inverse against the adjugate by minors
+
+
+def adjugate_by_minors(a, mod):
+    """Entry (i, j) is (-1)^(i+j) times the determinant of ``a`` without row j
+    and column i: n^2 Bareiss determinants, reduced mod ``mod`` if non-zero."""
+    n = len(a)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [[a[r][c] for c in range(n) if c != i]
+                     for r in range(n) if r != j]
+            v = _mat_det(minor) if n > 1 else 1
+            if (i + j) & 1:
+                v = -v
+            row.append(v % mod if mod else v)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def signed_permutation_matrices(d):
+    """Every signed permutation matrix of determinant 1 in ``d``."""
+    n = d.n
+    for perm in permutations(range(n)):
+        for signs in iproduct((1, -1), repeat=n):
+            rows = [[signs[i] if perm[i] == j else 0 for j in range(n)]
+                    for i in range(n)]
+            if _mat_det(rows) == 1:
+                yield int_matrix(d, rows)
+
+
+def assert_inverse_matches_minors(g):
+    d = g.descriptor
+    inv = invert(g)
+    assert inv.payload == adjugate_by_minors(g.payload, d.p if d.family == "slp" else 0)
+    assert compose(g, inv).is_identity() and compose(inv, g).is_identity()
+
+
+@pytest.mark.parametrize("d", [sl_z(2), sl_z(3), sl_z(4), sl_z(5), sl_mod(2, 7),
+                               sl_mod(3, 2)], ids=str)
+def test_matrix_inverse_matches_adjugate_by_minors(d):
+    rng = random.Random(f"inverse:{d}")
+    for _ in range(60):
+        assert_inverse_matches_minors(random_element(d, rng, size=10))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matrix_inverse_with_row_swaps(n):
+    # zero pivots force the elimination to swap rows, and a product with a
+    # random element moves those zeros around
+    d = sl_z(n)
+    rng = random.Random(n)
+    count = 0
+    for s in signed_permutation_matrices(d):
+        assert_inverse_matches_minors(s)
+        g = random_element(d, rng, size=6)
+        assert_inverse_matches_minors(compose(s, g))
+        assert_inverse_matches_minors(compose(g, s))
+        count += 1
+    assert count == 2 ** (n - 1) * len(list(permutations(range(n))))
+
+
+def test_singular_matrix_has_no_inverse():
+    with pytest.raises(ValueError, match="singular"):
+        _mat_adjugate(((1, 2), (2, 4)), 0)
+    with pytest.raises(ValueError, match="singular"):
+        _mat_adjugate(((0, 0, 1), (0, 0, 2), (1, 0, 0)), 0)
+
+
+# ---------------------------------------------------------------------------
+# seeded sampling draws the same stream as the validated word builder
+
+
+def random_word_by_free_word(d, rng, length):
+    """Draw letters exactly as ``random_word`` does, then build the word
+    through the validating, reducing constructor."""
+    letters = []
+    for _ in range(length):
+        while True:
+            x = rng.randint(1, d.n) * rng.choice((1, -1))
+            if not letters or letters[-1] != -x:
+                break
+        letters.append(x)
+    return free_word(d, letters)
+
+
+def random_element_by_free_word(d, rng, size):
+    if d.family == "free":
+        return random_word_by_free_word(d, rng, rng.randint(0, size))
+    if d.family == "bar":
+        return Element(d, (random_element_by_free_word(d.base, rng, size),
+                           random_element_by_free_word(d.base, rng, size),
+                           rng.randint(0, 1)))
+    return Element(d, tuple(random_element_by_free_word(p, rng, size) for p in d.parts))
+
+
+@pytest.mark.parametrize("d", [free_group(2), bar(free_group(2)),
+                               product(free_group(2), free_group(2))], ids=str)
+def test_seeded_words_are_unchanged(d):
+    for seed in range(21):
+        fast, slow = random.Random(seed), random.Random(seed)
+        if d.family == "free":
+            assert random_word(d, fast, 9) == random_word_by_free_word(d, slow, 9)
+        for _ in range(5):
+            assert random_element(d, fast, 8) == random_element_by_free_word(d, slow, 8)
+        assert fast.getstate() == slow.getstate()
+
+
+def test_random_word_needs_a_free_group():
+    with pytest.raises(ValueError, match="not a free group"):
+        random_word(S3, random.Random(0), 3)

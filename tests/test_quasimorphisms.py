@@ -41,7 +41,7 @@ from cinorm import (
     verify_bar_splitting,
     verify_witness_additivity,
 )
-from cinorm.sampling import random_element
+from cinorm.sampling import random_element, random_word
 
 F2 = free_group(2)
 AB = free_word(F2, (1, 2))
@@ -296,3 +296,112 @@ def test_negative_defect_upper_is_refused(du):
         scl_bounds(w, q, du)
     with pytest.raises(ValueError, match="negative"):
         homogenize(q, w, 64, du)
+
+
+# ---------------------------------------------------------------------------
+# the integer payload path against the Element path
+
+
+def element_path(q):
+    """A copy of q built the way users build quasi-morphisms, so it
+    evaluates through ``q.fn`` on Elements and has no payload path."""
+    return QuasiMorphism(q.domain, q.fn, name=q.name)
+
+
+def occurrences_by_slicing(word, pattern):
+    k = len(pattern)
+    return sum(1 for i in range(len(word) - k + 1) if word[i:i + k] == pattern)
+
+
+PATTERNS = [(1,), (-2,), (1, 1), (1, 2), (1, 2, 1), (1, -2, -1), (1, 1, 1),
+            (1, 2, 1, 2), (2, 1, -2, -1)]
+
+
+@pytest.mark.parametrize("pat", PATTERNS, ids=str)
+def test_counting_matches_slicing_count(pat):
+    pattern = free_word(F2, pat)
+    q = counting_qm(pattern)
+    inv = invert(pattern).payload
+    rng = random.Random(str(pat))
+    words = [identity(F2)] + [random_word(F2, rng, n) for n in range(41)]
+    # runs of one letter and of the pattern itself stress overlapping windows
+    words += [free_word(F2, pat * m) for m in (1, 2, 5)] + [free_word(F2, (1,) * 12)]
+    for w in words:
+        expected = occurrences_by_slicing(w.payload, pat) - occurrences_by_slicing(w.payload, inv)
+        assert q(w) == expected
+        assert q.fn(w) == expected
+
+
+def test_exponent_sum_matches_letter_sum():
+    rng = random.Random(4)
+    for gen in (1, 2):
+        q = exponent_sum_qm(F2, gen)
+        for n in range(30):
+            w = random_word(F2, rng, n)
+            assert q(w) == sum((x > 0) - (x < 0) for x in w.payload if abs(x) == gen)
+            assert q(w) == element_path(q)(w)
+
+
+@pytest.mark.parametrize("pat", [(1, 2), (1, 1), (1, 2, -1), (1, 2, 1, 2)], ids=str)
+def test_sampled_estimates_match_element_path(pat):
+    q = counting_qm(free_word(F2, pat))
+    slow = element_path(q)
+    assert q._int_fn is not None and slow._int_fn is None
+    for seed in range(10):
+        fast_d = defect(q, "sampled", budget=120, seed=seed, size=10)
+        slow_d = defect(slow, "sampled", budget=120, seed=seed, size=10)
+        assert (fast_d.value, fast_d.certified, fast_d.sample_count, fast_d.seed) == (
+            slow_d.value, slow_d.certified, slow_d.sample_count, slow_d.seed)
+        fast_c = commutator_sup(q, mode="sampled", budget=120, seed=seed, size=6)
+        slow_c = commutator_sup(slow, mode="sampled", budget=120, seed=seed, size=6)
+        assert (fast_c.value, fast_c.witnesses, fast_c.sample_count, fast_c.seed) == (
+            slow_c.value, slow_c.witnesses, slow_c.sample_count, slow_c.seed)
+        assert type(fast_d.value) is Fraction and type(fast_c.value) is Fraction
+
+
+def test_bar_extension_matches_element_path():
+    bF = bar(F2)
+    rng = random.Random(12)
+    for pat in [(1, 2), (1, 1), (2, -1, 2)]:
+        r = counting_qm(free_word(F2, pat))
+        rbar, slow_bar = bar_extension(r, bF), bar_extension(element_path(r), bF)
+        assert rbar._int_fn is not None and slow_bar._int_fn is None
+        for _ in range(150):
+            h = random_element(bF, rng, size=8)
+            f = random_element(bF, rng, size=8)
+            assert rbar(h) == slow_bar(h)
+            fast = bar_defect_decomposition(r, rbar, h, f)
+            slow = bar_defect_decomposition(element_path(r), slow_bar, h, f)
+            assert (fast.lhs, fast.rhs, fast.ok) == (slow.lhs, slow.rhs, slow.ok)
+            assert type(fast.lhs) is Fraction and type(fast.rhs) is Fraction
+
+
+def test_payload_path_keeps_domain_errors():
+    r = counting_qm(AB)
+    F3 = free_group(3)
+    rbar = bar_extension(r)
+    h = random_element(bar(F2), random.Random(0))
+    with pytest.raises(ValueError, match="is defined on"):
+        r(free_word(F3, (1, 2)))
+    with pytest.raises(ValueError, match="is defined on"):
+        bar_defect_decomposition(r, bar_extension(counting_qm(free_word(F3, (1, 3)))), h, h)
+    with pytest.raises(ValueError, match="is defined on"):
+        bar_defect_decomposition(counting_qm(free_word(F3, (1, 3))), rbar, h, h)
+    with pytest.raises(cinorm.DescriptorMismatchError):
+        bar_defect_decomposition(r, rbar, h, random_element(bar(F3), random.Random(0)))
+
+
+def test_user_quasimorphism_evaluates_through_fn():
+    calls = []
+
+    def fn(g):
+        calls.append(g)
+        return len(g.payload)  # an int: the call wraps it in a Fraction
+
+    q = QuasiMorphism(F2, fn, name="length")
+    assert q._int_fn is None
+    w = free_word(F2, (1, 2, 2))
+    assert q(w) == 3 and type(q(w)) is Fraction and calls == [w, w]
+    calls.clear()
+    est = defect(q, "sampled", budget=10, seed=0)
+    assert len(calls) == 30 and type(est.value) is Fraction
