@@ -5,7 +5,7 @@ inequalities.
 Norm values and the powers phi^k (k >= 2) aside, the searches see a
 conjugator phi only through ``phi H phi^-1``, which is constant on the coset
 ``phi N`` of ``N = N_G(H)``.  So they run by orbit-stabilizer
-(:func:`_conjugates`) over the ``|G : N|`` distinct conjugates and expand
+(:func:`_conjugates`) over the ``|G : N|`` distinct conjugates and search
 only the cosets that can hold a witness.  Each search keeps the least
 (value, payload) it meets in ``sort_key`` order and packing lists each
 conjugate by its least conjugator, so every witness or minimizer is the one
@@ -16,12 +16,29 @@ maps onto itself.  So only H is tested against the conjugates, which gives
 its neighbourhood N(0); the neighbourhood of a conjugate reached from its BFS
 parent by the generator s is s N(parent), read off the generators' action on
 the orbit points (a Schreier vector).  A clique through H only meets N(0),
-so packing needs least conjugators there alone.  For ``sn`` and ``an``, where
-payload order is the lexicographic order of image tuples, the least element
-of a coset t N is found by greedy descent of a point-stabilizer chain of N
-with base 0, 1, ..., n-1: take the image b of the next base point with the
-least t(b), then go on in the stabilizer (Sims; Seress, *Permutation Group
-Algorithms*, 2003, ch. 4).  Other families take min(t N).
+so packing needs least conjugators there alone.
+
+For ``sn`` and ``an`` N is never held.  The Schreier generators are sifted
+into a stabilizer chain of N with base 0, 1, ..., n-1 (:class:`_StabChain`,
+deterministic Schreier-Sims; Seress, *Permutation Group Algorithms*, 2003,
+ch. 4), and payload order is the lexicographic order of image tuples.  An
+element of t N is t u_0 u_1 ... with u_k from the transversal of level k,
+and the deeper factors fix 0..k, so the choice of u_k fixes the image of k:
+``(t u_0 ... u_k)(k)``.  Walking the levels depth-first, children in
+increasing order of that image, lists t N in payload order; the least
+element of t N is the first leaf, a greedy descent.  The energy searches
+walk every commuting coset so, and prune a subtree when (lower bound,
+prefix) exceeds (best value, best prefix): each leaf below it has a value
+at least the bound and a payload that starts with the prefix.  The few
+deepest levels are multiplied out once, and their leaves keyed together.
+Other families expand t N as payloads and take the least key.
+
+Support bound.  Let s be a permutation of {0..n-1} whose images of 0..k
+are fixed.  Then s moves at least ``#{i <= k : s(i) != i} + #{i <= k :
+s(i) > k}`` points.  Proof: the first term counts moved points among 0..k.
+If i <= k and s(i) = j > k, then j is moved, since s(j) = j would give
+s(i) = s(j) with i != j; these j are distinct, because s is injective, and
+none is among 0..k.  Every other norm is bounded below by 0.
 
 Clique bound.  If H is non-abelian and phi is a strong m-displacer of H, the
 m+1 conjugates phi^k H phi^-k (k = 0..m) form an (m+1)-clique through H.
@@ -37,6 +54,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, repeat
+from math import prod
+from operator import ne
 from typing import NamedTuple
 
 from . import descriptors as gd
@@ -69,6 +88,7 @@ from .norms import (
     norm_value_fn,
     payload_value_fn,
     refuse_foreign_table,
+    support_norm,
 )
 
 #: Ambient-order guard for packing searches.
@@ -77,6 +97,8 @@ PACKING_GUARD = 1_000_000
 ENERGY_GUARD = 10_000_000
 #: Most distinct conjugate subgroups a packing search builds its graph on.
 CLIQUE_GUARD = 20_000
+#: Most elements of N multiplied out for the deepest levels of a coset walk.
+LEAF_BATCH = 16
 #: Largest ambient order on which the master inequalities also check
 #: ``cl_G(x) <= 2``, by a whole commutator length table of G: S6 (720) is in;
 #: S7 (5040) is above the kernel's ``TABLE_BOUND`` of 2048, where each
@@ -116,12 +138,80 @@ def is_abelian_subgroup(h: SubgroupSpec) -> bool:
 # orbit-stabilizer search over the conjugates of a subgroup
 
 
+class _StabChain:
+    """Stabilizer chain with base 0, 1, ..., n-1 of a group of permutations
+    (image tuples), grown by deterministic Schreier-Sims in Knuth's
+    incremental form (Knuth, "Efficient representation of perm groups",
+    Combinatorica 11, 1991; Seress, 2003, §4.2).
+
+    Level k holds generators ``gens[k]`` of a group G_k that fixes 0..k-1,
+    and ``reps[k][b]``, an element of G_k taking k to b, for each b in the
+    orbit of k.  Each generator added to level k + 1 is a Schreier
+    generator of level k or differs from one by elements of G_(k+1), and
+    every Schreier generator of level k is sifted into level k + 1, so
+    G_(k+1) is the stabilizer of k in G_k and ``|G_0|`` is the product of
+    the orbit lengths."""
+
+    def __init__(self, d: GroupDescriptor):
+        one = _identity_payload(d)
+        self.n = d.n
+        self.inv = partial(_invert_payload, d)
+        self.gens: list[list[tuple]] = [[] for _ in range(d.n)]
+        self.reps: list[dict] = [{k: one} for k in range(d.n)]
+        self.reps_inv: list[dict] = [{k: one} for k in range(d.n)]
+
+    def sift(self, g: tuple, k: int = 0) -> tuple[int, tuple]:
+        """``(j, r)``: g, which fixes 0..k-1, stripped by the transversals of
+        levels k, k+1, ... down to the first level j whose orbit lacks r(j);
+        ``j = n`` (and r is the identity) when g is in G_k."""
+        for j in range(k, self.n):
+            b = g[j]
+            if b != j:
+                u_inv = self.reps_inv[j].get(b)
+                if u_inv is None:
+                    return j, g
+                g = tuple(map(u_inv.__getitem__, g))
+        return self.n, g
+
+    def add(self, g: tuple, k: int = 0) -> None:
+        """Make g, which fixes 0..k-1, a member of G_k."""
+        j, r = self.sift(g, k)
+        if j < self.n:
+            self._extend(k, r)
+
+    def _extend(self, k: int, g: tuple) -> None:
+        gens, reps, reps_inv = self.gens[k], self.reps[k], self.reps_inv[k]
+        gens.append(g)
+        # the pairs (b, s) not met before: each old point with g, then each
+        # new point with every generator
+        todo = [(b, g) for b in reps]
+        for b, s in todo:  # todo grows while it is walked
+            w = tuple(map(s.__getitem__, reps[b]))
+            u_inv = reps_inv.get(w[k])
+            if u_inv is None:
+                reps[w[k]] = w
+                reps_inv[w[k]] = self.inv(w)
+                todo += [(w[k], x) for x in gens]
+            else:
+                self.add(tuple(map(u_inv.__getitem__, w)), k + 1)
+
+    def order(self) -> int:
+        return prod(len(reps) for reps in self.reps)
+
+    def levels(self) -> list[tuple[dict, int]]:
+        """``(reps, fixed)`` for each level whose orbit is not a point, top
+        down: below that level's choice, the images of 0..fixed-1 are set."""
+        ks = [k for k, reps in enumerate(self.reps) if len(reps) > 1]
+        return [(self.reps[k], nxt) for k, nxt in zip(ks, ks[1:] + [self.n])]
+
+
 class _Orbit(NamedTuple):
     """The conjugates ``H_i = t[i] H t[i]^-1`` of H (``H_0 = H``), in BFS
     order from H under conjugation by the generators of G."""
     trans: list  # t[i], with t[0] = 1; the conjugators of H_i are t[i] N
     trans_inv: list
-    normalizer: list  # N = N_G(H)
+    normalizer: list | None  # N = N_G(H) as payloads, save for sn/an
+    chain: _StabChain | None  # N's stabilizer chain, for sn/an
     action: list[list[int]]  # action[s][i] = j where s H_i s^-1 = H_j
     tree: list  # tree[i] = (parent, s): H_i = s H_parent s^-1, for i >= 1
 
@@ -135,8 +225,9 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
                 cap: int | None = None) -> _Orbit:
     """Orbit-stabilizer for H under conjugation (Holt, Eick and O'Brien,
     *Handbook of Computational Group Theory*, 2005, ch. 4 and §4.1): the
-    transversal and its inverses, the normalizer N closed from the Schreier
-    generators ``t[j]^-1 s t[i]``, and the action of each generator on the
+    transversal and its inverses, the normalizer N from the Schreier
+    generators ``t[j]^-1 s t[i]`` (a stabilizer chain for ``sn``/``an``, the
+    closure as payloads otherwise), and the action of each generator on the
     orbit points with the BFS tree (a Schreier vector).  ``cap`` bounds the
     number of conjugates."""
     if h.descriptor != d:
@@ -149,7 +240,15 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     where = {points[0]: 0}
     trans, trans_inv, tree = [one], [one], [None]
     action: list[list[int]] = [[] for _ in steps]
-    normalizer, n_gens = {one}, []
+    if d.family in PERMUTATION_FAMILIES:
+        chain = _StabChain(d)
+        stabilize = chain.add
+    else:
+        normalizer, n_gens = {one}, []
+
+        def stabilize(g) -> None:
+            if g not in normalizer:
+                _extend_closure(normalizer, n_gens, g, mul, size)
     for i, t in enumerate(trans):  # trans grows while it is walked: a BFS
         for si, (s, s_inv) in enumerate(steps):
             k = frozenset([mul(mul(s, x), s_inv) for x in points[i]])
@@ -165,14 +264,16 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
                 trans_inv.append(mul(trans_inv[i], s_inv))
                 tree.append((i, si))
             else:
-                g = mul(trans_inv[j], mul(s, t))
-                if g not in normalizer:
-                    _extend_closure(normalizer, n_gens, g, mul, size)
+                stabilize(mul(trans_inv[j], mul(s, t)))
             action[si].append(j)
-    if len(points) * len(normalizer) != size:
+    if d.family in PERMUTATION_FAMILIES:
+        n_size, held = chain.order(), None
+    else:
+        n_size, held, chain = len(normalizer), list(normalizer), None
+    if len(points) * n_size != size:
         raise AssertionError(f"orbit-stabilizer count {len(points)} * "
-                             f"{len(normalizer)} is not |{d}| = {size}")
-    return _Orbit(trans, trans_inv, list(normalizer), action, tree)
+                             f"{n_size} is not |{d}| = {size}")
+    return _Orbit(trans, trans_inv, held, chain, action, tree)
 
 
 def _commuter(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec):
@@ -234,29 +335,11 @@ def _max_clique(near, cap: int, key=None) -> list[int]:
     return best
 
 
-def _base_image_chain(normalizer: list) -> list[dict]:
-    """Stabilizer chain of a permutation group with base 0, 1, ..., n-1,
-    bucketed from its elements: level k maps each point b of the orbit of k
-    under ``N_k`` (the pointwise stabilizer of 0..k-1) to an element of
-    ``N_k`` taking k to b.  Levels whose orbit is {k} are left out."""
-    chain, group = [], normalizer
-    for k in range(len(normalizer[0])):
-        if len(group) == 1:
-            break
-        reps: dict = {}
-        for x in group:
-            reps.setdefault(x[k], x)
-        if len(reps) > 1:
-            chain.append(reps)
-            group = [x for x in group if x[k] == k]
-    return chain
-
-
-def _least_in_coset(t: tuple, chain: list[dict]) -> tuple:
+def _least_in_coset(t: tuple, levels: list) -> tuple:
     """Least element of ``t N`` in image-tuple order, by greedy descent of
     the chain of N: ``(t x)(k) = t(x(k))``, so at each level the base image
     ``b`` with the least ``t(b)`` is taken, and ``t`` moves to ``t u_b``."""
-    for reps in chain:
+    for reps, _ in levels:
         u = reps[min(reps, key=t.__getitem__)]
         t = tuple(map(t.__getitem__, u))
     return t
@@ -264,12 +347,70 @@ def _least_in_coset(t: tuple, chain: list[dict]) -> tuple:
 
 def _least_conjugators(d: GroupDescriptor, orb: _Orbit, which: list[int]) -> dict:
     """The least element, in ``sort_key`` order, of each coset ``t[i] N``."""
-    if d.family in PERMUTATION_FAMILIES:
-        chain = _base_image_chain(orb.normalizer)
-        return {i: _least_in_coset(orb.trans[i], chain) for i in which}
+    if orb.chain is not None:
+        levels = orb.chain.levels()
+        return {i: _least_in_coset(orb.trans[i], levels) for i in which}
     mul, rank = _payload_mul(d), _payload_rank(d)
     return {i: min([mul(orb.trans[i], x) for x in orb.normalizer], key=rank)
             for i in which}
+
+
+def _support_bound(s: tuple, k: int) -> int:
+    """The support bound (module docstring) on every permutation whose
+    images of 0..k-1 are those of ``s``."""
+    head = s[:k]
+    return sum(map(ne, head, range(k))) + k - sum(map(k.__gt__, head))
+
+
+def _zero_bound(s: tuple, k: int) -> int:
+    return 0
+
+
+def _least_leaf(cosets: list, levels: list, value, bound, accept):
+    """Least ``(value(s), s)`` over the s of the cosets ``t N`` (t in
+    ``cosets``) with ``accept(s)``, or None.  Each coset is walked
+    depth-first down ``levels``, children in increasing order of the image
+    they fix, so subtrees are met in payload order; one is pruned when
+    ``(bound, prefix) > (best value, best prefix)``.  The deepest levels,
+    at most :data:`LEAF_BATCH` elements in all (or the last level alone),
+    are multiplied out once: each node above them keys its leaves at once,
+    and ``accept`` is asked of them in key order, only while the key is
+    below the best.  Every norm but the support norm is bounded by 0, so a
+    negative value among the leaves is refused."""
+    best = None
+    cut = max(len(levels) - 1, 0)
+    while cut > 0 and prod(len(reps) for reps, _ in levels[cut - 1:]) <= LEAF_BATCH:
+        cut -= 1
+    tails = [tuple(range(len(cosets[0])))] if cosets else []
+    for reps, _ in reversed(levels[cut:]):
+        tails = [tuple(map(u.__getitem__, x)) for u in reps.values() for x in tails]
+
+    def settle(s: tuple) -> None:
+        nonlocal best
+        leaves = [tuple(map(s.__getitem__, x)) for x in tails]
+        keys = sorted(zip(map(value, leaves), leaves))
+        if keys[0][0] < 0:
+            raise ValueError(f"norm value {keys[0][0]} < 0 on {keys[0][1]}")
+        for key in keys:
+            if best is not None and key >= best:
+                return
+            if accept is None or accept(key[1]):
+                best = key
+                return
+
+    def walk(s: tuple, depth: int) -> None:
+        if depth == cut:
+            settle(s)
+            return
+        reps, fixed = levels[depth]
+        for b in sorted(reps, key=s.__getitem__):
+            c = tuple(map(s.__getitem__, reps[b]))
+            if best is None or (bound(c, fixed), c[:fixed]) <= (best[0], best[1][:fixed]):
+                walk(c, depth + 1)
+
+    for t in cosets:
+        walk(t, 0)
+    return best
 
 
 def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec,
@@ -279,12 +420,16 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     ``norm`` the payload order alone decides.  Commutation is decided on
     generators, and the result is re-checked.  A strong m-displacer of a
     non-abelian H needs an (m+1)-clique through H in the commutation graph,
-    so without one no coset is expanded.
+    so without one no coset is searched.
 
-    Each coset is expanded as raw payloads keyed ``(value, rank, payload)``
-    with the exact payload values of :func:`~cinorm.norms.payload_value_fn`:
-    for m = 1 its least key is the coset's candidate, for m >= 2 the powers
-    are tested only on keys below the best so far."""
+    Values are the exact payload values of
+    :func:`~cinorm.norms.payload_value_fn`.  On ``sn``/``an`` each commuting
+    coset is walked down the chain of N by :func:`_least_leaf`, with the
+    support bound for :func:`~cinorm.norms.support_norm` and 0 for every
+    other norm.  Other families expand each coset as raw payloads keyed
+    ``(value, rank, payload)``: for m = 1 its least key is the coset's
+    candidate, for m >= 2 the powers are tested only on keys below the best
+    so far."""
     if m < 1:
         raise ValueError(f"m = {m}: a displacer needs m >= 1")
     if fixed.descriptor != d:
@@ -314,7 +459,16 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
         return True
 
     normalizer = orb.normalizer
-    if m == 1:
+    if orb.chain is not None:
+        if norm is support_norm:
+            bound = _support_bound
+        else:
+            bound = _zero_bound
+            value = (lambda p: 0) if value is None else value
+        best = _least_leaf([orb.trans[i] for i in near0], orb.chain.levels(),
+                           value, bound,
+                           None if m == 1 else lambda phi: powers_commute(phi, inv(phi)))
+    elif m == 1:
         best = min((min(keyed([mul(orb.trans[i], x) for x in normalizer]))
                     for i in near0), default=None)
     else:
@@ -327,7 +481,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
                     best = key
     if best is None:
         return EnergyResult(m, None, None)
-    minimizer = Element(d, best[2])
+    minimizer = Element(d, best[-1])
     _assert_witnesses(fixed, moved, tuple(minimizer ** k for k in range(1, m + 1)))
     return EnergyResult(m, Fraction(best[0]), minimizer)
 

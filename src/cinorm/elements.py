@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import mul
 from typing import Any, Iterable, Mapping
 
 from .descriptors import (
@@ -264,16 +265,10 @@ def _invert_payload(d: GroupDescriptor, a):
 
 
 def _mat_mul(a, b, mod: int):
-    n = len(a)
-    rng = range(n)
-    rows = []
-    for i in rng:
-        ai = a[i]
-        if mod:
-            rows.append(tuple(sum(ai[k] * b[k][j] for k in rng) % mod for j in rng))
-        else:
-            rows.append(tuple(sum(ai[k] * b[k][j] for k in rng) for j in rng))
-    return tuple(rows)
+    cols = list(zip(*b))
+    if mod:
+        return tuple([tuple([sum(map(mul, row, col)) % mod for col in cols]) for row in a])
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _mat_det(rows) -> int:

@@ -442,3 +442,29 @@ def test_seeded_words_are_unchanged(d):
 def test_random_word_needs_a_free_group():
     with pytest.raises(ValueError, match="not a free group"):
         random_word(S3, random.Random(0), 3)
+
+
+# ---------------------------------------------------------------------------
+# the matrix product against the triple loop
+
+
+def product_by_triple_loop(a, b, mod):
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += a[i][k] * b[k][j]
+            if mod:
+                out[i][j] %= mod
+    return tuple(tuple(row) for row in out)
+
+
+@pytest.mark.parametrize("d", [sl_z(2), sl_z(3), sl_z(4), sl_z(5), sl_mod(2, 7),
+                               sl_mod(3, 2)], ids=str)
+def test_matrix_product_matches_triple_loop(d):
+    rng = random.Random(f"product:{d}")
+    mod = d.p if d.family == "slp" else 0
+    for _ in range(60):
+        a, b = random_element(d, rng, size=10), random_element(d, rng, size=10)
+        assert compose(a, b).payload == product_by_triple_loop(a.payload, b.payload, mod)

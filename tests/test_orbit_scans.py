@@ -8,12 +8,15 @@ value (that exit skipped a later identity of norm 0 in ``slp``, whose least
 element is not the identity), and the packing clique is rooted at H's own
 vertex rather than at vertex 0.  The graph from one vertex and the chain
 descent are checked against what they replaced: the r^2 pairwise
-commutation test and the least of all products t n.
+commutation test and the least of all products t n.  On ``sn``/``an`` the
+stabilizer chain of N is checked against a brute-force normalizer, and the
+pruned walk over cosets against the coset expansion it replaced.
 """
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,8 +52,8 @@ from cinorm import (
 from cinorm import displacement
 from cinorm.descriptors import PERMUTATION_FAMILIES
 from cinorm.displacement import (
+    _StabChain,
     _assert_witnesses,
-    _base_image_chain,
     _commutation_graph,
     _commuter,
     _conjugates,
@@ -58,10 +61,11 @@ from cinorm.displacement import (
     _least_displacer,
     _least_in_coset,
     _max_clique,
+    _support_bound,
     is_abelian_subgroup,
 )
 from cinorm.elements import _compose_payload, _invert_payload, _perm_parity, sort_key
-from cinorm.norms import norm_value_fn
+from cinorm.norms import norm_value_fn, payload_value_fn
 from cinorm.cli import main
 
 FAMILIES = ["sn:4", "sn:5", "sn:6", "an:5", "slp:2:3", "bar:sn:3",
@@ -476,6 +480,27 @@ def test_graph_from_one_vertex_matches_pairwise_on_sym_blocks(n, pts):
     assert_graph_from_one_vertex(d, sym_block(d, pts))
 
 
+@lru_cache(maxsize=16)
+def brute_normalizer(d, h):
+    """N_G(H) = {g : g H g^-1 = H} in payload order, by conjugating the
+    generators of H by every element of G (g H g^-1 is a subgroup of the
+    order of H, so it is H once it lies in H).  The points H moves are
+    those g H g^-1 moves, mapped by g, so a g that moves them elsewhere is
+    passed over first."""
+    members = frozenset(g.payload for g in closure_of(h))
+    gens = [g.payload for g in h.generators]
+    moved = frozenset(i for x in gens for i in range(d.n) if x[i] != i)
+    out = []
+    for g in _iter_payloads(d):
+        if not moved.issuperset(map(g.__getitem__, moved)):
+            continue
+        g_inv = tuple(sorted(range(d.n), key=g.__getitem__))
+        if all(tuple(map(tuple(map(g.__getitem__, x)).__getitem__, g_inv)) in members
+               for x in gens):
+            out.append(g)
+    return tuple(out)
+
+
 def _least_by_products(d, t, normalizer):
     mul, _ = _payload_ops(d)
     return min(mul(t, x) for x in normalizer)
@@ -483,17 +508,18 @@ def _least_by_products(d, t, normalizer):
 
 def assert_chain_descent(d, h, rng):
     orb = _conjugates(d, h, 10 ** 7)
+    normalizer = brute_normalizer(d, h)
     everyone = list(range(len(orb.trans)))
     least = _least_conjugators(d, orb, everyone)
-    assert least == {i: _least_by_products(d, orb.trans[i], orb.normalizer)
+    assert least == {i: _least_by_products(d, orb.trans[i], normalizer)
                      for i in everyone}
     # and on cosets t N of elements that are not transversal elements
-    chain = _base_image_chain(orb.normalizer)
+    levels = orb.chain.levels()
     for _ in range(20):
         t = tuple(rng.sample(range(d.n), d.n))
         if d.family == "an" and _perm_parity(t):
             t = (t[1], t[0]) + t[2:]
-        assert _least_in_coset(t, chain) == _least_by_products(d, t, orb.normalizer)
+        assert _least_in_coset(t, levels) == _least_by_products(d, t, normalizer)
 
 
 @settings(deadline=None, max_examples=40)
@@ -510,16 +536,225 @@ def test_chain_descent_matches_min_over_coset_on_sym_blocks(n, pts):
     assert_chain_descent(d, sym_block(d, pts), random.Random(f"{n}:{pts}"))
 
 
-@pytest.mark.parametrize("text,h", [
+NORMAL_SUBGROUPS = [
     ("sn:4", "(1 2)(3 4);(1 3)(2 4)"),  # V4 is normal in S4
     ("sn:6", "(1 2 3);(1 2 4);(1 2 5);(1 2 6)"),  # A6
     ("an:5", "(1 2 3);(1 2 3 4 5)"),  # A5 itself
     ("sn:7", "(1 2);(1 2 3 4 5 6 7)"),  # S7 itself
-    ("an:8", "(1 2 3);(1 2)(3 4)"),
-])
+]
+
+
+@pytest.mark.parametrize("text,h", NORMAL_SUBGROUPS + [("an:8", "(1 2 3);(1 2)(3 4)")])
 def test_chain_descent_with_a_normal_or_large_normalizer(text, h):
     d, spec = _subgroup(text, h)
     assert_chain_descent(d, spec, random.Random(text))
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer chain of N (Schreier-Sims) against the brute-force normalizer
+
+
+def assert_chain_is_the_normalizer(d, h):
+    chain = _conjugates(d, h, 10 ** 7).chain
+    normalizer = set(brute_normalizer(d, h))
+    assert chain.order() == len(normalizer)
+    one = tuple(range(d.n))
+    for g in _iter_payloads(d):
+        level, rest = chain.sift(g)
+        assert (level == d.n) == (g in normalizer)
+        assert level < d.n or rest == one
+
+
+@st.composite
+def permutation_subgroups(draw):
+    d = parse_descriptor(draw(st.sampled_from(
+        ["sn:2", "sn:3", "sn:4", "sn:5", "sn:6", "an:3", "an:4", "an:5", "an:6"])))
+    elems = enumerate_elements(d)
+    return d, SubgroupSpec(tuple(draw(st.lists(st.sampled_from(elems),
+                                                min_size=1, max_size=3))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(permutation_subgroups())
+def test_chain_is_the_normalizer(case):
+    assert_chain_is_the_normalizer(*case)
+
+
+@pytest.mark.parametrize("n,pts", [(n, pts) for n, pts in SYM_BLOCKS if n <= 7])
+def test_chain_is_the_normalizer_on_sym_blocks(n, pts):
+    d = symmetric(n)
+    assert_chain_is_the_normalizer(d, sym_block(d, pts))
+
+
+@pytest.mark.parametrize("text,h", NORMAL_SUBGROUPS)
+def test_chain_is_the_normalizer_of_a_normal_subgroup(text, h):
+    assert_chain_is_the_normalizer(*_subgroup(text, h))
+
+
+@pytest.mark.parametrize("text,h", [
+    # H = G: the orbit is H alone, and the Schreier generators are G's own
+    # generators, so without the first of them N falls short of G
+    ("sn:5", "(1 2);(1 2 3 4 5)"),
+    ("an:6", "(1 2 3);(1 2 4);(1 2 5);(1 2 6)"),
+])
+def test_skipping_a_schreier_generator_trips_the_count(text, h, monkeypatch):
+    d, spec = _subgroup(text, h)
+    assert _conjugates(d, spec, 10 ** 7).chain.order() == len(brute_normalizer(d, spec))
+    add, skipped = _StabChain.add, []
+
+    def add_all_but_the_first(chain, g, k=0):
+        if k == 0 and not skipped and g != tuple(range(d.n)):
+            skipped.append(g)
+            return
+        add(chain, g, k)
+    monkeypatch.setattr(_StabChain, "add", add_all_but_the_first)
+    with pytest.raises(AssertionError, match="orbit-stabilizer count"):
+        _conjugates(d, spec, 10 ** 7)
+    assert skipped
+
+
+# ---------------------------------------------------------------------------
+# the chain walk against the enumerated cosets it replaced on sn/an
+
+
+def enumerated_least_displacer(d, fixed, moved, m, norm):
+    """The coset search ``_least_displacer`` ran on ``sn``/``an`` before the
+    chain walk: each commuting coset t N expanded as payloads (N the
+    brute-force normalizer here) and keyed (value, payload); for m = 1 the
+    least key, for m >= 2 the powers tested on each key below the best."""
+    value = None if norm is None else payload_value_fn(d, norm)
+    orb = _conjugates(d, moved, 10 ** 7)
+    normalizer = brute_normalizer(d, moved)
+    mul, inv = _payload_ops(d)
+    commutes = _commuter(d, fixed, moved)
+    near0 = orb.commuting(commutes)
+    if fixed is moved and m >= 2 and not is_abelian_subgroup(fixed):
+        if len(_max_clique(_commutation_graph(orb, near0), m + 1)) <= m:
+            return None, None
+
+    def keyed(coset):
+        return zip(repeat(0) if value is None else map(value, coset), coset)
+
+    def powers_commute(phi, phi_inv):
+        pw, pwi = phi, phi_inv
+        for _ in range(2, m + 1):
+            pw, pwi = mul(phi, pw), mul(pwi, phi_inv)
+            if not commutes(pw, pwi):
+                return False
+        return True
+
+    if m == 1:
+        best = min((min(keyed([mul(orb.trans[i], x) for x in normalizer]))
+                    for i in near0), default=None)
+    else:
+        inverses = [inv(x) for x in normalizer]
+        best = None
+        for i in near0:
+            t, ti = orb.trans[i], orb.trans_inv[i]
+            for key, xi in zip(keyed([mul(t, x) for x in normalizer]), inverses):
+                if (best is None or key < best) and powers_commute(key[1], mul(xi, ti)):
+                    best = key
+    return (None, None) if best is None else (Fraction(best[0]), Element(d, best[1]))
+
+
+@lru_cache(maxsize=4)
+def _trivial_table(d):
+    return trivial_norm_table(d)
+
+
+def assert_walk_matches_enumeration(d, h, h2):
+    """Norms: none, the support norm (its own bound), a table and a
+    rational callable (bound 0); m = 1..3; H against itself and against a
+    second subgroup."""
+    for norm in (None, support_norm, _trivial_table(d), _halved_support):
+        for m in (1, 2, 3):
+            for fixed in (h, h2):
+                e = _least_displacer(d, fixed, h, m, norm, 10 ** 7)
+                assert (e.value, e.minimizer) == \
+                    enumerated_least_displacer(d, fixed, h, m, norm)
+
+
+@st.composite
+def small_support_subgroups(draw):
+    """Subgroups of S5-S8 and A5-A7 moving at most 4 points, so N is at
+    most S4 x S4 and the enumerated cosets stay small."""
+    d = parse_descriptor(draw(st.sampled_from(
+        ["sn:5", "sn:6", "sn:7", "sn:8", "an:5", "an:6", "an:7"])))
+
+    def subgroup():
+        pts = draw(st.lists(st.integers(0, d.n - 1), min_size=3, max_size=4, unique=True))
+        gens = []
+        for _ in range(draw(st.integers(1, 2))):
+            image = draw(st.permutations(pts))
+            p = list(range(d.n))
+            for a, b in zip(pts, image):
+                p[a] = b
+            if d.family == "an" and _perm_parity(p):
+                p[pts[0]], p[pts[1]] = p[pts[1]], p[pts[0]]
+            gens.append(Element(d, tuple(p)))
+        return SubgroupSpec(tuple(gens))
+    return d, subgroup(), subgroup()
+
+
+@settings(deadline=None, max_examples=12)
+@given(small_support_subgroups())
+def test_walk_matches_enumerated_cosets(case):
+    assert_walk_matches_enumeration(*case)
+
+
+@pytest.mark.parametrize("text,pts,pts2", [
+    ("sn:5", (1, 2, 3), (3, 4, 5)), ("sn:6", (2, 5, 3), (1, 2, 4)),
+    ("sn:7", (4, 1, 6), (6, 7, 2)), ("sn:8", (1, 2, 3), (2, 4, 6)),
+    ("sn:8", (3, 8, 5, 6), (1, 2, 3)), ("an:7", (1, 2, 3), (4, 5, 6)),
+    ("an:7", (2, 7, 4), (1, 2, 3))])
+def test_walk_matches_enumerated_cosets_on_sym_blocks(text, pts, pts2):
+    d = parse_descriptor(text)
+    if d.family == "an":  # Sym(A) meets A_n in Alt(A) x <(a b)(c d)>
+        free = [i for i in range(1, d.n + 1) if i not in pts][:2]
+        h = SubgroupSpec((perm_from_cycles(d, pts), perm_from_cycles(d, pts[:2], free)))
+    else:
+        h = sym_block(d, pts)
+    assert_walk_matches_enumeration(d, h, SubgroupSpec((perm_from_cycles(d, pts2),)))
+
+
+def test_support_bound_is_the_least_support_under_a_prefix():
+    # in S6 every prefix of images has a completion moving exactly the bound
+    least = {}
+    for p in permutations(range(6)):
+        moved = sum(i != x for i, x in enumerate(p))
+        for k in range(7):
+            least[p[:k]] = min(least.get(p[:k], moved), moved)
+    for head, v in least.items():
+        assert _support_bound(head + (0,) * (6 - len(head)), len(head)) == v
+
+
+def test_negative_norm_values_are_refused():
+    # the walk bounds every norm but the support norm below by 0
+    d = symmetric(6)
+    h = sym_block(d, (1, 2, 3))
+    with pytest.raises(ValueError, match="< 0"):
+        displacement_energy(d, h, 1, lambda g: Fraction(-moved_points(g)))
+
+
+# ---------------------------------------------------------------------------
+# larger symmetric groups, by theory: Sym(A) and Sym(B) commute iff A and B
+# are disjoint, so p = floor(n / 3), and a 1-displacer of Sym{1,2,3} moves
+# {1,2,3} and its disjoint image, at least 6 points; (1 4)(2 5)(3 6) is the
+# least in payload order that moves only those.  The least conjugator taking
+# {1,2,3} to {7,8,9} in order sends 4, 5, 6 to the least free points 1, 2, 3
+
+
+def test_s10_energy_and_s11_packing_by_theory():
+    d = symmetric(10)
+    e = displacement_energy(d, sym_block(d, (1, 2, 3)), 1, support_norm, limit=10 ** 7)
+    assert e.value == 6
+    assert e.minimizer == perm_from_cycles(d, (1, 4), (2, 5), (3, 6))
+    d = symmetric(11)
+    res = packing_number(d, sym_block(d, (1, 2, 3)), limit=10 ** 8)
+    assert res.p == 3
+    assert res.certificate.witnesses == (
+        perm_from_cycles(d, (1, 4), (2, 5), (3, 6)),
+        perm_from_cycles(d, (1, 7, 4), (2, 8, 5), (3, 9, 6)))
 
 
 def clique_bound_fires(d, h, m):
