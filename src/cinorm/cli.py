@@ -537,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceededError as exc:
         print(f"resource guard tripped: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: --out or the cache
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,20 +18,22 @@ parent by the generator s is s N(parent), read off the generators' action on
 the orbit points (a Schreier vector).  A clique through H only meets N(0),
 so packing needs least conjugators there alone.
 
-For ``sn`` and ``an`` N is never held.  The Schreier generators are sifted
-into a stabilizer chain of N with base 0, 1, ..., n-1 (:class:`_StabChain`,
-deterministic Schreier-Sims; Seress, *Permutation Group Algorithms*, 2003,
-ch. 4), and payload order is the lexicographic order of image tuples.  An
-element of t N is t u_0 u_1 ... with u_k from the transversal of level k,
-and the deeper factors fix 0..k, so the choice of u_k fixes the image of k:
-``(t u_0 ... u_k)(k)``.  Walking the levels depth-first, children in
-increasing order of that image, lists t N in payload order; the least
-element of t N is the first leaf, a greedy descent.  The energy searches
-walk every commuting coset so, and prune a subtree when (lower bound,
-prefix) exceeds (best value, best prefix): each leaf below it has a value
-at least the bound and a payload that starts with the prefix.  The few
-deepest levels are multiplied out once, and their leaves keyed together.
-Other families expand t N as payloads and take the least key.
+N is held as a chain whose levels are walked the same way for every
+family.  For ``sn`` and ``an`` it is a stabilizer chain with base 0, 1, ...,
+n-1 (:class:`_StabChain`, deterministic Schreier-Sims; Seress, *Permutation
+Group Algorithms*, 2003, ch. 4), and payload order is the lexicographic order
+of image tuples.  An element of t N is t u_0 u_1 ... with u_k from the
+transversal of level k, and the deeper factors fix 0..k, so the choice of u_k
+fixes the image of k: ``(t u_0 ... u_k)(k)``.  Walking the levels
+depth-first, children in increasing order of that image, lists t N in
+payload order; the least element of t N is the first leaf, a greedy descent.
+Every other family holds N as its payload closure (:class:`_FlatChain`), a
+chain of one level whose leaves are all of N.  The searches walk every
+coset that can hold a witness (:func:`_least_leaf`) and prune a subtree when
+(lower bound, prefix) exceeds (best value, best prefix): each leaf below it
+has a value at least the bound and a payload that starts with the prefix.
+The few deepest levels are multiplied out once, and their leaves keyed
+together; with one level that is all of N and nothing is pruned.
 
 Support bound.  Let s be a permutation of {0..n-1} whose images of 0..k
 are fixed.  Then s moves at least ``#{i <= k : s(i) != i} + #{i <= k :
@@ -205,13 +207,31 @@ class _StabChain:
         return [(self.reps[k], nxt) for k, nxt in zip(ks, ks[1:] + [self.n])]
 
 
+class _FlatChain:
+    """N as its payload closure, grown by each generator added: a chain of
+    one level, whose leaves are all of N."""
+
+    def __init__(self, d: GroupDescriptor, limit: int):
+        self.elements, self.gens = {_identity_payload(d)}, []
+        self.mul, self.limit = _payload_mul(d), limit
+
+    def add(self, g) -> None:
+        if g not in self.elements:
+            _extend_closure(self.elements, self.gens, g, self.mul, self.limit)
+
+    def order(self) -> int:
+        return len(self.elements)
+
+    def levels(self) -> list[tuple[dict, int]]:
+        return [(dict(enumerate(self.elements)), 0)]
+
+
 class _Orbit(NamedTuple):
     """The conjugates ``H_i = t[i] H t[i]^-1`` of H (``H_0 = H``), in BFS
     order from H under conjugation by the generators of G."""
     trans: list  # t[i], with t[0] = 1; the conjugators of H_i are t[i] N
     trans_inv: list
-    normalizer: list | None  # N = N_G(H) as payloads, save for sn/an
-    chain: _StabChain | None  # N's stabilizer chain, for sn/an
+    chain: _StabChain | _FlatChain  # N = N_G(H)
     action: list[list[int]]  # action[s][i] = j where s H_i s^-1 = H_j
     tree: list  # tree[i] = (parent, s): H_i = s H_parent s^-1, for i >= 1
 
@@ -225,11 +245,11 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
                 cap: int | None = None) -> _Orbit:
     """Orbit-stabilizer for H under conjugation (Holt, Eick and O'Brien,
     *Handbook of Computational Group Theory*, 2005, ch. 4 and §4.1): the
-    transversal and its inverses, the normalizer N from the Schreier
-    generators ``t[j]^-1 s t[i]`` (a stabilizer chain for ``sn``/``an``, the
-    closure as payloads otherwise), and the action of each generator on the
-    orbit points with the BFS tree (a Schreier vector).  ``cap`` bounds the
-    number of conjugates."""
+    transversal and its inverses, the chain of the normalizer N grown by the
+    Schreier generators ``t[j]^-1 s t[i]`` (a stabilizer chain for
+    ``sn``/``an``, one level holding the payload closure otherwise), and the
+    action of each generator on the orbit points with the BFS tree (a
+    Schreier vector).  ``cap`` bounds the number of conjugates."""
     if h.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
     size = _checked_order(d, limit)
@@ -240,15 +260,7 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     where = {points[0]: 0}
     trans, trans_inv, tree = [one], [one], [None]
     action: list[list[int]] = [[] for _ in steps]
-    if d.family in PERMUTATION_FAMILIES:
-        chain = _StabChain(d)
-        stabilize = chain.add
-    else:
-        normalizer, n_gens = {one}, []
-
-        def stabilize(g) -> None:
-            if g not in normalizer:
-                _extend_closure(normalizer, n_gens, g, mul, size)
+    chain = _StabChain(d) if d.family in PERMUTATION_FAMILIES else _FlatChain(d, size)
     for i, t in enumerate(trans):  # trans grows while it is walked: a BFS
         for si, (s, s_inv) in enumerate(steps):
             k = frozenset([mul(mul(s, x), s_inv) for x in points[i]])
@@ -264,16 +276,12 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
                 trans_inv.append(mul(trans_inv[i], s_inv))
                 tree.append((i, si))
             else:
-                stabilize(mul(trans_inv[j], mul(s, t)))
+                chain.add(mul(trans_inv[j], mul(s, t)))
             action[si].append(j)
-    if d.family in PERMUTATION_FAMILIES:
-        n_size, held = chain.order(), None
-    else:
-        n_size, held, chain = len(normalizer), list(normalizer), None
-    if len(points) * n_size != size:
+    if len(points) * chain.order() != size:
         raise AssertionError(f"orbit-stabilizer count {len(points)} * "
-                             f"{n_size} is not |{d}| = {size}")
-    return _Orbit(trans, trans_inv, held, chain, action, tree)
+                             f"{chain.order()} is not |{d}| = {size}")
+    return _Orbit(trans, trans_inv, chain, action, tree)
 
 
 def _commuter(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec):
@@ -335,26 +343,6 @@ def _max_clique(near, cap: int, key=None) -> list[int]:
     return best
 
 
-def _least_in_coset(t: tuple, levels: list) -> tuple:
-    """Least element of ``t N`` in image-tuple order, by greedy descent of
-    the chain of N: ``(t x)(k) = t(x(k))``, so at each level the base image
-    ``b`` with the least ``t(b)`` is taken, and ``t`` moves to ``t u_b``."""
-    for reps, _ in levels:
-        u = reps[min(reps, key=t.__getitem__)]
-        t = tuple(map(t.__getitem__, u))
-    return t
-
-
-def _least_conjugators(d: GroupDescriptor, orb: _Orbit, which: list[int]) -> dict:
-    """The least element, in ``sort_key`` order, of each coset ``t[i] N``."""
-    if orb.chain is not None:
-        levels = orb.chain.levels()
-        return {i: _least_in_coset(orb.trans[i], levels) for i in which}
-    mul, rank = _payload_mul(d), _payload_rank(d)
-    return {i: min([mul(orb.trans[i], x) for x in orb.normalizer], key=rank)
-            for i in which}
-
-
 def _support_bound(s: tuple, k: int) -> int:
     """The support bound (module docstring) on every permutation whose
     images of 0..k-1 are those of ``s``."""
@@ -366,46 +354,50 @@ def _zero_bound(s: tuple, k: int) -> int:
     return 0
 
 
-def _least_leaf(cosets: list, levels: list, value, bound, accept):
-    """Least ``(value(s), s)`` over the s of the cosets ``t N`` (t in
-    ``cosets``) with ``accept(s)``, or None.  Each coset is walked
-    depth-first down ``levels``, children in increasing order of the image
-    they fix, so subtrees are met in payload order; one is pruned when
-    ``(bound, prefix) > (best value, best prefix)``.  The deepest levels,
-    at most :data:`LEAF_BATCH` elements in all (or the last level alone),
-    are multiplied out once: each node above them keys its leaves at once,
-    and ``accept`` is asked of them in key order, only while the key is
-    below the best.  Every norm but the support norm is bounded by 0, so a
+def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, accept):
+    """Least ``(value(s), rank, s)`` over the s of the cosets ``t N`` (t in
+    ``cosets``) with ``accept(s)``, or None; without ``value`` every value is
+    0, and the rank (:func:`~cinorm.elements._payload_rank`) orders nested
+    payloads as ``sort_key`` does.  Each coset is walked depth-first down
+    ``levels``, children in increasing order of the image they fix, so
+    subtrees are met in payload order; one is pruned when ``(bound,
+    prefix) > (best value, best prefix)``.  The deepest levels, at most
+    :data:`LEAF_BATCH` elements in all (or the last level alone), are
+    multiplied out once: each node above them keys its leaves at once, and
+    ``accept`` is asked of them in key order, only while the key is below
+    the best.  Every norm but the support norm is bounded by 0, so a
     negative value among the leaves is refused."""
+    mul, rank = _payload_mul(d), _payload_rank(d)
     best = None
     cut = max(len(levels) - 1, 0)
     while cut > 0 and prod(len(reps) for reps, _ in levels[cut - 1:]) <= LEAF_BATCH:
         cut -= 1
-    tails = [tuple(range(len(cosets[0])))] if cosets else []
+    tails = [_identity_payload(d)]
     for reps, _ in reversed(levels[cut:]):
-        tails = [tuple(map(u.__getitem__, x)) for u in reps.values() for x in tails]
+        tails = [mul(u, x) for u in reps.values() for x in tails]
 
-    def settle(s: tuple) -> None:
+    def settle(s) -> None:
         nonlocal best
-        leaves = [tuple(map(s.__getitem__, x)) for x in tails]
-        keys = sorted(zip(map(value, leaves), leaves))
+        leaves = [mul(s, x) for x in tails]
+        keys = sorted(zip(repeat(0) if value is None else map(value, leaves),
+                          leaves if rank is None else map(rank, leaves), leaves))
         if keys[0][0] < 0:
-            raise ValueError(f"norm value {keys[0][0]} < 0 on {keys[0][1]}")
+            raise ValueError(f"norm value {keys[0][0]} < 0 on {keys[0][-1]}")
         for key in keys:
             if best is not None and key >= best:
                 return
-            if accept is None or accept(key[1]):
+            if accept is None or accept(key[-1]):
                 best = key
                 return
 
-    def walk(s: tuple, depth: int) -> None:
+    def walk(s, depth: int) -> None:
         if depth == cut:
             settle(s)
             return
         reps, fixed = levels[depth]
         for b in sorted(reps, key=s.__getitem__):
-            c = tuple(map(s.__getitem__, reps[b]))
-            if best is None or (bound(c, fixed), c[:fixed]) <= (best[0], best[1][:fixed]):
+            c = mul(s, reps[b])
+            if best is None or (bound(c, fixed), c[:fixed]) <= (best[0], best[-1][:fixed]):
                 walk(c, depth + 1)
 
     for t in cosets:
@@ -423,13 +415,10 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     so without one no coset is searched.
 
     Values are the exact payload values of
-    :func:`~cinorm.norms.payload_value_fn`.  On ``sn``/``an`` each commuting
-    coset is walked down the chain of N by :func:`_least_leaf`, with the
-    support bound for :func:`~cinorm.norms.support_norm` and 0 for every
-    other norm.  Other families expand each coset as raw payloads keyed
-    ``(value, rank, payload)``: for m = 1 its least key is the coset's
-    candidate, for m >= 2 the powers are tested only on keys below the best
-    so far."""
+    :func:`~cinorm.norms.payload_value_fn`.  The commuting cosets are walked
+    down the chain of N by one :func:`_least_leaf` call, with the support
+    bound for :func:`~cinorm.norms.support_norm` and 0 for every other norm;
+    for m >= 2 the powers are tested only on leaves below the best so far."""
     if m < 1:
         raise ValueError(f"m = {m}: a displacer needs m >= 1")
     if fixed.descriptor != d:
@@ -437,7 +426,6 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     value = None if norm is None else payload_value_fn(d, norm)
     orb = _conjugates(d, moved, limit)
     mul, inv = _payload_mul(d), partial(_invert_payload, d)
-    rank = _payload_rank(d)
     commutes = _commuter(d, fixed, moved)
     # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
     near0 = orb.commuting(commutes)
@@ -445,12 +433,8 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
         if len(_max_clique(_commutation_graph(orb, near0), m + 1)) <= m:
             return EnergyResult(m, None, None)
 
-    def keyed(coset: list):
-        # the rank decides between equal values, and no two payloads tie
-        return zip(repeat(0) if value is None else map(value, coset),
-                   coset if rank is None else map(rank, coset), coset)
-
-    def powers_commute(phi, phi_inv) -> bool:
+    def powers_commute(phi) -> bool:
+        phi_inv = inv(phi)
         pw, pwi = phi, phi_inv
         for _ in range(2, m + 1):
             pw, pwi = mul(phi, pw), mul(pwi, phi_inv)
@@ -458,27 +442,9 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
                 return False
         return True
 
-    normalizer = orb.normalizer
-    if orb.chain is not None:
-        if norm is support_norm:
-            bound = _support_bound
-        else:
-            bound = _zero_bound
-            value = (lambda p: 0) if value is None else value
-        best = _least_leaf([orb.trans[i] for i in near0], orb.chain.levels(),
-                           value, bound,
-                           None if m == 1 else lambda phi: powers_commute(phi, inv(phi)))
-    elif m == 1:
-        best = min((min(keyed([mul(orb.trans[i], x) for x in normalizer]))
-                    for i in near0), default=None)
-    else:
-        inverses = [inv(x) for x in normalizer]
-        best = None
-        for i in near0:
-            t, ti = orb.trans[i], orb.trans_inv[i]
-            for key, xi in zip(keyed([mul(t, x) for x in normalizer]), inverses):
-                if (best is None or key < best) and powers_commute(key[2], mul(xi, ti)):
-                    best = key
+    bound = _support_bound if norm is support_norm else _zero_bound
+    best = _least_leaf(d, [orb.trans[i] for i in near0], orb.chain.levels(), value, bound,
+                       None if m == 1 else powers_commute)
     if best is None:
         return EnergyResult(m, None, None)
     minimizer = Element(d, best[-1])
@@ -545,12 +511,12 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec,
     orb = _conjugates(d, h, limit, cap=CLIQUE_GUARD)
     near0 = orb.commuting(_commuter(d, h, h))
     # the clique search meets only H's vertex 0 and its neighbours
-    least = _least_conjugators(d, orb, near0)
-    rank = _payload_rank(d)
-    best = _max_clique(_commutation_graph(orb, near0), len(near0) + 1,
-                       key=lambda i: least[i] if rank is None else rank(least[i]))
+    levels = orb.chain.levels()
+    least = {i: _least_leaf(d, [orb.trans[i]], levels, None, _zero_bound, None)
+             for i in near0}
+    best = _max_clique(_commutation_graph(orb, near0), len(near0) + 1, key=least.__getitem__)
     p = len(best)
-    witnesses = tuple(Element(d, least[v]) for v in best[1:])
+    witnesses = tuple(Element(d, least[v][-1]) for v in best[1:])
     report = DisplacementReport(h, p - 1, "weak", witnesses, p > 1)
     _assert_witnesses(h, h, witnesses)
     return PackingResult(p, report, exhausted=True)

@@ -94,6 +94,10 @@ def from_literal(d: GroupDescriptor, text: str) -> Element:
         return binary_word(int(c) for c in s)
     if f in MATRIX_FAMILIES:
         rows = json.loads(s)
+        if not (type(rows) is list and len(rows) == d.n and all(
+                type(r) is list and len(r) == d.n and all(type(x) is int for x in r)
+                for r in rows)):
+            raise ValueError(f"bad matrix literal {s!r}: not {d.n} lists of {d.n} integers")
         return int_matrix(d, rows) if f == "slz" else mod_matrix(d, rows)
     if f in WREATH_FAMILIES:
         return _parse_wreath(d, s)

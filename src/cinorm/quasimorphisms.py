@@ -27,8 +27,8 @@ from .elements import (
     invert,
     power,
 )
-from .enumeration import SubgroupSpec, closure_of, subgroups_commute
-from .errors import InfiniteGroupError
+from .enumeration import ENUMERATION_GUARD, SubgroupSpec, closure_of, subgroups_commute
+from .errors import GuardExceededError, InfiniteGroupError
 from .kernel import domain_kernel, group_kernel, scaled
 from .literals import to_literal
 from .sampling import random_element
@@ -38,7 +38,11 @@ ZERO = Fraction(0)
 
 @dataclass
 class QuasiMorphism:
-    """Rational-valued function with uniformly bounded additivity defect."""
+    """Rational-valued function with uniformly bounded additivity defect.
+
+    Every quasi-morphism is evaluated on raw payloads of its domain, without
+    the domain check: ``fn`` on the Element of the payload, or, for the
+    library's integer-valued constructors, their int count itself."""
 
     domain: GroupDescriptor
     fn: Callable[[Element], Fraction]
@@ -46,36 +50,27 @@ class QuasiMorphism:
     homogeneous: bool = False
     name: str = "qm"
     notes: dict = field(default_factory=dict)
-    #: The same function as an int on raw payloads, set only by the library's
-    #: own integer-valued constructors; the sampled loops run on it.
-    _int_fn: Callable[[Any], int] | None = field(default=None, init=False,
-                                                 repr=False, compare=False)
+    _on_payload: Callable[[Any], Any] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._on_payload = lambda p: Fraction(self.fn(Element(self.domain, p)))
 
     def __call__(self, g: Element) -> Fraction:
         self._check(g)
-        if self._int_fn is not None:
-            return Fraction(self._int_fn(g.payload))
-        return Fraction(self.fn(g))
+        return Fraction(self._on_payload(g.payload))
 
     def _check(self, g: Element) -> None:
         if g.descriptor != self.domain:
             raise ValueError(f"{self.name} is defined on {self.domain}, not {g.descriptor}")
 
 
-def _integer_qm(domain: GroupDescriptor, count: Callable[[Any], int],
+def _payload_qm(domain: GroupDescriptor, count: Callable[[Any], Any],
                 **kw) -> QuasiMorphism:
-    """A quasi-morphism with the integer path: ``count`` on raw payloads,
-    and ``fn`` its value as a Fraction on Elements."""
+    """A quasi-morphism evaluated by ``count`` on raw payloads, and ``fn``
+    its value as a Fraction on Elements."""
     q = QuasiMorphism(domain, lambda g: Fraction(count(g.payload)), **kw)
-    q._int_fn = count
+    q._on_payload = count
     return q
-
-
-def _values(q: QuasiMorphism) -> Callable[[Element], Any]:
-    """q without its domain check: an int from the raw payload when q has
-    the integer path, else q itself."""
-    iq = q._int_fn
-    return q if iq is None else (lambda g: iq(g.payload))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +97,7 @@ def counting_qm(pattern: Element) -> QuasiMorphism:
         raise ValueError("counting quasi-morphisms live on free groups")
     if not pattern.payload:
         raise ValueError("pattern must be non-empty")
-    return _integer_qm(pattern.descriptor,
+    return _payload_qm(pattern.descriptor,
                        _signed_count(pattern.payload, invert(pattern).payload),
                        kind="counting", name=f"count[{to_literal(pattern)}]",
                        notes={"occurrences": "all overlapping"})
@@ -113,7 +108,7 @@ def exponent_sum_qm(d: GroupDescriptor, generator: int = 1) -> QuasiMorphism:
     a quasi-morphism with defect zero."""
     def count(w: tuple) -> int:
         return countOf(w, generator) - countOf(w, -generator)
-    return _integer_qm(d, count, kind="homomorphism", homogeneous=True,
+    return _payload_qm(d, count, kind="homomorphism", homogeneous=True,
                        name=f"exp[{generator}]")
 
 
@@ -161,14 +156,11 @@ def defect(q: QuasiMorphism, mode: str = "exact", budget: int = 2000,
 
 
 def _additivity_gap(q: QuasiMorphism) -> Callable[[Element, Element], Any]:
-    """``|q(ab) - q(a) - q(b)|`` for two elements of q's domain, as an int
-    from raw payloads when q has the integer path."""
-    iq = q._int_fn
-    if iq is None:
-        return lambda a, b: abs(q(compose(a, b)) - q(a) - q(b))
-    mul = _payload_mul(q.domain)
+    """``|q(ab) - q(a) - q(b)|`` for two elements of q's domain, from raw
+    payloads."""
+    iq, mul = q._on_payload, _payload_mul(q.domain)
 
-    def gap(a: Element, b: Element) -> int:
+    def gap(a: Element, b: Element):
         a, b = a.payload, b.payload
         return abs(iq(mul(a, b)) - iq(a) - iq(b))
     return gap
@@ -201,12 +193,17 @@ def homogenize(q: QuasiMorphism, g: Element, n: int,
 
     With a declared defect upper bound D the subadditivity argument pins the
     limit inside ``q(g^n)/n +- D/n``; without one the radius is heuristic.
-    A defect is never negative, so a negative D is refused.
+    A defect is never negative, so a negative D is refused, and a free word
+    g^n of more than ``ENUMERATION_GUARD`` letters is never built.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if defect_upper is not None and Fraction(defect_upper) < 0:
         raise ValueError(f"defect upper bound {defect_upper} is negative")
+    letters = n * len(g.payload)
+    if g.descriptor.family == "free" and letters > ENUMERATION_GUARD:
+        raise GuardExceededError(f"g^{n} would have up to {letters} letters, above "
+                                 f"the enumeration guard {ENUMERATION_GUARD}")
     center = q(power(g, n)) / n
     if defect_upper is None:
         return HomogenizationInterval(g, n, center, None, False)
@@ -224,16 +221,9 @@ def bar_extension(r: QuasiMorphism, bar_descriptor: GroupDescriptor | None = Non
     if bd.family != "bar" or bd.base != r.domain:
         raise ValueError("target descriptor must be the bar cover of the domain")
 
-    base = r._int_fn
-    if base is not None:
-        return _integer_qm(bd, lambda p: base(p[0].payload) + base(p[1].payload),
-                           kind="bar_extension", name=f"bar[{r.name}]")
-
-    def fn(h: Element) -> Fraction:
-        g1, g2, _ = h.payload
-        return r(g1) + r(g2)
-
-    return QuasiMorphism(bd, fn, kind="bar_extension", name=f"bar[{r.name}]")
+    base = r._on_payload
+    return _payload_qm(bd, lambda p: base(p[0].payload) + base(p[1].payload),
+                       kind="bar_extension", name=f"bar[{r.name}]")
 
 
 @dataclass
@@ -257,8 +247,8 @@ def bar_defect_decomposition(r: QuasiMorphism, rbar: QuasiMorphism,
     hf = compose(h, f)
     rbar._check(hf)
     r._check(h1)
-    vbar, gap = _values(rbar), _additivity_gap(r)
-    lhs = abs(vbar(hf) - vbar(h) - vbar(f))
+    vbar, gap = rbar._on_payload, _additivity_gap(r)
+    lhs = abs(vbar(hf.payload) - vbar(h.payload) - vbar(f.payload))
     rhs = gap(h1, f1) + gap(h2, f2)
     return DefectDecompositionRow(h, f, Fraction(lhs), Fraction(rhs), lhs <= rhs)
 
@@ -344,14 +334,11 @@ def commutator_sup(q: QuasiMorphism, h: SubgroupSpec | None = None,
 
 
 def _commutator_value(q: QuasiMorphism) -> Callable[[Element, Element], Any]:
-    """``q([x, y])``, as an int from the raw payload product ``x y x^-1 y^-1``
-    when q has the integer path."""
-    iq = q._int_fn
-    if iq is None:
-        return lambda x, y: q(commutator_of(x, y))
+    """``q([x, y])`` on the raw payload product ``x y x^-1 y^-1``."""
+    iq = q._on_payload
     mul, inv = _payload_mul(q.domain), partial(_invert_payload, q.domain)
 
-    def value(x: Element, y: Element) -> int:
+    def value(x: Element, y: Element):
         a, b = x.payload, y.payload
         return iq(mul(mul(a, b), mul(inv(a), inv(b))))
     return value

@@ -12,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from cinorm import alternating, norm_table_from_payload, perm_from_cycles, qk_norm
+from cinorm import (
+    ENUMERATION_GUARD,
+    alternating,
+    norm_table_from_payload,
+    perm_from_cycles,
+    qk_norm,
+)
 from cinorm.cache import cache_dir, cache_get, cache_key, cache_put
 from cinorm.cli import ExperimentConfig, _build_parser, main, run_suite
 from cinorm.serialize import norm_table_payload, norm_table_to_json
@@ -212,6 +218,32 @@ def test_qm_negative_defect_upper_exits_2(action, tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert not out.exists()
     assert "negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["scl-bounds", "homogenize"])
+def test_qm_power_above_the_guard_exits_3(action, tmp_path, capsys):
+    out = tmp_path / "qm.json"
+    n = ENUMERATION_GUARD // 4 + 1
+    assert main(["qm", action, "--word", "a b A B", "--defect-upper", "6",
+                 "--n-max", str(n), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert f"{4 * n} letters" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["packing", "--group", "sn:4", "--h", "(1 2);(1 2 3)",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_unwritable_cache_dir_exits_2(tmp_path, monkeypatch, capsys):
+    # a cache directory below a plain file cannot be made
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("CINORM_CACHE_DIR", str(tmp_path / "file" / "cache"))
+    assert main(["qk", "--group", "sn:4", "--k", "(1 2)"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("args", [

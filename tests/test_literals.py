@@ -14,12 +14,14 @@ from cinorm import (
     identity,
     perm_from_cycles,
     product,
+    sl_mod,
     sl_z,
     symmetric,
     to_literal,
     wreath_zn,
     z2_infinity,
 )
+from cinorm.cli import main
 from cinorm.sampling import random_element
 
 S3 = symmetric(3)
@@ -63,6 +65,21 @@ def test_bad_literals():
         from_literal(free_group(1), "a b")  # b outside rank-1 alphabet
     with pytest.raises(ValueError):
         from_literal(z2_infinity(), "102")
+
+
+@pytest.mark.parametrize("text", [
+    "[[1.5,0],[0,1]]", "[[true,0],[0,1]]", "[[1,0],[0,1.0]]", "5", "[1,2]",
+    "[[1,2],3]", "[[1,0]]", "[[1,0],[0,1],[0,0]]", "[[1,0,0],[0,1]]",
+    '[["1",0],[0,1]]', "[[1,0],[0,null]]", "{}", "[[1,0],[0,1]"])
+@pytest.mark.parametrize("group", [sl_mod(2, 5), sl_z(2)], ids=str)
+def test_malformed_matrix_literals(group, text):
+    with pytest.raises(ValueError):
+        from_literal(group, text)
+
+
+def test_malformed_matrix_literal_exits_2(capsys):
+    assert main(["energy", "--group", "slp:2:5", "--h", "[[1.5,0],[0,1]]"]) == 2
+    assert "bad matrix literal" in capsys.readouterr().err
 
 
 FAMILIES = [d for d, _ in CASES]

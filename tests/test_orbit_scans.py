@@ -57,11 +57,11 @@ from cinorm.displacement import (
     _commutation_graph,
     _commuter,
     _conjugates,
-    _least_conjugators,
     _least_displacer,
-    _least_in_coset,
+    _least_leaf,
     _max_clique,
     _support_bound,
+    _zero_bound,
     is_abelian_subgroup,
 )
 from cinorm.elements import _compose_payload, _invert_payload, _perm_parity, sort_key
@@ -507,19 +507,22 @@ def _least_by_products(d, t, normalizer):
 
 
 def assert_chain_descent(d, h, rng):
+    """The walk with no norm and no test, as packing runs it, takes the
+    least element of each coset t N."""
     orb = _conjugates(d, h, 10 ** 7)
     normalizer = brute_normalizer(d, h)
-    everyone = list(range(len(orb.trans)))
-    least = _least_conjugators(d, orb, everyone)
-    assert least == {i: _least_by_products(d, orb.trans[i], normalizer)
-                     for i in everyone}
-    # and on cosets t N of elements that are not transversal elements
     levels = orb.chain.levels()
+
+    def least_in_coset(t):
+        return _least_leaf(d, [t], levels, None, _zero_bound, None)[-1]
+    for t in orb.trans:
+        assert least_in_coset(t) == _least_by_products(d, t, normalizer)
+    # and on cosets t N of elements that are not transversal elements
     for _ in range(20):
         t = tuple(rng.sample(range(d.n), d.n))
         if d.family == "an" and _perm_parity(t):
             t = (t[1], t[0]) + t[2:]
-        assert _least_in_coset(t, levels) == _least_by_products(d, t, normalizer)
+        assert least_in_coset(t) == _least_by_products(d, t, normalizer)
 
 
 @settings(deadline=None, max_examples=40)
@@ -729,11 +732,19 @@ def test_support_bound_is_the_least_support_under_a_prefix():
 
 
 def test_negative_norm_values_are_refused():
-    # the walk bounds every norm but the support norm below by 0
+    # the walk bounds every norm but the support norm below by 0, and the
+    # message names the leaf's payload
     d = symmetric(6)
     h = sym_block(d, (1, 2, 3))
-    with pytest.raises(ValueError, match="< 0"):
+    with pytest.raises(ValueError, match=r"< 0 on \(\d"):
         displacement_energy(d, h, 1, lambda g: Fraction(-moved_points(g)))
+    # a one-level chain refuses it too
+    d = parse_descriptor("bar:sn:3")
+    s3 = symmetric(3)
+    h = SubgroupSpec(tuple(bar_element(d, perm_from_cycles(s3, c), identity(s3))
+                           for c in ((1, 2), (1, 2, 3))))
+    with pytest.raises(ValueError, match=r"norm value -1 < 0 on \(Element\(sn:3"):
+        displacement_energy(d, h, 1, lambda g: Fraction(-1))
 
 
 # ---------------------------------------------------------------------------
