@@ -284,7 +284,8 @@ def _suite_witness_additivity(cfg: ExperimentConfig) -> list[Check]:
             return product_element(P, comps)
 
         count = counting_qm(free_word(f2, (1, 2)))
-        q = QuasiMorphism(P, lambda g: sum((count(c) for c in g.payload), Fraction(0)),
+        q = QuasiMorphism(P, lambda g: sum((count(Element(f2, c)) for c in g.payload),
+                                           Fraction(0)),
                           name="sum-count")
         factors = [SubgroupSpec((emb(i, free_word(f2, (1,))),
                                  emb(i, free_word(f2, (2,))))) for i in range(3)]
@@ -473,6 +474,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cinorm",
@@ -488,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--base": dict(default="sn:3"),
         "--pattern": dict(default="a b"),
         "--word": dict(default="a b A B"),
-        "--defect-upper": dict(),
+        "--defect-upper": dict(type=_fraction),
         "--suite": dict(required=True),
         "--seed": dict(type=int, default=0),
         "--budget": dict(type=_positive_int, default=1000),
@@ -556,7 +564,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             payload = cache_mod.cache_get(key)
             if payload is None:
                 payload = norm_table_payload(qk_norm(d, members))
-                cache_mod.cache_put(key, payload)
+                try:
+                    cache_mod.cache_put(key, payload)
+                except OSError as exc:  # the cache only saves time: keep the table
+                    print(f"warning: table not cached: {exc}", file=sys.stderr)
         _emit(dumps(payload) if args.fmt == "json" else payload_to_tsv(payload), args.out)
         return EXIT_OK
 
@@ -643,16 +654,15 @@ def _dispatch(args: argparse.Namespace) -> int:
                       "budget": est.sample_count, "seed": est.seed,
                       "convention": q.notes["occurrences"]}
         elif args.action == "homogenize":
-            du = Fraction(args.defect_upper) if args.defect_upper else None
-            iv = homogenize(q, word, args.n_max, du)
+            iv = homogenize(q, word, args.n_max, args.defect_upper)
             report = {"word": to_literal(word), "n": iv.n,
                       "center": fraction_str(iv.center),
                       "radius": None if iv.radius is None else fraction_str(iv.radius),
                       "certified": iv.certified}
         else:
-            if not args.defect_upper:
+            if args.defect_upper is None:
                 raise ValueError("scl-bounds needs --defect-upper")
-            sb = scl_bounds(word, q, Fraction(args.defect_upper), n=args.n_max)
+            sb = scl_bounds(word, q, args.defect_upper, n=args.n_max)
             report = {"word": to_literal(word),
                       "lower": fraction_str(sb.lower),
                       "provenance": sb.lower_provenance}

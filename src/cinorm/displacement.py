@@ -67,7 +67,6 @@ from .elements import (
     _identity_payload,
     _invert_payload,
     _payload_mul,
-    _payload_rank,
     commutator_of,
     compose,
     invert,
@@ -355,10 +354,10 @@ def _zero_bound(s: tuple, k: int) -> int:
 
 
 def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, accept):
-    """Least ``(value(s), rank, s)`` over the s of the cosets ``t N`` (t in
-    ``cosets``) with ``accept(s)``, or None; without ``value`` every value is
-    0, and the rank (:func:`~cinorm.elements._payload_rank`) orders nested
-    payloads as ``sort_key`` does.  Each coset is walked depth-first down
+    """Least ``(value(s), s)`` over the payloads s of the cosets ``t N`` (t
+    in ``cosets``) with ``accept(s)``, or None; without ``value`` every value
+    is 0, and payloads compare in tuple order, which is ``sort_key`` order in
+    every family.  Each coset is walked depth-first down
     ``levels``, children in increasing order of the image they fix, so
     subtrees are met in payload order; one is pruned when ``(bound,
     prefix) > (best value, best prefix)``.  The deepest levels, at most
@@ -367,7 +366,7 @@ def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, ac
     ``accept`` is asked of them in key order, only while the key is below
     the best.  Every norm but the support norm is bounded by 0, so a
     negative value among the leaves is refused."""
-    mul, rank = _payload_mul(d), _payload_rank(d)
+    mul = _payload_mul(d)
     best = None
     cut = max(len(levels) - 1, 0)
     while cut > 0 and prod(len(reps) for reps, _ in levels[cut - 1:]) <= LEAF_BATCH:
@@ -379,14 +378,14 @@ def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, ac
     def settle(s) -> None:
         nonlocal best
         leaves = [mul(s, x) for x in tails]
-        keys = sorted(zip(repeat(0) if value is None else map(value, leaves),
-                          leaves if rank is None else map(rank, leaves), leaves))
+        keys = sorted(zip(repeat(0) if value is None else map(value, leaves), leaves))
         if keys[0][0] < 0:
-            raise ValueError(f"norm value {keys[0][0]} < 0 on {keys[0][-1]}")
+            raise ValueError(f"norm value {keys[0][0]} < 0 on "
+                             f"{to_literal(Element(d, keys[0][1]))}")
         for key in keys:
             if best is not None and key >= best:
                 return
-            if accept is None or accept(key[-1]):
+            if accept is None or accept(key[1]):
                 best = key
                 return
 
@@ -397,7 +396,7 @@ def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, ac
         reps, fixed = levels[depth]
         for b in sorted(reps, key=s.__getitem__):
             c = mul(s, reps[b])
-            if best is None or (bound(c, fixed), c[:fixed]) <= (best[0], best[-1][:fixed]):
+            if best is None or (bound(c, fixed), c[:fixed]) <= (best[0], best[1][:fixed]):
                 walk(c, depth + 1)
 
     for t in cosets:
@@ -447,7 +446,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
                        None if m == 1 else powers_commute)
     if best is None:
         return EnergyResult(m, None, None)
-    minimizer = Element(d, best[-1])
+    minimizer = Element(d, best[1])
     _assert_witnesses(fixed, moved, tuple(minimizer ** k for k in range(1, m + 1)))
     return EnergyResult(m, Fraction(best[0]), minimizer)
 
@@ -516,7 +515,7 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec,
              for i in near0}
     best = _max_clique(_commutation_graph(orb, near0), len(near0) + 1, key=least.__getitem__)
     p = len(best)
-    witnesses = tuple(Element(d, least[v][-1]) for v in best[1:])
+    witnesses = tuple(Element(d, least[v][1]) for v in best[1:])
     report = DisplacementReport(h, p - 1, "weak", witnesses, p > 1)
     _assert_witnesses(h, h, witnesses)
     return PackingResult(p, report, exhausted=True)

@@ -16,9 +16,13 @@ Payload shapes:
 * ``z2inf``         -- 0/1 tuple with no trailing zeros.
 * ``slz`` / ``slp`` -- tuple of row tuples (``slp`` entries reduced mod p).
 * ``wreath-*``      -- ``(lamps, shift)`` with ``lamps`` a sorted tuple of
-  ``(coordinate, base Element)`` pairs.
-* ``bar``           -- ``(g1, g2, e)``, the normal form ``(g1, g2) t^e``.
-* ``product``       -- tuple of component Elements.
+  ``(coordinate, base payload)`` pairs.
+* ``bar``           -- ``(g1, g2, e)``, the normal form ``(g1, g2) t^e`` with
+  ``g1``, ``g2`` base payloads.
+* ``product``       -- tuple of component payloads.
+
+Payloads are plain ints and tuples at every depth, never Elements, so
+Python's tuple order is the payload order of every family.
 """
 
 from __future__ import annotations
@@ -119,29 +123,10 @@ def element_order(a: Element, cap: int = 1_000_000) -> int | None:
 
 
 def sort_key(e: Element):
-    """Total order on canonical payloads within one family; used for all
-    deterministic tie-breaking (enumeration order, coset representatives,
-    reported witnesses)."""
-    return _key(e.payload)
-
-
-def _key(p):
-    if isinstance(p, Element):
-        return _key(p.payload)
-    if isinstance(p, tuple):
-        return tuple(_key(x) for x in p)
-    return p
-
-
-#: Families whose payloads hold Elements, which compare only through ``_key``.
-_NESTED = WREATH_FAMILIES | {"bar", "product"}
-
-
-def _payload_rank(d: GroupDescriptor):
-    """The key that orders ``d``'s raw payloads as ``sort_key`` orders its
-    elements: ``_key`` where payloads hold Elements, else ``None`` (the
-    payloads themselves)."""
-    return _key if d.family in _NESTED else None
+    """Total order within one family: the payload itself, in tuple order;
+    used for all deterministic tie-breaking (enumeration order, coset
+    representatives, reported witnesses)."""
+    return e.payload
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +147,9 @@ def _identity_payload(d: GroupDescriptor):
     if f in WREATH_FAMILIES:
         return ((), 0)
     if f == "bar":
-        return (identity(d.base), identity(d.base), 0)
-    return tuple(identity(p) for p in d.parts)
+        one = _identity_payload(d.base)
+        return (one, one, 0)
+    return tuple(_identity_payload(p) for p in d.parts)
 
 
 def _gather(a, b):
@@ -208,8 +194,8 @@ def _compose_payload(d: GroupDescriptor, a, b):
             if cur is None:
                 lamps[i] = g
             else:
-                v = compose(cur, g)
-                if v.is_identity():
+                v = _compose_payload(d.base, cur, g)
+                if v == _identity_payload(d.base):
                     del lamps[i]
                 else:
                     lamps[i] = v
@@ -220,8 +206,9 @@ def _compose_payload(d: GroupDescriptor, a, b):
         f1, f2, fe = b
         if e:
             f1, f2 = f2, f1
-        return (compose(g1, f1), compose(g2, f2), (e + fe) & 1)
-    return tuple(compose(x, y) for x, y in zip(a, b))
+        return (_compose_payload(d.base, g1, f1), _compose_payload(d.base, g2, f2),
+                (e + fe) & 1)
+    return tuple(map(_compose_payload, d.parts, a, b))
 
 
 def _payload_mul(d: GroupDescriptor):
@@ -254,14 +241,14 @@ def _invert_payload(d: GroupDescriptor, a):
         out = {}
         for i, g in lamps:
             j = i - s if ring == 0 else (i - s) % ring
-            out[j] = invert(g)
+            out[j] = _invert_payload(d.base, g)
         return (tuple(sorted(out.items())), -s if ring == 0 else (-s) % ring)
     if f == "bar":
         g1, g2, e = a
-        if e == 0:
-            return (invert(g1), invert(g2), 0)
-        return (invert(g2), invert(g1), 1)
-    return tuple(invert(x) for x in a)
+        if e:
+            g1, g2 = g2, g1
+        return (_invert_payload(d.base, g1), _invert_payload(d.base, g2), e)
+    return tuple(map(_invert_payload, d.parts, a))
 
 
 def _mat_mul(a, b, mod: int):
@@ -328,10 +315,10 @@ def _mat_adjugate(a, mod: int):
 
 
 def normalized(d: GroupDescriptor, payload):
-    """Bring a raw payload into canonical form (idempotent by construction)."""
+    """Bring a raw ``slp``, ``slz``, ``free``, ``z2inf`` or ``wreath-*``
+    payload into canonical form (idempotent by construction); the other
+    families' payloads are canonical as built and pass through as tuples."""
     f = d.family
-    if f in PERMUTATION_FAMILIES:
-        return tuple(int(x) for x in payload)
     if f == "slp":
         return tuple(tuple(int(x) % d.p for x in row) for row in payload)
     if f == "slz":
@@ -345,9 +332,6 @@ def normalized(d: GroupDescriptor, payload):
             else:
                 out.append(x)
         return tuple(out)
-    if f == "aff-z":
-        a, e = payload
-        return (int(a), int(e) & 1)
     if f == "z2inf":
         bits = [int(b) & 1 for b in payload]
         while bits and bits[-1] == 0:
@@ -356,20 +340,18 @@ def normalized(d: GroupDescriptor, payload):
     if f in WREATH_FAMILIES:
         lamps, shift = payload
         ring = d.n if f == "wreath-zn" else 0
-        out_l: dict[int, Element] = {}
-        for i, g in (lamps.items() if isinstance(lamps, Mapping) else lamps):
+        one = _identity_payload(d.base)
+        out_l = {}
+        for i, g in lamps:
             i = int(i) if ring == 0 else int(i) % ring
             cur = out_l.get(i)
-            g2 = g if cur is None else compose(cur, g)
-            if g2.is_identity():
+            g2 = g if cur is None else _compose_payload(d.base, cur, g)
+            if g2 == one:
                 out_l.pop(i, None)
             else:
                 out_l[i] = g2
         shift = int(shift) if ring == 0 else int(shift) % ring
         return (tuple(sorted(out_l.items())), shift)
-    if f == "bar":
-        g1, g2, e = payload
-        return (g1, g2, int(e) & 1)
     return tuple(payload)
 
 
@@ -478,7 +460,7 @@ def wreath_element(d: GroupDescriptor, lamps: Mapping[int, Element] | Iterable,
     for _, g in items:
         if g.descriptor != d.base:
             raise DescriptorMismatchError("lamp element is not in the base group")
-    return Element(d, normalized(d, (items, shift)))
+    return Element(d, normalized(d, ([(i, g.payload) for i, g in items], shift)))
 
 
 def bar_element(d: GroupDescriptor, g1: Element, g2: Element, e: int = 0) -> Element:
@@ -486,7 +468,7 @@ def bar_element(d: GroupDescriptor, g1: Element, g2: Element, e: int = 0) -> Ele
         raise ValueError(f"{d} is not a bar family")
     if g1.descriptor != d.base or g2.descriptor != d.base:
         raise DescriptorMismatchError("bar coordinates must lie in the base group")
-    return Element(d, (g1, g2, int(e) & 1))
+    return Element(d, (g1.payload, g2.payload, int(e) & 1))
 
 
 def product_element(d: GroupDescriptor, components: Iterable[Element]) -> Element:
@@ -496,7 +478,7 @@ def product_element(d: GroupDescriptor, components: Iterable[Element]) -> Elemen
     if len(comps) != len(d.parts) or any(
             c.descriptor != p for c, p in zip(comps, d.parts)):
         raise DescriptorMismatchError("component descriptors do not match the product")
-    return Element(d, comps)
+    return Element(d, tuple(c.payload for c in comps))
 
 
 def moved_points(e: Element) -> int:

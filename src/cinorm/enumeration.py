@@ -82,24 +82,19 @@ def enumerate_elements(d: GroupDescriptor, limit: int | None = None) -> list[Ele
                  if not _perm_parity(p)]
     elif f == "slp":
         elems = sorted(subgroup_closure(group_generators(d), limit=size), key=sort_key)
-    elif f == "wreath-zn":
-        base_elems = enumerate_elements(d.base, limit)
-        elems = []
-        for shift in range(d.n):
-            for combo in iter_product(base_elems, repeat=d.n):
-                lamps = tuple((i, g) for i, g in enumerate(combo)
-                              if not g.is_identity())
-                elems.append(Element(d, (lamps, shift)))
-        elems.sort(key=sort_key)
-    elif f == "bar":
-        base_elems = enumerate_elements(d.base, limit)
-        elems = [Element(d, (g1, g2, e))
-                 for e in (0, 1) for g1 in base_elems for g2 in base_elems]
-        elems.sort(key=sort_key)
-    elif f == "product":
-        part_lists = [enumerate_elements(p, limit) for p in d.parts]
-        elems = [Element(d, combo) for combo in iter_product(*part_lists)]
-        elems.sort(key=sort_key)
+    elif f in ("wreath-zn", "bar", "product"):
+        lists = [[e.payload for e in enumerate_elements(p, limit)]
+                 for p in (d.parts if f == "product" else (d.base,))]
+        if f == "product":
+            payloads = iter_product(*lists)
+        elif f == "bar":
+            payloads = iter_product(lists[0], lists[0], (0, 1))
+        else:
+            one = _identity_payload(d.base)
+            payloads = ((tuple((i, g) for i, g in enumerate(combo) if g != one), shift)
+                        for shift in range(d.n)
+                        for combo in iter_product(lists[0], repeat=d.n))
+        elems = [Element(d, p) for p in sorted(payloads)]
     else:
         raise InfiniteGroupError(f"{d} cannot be enumerated")
     if len(elems) != size:

@@ -48,7 +48,7 @@ class FCommEnvironment:
             coordinate %= ring
         if h.is_identity():
             return identity(self.ambient)
-        return Element(self.ambient, (((coordinate, h),), 0))
+        return Element(self.ambient, (((coordinate, h.payload),), 0))
 
     def shifted(self, h: Element, i: int) -> Element:
         """``Conj_{F^i}`` of the coordinate-0 embedding, by actual conjugation."""

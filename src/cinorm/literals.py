@@ -39,9 +39,11 @@ from .elements import (
 
 
 def to_literal(e: Element) -> str:
-    d = e.descriptor
+    return _literal(e.descriptor, e.payload)
+
+
+def _literal(d: GroupDescriptor, p) -> str:
     f = d.family
-    p = e.payload
     if f in PERMUTATION_FAMILIES:
         return _perm_literal(p)
     if f == "free":
@@ -62,12 +64,12 @@ def to_literal(e: Element) -> str:
         return json.dumps([list(r) for r in p], separators=(",", ":"))
     if f in WREATH_FAMILIES:
         lamps, shift = p
-        body = "; ".join(f"{i}:{to_literal(g)}" for i, g in lamps)
+        body = "; ".join(f"{i}:{_literal(d.base, g)}" for i, g in lamps)
         return "{" + body + "}" + f"s^{shift}"
     if f == "bar":
         g1, g2, t = p
-        return f"({to_literal(g1)};{to_literal(g2)})" + ("t" if t else "")
-    return "(" + ";".join(to_literal(c) for c in p) + ")"
+        return f"({_literal(d.base, g1)};{_literal(d.base, g2)})" + ("t" if t else "")
+    return "(" + ";".join(map(_literal, d.parts, p)) + ")"
 
 
 def from_literal(d: GroupDescriptor, text: str) -> Element:
@@ -177,11 +179,11 @@ def _parse_wreath(d: GroupDescriptor, s: str) -> Element:
     if not m:
         raise ValueError(f"bad wreath literal {s!r}")
     body, shift = m.group(1).strip(), int(m.group(2) or 0)
-    lamps = {}
+    lamps = []
     if body:
         for part in _split_top(body, ";"):
             idx_text, _, lit = part.partition(":")
-            lamps[int(idx_text.strip())] = from_literal(d.base, lit)
+            lamps.append((int(idx_text.strip()), from_literal(d.base, lit)))
     return wreath_element(d, lamps, shift)
 
 

@@ -347,8 +347,8 @@ def _exponent_vector(g: Element) -> tuple[int, ...]:
     if d.family == "free":
         return (sum(1 if x > 0 else -1 for x in g.payload),)
     out: list[int] = []
-    for c in g.payload:
-        out.extend(_exponent_vector(c))
+    for pd, c in zip(d.parts, g.payload):
+        out.extend(_exponent_vector(Element(pd, c)))
     return tuple(out)
 
 

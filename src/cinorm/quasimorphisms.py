@@ -19,6 +19,8 @@ from . import descriptors as gd
 from .descriptors import GroupDescriptor
 from .elements import (
     Element,
+    _compose_payload,
+    _identity_payload,
     _invert_payload,
     _payload_mul,
     commutator_of,
@@ -151,17 +153,15 @@ def defect(q: QuasiMorphism, mode: str = "exact", budget: int = 2000,
     for _ in range(budget):
         a = random_element(q.domain, rng, size=size)
         b = random_element(q.domain, rng, size=size)
-        best = max(best, gap(a, b))
+        best = max(best, gap(a.payload, b.payload))
     return DefectEstimate(Fraction(best), "sampled_lower_bound", budget, seed)
 
 
-def _additivity_gap(q: QuasiMorphism) -> Callable[[Element, Element], Any]:
-    """``|q(ab) - q(a) - q(b)|`` for two elements of q's domain, from raw
-    payloads."""
+def _additivity_gap(q: QuasiMorphism) -> Callable[[Any, Any], Any]:
+    """``|q(ab) - q(a) - q(b)|`` for two raw payloads of q's domain."""
     iq, mul = q._on_payload, _payload_mul(q.domain)
 
-    def gap(a: Element, b: Element):
-        a, b = a.payload, b.payload
+    def gap(a, b):
         return abs(iq(mul(a, b)) - iq(a) - iq(b))
     return gap
 
@@ -222,7 +222,7 @@ def bar_extension(r: QuasiMorphism, bar_descriptor: GroupDescriptor | None = Non
         raise ValueError("target descriptor must be the bar cover of the domain")
 
     base = r._on_payload
-    return _payload_qm(bd, lambda p: base(p[0].payload) + base(p[1].payload),
+    return _payload_qm(bd, lambda p: base(p[0]) + base(p[1]),
                        kind="bar_extension", name=f"bar[{r.name}]")
 
 
@@ -246,7 +246,7 @@ def bar_defect_decomposition(r: QuasiMorphism, rbar: QuasiMorphism,
     # q's domain checks, made once here since the payload path skips them
     hf = compose(h, f)
     rbar._check(hf)
-    r._check(h1)
+    r._check(Element(h.descriptor.base, h1))
     vbar, gap = rbar._on_payload, _additivity_gap(r)
     lhs = abs(vbar(hf.payload) - vbar(h.payload) - vbar(f.payload))
     rhs = gap(h1, f1) + gap(h2, f2)
@@ -272,13 +272,11 @@ def verify_bar_splitting(w: Element, k: int) -> SplittingReport:
     if d.family != "bar":
         raise ValueError("splitting check needs a bar-family element")
     g1, g2, e = w.payload
-    one = identity(d.base)
-    if e == 0:
-        w1 = Element(d, (g1, one, 0))
-        w2 = Element(d, (one, g2, 0))
-    else:
-        w1 = Element(d, (compose(g1, g2), one, 0))
-        w2 = Element(d, (one, compose(g2, g1), 0))
+    one = _identity_payload(d.base)
+    if e:
+        g1, g2 = _compose_payload(d.base, g1, g2), _compose_payload(d.base, g2, g1)
+    w1 = Element(d, (g1, one, 0))
+    w2 = Element(d, (one, g2, 0))
     failures = []
     for j in range(1, k + 1):
         lhs = power(w, j if e == 0 else 2 * j)

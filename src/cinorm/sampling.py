@@ -77,11 +77,11 @@ def random_element(d: GroupDescriptor, rng: Random, size: int = 8) -> Element:
             if rng.random() < 0.5:
                 g = random_element(d.base, rng, size)
                 if not g.is_identity():
-                    lamps[i] = g
+                    lamps[i] = g.payload
         shift = rng.randrange(ring) if f == "wreath-zn" else rng.randint(-size, size)
         return Element(d, (tuple(sorted(lamps.items())), shift))
     if f == "bar":
-        return Element(d, (random_element(d.base, rng, size),
-                           random_element(d.base, rng, size),
+        return Element(d, (random_element(d.base, rng, size).payload,
+                           random_element(d.base, rng, size).payload,
                            rng.randint(0, 1)))
-    return Element(d, tuple(random_element(p, rng, size) for p in d.parts))
+    return Element(d, tuple(random_element(p, rng, size).payload for p in d.parts))

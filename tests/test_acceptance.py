@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from cinorm import (
+    Element,
     SubgroupSpec,
     affz_element,
     alternating,
@@ -247,7 +248,7 @@ def test_09_witness_additivity_product_of_free_groups():
         f2 = free_group(2)
         P = product(f2, f2, f2)
         count = counting_qm(free_word(f2, (1, 2)))
-        q = QuasiMorphism(P, lambda g: sum((count(c) for c in g.payload),
+        q = QuasiMorphism(P, lambda g: sum((count(Element(f2, c)) for c in g.payload),
                                            Fraction(0)), name="sum")
 
         def emb(i, e):

@@ -221,6 +221,17 @@ def test_qm_negative_defect_upper_exits_2(action, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("action", ["scl-bounds", "homogenize"])
+@pytest.mark.parametrize("value", ["1/0", "x", "", "1/2/3"])
+def test_qm_unparsable_defect_upper_is_a_usage_error(action, value, tmp_path, capsys):
+    # parsed once as an exact Fraction: 1/0 once ended in a ZeroDivisionError
+    # traceback with exit 1, the check-failure code
+    out = tmp_path / "qm.json"
+    assert main(["qm", action, "--defect-upper", value, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--defect-upper: expected a fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["scl-bounds", "homogenize"])
 def test_qm_power_above_the_guard_exits_3(action, tmp_path, capsys):
     out = tmp_path / "qm.json"
     n = ENUMERATION_GUARD // 4 + 1
@@ -238,12 +249,18 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_unwritable_cache_dir_exits_2(tmp_path, monkeypatch, capsys):
+def test_unwritable_cache_dir_warns_and_emits_the_table(tmp_path, monkeypatch, capsys):
+    # the cache only saves time: a failed write warns and keeps the table
+    args = ["qk", "--group", "sn:4", "--k", "(1 2)"]
+    assert main(args) == 0
+    fresh = capsys.readouterr().out
     # a cache directory below a plain file cannot be made
     (tmp_path / "file").write_text("")
     monkeypatch.setenv("CINORM_CACHE_DIR", str(tmp_path / "file" / "cache"))
-    assert main(["qk", "--group", "sn:4", "--k", "(1 2)"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: ")
+    assert captured.out == fresh
 
 
 @pytest.mark.parametrize("args", [

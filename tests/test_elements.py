@@ -44,7 +44,9 @@ from cinorm import (
     wreath_zn,
     z2_infinity,
 )
-from cinorm.elements import _mat_adjugate, _mat_det, normalized
+from cinorm.descriptors import finite, parse_descriptor
+from cinorm.elements import _mat_adjugate, _mat_det, normalized, sort_key
+from cinorm.literals import from_literal, to_literal
 from cinorm.sampling import random_element, random_word
 
 S3 = symmetric(3)
@@ -181,7 +183,7 @@ def _bar_pi(payload):
         if e:  # swap applied first
             b = 1 - b
         g = (g1, g2)[b]
-        return (b, g.payload[p])
+        return (b, g[p])
 
     return tuple(act(pt) for pt in pts)
 
@@ -216,7 +218,7 @@ def _wreath_pi(payload, ring, base_n):
         j, p = pt
         jj = (j + s) % ring
         g = lamp_map.get(jj)
-        return (jj, p if g is None else g.payload[p])
+        return (jj, p if g is None else g[p])
 
     return tuple(act(pt) for pt in pts)
 
@@ -247,10 +249,11 @@ def test_wreath_semidirect_law_components():
         lamps, s = prod.payload
         assert s == (sa + sb) % 3
         da, db, dp = dict(la), dict(lb), dict(lamps)
+        one = identity(S3).payload
         for i in range(3):
-            expected = compose(da.get(i, identity(S3)),
-                               db.get((i - sa) % 3, identity(S3)))
-            got = dp.get(i, identity(S3))
+            expected = compose(Element(S3, da.get(i, one)),
+                               Element(S3, db.get((i - sa) % 3, one)))
+            got = Element(S3, dp.get(i, one))
             assert got == expected
 
 
@@ -275,6 +278,34 @@ def test_canonical_idempotence(idx, seed):
     d = FAMILIES[idx]
     g = random_element(d, random.Random(seed), size=5)
     assert normalized(d, g.payload) == g.payload
+
+
+# payloads are plain ints and tuples at every depth, so tuple order is the
+# payload order and the hash is the payload's, in every family
+NESTED = [parse_descriptor(s) for s in (
+    "bar:wreath:sn:3:zn:2", "product:(bar:sn:3),free:2", "wreath:(product:sn:3,sn:2):z")]
+
+
+def _plain(p):
+    return isinstance(p, int) or isinstance(p, tuple) and all(map(_plain, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FAMILIES + NESTED), st.integers(0, 10 ** 9))
+def test_payloads_are_plain_data(d, seed):
+    rng = random.Random(seed)
+    a, b = random_element(d, rng, size=4), random_element(d, rng, size=4)
+    for e in (a, compose(a, b), invert(a), identity(d)):
+        assert _plain(e.payload), e
+        assert sort_key(e) == e.payload and hash(e) == hash(e.payload)
+        assert from_literal(d, to_literal(e)) == e
+
+
+@pytest.mark.parametrize("d", [d for d in FAMILIES + NESTED if finite(d)], ids=str)
+def test_enumeration_is_strictly_increasing_plain_payloads(d):
+    payloads = [e.payload for e in enumerate_elements(d)]
+    assert all(map(_plain, payloads))
+    assert all(p < q for p, q in zip(payloads, payloads[1:]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,8 +356,9 @@ def test_product_componentwise():
     a = product_element(d, (perm_from_cycles(S3, (1, 2)), free_word(free_group(1), (1,))))
     b = product_element(d, (perm_from_cycles(S3, (1, 3)), free_word(free_group(1), (1, 1))))
     ab = compose(a, b)
-    assert ab.payload[0] == compose(a.payload[0], b.payload[0])
-    assert ab.payload[1].payload == (1, 1, 1)
+    assert Element(S3, ab.payload[0]) == compose(Element(S3, a.payload[0]),
+                                                 Element(S3, b.payload[0]))
+    assert ab.payload[1] == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +453,11 @@ def random_element_by_free_word(d, rng, size):
     if d.family == "free":
         return random_word_by_free_word(d, rng, rng.randint(0, size))
     if d.family == "bar":
-        return Element(d, (random_element_by_free_word(d.base, rng, size),
-                           random_element_by_free_word(d.base, rng, size),
+        return Element(d, (random_element_by_free_word(d.base, rng, size).payload,
+                           random_element_by_free_word(d.base, rng, size).payload,
                            rng.randint(0, 1)))
-    return Element(d, tuple(random_element_by_free_word(p, rng, size) for p in d.parts))
+    return Element(d, tuple(random_element_by_free_word(p, rng, size).payload
+                            for p in d.parts))
 
 
 @pytest.mark.parametrize("d", [free_group(2), bar(free_group(2)),

@@ -18,6 +18,7 @@ from cinorm import (
     sl_z,
     symmetric,
     to_literal,
+    wreath_element,
     wreath_zn,
     z2_infinity,
 )
@@ -56,6 +57,19 @@ def test_specific_values():
     assert from_literal(symmetric(4), "1") == identity(symmetric(4))
     assert to_literal(identity(symmetric(4))) == "()"
     assert to_literal(perm_from_cycles(symmetric(4), (1, 2), (3, 4))) == "(1 2)(3 4)"
+
+
+def test_repeated_wreath_coordinate_composes_its_lamps():
+    # a repeated coordinate, written directly or modulo the ring, composes
+    # its lamps in order, as wreath_element does with the same pairs
+    d = wreath_zn(S3, 3)
+    a, b = perm_from_cycles(S3, (1, 2)), perm_from_cycles(S3, (1, 3))
+    expected = wreath_element(d, [(0, a), (0, b)])
+    assert to_literal(expected) == "{0:(1 3 2)}s^0"
+    assert from_literal(d, "{0:(1 2); 0:(1 3)}") == expected
+    assert from_literal(d, "{0:(1 2); 3:(1 3)}") == expected
+    assert from_literal(d, "{0:(1 3); 0:(1 2)}") == wreath_element(d, [(0, b), (0, a)])
+    assert from_literal(d, "{1:(1 2); 1:(1 2)}") == identity(d)
 
 
 def test_bad_literals():

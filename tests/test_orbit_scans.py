@@ -209,9 +209,9 @@ def _in_corner(e):
     if d.family in PERMUTATION_FAMILIES:
         return all(p[i] == i for i in range(3 if d.family == "sn" else 4, d.n))
     if d.family == "bar":
-        return p[1].is_identity() and p[2] == 0
+        return Element(d.base, p[1]).is_identity() and p[2] == 0
     if d.family == "product":
-        return all(c.is_identity() for c in p[1:])
+        return all(Element(pd, c).is_identity() for pd, c in zip(d.parts[1:], p[1:]))
     if d.family == "wreath-zn":
         return p[1] == 0 and all(i == 0 for i, _ in p[0])
     return False
@@ -733,7 +733,7 @@ def test_support_bound_is_the_least_support_under_a_prefix():
 
 def test_negative_norm_values_are_refused():
     # the walk bounds every norm but the support norm below by 0, and the
-    # message names the leaf's payload
+    # message names the leaf by its literal
     d = symmetric(6)
     h = sym_block(d, (1, 2, 3))
     with pytest.raises(ValueError, match=r"< 0 on \(\d"):
@@ -743,7 +743,7 @@ def test_negative_norm_values_are_refused():
     s3 = symmetric(3)
     h = SubgroupSpec(tuple(bar_element(d, perm_from_cycles(s3, c), identity(s3))
                            for c in ((1, 2), (1, 2, 3))))
-    with pytest.raises(ValueError, match=r"norm value -1 < 0 on \(Element\(sn:3"):
+    with pytest.raises(ValueError, match=r"norm value -1 < 0 on \(\(\);\(\)\)t$"):
         displacement_energy(d, h, 1, lambda g: Fraction(-1))
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import cinorm
 from cinorm import (
+    Element,
     QuasiMorphism,
     SubgroupSpec,
     alternating,
@@ -171,12 +172,12 @@ def test_bar_splitting_cases():
     plain = bar_element(b5, g1, g2, 0)
     rep = verify_bar_splitting(plain, 20)
     assert rep.passed and rep.case == 0
-    assert rep.w1.payload[0] == g1 and rep.w2.payload[1] == g2
+    assert rep.w1.payload[0] == g1.payload and rep.w2.payload[1] == g2.payload
     swapped = bar_element(b5, g1, g2, 1)
     rep2 = verify_bar_splitting(swapped, 20)
     assert rep2.passed and rep2.case == 1
-    assert rep2.w1.payload[0] == compose(g1, g2)
-    assert rep2.w2.payload[1] == compose(g2, g1)
+    assert rep2.w1.payload[0] == compose(g1, g2).payload
+    assert rep2.w2.payload[1] == compose(g2, g1).payload
     assert verify_bar_splitting(identity(b5), 5).passed
 
 
@@ -207,8 +208,8 @@ def _emb(P, i, e, n):
 
 def test_witness_additivity():
     P = product(F2, F2)
-    q = QuasiMorphism(P, lambda g: counting_qm(AB)(g.payload[0])
-                      + counting_qm(AB)(g.payload[1]), name="sum")
+    q = QuasiMorphism(P, lambda g: counting_qm(AB)(Element(F2, g.payload[0]))
+                      + counting_qm(AB)(Element(F2, g.payload[1])), name="sum")
     factors = [SubgroupSpec((_emb(P, i, free_word(F2, (1,)), 2),
                              _emb(P, i, free_word(F2, (2,)), 2)))
                for i in range(2)]
