@@ -40,7 +40,9 @@ are fixed.  Then s moves at least ``#{i <= k : s(i) != i} + #{i <= k :
 s(i) > k}`` points.  Proof: the first term counts moved points among 0..k.
 If i <= k and s(i) = j > k, then j is moved, since s(j) = j would give
 s(i) = s(j) with i != j; these j are distinct, because s is injective, and
-none is among 0..k.  Every other norm is bounded below by 0.
+none is among 0..k.  The trivial norm is bounded below by 1 under a prefix
+other than the identity's, whose leaves are all non-identity; every other
+norm is bounded below by 0.
 
 Clique bound.  If H is non-abelian and phi is a strong m-displacer of H, the
 m+1 conjugates phi^k H phi^-k (k = 0..m) form an (m+1)-clique through H.
@@ -48,6 +50,18 @@ Proof: conjugating by phi^-i takes the pair (i, j), i < j, to the pair
 (0, j-i), and phi^(j-i) H phi^-(j-i) commutes with H; two of them are equal
 only if H commutes with itself.  So when N(0) holds no m-clique, e_m(H) is
 infinite and no coset is expanded.
+
+Power lemma.  For permutations, ``phi^k H phi^-k`` depends only on the
+images under phi^k of supp H, the union of the supports of H's generators.
+Proof: for a generator g and a point y, ``phi^k g phi^-k`` sends
+``phi^k(y)`` to ``phi^k(g(y))`` and fixes ``phi^k(y)`` for y off supp g,
+so it is determined by phi^k on supp g; the generators' conjugates
+generate ``phi^k H phi^-k``.  So on ``sn``/``an`` the m >= 2 test of the powers
+phi^2..phi^m is a function of the images of supp H under them, and is
+memoized on those images (:func:`_power_memo`): the full test runs once per
+distinct key, and the memo holds at most one entry per leaf tested (at most
+9 * 8 * 7 = 504 for m = 2 and |supp H| = 3 in S9).  This is the property
+pruning of Leon (J. Symbolic Comput. 12, 1991) at the leaves.
 """
 
 from __future__ import annotations
@@ -66,6 +80,7 @@ from .elements import (
     Element,
     _identity_payload,
     _invert_payload,
+    _payload_conj,
     _payload_mul,
     commutator_of,
     compose,
@@ -90,6 +105,7 @@ from .norms import (
     payload_value_fn,
     refuse_foreign_table,
     support_norm,
+    trivial_norm,
 )
 
 #: Ambient-order guard for packing searches.
@@ -252,7 +268,7 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     if h.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
     size = _checked_order(d, limit)
-    mul, inv = _payload_mul(d), partial(_invert_payload, d)
+    mul, inv, conj = _payload_mul(d), partial(_invert_payload, d), _payload_conj(d)
     steps = [(s.payload, inv(s.payload)) for s in group_generators(d)]
     one = _identity_payload(d)
     points = [frozenset(g.payload for g in closure_of(h))]
@@ -262,7 +278,7 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     chain = _StabChain(d) if d.family in PERMUTATION_FAMILIES else _FlatChain(d, size)
     for i, t in enumerate(trans):  # trans grows while it is walked: a BFS
         for si, (s, s_inv) in enumerate(steps):
-            k = frozenset([mul(mul(s, x), s_inv) for x in points[i]])
+            k = frozenset([conj(s, x, s_inv) for x in points[i]])
             j = where.get(k)
             if j is None:
                 if cap is not None and len(points) >= cap:
@@ -286,13 +302,13 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
 def _commuter(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec):
     """``commutes(t, t^-1)``: whether ``t moved t^-1`` commutes with
     ``fixed``, decided on generators."""
-    mul = _payload_mul(d)
+    mul, conj = _payload_mul(d), _payload_conj(d)
     moved_gens = tuple(g.payload for g in moved.generators)
     fixed_gens = tuple(g.payload for g in fixed.generators)
 
     def commutes(t, ti) -> bool:
         for g in moved_gens:
-            c = mul(mul(t, g), ti)
+            c = conj(t, g, ti)
             for x in fixed_gens:
                 if mul(c, x) != mul(x, c):
                     return False
@@ -353,6 +369,33 @@ def _zero_bound(s: tuple, k: int) -> int:
     return 0
 
 
+def _trivial_bound(d: GroupDescriptor):
+    """The bound of :func:`~cinorm.norms.trivial_norm`: 1 under a prefix
+    other than the identity's, whose leaves are all non-identity, else 0."""
+    one = _identity_payload(d)
+    return lambda s, k: int(s[:k] != one[:k])
+
+
+def _power_memo(test, moved: SubgroupSpec, m: int):
+    """``test(phi)`` of the powers phi^2..phi^m, asked once per distinct
+    key: the images of supp H under phi^2, ..., phi^m (power lemma, module
+    docstring).  Permutation payloads only."""
+    supp = sorted({i for g in moved.generators for i, x in enumerate(g.payload) if i != x})
+    memo: dict[tuple, bool] = {}
+
+    def accept(phi) -> bool:
+        get, key = phi.__getitem__, ()
+        img = tuple(map(get, supp))
+        for _ in range(1, m):
+            img = tuple(map(get, img))
+            key += img
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = test(phi)
+        return hit
+    return accept
+
+
 def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, accept):
     """Least ``(value(s), s)`` over the payloads s of the cosets ``t N`` (t
     in ``cosets``) with ``accept(s)``, or None; without ``value`` every value
@@ -364,15 +407,15 @@ def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, ac
     :data:`LEAF_BATCH` elements in all (or the last level alone), are
     multiplied out once: each node above them keys its leaves at once, and
     ``accept`` is asked of them in key order, only while the key is below
-    the best.  Every norm but the support norm is bounded by 0, so a
-    negative value among the leaves is refused."""
+    the best.  Every bound but the support norm's assumes values >= 0, so
+    a negative value among the leaves is refused."""
     mul = _payload_mul(d)
     best = None
     cut = max(len(levels) - 1, 0)
     while cut > 0 and prod(len(reps) for reps, _ in levels[cut - 1:]) <= LEAF_BATCH:
         cut -= 1
-    tails = [_identity_payload(d)]
-    for reps, _ in reversed(levels[cut:]):
+    tails = list(levels[-1][0].values()) if levels else [_identity_payload(d)]
+    for reps, _ in reversed(levels[cut:-1]):
         tails = [mul(u, x) for u in reps.values() for x in tails]
 
     def settle(s) -> None:
@@ -416,8 +459,10 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     Values are the exact payload values of
     :func:`~cinorm.norms.payload_value_fn`.  The commuting cosets are walked
     down the chain of N by one :func:`_least_leaf` call, with the support
-    bound for :func:`~cinorm.norms.support_norm` and 0 for every other norm;
-    for m >= 2 the powers are tested only on leaves below the best so far."""
+    bound for :func:`~cinorm.norms.support_norm`, the trivial bound for
+    :func:`~cinorm.norms.trivial_norm` and 0 for every other norm; for
+    m >= 2 the powers are tested only on leaves below the best so far, once
+    per key of the power lemma on ``sn``/``an``."""
     if m < 1:
         raise ValueError(f"m = {m}: a displacer needs m >= 1")
     if fixed.descriptor != d:
@@ -441,9 +486,19 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
                 return False
         return True
 
-    bound = _support_bound if norm is support_norm else _zero_bound
+    if norm is support_norm:
+        bound = _support_bound
+    elif norm is trivial_norm:
+        bound = _trivial_bound(d)
+    else:
+        bound = _zero_bound
+    accept = None
+    if m >= 2:
+        accept = powers_commute
+        if d.family in PERMUTATION_FAMILIES:
+            accept = _power_memo(powers_commute, moved, m)
     best = _least_leaf(d, [orb.trans[i] for i in near0], orb.chain.levels(), value, bound,
-                       None if m == 1 else powers_commute)
+                       accept)
     if best is None:
         return EnergyResult(m, None, None)
     minimizer = Element(d, best[1])

@@ -41,10 +41,16 @@ from .descriptors import (
 from .errors import DescriptorMismatchError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Element:
     descriptor: GroupDescriptor
     payload: Any
+
+    def __init__(self, descriptor: GroupDescriptor, payload: Any) -> None:
+        # the slots' member descriptors store past the frozen __setattr__,
+        # as the generated __init__ does through object.__setattr__ by name
+        _set_descriptor(self, descriptor)
+        _set_payload(self, payload)
 
     def __hash__(self) -> int:
         # equal payloads of two groups (sn:3 and an:3) collide, and __eq__
@@ -65,6 +71,10 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({self.descriptor}, {self.payload!r})"
+
+
+_set_descriptor = Element.descriptor.__set__
+_set_payload = Element.payload.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +225,16 @@ def _payload_mul(d: GroupDescriptor):
     """The product of two raw payloads of ``d``: the image-tuple gather for
     permutations, else :func:`_compose_payload` bound to ``d``."""
     return _gather if d.family in PERMUTATION_FAMILIES else partial(_compose_payload, d)
+
+
+def _payload_conj(d: GroupDescriptor):
+    """``conj(s, x, s_inv)``, the conjugate ``s x s^-1`` of raw payloads of
+    ``d``: for permutations one gather relabels x by s, since ``s x
+    s^-1`` sends s(i) to s(x(i)); else two products."""
+    if d.family in PERMUTATION_FAMILIES:
+        return lambda s, x, s_inv: tuple(map(s.__getitem__, map(x.__getitem__, s_inv)))
+    mul = _payload_mul(d)
+    return lambda s, x, s_inv: mul(mul(s, x), s_inv)
 
 
 def _invert_payload(d: GroupDescriptor, a):

@@ -82,13 +82,21 @@ def refuse_foreign_table(d: GroupDescriptor, norm: NormLike) -> None:
 def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]:
     """``norm`` as a function of the raw payloads of ``d``, with the same
     exact values: the moved-point count (an int) for :func:`support_norm` on
-    ``sn``/``an``, and the norm of ``Element(d, payload)`` for tables and
-    every other callable, so those raise as and when they did.  A table of
-    another group is refused."""
+    ``sn``/``an``, ``int(p != one)`` for :func:`trivial_norm` on every
+    family, and the norm of ``Element(d, payload)`` for tables and every
+    other callable, so those raise as and when they did.  A table of another
+    group, or one that does not cover all of G, is refused."""
     refuse_foreign_table(d, norm)
+    size = gd.order(d)
+    if isinstance(norm, NormTable) and size is not None and len(norm.values) != size:
+        raise ValueError(f"the norm table covers {len(norm.values)} elements, "
+                         f"not all {size} of {d}")
     if norm is support_norm and d.family in PERMUTATION_FAMILIES:
         one = _identity_payload(d)
         return lambda p: sum(map(ne, p, one))
+    if norm is trivial_norm:
+        one = _identity_payload(d)
+        return lambda p: int(p != one)
     value = norm_value_fn(norm)
     return lambda p: value(Element(d, p))
 

@@ -6,6 +6,9 @@ family is checked against its action on the integers.  None of the oracles
 uses the library's own multiplication on the family under test.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
 from itertools import permutations
 from itertools import product as iproduct
@@ -139,6 +142,22 @@ def test_equal_payloads_of_two_groups_are_two_keys():
     keys = {s: "sn", a: "an"}
     assert len(keys) == 2 and keys[identity(S3)] == "sn" and keys[a] == "an"
     assert not hasattr(s, "__dict__")
+
+
+@pytest.mark.parametrize("idx", range(len(FAMILIES)))
+def test_elements_stay_frozen_hashable_and_copyable(idx):
+    # Element builds itself through its slots, past the frozen __setattr__;
+    # assignment must still be refused, and copies and pickles round-trip
+    d = FAMILIES[idx]
+    e = seeded(d, idx)
+    for field in ("descriptor", "payload"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, field, None)
+    assert hash(e) == hash(e.payload)
+    for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e)),
+                 Element(descriptor=d, payload=e.payload), dataclasses.replace(e)):
+        assert twin == e and hash(twin) == hash(e)
+        assert twin.descriptor == d and twin.payload == e.payload
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from cinorm import (
     SubgroupSpec,
     bar_element,
     closure_of,
+    commutator_length_over,
     disjunction_energy,
     displacement_energy,
     enumerate_elements,
@@ -666,10 +667,10 @@ def _trivial_table(d):
 
 
 def assert_walk_matches_enumeration(d, h, h2):
-    """Norms: none, the support norm (its own bound), a table and a
-    rational callable (bound 0); m = 1..3; H against itself and against a
-    second subgroup."""
-    for norm in (None, support_norm, _trivial_table(d), _halved_support):
+    """Norms: none, the support and trivial norms (their own bounds), a
+    table and a rational callable (bound 0); m = 1..3; H against itself and
+    against a second subgroup."""
+    for norm in (None, support_norm, trivial_norm, _trivial_table(d), _halved_support):
         for m in (1, 2, 3):
             for fixed in (h, h2):
                 e = _least_displacer(d, fixed, h, m, norm, 10 ** 7)
@@ -825,24 +826,26 @@ def test_clique_bound_is_not_applied_to_two_subgroups(m):
     assert _least_displacer(d, fixed, moved, m, value, 10 ** 7).value == 0
 
 
-def scan_two_subgroup_displacer(d, fixed, moved, m):
-    """The least phi in payload order whose powers phi^1..phi^m each
-    conjugate ``moved`` to commute with ``fixed``."""
+def scan_two_subgroup_energy(d, fixed, moved, m, value=lambda g: 0):
+    """Least (value, payload) over all phi whose powers phi^1..phi^m each
+    conjugate ``moved`` to commute with ``fixed``; with no value, the least
+    such phi in payload order."""
     mul, inv = _payload_ops(d)
     fixed_gens = tuple(g.payload for g in fixed.generators)
     moved_gens = tuple(g.payload for g in moved.generators)
-    for phi in _iter_payloads(d):
+
+    def displaces(phi):
         pw = phi
         for k in range(1, m + 1):
             pw = phi if k == 1 else mul(phi, pw)
             pwi = inv(pw)
-            if not all(mul(c, x) == mul(x, c)
-                       for c in (mul(mul(pw, g), pwi) for g in moved_gens)
-                       for x in fixed_gens):
-                break
-        else:
-            return Element(d, phi)
-    return None
+            for c in (mul(mul(pw, g), pwi) for g in moved_gens):
+                if any(mul(c, x) != mul(x, c) for x in fixed_gens):
+                    return False
+        return True
+    best = min(((value(Element(d, phi)), phi) for phi in _iter_payloads(d)
+                if displaces(phi)), default=None)
+    return (None, None) if best is None else (Fraction(best[0]), Element(d, best[1]))
 
 
 @pytest.mark.parametrize("fixed_pts,moved_pts", [((5, 6, 7), (1, 2, 3)),
@@ -853,7 +856,7 @@ def test_two_subgroup_displacer_matches_full_scan(fixed_pts, moved_pts):
     d = symmetric(7)
     fixed, moved = sym_block(d, fixed_pts), sym_block(d, moved_pts)
     phi = _least_displacer(d, fixed, moved, 2, None, 10 ** 7).minimizer
-    assert phi == scan_two_subgroup_displacer(d, fixed, moved, 2)
+    assert phi == scan_two_subgroup_energy(d, fixed, moved, 2)[1]
     assert (phi == identity(d)) == (fixed_pts == (5, 6, 7))
     _assert_witnesses(fixed, moved, (phi, phi ** 2))
     # a conjugate of `moved` that meets `fixed` still trips the re-check
@@ -871,3 +874,111 @@ def test_recheck_of_one_subgroup_pairs_the_conjugates():
     with pytest.raises(AssertionError):
         _assert_witnesses(h, h, (w, w))
     _assert_witnesses(h, sym_block(d, (1, 2, 3)), (w, w))
+
+
+# ---------------------------------------------------------------------------
+# fixed costs of the walk: the memoized power test, the one-level chain's
+# leaves, the trivial norm's bound
+
+
+def _counting(monkeypatch, name, count):
+    """Wrap the function that ``displacement.<name>`` returns so that each
+    call of it adds one to ``count[0]``."""
+    make = getattr(displacement, name)
+
+    def counted(*args):
+        f = make(*args)
+
+        def call(*a):
+            count[0] += 1
+            return f(*a)
+        return call
+    monkeypatch.setattr(displacement, name, counted)
+
+
+def test_power_test_runs_once_per_power_image_of_supp_h(monkeypatch):
+    # phi^2 H phi^-2 depends only on phi^2 on supp H = {2, 4, 7}: at most
+    # 9 * 8 * 7 = 504 distinct keys, where every leaf tested once ran the
+    # commutation test (9 704 calls)
+    d = symmetric(9)
+    h = sym_block(d, (2, 4, 7))
+    calls = [0]
+    _counting(monkeypatch, "_commuter", calls)
+    rep = find_strong_displacer(d, h, 2)
+    assert calls[0] <= 504
+    assert rep.witnesses == (perm_from_cycles(d, (1, 2, 3), (4, 5, 6), (7, 8, 9)),
+                             perm_from_cycles(d, (1, 3, 2), (4, 6, 5), (7, 9, 8)))
+
+
+@pytest.mark.parametrize("fixed,moved", [((2, 4), (2, 3, 6)), ((2, 4), (4, 7))])
+def test_power_memo_keys_the_last_power(fixed, moved):
+    # for m = 3 the key must hold the images of supp H under phi^3 as well:
+    # keyed by phi^2 alone, one leaf's verdict is reused for leaves whose
+    # phi^3 differs, and these searches miss their least displacer
+    d = symmetric(7)
+    fixed = SubgroupSpec((perm_from_cycles(d, fixed),))
+    moved = SubgroupSpec((perm_from_cycles(d, moved),))
+    for m in (2, 3):
+        e = _least_displacer(d, fixed, moved, m, None, 10 ** 7)
+        assert (e.value, e.minimizer) == scan_two_subgroup_energy(d, fixed, moved, m)
+        e = _least_displacer(d, fixed, moved, m, support_norm, 10 ** 7)
+        assert (e.value, e.minimizer) == scan_two_subgroup_energy(d, fixed, moved, m,
+                                                                  support_norm)
+
+
+def _corner_sym3(text):
+    d = parse_descriptor(text)
+    s3 = symmetric(3)
+    return d, SubgroupSpec(tuple(wreath_element(d, {0: perm_from_cycles(s3, c)})
+                                 for c in ((1, 2), (1, 2, 3))))
+
+
+def test_one_level_chain_walk_makes_one_product_per_leaf(monkeypatch):
+    # N has 216 elements on one level: the leaves of a coset t N are the
+    # products t n, and the level's own elements are the tails, so N is not
+    # multiplied by the identity first (2 |N| more products per coset)
+    d, h = _corner_sym3("wreath:sn:3:zn:3")
+    orb = _conjugates(d, h, 10 ** 7)
+    levels = orb.chain.levels()
+    assert len(levels) == 1 and orb.chain.order() == 216
+    products = [0]
+    _counting(monkeypatch, "_payload_mul", products)
+    least = _least_leaf(d, [orb.trans[1]], levels, None, _zero_bound, None)
+    assert products[0] == 216
+    assert least[1] == min(_compose_payload(d, orb.trans[1], x) for x in levels[0][0].values())
+    products[0] = 0
+    assert packing_number(d, h).p == 3
+    assert products[0] == 1766  # 2316 when the tails started from the identity
+
+
+def test_trivial_norm_walk_keys_one_leaf_batch(monkeypatch):
+    # for m = 1 the bound 1 under every prefix but the identity's ends the
+    # walk at the first leaf batch, where all 86 400 leaves of the 20
+    # commuting cosets were keyed
+    d = symmetric(9)
+    h = sym_block(d, (1, 2, 3))
+    values = [0]
+    _counting(monkeypatch, "payload_value_fn", values)
+    for m in (1, 2):
+        values[0] = 0
+        e = displacement_energy(d, h, m, trivial_norm)
+        assert e.value == 1
+        assert (e.minimizer,) == find_strong_displacer(d, h, m).witnesses[:1]
+        if m == 1:
+            assert values[0] <= displacement.LEAF_BATCH
+
+
+def test_a_norm_table_on_part_of_g_is_refused(monkeypatch):
+    # a table of commutator length on H once ended in a bare KeyError at the
+    # first leaf outside it; now the walk refuses it before any work
+    d = symmetric(6)
+    h = sym_block(d, (1, 2, 3))
+    table = commutator_length_over(closure_of(h), d)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the norm was checked")
+    monkeypatch.setattr(displacement, "_conjugates", no_work)
+    for m in (1, 2):
+        with pytest.raises(ValueError, match=rf"^the norm table covers {len(table.values)} "
+                                             r"elements, not all 720 of sn:6$"):
+            displacement_energy(d, h, m, table)
