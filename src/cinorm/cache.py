@@ -45,16 +45,21 @@ def cache_put(key: str, payload: dict) -> Path:
     path = _entry_path(key)
     path.parent.mkdir(parents=True, exist_ok=True)
     entry = {"key": key, "digest": _digest(payload), "payload": payload}
-    with tempfile.NamedTemporaryFile("w", dir=path.parent, suffix=".tmp",
-                                     delete=False) as tmp:  # one per writer
-        tmp.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-    os.replace(tmp.name, path)
+    tmp = tempfile.NamedTemporaryFile("w", dir=path.parent, suffix=".tmp",
+                                      delete=False)  # one per writer
+    try:
+        with tmp:
+            tmp.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+        os.replace(tmp.name, path)
+    except BaseException:
+        os.unlink(tmp.name)  # a failed write leaves no temp file behind
+        raise
     return path
 
 
 def cache_get(key: str) -> dict | None:
     path = _entry_path(key)
-    if not path.exists():
+    if not path.is_file():  # absent, or not an entry: a miss, nothing to evict
         return None
     try:
         entry = json.loads(path.read_text())
@@ -66,19 +71,20 @@ def cache_get(key: str) -> dict | None:
     return None
 
 
+def _entries(root: Path) -> list[Path]:
+    # regular files only: anything else at an entry's name is not an entry
+    return [p for p in root.glob("*.json") if p.is_file()] if root.is_dir() else []
+
+
 def cache_clear() -> int:
-    root = cache_dir()
-    if not root.is_dir():
-        return 0
-    n = 0
-    for p in root.glob("*.json"):
+    files = _entries(cache_dir())
+    for p in files:
         p.unlink()
-        n += 1
-    return n
+    return len(files)
 
 
 def cache_stats() -> dict:
     root = cache_dir()
-    files = list(root.glob("*.json")) if root.is_dir() else []
+    files = _entries(root)
     return {"dir": str(root), "entries": len(files),
             "bytes": sum(p.stat().st_size for p in files)}

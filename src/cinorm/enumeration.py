@@ -7,7 +7,7 @@ witness and coset representative in the library is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations, product as iter_product
 from typing import Iterable
 
@@ -32,6 +32,11 @@ from .errors import DescriptorMismatchError, GuardExceededError, InfiniteGroupEr
 
 #: Default ceiling on exhaustive element counts.
 ENUMERATION_GUARD = 10_000_000
+#: Element lists kept per process; ``kernel`` keeps as many whole-group kernels.
+_CACHE_SIZE = 16
+#: Largest order whose element list is kept, 8! = 40 320: a list of S8's
+#: permutations costs about 6.5 MB (``kernel.TABLE_BOUND`` caps kept tables).
+_KEPT_ORDER = 40_320
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,23 @@ def _checked_order(d: GroupDescriptor, limit: int | None) -> int:
 
 
 def enumerate_elements(d: GroupDescriptor, limit: int | None = None) -> list[Element]:
-    """All elements of a finite group, each exactly once, in payload order."""
+    """All elements of a finite group, each exactly once, in payload order.
+
+    Each call returns a new list.  The elements of a group of order at most
+    40 320 are enumerated once per process and kept (the 16 most recently
+    used groups); larger groups are enumerated on every call."""
     size = _checked_order(d, limit)
+    if size <= _KEPT_ORDER:
+        return list(_kept_elements(d, size))
+    return _enumerate(d, size, limit)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _kept_elements(d: GroupDescriptor, size: int) -> tuple[Element, ...]:
+    return tuple(_enumerate(d, size, size))
+
+
+def _enumerate(d: GroupDescriptor, size: int, limit: int | None) -> list[Element]:
     f = d.family
     if f == "sn":
         elems = [Element(d, p) for p in permutations(range(d.n))]

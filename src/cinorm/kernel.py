@@ -38,13 +38,12 @@ from .elements import (
     _payload_mul,
     sort_key,
 )
-from .enumeration import _checked_order, enumerate_elements, group_generators
+from .enumeration import _CACHE_SIZE, _checked_order, enumerate_elements, group_generators
 from .errors import DescriptorMismatchError
 
 #: Largest order whose Cayley-table rows are kept: 2048^2 four-byte indices.
+#: Element lists are kept up to a higher order, ``enumeration._KEPT_ORDER``.
 TABLE_BOUND = 2048
-#: Whole-group kernels (of order at most TABLE_BOUND) kept per process.
-_CACHE_SIZE = 16
 
 
 class FiniteGroup:
@@ -159,8 +158,10 @@ def _cached_group(d: GroupDescriptor) -> FiniteGroup:
 
 def group_kernel(d: GroupDescriptor, limit: int | None = None) -> FiniteGroup:
     """The kernel of a whole finite group, after the enumeration guard.
-    Groups with a kept table are cached; larger ones are rebuilt per call,
-    so no more than O(N) memory outlives a call."""
+    Groups with a kept table are cached; larger ones are rebuilt per call
+    from :func:`~cinorm.enumeration.enumerate_elements`, which keeps the
+    element list of a group of order at most 40 320, so no more than that
+    list outlives a call."""
     size = _checked_order(d, limit)
     if size <= TABLE_BOUND:
         return _cached_group(d)

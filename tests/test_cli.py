@@ -4,7 +4,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 from dataclasses import fields
@@ -12,14 +14,16 @@ from pathlib import Path
 
 import pytest
 
+import cinorm
 from cinorm import (
     ENUMERATION_GUARD,
     alternating,
     norm_table_from_payload,
     perm_from_cycles,
     qk_norm,
+    symmetric,
 )
-from cinorm.cache import cache_dir, cache_get, cache_key, cache_put
+from cinorm.cache import cache_clear, cache_dir, cache_get, cache_key, cache_put, cache_stats
 from cinorm.cli import ExperimentConfig, _build_parser, main, run_suite
 from cinorm.serialize import norm_table_payload, norm_table_to_json
 
@@ -319,6 +323,36 @@ def test_cache_put_concurrent_writers():
     assert errors == []
     assert cache_get(key) == payload
     assert [p.name for p in cache_dir().iterdir()] == [f"{key}.json"]  # no temp left
+
+
+def test_failed_cache_put_leaves_no_temp_file(capsys):
+    # a directory where the entry should go: the replace fails
+    args = ["qk", "--group", "sn:4", "--k", "(1 2)"]
+    key = cache_key("sn:4", "q_K", ("(1 2)",))
+    (cache_dir() / f"{key}.json").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        cache_put(key, {"hello": [1]})
+    assert [p.name for p in cache_dir().iterdir()] == [f"{key}.json"]
+    # a miss, not an entry: stats count regular files only, clear leaves it
+    assert cache_get(key) is None
+    assert cache_stats()["entries"] == 0 and cache_stats()["bytes"] == 0
+    # qk still warns, emits the table and exits 0
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: ")
+    d = symmetric(4)
+    assert captured.out == norm_table_to_json(qk_norm(d, [perm_from_cycles(d, (1, 2))]))
+    assert [p.name for p in cache_dir().iterdir()] == [f"{key}.json"]
+    assert cache_clear() == 0 and (cache_dir() / f"{key}.json").is_dir()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cinorm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-m", "cinorm", "cld", "--group", "sn:3"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0
+    assert run.stdout == "1/1\n"
 
 
 def test_suite_console_follows_redirected_stdout(tmp_path):

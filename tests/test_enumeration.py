@@ -26,9 +26,13 @@ from cinorm import (
     sl_mod,
     sort_key,
     subgroup_closure,
+    support_norm_table,
     symmetric,
+    trivial_norm_table,
     wreath_zn,
 )
+from cinorm import enumeration
+from cinorm.descriptors import order
 from cinorm.elements import _perm_parity
 from cinorm.kernel import commutator_indices, group_kernel
 
@@ -173,3 +177,65 @@ def test_subgroup_spec_validation():
     with pytest.raises(ValueError):
         SubgroupSpec((perm_from_cycles(S3, (1, 2)),
                       perm_from_cycles(S4, (1, 2))))
+
+
+# the kept element lists: every call is a new list equal to a fresh enumeration
+
+MEMO_GROUPS = ["sn:3", "sn:7", "an:6", "slp:2:5", "bar:sn:3", "product:sn:3,an:4",
+               "wreath:sn:3:zn:2"]
+
+
+@pytest.mark.parametrize("name", MEMO_GROUPS)
+def test_kept_elements_match_a_fresh_enumeration(name, monkeypatch):
+    d = parse_descriptor(name)
+    kept = [enumerate_elements(d), enumerate_elements(d)]  # build, then reuse
+    # oracle: nothing kept at any depth, nested bases included
+    monkeypatch.setattr(enumeration, "_KEPT_ORDER", 0)
+    fresh = enumeration._enumerate(d, order(d), None)
+    for elems in kept:
+        assert [e.payload for e in elems] == [e.payload for e in fresh]
+        assert all(e.descriptor == d for e in elems)
+    assert enumerate_elements(d) == fresh
+
+
+def test_kept_elements_are_copied_per_call():
+    first = enumerate_elements(S4)
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    del first[:3]
+    second = enumerate_elements(S4)
+    assert second == expected and second is not first
+
+
+def test_kept_group_still_meets_the_guard():
+    d = symmetric(5)
+    assert len(enumerate_elements(d)) == 120  # kept from here on
+    for limit in (100, 119):
+        with pytest.raises(GuardExceededError) as exc:
+            enumerate_elements(d, limit=limit)
+        assert str(exc.value) == f"|sn:5| = 120 exceeds the guard {limit}"
+    assert len(enumerate_elements(d, limit=120)) == 120
+
+
+def test_repeated_tables_share_no_values_dict():
+    d = symmetric(7)
+    a, b = trivial_norm_table(d), trivial_norm_table(d)
+    assert a.values is not b.values and a.values == b.values
+    one, g = list(a.values)[:2]
+    a.values[g] = 5
+    del a.values[one]
+    assert len(b.values) == 5040 and (b.values[one], b.values[g]) == (0, 1)
+
+
+def test_second_table_enumerates_nothing(monkeypatch):
+    d = symmetric(7)
+    expected = trivial_norm_table(d).values, support_norm_table(d).values
+
+    def refuse(*args):
+        raise AssertionError("enumerated again")
+    monkeypatch.setattr(enumeration, "_enumerate", refuse)
+    assert trivial_norm_table(d).values == expected[0]
+    assert support_norm_table(d).values == expected[1]
+    with pytest.raises(AssertionError, match="enumerated again"):
+        enumerate_elements(symmetric(9))  # above the kept order
