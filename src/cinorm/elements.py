@@ -113,8 +113,10 @@ def power(a: Element, k: int) -> Element:
     while k:
         if k & 1:
             result = compose(result, base)
-        base = compose(base, base)
         k >>= 1
+        # square only while bits remain: the last square would go unused
+        if k:
+            base = compose(base, base)
     return result
 
 
@@ -171,13 +173,13 @@ def _compose_payload(d: GroupDescriptor, a, b):
     if f in PERMUTATION_FAMILIES:
         return _gather(a, b)
     if f == "free":
-        out = list(a)
-        for x in b:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return tuple(out)
+        # a and b are reduced words (every constructor normalizes), so
+        # letters cancel only at the junction: drop the k cancelling pairs
+        k = 0
+        m = min(len(a), len(b))
+        while k < m and a[-1 - k] == -b[k]:
+            k += 1
+        return a[:len(a) - k] + b[k:] if k else a + b
     if f == "aff-z":
         aa, ae = a
         ba, be = b

@@ -34,19 +34,38 @@ def random_permutation(d: GroupDescriptor, rng: Random) -> Element:
 
 
 def random_word(d: GroupDescriptor, rng: Random, length: int) -> Element:
-    """Uniform-ish reduced word of exactly the requested length."""
+    """Uniform-ish reduced word of exactly the requested length.
+
+    ``rng`` must be a ``random.Random``: each letter is drawn from its
+    ``getrandbits`` stream exactly as ``randint(1, n) * choice((1, -1))``
+    draws it on the running Python, with ``_randbelow``'s rejection loop
+    inline, and a letter that would cancel the last one is drawn again.
+    """
     if d.family != "free":
         raise ValueError(f"{d} is not a free group")
-    # letters are valid and never cancel, so the word is reduced as drawn
-    randint, choice = rng.randint, rng.choice
     n = d.n
+    if n < 1:
+        # getrandbits(0) is 0 and 0 >= 0, so the index loop would never end
+        raise ValueError(f"{d} has no letters to draw")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    # letters are valid and never cancel, so the word is reduced as drawn
     letters: list[int] = []
+    last = 0
     for _ in range(length):
         while True:
-            x = randint(1, n) * choice((1, -1))
-            if not letters or letters[-1] != -x:
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
+            s = getrandbits(2)
+            while s >= 2:
+                s = getrandbits(2)
+            # choice((1, -1)) picks -1 at index 1
+            x = -1 - i if s else i + 1
+            if x != -last:
                 break
         letters.append(x)
+        last = x
     return Element(d, tuple(letters))
 
 

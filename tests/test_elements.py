@@ -18,16 +18,21 @@ from hypothesis import given, settings, strategies as st
 
 from cinorm import (
     DescriptorMismatchError,
+    QuasiMorphism,
     Element,
     affz_element,
     alternating,
     aff_z,
     bar,
     bar_element,
+    bar_extension,
     binary_word,
     commutator_of,
+    commutator_sup,
     compose,
     conjugate_of,
+    counting_qm,
+    defect,
     element_order,
     elementary,
     enumerate_elements,
@@ -47,7 +52,8 @@ from cinorm import (
     wreath_zn,
     z2_infinity,
 )
-from cinorm.descriptors import finite, parse_descriptor
+from cinorm import elements
+from cinorm.descriptors import GroupDescriptor, finite, parse_descriptor
 from cinorm.elements import _mat_adjugate, _mat_det, normalized, sort_key
 from cinorm.literals import from_literal, to_literal
 from cinorm.sampling import random_element, random_word
@@ -336,12 +342,80 @@ def test_power_laws(seed, i, j):
     assert power(g, -1) == invert(g)
 
 
+POWER_FAMILIES = [symmetric(5), free_group(2), sl_z(3), wreath_zn(S3, 3),
+                  bar(free_group(2)), product(S3, free_group(2))]
+
+
+@pytest.mark.parametrize("d", POWER_FAMILIES, ids=str)
+def test_power_matches_repeated_compose(d):
+    rng = random.Random(str(d))
+    for _ in range(3):
+        g = random_element(d, rng, size=5)
+        for sign, step in ((1, g), (-1, invert(g))):
+            acc = identity(d)
+            for k in range(21):
+                assert power(g, sign * k) == acc
+                acc = compose(acc, step)
+
+
+@pytest.mark.parametrize("d", POWER_FAMILIES, ids=str)
+def test_power_of_two_squares_once_per_bit(d, monkeypatch):
+    squares = []
+    real = elements.compose
+
+    def counting(a, b):
+        if a is b:
+            squares.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(elements, "compose", counting)
+    g = random_element(d, random.Random(5), size=5)
+    for j in range(8):
+        squares.clear()
+        power(g, 2 ** j)
+        assert len(squares) == j
+
+
 def test_free_reduction():
     f2 = free_group(2)
     assert free_word(f2, (1, -1)).is_identity()
     assert free_word(f2, (1, 2, -2, -1, 1)) == free_word(f2, (1,))
     w = free_word(f2, (1, 2))
     assert compose(w, invert(w)).is_identity()
+
+
+def reduced_words(d, length):
+    """Every reduced word of ``d`` of exactly ``length`` letters."""
+    letters = [x for i in range(1, d.n + 1) for x in (i, -i)]
+    words = [()]
+    for _ in range(length):
+        words = [w + (x,) for w in words for x in letters if not w or w[-1] != -x]
+    return words
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_free_product_matches_reduction_exhaustively(rank):
+    d = free_group(rank)
+    words = [w for n in range(4) for w in reduced_words(d, n)]
+    for a in words:
+        for b in words:
+            assert compose(Element(d, a), Element(d, b)).payload == normalized(d, a + b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 40), st.integers(0, 40), st.integers(0, 40),
+       st.integers(0, 10 ** 9))
+def test_free_product_matches_reduction(rank, la, shared, lb, seed):
+    # b starts with the inverse of a suffix of a, so up to ``shared``
+    # letters cancel at the junction, and then possibly a few more
+    d = free_group(rank)
+    rng = random.Random(seed)
+    a = random_word(d, rng, la)
+    suffix = a.payload[len(a.payload) - min(shared, la):]
+    b = compose(invert(Element(d, suffix)), random_word(d, rng, lb))
+    assert compose(a, b).payload == normalized(d, a.payload + b.payload)
+    assert compose(a, invert(a)).payload == ()
+    assert compose(a, identity(d)) == a == compose(identity(d), a)
 
 
 def test_binary_word_canonical():
@@ -494,6 +568,77 @@ def test_seeded_words_are_unchanged(d):
 def test_random_word_needs_a_free_group():
     with pytest.raises(ValueError, match="not a free group"):
         random_word(S3, random.Random(0), 3)
+
+
+def test_random_word_refuses_rank_zero():
+    # the raw dataclass admits rank 0, which has no letter to draw
+    d = GroupDescriptor("free", n=0)
+    rng = random.Random(0)
+    state = rng.getstate()
+    for length in (0, 3):
+        with pytest.raises(ValueError, match="no letters"):
+            random_word(d, rng, length)
+    assert rng.getstate() == state
+
+
+def product_by_reduction(d, a, b):
+    """``ab`` on payloads of free, bar and product groups, with free words
+    multiplied by concatenating and reducing."""
+    if d.family == "free":
+        return normalized(d, a + b)
+    if d.family == "bar":
+        (g1, g2, e), (f1, f2, fe) = a, b
+        if e:
+            f1, f2 = f2, f1
+        return (product_by_reduction(d.base, g1, f1),
+                product_by_reduction(d.base, g2, f2), (e + fe) & 1)
+    return tuple(map(product_by_reduction, d.parts, a, b))
+
+
+def sampled_by_reduction(q, budget, seed, defect_size=12, sup_size=8, max_witnesses=5):
+    """Sampled defect and commutator sup of ``q``, drawn through the
+    validating word builder and multiplied by reduction."""
+    d = q.domain
+
+    def mul(x, y):
+        return Element(d, product_by_reduction(d, x.payload, y.payload))
+
+    rng = random.Random(seed)
+    worst = 0
+    for _ in range(budget):
+        a = random_element_by_free_word(d, rng, defect_size)
+        b = random_element_by_free_word(d, rng, defect_size)
+        worst = max(worst, abs(q(mul(a, b)) - q(a) - q(b)))
+    rng = random.Random(seed)
+    best, witnesses = 0, []
+    for _ in range(budget):
+        x = random_element_by_free_word(d, rng, sup_size)
+        y = random_element_by_free_word(d, rng, sup_size)
+        v = q(mul(mul(x, y), mul(invert(x), invert(y))))
+        if v > best:
+            best, witnesses = v, [(x, y)]
+        elif v == best and v > 0 and len(witnesses) < max_witnesses:
+            witnesses.append((x, y))
+    return worst, best, witnesses
+
+
+def _sampled_qms():
+    f2 = free_group(2)
+    count = counting_qm(free_word(f2, (1, 2)))
+    pair = product(f2, f2)
+    summed = QuasiMorphism(pair, lambda g: sum(count(Element(f2, c)) for c in g.payload),
+                           name="sum-count")
+    return [count, bar_extension(count, bar(f2)), summed]
+
+
+@pytest.mark.parametrize("q", _sampled_qms(), ids=lambda q: str(q.domain))
+def test_sampled_estimates_match_reduction(q):
+    for seed in (0, 7):
+        d_est = defect(q, "sampled", budget=150, seed=seed)
+        c_est = commutator_sup(q, mode="sampled", budget=150, seed=seed)
+        worst, best, witnesses = sampled_by_reduction(q, 150, seed)
+        assert (d_est.value, d_est.sample_count) == (worst, 150)
+        assert (c_est.value, c_est.witnesses, c_est.sample_count) == (best, witnesses, 150)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
-"""Packing and displacement reports stay byte-identical to the stored ones.
+"""Packing, displacement and seeded free-group reports stay byte-identical
+to the stored ones.
 
-The files under ``tests/golden/`` were written by the full-scan searches
-that preceded the orbit-stabilizer ones; every case here must reproduce
-them byte for byte.
+The packing and displacement files under ``tests/golden/`` were written by
+the full-scan searches that preceded the orbit-stabilizer ones.  The ``qm``
+and the ``bar-defect`` / ``witness-additivity`` suite files were written
+while ``random_word`` still drew each letter through ``randint`` and
+``choice`` and free words were multiplied letter by letter.  Every case here
+must reproduce them byte for byte.
 """
 
 from pathlib import Path
@@ -14,6 +18,17 @@ from cinorm.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 SYM123 = "(1 2);(1 2 3)"
 TWISTED = "(1 2 3);(2 3)(4 5)"
+# a fixed reduced 200-letter word of F2
+WORD200 = (
+    "a B a a B B a B B a b a a a b a B A B a a b a b A "
+    "A b b b b A b a B B B a b a b A A b A b b A A A B "
+    "A A B A b A A b b b b A B A b b a b a a b b A A B "
+    "B B B A b A b b a B a a b a a a a b a b b A A A B "
+    "a b A b A A b a a a b a b b a B B a B B B a a a a "
+    "B A B A B B a a b a b A A b b A A b a a a a a b b "
+    "A A b A A A b b b A b a B B a b a b A A B A B B B "
+    "B B A A b A B a a b A A B A A A B B B A A A b b A"
+)
 
 CASES = {
     "verify-packing-s6": ["verify", "--suite", "packing-s6"],
@@ -35,6 +50,15 @@ CASES = {
     "energy-sn9-m3-support": ["energy", "--group", "sn:9", "--h", SYM123,
                               "--m", "3", "--norm", "support"],
     "packing-an8": ["packing", "--group", "an:8", "--h", "(1 2 3);(1 2)(3 4)"],
+    "qm-defect-ab-seed7": ["qm", "defect", "--pattern", "a b", "--seed", "7",
+                           "--budget", "400"],
+    "qm-homogenize-ab-w200": ["qm", "homogenize", "--pattern", "a b", "--word", WORD200,
+                              "--n-max", "32", "--defect-upper", "3"],
+    # the README's lower bound 29/768
+    "qm-scl-bounds-ab": ["qm", "scl-bounds", "--pattern", "a b", "--word", "a b A B",
+                         "--defect-upper", "6", "--n-max", "64"],
+    "verify-bar-defect": ["verify", "--suite", "bar-defect"],
+    "verify-witness-additivity": ["verify", "--suite", "witness-additivity"],
 }
 
 
