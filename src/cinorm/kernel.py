@@ -3,21 +3,20 @@
 A :class:`FiniteGroup` numbers the elements of a finite group (or of a subset
 of one) in canonical ``sort_key`` order, so index order is payload order and
 every least witness found by an index scan is the least element.  It holds a
-payload -> index dict, an inverse array and the rows of the Cayley table,
-``row(i)[j]`` being the index of ``elements[i] * elements[j]`` (the indexing
-of Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
-ch. 4).
+payload -> index dict, an inverse array and the Cayley table, ``row(i)[j]``
+being the index of ``elements[i] * elements[j]`` (the indexing of Holt, Eick
+and O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).
 
-A whole group of order up to :data:`TABLE_BOUND` (so the table costs at
-most 16 MiB) builds its whole table at the first product asked of it, with
-N |gens| payload products: the left multiplications ``lambda_x`` by the
-generators x of :func:`~cinorm.enumeration.group_generators`, then a
-breadth-first Schreier tree from the identity, g_i = x_i g_parent(i), along
-which ``row(i)`` is ``lambda_{x_i}`` gathered over ``row(parent(i))``.
-Subset kernels, which have no generators of their own, build and keep each
-row from payload products on first use; above :data:`TABLE_BOUND` every row
-is recomputed from payload products and memory stays O(N).  On a subset, a
-product or inverse that leaves the subset is -1.
+A kernel of order N up to :data:`TABLE_BOUND` (a table of at most 16 MiB)
+builds its whole table at the first product asked of it.  A whole group
+makes N |gens| payload products: the left multiplications ``lambda_x`` by
+the generators x of :func:`~cinorm.enumeration.group_generators`, then along
+a breadth-first Schreier tree g_i = x_i g_parent(i) from the identity,
+``row(i)`` is ``lambda_{x_i}`` gathered over ``row(parent(i))``.  A subset
+kernel has no generators and makes N^2 payload products: its callers read
+every row anyway, but a failing axiom check stops after a few.  Larger
+kernels make every product from payloads and keep O(N) memory.  On a
+subset, a product or inverse that leaves the subset is -1.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .elements import (
 from .enumeration import _CACHE_SIZE, _checked_order, enumerate_elements, group_generators
 from .errors import DescriptorMismatchError
 
-#: Largest order whose Cayley-table rows are kept: 2048^2 four-byte indices.
+#: Largest order whose Cayley table is kept: 2048^2 four-byte indices.
 #: Element lists are kept up to a higher order, ``enumeration._KEPT_ORDER``.
 TABLE_BOUND = 2048
 
@@ -60,27 +59,26 @@ class FiniteGroup:
         get = self.index.get
         self.inv = array("i", [get(_invert_payload(d, p), -1) for p in self.payloads])
         self.one = get(_identity_payload(d), -1)
-        kept = self.n <= TABLE_BOUND
-        # a whole group gathers its table at first use, a subset keeps rows
-        self._gathered = kept and full
-        self._rows: list[array | None] | None = \
-            [None] * self.n if kept and not full else None
+        self._rows: list[array] | None = None  # the whole table, once built
 
     def index_of(self, e: Element) -> int:
         if e.descriptor != self.descriptor:
             raise DescriptorMismatchError(f"{e} is not an element of {self.descriptor}")
         return self.index[e.payload]
 
-    def _table(self) -> list[array | None] | None:
-        # the kept rows; a whole group gathers all of them at first use
-        if self._rows is None and self._gathered:
-            self._rows = self._gather()  # one assignment: racers see all or none
+    def _table(self) -> list[array] | None:
+        # built at first use in one assignment: racers see all of it or none;
+        # no comprehension here, as its closure cells would cost every call
+        if self._rows is None and self.n <= TABLE_BOUND:
+            self._rows = self._build()
         return self._rows
 
-    def _gather(self) -> list[array | None]:
-        """The Cayley table from N |gens| payload products: along a Schreier
-        tree g_i = x g_p, ``row(i)[k] = lambda_x[row(p)[k]]``."""
+    def _build(self) -> list[array]:
+        """The Cayley table: N^2 payload products on a subset, N |gens| on a
+        group, along a Schreier tree g_i = x g_p: ``row(i)[k] = lambda_x[row(p)[k]]``."""
         index, mul, p, n = self.index, self._mul, self.payloads, self.n
+        if not self.full:
+            return [array("i", [index.get(mul(a, b), -1) for b in p]) for a in p]
         lams = [[index[mul(x.payload, q)] for q in p]
                 for x in group_generators(self.descriptor)]
         rows: list[array | None] = [None] * n
@@ -101,12 +99,11 @@ class FiniteGroup:
         return rows
 
     def products(self, i: int, js: Iterable[int]) -> list[int]:
-        """Indices of ``elements[i] * elements[j]`` for each j of ``js``: read
-        from the table (a whole group gathers it on the first call), else
-        from a subset's kept row, else from payload products."""
+        """Indices of ``elements[i] * elements[j]`` for each j of ``js``, read
+        from the table, or payload products above :data:`TABLE_BOUND`."""
         rows = self._table()
-        r = rows[i] if rows is not None else None
-        if r is not None:
+        if rows is not None:
+            r = rows[i]
             return [r[j] for j in js]
         a, mul, get, p = self.payloads[i], self._mul, self.index.get, self.payloads
         return [get(mul(a, p[j]), -1) for j in js]
@@ -114,19 +111,13 @@ class FiniteGroup:
     def row(self, i: int) -> array:
         """Indices of ``elements[i] * elements[j]`` for every j."""
         rows = self._table()
-        if rows is not None and rows[i] is not None:
-            return rows[i]
-        r = array("i", self.products(i, range(self.n)))
-        if rows is not None:
-            rows[i] = r  # threads racing here store equal rows, so no lock
-        return r
+        return rows[i] if rows is not None else array("i", self.products(i, range(self.n)))
 
     def mul(self, i: int, j: int) -> int:
-        """Index of one product, read from the table or a kept row if any."""
+        """Index of one product, read from the table if there is one."""
         rows = self._table()
-        if rows is not None and rows[i] is not None:
-            return rows[i][j]
-        return self.index.get(self._mul(self.payloads[i], self.payloads[j]), -1)
+        return rows[i][j] if rows is not None else \
+            self.index.get(self._mul(self.payloads[i], self.payloads[j]), -1)
 
     def conj(self, b: int, a: int) -> int:
         """Index of ``b a b^-1``; ``b`` must have its inverse in the set."""
@@ -144,10 +135,10 @@ class FiniteGroup:
         return [mul(xy[y], xiyi[inv[y]]) for y in range(self.n)]
 
     def require_closed(self) -> None:
-        """Raise unless the set is closed under products and inverses."""
+        """Raise unless the set has the identity and is closed under * and ^-1."""
         if self.full:
             return
-        if -1 in self.inv or any(-1 in self.row(i) for i in range(self.n)):
+        if self.one < 0 or -1 in self.inv or any(-1 in self.row(i) for i in range(self.n)):
             raise ValueError(f"the {self.n} elements are not a subgroup of {self.descriptor}")
 
 
@@ -169,10 +160,13 @@ def group_kernel(d: GroupDescriptor, limit: int | None = None) -> FiniteGroup:
 
 
 def domain_kernel(d: GroupDescriptor, elements: Iterable[Element]) -> FiniteGroup:
-    """The kernel of the given distinct elements of ``d``: the cached group
-    kernel when they are a whole group with a kept table, else a kernel
-    built from them."""
-    elems = list(elements)
+    """The kernel of the given elements of ``d``, repeats dropped: the cached
+    group kernel when they are a whole group with a kept table, else a kernel
+    built from them.  An element of another group is refused."""
+    elems = list(dict.fromkeys(elements))
+    for e in elems:
+        if e.descriptor is not d and e.descriptor != d:
+            raise DescriptorMismatchError(f"{e} is not an element of {d}")
     full = len(elems) == gd.order(d)
     if full and len(elems) <= TABLE_BOUND:
         return _cached_group(d)

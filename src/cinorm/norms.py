@@ -72,11 +72,12 @@ def norm_value_fn(norm: NormLike) -> Callable[[Element], Fraction]:
     return norm
 
 
-def refuse_foreign_table(d: GroupDescriptor, norm: NormLike) -> None:
-    """Raise :class:`DescriptorMismatchError` when ``norm`` is a table of a
-    group other than ``d``."""
-    if isinstance(norm, NormTable) and norm.descriptor != d:
-        raise DescriptorMismatchError(f"the norm table is on {norm.descriptor}, not {d}")
+def refuse_foreign_table(d: GroupDescriptor, norm: "NormLike | QuasiNormSpec") -> None:
+    """Raise :class:`DescriptorMismatchError` when ``norm`` is a table or a
+    quasi-norm of a group other than ``d``."""
+    if isinstance(norm, (NormTable, QuasiNormSpec)) and norm.descriptor != d:
+        kind = "norm table" if isinstance(norm, NormTable) else "quasi-norm"
+        raise DescriptorMismatchError(f"the {kind} is on {norm.descriptor}, not {d}")
 
 
 def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]:
@@ -132,8 +133,8 @@ def verify_norm_axioms(table: NormTable, max_violations: int = 25) -> AxiomRepor
         return len(violations) >= max_violations
 
     one = G.one
-    if one >= 0 and iv[one] != 0:
-        record("i", one)
+    if one >= 0 and iv[one] != 0 and record("i", one):
+        return AxiomReport(False, violations, 0, G.n)
     full = True
     for g in range(G.n):
         if inv[g] < 0:
@@ -464,7 +465,9 @@ def quasinorm_to_norm(q: QuasiNormSpec, d: GroupDescriptor,
                       limit: int | None = None) -> NormTable:
     """Convert a quasi-norm into a genuine norm on a finite group:
     symmetrize with the inverse, replace by the maximum over the conjugacy
-    class, then add ``c_add + c_conj + 1`` to every non-identity value."""
+    class, then add ``c_add + c_conj + 1`` to every non-identity value.  A
+    quasi-norm on another group is refused."""
+    refuse_foreign_table(d, q)
     G = group_kernel(d, limit)
     elems = G.elements
     sym, den = scaled(max(q.value(a), q.value(elems[G.inv[i]]))
@@ -572,10 +575,11 @@ def stabilization_upper(norm: NormLike, f: Element, n_max: int) -> Stabilization
     The sequence ``v(f^n)`` is subadditive, so the limit equals the infimum
     and any prefix minimum of ``v(f^n)/n`` is a true upper bound; it hits 0
     exactly when a power of ``f`` is the identity within the horizon.  An
-    empty horizon bounds nothing, so ``n_max < 1`` is refused.
-    """
+    empty horizon bounds nothing, so ``n_max < 1`` is refused, and so is a
+    table of a group other than that of ``f``."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
+    refuse_foreign_table(f.descriptor, norm)
     value = norm_value_fn(norm)
     best: Fraction | None = None
     cur = f

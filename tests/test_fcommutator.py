@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from cinorm import (
+    DescriptorMismatchError,
     Element,
     QuasiNormSpec,
     commutator_of,
@@ -313,3 +314,13 @@ def test_fcomm_norm_bound_identity_target():
     dec = seven_fcommutators(env, [])
     rep = fcomm_norm_bound(dec, env, trivial_norm_table(env.ambient))
     assert rep.ok and rep.target_value == 0
+
+
+def test_fcomm_norm_bound_refuses_a_table_of_the_base():
+    # a table of S3 cannot measure elements of the wreath product
+    env = wreath_environment(S3, capacity=2)
+    g = perm_from_cycles(S3, (1, 2, 3))
+    dec = seven_fcommutators(env, [(g, perm_from_cycles(S3, (1, 2)))])
+    with pytest.raises(DescriptorMismatchError,
+                       match=f"the norm table is on sn:3, not {env.ambient}"):
+        fcomm_norm_bound(dec, env, trivial_norm_table(S3))

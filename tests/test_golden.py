@@ -1,12 +1,15 @@
-"""Packing, displacement and seeded free-group reports stay byte-identical
-to the stored ones.
+"""Packing, displacement, seeded free-group and finite-group kernel reports
+stay byte-identical to the stored ones.
 
 The packing and displacement files under ``tests/golden/`` were written by
 the full-scan searches that preceded the orbit-stabilizer ones.  The ``qm``
 and the ``bar-defect`` / ``witness-additivity`` suite files were written
 while ``random_word`` still drew each letter through ``randint`` and
-``choice`` and free words were multiplied letter by letter.  Every case here
-must reproduce them byte for byte.
+``choice`` and free words were multiplied letter by letter.  The ``qk``,
+``cl``, ``norm-verify`` and ``qk-a5`` files were written while subset
+kernels still kept their Cayley-table rows one at a time; ``qk-an7-k3`` is
+on a group of order 2520, above ``kernel.TABLE_BOUND``, so it runs on
+payload products.  Every case here must reproduce them byte for byte.
 """
 
 from pathlib import Path
@@ -59,6 +62,12 @@ CASES = {
                          "--defect-upper", "6", "--n-max", "64"],
     "verify-bar-defect": ["verify", "--suite", "bar-defect"],
     "verify-witness-additivity": ["verify", "--suite", "witness-additivity"],
+    # the paper's A5 example
+    "qk-an5-k5": ["qk", "--group", "an:5", "--k", "(1 2 3 4 5)"],
+    "qk-an7-k3": ["qk", "--group", "an:7", "--k", "(1 2 3)"],
+    "cl-slp-2-5": ["cl", "--group", "slp:2:5"],
+    "norm-verify-sn4-support": ["norm-verify", "--group", "sn:4", "--norm", "support"],
+    "verify-qk-a5": ["verify", "--suite", "qk-a5"],
 }
 
 

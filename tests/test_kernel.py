@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import cinorm
 from cinorm import (
+    DescriptorMismatchError,
     GuardExceededError,
     NormTable,
     NotCGeneratingError,
@@ -77,8 +78,8 @@ def oracle_axioms(table, max_violations=25):
 
     elems = table.domain()
     one = identity(table.descriptor)
-    if vals.get(one, ZERO) != 0:
-        record("i", one)
+    if vals.get(one, ZERO) != 0 and record("i", one):
+        return (False, violations, 0, len(elems))
     full = True
     for g in elems:
         if vals[g] != vals[invert(g)]:
@@ -320,6 +321,66 @@ def test_subset_kernel_marks_products_outside_with_minus_one():
     assert H.row(H.index_of(t))[H.index_of(t)] == H.one
     with pytest.raises(ValueError):
         H.require_closed()
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_subset_kernel_builds_its_whole_table_at_first_use(closed):
+    # a copy of S3 in S4, and the same set with (1 2 3) swapped for (1 2 4)
+    d = symmetric(4)
+    sub = [g for g in enumerate_elements(d) if g.payload[3] == 3]
+    if not closed:
+        sub[sub.index(perm_from_cycles(d, (1, 2, 3)))] = perm_from_cycles(d, (1, 2, 4))
+    G = domain_kernel(d, sub)
+    assert not G.full and G.n == 6
+    assert G._rows is None
+    p = G.payloads
+    expected = [[G.index.get(_compose_payload(d, a, b), -1) for b in p] for a in p]
+    assert (-1 in sum(expected, [])) is not closed
+    assert G.mul(3, 4) == expected[3][4]  # the first product builds the table
+    assert len(G._rows) == G.n and None not in G._rows
+    for i in range(G.n):
+        assert list(G.row(i)) == expected[i]
+        assert G.products(i, [5, 0, i]) == [expected[i][j] for j in (5, 0, i)]
+        assert [G.mul(i, j) for j in range(G.n)] == expected[i]
+
+
+def test_domain_kernel_drops_repeats():
+    # <(1 2)> has a trivial derived subgroup; counted with its repeats, the
+    # six elements used to pass for all of S3 and gave the cl table of A3
+    d = symmetric(3)
+    H = [identity(d), perm_from_cycles(d, (1, 2))] * 3
+    G = domain_kernel(d, H)
+    assert not G.full and G.n == 2
+    cl = commutator_length_over(H, d)
+    assert list(cl.values.items()) == [(identity(d), ZERO)]
+
+
+def test_domain_kernel_refuses_elements_of_another_group():
+    S4 = symmetric(4)
+    closure = closure_of(SubgroupSpec((perm_from_cycles(S4, (1, 2)),
+                                       perm_from_cycles(S4, (1, 2, 3)))))
+    assert len(closure) == 6
+    with pytest.raises(DescriptorMismatchError, match="is not an element of sn:3"):
+        commutator_length_over(closure, symmetric(3))
+
+
+def test_empty_domain_is_not_a_subgroup():
+    with pytest.raises(ValueError, match="the 0 elements are not a subgroup of sn:3"):
+        commutator_length_over([], symmetric(3))
+
+
+def test_axiom_i_counts_toward_the_cap():
+    # the identity's value breaks (i); with one violation allowed the check
+    # stops there instead of going on to record (iii) after 8 pairs
+    d = symmetric(3)
+    vals = dict(trivial_norm_table(d).values)
+    vals[identity(d)] = Fraction(3)
+    table = NormTable(d, vals, NormTableMeta(name="bad-identity"))
+    rep = verify_norm_axioms(table, max_violations=1)
+    assert report_tuple(rep) == (False, [("i", (identity(d),))], 0, 6)
+    assert report_tuple(rep) == oracle_axioms(table, 1)
+    assert [a for a, _ in verify_norm_axioms(table, max_violations=2).violations] == \
+        ["i", "iii"]
 
 
 def test_rows_above_the_table_bound_are_recomputed():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cinorm import (
+    DescriptorMismatchError,
     Element,
     NormTable,
     NormTableMeta,
@@ -292,6 +293,17 @@ def test_quasinorm_to_norm_shifts_a_norm_by_constant():
     assert verify_norm_axioms(out).passed
 
 
+def test_quasinorm_to_norm_refuses_a_quasi_norm_of_another_group():
+    # with fn the S3 quasi-norm used to give a "norm" on S4, with a table a
+    # bare KeyError
+    table = dict(support_norm_table(S3).values)
+    for q in (QuasiNormSpec(S3, Fraction(0), Fraction(0), table=table),
+              QuasiNormSpec(S3, Fraction(0), Fraction(0), fn=support_norm)):
+        with pytest.raises(DescriptorMismatchError,
+                           match="the quasi-norm is on sn:3, not sn:4"):
+            quasinorm_to_norm(q, S4)
+
+
 def test_quasinorm_to_norm_constant_zero_pseudonorm():
     elems = enumerate_elements(S3)
     q = QuasiNormSpec(S3, Fraction(0), Fraction(0),
@@ -380,6 +392,12 @@ def test_stabilization_torsion_hits_zero():
     f = perm_from_cycles(symmetric(9), (1, 2, 3))
     est = stabilization_upper(table, f, 3)
     assert est.exact_zero and est.upper == 0
+
+
+def test_stabilization_refuses_a_table_of_another_group():
+    g = perm_from_cycles(S4, (1, 2, 3, 4))
+    with pytest.raises(DescriptorMismatchError, match="the norm table is on sn:3, not sn:4"):
+        stabilization_upper(trivial_norm_table(S3), g, 3)
 
 
 def test_stabilization_trivial_norm_decays():

@@ -1,18 +1,22 @@
-"""The README's command-line section against the CLI itself: every example
-command runs and exits 0, and the options table lists exactly the options
-and actions each command's parser takes."""
+"""The README against the code: every example command of its command-line
+section runs and exits 0, the options table lists exactly the options and
+actions each command's parser takes, and the figures its finite-group kernel
+section quotes are the kernel's own bounds."""
 
 import argparse
+import math
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from cinorm import enumeration, kernel
 from cinorm.cli import _build_parser, main
 
-SECTION = (Path(__file__).resolve().parents[1] / "README.md").read_text() \
-    .split("## Command line", 1)[1].split("\n## ", 1)[0]
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+SECTION = README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+KERNEL = " ".join(README.split("## Finite-group kernel", 1)[1].split("\n## ", 1)[0].split())
 EXAMPLES = [shlex.split(line, comments=True)
             for line in re.search(r"```sh\n(.*?)```", SECTION, re.DOTALL)[1].splitlines()
             if line.startswith("cinorm ")]
@@ -62,3 +66,16 @@ def test_readme_examples_were_found():
 
 def test_readme_options_table_matches_the_parser():
     assert _table() == _parsers()
+
+
+def test_readme_kernel_figures_match_the_code():
+    # tables up to order 2048, 16 cached groups, element lists up to 8!
+    bound, cached = kernel.TABLE_BOUND, enumeration._CACHE_SIZE
+    assert f"the {cached} most recently used groups of order up to {bound} " \
+        "stay cached" in KERNEL
+    assert f"for every kernel of order N ≤ {bound}, the whole table" in KERNEL
+    assert f"a table costs at most {4 * bound ** 2 // 2 ** 20} MiB" in KERNEL
+    kept = enumeration._KEPT_ORDER
+    assert kept == math.factorial(8)
+    assert f"the {cached} most recently used groups of order up to 8! = " \
+        f"{kept // 1000} {kept % 1000:03d}" in KERNEL
