@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -481,7 +482,10 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a fraction, got {text!r}") from None
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: the tree of ten subcommands costs about a
+    # millisecond, and parse_args leaves it unchanged
     parser = argparse.ArgumentParser(
         prog="cinorm",
         description="exact conjugation-invariant norm computations")

@@ -26,7 +26,9 @@ class GroupDescriptor:
 
     ``n`` doubles as permutation degree, free rank, matrix dimension or
     wreath ring size depending on the family; ``p`` is the prime modulus
-    for ``slp``.
+    for ``slp``.  :mod:`cinorm.elements` keeps the payload operations it
+    binds for an instance on that instance, outside the fields, so equality,
+    hash and repr never see them.
     """
 
     family: str

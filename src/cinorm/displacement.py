@@ -68,7 +68,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, repeat
 from math import prod
 from operator import ne
@@ -79,8 +78,8 @@ from .descriptors import PERMUTATION_FAMILIES, GroupDescriptor
 from .elements import (
     Element,
     _identity_payload,
-    _invert_payload,
     _payload_conj,
+    _payload_inv,
     _payload_mul,
     commutator_of,
     compose,
@@ -172,7 +171,7 @@ class _StabChain:
     def __init__(self, d: GroupDescriptor):
         one = _identity_payload(d)
         self.n = d.n
-        self.inv = partial(_invert_payload, d)
+        self.inv = _payload_inv(d)
         self.gens: list[list[tuple]] = [[] for _ in range(d.n)]
         self.reps: list[dict] = [{k: one} for k in range(d.n)]
         self.reps_inv: list[dict] = [{k: one} for k in range(d.n)]
@@ -268,7 +267,7 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     if h.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
     size = _checked_order(d, limit)
-    mul, inv, conj = _payload_mul(d), partial(_invert_payload, d), _payload_conj(d)
+    mul, inv, conj = _payload_mul(d), _payload_inv(d), _payload_conj(d)
     steps = [(s.payload, inv(s.payload)) for s in group_generators(d)]
     one = _identity_payload(d)
     points = [frozenset(g.payload for g in closure_of(h))]
@@ -469,7 +468,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
         raise DescriptorMismatchError(f"the subgroup lives in {fixed.descriptor}, not {d}")
     value = None if norm is None else payload_value_fn(d, norm)
     orb = _conjugates(d, moved, limit)
-    mul, inv = _payload_mul(d), partial(_invert_payload, d)
+    mul, inv = _payload_mul(d), _payload_inv(d)
     commutes = _commuter(d, fixed, moved)
     # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
     near0 = orb.commuting(commutes)

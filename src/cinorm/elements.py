@@ -28,7 +28,7 @@ Python's tuple order is the payload order of every family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from operator import mul
 from typing import Any, Iterable, Mapping
 
@@ -67,7 +67,7 @@ class Element:
         return invert(self)
 
     def is_identity(self) -> bool:
-        return self.payload == _identity_payload(self.descriptor)
+        return self.payload == _payload_ops(self.descriptor)[2]
 
     def __repr__(self) -> str:
         return f"Element({self.descriptor}, {self.payload!r})"
@@ -83,15 +83,18 @@ _set_payload = Element.payload.__set__
 
 def compose(a: Element, b: Element) -> Element:
     """Canonical product ``ab``."""
-    if a.descriptor != b.descriptor:
-        raise DescriptorMismatchError(
-            f"cannot compose {a.descriptor} with {b.descriptor}")
-    return Element(a.descriptor, _compose_payload(a.descriptor, a.payload, b.payload))
+    d = a.descriptor
+    # the identity test first: elements of one group nearly always share
+    # one descriptor object, and then no dataclass __eq__ runs
+    if d is not b.descriptor and d != b.descriptor:
+        raise DescriptorMismatchError(f"cannot compose {d} with {b.descriptor}")
+    return Element(d, _payload_ops(d)[0](a.payload, b.payload))
 
 
 def invert(a: Element) -> Element:
     """Canonical inverse; ``compose(a, invert(a))`` is the identity."""
-    return Element(a.descriptor, _invert_payload(a.descriptor, a.payload))
+    d = a.descriptor
+    return Element(d, _payload_ops(d)[1](a.payload))
 
 
 def conjugate_of(g: Element, by: Element) -> Element:
@@ -100,8 +103,9 @@ def conjugate_of(g: Element, by: Element) -> Element:
 
 
 def commutator_of(a: Element, b: Element) -> Element:
-    """``a b a^-1 b^-1`` in canonical form."""
-    return compose(compose(a, b), compose(invert(a), invert(b)))
+    """``a b a^-1 b^-1`` in canonical form, as ``(ab)(ba)^-1``: one inverse
+    in place of two, and payloads are canonical, so the same payload."""
+    return compose(compose(a, b), invert(compose(b, a)))
 
 
 def power(a: Element, k: int) -> Element:
@@ -121,7 +125,7 @@ def power(a: Element, k: int) -> Element:
 
 
 def identity(d: GroupDescriptor) -> Element:
-    return Element(d, _identity_payload(d))
+    return Element(d, _payload_ops(d)[2])
 
 
 def element_order(a: Element, cap: int = 1_000_000) -> int | None:
@@ -143,90 +147,78 @@ def sort_key(e: Element):
 
 # ---------------------------------------------------------------------------
 # payload arithmetic
+#
+# Each descriptor's payload product, inverse and identity are bound once, on
+# first use, and kept on the descriptor instance itself, so a product costs
+# one attribute read: no family dispatch, no descriptor hash and no __eq__.
+# Nested families bind their base's (or parts') operations with
+# functools.partial over the module-level functions below, never closures:
+# the operations live in the descriptor's __dict__, and a partial of a
+# module-level function pickles and copies where a closure would not.
 
 
-@lru_cache(maxsize=None)
-def _identity_payload(d: GroupDescriptor):
+def _payload_ops(d: GroupDescriptor) -> tuple:
+    """``(mul, inv, one)`` of ``d``'s raw payloads, bound on first use."""
+    try:
+        return d._payload_ops
+    except AttributeError:
+        ops = _bind_ops(d)
+        # a non-field attribute, stored past the frozen __setattr__ as
+        # Element does: eq, hash, repr and str never read it.  Racing
+        # threads build equal operations and the last store wins, so no
+        # lock is needed.
+        object.__setattr__(d, "_payload_ops", ops)
+        return ops
+
+
+def _bind_ops(d: GroupDescriptor) -> tuple:
     f = d.family
     if f in PERMUTATION_FAMILIES:
-        return tuple(range(d.n))
-    if f == "free" or f == "z2inf":
-        return ()
-    if f == "aff-z":
-        return (0, 0)
-    if f in MATRIX_FAMILIES:
-        return tuple(tuple(1 if i == j else 0 for j in range(d.n)) for i in range(d.n))
-    if f in WREATH_FAMILIES:
-        return ((), 0)
-    if f == "bar":
-        one = _identity_payload(d.base)
-        return (one, one, 0)
-    return tuple(_identity_payload(p) for p in d.parts)
-
-
-def _gather(a, b):
-    return tuple(map(a.__getitem__, b))
-
-
-def _compose_payload(d: GroupDescriptor, a, b):
-    f = d.family
-    if f in PERMUTATION_FAMILIES:
-        return _gather(a, b)
+        return _gather, _perm_inv, tuple(range(d.n))
     if f == "free":
-        # a and b are reduced words (every constructor normalizes), so
-        # letters cancel only at the junction: drop the k cancelling pairs
-        k = 0
-        m = min(len(a), len(b))
-        while k < m and a[-1 - k] == -b[k]:
-            k += 1
-        return a[:len(a) - k] + b[k:] if k else a + b
+        return _free_mul, _free_inv, ()
     if f == "aff-z":
-        aa, ae = a
-        ba, be = b
-        return (aa + ba if ae == 0 else aa - ba, (ae + be) & 1)
+        return _affz_mul, _affz_inv, (0, 0)
     if f == "z2inf":
-        la, lb = len(a), len(b)
-        bits = [(a[i] if i < la else 0) ^ (b[i] if i < lb else 0)
-                for i in range(max(la, lb))]
-        while bits and bits[-1] == 0:
-            bits.pop()
-        return tuple(bits)
-    if f == "slz":
-        return _mat_mul(a, b, 0)
-    if f == "slp":
-        return _mat_mul(a, b, d.p)
+        return _z2_mul, _z2_inv, ()
+    if f in MATRIX_FAMILIES:
+        n = d.n
+        mod = d.p if f == "slp" else 0
+        mul = partial(_mat_mul_mod, mod) if mod else _mat_mul_z
+        one = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        return mul, partial(_ADJUGATES.get(n, _bareiss_adjugate), mod), one
     if f in WREATH_FAMILIES:
+        mul, inv, one = _payload_ops(d.base)
         ring = d.n if f == "wreath-zn" else 0
-        lamps_a, s = a
-        lamps_b, u = b
-        lamps = dict(lamps_a)
-        for j, g in lamps_b:
-            i = j + s if ring == 0 else (j + s) % ring
-            cur = lamps.get(i)
-            if cur is None:
-                lamps[i] = g
-            else:
-                v = _compose_payload(d.base, cur, g)
-                if v == _identity_payload(d.base):
-                    del lamps[i]
-                else:
-                    lamps[i] = v
-        shift = s + u if ring == 0 else (s + u) % ring
-        return (tuple(sorted(lamps.items())), shift)
+        return (partial(_wreath_mul, ring, mul, one), partial(_wreath_inv, ring, inv),
+                ((), 0))
     if f == "bar":
-        g1, g2, e = a
-        f1, f2, fe = b
-        if e:
-            f1, f2 = f2, f1
-        return (_compose_payload(d.base, g1, f1), _compose_payload(d.base, g2, f2),
-                (e + fe) & 1)
-    return tuple(map(_compose_payload, d.parts, a, b))
+        mul, inv, one = _payload_ops(d.base)
+        return partial(_bar_mul, mul), partial(_bar_inv, inv), (one, one, 0)
+    muls, invs, ones = zip(*map(_payload_ops, d.parts))
+    return partial(_product_mul, muls), partial(_product_inv, invs), ones
 
 
 def _payload_mul(d: GroupDescriptor):
-    """The product of two raw payloads of ``d``: the image-tuple gather for
-    permutations, else :func:`_compose_payload` bound to ``d``."""
-    return _gather if d.family in PERMUTATION_FAMILIES else partial(_compose_payload, d)
+    """The product of two raw payloads of ``d``."""
+    return _payload_ops(d)[0]
+
+
+def _payload_inv(d: GroupDescriptor):
+    """The inverse of one raw payload of ``d``."""
+    return _payload_ops(d)[1]
+
+
+def _identity_payload(d: GroupDescriptor):
+    return _payload_ops(d)[2]
+
+
+def _compose_payload(d: GroupDescriptor, a, b):
+    return _payload_ops(d)[0](a, b)
+
+
+def _invert_payload(d: GroupDescriptor, a):
+    return _payload_ops(d)[1](a)
 
 
 def _payload_conj(d: GroupDescriptor):
@@ -239,45 +231,115 @@ def _payload_conj(d: GroupDescriptor):
     return lambda s, x, s_inv: mul(mul(s, x), s_inv)
 
 
-def _invert_payload(d: GroupDescriptor, a):
-    f = d.family
-    if f in PERMUTATION_FAMILIES:
-        out = [0] * len(a)
-        for i, j in enumerate(a):
-            out[j] = i
-        return tuple(out)
-    if f == "free":
-        return tuple(-x for x in reversed(a))
-    if f == "aff-z":
-        aa, e = a
-        return (-aa, 0) if e == 0 else (aa, 1)
-    if f == "z2inf":
-        return a
-    if f == "slz":
-        return _mat_adjugate(a, 0)
-    if f == "slp":
-        return _mat_adjugate(a, d.p)
-    if f in WREATH_FAMILIES:
-        ring = d.n if f == "wreath-zn" else 0
-        lamps, s = a
-        out = {}
-        for i, g in lamps:
-            j = i - s if ring == 0 else (i - s) % ring
-            out[j] = _invert_payload(d.base, g)
-        return (tuple(sorted(out.items())), -s if ring == 0 else (-s) % ring)
-    if f == "bar":
-        g1, g2, e = a
-        if e:
-            g1, g2 = g2, g1
-        return (_invert_payload(d.base, g1), _invert_payload(d.base, g2), e)
-    return tuple(map(_invert_payload, d.parts, a))
+def _gather(a, b):
+    return tuple(map(a.__getitem__, b))
 
 
-def _mat_mul(a, b, mod: int):
+def _perm_inv(a):
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
+
+
+def _free_mul(a, b):
+    # a and b are reduced words (every constructor normalizes), so letters
+    # cancel only at the junction: drop the k cancelling pairs
+    k = 0
+    m = min(len(a), len(b))
+    while k < m and a[-1 - k] == -b[k]:
+        k += 1
+    return a[:len(a) - k] + b[k:] if k else a + b
+
+
+def _free_inv(a):
+    return tuple(-x for x in reversed(a))
+
+
+def _affz_mul(a, b):
+    aa, ae = a
+    ba, be = b
+    return (aa + ba if ae == 0 else aa - ba, (ae + be) & 1)
+
+
+def _affz_inv(a):
+    aa, e = a
+    return (-aa, 0) if e == 0 else (aa, 1)
+
+
+def _z2_mul(a, b):
+    la, lb = len(a), len(b)
+    bits = [(a[i] if i < la else 0) ^ (b[i] if i < lb else 0)
+            for i in range(max(la, lb))]
+    while bits and bits[-1] == 0:
+        bits.pop()
+    return tuple(bits)
+
+
+def _z2_inv(a):
+    return a
+
+
+def _wreath_mul(ring: int, mul, one, a, b):
+    # ring 0 is the integer shift of wreath-z
+    lamps_a, s = a
+    lamps_b, u = b
+    lamps = dict(lamps_a)
+    for j, g in lamps_b:
+        i = j + s if ring == 0 else (j + s) % ring
+        cur = lamps.get(i)
+        if cur is None:
+            lamps[i] = g
+        else:
+            v = mul(cur, g)
+            if v == one:
+                del lamps[i]
+            else:
+                lamps[i] = v
+    shift = s + u if ring == 0 else (s + u) % ring
+    return (tuple(sorted(lamps.items())), shift)
+
+
+def _wreath_inv(ring: int, inv, a):
+    lamps, s = a
+    out = {}
+    for i, g in lamps:
+        j = i - s if ring == 0 else (i - s) % ring
+        out[j] = inv(g)
+    return (tuple(sorted(out.items())), -s if ring == 0 else (-s) % ring)
+
+
+def _bar_mul(mul, a, b):
+    g1, g2, e = a
+    f1, f2, fe = b
+    if e:
+        f1, f2 = f2, f1
+    return (mul(g1, f1), mul(g2, f2), (e + fe) & 1)
+
+
+def _bar_inv(inv, a):
+    g1, g2, e = a
+    if e:
+        g1, g2 = g2, g1
+    return (inv(g1), inv(g2), e)
+
+
+def _product_mul(muls, a, b):
+    return tuple([m(x, y) for m, x, y in zip(muls, a, b)])
+
+
+def _product_inv(invs, a):
+    return tuple([inv(x) for inv, x in zip(invs, a)])
+
+
+def _mat_mul_z(a, b):
     cols = list(zip(*b))
-    if mod:
-        return tuple([tuple([sum(map(mul, row, col)) % mod for col in cols]) for row in a])
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
+
+def _mat_mul_mod(mod: int, a, b):
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) % mod for col in cols]) for row in a])
 
 
 def _mat_det(rows) -> int:
@@ -303,10 +365,79 @@ def _mat_det(rows) -> int:
 
 
 def _mat_adjugate(a, mod: int):
-    # with determinant one the adjugate is the exact inverse.  One
-    # fraction-free Gauss-Jordan pass (Bareiss) on [A | I]: every division is
-    # exact, the left block ends as det(PA) I and the right block as
-    # adj(PA) P = sign(P) adj(A), P the row swaps made for zero pivots.
+    """The adjugate of a non-singular integer matrix, entries reduced mod
+    ``mod`` when it is non-zero; with determinant one it is the exact
+    inverse.  Singular input raises ``ValueError``."""
+    return _ADJUGATES.get(len(a), _bareiss_adjugate)(mod, a)
+
+
+def _reduced(mod: int, rows):
+    if mod:
+        return tuple([tuple([x % mod for x in row]) for row in rows])
+    return rows
+
+
+def _singular():
+    raise ValueError("singular matrix has no inverse")
+
+
+def _adjugate2(mod: int, a):
+    (a00, a01), (a10, a11) = a
+    if a00 * a11 - a01 * a10 == 0:
+        _singular()
+    return _reduced(mod, ((a11, -a01), (-a10, a00)))
+
+
+def _adjugate3(mod: int, a):
+    # straight-line cofactors: entry (i, j) is the cofactor of a_ji
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    b00 = a11 * a22 - a12 * a21
+    b10 = a12 * a20 - a10 * a22
+    b20 = a10 * a21 - a11 * a20
+    if a00 * b00 + a01 * b10 + a02 * b20 == 0:
+        _singular()
+    return _reduced(mod, (
+        (b00, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11),
+        (b10, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12),
+        (b20, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10)))
+
+
+def _adjugate4(mod: int, a):
+    # Laplace expansion by complementary minors: the six 2x2 minors s_jk of
+    # rows 0-1 and the six c_jk of rows 2-3 (columns j < k) give every 3x3
+    # cofactor as three products, and det(a) as six
+    (a00, a01, a02, a03), (a10, a11, a12, a13), \
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = a
+    s01 = a00 * a11 - a01 * a10
+    s02 = a00 * a12 - a02 * a10
+    s03 = a00 * a13 - a03 * a10
+    s12 = a01 * a12 - a02 * a11
+    s13 = a01 * a13 - a03 * a11
+    s23 = a02 * a13 - a03 * a12
+    c01 = a20 * a31 - a21 * a30
+    c02 = a20 * a32 - a22 * a30
+    c03 = a20 * a33 - a23 * a30
+    c12 = a21 * a32 - a22 * a31
+    c13 = a21 * a33 - a23 * a31
+    c23 = a22 * a33 - a23 * a32
+    if s01 * c23 - s02 * c13 + s03 * c12 + s12 * c03 - s13 * c02 + s23 * c01 == 0:
+        _singular()
+    return _reduced(mod, (
+        (a11 * c23 - a12 * c13 + a13 * c12, -a01 * c23 + a02 * c13 - a03 * c12,
+         a31 * s23 - a32 * s13 + a33 * s12, -a21 * s23 + a22 * s13 - a23 * s12),
+        (-a10 * c23 + a12 * c03 - a13 * c02, a00 * c23 - a02 * c03 + a03 * c02,
+         -a30 * s23 + a32 * s03 - a33 * s02, a20 * s23 - a22 * s03 + a23 * s02),
+        (a10 * c13 - a11 * c03 + a13 * c01, -a00 * c13 + a01 * c03 - a03 * c01,
+         a30 * s13 - a31 * s03 + a33 * s01, -a20 * s13 + a21 * s03 - a23 * s01),
+        (-a10 * c12 + a11 * c02 - a12 * c01, a00 * c12 - a01 * c02 + a02 * c01,
+         -a30 * s12 + a31 * s02 - a32 * s01, a20 * s12 - a21 * s02 + a22 * s01)))
+
+
+def _bareiss_adjugate(mod: int, a):
+    # n >= 5: one fraction-free Gauss-Jordan pass (Bareiss) on [A | I]:
+    # every division is exact, the left block ends as det(PA) I and the
+    # right block as adj(PA) P = sign(P) adj(A), P the row swaps made for
+    # zero pivots.
     n = len(a)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     sign = 1
@@ -319,7 +450,7 @@ def _mat_adjugate(a, mod: int):
                     sign = -sign
                     break
             else:
-                raise ValueError("singular matrix has no inverse")
+                _singular()
         rk = m[k]
         p = rk[k]
         for i in range(n):
@@ -330,6 +461,9 @@ def _mat_adjugate(a, mod: int):
     if mod:
         return tuple(tuple(sign * x % mod for x in row[n:]) for row in m)
     return tuple(tuple(sign * x for x in row[n:]) for row in m)
+
+
+_ADJUGATES = {2: _adjugate2, 3: _adjugate3, 4: _adjugate4}
 
 
 # ---------------------------------------------------------------------------

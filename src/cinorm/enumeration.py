@@ -7,7 +7,7 @@ witness and coset representative in the library is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import permutations, product as iter_product
 from typing import Iterable
 
@@ -16,7 +16,7 @@ from .descriptors import GroupDescriptor
 from .elements import (
     Element,
     _identity_payload,
-    _invert_payload,
+    _payload_inv,
     _payload_mul,
     _perm_parity,
     bar_element,
@@ -201,7 +201,7 @@ def derived_subgroup(d: GroupDescriptor, limit: int | None = None) -> set[Elemen
     # that has no finite generating set
     gens = [g.payload for g in group_generators(d)]
     size = _checked_order(d, limit)
-    mul, inv = _payload_mul(d), partial(_invert_payload, d)
+    mul, inv = _payload_mul(d), _payload_inv(d)
     elems, used = {_identity_payload(d)}, []
     queue = [mul(mul(s, t), mul(inv(s), inv(t))) for s in gens for t in gens]
     while queue:

@@ -33,7 +33,7 @@ from .descriptors import GroupDescriptor
 from .elements import (
     Element,
     _identity_payload,
-    _invert_payload,
+    _payload_inv,
     _payload_mul,
     sort_key,
 )
@@ -57,7 +57,7 @@ class FiniteGroup:
         self.full = full
         self._mul = _payload_mul(d)
         get = self.index.get
-        self.inv = array("i", [get(_invert_payload(d, p), -1) for p in self.payloads])
+        self.inv = array("i", [get(x, -1) for x in map(_payload_inv(d), self.payloads)])
         self.one = get(_identity_payload(d), -1)
         self._rows: list[array] | None = None  # the whole table, once built
 

@@ -470,6 +470,11 @@ def quasinorm_to_norm(q: QuasiNormSpec, d: GroupDescriptor,
     refuse_foreign_table(d, q)
     G = group_kernel(d, limit)
     elems = G.elements
+    if q.table is not None:
+        covered = sum(map(q.table.__contains__, elems))
+        if covered != G.n:
+            raise ValueError(f"the quasi-norm table covers {covered} elements, "
+                             f"not all {G.n} of {d}")
     sym, den = scaled(max(q.value(a), q.value(elems[G.inv[i]]))
                       for i, a in enumerate(elems))
     conj_sup: list[int | None] = [None] * G.n
@@ -576,16 +581,21 @@ def stabilization_upper(norm: NormLike, f: Element, n_max: int) -> Stabilization
     and any prefix minimum of ``v(f^n)/n`` is a true upper bound; it hits 0
     exactly when a power of ``f`` is the identity within the horizon.  An
     empty horizon bounds nothing, so ``n_max < 1`` is refused, and so is a
-    table of a group other than that of ``f``."""
+    table of a group other than that of ``f`` or a table that misses a
+    power of ``f`` within the horizon."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
     refuse_foreign_table(f.descriptor, norm)
     value = norm_value_fn(norm)
+    table = norm.values if isinstance(norm, NormTable) else None
     best: Fraction | None = None
     cur = f
     for n in range(1, n_max + 1):
         if cur.is_identity():
             return StabilizationEstimate(f, ZERO, True, n_max)
+        if table is not None and cur not in table:
+            raise ValueError(f"f^{n} = {to_literal(cur)} is outside the domain "
+                             f"of the norm table ({len(table)} elements)")
         v = Fraction(value(cur)) / n
         if best is None or v < best:
             best = v

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from operator import countOf
 from typing import Any, Callable, Sequence
 
@@ -21,7 +20,7 @@ from .elements import (
     Element,
     _compose_payload,
     _identity_payload,
-    _invert_payload,
+    _payload_inv,
     _payload_mul,
     commutator_of,
     compose,
@@ -334,7 +333,7 @@ def commutator_sup(q: QuasiMorphism, h: SubgroupSpec | None = None,
 def _commutator_value(q: QuasiMorphism) -> Callable[[Element, Element], Any]:
     """``q([x, y])`` on the raw payload product ``x y x^-1 y^-1``."""
     iq = q._on_payload
-    mul, inv = _payload_mul(q.domain), partial(_invert_payload, q.domain)
+    mul, inv = _payload_mul(q.domain), _payload_inv(q.domain)
 
     def value(x: Element, y: Element):
         a, b = x.payload, y.payload

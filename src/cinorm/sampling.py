@@ -75,7 +75,18 @@ def random_element(d: GroupDescriptor, rng: Random, size: int = 8) -> Element:
     if f in PERMUTATION_FAMILIES:
         return random_permutation(d, rng)
     if f == "free":
-        return random_word(d, rng, rng.randint(0, size))
+        # the length as randint(0, size) draws it from getrandbits on the
+        # running Python, with _randbelow's rejection loop inline; a
+        # negative size is refused first, since getrandbits(0) is 0 and the
+        # loop would never end where randint raises
+        if size < 0:
+            raise ValueError(f"size {size} is negative")
+        width = size + 1
+        k = width.bit_length()
+        length = rng.getrandbits(k)
+        while length >= width:
+            length = rng.getrandbits(k)
+        return random_word(d, rng, length)
     if f == "z2inf":
         return binary_word(rng.randint(0, 1) for _ in range(rng.randint(0, size)))
     if f == "aff-z":

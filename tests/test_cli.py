@@ -398,6 +398,24 @@ def test_each_command_takes_only_the_options_it_reads():
     assert [f.name for f in fields(ExperimentConfig)] == ["seed", "threads"]
 
 
+def test_one_parser_per_process_keeps_usage_errors_and_version(capsys):
+    # main reuses one parser: a good call between two bad ones must not
+    # change how the second is refused
+    _build_parser.cache_clear()
+    bad = ["energy", "--group", "sn:5", "--h", "(1 2)", "--m", "0"]
+    assert main(bad) == 2
+    assert main(["nope"]) == 2
+    assert main(["cld", "--group", "sn:3"]) == 0
+    assert main(bad) == 2
+    assert main(["nope"]) == 2
+    assert main(["cld", "--group", "sn:3", "--m", "2"]) == 2
+    capsys.readouterr()
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == cinorm.__version__
+    assert _build_parser.cache_info().misses == 1
+    test_each_command_takes_only_the_options_it_reads()
+
+
 @pytest.mark.parametrize("args", [
     ["cld", "--group", "an:5", "--out", "f"],
     ["norm-verify", "--group", "sn:3", "--format", "tsv"],

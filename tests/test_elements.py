@@ -665,3 +665,303 @@ def test_matrix_product_matches_triple_loop(d):
     for _ in range(60):
         a, b = random_element(d, rng, size=10), random_element(d, rng, size=10)
         assert compose(a, b).payload == product_by_triple_loop(a.payload, b.payload, mod)
+
+
+def test_free_length_is_drawn_as_randint_draws_it():
+    # sizes with size + 1 a power of two, just above one and zero: the
+    # rejection loop redraws at different rates on each
+    d = free_group(2)
+    for size in (0, 1, 2, 3, 6, 7, 8, 15, 16, 31, 40, 64):
+        for seed in range(8):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(6):
+                assert random_element(d, fast, size) == \
+                    random_word_by_free_word(d, slow, slow.randint(0, size))
+            assert fast.getstate() == slow.getstate()
+
+
+def test_negative_free_length_is_refused_before_drawing():
+    # randint(0, -1) raises; getrandbits(0) is 0, so the inline loop would
+    # never end without the guard
+    rng = random.Random(3)
+    state = rng.getstate()
+    for size in (-1, -2, -9):
+        with pytest.raises(ValueError, match="negative"):
+            random_element(free_group(2), rng, size)
+    assert rng.getstate() == state
+
+
+# ---------------------------------------------------------------------------
+# the bound payload operations against the family chains they replaced
+
+
+def chain_identity(d):
+    """The identity payload, family by family."""
+    f = d.family
+    if f in ("sn", "an"):
+        return tuple(range(d.n))
+    if f == "free" or f == "z2inf":
+        return ()
+    if f == "aff-z":
+        return (0, 0)
+    if f in ("slz", "slp"):
+        return tuple(tuple(1 if i == j else 0 for j in range(d.n)) for i in range(d.n))
+    if f in ("wreath-z", "wreath-zn"):
+        return ((), 0)
+    if f == "bar":
+        one = chain_identity(d.base)
+        return (one, one, 0)
+    return tuple(chain_identity(p) for p in d.parts)
+
+
+def chain_mat_mul(a, b, mod):
+    cols = list(zip(*b))
+    if mod:
+        return tuple([tuple([sum(map(lambda x, y: x * y, row, col)) % mod for col in cols])
+                      for row in a])
+    return tuple([tuple([sum(map(lambda x, y: x * y, row, col)) for col in cols])
+                  for row in a])
+
+
+def bareiss_adjugate(a, mod):
+    """The adjugate by one fraction-free Gauss-Jordan pass on [A | I], as
+    every SL(n) inverse was made before the cofactor formulas."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                raise ValueError("singular matrix has no inverse")
+        rk = m[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], rk)]
+        prev = p
+    if mod:
+        return tuple(tuple(sign * x % mod for x in row[n:]) for row in m)
+    return tuple(tuple(sign * x for x in row[n:]) for row in m)
+
+
+def chain_compose(d, a, b):
+    """The product by the family if-chain, recursing on nested families."""
+    f = d.family
+    if f in ("sn", "an"):
+        return tuple(a[i] for i in b)
+    if f == "free":
+        k = 0
+        m = min(len(a), len(b))
+        while k < m and a[-1 - k] == -b[k]:
+            k += 1
+        return a[:len(a) - k] + b[k:] if k else a + b
+    if f == "aff-z":
+        aa, ae = a
+        ba, be = b
+        return (aa + ba if ae == 0 else aa - ba, (ae + be) & 1)
+    if f == "z2inf":
+        la, lb = len(a), len(b)
+        bits = [(a[i] if i < la else 0) ^ (b[i] if i < lb else 0)
+                for i in range(max(la, lb))]
+        while bits and bits[-1] == 0:
+            bits.pop()
+        return tuple(bits)
+    if f == "slz":
+        return chain_mat_mul(a, b, 0)
+    if f == "slp":
+        return chain_mat_mul(a, b, d.p)
+    if f in ("wreath-z", "wreath-zn"):
+        ring = d.n if f == "wreath-zn" else 0
+        lamps_a, s = a
+        lamps_b, u = b
+        lamps = dict(lamps_a)
+        for j, g in lamps_b:
+            i = j + s if ring == 0 else (j + s) % ring
+            cur = lamps.get(i)
+            if cur is None:
+                lamps[i] = g
+            else:
+                v = chain_compose(d.base, cur, g)
+                if v == chain_identity(d.base):
+                    del lamps[i]
+                else:
+                    lamps[i] = v
+        shift = s + u if ring == 0 else (s + u) % ring
+        return (tuple(sorted(lamps.items())), shift)
+    if f == "bar":
+        g1, g2, e = a
+        f1, f2, fe = b
+        if e:
+            f1, f2 = f2, f1
+        return (chain_compose(d.base, g1, f1), chain_compose(d.base, g2, f2),
+                (e + fe) & 1)
+    return tuple(map(chain_compose, d.parts, a, b))
+
+
+def chain_invert(d, a):
+    """The inverse by the family if-chain, recursing on nested families."""
+    f = d.family
+    if f in ("sn", "an"):
+        out = [0] * len(a)
+        for i, j in enumerate(a):
+            out[j] = i
+        return tuple(out)
+    if f == "free":
+        return tuple(-x for x in reversed(a))
+    if f == "aff-z":
+        aa, e = a
+        return (-aa, 0) if e == 0 else (aa, 1)
+    if f == "z2inf":
+        return a
+    if f == "slz":
+        return bareiss_adjugate(a, 0)
+    if f == "slp":
+        return bareiss_adjugate(a, d.p)
+    if f in ("wreath-z", "wreath-zn"):
+        ring = d.n if f == "wreath-zn" else 0
+        lamps, s = a
+        out = {}
+        for i, g in lamps:
+            j = i - s if ring == 0 else (i - s) % ring
+            out[j] = chain_invert(d.base, g)
+        return (tuple(sorted(out.items())), -s if ring == 0 else (-s) % ring)
+    if f == "bar":
+        g1, g2, e = a
+        if e:
+            g1, g2 = g2, g1
+        return (chain_invert(d.base, g1), chain_invert(d.base, g2), e)
+    return tuple(map(chain_invert, d.parts, a))
+
+
+BOUND_FAMILIES = [
+    "sn:5", "an:5", "free:2", "aff-z", "z2inf",
+    "slz:2", "slz:3", "slz:4", "slz:5", "slp:2:7", "slp:3:2", "slp:4:3", "slp:5:2",
+    "wreath:sn:3:z", "wreath:sn:4:zn:3", "bar:free:2",
+    "product:sn:3,free:2,slz:3,wreath:sn:3:zn:2,aff-z",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BOUND_FAMILIES), st.integers(0, 10 ** 9))
+def test_bound_operations_match_the_family_chains(text, seed):
+    d = parse_descriptor(text)
+    rng = random.Random(seed)
+    a, b = random_element(d, rng, 6), random_element(d, rng, 6)
+    ab = chain_compose(d, a.payload, b.payload)
+    assert elements._compose_payload(d, a.payload, b.payload) == ab
+    assert elements._payload_mul(d)(a.payload, b.payload) == ab
+    assert compose(a, b).payload == ab
+    for g in (a, b):
+        g_inv = chain_invert(d, g.payload)
+        assert elements._invert_payload(d, g.payload) == g_inv
+        assert elements._payload_inv(d)(g.payload) == g_inv
+        assert invert(g).payload == g_inv
+    ba_inv = chain_invert(d, chain_compose(d, b.payload, a.payload))
+    assert commutator_of(a, b).payload == chain_compose(d, ab, ba_inv)
+    assert elements._identity_payload(d) == identity(d).payload == chain_identity(d)
+    assert compose(a, invert(a)).is_identity()
+
+
+MATRIX_GROUPS = [sl_z(n) for n in range(2, 6)] + \
+    [sl_mod(n, p) for n in range(2, 6) for p in (2, 3, 5, 7)]
+
+
+@pytest.mark.parametrize("d", MATRIX_GROUPS, ids=str)
+def test_adjugates_match_bareiss_on_sl(d):
+    rng = random.Random(f"adjugate:{d}")
+    mod = d.p if d.family == "slp" else 0
+    for _ in range(25):
+        g = random_element(d, rng, size=10)
+        assert _mat_adjugate(g.payload, mod) == bareiss_adjugate(g.payload, mod)
+        assert invert(g).payload == bareiss_adjugate(g.payload, mod)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                       min_size=n, max_size=n)),
+       st.sampled_from([0, 2, 3, 5, 7]))
+def test_adjugates_match_bareiss_on_integer_matrices(rows, mod):
+    # any determinant: the adjugate is defined for every non-singular matrix,
+    # and both refuse exactly the singular ones
+    a = tuple(map(tuple, rows))
+    try:
+        want = bareiss_adjugate(a, mod)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            _mat_adjugate(a, mod)
+    else:
+        assert _mat_adjugate(a, mod) == want
+
+
+@pytest.mark.parametrize("a", [
+    ((1, 2), (2, 4)),
+    ((0, 0), (0, 0)),
+    ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+    ((0, 0, 1), (0, 0, 2), (1, 0, 0)),
+    ((1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 0, 1)),
+    ((1, 2, 3, 4), (2, 3, 4, 5), (3, 4, 5, 6), (4, 5, 6, 7)),
+], ids=lambda a: f"{len(a)}x{len(a)}")
+def test_singular_small_matrices_are_refused(a):
+    for mod in (0, 5):
+        with pytest.raises(ValueError, match="singular"):
+            _mat_adjugate(a, mod)
+
+
+@pytest.mark.parametrize("text", BOUND_FAMILIES, ids=str)
+def test_descriptors_and_elements_round_trip_after_use(text):
+    # the bound operations are kept on the descriptor: they must not stop
+    # it or its Elements from copying and pickling, nor change its eq,
+    # hash, repr or str
+    d = parse_descriptor(text)
+    rng = random.Random(text)
+    a, b = random_element(d, rng, 6), random_element(d, rng, 6)
+    e = commutator_of(compose(a, b), invert(b))
+    fresh = parse_descriptor(text)
+    assert d == fresh and hash(d) == hash(fresh)
+    assert str(d) == str(fresh) == text and repr(d) == repr(fresh)
+    for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d)),
+                 dataclasses.replace(d)):
+        assert twin == d and hash(twin) == hash(d) and str(twin) == text
+        assert compose(Element(twin, a.payload), Element(twin, b.payload)) == compose(a, b)
+    for g in (a, b, e):
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g)),
+                     dataclasses.replace(g)):
+            assert twin == g and hash(twin) == hash(g)
+            assert compose(twin, g) == compose(g, g)
+
+
+def test_operations_on_one_descriptor_never_compare_or_hash_it(monkeypatch):
+    d = parse_descriptor("wreath:sn:3:zn:3")
+    rng = random.Random(0)
+    a, b = random_element(d, rng, 6), random_element(d, rng, 6)
+    calls = []
+    eq, hash_ = GroupDescriptor.__eq__, GroupDescriptor.__hash__
+
+    def counted_eq(self, other):
+        calls.append("eq")
+        return eq(self, other)
+
+    def counted_hash(self):
+        calls.append("hash")
+        return hash_(self)
+    monkeypatch.setattr(GroupDescriptor, "__eq__", counted_eq)
+    monkeypatch.setattr(GroupDescriptor, "__hash__", counted_hash)
+    for _ in range(3):
+        compose(a, b)
+        invert(a)
+        commutator_of(a, b)
+        a.is_identity()
+        identity(d)
+    assert calls == []
+    # the counters do see an equal descriptor that is another object
+    twin = Element(parse_descriptor("wreath:sn:3:zn:3"), b.payload)
+    assert compose(a, twin) == compose(a, b)
+    assert "eq" in calls

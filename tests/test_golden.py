@@ -9,7 +9,12 @@ while ``random_word`` still drew each letter through ``randint`` and
 ``cl``, ``norm-verify`` and ``qk-a5`` files were written while subset
 kernels still kept their Cayley-table rows one at a time; ``qk-an7-k3`` is
 on a group of order 2520, above ``kernel.TABLE_BOUND``, so it runs on
-payload products.  Every case here must reproduce them byte for byte.
+payload products.  The ``elementary-sl``, ``rearrange-id``,
+``seven-fcomm``, ``aff-z`` and ``bar-splitting`` suite files, the ``fcomm``
+file and the ``cl`` / ``qk`` files on ``slp:3:2`` and ``slp:2:7`` were
+written while each product and inverse still walked the family chain of
+``_compose_payload`` / ``_invert_payload`` and every SL(n) inverse was a
+Bareiss pass.  Every case here must reproduce them byte for byte.
 """
 
 from pathlib import Path
@@ -68,6 +73,14 @@ CASES = {
     "cl-slp-2-5": ["cl", "--group", "slp:2:5"],
     "norm-verify-sn4-support": ["norm-verify", "--group", "sn:4", "--norm", "support"],
     "verify-qk-a5": ["verify", "--suite", "qk-a5"],
+    "verify-elementary-sl": ["verify", "--suite", "elementary-sl"],
+    "verify-rearrange-id": ["verify", "--suite", "rearrange-id"],
+    "verify-seven-fcomm": ["verify", "--suite", "seven-fcomm"],
+    "verify-aff-z": ["verify", "--suite", "aff-z"],
+    "verify-bar-splitting": ["verify", "--suite", "bar-splitting"],
+    "fcomm-sn4-m3-seed5": ["fcomm", "--base", "sn:4", "--m", "3", "--seed", "5"],
+    "cl-slp-3-2": ["cl", "--group", "slp:3:2"],
+    "qk-slp-2-7-unipotent": ["qk", "--group", "slp:2:7", "--k", "[[1,1],[0,1]]"],
 }
 
 

@@ -304,6 +304,15 @@ def test_quasinorm_to_norm_refuses_a_quasi_norm_of_another_group():
             quasinorm_to_norm(q, S4)
 
 
+def test_quasinorm_to_norm_refuses_a_table_that_misses_an_element():
+    # it used to die with KeyError: Element(sn:3, (1, 0, 2))
+    table = dict(support_norm_table(S3).values)
+    del table[perm_from_cycles(S3, (1, 2))]
+    q = QuasiNormSpec(S3, Fraction(0), Fraction(0), table=table)
+    with pytest.raises(ValueError, match="covers 5 elements, not all 6 of sn:3"):
+        quasinorm_to_norm(q, S3)
+
+
 def test_quasinorm_to_norm_constant_zero_pseudonorm():
     elems = enumerate_elements(S3)
     q = QuasiNormSpec(S3, Fraction(0), Fraction(0),
@@ -398,6 +407,19 @@ def test_stabilization_refuses_a_table_of_another_group():
     g = perm_from_cycles(S4, (1, 2, 3, 4))
     with pytest.raises(DescriptorMismatchError, match="the norm table is on sn:3, not sn:4"):
         stabilization_upper(trivial_norm_table(S3), g, 3)
+
+
+def test_stabilization_refuses_a_power_outside_the_table():
+    # cl lives on A3: f = (1 2) itself is outside, where a KeyError came out
+    cl = commutator_length(S3)
+    f = perm_from_cycles(S3, (1, 2))
+    with pytest.raises(ValueError, match=r"f\^1 = \(1 2\) is outside the domain "
+                                         r"of the norm table \(3 elements\)"):
+        stabilization_upper(cl, f, 3)
+    # a table that covers every power within the horizon keeps working
+    c = perm_from_cycles(S3, (1, 2, 3))
+    est = stabilization_upper(cl, c, 3)
+    assert est.exact_zero and est.upper == 0
 
 
 def test_stabilization_trivial_norm_decays():
