@@ -77,13 +77,9 @@ from . import descriptors as gd
 from .descriptors import PERMUTATION_FAMILIES, GroupDescriptor
 from .elements import (
     Element,
-    _identity_payload,
-    _payload_conj,
-    _payload_inv,
-    _payload_mul,
+    _payload_ops,
     commutator_of,
-    compose,
-    invert,
+    conjugate_of,
     sort_key,
 )
 from .enumeration import (
@@ -169,9 +165,8 @@ class _StabChain:
     the orbit lengths."""
 
     def __init__(self, d: GroupDescriptor):
-        one = _identity_payload(d)
+        _, self.inv, one, _ = _payload_ops(d)
         self.n = d.n
-        self.inv = _payload_inv(d)
         self.gens: list[list[tuple]] = [[] for _ in range(d.n)]
         self.reps: list[dict] = [{k: one} for k in range(d.n)]
         self.reps_inv: list[dict] = [{k: one} for k in range(d.n)]
@@ -226,8 +221,8 @@ class _FlatChain:
     one level, whose leaves are all of N."""
 
     def __init__(self, d: GroupDescriptor, limit: int):
-        self.elements, self.gens = {_identity_payload(d)}, []
-        self.mul, self.limit = _payload_mul(d), limit
+        self.mul, _, one, _ = _payload_ops(d)
+        self.elements, self.gens, self.limit = {one}, [], limit
 
     def add(self, g) -> None:
         if g not in self.elements:
@@ -267,9 +262,8 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     if h.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
     size = _checked_order(d, limit)
-    mul, inv, conj = _payload_mul(d), _payload_inv(d), _payload_conj(d)
+    mul, inv, one, conj = _payload_ops(d)
     steps = [(s.payload, inv(s.payload)) for s in group_generators(d)]
-    one = _identity_payload(d)
     points = [frozenset(g.payload for g in closure_of(h))]
     where = {points[0]: 0}
     trans, trans_inv, tree = [one], [one], [None]
@@ -301,7 +295,7 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
 def _commuter(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec):
     """``commutes(t, t^-1)``: whether ``t moved t^-1`` commutes with
     ``fixed``, decided on generators."""
-    mul, conj = _payload_mul(d), _payload_conj(d)
+    mul, _, _, conj = _payload_ops(d)
     moved_gens = tuple(g.payload for g in moved.generators)
     fixed_gens = tuple(g.payload for g in fixed.generators)
 
@@ -371,7 +365,7 @@ def _zero_bound(s: tuple, k: int) -> int:
 def _trivial_bound(d: GroupDescriptor):
     """The bound of :func:`~cinorm.norms.trivial_norm`: 1 under a prefix
     other than the identity's, whose leaves are all non-identity, else 0."""
-    one = _identity_payload(d)
+    one = _payload_ops(d)[2]
     return lambda s, k: int(s[:k] != one[:k])
 
 
@@ -408,12 +402,12 @@ def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, ac
     ``accept`` is asked of them in key order, only while the key is below
     the best.  Every bound but the support norm's assumes values >= 0, so
     a negative value among the leaves is refused."""
-    mul = _payload_mul(d)
+    mul, _, one, _ = _payload_ops(d)
     best = None
     cut = max(len(levels) - 1, 0)
     while cut > 0 and prod(len(reps) for reps, _ in levels[cut - 1:]) <= LEAF_BATCH:
         cut -= 1
-    tails = list(levels[-1][0].values()) if levels else [_identity_payload(d)]
+    tails = list(levels[-1][0].values()) if levels else [one]
     for reps, _ in reversed(levels[cut:-1]):
         tails = [mul(u, x) for u in reps.values() for x in tails]
 
@@ -468,7 +462,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
         raise DescriptorMismatchError(f"the subgroup lives in {fixed.descriptor}, not {d}")
     value = None if norm is None else payload_value_fn(d, norm)
     orb = _conjugates(d, moved, limit)
-    mul, inv = _payload_mul(d), _payload_inv(d)
+    mul, inv, _, _ = _payload_ops(d)
     commutes = _commuter(d, fixed, moved)
     # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
     near0 = orb.commuting(commutes)
@@ -520,7 +514,7 @@ def _assert_witnesses(fixed: SubgroupSpec, moved: SubgroupSpec,
     ``w moved w^-1`` of ``moved`` must commute with ``fixed``, and when
     ``fixed`` is ``moved`` (packing, strong displacement) with each other."""
     conjugates = [
-        SubgroupSpec(tuple(compose(compose(w, g), invert(w)) for g in moved.generators))
+        SubgroupSpec(tuple(conjugate_of(g, w) for g in moved.generators))
         for w in witnesses]
     pairs = [(fixed, c) for c in conjugates]
     if fixed is moved:

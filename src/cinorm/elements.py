@@ -99,7 +99,11 @@ def invert(a: Element) -> Element:
 
 def conjugate_of(g: Element, by: Element) -> Element:
     """``by . g . by^-1`` in canonical form."""
-    return compose(compose(by, g), invert(by))
+    d = by.descriptor
+    if d is not g.descriptor and d != g.descriptor:
+        raise DescriptorMismatchError(f"cannot compose {d} with {g.descriptor}")
+    _, inv, _, conj = _payload_ops(d)
+    return Element(d, conj(by.payload, g.payload, inv(by.payload)))
 
 
 def commutator_of(a: Element, b: Element) -> Element:
@@ -148,17 +152,18 @@ def sort_key(e: Element):
 # ---------------------------------------------------------------------------
 # payload arithmetic
 #
-# Each descriptor's payload product, inverse and identity are bound once, on
-# first use, and kept on the descriptor instance itself, so a product costs
-# one attribute read: no family dispatch, no descriptor hash and no __eq__.
-# Nested families bind their base's (or parts') operations with
-# functools.partial over the module-level functions below, never closures:
-# the operations live in the descriptor's __dict__, and a partial of a
-# module-level function pickles and copies where a closure would not.
+# Each descriptor's payload product, inverse, identity and conjugation are
+# bound once, on first use, and kept on the descriptor instance itself, so a
+# product costs one attribute read: no family dispatch, no descriptor hash
+# and no __eq__.  Nested families bind their base's (or parts') operations
+# with functools.partial over the module-level functions below, never
+# closures: the operations live in the descriptor's __dict__, and a partial
+# of a module-level function pickles and copies where a closure would not.
 
 
 def _payload_ops(d: GroupDescriptor) -> tuple:
-    """``(mul, inv, one)`` of ``d``'s raw payloads, bound on first use."""
+    """``(mul, inv, one, conj)`` of ``d``'s raw payloads, bound on first
+    use; ``conj(s, x, s_inv)`` is ``s x s^-1``."""
     try:
         return d._payload_ops
     except AttributeError:
@@ -174,61 +179,41 @@ def _payload_ops(d: GroupDescriptor) -> tuple:
 def _bind_ops(d: GroupDescriptor) -> tuple:
     f = d.family
     if f in PERMUTATION_FAMILIES:
-        return _gather, _perm_inv, tuple(range(d.n))
+        return _gather, _perm_inv, tuple(range(d.n)), _perm_conj
     if f == "free":
-        return _free_mul, _free_inv, ()
-    if f == "aff-z":
-        return _affz_mul, _affz_inv, (0, 0)
-    if f == "z2inf":
-        return _z2_mul, _z2_inv, ()
-    if f in MATRIX_FAMILIES:
+        mul, inv, one = _free_mul, _free_inv, ()
+    elif f == "aff-z":
+        mul, inv, one = _affz_mul, _affz_inv, (0, 0)
+    elif f == "z2inf":
+        mul, inv, one = _z2_mul, _z2_inv, ()
+    elif f in MATRIX_FAMILIES:
         n = d.n
         mod = d.p if f == "slp" else 0
         mul = partial(_mat_mul_mod, mod) if mod else _mat_mul_z
+        inv = partial(_ADJUGATES.get(n, _bareiss_adjugate), mod)
         one = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return mul, partial(_ADJUGATES.get(n, _bareiss_adjugate), mod), one
-    if f in WREATH_FAMILIES:
-        mul, inv, one = _payload_ops(d.base)
+    elif f in WREATH_FAMILIES:
+        base_mul, base_inv, base_one, _ = _payload_ops(d.base)
         ring = d.n if f == "wreath-zn" else 0
-        return (partial(_wreath_mul, ring, mul, one), partial(_wreath_inv, ring, inv),
-                ((), 0))
-    if f == "bar":
-        mul, inv, one = _payload_ops(d.base)
-        return partial(_bar_mul, mul), partial(_bar_inv, inv), (one, one, 0)
-    muls, invs, ones = zip(*map(_payload_ops, d.parts))
-    return partial(_product_mul, muls), partial(_product_inv, invs), ones
+        mul = partial(_wreath_mul, ring, base_mul, base_one)
+        inv, one = partial(_wreath_inv, ring, base_inv), ((), 0)
+    elif f == "bar":
+        base_mul, base_inv, base_one, _ = _payload_ops(d.base)
+        mul, inv = partial(_bar_mul, base_mul), partial(_bar_inv, base_inv)
+        one = (base_one, base_one, 0)
+    else:
+        muls, invs, one, _ = zip(*map(_payload_ops, d.parts))
+        mul, inv = partial(_product_mul, muls), partial(_product_inv, invs)
+    return mul, inv, one, partial(_mul_conj, mul)
 
 
-def _payload_mul(d: GroupDescriptor):
-    """The product of two raw payloads of ``d``."""
-    return _payload_ops(d)[0]
+def _mul_conj(mul, s, x, s_inv):
+    return mul(mul(s, x), s_inv)
 
 
-def _payload_inv(d: GroupDescriptor):
-    """The inverse of one raw payload of ``d``."""
-    return _payload_ops(d)[1]
-
-
-def _identity_payload(d: GroupDescriptor):
-    return _payload_ops(d)[2]
-
-
-def _compose_payload(d: GroupDescriptor, a, b):
-    return _payload_ops(d)[0](a, b)
-
-
-def _invert_payload(d: GroupDescriptor, a):
-    return _payload_ops(d)[1](a)
-
-
-def _payload_conj(d: GroupDescriptor):
-    """``conj(s, x, s_inv)``, the conjugate ``s x s^-1`` of raw payloads of
-    ``d``: for permutations one gather relabels x by s, since ``s x
-    s^-1`` sends s(i) to s(x(i)); else two products."""
-    if d.family in PERMUTATION_FAMILIES:
-        return lambda s, x, s_inv: tuple(map(s.__getitem__, map(x.__getitem__, s_inv)))
-    mul = _payload_mul(d)
-    return lambda s, x, s_inv: mul(mul(s, x), s_inv)
+def _perm_conj(s, x, s_inv):
+    # one gather relabels x by s: s x s^-1 sends s(i) to s(x(i))
+    return tuple(map(s.__getitem__, map(x.__getitem__, s_inv)))
 
 
 def _gather(a, b):
@@ -364,13 +349,6 @@ def _mat_det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _mat_adjugate(a, mod: int):
-    """The adjugate of a non-singular integer matrix, entries reduced mod
-    ``mod`` when it is non-zero; with determinant one it is the exact
-    inverse.  Singular input raises ``ValueError``."""
-    return _ADJUGATES.get(len(a), _bareiss_adjugate)(mod, a)
-
-
 def _reduced(mod: int, rows):
     if mod:
         return tuple([tuple([x % mod for x in row]) for row in rows])
@@ -496,12 +474,12 @@ def normalized(d: GroupDescriptor, payload):
     if f in WREATH_FAMILIES:
         lamps, shift = payload
         ring = d.n if f == "wreath-zn" else 0
-        one = _identity_payload(d.base)
+        mul, _, one, _ = _payload_ops(d.base)
         out_l = {}
         for i, g in lamps:
             i = int(i) if ring == 0 else int(i) % ring
             cur = out_l.get(i)
-            g2 = g if cur is None else _compose_payload(d.base, cur, g)
+            g2 = g if cur is None else mul(cur, g)
             if g2 == one:
                 out_l.pop(i, None)
             else:
@@ -603,9 +581,10 @@ def elementary(d: GroupDescriptor, i: int, j: int, p: int = 1) -> Element:
         raise ValueError(f"{d} is not a matrix family")
     if i == j or not (1 <= i <= d.n and 1 <= j <= d.n):
         raise ValueError("elementary position must be off-diagonal and in range")
-    rows = [[1 if r == c else 0 for c in range(d.n)] for r in range(d.n)]
-    rows[i - 1][j - 1] = p
-    return int_matrix(d, rows) if d.family == "slz" else mod_matrix(d, rows)
+    # unipotent, so of determinant one: no check is needed
+    x = int(p) % d.p if d.family == "slp" else int(p)
+    return Element(d, tuple(tuple(x if (r, c) == (i - 1, j - 1) else int(r == c)
+                                  for c in range(d.n)) for r in range(d.n)))
 
 
 def wreath_element(d: GroupDescriptor, lamps: Mapping[int, Element] | Iterable,

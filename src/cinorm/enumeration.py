@@ -15,9 +15,7 @@ from . import descriptors as gd
 from .descriptors import GroupDescriptor
 from .elements import (
     Element,
-    _identity_payload,
-    _payload_inv,
-    _payload_mul,
+    _payload_ops,
     _perm_parity,
     bar_element,
     compose,
@@ -110,7 +108,7 @@ def _enumerate(d: GroupDescriptor, size: int, limit: int | None) -> list[Element
         elif f == "bar":
             payloads = iter_product(lists[0], lists[0], (0, 1))
         else:
-            one = _identity_payload(d.base)
+            one = _payload_ops(d.base)[2]
             payloads = ((tuple((i, g) for i, g in enumerate(combo) if g != one), shift)
                         for shift in range(d.n)
                         for combo in iter_product(lists[0], repeat=d.n))
@@ -161,7 +159,8 @@ def subgroup_closure(generators: Iterable[Element],
     d = gens[0].descriptor
     if any(g.descriptor != d for g in gens):
         raise DescriptorMismatchError("closure generators must share one descriptor")
-    elems, used, mul = {_identity_payload(d)}, [], _payload_mul(d)
+    mul, _, one, _ = _payload_ops(d)
+    elems, used = {one}, []
     for g in gens:
         if g.payload not in elems:
             _extend_closure(elems, used, g.payload, mul, limit)
@@ -201,14 +200,15 @@ def derived_subgroup(d: GroupDescriptor, limit: int | None = None) -> set[Elemen
     # that has no finite generating set
     gens = [g.payload for g in group_generators(d)]
     size = _checked_order(d, limit)
-    mul, inv = _payload_mul(d), _payload_inv(d)
-    elems, used = {_identity_payload(d)}, []
-    queue = [mul(mul(s, t), mul(inv(s), inv(t))) for s in gens for t in gens]
+    mul, inv, one, conj = _payload_ops(d)
+    steps = [(s, inv(s)) for s in gens]
+    elems, used = {one}, []
+    queue = [mul(mul(s, t), mul(s_inv, t_inv)) for s, s_inv in steps for t, t_inv in steps]
     while queue:
         g = queue.pop()
         if g not in elems:
             _extend_closure(elems, used, g, mul, size)
-            queue.extend(mul(mul(s, g), inv(s)) for s in gens)
+            queue.extend(conj(s, g, s_inv) for s, s_inv in steps)
     return {Element(d, p) for p in elems}
 
 

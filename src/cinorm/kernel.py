@@ -32,9 +32,7 @@ from . import descriptors as gd
 from .descriptors import GroupDescriptor
 from .elements import (
     Element,
-    _identity_payload,
-    _payload_inv,
-    _payload_mul,
+    _payload_ops,
     sort_key,
 )
 from .enumeration import _CACHE_SIZE, _checked_order, enumerate_elements, group_generators
@@ -55,10 +53,10 @@ class FiniteGroup:
         self.index = {p: i for i, p in enumerate(self.payloads)}
         self.n = len(elements)
         self.full = full
-        self._mul = _payload_mul(d)
+        self._mul, inv, one, _ = _payload_ops(d)
         get = self.index.get
-        self.inv = array("i", [get(x, -1) for x in map(_payload_inv(d), self.payloads)])
-        self.one = get(_identity_payload(d), -1)
+        self.inv = array("i", [get(x, -1) for x in map(inv, self.payloads)])
+        self.one = get(one, -1)
         self._rows: list[array] | None = None  # the whole table, once built
 
     def index_of(self, e: Element) -> int:

@@ -17,8 +17,9 @@ from . import descriptors as gd
 from .descriptors import GroupDescriptor, PERMUTATION_FAMILIES
 from .elements import (
     Element,
-    _identity_payload,
+    _payload_ops,
     compose,
+    conjugate_of,
     identity,
     invert,
     moved_points,
@@ -92,11 +93,10 @@ def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]
     if isinstance(norm, NormTable) and size is not None and len(norm.values) != size:
         raise ValueError(f"the norm table covers {len(norm.values)} elements, "
                          f"not all {size} of {d}")
+    one = _payload_ops(d)[2]
     if norm is support_norm and d.family in PERMUTATION_FAMILIES:
-        one = _identity_payload(d)
         return lambda p: sum(map(ne, p, one))
     if norm is trivial_norm:
-        one = _identity_payload(d)
         return lambda p: int(p != one)
     value = norm_value_fn(norm)
     return lambda p: value(Element(d, p))
@@ -117,10 +117,11 @@ class AxiomReport:
 def verify_norm_axioms(table: NormTable, max_violations: int = 25) -> AxiomReport:
     """Exhaustively check all five norm axioms on the table's domain.
 
-    Reports violations instead of raising.  For tables on a subgroup the
-    conjugators range over that subgroup.  Pairs ``(f, g)`` run in domain
-    order and each row stops at its first violation; ``pairs_checked``
-    counts the pair that stopped it.
+    Reports violations instead of raising; a domain that holds an element
+    but not its inverse raises ``ValueError`` naming both.  For tables on a
+    subgroup the conjugators range over that subgroup.  Pairs ``(f, g)`` run
+    in domain order and each row stops at its first violation;
+    ``pairs_checked`` counts the pair that stopped it.
     """
     vals = table.values
     G = domain_kernel(table.descriptor, vals)
@@ -138,7 +139,8 @@ def verify_norm_axioms(table: NormTable, max_violations: int = 25) -> AxiomRepor
     full = True
     for g in range(G.n):
         if inv[g] < 0:
-            raise KeyError(invert(elems[g]))
+            raise ValueError(f"the table's domain holds {to_literal(elems[g])} "
+                             f"but not its inverse {to_literal(invert(elems[g]))}")
         if iv[g] != iv[inv[g]]:
             full = not record("ii", g)
             if not full:
@@ -450,7 +452,7 @@ def verify_quasinorm(q: QuasiNormSpec, pairs: Iterable[tuple[Element, Element]],
         slack_add = max(slack_add, s)
         if s > q.c_add and len(violations) < max_violations:
             violations.append(("subadditivity", (a, b)))
-        conj = compose(compose(invert(b), a), b)
+        conj = conjugate_of(a, invert(b))
         qc = q.value(conj)
         g = abs(qc - qa)
         gap = max(gap, g)

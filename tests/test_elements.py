@@ -41,6 +41,7 @@ from cinorm import (
     identity,
     int_matrix,
     invert,
+    mod_matrix,
     perm_from_cycles,
     permutation,
     power,
@@ -54,7 +55,7 @@ from cinorm import (
 )
 from cinorm import elements
 from cinorm.descriptors import GroupDescriptor, finite, parse_descriptor
-from cinorm.elements import _mat_adjugate, _mat_det, normalized, sort_key
+from cinorm.elements import _mat_det, _payload_ops, normalized, sort_key
 from cinorm.literals import from_literal, to_literal
 from cinorm.sampling import random_element, random_word
 
@@ -137,6 +138,14 @@ def test_commutator_examples():
 def test_descriptor_mismatch_raises():
     with pytest.raises(DescriptorMismatchError):
         compose(identity(S3), identity(symmetric(4)))
+
+
+def test_conjugate_of_checks_descriptors_as_compose_does():
+    with pytest.raises(DescriptorMismatchError, match="^cannot compose sn:4 with sn:3$"):
+        conjugate_of(identity(S3), identity(symmetric(4)))
+    # an equal descriptor that is another object is the same group
+    by = Element(symmetric(3), (1, 0, 2))
+    assert conjugate_of(perm_from_cycles(S3, (1, 2, 3)), by) == perm_from_cycles(S3, (1, 3, 2))
 
 
 def test_equal_payloads_of_two_groups_are_two_keys():
@@ -433,6 +442,19 @@ def test_matrix_det_validation():
     assert compose(m, invert(m)).is_identity()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_elementary_matches_the_checked_constructors(n):
+    # elementary builds its payload without the determinant check that the
+    # constructors make of user matrices
+    for d in (sl_z(n), sl_mod(n, 2), sl_mod(n, 3), sl_mod(n, 7)):
+        build = int_matrix if d.family == "slz" else mod_matrix
+        for i, j in permutations(range(n), 2):
+            for p in range(-3, 4):
+                rows = [[p if (r, c) == (i, j) else int(r == c) for c in range(n)]
+                        for r in range(n)]
+                assert elementary(d, i + 1, j + 1, p) == build(d, rows)
+
+
 def test_element_order():
     assert element_order(perm_from_cycles(S3, (1, 2, 3))) == 3
     assert element_order(affz_element(0, 1)) == 2
@@ -518,11 +540,17 @@ def test_matrix_inverse_with_row_swaps(n):
     assert count == 2 ** (n - 1) * len(list(permutations(range(n))))
 
 
+def bound_inverse(n, mod):
+    """The inverse bound to ``sl_z(n)``, or to ``sl_mod(n, mod)`` when
+    ``mod`` is non-zero: the adjugate, reduced mod ``mod``."""
+    return _payload_ops(sl_mod(n, mod) if mod else sl_z(n))[1]
+
+
 def test_singular_matrix_has_no_inverse():
     with pytest.raises(ValueError, match="singular"):
-        _mat_adjugate(((1, 2), (2, 4)), 0)
+        bound_inverse(2, 0)(((1, 2), (2, 4)))
     with pytest.raises(ValueError, match="singular"):
-        _mat_adjugate(((0, 0, 1), (0, 0, 2), (1, 0, 0)), 0)
+        bound_inverse(3, 0)(((0, 0, 1), (0, 0, 2), (1, 0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -854,19 +882,22 @@ def test_bound_operations_match_the_family_chains(text, seed):
     d = parse_descriptor(text)
     rng = random.Random(seed)
     a, b = random_element(d, rng, 6), random_element(d, rng, 6)
+    mul, inv, one, conj = _payload_ops(d)
     ab = chain_compose(d, a.payload, b.payload)
-    assert elements._compose_payload(d, a.payload, b.payload) == ab
-    assert elements._payload_mul(d)(a.payload, b.payload) == ab
+    assert mul(a.payload, b.payload) == ab
     assert compose(a, b).payload == ab
     for g in (a, b):
         g_inv = chain_invert(d, g.payload)
-        assert elements._invert_payload(d, g.payload) == g_inv
-        assert elements._payload_inv(d)(g.payload) == g_inv
+        assert inv(g.payload) == g_inv
         assert invert(g).payload == g_inv
     ba_inv = chain_invert(d, chain_compose(d, b.payload, a.payload))
     assert commutator_of(a, b).payload == chain_compose(d, ab, ba_inv)
-    assert elements._identity_payload(d) == identity(d).payload == chain_identity(d)
+    assert one == identity(d).payload == chain_identity(d)
     assert compose(a, invert(a)).is_identity()
+    a_inv = chain_invert(d, a.payload)
+    aba_inv = chain_compose(d, ab, a_inv)
+    assert conj(a.payload, b.payload, a_inv) == aba_inv
+    assert conjugate_of(b, a).payload == aba_inv
 
 
 MATRIX_GROUPS = [sl_z(n) for n in range(2, 6)] + \
@@ -879,7 +910,7 @@ def test_adjugates_match_bareiss_on_sl(d):
     mod = d.p if d.family == "slp" else 0
     for _ in range(25):
         g = random_element(d, rng, size=10)
-        assert _mat_adjugate(g.payload, mod) == bareiss_adjugate(g.payload, mod)
+        assert bound_inverse(d.n, mod)(g.payload) == bareiss_adjugate(g.payload, mod)
         assert invert(g).payload == bareiss_adjugate(g.payload, mod)
 
 
@@ -896,9 +927,9 @@ def test_adjugates_match_bareiss_on_integer_matrices(rows, mod):
         want = bareiss_adjugate(a, mod)
     except ValueError:
         with pytest.raises(ValueError, match="singular"):
-            _mat_adjugate(a, mod)
+            bound_inverse(len(a), mod)(a)
     else:
-        assert _mat_adjugate(a, mod) == want
+        assert bound_inverse(len(a), mod)(a) == want
 
 
 @pytest.mark.parametrize("a", [
@@ -912,7 +943,7 @@ def test_adjugates_match_bareiss_on_integer_matrices(rows, mod):
 def test_singular_small_matrices_are_refused(a):
     for mod in (0, 5):
         with pytest.raises(ValueError, match="singular"):
-            _mat_adjugate(a, mod)
+            bound_inverse(len(a), mod)(a)
 
 
 @pytest.mark.parametrize("text", BOUND_FAMILIES, ids=str)
@@ -936,6 +967,26 @@ def test_descriptors_and_elements_round_trip_after_use(text):
                      dataclasses.replace(g)):
             assert twin == g and hash(twin) == hash(g)
             assert compose(twin, g) == compose(g, g)
+
+
+@pytest.mark.parametrize("text", BOUND_FAMILIES, ids=str)
+def test_round_trip_after_a_first_conjugation(text):
+    # a record first built by conjugate_of holds conj as well: a gather on
+    # sn/an, a partial over the product elsewhere, and both must pickle
+    rng = random.Random(text)
+    a, b = (random_element(parse_descriptor(text), rng, 6).payload for _ in range(2))
+    d = parse_descriptor(text)
+    a, b = Element(d, a), Element(d, b)
+    assert "_payload_ops" not in vars(d)
+    e = conjugate_of(a, b)
+    assert "_payload_ops" in vars(d)
+    for twin in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert twin == d and "_payload_ops" in vars(twin)
+        assert conjugate_of(Element(twin, a.payload), Element(twin, b.payload)) == e
+    for g in (a, b, e):
+        for twin in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and hash(twin) == hash(g)
+            assert conjugate_of(twin, g) == conjugate_of(g, g)
 
 
 def test_operations_on_one_descriptor_never_compare_or_hash_it(monkeypatch):

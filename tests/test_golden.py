@@ -14,14 +14,18 @@ payload products.  The ``elementary-sl``, ``rearrange-id``,
 file and the ``cl`` / ``qk`` files on ``slp:3:2`` and ``slp:2:7`` were
 written while each product and inverse still walked the family chain of
 ``_compose_payload`` / ``_invert_payload`` and every SL(n) inverse was a
-Bareiss pass.  Every case here must reproduce them byte for byte.
+Bareiss pass.  The ``wreath``, ``bar`` and ``slp:4:2`` packing and energy
+files and the ``stabilization`` suite file were written while conjugates of
+raw payloads were still made by a lambda built on each call and
+``conjugate_of`` made two products and an inverse on every family.  Every
+case here must reproduce them byte for byte.
 """
 
 from pathlib import Path
 
 import pytest
 
-from cinorm.cli import main
+from cinorm.cli import SUITES, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SYM123 = "(1 2);(1 2 3)"
@@ -37,6 +41,9 @@ WORD200 = (
     "A A b A A A b b b A b a B B a b a b A A B A B B B "
     "B B A A b A B a a b A A B A A A B B B A A A b b A"
 )
+# the elementary matrices E12 and E21 of SL(4, 2)
+E12_E21 = ("[[1,1,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]];"
+           "[[1,0,0,0],[1,1,0,0],[0,0,1,0],[0,0,0,1]]")
 
 CASES = {
     "verify-packing-s6": ["verify", "--suite", "packing-s6"],
@@ -81,6 +88,13 @@ CASES = {
     "fcomm-sn4-m3-seed5": ["fcomm", "--base", "sn:4", "--m", "3", "--seed", "5"],
     "cl-slp-3-2": ["cl", "--group", "slp:3:2"],
     "qk-slp-2-7-unipotent": ["qk", "--group", "slp:2:7", "--k", "[[1,1],[0,1]]"],
+    "packing-wreath-sn3-zn4": ["packing", "--group", "wreath:sn:3:zn:4",
+                               "--h", "{0:(1 2)};{0:(1 2 3)}"],
+    "energy-bar-sn4-trivial": ["energy", "--group", "bar:sn:4",
+                               "--h", "((1 2);());((1 2 3);())", "--m", "2",
+                               "--norm", "trivial"],
+    "packing-slp-4-2": ["packing", "--group", "slp:4:2", "--h", E12_E21],
+    "verify-stabilization": ["verify", "--suite", "stabilization"],
 }
 
 
@@ -90,3 +104,9 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.json"
     assert main(CASES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_every_suite_has_a_golden():
+    # negative-control always fails, and a golden case must exit 0
+    covered = {args[2] for args in CASES.values() if args[:2] == ["verify", "--suite"]}
+    assert covered == set(SUITES) - {"negative-control"}

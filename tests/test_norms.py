@@ -147,6 +147,14 @@ def test_axiom_violations_reported_not_raised():
         any(axiom == "ii" for axiom, _ in rep.violations)
 
 
+def test_axioms_refuse_a_domain_without_an_inverse():
+    # it used to raise a bare KeyError: Element(sn:3, (2, 0, 1))
+    vals = {identity(S3): Fraction(0), perm_from_cycles(S3, (1, 2, 3)): Fraction(1)}
+    with pytest.raises(ValueError, match=r"^the table's domain holds \(1 2 3\) "
+                                         r"but not its inverse \(1 3 2\)$"):
+        verify_norm_axioms(NormTable(S3, vals, NormTableMeta(name="partial")))
+
+
 # ---------------------------------------------------------------------------
 # q_K
 

@@ -65,7 +65,7 @@ from cinorm.displacement import (
     _zero_bound,
     is_abelian_subgroup,
 )
-from cinorm.elements import _compose_payload, _invert_payload, _perm_parity, sort_key
+from cinorm.elements import _payload_ops, _perm_parity, sort_key
 from cinorm.norms import norm_value_fn, payload_value_fn
 from cinorm.cli import main
 
@@ -75,11 +75,6 @@ FAMILIES = ["sn:4", "sn:5", "sn:6", "an:5", "slp:2:3", "bar:sn:3",
 
 # ---------------------------------------------------------------------------
 # full-scan oracles
-
-
-def _payload_ops(d):
-    return (lambda a, b: _compose_payload(d, a, b),
-            lambda a: _invert_payload(d, a))
 
 
 def _iter_payloads(d):
@@ -104,7 +99,7 @@ def _strongly_displaces(mul, inv, phi, gens, m):
 
 
 def scan_strong_displacer(d, h, m):
-    mul, inv = _payload_ops(d)
+    mul, inv, _, _ = _payload_ops(d)
     gens = tuple(g.payload for g in h.generators)
     for phi in _iter_payloads(d):
         if _strongly_displaces(mul, inv, phi, gens, m):
@@ -114,7 +109,7 @@ def scan_strong_displacer(d, h, m):
 
 
 def scan_displacement_energy(d, h, m, value):
-    mul, inv = _payload_ops(d)
+    mul, inv, _, _ = _payload_ops(d)
     gens = tuple(g.payload for g in h.generators)
     best = best_phi = None
     for phi in _iter_payloads(d):
@@ -129,7 +124,7 @@ def scan_displacement_energy(d, h, m, value):
 
 
 def scan_disjunction_energy(d, h1, h2, value):
-    mul, inv = _payload_ops(d)
+    mul, inv, _, _ = _payload_ops(d)
     gens1 = tuple(g.payload for g in h1.generators)
     gens2 = tuple(g.payload for g in h2.generators)
     best = best_phi = None
@@ -149,7 +144,7 @@ def scan_disjunction_energy(d, h1, h2, value):
 def scan_packing(d, h, m_cap=16):
     if is_abelian_subgroup(h):
         return None, ()
-    mul, inv = _payload_ops(d)
+    mul, inv, _, _ = _payload_ops(d)
     closure = [g.payload for g in closure_of(h)]
     gens = tuple(g.payload for g in h.generators)
     keys, order_seen, conj_gens = {}, [], []
@@ -449,7 +444,7 @@ def _orbit_and_graph(d, h):
 
 def pairwise_graph(d, orb, h):
     """The r^2 commutation test on every pair of conjugates, itself included."""
-    mul, _ = _payload_ops(d)
+    mul = _payload_ops(d)[0]
     gens = [g.payload for g in h.generators]
     conj = [[mul(mul(t, g), ti) for g in gens] for t, ti in zip(orb.trans, orb.trans_inv)]
     return [frozenset(k for k, ys in enumerate(conj)
@@ -503,7 +498,7 @@ def brute_normalizer(d, h):
 
 
 def _least_by_products(d, t, normalizer):
-    mul, _ = _payload_ops(d)
+    mul = _payload_ops(d)[0]
     return min(mul(t, x) for x in normalizer)
 
 
@@ -629,7 +624,7 @@ def enumerated_least_displacer(d, fixed, moved, m, norm):
     value = None if norm is None else payload_value_fn(d, norm)
     orb = _conjugates(d, moved, 10 ** 7)
     normalizer = brute_normalizer(d, moved)
-    mul, inv = _payload_ops(d)
+    mul, inv, _, _ = _payload_ops(d)
     commutes = _commuter(d, fixed, moved)
     near0 = orb.commuting(commutes)
     if fixed is moved and m >= 2 and not is_abelian_subgroup(fixed):
@@ -830,7 +825,7 @@ def scan_two_subgroup_energy(d, fixed, moved, m, value=lambda g: 0):
     """Least (value, payload) over all phi whose powers phi^1..phi^m each
     conjugate ``moved`` to commute with ``fixed``; with no value, the least
     such phi in payload order."""
-    mul, inv = _payload_ops(d)
+    mul, inv, _, _ = _payload_ops(d)
     fixed_gens = tuple(g.payload for g in fixed.generators)
     moved_gens = tuple(g.payload for g in moved.generators)
 
@@ -882,17 +877,21 @@ def test_recheck_of_one_subgroup_pairs_the_conjugates():
 
 
 def _counting(monkeypatch, name, count):
-    """Wrap the function that ``displacement.<name>`` returns so that each
-    call of it adds one to ``count[0]``."""
+    """Wrap the function that ``displacement.<name>`` returns (for
+    ``_payload_ops``, the record's product) so that each call of it adds one
+    to ``count[0]``."""
     make = getattr(displacement, name)
 
     def counted(*args):
         f = make(*args)
+        rest = ()
+        if name == "_payload_ops":
+            f, *rest = f
 
         def call(*a):
             count[0] += 1
             return f(*a)
-        return call
+        return (call, *rest) if rest else call
     monkeypatch.setattr(displacement, name, counted)
 
 
@@ -942,10 +941,11 @@ def test_one_level_chain_walk_makes_one_product_per_leaf(monkeypatch):
     levels = orb.chain.levels()
     assert len(levels) == 1 and orb.chain.order() == 216
     products = [0]
-    _counting(monkeypatch, "_payload_mul", products)
+    _counting(monkeypatch, "_payload_ops", products)
     least = _least_leaf(d, [orb.trans[1]], levels, None, _zero_bound, None)
     assert products[0] == 216
-    assert least[1] == min(_compose_payload(d, orb.trans[1], x) for x in levels[0][0].values())
+    mul = _payload_ops(d)[0]
+    assert least[1] == min(mul(orb.trans[1], x) for x in levels[0][0].values())
     products[0] = 0
     assert packing_number(d, h).p == 3
     assert products[0] == 1766  # 2316 when the tails started from the identity
