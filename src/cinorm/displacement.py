@@ -113,8 +113,9 @@ CLIQUE_GUARD = 20_000
 LEAF_BATCH = 16
 #: Largest ambient order on which the master inequalities also check
 #: ``cl_G(x) <= 2``, by a whole commutator length table of G: S6 (720) is in;
-#: S7 (5040) is above the kernel's ``TABLE_BOUND`` of 2048, where each
-#: commutator row costs 3|G| payload products, about 76M in all.
+#: S7 (5040) is out.  Its commutator set costs only |G| payload products, but
+#: above the kernel's ``TABLE_BOUND`` of 2048 the breadth-first search over
+#: its 2520 commutators makes about 12.7M, some 10 s.
 AMBIENT_CL_LIMIT = 800
 
 

@@ -17,6 +17,13 @@ kernel has no generators and makes N^2 payload products: its callers read
 every row anyway, but a failing axiom check stops after a few.  Larger
 kernels make every product from payloads and keep O(N) memory.  On a
 subset, a product or inverse that leaves the subset is -1.
+
+The conjugacy classes are labelled once per kernel, each index by the least
+index of its class: orbits under conjugation by the generators on a whole
+group (2N |gens| table reads, or payload conjugations above the bound), by
+every member on a closed subset.  Conjugacy closures are unions of classes,
+and the commutator set is the union of the classes of r c, over each class
+representative r and each c in the class of r^-1: N products, not N^2.
 """
 
 from __future__ import annotations
@@ -53,11 +60,12 @@ class FiniteGroup:
         self.index = {p: i for i, p in enumerate(self.payloads)}
         self.n = len(elements)
         self.full = full
-        self._mul, inv, one, _ = _payload_ops(d)
+        self._mul, inv, one, self._conj = _payload_ops(d)
         get = self.index.get
         self.inv = array("i", [get(x, -1) for x in map(inv, self.payloads)])
         self.one = get(one, -1)
         self._rows: list[array] | None = None  # the whole table, once built
+        self._classes: tuple[array, dict[int, list[int]]] | None = None
 
     def index_of(self, e: Element) -> int:
         if e.descriptor != self.descriptor:
@@ -122,15 +130,69 @@ class FiniteGroup:
         ab = self.mul(b, a)
         return -1 if ab < 0 else self.mul(ab, self.inv[b])
 
+    def classes(self) -> tuple[array, dict[int, list[int]]]:
+        """The conjugacy classes, once per kernel: each index's label, the
+        least index of its class, and each class's members in index order,
+        keyed by label.  A subset must be closed; see :meth:`_label_classes`."""
+        if self._classes is None:  # one assignment, as for the table
+            self._classes = self._label_classes()
+        return self._classes
+
+    def _label_classes(self) -> tuple[array, dict[int, list[int]]]:
+        """Orbits under conjugation: by ``group_generators(d)`` on a whole
+        group, 2N |gens| table reads or N |gens| payload conjugations above
+        :data:`TABLE_BOUND`; by every member on a subset."""
+        n = self.n
+        label = array("i", [-1]) * n
+        members: dict[int, list[int]] = {}
+        if not self.full:
+            self.require_closed()
+            conj = self.conj
+            for i in range(n):
+                if label[i] < 0:
+                    members[i] = cls = sorted({conj(b, i) for b in range(n)})
+                    for c in cls:
+                        label[c] = i
+            return label, members
+        moves = [self._conjugation_by(self.index[x.payload])
+                 for x in group_generators(self.descriptor)]
+        for i in range(n):
+            if label[i] < 0:
+                label[i] = i
+                cls = [i]
+                for a in cls:  # grows as the orbit is found
+                    for move in moves:
+                        b = move[a]
+                        if label[b] < 0:
+                            label[b] = i
+                            cls.append(b)
+                cls.sort()
+                members[i] = cls
+        return label, members
+
+    def _conjugation_by(self, x: int) -> list[int]:
+        """Indices of ``x a x^-1`` for every a: 2N table reads, or N payload
+        conjugations above :data:`TABLE_BOUND`."""
+        rows, xi = self._table(), self.inv[x]
+        if rows is not None:
+            return [rows[xa][xi] for xa in rows[x]]
+        s, s_inv, conj, index = self.payloads[x], self.payloads[xi], self._conj, self.index
+        return [index[conj(s, a, s_inv)] for a in self.payloads]
+
     def conjugates(self, seeds: Iterable[int]) -> set[int]:
-        """Indices of ``b s b^-1`` for every b and every seed s."""
-        seeds, conj = list(seeds), self.conj
-        return {conj(b, s) for b in range(self.n) for s in seeds}
+        """Indices of ``b s b^-1`` for every b and every seed s, in a closed
+        set: the union of the seeds' classes."""
+        label, members = self.classes()
+        return {c for r in {label[s] for s in seeds} for c in members[r]}
 
     def commutators(self, x: int) -> list[int]:
-        """Indices of ``[x, y] = x y x^-1 y^-1`` for every y, in a closed set."""
-        xy, xiyi, inv, mul = self.row(x), self.row(self.inv[x]), self.inv, self.mul
-        return [mul(xy[y], xiyi[inv[y]]) for y in range(self.n)]
+        """Indices of ``[x, y] = (x y)(x^-1 y^-1)`` for every y, in a closed set."""
+        xy, xiyi = self.row(x), self.row(self.inv[x])
+        pairs = zip(xy, map(xiyi.__getitem__, self.inv))
+        rows = self._table()
+        if rows is not None:
+            return [rows[a][b] for a, b in pairs]
+        return [self.mul(a, b) for a, b in pairs]
 
     def require_closed(self) -> None:
         """Raise unless the set has the identity and is closed under * and ^-1."""
@@ -193,9 +255,13 @@ def conjugacy_closure(base: Iterable[Element], d: GroupDescriptor,
 
 
 def commutator_indices(G: FiniteGroup) -> list[int]:
-    """Sorted indices of the simple commutators ``x y x^-1 y^-1``."""
+    """Sorted indices of the simple commutators ``x y x^-1 y^-1``: the classes
+    of ``r c`` over each class representative r and each c in the class of
+    r^-1, as [r, y] = r (y r^-1 y^-1) and [g r g^-1, y] = g [r, g^-1 y g] g^-1.
+    That is N products in all, not N^2."""
     G.require_closed()
-    out: set[int] = set()
-    for x in range(G.n):
-        out.update(G.commutators(x))
-    return sorted(out)
+    label, members = G.classes()
+    hit: set[int] = set()
+    for r in members:
+        hit.update(map(label.__getitem__, G.products(r, members[label[G.inv[r]]])))
+    return sorted(c for r in hit for c in members[r])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import ne
+from operator import ne, sub
 from typing import Any, Callable, Iterable
 
 from . import descriptors as gd
@@ -149,6 +149,8 @@ def verify_norm_axioms(table: NormTable, max_violations: int = 25) -> AxiomRepor
             full = not record("v", g)
             if not full:
                 break
+    if not violations and G.full and _axioms_hold_by_class(G, iv):
+        return AxiomReport(True, violations, G.n * G.n, G.n)
     pairs = 0
     if full:
         for f in range(G.n):
@@ -172,6 +174,17 @@ def verify_norm_axioms(table: NormTable, max_violations: int = 25) -> AxiomRepor
             if not full:
                 break
     return AxiomReport(not violations, violations, pairs, G.n)
+
+
+def _axioms_hold_by_class(G: FiniteGroup, iv: list[int]) -> bool:
+    # axiom iv: values constant on the classes of a whole group.  Then (iii)
+    # needs f only over class representatives, as (h f h^-1, g) satisfies it
+    # exactly when (f, h^-1 g h) does: iv[f g] - iv[g] <= iv[f] for every g
+    label, members = G.classes()
+    if list(map(iv.__getitem__, label)) != iv:
+        return False
+    return all(max(map(sub, map(iv.__getitem__, G.row(f)), iv)) <= iv[f]
+               for f in members)
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +492,10 @@ def quasinorm_to_norm(q: QuasiNormSpec, d: GroupDescriptor,
                              f"not all {G.n} of {d}")
     sym, den = scaled(max(q.value(a), q.value(elems[G.inv[i]]))
                       for i, a in enumerate(elems))
-    conj_sup: list[int | None] = [None] * G.n
-    for a in range(G.n):
-        if conj_sup[a] is None:
-            orbit = G.conjugates((a,))
-            best = max(sym[c] for c in orbit)
-            for c in orbit:
-                conj_sup[c] = best
+    label, members = G.classes()
+    conj_sup = {r: max(map(sym.__getitem__, cls)) for r, cls in members.items()}
     const = q.c_add + q.c_conj + 1
-    values = {g: (ZERO if i == G.one else Fraction(conj_sup[i], den) + const)
+    values = {g: (ZERO if i == G.one else Fraction(conj_sup[label[i]], den) + const)
               for i, g in enumerate(elems)}
     meta = NormTableMeta(
         name=f"normed[{q.name}]",

@@ -11,6 +11,8 @@ hypothesis with seeded tables, tamperings and subgroups.
 import os
 import random
 import re
+from collections import Counter
+from math import factorial, prod
 import subprocess
 import sys
 import threading
@@ -58,7 +60,13 @@ from cinorm import (
 from cinorm import kernel
 from cinorm.elements import _payload_ops
 from cinorm.enumeration import group_generators
-from cinorm.kernel import TABLE_BOUND, FiniteGroup, domain_kernel, group_kernel
+from cinorm.kernel import (
+    TABLE_BOUND,
+    FiniteGroup,
+    commutator_indices,
+    domain_kernel,
+    group_kernel,
+)
 
 FAMILIES = ("sn:3", "sn:4", "sn:5", "an:4", "an:5", "slp:2:3", "slp:2:5",
             "bar:sn:3", "product:sn:3,sn:3", "wreath:sn:2:zn:2")
@@ -126,6 +134,34 @@ def oracle_commutator_pool(elements):
     elems = list(elements)
     return {compose(compose(a, b), compose(invert(a), invert(b)))
             for a in elems for b in elems}
+
+
+def oracle_classes(G):
+    # each member's class under conjugation by every member, by Elements
+    elems = G.elements
+    label, members = [-1] * G.n, {}
+    for i, e in enumerate(elems):
+        if label[i] < 0:
+            cls = sorted({G.index_of(compose(compose(phi, e), invert(phi))) for phi in elems})
+            members[i] = cls
+            for c in cls:
+                label[c] = i
+    return label, members
+
+
+def oracle_commutator_indices(G):
+    # the N^2 loop the class representatives replaced, with its row formula
+    G.require_closed()
+    out = set()
+    for x in range(G.n):
+        xy, xiyi = G.row(x), G.row(G.inv[x])
+        out.update(G.mul(xy[y], xiyi[G.inv[y]]) for y in range(G.n))
+    return sorted(out)
+
+
+def oracle_commutator_row(G, x):
+    xy, xiyi = G.row(x), G.row(G.inv[x])
+    return [G.mul(xy[y], xiyi[G.inv[y]]) for y in range(G.n)]
 
 
 def oracle_bfs(d, step):
@@ -530,6 +566,211 @@ def test_conjugates_match_oracle(text):
             compose(compose(phi, b), invert(phi)) for phi in G.elements for b in base}
 
 
+# ---------------------------------------------------------------------------
+# conjugacy classes and the class functions routed through them
+
+CLASS_GROUPS = FAMILIES + ("sn:1", "an:2", "sn:2", "an:3")
+
+
+def cycle_type(p):
+    # cycle lengths of a permutation payload, fixed points included
+    seen, out = set(), []
+    for i in range(len(p)):
+        k, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j, k = p[j], k + 1
+        if k:
+            out.append(k)
+    return tuple(sorted(out, reverse=True))
+
+
+def partitions(n, top=None):
+    top = n if top is None else top
+    if n == 0:
+        yield ()
+    for k in range(min(n, top), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
+def class_sizes(family, n):
+    # n!/z_lambda per cycle type; on A_n the even types, each split in two
+    # halves when its cycle lengths are distinct and odd (n >= 2)
+    sizes = []
+    for lam in partitions(n):
+        size = factorial(n) // prod(k ** m * factorial(m) for k, m in Counter(lam).items())
+        if family == "sn":
+            sizes.append(size)
+        elif (n - len(lam)) % 2 == 0:
+            split = len(set(lam)) == len(lam) and all(k % 2 for k in lam)
+            sizes += [size // 2] * 2 if split else [size]
+    return sorted(sizes)
+
+
+def counting_products(monkeypatch):
+    # every payload product the kernel makes; a conjugation counts as two
+    count = []
+
+    def counting_ops(d):
+        mul, inv, one, conj = _payload_ops(d)
+        return (lambda a, b: count.append(1) or mul(a, b), inv, one,
+                lambda s, x, s_inv: count.extend((1, 1)) or conj(s, x, s_inv))
+    monkeypatch.setattr(kernel, "_payload_ops", counting_ops)
+    return count
+
+
+@pytest.mark.parametrize("text", CLASS_GROUPS)
+def test_classes_match_oracle(text):
+    G = group_kernel(parse_descriptor(text))
+    label, members = G.classes()
+    assert (list(label), members) == oracle_classes(G)
+    assert list(members) == sorted(members)
+    assert G.classes() is G.classes()  # labelled once per kernel
+
+
+def test_subset_classes_conjugate_by_members_only():
+    # A3 in S3 is abelian: three classes of one, where S3 joins the 3-cycles
+    d = symmetric(3)
+    a3 = [identity(d), perm_from_cycles(d, (1, 2, 3)), perm_from_cycles(d, (1, 3, 2))]
+    G = domain_kernel(d, a3)
+    assert not G.full
+    label, members = G.classes()
+    assert (list(label), members) == ([0, 1, 2], {0: [0], 1: [1], 2: [2]})
+    assert commutator_indices(G) == [G.one]
+    S3 = group_kernel(d)
+    assert len(S3.classes()[1]) == 3
+    # a copy of S3 in S4, and a set that is not a subgroup
+    S4 = symmetric(4)
+    sub = domain_kernel(S4, [g for g in enumerate_elements(S4) if g.payload[3] == 3])
+    assert (list(sub.classes()[0]), sub.classes()[1]) == oracle_classes(sub)
+    assert sorted(map(len, sub.classes()[1].values())) == [1, 2, 3]
+    H = domain_kernel(S4, [identity(S4), perm_from_cycles(S4, (1, 2, 3))])
+    with pytest.raises(ValueError, match="the 2 elements are not a subgroup of sn:4"):
+        H.classes()
+    assert H._classes is None
+
+
+@pytest.mark.parametrize("text", CLASS_GROUPS + ("slp:2:7",))
+def test_commutator_set_matches_the_pairwise_loop(text):
+    G = group_kernel(parse_descriptor(text))
+    assert commutator_indices(G) == oracle_commutator_indices(G)
+    rng = random.Random(f"commutators:{text}")
+    for x in rng.sample(range(G.n), min(G.n, 4)):
+        assert G.commutators(x) == oracle_commutator_row(G, x)
+    label, members = G.classes()
+    if text in ("an:3", "slp:2:7"):  # r and r^-1 lie in different classes
+        assert any(label[G.inv[r]] != r for r in members)
+
+
+def test_commutators_above_the_table_bound_match_the_pairwise_row():
+    G = group_kernel(parse_descriptor("an:7"))
+    for x in (1, G.n // 2):
+        assert G.commutators(x) == oracle_commutator_row(G, x)
+    assert G._rows is None
+
+
+@pytest.mark.parametrize("text,count", [("sn:7", 15), ("an:7", 9)])
+def test_classes_above_the_table_bound_follow_cycle_types(text, count):
+    d = parse_descriptor(text)
+    G = group_kernel(d)
+    assert G.n > TABLE_BOUND
+    label, members = G.classes()
+    assert G._rows is None
+    assert len(members) == count
+    assert sorted(map(len, members.values())) == class_sizes(d.family, d.n)
+    for r, cls in members.items():
+        assert cls[0] == r and all(label[c] == r for c in cls)
+        assert {cycle_type(G.payloads[c]) for c in cls} == {cycle_type(G.payloads[r])}
+    rng = random.Random(text)
+    for b in rng.sample(range(G.n), 3):
+        assert all(label[G.conj(b, r)] == r for r in members)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_commutators_of_sn_are_the_even_permutations(n):
+    G = group_kernel(symmetric(n))
+    even = [i for i, p in enumerate(G.payloads) if (n - len(cycle_type(p))) % 2 == 0]
+    assert commutator_indices(G) == even
+
+
+@pytest.mark.parametrize("text", ["an:5", "an:6", "sn:5", "sn:6"])
+def test_every_element_of_the_derived_subgroup_is_a_commutator(text):
+    # Ore 1951: every element of A_n, n >= 5, is a commutator in A_n
+    d = parse_descriptor(text)
+    table = commutator_length(d)
+    assert table.meta.diameter == 1
+    assert len(table.values) == factorial(d.n) // 2
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_transposition_norm_is_n_minus_cycles(n):
+    d = symmetric(n)
+    table = qk_norm(d, [perm_from_cycles(d, (1, 2))])
+    assert len(table.values) == factorial(n)
+    assert all(v == n - len(cycle_type(g.payload)) for g, v in table.values.items())
+    assert table.meta.diameter == n - 1
+
+
+@pytest.mark.parametrize("call", ["commutator_length", "conjugacy_closure"])
+def test_class_functions_do_generator_products_only(monkeypatch, cold_cache, call):
+    # the table's N |gens| products; classes, the commutator set and the
+    # closure only read it
+    d = parse_descriptor("slp:2:7")
+    count = counting_products(monkeypatch)
+    if call == "commutator_length":
+        assert len(commutator_length(d).values) == 336
+    else:
+        # the class of a unipotent element and that of its inverse
+        assert len(conjugacy_closure([group_generators(d)[0]], d)) == 48
+    assert 0 < len(count) <= 336 * (len(group_generators(d)) + 1)
+
+
+def test_commutator_set_without_a_table_makes_n_products(monkeypatch):
+    # above TABLE_BOUND: N |gens| conjugations label the classes, then N
+    # products give the commutator set (the pairwise loop made 3 N^2)
+    d = parse_descriptor("an:7")
+    count = counting_products(monkeypatch)
+    G = group_kernel(d)
+    assert len(commutator_indices(G)) == G.n
+    assert len(count) <= G.n * (2 * len(group_generators(d)) + 1)
+
+
+@pytest.mark.parametrize("text", ["sn:5", "slp:2:5", "bar:sn:3"])
+def test_passing_axiom_check_reads_class_representative_rows_only(monkeypatch, text):
+    d = parse_descriptor(text)
+    G = group_kernel(d)
+    members = G.classes()[1]
+    read = []
+    row = FiniteGroup.row
+    monkeypatch.setattr(FiniteGroup, "row", lambda self, i: read.append(i) or row(self, i))
+    table = support_norm_table(d) if d.family == "sn" else trivial_norm_table(d)
+    assert report_tuple(verify_norm_axioms(table)) == (True, [], G.n ** 2, G.n)
+    assert read == list(members)
+
+
+@pytest.mark.parametrize("text", FAMILIES + ("an:3",))
+def test_class_function_reports_match_oracle(text):
+    # constant on classes and on inverses, positive off the identity: only
+    # the triangle inequality can fail, and the class path decides it.
+    # Seeded values, then 1 everywhere but 3 on one class and its inverse
+    d = parse_descriptor(text)
+    G = group_kernel(d)
+    label, members = G.classes()
+    rng = random.Random(f"class-axioms:{text}")
+    by_class = [{r: 1 + random_fraction(rng, top) for r in members} for top in (1, 4, 8)]
+    by_class += [{r: Fraction(3 if r in (s, label[G.inv[s]]) else 1) for r in members}
+                 for s in members if s != G.one]
+    passed = []
+    for v in by_class:
+        values = {g: ZERO if i == G.one else max(v[label[i]], v[label[G.inv[i]]])
+                  for i, g in enumerate(G.elements)}
+        table = NormTable(d, values, NormTableMeta(name="class-function"))
+        passed.append(assert_axioms_agree(table, rng.choice((1, 3, 25)))[0])
+    assert passed[0]  # values in [1, 2] are a norm
+    assert (False in passed) is (text != "an:3")  # Z/3: every one is a norm
+
+
 @pytest.mark.parametrize("text", FAMILIES)
 def test_c_generates_matches_oracle(text):
     d = parse_descriptor(text)
@@ -715,3 +956,17 @@ def test_quasimorphism_and_quasinorm_paths_match_oracle(text, seed, max_witnesse
     assert out.meta == NormTableMeta(
         name="normed[q]", diameter=max(out.values.values()),
         notes={"added_constant": str(qn.c_add + qn.c_conj + 1)})
+
+
+@settings(max_examples=20, deadline=None)
+@given(families, seeds)
+def test_subgroup_classes_match_oracle(text, seed):
+    d = parse_descriptor(text)
+    rng = random.Random(seed)
+    elems = enumerate_elements(d)
+    G = domain_kernel(d, closure_of(SubgroupSpec((rng.choice(elems), rng.choice(elems)))))
+    label, members = G.classes()
+    assert (list(label), members) == oracle_classes(G)
+    assert commutator_indices(G) == oracle_commutator_indices(G)
+    s = rng.randrange(G.n)
+    assert G.conjugates([s]) == {G.conj(b, s) for b in range(G.n)}
