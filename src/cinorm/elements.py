@@ -519,14 +519,17 @@ def _perm_parity(images: tuple[int, ...]) -> int:
 
 def perm_from_cycles(d: GroupDescriptor, *cycles: Iterable[int],
                      one_based: bool = True) -> Element:
-    """Permutation from disjoint cycles, 1-based points by default."""
+    """Permutation from disjoint cycles, 1-based points by default.  A point
+    out of range or named twice, in one cycle or in two, is refused."""
     images = list(range(d.n))
+    seen = set()
     off = 1 if one_based else 0
     for cycle in cycles:
         pts = [int(x) - off for x in cycle]
         for k, pt in enumerate(pts):
-            if not 0 <= pt < d.n or images[pt] != pt:
+            if not 0 <= pt < d.n or pt in seen:
                 raise ValueError(f"bad or overlapping cycle point {pt + off}")
+            seen.add(pt)
             images[pt] = pts[(k + 1) % len(pts)]
     return permutation(d, images)
 

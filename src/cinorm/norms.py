@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from operator import ne, sub
 from typing import Any, Callable, Iterable
 
@@ -25,7 +26,8 @@ from .elements import (
     moved_points,
     sort_key,
 )
-from .enumeration import enumerate_elements, subgroup_closure
+from . import enumeration
+from .enumeration import _CACHE_SIZE, _checked_order, enumerate_elements, subgroup_closure
 from .errors import DescriptorMismatchError, NotCGeneratingError
 from .kernel import (
     FiniteGroup,
@@ -282,11 +284,15 @@ def trivial_norm(g: Element) -> Fraction:
 
 def trivial_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTable:
     """:func:`trivial_norm` on every element."""
-    one, zero = Fraction(1), Fraction(0)
-    values = dict.fromkeys(enumerate_elements(d, limit), one)
-    values[identity(d)] = zero
-    diameter = one if len(values) > 1 else zero  # the trivial group has only 0
+    values, diameter = _whole_group_values(d, limit, _trivial_values)
     return NormTable(d, values, NormTableMeta(name="trivial", diameter=diameter))
+
+
+def _trivial_values(d: GroupDescriptor, elements: list[Element]) -> tuple[dict, Fraction]:
+    one, zero = Fraction(1), Fraction(0)
+    values = dict.fromkeys(elements, one)
+    values[identity(d)] = zero
+    return values, one if len(values) > 1 else zero  # the trivial group has only 0
 
 
 def support_norm(g: Element) -> Fraction:
@@ -301,9 +307,31 @@ def support_norm(g: Element) -> Fraction:
 
 
 def support_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTable:
-    values = {g: support_norm(g) for g in enumerate_elements(d, limit)}
-    return NormTable(d, values, NormTableMeta(name="support",
-                                              diameter=max(values.values())))
+    values, diameter = _whole_group_values(d, limit, _support_values)
+    return NormTable(d, values, NormTableMeta(name="support", diameter=diameter))
+
+
+def _support_values(d: GroupDescriptor, elements: list[Element]) -> tuple[dict, Fraction]:
+    values = {g: support_norm(g) for g in elements}
+    return values, max(values.values())
+
+
+def _whole_group_values(d: GroupDescriptor, limit: int | None,
+                        build: Callable) -> tuple[dict, Fraction]:
+    """``build(d, elements)`` over every element of ``d``: a new values dict
+    and its diameter.  Like the element lists, the values of a group of
+    order at most 40 320 are built once per process and kept (the 16 most
+    recently used tables); each call copies the kept dict, which does not
+    rehash."""
+    if _checked_order(d, limit) > enumeration._KEPT_ORDER:
+        return build(d, enumerate_elements(d, limit))
+    values, diameter = _kept_values(d, build)
+    return dict(values), diameter
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _kept_values(d: GroupDescriptor, build: Callable) -> tuple[dict, Fraction]:
+    return build(d, enumerate_elements(d))
 
 
 # ---------------------------------------------------------------------------

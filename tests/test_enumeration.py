@@ -218,6 +218,32 @@ def test_kept_group_still_meets_the_guard():
     assert len(enumerate_elements(d, limit=120)) == 120
 
 
+@pytest.mark.parametrize("table", [trivial_norm_table, support_norm_table])
+def test_kept_tables_still_meet_the_guard(table):
+    d = symmetric(5)
+    assert len(table(d).values) == 120  # kept from here on
+    for limit in (100, 119):
+        with pytest.raises(GuardExceededError) as exc:
+            table(d, limit=limit)
+        assert str(exc.value) == f"|sn:5| = 120 exceeds the guard {limit}"
+    assert len(table(d, limit=120).values) == 120
+    with pytest.raises(InfiniteGroupError):
+        table(aff_z())
+
+
+@pytest.mark.parametrize("name", ["sn:1", "sn:5", "an:6", "slp:2:5", "bar:sn:3"])
+def test_kept_tables_match_a_fresh_build(name, monkeypatch):
+    d = parse_descriptor(name)
+    builds = [trivial_norm_table] + [support_norm_table] * (d.family in ("sn", "an"))
+    kept = [[build(d) for build in builds] for _ in range(2)]
+    monkeypatch.setattr(enumeration, "_KEPT_ORDER", 0)
+    fresh = [build(d) for build in builds]
+    for tables in kept:
+        for t, f in zip(tables, fresh):
+            assert list(t.values.items()) == list(f.values.items())
+            assert t.meta == f.meta
+
+
 def test_repeated_tables_share_no_values_dict():
     d = symmetric(7)
     a, b = trivial_norm_table(d), trivial_norm_table(d)

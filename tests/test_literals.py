@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cinorm import (
     aff_z,
+    enumerate_elements,
     affz_element,
     bar,
     binary_word,
@@ -12,6 +13,7 @@ from cinorm import (
     free_word,
     from_literal,
     identity,
+    parse_descriptor,
     perm_from_cycles,
     product,
     sl_mod,
@@ -79,6 +81,42 @@ def test_bad_literals():
         from_literal(free_group(1), "a b")  # b outside rank-1 alphabet
     with pytest.raises(ValueError):
         from_literal(z2_infinity(), "102")
+
+
+@pytest.mark.parametrize("text,point", [
+    ("(1 1)", 1), ("(1 2 2)", 2), ("(2 2)(1 3)", 2), ("(1 2)(2 3)", 2), ("(1)(1 2)", 1)])
+def test_repeated_cycle_point_is_refused(text, point):
+    with pytest.raises(ValueError, match=f"^bad or overlapping cycle point {point}$"):
+        from_literal(symmetric(5), text)
+
+
+def test_one_cycles_fix_their_point():
+    S5 = symmetric(5)
+    assert from_literal(S5, "(1)") == identity(S5)
+    assert from_literal(S5, "(1)(2 3)") == perm_from_cycles(S5, (2, 3))
+    assert perm_from_cycles(S5, (0,), (1, 2), one_based=False) == perm_from_cycles(S5, (2, 3))
+    with pytest.raises(ValueError, match="^bad or overlapping cycle point 0$"):
+        perm_from_cycles(S5, (0, 0), one_based=False)
+
+
+def test_repeated_cycle_point_exits_2(capsys):
+    assert main(["energy", "--group", "sn:5", "--h", "(1 1 2)"]) == 2
+    assert "bad or overlapping cycle point 1" in capsys.readouterr().err
+
+
+# the kept literal index of serialize relies on both properties
+INDEXED_GROUPS = ([f"sn:{n}" for n in range(1, 7)] + [f"an:{n}" for n in range(3, 7)]
+                  + ["slp:2:5", "slp:3:2", "bar:sn:3", "product:sn:3,sn:3",
+                     "wreath:sn:3:zn:2"])
+
+
+@pytest.mark.parametrize("name", INDEXED_GROUPS)
+def test_canonical_literals_are_distinct_and_parse_back(name):
+    d = parse_descriptor(name)
+    elems = enumerate_elements(d)
+    lits = [to_literal(g) for g in elems]
+    assert len(set(lits)) == len(elems)
+    assert [from_literal(d, lit) for lit in lits] == elems
 
 
 @pytest.mark.parametrize("text", [
