@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iter_product
-from typing import Iterable
+from typing import Any, Callable, Hashable, Iterable
 
 from . import descriptors as gd
 from .descriptors import GroupDescriptor
@@ -30,9 +30,9 @@ from .errors import DescriptorMismatchError, GuardExceededError, InfiniteGroupEr
 
 #: Default ceiling on exhaustive element counts.
 ENUMERATION_GUARD = 10_000_000
-#: Element lists kept per process; ``kernel`` keeps as many whole-group kernels.
+#: Groups kept per process by :func:`kept`, each evicted with all its state.
 _CACHE_SIZE = 16
-#: Largest order whose element list is kept, 8! = 40 320: a list of S8's
+#: Largest order whose state is kept, 8! = 40 320: a list of S8's
 #: permutations costs about 6.5 MB (``kernel.TABLE_BOUND`` caps kept tables).
 _KEPT_ORDER = 40_320
 
@@ -74,21 +74,27 @@ def _checked_order(d: GroupDescriptor, limit: int | None) -> int:
     return size
 
 
-def enumerate_elements(d: GroupDescriptor, limit: int | None = None) -> list[Element]:
-    """All elements of a finite group, each exactly once, in payload order.
-
-    Each call returns a new list.  The elements of a group of order at most
-    40 320 are enumerated once per process and kept (the 16 most recently
-    used groups); larger groups are enumerated on every call."""
-    size = _checked_order(d, limit)
-    if size <= _KEPT_ORDER:
-        return list(_kept_elements(d, size))
-    return _enumerate(d, size, limit)
+def kept(d: GroupDescriptor, key: Hashable, make: Callable[[], Any]) -> Any:
+    """``make()``, built once per ``key`` for a group of order at most
+    :data:`_KEPT_ORDER` and evicted with all else kept for it, or afresh for
+    any other group.  A ``make`` that raises keeps nothing."""
+    size = gd.order(d)
+    if size is None or size > _KEPT_ORDER:
+        return make()
+    store = _store(d)
+    return store[key] if key in store else store.setdefault(key, make())
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _kept_elements(d: GroupDescriptor, size: int) -> tuple[Element, ...]:
-    return tuple(_enumerate(d, size, size))
+def _store(d: GroupDescriptor) -> dict:
+    return {}
+
+
+def enumerate_elements(d: GroupDescriptor, limit: int | None = None) -> list[Element]:
+    """All elements of a finite group, each exactly once, in payload order:
+    each call a new list, enumerated once per process and :func:`kept`."""
+    size = _checked_order(d, limit)
+    return list(kept(d, "elements", lambda: tuple(_enumerate(d, size, size))))
 
 
 def _enumerate(d: GroupDescriptor, size: int, limit: int | None) -> list[Element]:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import itemgetter
 from typing import Iterable
@@ -42,11 +41,11 @@ from .elements import (
     _payload_ops,
     sort_key,
 )
-from .enumeration import _CACHE_SIZE, _checked_order, enumerate_elements, group_generators
+from .enumeration import _checked_order, enumerate_elements, group_generators, kept
 from .errors import DescriptorMismatchError
 
-#: Largest order whose Cayley table is kept: 2048^2 four-byte indices.
-#: Element lists are kept up to a higher order, ``enumeration._KEPT_ORDER``.
+#: Largest order whose Cayley table is built (2048^2 four-byte indices) and
+#: whose whole-group kernel is :func:`~cinorm.enumeration.kept`.
 TABLE_BOUND = 2048
 
 
@@ -202,34 +201,28 @@ class FiniteGroup:
             raise ValueError(f"the {self.n} elements are not a subgroup of {self.descriptor}")
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _cached_group(d: GroupDescriptor) -> FiniteGroup:
-    return FiniteGroup(d, enumerate_elements(d, TABLE_BOUND), full=True)
-
-
 def group_kernel(d: GroupDescriptor, limit: int | None = None) -> FiniteGroup:
-    """The kernel of a whole finite group, after the enumeration guard.
-    Groups with a kept table are cached; larger ones are rebuilt per call
-    from :func:`~cinorm.enumeration.enumerate_elements`, which keeps the
-    element list of a group of order at most 40 320, so no more than that
-    list outlives a call."""
+    """The kernel of a whole finite group, after the enumeration guard:
+    :func:`~cinorm.enumeration.kept` up to :data:`TABLE_BOUND`, else rebuilt
+    per call, so no more than the kept element list outlives a call."""
     size = _checked_order(d, limit)
-    if size <= TABLE_BOUND:
-        return _cached_group(d)
-    return FiniteGroup(d, enumerate_elements(d, size), full=True)
+
+    def make() -> FiniteGroup:
+        return FiniteGroup(d, enumerate_elements(d, size), full=True)
+    return kept(d, "kernel", make) if size <= TABLE_BOUND else make()
 
 
 def domain_kernel(d: GroupDescriptor, elements: Iterable[Element]) -> FiniteGroup:
-    """The kernel of the given elements of ``d``, repeats dropped: the cached
-    group kernel when they are a whole group with a kept table, else a kernel
-    built from them.  An element of another group is refused."""
+    """The kernel of the given elements of ``d``, repeats dropped: the kept
+    :func:`group_kernel` of a whole group of order at most :data:`TABLE_BOUND`,
+    else a kernel built from them.  An element of another group is refused."""
     elems = list(dict.fromkeys(elements))
     for e in elems:
         if e.descriptor is not d and e.descriptor != d:
             raise DescriptorMismatchError(f"{e} is not an element of {d}")
     full = len(elems) == gd.order(d)
     if full and len(elems) <= TABLE_BOUND:
-        return _cached_group(d)
+        return group_kernel(d)
     return FiniteGroup(d, sorted(elems, key=sort_key), full)
 
 

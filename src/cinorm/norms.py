@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from operator import ne, sub
 from typing import Any, Callable, Iterable
 
@@ -26,8 +25,7 @@ from .elements import (
     moved_points,
     sort_key,
 )
-from . import enumeration
-from .enumeration import _CACHE_SIZE, _checked_order, enumerate_elements, subgroup_closure
+from .enumeration import _checked_order, enumerate_elements, kept, subgroup_closure
 from .errors import DescriptorMismatchError, NotCGeneratingError
 from .kernel import (
     FiniteGroup,
@@ -284,8 +282,7 @@ def trivial_norm(g: Element) -> Fraction:
 
 def trivial_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTable:
     """:func:`trivial_norm` on every element."""
-    values, diameter = _whole_group_values(d, limit, _trivial_values)
-    return NormTable(d, values, NormTableMeta(name="trivial", diameter=diameter))
+    return _whole_group_table(d, limit, _trivial_values, "trivial")
 
 
 def _trivial_values(d: GroupDescriptor, elements: list[Element]) -> tuple[dict, Fraction]:
@@ -307,31 +304,23 @@ def support_norm(g: Element) -> Fraction:
 
 
 def support_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTable:
-    values, diameter = _whole_group_values(d, limit, _support_values)
-    return NormTable(d, values, NormTableMeta(name="support", diameter=diameter))
+    return _whole_group_table(d, limit, _support_values, "support")
 
 
 def _support_values(d: GroupDescriptor, elements: list[Element]) -> tuple[dict, Fraction]:
-    values = {g: support_norm(g) for g in elements}
+    # one shared Fraction per count of moved points; raises off sn/an
+    moved, counts = payload_value_fn(d, support_norm), [Fraction(k) for k in range(d.n + 1)]
+    values = {g: counts[moved(g.payload)] for g in elements}
     return values, max(values.values())
 
 
-def _whole_group_values(d: GroupDescriptor, limit: int | None,
-                        build: Callable) -> tuple[dict, Fraction]:
-    """``build(d, elements)`` over every element of ``d``: a new values dict
-    and its diameter.  Like the element lists, the values of a group of
-    order at most 40 320 are built once per process and kept (the 16 most
-    recently used tables); each call copies the kept dict, which does not
-    rehash."""
-    if _checked_order(d, limit) > enumeration._KEPT_ORDER:
-        return build(d, enumerate_elements(d, limit))
-    values, diameter = _kept_values(d, build)
-    return dict(values), diameter
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _kept_values(d: GroupDescriptor, build: Callable) -> tuple[dict, Fraction]:
-    return build(d, enumerate_elements(d))
+def _whole_group_table(d: GroupDescriptor, limit: int | None, build: Callable,
+                       name: str) -> NormTable:
+    """The table ``name`` of ``build(d, elements)`` (values and diameter) over
+    all of ``d``: kept after the guard on ``limit``, copied per call."""
+    _checked_order(d, limit)
+    values, diameter = kept(d, build, lambda: build(d, enumerate_elements(d, limit)))
+    return NormTable(d, dict(values), NormTableMeta(name=name, diameter=diameter))
 
 
 # ---------------------------------------------------------------------------

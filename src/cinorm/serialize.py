@@ -4,25 +4,22 @@ All numeric output is an exact rational in ``p/q`` string form; rows are
 sorted by element literal so identical tables always serialize to identical
 bytes.
 
-The literals of every element of a group of order at most 40 320 are kept
-per process, both ways, for the 16 most recently used groups, so writing and
-reading a table looks each row up instead of formatting or parsing it.  A
-literal the index does not hold (a larger or infinite group, or a
-non-canonical spelling such as ``(2 1)``) goes through
-:func:`~cinorm.literals.to_literal` / :func:`~cinorm.literals.from_literal`.
+Each group's canonical literals are memoized both ways (element -> literal,
+literal -> element) and :func:`~cinorm.enumeration.kept`.  The memo is
+filled from misses, so only rows not written or read before go through
+:func:`~cinorm.literals.to_literal` / :func:`~cinorm.literals.from_literal`,
+and it holds at most |G| entries each way: a non-canonical spelling such as
+``(2 1)`` enters as its canonical literal, and is parsed on every read.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 
-from . import descriptors as gd
-from . import enumeration
 from .descriptors import GroupDescriptor, format_descriptor, parse_descriptor
 from .elements import Element
-from .enumeration import _CACHE_SIZE, enumerate_elements
+from .enumeration import kept
 from .literals import from_literal, to_literal
 from .norms import NormTable, NormTableMeta
 
@@ -42,25 +39,20 @@ def parse_fraction(s: str) -> Fraction:
 
 
 def _literal_index(d: GroupDescriptor) -> tuple[dict[Element, str], dict[str, Element]]:
-    """Element -> literal and literal -> Element over all of ``d`` when its
-    literals are kept, else two empty dicts."""
-    size = gd.order(d)
-    if size is None or size > enumeration._KEPT_ORDER:
-        return {}, {}
-    return _kept_literal_index(d)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _kept_literal_index(d: GroupDescriptor) -> tuple[dict[Element, str], dict[str, Element]]:
-    # canonical literals are distinct and parse back to their element, so the
-    # two dicts are inverse to each other and agree with the slow path
-    literals = {g: to_literal(g) for g in enumerate_elements(d)}
-    return literals, {lit: g for g, lit in literals.items()}
+    """The literal memo of ``d``: element -> canonical literal and back."""
+    return kept(d, "literals", lambda: ({}, {}))
 
 
 def norm_table_payload(table: NormTable) -> dict:
-    literal = _literal_index(table.descriptor)[0].get
-    rows = sorted((literal(g) or to_literal(g), fraction_str(v))
+    literals, elements = _literal_index(table.descriptor)
+    literal = literals.get
+
+    def miss(g: Element) -> str:
+        lit = to_literal(g)
+        if g.descriptor == table.descriptor:  # another group's stays out of the memo
+            literals[g], elements[lit] = lit, g
+        return lit
+    rows = sorted((literal(g) or miss(g), fraction_str(v))
                   for g, v in table.values.items())
     meta = table.meta
     return {
@@ -86,16 +78,38 @@ def norm_table_to_json(table: NormTable) -> str:
 
 
 def norm_table_from_payload(payload: dict) -> NormTable:
+    """The table a payload describes; malformed or repeated rows are refused."""
     d = parse_descriptor(payload["group"])
-    element = _literal_index(d)[1].get
+    literals, elements = _literal_index(d)
+    element = elements.get
+
+    def miss(lit: str) -> Element:
+        g = from_literal(d, lit)
+        canonical = literals.get(g) or to_literal(g)
+        literals[g], elements[canonical] = canonical, g
+        return g
+    rows = payload["values"]
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"the table's values are not a list of rows: {rows!r}")
     fractions: dict[str, Fraction] = {}
     values = {}
-    for lit, v in payload["values"]:
-        g = element(lit) or from_literal(d, lit)  # an Element is always true
-        q = fractions.get(v)
-        if q is None:
-            q = fractions[v] = parse_fraction(v)
-        values[g] = q
+    try:
+        for i, (lit, v) in enumerate(rows):
+            g = element(lit) or miss(lit)  # an Element is always true
+            q = fractions.get(v)
+            if q is None:
+                q = fractions[v] = parse_fraction(v)
+            values[g] = q
+    except (TypeError, ValueError):  # i is bound before each row is unpacked
+        if not isinstance(rows[i], (list, tuple)) or len(rows[i]) != 2:
+            raise ValueError(f"row {i} is not a [literal, value] pair") from None
+        raise
+    if len(values) != len(rows):  # some element has two rows
+        first = {}
+        for i, (lit, _) in enumerate(rows):
+            j, other = first.setdefault(element(lit) or miss(lit), (i, lit))
+            if j != i:
+                raise ValueError(f"rows {j} and {i} name one element of {d}: {other!r} and {lit!r}")
     meta_p = payload["meta"]
     meta = NormTableMeta(
         name=payload["norm"],

@@ -254,6 +254,11 @@ def test_repeated_tables_share_no_values_dict():
     assert len(b.values) == 5040 and (b.values[one], b.values[g]) == (0, 1)
 
 
+def test_support_values_share_one_fraction_per_count():
+    values = support_norm_table(symmetric(6)).values.values()
+    assert len({id(v) for v in values}) == len(set(values)) == 6  # 0, 2, ..., 6 points
+
+
 def test_second_table_enumerates_nothing(monkeypatch):
     d = symmetric(7)
     expected = trivial_norm_table(d).values, support_norm_table(d).values
@@ -265,3 +270,66 @@ def test_second_table_enumerates_nothing(monkeypatch):
     assert support_norm_table(d).values == expected[1]
     with pytest.raises(AssertionError, match="enumerated again"):
         enumerate_elements(symmetric(9))  # above the kept order
+
+
+# the store behind every kept value: one slot per group, evicted whole
+
+OTHER_GROUPS = [symmetric(n) for n in range(1, 9)] + [alternating(n) for n in range(3, 9)] \
+    + [sl_mod(2, 5), sl_mod(3, 2)]
+
+
+class Maker:
+    """A ``make`` for :func:`enumeration.kept` that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return [self.calls]
+
+
+def test_kept_value_is_built_once():
+    make = Maker()
+    first = enumeration.kept(bar(S3), make, make)
+    assert enumeration.kept(bar(S3), make, make) is first
+    assert make.calls == 1
+
+
+def test_a_group_is_evicted_with_everything_kept_for_it():
+    d = wreath_zn(S3, 2)
+    makers = [Maker() for _ in range(3)]  # each its own key
+    for make in makers:
+        enumeration.kept(d, make, make)
+    assert len(OTHER_GROUPS) == enumeration._CACHE_SIZE
+    assert d not in OTHER_GROUPS and all(order(g) <= enumeration._KEPT_ORDER
+                                         for g in OTHER_GROUPS)
+    for g in OTHER_GROUPS:
+        enumeration.kept(g, "touched", list)
+    for make in makers:
+        assert enumeration.kept(d, make, make) == [2]
+        assert make.calls == 2
+
+
+def test_infinite_and_large_groups_are_made_on_every_call(monkeypatch):
+    make = Maker()
+    assert enumeration.kept(free_group(2), make, make) == [1]
+    assert enumeration.kept(free_group(2), make, make) == [2]
+    monkeypatch.setattr(enumeration, "_KEPT_ORDER", 0)
+    assert enumeration.kept(S3, make, make) == [3]
+    assert enumeration.kept(S3, make, make) == [4]
+
+
+def test_a_make_that_raises_keeps_nothing():
+    d = parse_descriptor("product:sn:2,sn:3")
+    calls = []
+
+    def fail():
+        calls.append(1)
+        raise RuntimeError("make failed")
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="make failed"):
+            enumeration.kept(d, fail, fail)
+    assert len(calls) == 2
+    assert enumeration.kept(d, fail, list) == []  # retried, and kept now
+    assert enumeration.kept(d, fail, fail) == []

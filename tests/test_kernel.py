@@ -57,7 +57,7 @@ from cinorm import (
     trivial_norm_table,
     verify_norm_axioms,
 )
-from cinorm import kernel
+from cinorm import enumeration, kernel
 from cinorm.elements import _payload_ops
 from cinorm.enumeration import group_generators
 from cinorm.kernel import (
@@ -498,10 +498,10 @@ def test_gather_check_survives_python_O():
 
 @pytest.fixture
 def cold_cache():
-    # whole-group kernels built by the test are dropped again after it
-    kernel._cached_group.cache_clear()
+    # everything kept for a group during the test is dropped again after it
+    enumeration._store.cache_clear()
     yield
-    kernel._cached_group.cache_clear()
+    enumeration._store.cache_clear()
 
 
 def test_qk_does_generator_products_only(monkeypatch, cold_cache):
@@ -509,7 +509,7 @@ def test_qk_does_generator_products_only(monkeypatch, cold_cache):
     # the BFS adds none (without a table it did N |closure|, here 15 456)
     d = parse_descriptor("slp:2:7")
     K = c_generating_set(d, random.Random("work:slp:2:7"))
-    kernel._cached_group.cache_clear()
+    enumeration._store.cache_clear()
     count = []
 
     def counting_ops(d):

@@ -59,3 +59,29 @@ def test_moved_functions_keep_their_public_names():
     assert cinorm.conjugacy_closure is kernel.conjugacy_closure
     assert cinorm.subgroups_commute is enumeration.subgroups_commute
     assert displacement.subgroups_commute is enumeration.subgroups_commute
+
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name a piece of source reads or imports, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, (ast.Attribute, ast.alias)):
+            out.add(node.attr if isinstance(node, ast.Attribute) else node.name)
+    return out
+
+
+def test_one_store_keeps_per_group_state():
+    # per-process caches go through enumeration.kept, so a group's state is
+    # kept and evicted together; the parser is the one other cached value
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    cached = {(m, node.name) for m, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and any("lru_cache" in _names(dec) for dec in node.decorator_list)}
+    assert cached == {("enumeration", "_store"), ("cli", "_build_parser")}
+    names = {m: _names(tree) for m, tree in trees.items()}
+    assert {m for m in names if "lru_cache" in names[m]} == {"enumeration", "cli"}
+    for name in ("_KEPT_ORDER", "_CACHE_SIZE"):
+        assert {m for m in names if name in names[m]} == {"enumeration"}

@@ -209,3 +209,83 @@ def test_fraction_str_takes_fractions_and_integers():
     assert fraction_str(5) == "5/1"
     assert fraction_str(support_norm(perm_from_cycles(symmetric(3), (1, 2)))) == "2/1"
 
+
+
+# the literal memo: filled from the rows written, never from all of G
+
+
+def test_cold_write_formats_only_the_rows_written(monkeypatch):
+    d = parse_descriptor("sn:8")
+    table = commutator_length_over(
+        subgroup_closure([perm_from_cycles(d, (1, 2)), perm_from_cycles(d, (1, 2, 3))]), d)
+    assert len(table.values) == 3
+    enumeration._store.cache_clear()  # a cold process: nothing kept for S8
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return to_literal(g)
+    monkeypatch.setattr(serialize, "to_literal", counting)
+    assert norm_table_payload(table) == oracle_payload(table)
+    assert len(calls) == 3
+    assert norm_table_payload(table) == oracle_payload(table)  # now memoized
+    assert len(calls) == 3
+
+
+def test_memo_holds_canonical_spellings_only():
+    d = symmetric(4)
+    enumeration._store.cache_clear()
+    table = trivial_norm_table(d)
+    payload = norm_table_payload(table)
+    spelled = dict(payload, values=[[respell(d, lit), v] for lit, v in payload["values"]])
+    for p in (spelled, payload, spelled):
+        assert norm_table_from_payload(p).values == table.values
+    literal_of, element_of = serialize._literal_index(d)
+    assert len(literal_of) == len(element_of) == 24
+    assert all(literal_of[g] == lit and element_of[lit] == g for lit, g in
+               ((to_literal(g), g) for g in enumerate_elements(d)))
+
+
+# rows that are not one [literal, value] pair per element
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_an_element_named_twice_is_refused(at):
+    payload = norm_table_payload(trivial_norm_table(symmetric(3)))
+    rows = payload["values"]
+    i = {"first": 0, "middle": 3, "last": len(rows)}[at]
+    rows = rows[:i] + [["(2 1)", "5/1"]] + rows[i:]
+    assert len(rows) == 7
+    (j, a), (k, b) = sorted([(i, "(2 1)"), (rows.index(["(1 2)", "1/1"]), "(1 2)")])
+    with pytest.raises(ValueError) as exc:
+        norm_table_from_payload(dict(payload, values=rows))
+    assert str(exc.value) == f"rows {j} and {k} name one element of sn:3: {a!r} and {b!r}"
+
+
+@pytest.mark.parametrize("row", [["(1 2)"], ["(1 2)", "1/1", "2/1"], [], 7, None])
+def test_a_row_that_is_not_a_pair_names_its_index(row):
+    payload = norm_table_payload(trivial_norm_table(symmetric(3)))
+    rows = payload["values"]
+    for at in (0, 4, len(rows) - 1):
+        broken = dict(payload, values=rows[:at] + [row] + rows[at + 1:])
+        with pytest.raises(ValueError, match=re.escape(f"row {at} is not a [literal, value] pair")):
+            norm_table_from_payload(broken)
+
+
+@pytest.mark.parametrize("values", [5, None, "rows", {"()": "0/1"}])
+def test_values_that_are_not_a_list_of_rows_are_refused(values):
+    payload = norm_table_payload(trivial_norm_table(symmetric(3)))
+    with pytest.raises(ValueError, match="the table's values are not a list of rows"):
+        norm_table_from_payload(dict(payload, values=values))
+
+
+def test_a_foreign_element_stays_out_of_the_memo():
+    d, e = symmetric(3), symmetric(4)
+    foreign = perm_from_cycles(e, (1, 4))
+    payload = norm_table_payload(NormTable(d, {foreign: Fraction(1)}, NormTableMeta("mixed")))
+    assert payload["values"] == [["(1 4)", "1/1"]]  # written as before
+    with pytest.raises(ValueError) as expected:
+        from_literal(d, "(1 4)")
+    with pytest.raises(ValueError) as exc:
+        norm_table_from_payload(payload)
+    assert str(exc.value) == str(expected.value)
