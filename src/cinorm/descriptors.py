@@ -28,7 +28,9 @@ class GroupDescriptor:
     wreath ring size depending on the family; ``p`` is the prime modulus
     for ``slp``.  :mod:`cinorm.elements` keeps the payload operations it
     binds for an instance on that instance, outside the fields, so equality,
-    hash and repr never see them.
+    hash and repr never see them.  The hash of the fields is kept there too,
+    from construction, but left out of pickles and copies and taken afresh
+    when one is loaded: string hashes differ from process to process.
     """
 
     family: str
@@ -40,9 +42,21 @@ class GroupDescriptor:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown group family {self.family!r}")
+        # stored past the frozen __setattr__, as the payload operations are
+        object.__setattr__(self, "_hash", hash((self.family, self.n, self.p, self.base, self.parts)))
 
     def __str__(self) -> str:
         return format_descriptor(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self.__post_init__()
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -11,6 +11,25 @@ only the cosets that can hold a witness.  Each search keeps the least
 conjugate by its least conjugator, so every witness or minimizer is the one
 a full payload-order scan of G finds, and reruns are bit-identical.
 
+Orbit key.  On ``sn``/``an`` :func:`_conjugates` names each conjugate K by
+O(K), the set of its non-trivial point orbits.  (a) O(K) depends on K
+alone, not on its generators: the orbit of p is {k(p) : k in K}.  (b)
+O(s K s^-1) = s O(K), each orbit mapped pointwise by s, since s k s^-1
+sends s(p) to s(k(p)).  (c) Let the orbit-stabilizer search run on names,
+and let every Schreier generator g met on a non-tree edge normalize H
+(g h g^-1 in H for each generator h of H).  Then the stabilizer S of O(H)
+in G is N, and distinct conjugates have distinct names.  Proof: the
+Schreier generators generate S (Schreier's lemma), so S <= N; N <= S by
+(a) and (b).  So |orbit of O(H)| = |G : S| = |G : N|, the number of
+conjugates, and by (b) t H t^-1 -> O(t H t^-1) maps the conjugates onto
+the names, so it is a bijection.  The search is also step for step the
+one keyed by element sets: a step that meets a known name with g
+normalizing H meets the same conjugate.  So the first g that fails the
+check is the first step at which the two searches part, and the search
+is then run again on element sets; until then nothing differs.  Failure
+is common: the conjugates of <(1 2 3 4)> in S5 have 5 orbit sets and 15
+element sets.
+
 The conjugates form a commutation graph, which conjugation by any element
 maps onto itself.  So only H is tested against the conjugates, which gives
 its neighbourhood N(0); the neighbourhood of a conjugate reached from its BFS
@@ -259,37 +278,87 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     Schreier generators ``t[j]^-1 s t[i]`` (a stabilizer chain for
     ``sn``/``an``, one level holding the payload closure otherwise), and the
     action of each generator on the orbit points with the BFS tree (a
-    Schreier vector).  ``cap`` bounds the number of conjugates."""
+    Schreier vector).  ``cap`` bounds the number of conjugates.
+
+    On ``sn``/``an`` the conjugates are first named by their point orbits,
+    each Schreier generator checked to normalize H (orbit key, module
+    docstring); at the first that does not, the search runs again named by
+    the conjugates' element sets."""
     if h.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
     size = _checked_order(d, limit)
-    mul, inv, one, conj = _payload_ops(d)
+    elements = frozenset(g.payload for g in closure_of(h))
+    orb = None
+    if d.family in PERMUTATION_FAMILIES:
+        orb = _orbit_search(d, size, *_orbit_key(d, h, elements), cap)
+    if orb is None:  # two conjugates share their point orbits
+        orb = _orbit_search(d, size, *_exact_key(d, elements), cap)
+    if len(orb.trans) * orb.chain.order() != size:
+        raise AssertionError(f"orbit-stabilizer count {len(orb.trans)} * "
+                             f"{orb.chain.order()} is not |{d}| = {size}")
+    return orb
+
+
+def _exact_key(d: GroupDescriptor, elements: frozenset):
+    """``(name, act, None)``: H named by its element set, which conjugation
+    by s maps element by element."""
+    conj = _payload_ops(d)[3]
+
+    def act(name: frozenset, s, s_inv) -> frozenset:
+        return frozenset([conj(s, x, s_inv) for x in name])
+    return elements, act, None
+
+
+def _orbit_key(d: GroupDescriptor, h: SubgroupSpec, elements: frozenset):
+    """``(name, act, normalizes)``: H named by its non-trivial point orbits,
+    which conjugation by s maps by s, and the test that g normalizes H, on
+    H's generators against its element set."""
+    _, inv, _, conj = _payload_ops(d)
+    gens = [g.payload for g in h.generators]
+    orbits = {frozenset([x[p] for x in elements]) for p in range(d.n)}
+
+    def act(name: frozenset, s, s_inv) -> frozenset:
+        return frozenset([frozenset(map(s.__getitem__, o)) for o in name])
+
+    def normalizes(g) -> bool:
+        g_inv = inv(g)
+        return all(conj(g, x, g_inv) in elements for x in gens)
+    return frozenset(o for o in orbits if len(o) > 1), act, normalizes
+
+
+def _orbit_search(d: GroupDescriptor, size: int, name, act, normalizes,
+                  cap: int | None) -> _Orbit | None:
+    """The BFS of :func:`_conjugates` over the names of H's conjugates:
+    ``act(name, s, s^-1)`` names the conjugate by s of the one named.  Each
+    Schreier generator is put through ``normalizes``, if given, before it
+    joins the chain; None when one fails."""
+    mul, inv, one, _ = _payload_ops(d)
     steps = [(s.payload, inv(s.payload)) for s in group_generators(d)]
-    points = [frozenset(g.payload for g in closure_of(h))]
-    where = {points[0]: 0}
+    names = [name]
+    where = {name: 0}
     trans, trans_inv, tree = [one], [one], [None]
     action: list[list[int]] = [[] for _ in steps]
     chain = _StabChain(d) if d.family in PERMUTATION_FAMILIES else _FlatChain(d, size)
     for i, t in enumerate(trans):  # trans grows while it is walked: a BFS
         for si, (s, s_inv) in enumerate(steps):
-            k = frozenset([conj(s, x, s_inv) for x in points[i]])
+            k = act(names[i], s, s_inv)
             j = where.get(k)
             if j is None:
-                if cap is not None and len(points) >= cap:
+                if cap is not None and len(names) >= cap:
                     raise GuardExceededError(
-                        f"{len(points) + 1} conjugate subgroups reached, "
+                        f"{len(names) + 1} conjugate subgroups reached, "
                         f"above the clique guard {cap}")
-                j = where[k] = len(points)
-                points.append(k)
+                j = where[k] = len(names)
+                names.append(k)
                 trans.append(mul(s, t))
                 trans_inv.append(mul(trans_inv[i], s_inv))
                 tree.append((i, si))
             else:
-                chain.add(mul(trans_inv[j], mul(s, t)))
+                g = mul(trans_inv[j], mul(s, t))
+                if normalizes is not None and not normalizes(g):
+                    return None
+                chain.add(g)
             action[si].append(j)
-    if len(points) * chain.order() != size:
-        raise AssertionError(f"orbit-stabilizer count {len(points)} * "
-                             f"{chain.order()} is not |{d}| = {size}")
     return _Orbit(trans, trans_inv, chain, action, tree)
 
 

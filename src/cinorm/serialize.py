@@ -9,7 +9,9 @@ literal -> element) and :func:`~cinorm.enumeration.kept`.  The memo is
 filled from misses, so only rows not written or read before go through
 :func:`~cinorm.literals.to_literal` / :func:`~cinorm.literals.from_literal`,
 and it holds at most |G| entries each way: a non-canonical spelling such as
-``(2 1)`` enters as its canonical literal, and is parsed on every read.
+``(2 1)`` enters as its canonical literal, and is parsed on every read.  A
+table holding an element of another group is refused when written, since
+its literal would be read back in the table's group.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 from .descriptors import GroupDescriptor, format_descriptor, parse_descriptor
 from .elements import Element
 from .enumeration import kept
+from .errors import DescriptorMismatchError
 from .literals import from_literal, to_literal
 from .norms import NormTable, NormTableMeta
 
@@ -48,9 +51,11 @@ def norm_table_payload(table: NormTable) -> dict:
     literal = literals.get
 
     def miss(g: Element) -> str:
+        if g.descriptor != table.descriptor:  # its literal would be read in the wrong group
+            raise DescriptorMismatchError(
+                f"{to_literal(g)} of {g.descriptor} in a norm table of {table.descriptor}")
         lit = to_literal(g)
-        if g.descriptor == table.descriptor:  # another group's stays out of the memo
-            literals[g], elements[lit] = lit, g
+        literals[g], elements[lit] = lit, g
         return lit
     rows = sorted((literal(g) or miss(g), fraction_str(v))
                   for g, v in table.values.items())

@@ -1,5 +1,12 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cinorm
 from cinorm import (
     aff_z,
     alternating,
@@ -76,3 +83,25 @@ def test_grammar_rejects_garbage():
     for bad in ("sn:", "wreath:sn:3", "slp:2", "nope:4", "sn:3extra"):
         with pytest.raises(ValueError):
             parse_descriptor(bad)
+
+
+def test_a_pickled_descriptor_is_found_under_another_hash_seed():
+    # the hash is kept on the instance, but string hashes are salted per
+    # process, so a pickle must not carry it
+    text = "wreath:sn:3:zn:3"
+    d = parse_descriptor(text)
+    assert hash(d) == hash(parse_descriptor(text)) and "_hash" in vars(d)
+    blob = pickle.dumps(d)
+    assert b"_hash" not in blob
+    code = (
+        "import pickle, sys\n"
+        "from cinorm import parse_descriptor\n"
+        "d = pickle.loads(sys.stdin.buffer.read())\n"
+        f"assert {{parse_descriptor({text!r}): 'found'}}[d] == 'found'\n")
+    src = str(Path(cinorm.__file__).resolve().parents[1])
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        run = subprocess.run([sys.executable, "-c", code], input=blob, env=env,
+                             capture_output=True, timeout=60)
+        assert run.returncode == 0, run.stderr.decode()

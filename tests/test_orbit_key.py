@@ -1,0 +1,135 @@
+"""The orbit key of ``_conjugates`` against the exact element-set key.
+
+On ``sn``/``an`` the conjugates of H are named by their non-trivial point
+orbits, and every Schreier generator is checked to normalize H; at the
+first that does not, the search runs again with the exact key.  Either way
+the orbit must be the one the exact key builds: the same transversal,
+action, BFS tree and chain levels.  The fixed subgroups below share their
+point orbits with other conjugates, so the orbit key fails there and the
+fallback runs.
+"""
+
+from hypothesis import given, settings, strategies as st
+import pytest
+
+from cinorm import (
+    SubgroupSpec,
+    alternating,
+    from_literal,
+    group_generators,
+    packing_number,
+    parse_descriptor,
+    perm_from_cycles,
+    symmetric,
+    to_literal,
+)
+from cinorm.displacement import _conjugates, _exact_key, _orbit_key, _orbit_search
+from cinorm.elements import Element, _payload_ops, _perm_parity
+from cinorm.enumeration import _checked_order, closure_of
+
+LIMIT = 10 ** 7
+
+
+def _subgroup(text, h):
+    d = parse_descriptor(text)
+    return d, SubgroupSpec(tuple(from_literal(d, x) for x in h.split(";")))
+
+
+def _searches(d, h):
+    """``(_conjugates, exact, orbit)``: the orbit the library builds, the one
+    the exact key builds, and the orbit key's own search (None when a
+    Schreier generator fails to normalize H)."""
+    size = _checked_order(d, LIMIT)
+    elements = frozenset(g.payload for g in closure_of(h))
+    return (_conjugates(d, h, LIMIT),
+            _orbit_search(d, size, *_exact_key(d, elements), None),
+            _orbit_search(d, size, *_orbit_key(d, h, elements), None))
+
+
+def _fields(orb):
+    return orb.trans, orb.trans_inv, orb.action, orb.tree, orb.chain.levels()
+
+
+def assert_same_as_exact(d, h):
+    built, exact, orbit = _searches(d, h)
+    assert _fields(built) == _fields(exact)
+    if orbit is not None:
+        assert _fields(orbit) == _fields(exact)
+    return orbit
+
+
+@st.composite
+def permutation_subgroups(draw):
+    d = parse_descriptor(draw(st.sampled_from(
+        ["sn:5", "sn:6", "sn:7", "sn:8", "an:5", "an:6", "an:7"])))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.permutations(range(d.n)))
+        if d.family == "an" and _perm_parity(tuple(p)):
+            p[0], p[1] = p[1], p[0]
+        gens.append(Element(d, tuple(p)))
+    return d, SubgroupSpec(tuple(gens))
+
+
+@settings(deadline=None, max_examples=40)
+@given(permutation_subgroups())
+def test_orbit_key_builds_the_exact_orbit(case):
+    assert_same_as_exact(*case)
+
+
+@pytest.mark.parametrize("text,h,count", [
+    ("sn:5", "(1 2 3 4)", 15),
+    ("sn:6", "(1 2 3)(4 5 6)", 20),
+    ("sn:7", "(1 2 3 4 5 6 7)", 120),
+    ("sn:5", "(1 2 3 4);(1 3)", 15),
+])
+def test_shared_point_orbits_fall_back_to_the_exact_key(text, h, count):
+    d, spec = _subgroup(text, h)
+    assert assert_same_as_exact(d, spec) is None
+    assert len(_conjugates(d, spec, LIMIT).trans) == count
+
+
+@pytest.mark.parametrize("text", ["sn:5", "sn:7", "an:5", "an:6"])
+def test_the_whole_group_is_its_own_orbit(text):
+    d = parse_descriptor(text)
+    orbit = assert_same_as_exact(d, SubgroupSpec(group_generators(d)))
+    assert orbit is not None and len(orbit.trans) == 1
+
+
+def _counted_conjugations(d):
+    """Wrap the bound conjugation of a fresh descriptor ``d`` in a counter."""
+    mul, inv, one, conj = _payload_ops(d)
+    calls = [0]
+
+    def counted(s, x, s_inv):
+        calls[0] += 1
+        return conj(s, x, s_inv)
+    object.__setattr__(d, "_payload_ops", (mul, inv, one, counted))
+    return calls
+
+
+def _sym_block(d, k):
+    return SubgroupSpec((perm_from_cycles(d, (1, 2)), perm_from_cycles(d, tuple(range(1, k + 1)))))
+
+
+def test_packing_sym6_in_s12_conjugates_few_payloads():
+    # the element-set key made 924 conjugates x 2 generators x 720 elements
+    # = 1 330 560 payload conjugations in the search alone
+    d = symmetric(12)
+    calls = _counted_conjugations(d)
+    res = packing_number(d, _sym_block(d, 6), limit=10 ** 9)
+    assert res.p == 2
+    assert [to_literal(w) for w in res.certificate.witnesses] == \
+        ["(1 7)(2 8)(3 9)(4 10)(5 11)(6 12)"]
+    assert 0 < calls[0] < 4000
+
+
+def test_packing_sym7_in_s14():
+    d = symmetric(14)
+    assert packing_number(d, _sym_block(d, 7), limit=10 ** 11).p == 2
+
+
+def test_alternating_blocks_use_the_orbit_key():
+    d = alternating(7)
+    h = SubgroupSpec((perm_from_cycles(d, (1, 2, 3)), perm_from_cycles(d, (2, 3, 4))))
+    assert assert_same_as_exact(d, h) is not None

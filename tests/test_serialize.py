@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cinorm import (
+    DescriptorMismatchError,
     NormTable,
     NormTableMeta,
     c_generates,
@@ -282,10 +283,9 @@ def test_values_that_are_not_a_list_of_rows_are_refused(values):
 def test_a_foreign_element_stays_out_of_the_memo():
     d, e = symmetric(3), symmetric(4)
     foreign = perm_from_cycles(e, (1, 4))
-    payload = norm_table_payload(NormTable(d, {foreign: Fraction(1)}, NormTableMeta("mixed")))
-    assert payload["values"] == [["(1 4)", "1/1"]]  # written as before
-    with pytest.raises(ValueError) as expected:
-        from_literal(d, "(1 4)")
-    with pytest.raises(ValueError) as exc:
-        norm_table_from_payload(payload)
-    assert str(exc.value) == str(expected.value)
+    table = NormTable(d, {foreign: Fraction(1)}, NormTableMeta("mixed"))
+    # its literal would not parse back in sn:3, so the write is refused
+    with pytest.raises(DescriptorMismatchError, match=re.escape("(1 4) of sn:4 in a norm table of sn:3")):
+        norm_table_payload(table)
+    literals, elements = serialize._literal_index(d)
+    assert foreign not in literals and "(1 4)" not in elements
