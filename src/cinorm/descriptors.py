@@ -8,6 +8,8 @@ alone, which is what lets enumeration guards fire before any work is done.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 _FAMILIES = frozenset({
@@ -20,17 +22,32 @@ MATRIX_FAMILIES = frozenset({"slz", "slp"})
 WREATH_FAMILIES = frozenset({"wreath-z", "wreath-zn"})
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class _Interned(type):
+    # every call of the class, dataclasses.replace and __reduce__ included,
+    # returns the one live descriptor of its fields, atomically: two racing
+    # copies would not compare equal.  base and parts key by identity.
+    _live, _lock = weakref.WeakValueDictionary(), threading.Lock()
+
+    def __call__(cls, family, n=0, p=0, base=None, parts=()):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown group family {family!r}")
+        key = (family, n, p, base, parts)
+        with cls._lock:
+            d = cls._live.get(key)
+            if d is None:
+                d = cls._live[key] = super().__call__(*key)
+            return d
+
+
+@dataclass(frozen=True, eq=False)
+class GroupDescriptor(metaclass=_Interned):
     """One concrete group family instance.
 
     ``n`` doubles as permutation degree, free rank, matrix dimension or
     wreath ring size depending on the family; ``p`` is the prime modulus
-    for ``slp``.  :mod:`cinorm.elements` keeps the payload operations it
-    binds for an instance on that instance, outside the fields, so equality,
-    hash and repr never see them.  The hash of the fields is kept there too,
-    from construction, but left out of pickles and copies and taken afresh
-    when one is loaded: string hashes differ from process to process.
+    for ``slp``.  Interned: one live object per field value, so equality
+    and hash are identity, and a pickle or copy carries the fields alone.
+    :mod:`cinorm.elements` keeps the payload operations of a group on it.
     """
 
     family: str
@@ -39,24 +56,11 @@ class GroupDescriptor:
     base: "GroupDescriptor | None" = None
     parts: tuple["GroupDescriptor", ...] = field(default=())
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown group family {self.family!r}")
-        # stored past the frozen __setattr__, as the payload operations are
-        object.__setattr__(self, "_hash", hash((self.family, self.n, self.p, self.base, self.parts)))
-
     def __str__(self) -> str:
         return format_descriptor(self)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != "_hash"}
-
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(state)
-        self.__post_init__()
+    def __reduce__(self):
+        return GroupDescriptor, (self.family, self.n, self.p, self.base, self.parts)
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -84,9 +84,7 @@ _set_payload = Element.payload.__set__
 def compose(a: Element, b: Element) -> Element:
     """Canonical product ``ab``."""
     d = a.descriptor
-    # the identity test first: elements of one group nearly always share
-    # one descriptor object, and then no dataclass __eq__ runs
-    if d is not b.descriptor and d != b.descriptor:
+    if d is not b.descriptor:
         raise DescriptorMismatchError(f"cannot compose {d} with {b.descriptor}")
     return Element(d, _payload_ops(d)[0](a.payload, b.payload))
 
@@ -100,7 +98,7 @@ def invert(a: Element) -> Element:
 def conjugate_of(g: Element, by: Element) -> Element:
     """``by . g . by^-1`` in canonical form."""
     d = by.descriptor
-    if d is not g.descriptor and d != g.descriptor:
+    if d is not g.descriptor:
         raise DescriptorMismatchError(f"cannot compose {d} with {g.descriptor}")
     _, inv, _, conj = _payload_ops(d)
     return Element(d, conj(by.payload, g.payload, inv(by.payload)))
@@ -152,13 +150,12 @@ def sort_key(e: Element):
 # ---------------------------------------------------------------------------
 # payload arithmetic
 #
-# Each descriptor's payload product, inverse, identity and conjugation are
-# bound once, on first use, and kept on the descriptor instance itself, so a
-# product costs one attribute read: no family dispatch, no descriptor hash
-# and no __eq__.  Nested families bind their base's (or parts') operations
-# with functools.partial over the module-level functions below, never
-# closures: the operations live in the descriptor's __dict__, and a partial
-# of a module-level function pickles and copies where a closure would not.
+# Each group's payload product, inverse, identity and conjugation are bound
+# once, on first use, and kept on its interned descriptor, so a product costs
+# one attribute read: no family dispatch, no descriptor hash and no __eq__.
+# Nested families bind their base's (or parts') operations with
+# functools.partial over the module-level functions below.  A pickle or copy
+# of a descriptor carries its fields alone, never this record.
 
 
 def _payload_ops(d: GroupDescriptor) -> tuple:
@@ -168,10 +165,8 @@ def _payload_ops(d: GroupDescriptor) -> tuple:
         return d._payload_ops
     except AttributeError:
         ops = _bind_ops(d)
-        # a non-field attribute, stored past the frozen __setattr__ as
-        # Element does: eq, hash, repr and str never read it.  Racing
-        # threads build equal operations and the last store wins, so no
-        # lock is needed.
+        # outside the fields, past the frozen __setattr__; racing threads
+        # build equal operations and the last store wins, so no lock
         object.__setattr__(d, "_payload_ops", ops)
         return ops
 

@@ -6,6 +6,7 @@ witness and coset representative in the library is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iter_product
@@ -70,8 +71,19 @@ def _checked_order(d: GroupDescriptor, limit: int | None) -> int:
         raise InfiniteGroupError(f"{d} is infinite")
     guard = ENUMERATION_GUARD if limit is None else limit
     if size > guard:
-        raise GuardExceededError(f"|{d}| = {size} exceeds the guard {guard}")
+        raise GuardExceededError(f"|{d}| {_order_text(size)} exceeds the guard {guard}")
     return size
+
+
+def _order_text(size: int) -> str:
+    # exact below 10^30, else by digit count: int-to-str stops at 4 300 digits
+    if size < 10 ** 30:
+        return f"= {size}"
+    log = math.log10(size)  # off by far less than 1e-6 at any order computed
+    k = int(log)
+    if log - k < 1e-6:  # too near a power of ten for the float to decide
+        k -= 10 ** k > size
+    return f"has {k + 1} digits and"
 
 
 def kept(d: GroupDescriptor, key: Hashable, make: Callable[[], Any]) -> Any:

@@ -41,7 +41,7 @@ class FCommEnvironment:
 
     def embed(self, h: Element, coordinate: int = 0) -> Element:
         """The base element placed at one coordinate of the wreath product."""
-        if h.descriptor is not self.base and h.descriptor != self.base:
+        if h.descriptor is not self.base:
             raise ValueError("embed expects a base-group element")
         ring = self.ambient.n if self.ambient.family == "wreath-zn" else 0
         if ring:

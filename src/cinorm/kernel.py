@@ -218,7 +218,7 @@ def domain_kernel(d: GroupDescriptor, elements: Iterable[Element]) -> FiniteGrou
     else a kernel built from them.  An element of another group is refused."""
     elems = list(dict.fromkeys(elements))
     for e in elems:
-        if e.descriptor is not d and e.descriptor != d:
+        if e.descriptor is not d:
             raise DescriptorMismatchError(f"{e} is not an element of {d}")
     full = len(elems) == gd.order(d)
     if full and len(elems) <= TABLE_BOUND:

@@ -58,7 +58,7 @@ class QuasiMorphism:
         return Fraction(self._on_payload(g.payload))
 
     def _check(self, g: Element) -> None:
-        if g.descriptor is not self.domain and g.descriptor != self.domain:
+        if g.descriptor is not self.domain:
             raise ValueError(f"{self.name} is defined on {self.domain}, not {g.descriptor}")
 
 

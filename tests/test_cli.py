@@ -53,6 +53,22 @@ def test_guard_exit_code():
     assert main(["packing", "--group", "sn:12", "--h", "(1 2);(1 2 3)"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["cl", "--group", "sn:3000"],
+    ["cld", "--group", "sn:3000"],
+    ["norm-verify", "--group", "sn:3000", "--norm", "support"],
+    ["cl", "--group", "wreath:sn:9:zn:3000"],
+    ["cl", "--group", "product:sn:2000,sn:2000"],
+    ["cl", "--group", "slp:60:2"],
+], ids=" ".join)
+def test_a_guard_on_a_huge_order_exits_3_with_a_short_message(argv, capsys):
+    # int-to-str refuses more than 4 300 digits: the order is not written out
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"resource guard tripped: |{argv[2]}| has ")
+    assert " digits and exceeds the guard 10000000" in err and len(err) < 120
+
+
 def test_failure_report_carries_witness(tmp_path):
     out = tmp_path / "neg.json"
     main(["verify", "--suite", "negative-control", "--out", str(out)])

@@ -1,12 +1,21 @@
+import copy
+import dataclasses
+import gc
+import importlib.util
 import os
 import pickle
 import subprocess
 import sys
+import threading
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import cinorm
+from cinorm import enumeration
+from cinorm.descriptors import GroupDescriptor, _Interned
 from cinorm import (
     aff_z,
     alternating,
@@ -90,7 +99,7 @@ def test_a_pickled_descriptor_is_found_under_another_hash_seed():
     # process, so a pickle must not carry it
     text = "wreath:sn:3:zn:3"
     d = parse_descriptor(text)
-    assert hash(d) == hash(parse_descriptor(text)) and "_hash" in vars(d)
+    assert hash(d) == hash(parse_descriptor(text))
     blob = pickle.dumps(d)
     assert b"_hash" not in blob
     code = (
@@ -105,3 +114,83 @@ def test_a_pickled_descriptor_is_found_under_another_hash_seed():
         run = subprocess.run([sys.executable, "-c", code], input=blob, env=env,
                              capture_output=True, timeout=60)
         assert run.returncode == 0, run.stderr.decode()
+
+
+ONE_PER_FAMILY = [
+    (symmetric(5), "sn:5"), (alternating(6), "an:6"), (free_group(2), "free:2"),
+    (wreath_z(symmetric(3)), "wreath:sn:3:z"), (wreath_zn(symmetric(3), 4), "wreath:sn:3:zn:4"),
+    (aff_z(), "aff-z"), (bar(symmetric(3)), "bar:sn:3"), (z2_infinity(), "z2inf"),
+    (sl_z(3), "slz:3"), (sl_mod(2, 5), "slp:2:5"),
+    (product(symmetric(3), product(alternating(4), free_group(1))),
+     "product:sn:3,(product:an:4,free:1)"),
+]
+
+
+def _live_texts() -> set:
+    return {str(d) for d in _Interned._live.values()}
+
+
+@pytest.mark.parametrize("d, text", ONE_PER_FAMILY, ids=str)
+def test_every_way_of_making_a_descriptor_gives_the_live_one(d, text):
+    fields = (d.family, d.n, d.p, d.base, d.parts)
+    for twin in (parse_descriptor(text), GroupDescriptor(*fields),
+                 GroupDescriptor(d.family, n=d.n, p=d.p, base=d.base, parts=d.parts),
+                 copy.copy(d), copy.deepcopy(d), dataclasses.replace(d),
+                 pickle.loads(pickle.dumps(d)), pickle.loads(pickle.dumps(d, protocol=0))):
+        assert twin is d
+    # equality and hash are identity, not the fields'
+    assert GroupDescriptor.__eq__ is object.__eq__
+    assert GroupDescriptor.__hash__ is object.__hash__
+
+
+def test_racing_threads_get_one_descriptor():
+    # a get-or-insert that is not atomic lets two threads each insert their
+    # own copy, and copies are not equal
+    texts = [f"product:wreath:sn:4:zn:{k},slp:2:7" for k in range(101, 141)]
+    assert not set(texts) & _live_texts()
+    barrier = threading.Barrier(8)
+    got = [[] for _ in range(8)]
+
+    def parse_all(mine):
+        for text in texts:
+            barrier.wait()
+            mine.append(parse_descriptor(text))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse_all, args=(mine,)) for mine in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for i, text in enumerate(texts):
+        assert len({id(mine[i]) for mine in got}) == 1 and str(got[0][i]) == text
+
+
+def test_one_live_descriptor_per_value_after_the_words_jobs(monkeypatch):
+    # each words job makes its own descriptors, 4 726 calls for 21 values
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, jobs)  # its dataclasses look it up
+    spec.loader.exec_module(jobs)
+    built = jobs.build("words", 1, 20)
+    assert len(built) > 100
+    alive = Counter(str(o) for o in gc.get_objects() if type(o) is GroupDescriptor)
+    assert alive and max(alive.values()) == 1
+    assert {"sn:3", "free:2", "wreath:sn:3:zn:3"} <= set(alive)
+
+
+def test_a_dropped_descriptor_leaves_no_intern_entry():
+    # the kept state of a group holds its descriptor until it is evicted
+    text = "product:an:4,wreath:sn:2:zn:5"
+    d = parse_descriptor(text)
+    assert len(enumeration.enumerate_elements(d)) == order(d) == 12 * 2 ** 5 * 5
+    assert text in _live_texts()
+    gone = weakref.ref(d)
+    del d
+    enumeration._store.cache_clear()
+    gc.collect()
+    assert gone() is None and text not in _live_texts()

@@ -218,6 +218,16 @@ def test_kept_group_still_meets_the_guard():
     assert len(enumerate_elements(d, limit=120)) == 120
 
 
+def test_a_long_order_is_written_by_its_exact_digit_count():
+    from cinorm.enumeration import _order_text
+    assert _order_text(10 ** 30 - 1) == f"= {10 ** 30 - 1}"
+    for k in (30, 31, 99, 100, 4301, 20000):
+        for size, digits in ((10 ** k - 1, k), (10 ** k, k + 1), (10 ** k + 1, k + 1),
+                             (2 * 10 ** k, k + 1)):
+            if size >= 10 ** 30:
+                assert _order_text(size) == f"has {digits} digits and"
+
+
 @pytest.mark.parametrize("table", [trivial_norm_table, support_norm_table])
 def test_kept_tables_still_meet_the_guard(table):
     d = symmetric(5)

@@ -85,3 +85,48 @@ def test_one_store_keeps_per_group_state():
     assert {m for m in names if "lru_cache" in names[m]} == {"enumeration", "cli"}
     for name in ("_KEPT_ORDER", "_CACHE_SIZE"):
         assert {m for m in names if name in names[m]} == {"enumeration"}
+
+
+def _sites(tree: ast.AST, match) -> set:
+    """The innermost function or class around each node ``match`` accepts,
+    ``None`` at module level."""
+    out = set()
+
+    def visit(node: ast.AST, owner) -> None:
+        if match(node):
+            out.add(owner)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+    visit(tree, None)
+    return out
+
+
+def test_one_owner_keeps_per_descriptor_state():
+    # a descriptor is interned, one object shared by every caller: state
+    # stored on it past the frozen __setattr__ has one owner, the payload
+    # record, and only descriptors decides its equality, hash and pickling
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+
+    def object_setattr(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object")
+    stores = {(m, site) for m, tree in trees.items() if m != "descriptors"
+              for site in _sites(tree, object_setattr)}
+    assert stores == {("elements", "_payload_ops")}
+
+    dunders = {"__eq__", "__hash__", "__reduce__"}
+    owners = set()
+    for m, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "GroupDescriptor":
+                owners |= {(m, f.name) for f in node.body
+                           if isinstance(f, ast.FunctionDef) and f.name in dunders}
+            elif (isinstance(node, ast.Attribute) and node.attr in dunders
+                  and isinstance(node.ctx, ast.Store)):
+                owners.add((m, node.attr))
+            elif (isinstance(node, ast.Call) and _names(node.func) == {"setattr"}
+                  and node.args and "GroupDescriptor" in _names(node.args[0])):
+                owners.add((m, "setattr"))
+    assert owners == {("descriptors", "__reduce__")}
