@@ -31,6 +31,15 @@ class _Interned(type):
     def __call__(cls, family, n=0, p=0, base=None, parts=()):
         if family not in _FAMILIES:
             raise ValueError(f"unknown group family {family!r}")
+        # the key compares by equality, so 3.0 or True would pass for 3 or 1
+        # and take over that group for as long as it lives
+        for name, v in (("n", n), ("p", p)):
+            if type(v) is not int:
+                raise ValueError(f"descriptor field {name} must be an int, not {v!r}")
+        if base is not None and not isinstance(base, cls):
+            raise ValueError(f"descriptor field base must be a GroupDescriptor, not {base!r}")
+        if type(parts) is not tuple or not all(isinstance(x, cls) for x in parts):
+            raise ValueError(f"descriptor field parts must hold GroupDescriptors, not {parts!r}")
         key = (family, n, p, base, parts)
         with cls._lock:
             d = cls._live.get(key)

@@ -669,6 +669,26 @@ def _refuse_foreign(d: GroupDescriptor, norm: NormLike, *subgroups: SubgroupSpec
             raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
 
 
+def _check_energy(e: EnergyResult, m: int, value, fixed: SubgroupSpec,
+                  moved: SubgroupSpec) -> None:
+    """Refuse a supplied energy of another m, and re-check a finite one as a
+    computed one is: its minimizer has its value, and the minimizer's powers
+    ``phi^1..phi^m`` pass :func:`_assert_witnesses`."""
+    if e.m != m:
+        raise ValueError(f"the energy is e_{e.m}, not e_{m}")
+    if e.value is None:
+        return
+    phi = e.minimizer
+    if phi is None or Fraction(value(phi)) != e.value:
+        raise ValueError(f"the energy {e.value} is not the value of its minimizer "
+                         f"{None if phi is None else to_literal(phi)}")
+    try:
+        _assert_witnesses(fixed, moved, tuple(phi ** k for k in range(1, m + 1)))
+    except AssertionError:
+        raise ValueError(f"the energy's minimizer {to_literal(phi)} does not "
+                         f"displace the subgroup") from None
+
+
 def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
                                norm: NormLike, *,
                                energy: EnergyResult | None = None) -> MasterReport:
@@ -678,10 +698,13 @@ def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
     the subgroup is m: ``v(x) <= 4 e_1`` when m = 1 (plus the pointwise chain
     ``v([f,g]) <= 2 v([f,phi]) <= 4 v(phi)`` for the found minimizer), and
     ``v(x) <= 14 e_m`` for m >= 2.  Ambient commutator length <= 2 is checked
-    when the ambient order is at most :data:`AMBIENT_CL_LIMIT`.
+    when the ambient order is at most :data:`AMBIENT_CL_LIMIT`.  A supplied
+    ``energy`` must be e_m, and a finite one is re-checked.
     """
     _refuse_foreign(d, norm, h)
     value = norm_value_fn(norm)
+    if energy is not None:
+        _check_energy(energy, m, value, h, h)
     closure = sorted(closure_of(h), key=sort_key)
     cl_h = commutator_length_over(closure, d, name="cl_H")
     e = energy if energy is not None else displacement_energy(d, h, m, norm)
@@ -729,9 +752,12 @@ def verify_disjunction_inequality(d: GroupDescriptor, h1: SubgroupSpec,
                                   h2: SubgroupSpec, norm: NormLike,
                                   energy: EnergyResult | None = None) -> MasterReport:
     """Check ``v([x1, x2]) <= 4 e(H1, H2)`` for all pairs from the two
-    subgroup closures."""
+    subgroup closures.  A supplied ``energy`` must be e_1, and a finite one
+    is re-checked: its minimizer conjugates ``h2`` to commute with ``h1``."""
     _refuse_foreign(d, norm, h1, h2)
     value = norm_value_fn(norm)
+    if energy is not None:
+        _check_energy(energy, 1, value, h1, h2)
     e = energy if energy is not None else disjunction_energy(d, h1, h2, norm)
     rows: list[InequalityRow] = []
     if e.value is not None:

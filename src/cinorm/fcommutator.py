@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .descriptors import GroupDescriptor, order, wreath_z, wreath_zn
 from .elements import (
@@ -76,7 +75,9 @@ def wreath_environment(base: GroupDescriptor, capacity: int,
 
     For every finite base, the copies at coordinates 0..capacity are checked
     to commute pairwise, on the shifted generators of the base: two subgroups
-    commute elementwise iff their generators do.
+    commute elementwise iff their generators do.  Copy j is copy 0 conjugated
+    by F^j, and conjugation by F^-i takes the pair (i, j) to (0, j - i), so
+    checking copy 0 against copies 1..capacity checks every pair.
     """
     if capacity < 1:
         raise ValueError("capacity must be at least 1")
@@ -92,9 +93,9 @@ def wreath_environment(base: GroupDescriptor, capacity: int,
         gens = group_generators(base)
         copies = [SubgroupSpec(tuple(env.shifted(g, i) for g in gens))
                   for i in range(capacity + 1)]
-        for (i, a), (j, b) in combinations(enumerate(copies), 2):
-            if not subgroups_commute(a, b):
-                raise AssertionError(f"coordinates {i} and {j} fail to commute")
+        for j, b in enumerate(copies[1:], 1):
+            if not subgroups_commute(copies[0], b):
+                raise AssertionError(f"coordinates 0 and {j} fail to commute")
     return env
 
 

@@ -7,23 +7,25 @@ payload -> index dict, an inverse array and the Cayley table, ``row(i)[j]``
 being the index of ``elements[i] * elements[j]`` (the indexing of Holt, Eick
 and O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).
 
-A kernel of order N up to :data:`TABLE_BOUND` (a table of at most 16 MiB)
-builds its whole table at the first product asked of it.  A whole group
-makes N |gens| payload products: the left multiplications ``lambda_x`` by
-the generators x of :func:`~cinorm.enumeration.group_generators`, then along
-a breadth-first Schreier tree g_i = x_i g_parent(i) from the identity,
-``row(i)`` is ``lambda_{x_i}`` gathered over ``row(parent(i))``.  A subset
-kernel has no generators and makes N^2 payload products: its callers read
-every row anyway, but a failing axiom check stops after a few.  Larger
-kernels make every product from payloads and keep O(N) memory.  On a
-subset, a product or inverse that leaves the subset is -1.
+A subgroup's kernel has generators (:meth:`FiniteGroup.generators`): those
+of :func:`~cinorm.enumeration.group_generators` on a whole group, and on a
+subset each element, in index order, outside the subgroup generated by those
+before it; on a subset that is not a subgroup they are ``None``.  A subgroup
+kernel of order N up to :data:`TABLE_BOUND` (a table of at most 16 MiB)
+builds its whole table at the first product asked of it, with N |gens|
+payload products: the left multiplications ``lambda_x`` by the generators x,
+then along a breadth-first Schreier tree g_i = x_i g_parent(i) from the
+identity, ``row(i)`` is ``lambda_{x_i}`` gathered over ``row(parent(i))``.
+Larger kernels, and subsets that are not subgroups, make every product from
+payloads and keep O(N) memory.  On a subset, a product or inverse that
+leaves the subset is -1.
 
-The conjugacy classes are labelled once per kernel, each index by the least
-index of its class: orbits under conjugation by the generators on a whole
-group (2N |gens| table reads, or payload conjugations above the bound), by
-every member on a closed subset.  Conjugacy closures are unions of classes,
-and the commutator set is the union of the classes of r c, over each class
-representative r and each c in the class of r^-1: N products, not N^2.
+The conjugacy classes of a subgroup are labelled once per kernel, each index
+by the least index of its class: orbits under conjugation by the generators
+(2N |gens| table reads, or payload conjugations above the bound).  Conjugacy
+closures are unions of classes, and the commutator set is the union of the
+classes of r c, over each class representative r and each c in the class of
+r^-1: N products, not N^2.
 """
 
 from __future__ import annotations
@@ -41,8 +43,14 @@ from .elements import (
     _payload_ops,
     sort_key,
 )
-from .enumeration import _checked_order, enumerate_elements, group_generators, kept
-from .errors import DescriptorMismatchError
+from .enumeration import (
+    _checked_order,
+    _extend_closure,
+    enumerate_elements,
+    group_generators,
+    kept,
+)
+from .errors import DescriptorMismatchError, GuardExceededError
 
 #: Largest order whose Cayley table is built (2048^2 four-byte indices) and
 #: whose whole-group kernel is :func:`~cinorm.enumeration.kept`.
@@ -63,6 +71,7 @@ class FiniteGroup:
         get = self.index.get
         self.inv = array("i", [get(x, -1) for x in map(inv, self.payloads)])
         self.one = get(one, -1)
+        self._gens: tuple[list[int] | None] | None = None  # (generators(),), once found
         self._rows: list[array] | None = None  # the whole table, once built
         self._classes: tuple[array, dict[int, list[int]]] | None = None
 
@@ -71,21 +80,41 @@ class FiniteGroup:
             raise DescriptorMismatchError(f"{e} is not an element of {self.descriptor}")
         return self.index[e.payload]
 
+    def generators(self) -> list[int] | None:
+        """Indices of generators of the set, found once per kernel, or
+        ``None`` if it is not a subgroup: ``group_generators(d)`` on a whole
+        group; on a subset each element, in index order, outside the
+        subgroup generated by those before it."""
+        if self._gens is None:
+            gens: list[int] | None = None
+            if self.full:
+                gens = [self.index[x.payload] for x in group_generators(self.descriptor)]
+            elif self.one >= 0:
+                # the closure holds every member and at most N elements, so
+                # it is the set, or it leaves the set and passes N
+                elems, used, gens = {self.payloads[self.one]}, [], []
+                try:
+                    for i, p in enumerate(self.payloads):
+                        if p not in elems:
+                            _extend_closure(elems, used, p, self._mul, self.n)
+                            gens.append(i)
+                except GuardExceededError:
+                    gens = None
+            self._gens = (gens,)  # one assignment, as for the table
+        return self._gens[0]
+
     def _table(self) -> list[array] | None:
         # built at first use in one assignment: racers see all of it or none;
         # no comprehension here, as its closure cells would cost every call
-        if self._rows is None and self.n <= TABLE_BOUND:
+        if self._rows is None and self.n <= TABLE_BOUND and self.generators() is not None:
             self._rows = self._build()
         return self._rows
 
     def _build(self) -> list[array]:
-        """The Cayley table: N^2 payload products on a subset, N |gens| on a
-        group, along a Schreier tree g_i = x g_p: ``row(i)[k] = lambda_x[row(p)[k]]``."""
+        """The Cayley table, N |gens| payload products along a Schreier tree
+        g_i = x g_p: ``row(i)[k] = lambda_x[row(p)[k]]``."""
         index, mul, p, n = self.index, self._mul, self.payloads, self.n
-        if not self.full:
-            return [array("i", [index.get(mul(a, b), -1) for b in p]) for a in p]
-        lams = [[index[mul(x.payload, q)] for q in p]
-                for x in group_generators(self.descriptor)]
+        lams = [[index[mul(p[x], q)] for q in p] for x in self.generators()]
         rows: list[array | None] = [None] * n
         rows[self.one] = array("i", range(n))
         frontier = [self.one]
@@ -105,7 +134,7 @@ class FiniteGroup:
 
     def products(self, i: int, js: Iterable[int]) -> list[int]:
         """Indices of ``elements[i] * elements[j]`` for each j of ``js``, read
-        from the table, or payload products above :data:`TABLE_BOUND`."""
+        from the table, or payload products without one."""
         rows = self._table()
         if rows is not None:
             r = rows[i]
@@ -132,29 +161,19 @@ class FiniteGroup:
     def classes(self) -> tuple[array, dict[int, list[int]]]:
         """The conjugacy classes, once per kernel: each index's label, the
         least index of its class, and each class's members in index order,
-        keyed by label.  A subset must be closed; see :meth:`_label_classes`."""
+        keyed by label.  The set must be a subgroup; see :meth:`_label_classes`."""
         if self._classes is None:  # one assignment, as for the table
             self._classes = self._label_classes()
         return self._classes
 
     def _label_classes(self) -> tuple[array, dict[int, list[int]]]:
-        """Orbits under conjugation: by ``group_generators(d)`` on a whole
-        group, 2N |gens| table reads or N |gens| payload conjugations above
-        :data:`TABLE_BOUND`; by every member on a subset."""
+        """Orbits under conjugation by :meth:`generators`: 2N |gens| table
+        reads, or N |gens| payload conjugations above :data:`TABLE_BOUND`."""
+        self.require_closed()
         n = self.n
         label = array("i", [-1]) * n
         members: dict[int, list[int]] = {}
-        if not self.full:
-            self.require_closed()
-            conj = self.conj
-            for i in range(n):
-                if label[i] < 0:
-                    members[i] = cls = sorted({conj(b, i) for b in range(n)})
-                    for c in cls:
-                        label[c] = i
-            return label, members
-        moves = [self._conjugation_by(self.index[x.payload])
-                 for x in group_generators(self.descriptor)]
+        moves = [self._conjugation_by(x) for x in self.generators()]
         for i in range(n):
             if label[i] < 0:
                 label[i] = i
@@ -194,10 +213,8 @@ class FiniteGroup:
         return [self.mul(a, b) for a, b in pairs]
 
     def require_closed(self) -> None:
-        """Raise unless the set has the identity and is closed under * and ^-1."""
-        if self.full:
-            return
-        if self.one < 0 or -1 in self.inv or any(-1 in self.row(i) for i in range(self.n)):
+        """Raise unless the set is a subgroup: see :meth:`generators`."""
+        if self.generators() is None:
             raise ValueError(f"the {self.n} elements are not a subgroup of {self.descriptor}")
 
 
@@ -251,8 +268,7 @@ def commutator_indices(G: FiniteGroup) -> list[int]:
     """Sorted indices of the simple commutators ``x y x^-1 y^-1``: the classes
     of ``r c`` over each class representative r and each c in the class of
     r^-1, as [r, y] = r (y r^-1 y^-1) and [g r g^-1, y] = g [r, g^-1 y g] g^-1.
-    That is N products in all, not N^2."""
-    G.require_closed()
+    That is N products in all, not N^2.  The set must be a subgroup."""
     label, members = G.classes()
     hit: set[int] = set()
     for r in members:

@@ -194,3 +194,23 @@ def test_a_dropped_descriptor_leaves_no_intern_entry():
     enumeration._store.cache_clear()
     gc.collect()
     assert gone() is None and text not in _live_texts()
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: symmetric(13.0), "n"),
+    (lambda: GroupDescriptor("sn", n=True), "n"),
+    (lambda: sl_mod(2, 13.0), "p"),
+    (lambda: wreath_zn(symmetric(3), 13.0), "n"),
+    (lambda: bar("sn:3"), "base"),
+    (lambda: product("sn:3"), "parts"),
+], ids=["float-degree", "bool-degree", "float-modulus", "float-ring", "text-base",
+        "text-part"])
+def test_a_field_of_another_type_is_refused_before_the_lookup(make, field):
+    # the intern key compares by equality: 13.0 would become the live sn:13
+    # and be handed to every later symmetric(13) while it lived
+    with pytest.raises(ValueError, match=f"descriptor field {field} "):
+        make()
+    assert str(symmetric(13)) == "sn:13"
+    assert str(sl_mod(2, 13)) == "slp:2:13"
+    assert str(wreath_zn(symmetric(3), 13)) == "wreath:sn:3:zn:13"
+    assert str(parse_descriptor("sn:1")) == "sn:1"

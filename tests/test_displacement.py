@@ -28,7 +28,7 @@ from cinorm import (
     verify_disjunction_inequality,
     verify_master_inequalities,
 )
-from cinorm.displacement import PACKING_GUARD
+from cinorm.displacement import PACKING_GUARD, EnergyResult
 
 S5 = symmetric(5)
 S6 = symmetric(6)
@@ -247,3 +247,39 @@ def test_scan_guard_is_the_enumeration_order_check():
         enumerate_elements(d, limit=PACKING_GUARD)
     assert str(scan.value) == str(listing.value) == \
         "|sn:10| = 3628800 exceeds the guard 1000000"
+
+
+def test_inequality_verifiers_refuse_an_energy_of_another_m():
+    # e_2 of Sym{1,2,3} in S7 is infinite (two disjoint blocks at most), so
+    # taken for e_1 it used to pass with no row at all
+    S7 = symmetric(7)
+    h, h2 = sym_block(S7, (1, 2, 3)), sym_block(S7, (2, 3, 4))
+    e1 = displacement_energy(S7, h, 1, support_norm)
+    e2 = displacement_energy(S7, h, 2, support_norm)
+    assert e1.value == 6 and e2.value is None
+    with pytest.raises(ValueError, match="the energy is e_2, not e_1"):
+        verify_master_inequalities(S7, h, 1, support_norm, energy=e2)
+    with pytest.raises(ValueError, match="the energy is e_1, not e_2"):
+        verify_master_inequalities(S7, h, 2, support_norm, energy=e1)
+    with pytest.raises(ValueError, match="the energy is e_2, not e_1"):
+        verify_disjunction_inequality(S7, h, h2, support_norm, energy=e2)
+
+
+def test_inequality_verifiers_recheck_a_supplied_minimizer():
+    h = sym_block(S8, (1, 2, 3))
+    e = displacement_energy(S8, h, 1, support_norm)
+    assert (e.value, e.minimizer) == (6, perm_from_cycles(S8, (1, 4), (2, 5), (3, 6)))
+    six_cycle = perm_from_cycles(S8, (1, 2, 3, 4, 5, 6))  # value 6, moves 1 2 3 onto 2 3 4
+    for bad, match in [(EnergyResult(1, e.value - 1, e.minimizer), "not the value of"),
+                       (EnergyResult(1, e.value, None), "not the value of"),
+                       (EnergyResult(1, e.value, six_cycle), "does not displace")]:
+        with pytest.raises(ValueError, match=match):
+            verify_master_inequalities(S8, h, 1, support_norm, energy=bad)
+    h1, h2 = sym_block(S8, (1, 2, 3)), sym_block(S8, (2, 3, 4))
+    e = disjunction_energy(S8, h1, h2, support_norm)
+    four_cycle = perm_from_cycles(S8, (1, 2, 3, 4))  # value 4, moves 2 3 4 onto 3 4 1
+    for bad, match in [(EnergyResult(1, e.value + 1, e.minimizer), "not the value of"),
+                       (EnergyResult(1, e.value, four_cycle), "does not displace")]:
+        with pytest.raises(ValueError, match=match):
+            verify_disjunction_inequality(S8, h1, h2, support_norm, energy=bad)
+    assert verify_disjunction_inequality(S8, h1, h2, support_norm, energy=e).ok

@@ -24,6 +24,7 @@ from cinorm import (
     rearrange,
     seven_fcommutators,
     solve_rearrange_id,
+    subgroups_commute,
     symmetric,
     trivial_norm_table,
     two_commutator_witness,
@@ -32,6 +33,8 @@ from cinorm import (
     wreath_environment,
     wreath_zn,
 )
+from cinorm import fcommutator
+from cinorm.enumeration import group_generators
 from cinorm.fcommutator import FCommEnvironment
 from cinorm.norms import NormTable, NormTableMeta
 
@@ -324,3 +327,20 @@ def test_fcomm_norm_bound_refuses_a_table_of_the_base():
     with pytest.raises(DescriptorMismatchError,
                        match=f"the norm table is on sn:3, not {env.ambient}"):
         fcomm_norm_bound(dec, env, trivial_norm_table(S3))
+
+
+@pytest.mark.parametrize("capacity", [1, 4, 9])
+def test_copies_are_checked_against_copy_zero_only(capacity, monkeypatch):
+    # copy j is copy 0 conjugated by F^j, so the pair (i, j) is the pair
+    # (0, j - i) conjugated by F^i: capacity checks, not capacity (capacity + 1) / 2
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return subgroups_commute(a, b)
+    monkeypatch.setattr(fcommutator, "subgroups_commute", counting)
+    env = wreath_environment(S3, capacity)
+    assert len(calls) == capacity
+    for j, (a, b) in enumerate(calls, 1):
+        assert a.generators == tuple(env.shifted(g, 0) for g in group_generators(S3))
+        assert b.generators == tuple(env.shifted(g, j) for g in group_generators(S3))

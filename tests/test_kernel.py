@@ -59,7 +59,7 @@ from cinorm import (
 )
 from cinorm import enumeration, kernel
 from cinorm.elements import _payload_ops
-from cinorm.enumeration import group_generators
+from cinorm.enumeration import group_generators, subgroup_closure
 from cinorm.kernel import (
     TABLE_BOUND,
     FiniteGroup,
@@ -375,12 +375,65 @@ def test_subset_kernel_builds_its_whole_table_at_first_use(closed):
     mul = _payload_ops(d)[0]
     expected = [[G.index.get(mul(a, b), -1) for b in p] for a in p]
     assert (-1 in sum(expected, [])) is not closed
-    assert G.mul(3, 4) == expected[3][4]  # the first product builds the table
-    assert len(G._rows) == G.n and None not in G._rows
+    assert G.mul(3, 4) == expected[3][4]  # the first product builds a subgroup's table
+    if closed:
+        assert len(G._rows) == G.n and None not in G._rows
     for i in range(G.n):
         assert list(G.row(i)) == expected[i]
         assert G.products(i, [5, 0, i]) == [expected[i][j] for j in (5, 0, i)]
         assert [G.mul(i, j) for j in range(G.n)] == expected[i]
+    if not closed:  # a set that is not a subgroup keeps no table
+        assert G._rows is None
+
+
+def test_subset_generators_grow_the_subgroup_or_are_none():
+    d = symmetric(4)
+    one, c = identity(d), perm_from_cycles(d, (1, 2, 3))
+    s3 = [g for g in enumerate_elements(d) if g.payload[3] == 3]
+    not_subgroups = [s3[1:],  # no identity
+                     [one, c],  # no inverse of c
+                     [one, perm_from_cycles(d, (1, 2)), perm_from_cycles(d, (3, 4))],  # no product
+                     []]
+    for sub in not_subgroups:
+        G = domain_kernel(d, sub)
+        assert G.generators() is None and G._rows is None
+        with pytest.raises(ValueError, match="are not a subgroup of sn:4"):
+            G.require_closed()
+    S7 = symmetric(7)
+    sym5 = closure_of(SubgroupSpec((perm_from_cycles(S7, (1, 2)),
+                                    perm_from_cycles(S7, (1, 2, 3, 4, 5)))))
+    for sub in (s3, [one], closure_of(SubgroupSpec((c,))), sym5):
+        G = domain_kernel(next(iter(sub)).descriptor, sub)
+        gens = G.generators()
+        assert G.generators() is gens  # found once
+        assert gens == sorted(gens) and G.one not in gens
+        chosen = [G.elements[G.one]] + [G.elements[i] for i in gens]
+        for k, x in enumerate(gens, 1):  # each outside the closure of those before it
+            assert G.elements[x] not in subgroup_closure(chosen[:k])
+        assert subgroup_closure(chosen) == set(G.elements)
+    G = group_kernel(d)
+    assert G.generators() == [G.index_of(x) for x in group_generators(d)]
+
+
+def test_subgroup_kernel_does_generator_products_only(monkeypatch):
+    # the closure of Sym{1..5} in S7: N |gens| payload products find its
+    # generators and N |gens| build its table, and the classes and the
+    # commutator set read the table (the table alone made N^2 = 14 400 when
+    # a subset had no generators)
+    d = symmetric(7)
+    H = closure_of(SubgroupSpec((perm_from_cycles(d, (1, 2)),
+                                 perm_from_cycles(d, (1, 2, 3, 4, 5)))))
+    count = []
+
+    def counting_ops(d):
+        mul, *rest = _payload_ops(d)
+        return (lambda a, b: count.append(1) or mul(a, b), *rest)
+    monkeypatch.setattr(kernel, "_payload_ops", counting_ops)
+    G = domain_kernel(d, H)
+    assert not G.full and G.n == 120
+    cs = commutator_indices(G)
+    assert len(cs) == 60 and len(G._rows) == G.n and len(G.classes()[1]) == 7
+    assert len(count) <= 2 * G.n * len(G.generators())
 
 
 def test_domain_kernel_drops_repeats():
@@ -745,6 +798,21 @@ def test_passing_axiom_check_reads_class_representative_rows_only(monkeypatch, t
     row = FiniteGroup.row
     monkeypatch.setattr(FiniteGroup, "row", lambda self, i: read.append(i) or row(self, i))
     table = support_norm_table(d) if d.family == "sn" else trivial_norm_table(d)
+    assert report_tuple(verify_norm_axioms(table)) == (True, [], G.n ** 2, G.n)
+    assert read == list(members)
+
+
+def test_passing_axiom_check_on_a_subgroup_reads_class_representative_rows_only(monkeypatch):
+    # the cl table of S6 lives on A6: its classes under A6 come from the
+    # subgroup's own generators, and (iii) needs only their representatives
+    d = symmetric(6)
+    table = commutator_length(d)
+    G = domain_kernel(d, table.values)
+    assert not G.full and G.n == 360
+    members = G.classes()[1]
+    read = []
+    row = FiniteGroup.row
+    monkeypatch.setattr(FiniteGroup, "row", lambda self, i: read.append(i) or row(self, i))
     assert report_tuple(verify_norm_axioms(table)) == (True, [], G.n ** 2, G.n)
     assert read == list(members)
 

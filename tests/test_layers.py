@@ -130,3 +130,13 @@ def test_one_owner_keeps_per_descriptor_state():
                   and node.args and "GroupDescriptor" in _names(node.args[0])):
                 owners.add((m, "setattr"))
     assert owners == {("descriptors", "__reduce__")}
+
+
+def test_one_generating_set_per_kernel():
+    # the table build and the class labelling read the generators of every
+    # kernel, whole group or subgroup, from FiniteGroup.generators alone
+    tree = ast.parse((PACKAGE / "kernel.py").read_text())
+
+    def reads(node):
+        return isinstance(node, ast.Name) and node.id == "group_generators"
+    assert _sites(tree, reads) == {"generators"}
