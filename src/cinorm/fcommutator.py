@@ -22,7 +22,6 @@ from .elements import (
     conjugate_of,
     identity,
     invert,
-    power,
 )
 from .enumeration import SubgroupSpec, group_generators, subgroups_commute
 from .norms import NormLike, norm_value_fn, refuse_foreign_table
@@ -30,28 +29,35 @@ from .norms import NormLike, norm_value_fn, refuse_foreign_table
 
 @dataclass(frozen=True)
 class FCommEnvironment:
-    """Ambient wreath product with its shift and the number of shifted copies
-    of the base that are guaranteed to commute pairwise."""
+    """Ambient wreath product with its shift F (no lamps, shift 1) and the
+    number of shifted copies of the base that are guaranteed to commute
+    pairwise."""
 
     ambient: GroupDescriptor
     base: GroupDescriptor
     capacity: int
     shift: Element
 
+    @property
+    def ring(self) -> int:
+        """The number of coordinates on ``wreath-zn``, 0 on ``wreath-z``."""
+        return self.ambient.n if self.ambient.family == "wreath-zn" else 0
+
     def embed(self, h: Element, coordinate: int = 0) -> Element:
         """The base element placed at one coordinate of the wreath product."""
         if h.descriptor is not self.base:
             raise ValueError("embed expects a base-group element")
-        ring = self.ambient.n if self.ambient.family == "wreath-zn" else 0
-        if ring:
-            coordinate %= ring
+        if self.ring:
+            coordinate %= self.ring
         if h.is_identity():
             return identity(self.ambient)
         return Element(self.ambient, (((coordinate, h.payload),), 0))
 
     def shifted(self, h: Element, i: int) -> Element:
-        """``Conj_{F^i}`` of the coordinate-0 embedding, by actual conjugation."""
-        return conjugate_of(self.embed(h), power(self.shift, i))
+        """``Conj_{F^i}`` of the coordinate-0 embedding, by actual conjugation
+        with F^i built directly: no lamps and shift i, mod the ring."""
+        return conjugate_of(self.embed(h),
+                            Element(self.ambient, ((), i % self.ring if self.ring else i)))
 
     def value(self, c: "FCommutator") -> Element:
         """The element the pair represents: ``Conj_conjugator([F, argument])``."""

@@ -26,6 +26,18 @@ by the least index of its class: orbits under conjugation by the generators
 closures are unions of classes, and the commutator set is the union of the
 classes of r c, over each class representative r and each c in the class of
 r^-1: N products, not N^2.
+
+Breadth-first search over a union of classes S (a conjugacy closure, or the
+commutator set) runs level by level over classes.  Level n+1 is L_n S minus
+the earlier levels, and C S, for a class C of representative r, is the union
+of the classes of r s over s in S, as g r g^-1 s = g (r g^-1 s g) g^-1.  By
+induction from the class {1} every level is a union of classes, so
+:meth:`FiniteGroup.level_sizes` finds each level's size with #classes |S|
+products.  An elementwise search that scans level n in a fixed order may stop
+as soon as it has found that many new elements: every later candidate lies
+in level n+1 or an earlier one and is already seen, so the values and the
+order of discovery are those of the full scan, and the last level is not
+scanned at all.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ from .enumeration import (
     kept,
 )
 from .errors import DescriptorMismatchError, GuardExceededError
+from .literals import to_literal
 
 #: Largest order whose Cayley table is built (2048^2 four-byte indices) and
 #: whose whole-group kernel is :func:`~cinorm.enumeration.kept`.
@@ -202,6 +215,33 @@ class FiniteGroup:
         set: the union of the seeds' classes."""
         label, members = self.classes()
         return {c for r in {label[s] for s in seeds} for c in members[r]}
+
+    def level_sizes(self, steps: list[int]) -> list[int]:
+        """Sizes of the levels of the breadth-first search from the identity
+        by right multiplication with ``steps``, level 0 first, over the
+        classes: #classes |steps| products, not N |steps|.  ``steps`` must be
+        a union of classes, or ``ValueError`` names the first step whose
+        class leaves it."""
+        label, members = self.classes()
+        inside, checked = set(steps), set()
+        for s in steps:
+            r = label[s]
+            if r not in checked:
+                checked.add(r)
+                if not inside.issuperset(members[r]):
+                    raise ValueError(f"the class of {to_literal(self.elements[s])} "
+                                     f"leaves the {len(inside)} steps")
+        level = {label[self.one]}
+        seen, sizes = set(level), [1]
+        while True:
+            nxt: set[int] = set()
+            for r in level:
+                nxt.update(map(label.__getitem__, self.products(r, steps)))
+            level = nxt - seen
+            if not level:
+                return sizes
+            seen |= level
+            sizes.append(sum(len(members[r]) for r in level))
 
     def commutators(self, x: int) -> list[int]:
         """Indices of ``[x, y] = (x y)(x^-1 y^-1)`` for every y, in a closed set."""

@@ -203,40 +203,47 @@ def _cgen(d: GroupDescriptor, K: Iterable[Element], limit: int | None
     return G, members, conjugacy_indices(G, members)
 
 
-def _bfs_values(G: FiniteGroup, steps: list[int]) -> dict[Element, Fraction]:
+def _bfs_values(G: FiniteGroup, steps: list[int]) -> tuple[dict[Element, Fraction], Fraction]:
     # distances from the identity of a closed kernel by right multiplication
-    # with the steps in index order, one Fraction per level, in discovery order
+    # with the steps in index order, one Fraction per level, in discovery
+    # order, and the diameter.  The scan of level n stops once it has found
+    # level n+1's size (FiniteGroup.level_sizes), so the last is not scanned
+    sizes = G.level_sizes(steps)
     seen = bytearray(G.n)
     seen[G.one] = 1
-    frontier, n, values = [G.one], 0, {}
-    while frontier:
-        v, nxt = Fraction(n), []
+    frontier, values, elems = [G.one], {}, G.elements
+    for n, want in enumerate(sizes[1:] + [0]):
+        values.update(dict.fromkeys(map(elems.__getitem__, frontier), Fraction(n)))
+        nxt: list[int] = []
         for g in frontier:
-            values[G.elements[g]] = v
+            if len(nxt) == want:
+                break
             for h in G.products(g, steps):
                 if not seen[h]:
                     seen[h] = 1
                     nxt.append(h)
-        frontier, n = nxt, n + 1
-    return values
+        frontier = nxt
+    return values, Fraction(len(sizes) - 1)
 
 
 def c_generates(d: GroupDescriptor, K: Iterable[Element]) -> bool:
     """Whether the conjugates of ``K`` generate the finite group ``d``."""
     G, _, closure = _cgen(d, K, None)
-    return len(_bfs_values(G, closure)) == G.n
+    return sum(G.level_sizes(closure)) == G.n
 
 
-def _qk_values(G: FiniteGroup, closure: list[int]) -> dict[Element, Fraction]:
-    # q_K over the kernel, refused unless the closure generates the group
-    values = _bfs_values(G, closure)
+def _qk_values(G: FiniteGroup, closure: list[int]
+               ) -> tuple[dict[Element, Fraction], Fraction]:
+    # q_K over the kernel and its diameter, refused unless the closure
+    # generates the group
+    values, diameter = _bfs_values(G, closure)
     if len(values) != G.n:
         missing = [g for g in G.elements if g not in values]
         sample = ", ".join(to_literal(g) for g in missing[:5])
         raise NotCGeneratingError(
             f"K reaches only {len(values)} of {G.n} elements of {G.descriptor}; "
             f"unreached include {sample}")
-    return values
+    return values, diameter
 
 
 def qk_norm(d: GroupDescriptor, K: Iterable[Element],
@@ -245,18 +252,18 @@ def qk_norm(d: GroupDescriptor, K: Iterable[Element],
     multiplying to each element: breadth-first distance from the identity
     over the conjugacy closure of ``K``.  ``limit`` guards the group order."""
     G, members, closure = _cgen(d, K, limit)
-    values = _qk_values(G, closure)
+    values, diameter = _qk_values(G, closure)
     meta = NormTableMeta(
         name="q_K[" + "; ".join(to_literal(k) for k in members) + "]",
-        diameter=max(values.values()),
+        diameter=diameter,
         generator_set=tuple(to_literal(k) for k in members),
     )
     return NormTable(d, values, meta)
 
 
 def _commutator_length(G: FiniteGroup, name: str) -> NormTable:
-    values = _bfs_values(G, commutator_indices(G))
-    meta = NormTableMeta(name=name, diameter=max(values.values()))
+    values, diameter = _bfs_values(G, commutator_indices(G))
+    meta = NormTableMeta(name=name, diameter=diameter)
     return NormTable(G.descriptor, values, meta)
 
 
@@ -644,7 +651,7 @@ def check_extremal_domination(q: NormTable, K: Iterable[Element]) -> DominationR
     bounded on K is dominated by ``lambda * q_K`` with lambda its maximum on
     the conjugacy closure of K."""
     G, _, closure = _cgen(q.descriptor, K, None)
-    base = _qk_values(G, closure)
+    base, _ = _qk_values(G, closure)
     lam = max(q.values[G.elements[c]] for c in closure)
     checked = 0
     for g, v in q.values.items():

@@ -131,6 +131,14 @@ def test_cld_command(capsys):
     assert capsys.readouterr().out.strip().endswith("1/1")
 
 
+@pytest.mark.parametrize("group", ["sn:7", "an:7"])
+def test_cld_is_one_above_the_table_bound(group, capsys):
+    # Ore 1951: every element of A_n, n >= 5, is a commutator in A_n, so
+    # the commutator length diameter of S7 and of A7 is 1
+    assert main(["cld", "--group", group]) == 0
+    assert capsys.readouterr().out == "1/1\n"
+
+
 def test_cl_command_sorted_json(tmp_path):
     out = tmp_path / "cl.json"
     assert main(["cl", "--group", "an:4", "--out", str(out)]) == 0

@@ -60,6 +60,22 @@ def test_environment_embedding_and_shift():
     assert compose(a, b) == compose(b, a)
 
 
+@pytest.mark.parametrize("name", ["sn:3", "sn:4", "an:5"])
+@pytest.mark.parametrize("ring", [2, 5, None])
+def test_shifted_matches_conjugation_by_a_power_of_the_shift(name, ring):
+    # F^i is built directly, mod the ring; the oracle is power(F, i).
+    # ring None is the integer shift of wreath-z
+    base = parse_descriptor(name)
+    env = wreath_environment(base, capacity=1, ring=ring, infinite=ring is None)
+    span = 2 * (ring or 5)
+    gens = group_generators(base)
+    for i in range(-span, span + 1):
+        for h in gens:
+            oracle = compose(compose(power(env.shift, i), env.embed(h)),
+                             power(env.shift, -i))
+            assert env.shifted(h, i) == oracle == env.embed(h, i)
+
+
 def oracle_copies_commute(env):
     """Every pair of base elements at every pair of coordinates 0..capacity:
     the element sweep the generator check in wreath_environment replaced."""

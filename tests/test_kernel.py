@@ -64,6 +64,7 @@ from cinorm.kernel import (
     TABLE_BOUND,
     FiniteGroup,
     commutator_indices,
+    conjugacy_indices,
     domain_kernel,
     group_kernel,
 )
@@ -912,6 +913,97 @@ def test_qk_limit_guards_before_any_work():
         qk_norm(d, [perm_from_cycles(d, (1, 2))], limit=100)
     with pytest.raises(GuardExceededError):
         commutator_length(d, limit=100)
+
+
+# ---------------------------------------------------------------------------
+# class-level BFS: level sizes against the elementwise levels
+
+
+def level_counts(values):
+    # the number of elements at each distance of (element, distance) pairs
+    count = Counter(v for _, v in values)
+    return [count[n] for n in range(len(count))]
+
+
+@pytest.mark.parametrize("text", FAMILIES)
+def test_level_sizes_match_the_elementwise_levels(text):
+    d = parse_descriptor(text)
+    G = group_kernel(d)
+    rng = random.Random(f"levels:{text}")
+    elems = enumerate_elements(d)
+    sizes = G.level_sizes(commutator_indices(G))
+    assert sizes == level_counts(oracle_cl_values(elems, d))
+    assert commutator_length(d).meta.diameter == len(sizes) - 1
+    # one random element, whose closure need not generate G
+    K = [rng.choice(elems)]
+    assert G.level_sizes(conjugacy_indices(G, K)) == level_counts(oracle_qk_values(d, K))
+    K = c_generating_set(d, rng)  # relies on c_generates, so last
+    sizes = G.level_sizes(conjugacy_indices(G, K))
+    assert sizes == level_counts(oracle_qk_values(d, K))
+    assert qk_norm(d, K).meta.diameter == len(sizes) - 1
+
+
+@pytest.mark.parametrize("text,cycle", [("sn:7", (1, 2)), ("an:7", (1, 2, 3))])
+def test_level_sizes_above_the_table_bound_match_the_elementwise_levels(text, cycle):
+    d = parse_descriptor(text)
+    G = group_kernel(d)
+    assert G.n > TABLE_BOUND
+    K = [perm_from_cycles(d, cycle)]
+    table = qk_norm(d, K)
+    sizes = G.level_sizes(conjugacy_indices(G, K))
+    assert sizes == level_counts(oracle_qk_values(d, K)) == level_counts(table.values.items())
+    assert table.meta.diameter == len(sizes) - 1
+    if text == "sn:7":  # q_(1 2)(g) = n - c(g), c(g) the number of cycles
+        cycles = Counter(7 - len(cycle_type(p)) for p in G.payloads)
+        assert sizes == [cycles[k] for k in range(7)]
+    # the commutators are A7 (test_commutators_of_sn_are_the_even_permutations),
+    # and by Ore each element of A7 is one: the N^2 pool oracle is 25M products
+    table = commutator_length(d)
+    assert G.level_sizes(commutator_indices(G)) == [1, 2519] == level_counts(table.values.items())
+    assert table.meta.diameter == 1
+
+
+@pytest.mark.parametrize("n,gens", [(7, [(1, 2), (1, 2, 3, 4, 5)]),
+                                    (8, [(1, 2), (3, 4), (1, 3, 2, 4)])])
+def test_subgroup_level_sizes_match_the_elementwise_levels(n, gens):
+    # Sym{1..5} in S7, and a dihedral group of order 8 in S8, on their own
+    # kernels and classes
+    d = symmetric(n)
+    elements = subgroup_closure([perm_from_cycles(d, c) for c in gens])
+    G = domain_kernel(d, elements)
+    assert not G.full and G.n == (120 if n == 7 else 8)
+    sizes = G.level_sizes(commutator_indices(G))
+    table = commutator_length_over(elements, d)
+    assert sizes == level_counts(oracle_cl_values(elements, d)) \
+        == level_counts(table.values.items())
+    assert table.meta.diameter == len(sizes) - 1
+
+
+def test_level_sizes_refuse_steps_that_are_not_a_union_of_classes():
+    d = symmetric(4)
+    G = group_kernel(d)
+    with pytest.raises(ValueError, match=r"^the class of \(1 2\) leaves the 1 steps$"):
+        G.level_sizes([G.index_of(perm_from_cycles(d, (1, 2)))])
+    # the first step whose class leaves the set is named
+    transpositions = conjugacy_indices(G, [perm_from_cycles(d, (1, 2))])
+    steps = transpositions + [G.index_of(perm_from_cycles(d, (1, 2, 3)))]
+    with pytest.raises(ValueError, match=r"^the class of \(1 2 3\) leaves the 7 steps$"):
+        G.level_sizes(steps)
+    assert G.level_sizes(transpositions) == [1, 6, 11, 6]
+
+
+def test_commutator_length_without_a_table_scans_one_level(monkeypatch):
+    # A7: the class BFS makes #classes |S| products; the elementwise scan of
+    # level 0 finds all of level 1 and the last level is not scanned (the
+    # full scan made |S|^2, about 6.35M)
+    d = parse_descriptor("an:7")
+    G = group_kernel(d)  # above the bound each call builds its own kernel
+    classes = len(G.classes()[1])
+    count = counting_products(monkeypatch)
+    table = commutator_length(d)
+    steps = len(table.values)
+    assert table.meta.diameter == 1
+    assert len(count) <= G.n * (2 * len(group_generators(d)) + 1) + (classes + 1) * steps
 
 
 # ---------------------------------------------------------------------------
