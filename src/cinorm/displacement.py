@@ -54,14 +54,27 @@ has a value at least the bound and a payload that starts with the prefix.
 The few deepest levels are multiplied out once, and their leaves keyed
 together; with one level that is all of N and nothing is pruned.
 
-Support bound.  Let s be a permutation of {0..n-1} whose images of 0..k
-are fixed.  Then s moves at least ``#{i <= k : s(i) != i} + #{i <= k :
-s(i) > k}`` points.  Proof: the first term counts moved points among 0..k.
-If i <= k and s(i) = j > k, then j is moved, since s(j) = j would give
-s(i) = s(j) with i != j; these j are distinct, because s is injective, and
-none is among 0..k.  The trivial norm is bounded below by 1 under a prefix
-other than the identity's, whose leaves are all non-identity; every other
-norm is bounded below by 0.
+Support bound.  Let s be a node of the walk of t N whose images of 0..k-1
+are set, and N_k the pointwise stabilizer of 0..k-1 in N; the leaves below
+s are the s v with v in N_k.  Each of them moves at least ``#{x : s(x) not
+in N_k x}`` points (the orbit bound).  Proof: if s v fixes x, then
+y = s^-1(x) is v(x), so s(y) = x lies in N_k y; and s^-1 is injective, so
+s v fixes at most #{y : s(y) in N_k y} points.  For x < k the orbit is
+{x}, so such an x counts exactly when s(x) != x.  N_k is the group G_k
+that ``gens[k]`` generates: G_0 = N, since the residue of every Schreier
+generator not yet in the chain joins ``gens[0]``, and G_(k+1) is the
+stabilizer of k in G_k (:class:`_StabChain`).  So N_k = U_k N_(k+1), and
+its orbits are those of N_(k+1) joined by x ~ u(x) for u in U_k; they are
+labelled once per search, from the bottom of the chain up
+(:func:`_orbit_bound`).  A larger group has larger orbits, so a count no
+larger.  The prefix bound ``#{i < k : s(i) != i} + #{i < k : s(i) >= k}``
+(:func:`_support_bound`) is the count for Sym{k..n-1} >= N_k: with its one
+orbit {k..n-1}, a point x >= k counts when s(x) < k, and there are as many
+such x as i < k with s(i) >= k.  So the orbit bound is never below the
+prefix bound, which stays the bound on one-level chains (k = 0, bound 0).
+The trivial norm is bounded below by 1 under a prefix other than the
+identity's, whose leaves are all non-identity; every other norm is bounded
+below by 0.
 
 Clique bound.  If H is non-abelian and phi is a strong m-displacer of H, the
 m+1 conjugates phi^k H phi^-k (k = 0..m) form an (m+1)-clique through H.
@@ -422,10 +435,32 @@ def _max_clique(near, cap: int, key=None) -> list[int]:
 
 
 def _support_bound(s: tuple, k: int) -> int:
-    """The support bound (module docstring) on every permutation whose
-    images of 0..k-1 are those of ``s``."""
+    """The prefix bound (support bound, module docstring) on every
+    permutation whose images of 0..k-1 are those of ``s``."""
     head = s[:k]
     return sum(map(ne, head, range(k))) + k - sum(map(k.__gt__, head))
+
+
+def _orbit_bound(chain: _StabChain):
+    """The orbit bound (module docstring) of a walk down ``chain``: for a
+    node s whose images of 0..k-1 are set, the number of points x with
+    ``s(x)`` outside the N_k-orbit of x.  ``labels[k][x]`` names the N_k-orbit
+    of x by one of its points, grown from the bottom of the chain: N_k is
+    U_k N_(k+1), so its orbits join those of N_(k+1) by x ~ u(x), u in U_k."""
+    label = list(range(chain.n))
+    labels = [tuple(label)] * (chain.n + 1)
+    for k in reversed(range(chain.n)):
+        for u in chain.reps[k].values():
+            for x, y in enumerate(u):
+                a, b = label[x], label[y]
+                if a != b:
+                    label = [a if z == b else z for z in label]
+        labels[k] = tuple(label)
+
+    def bound(s: tuple, k: int) -> int:
+        lab = labels[k]
+        return sum(map(ne, map(lab.__getitem__, s), lab))
+    return bound
 
 
 def _zero_bound(s: tuple, k: int) -> int:
@@ -521,8 +556,9 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
 
     Values are the exact payload values of
     :func:`~cinorm.norms.payload_value_fn`.  The commuting cosets are walked
-    down the chain of N by one :func:`_least_leaf` call, with the support
-    bound for :func:`~cinorm.norms.support_norm`, the trivial bound for
+    down the chain of N by one :func:`_least_leaf` call, with the orbit
+    bound for :func:`~cinorm.norms.support_norm` (the prefix bound on a
+    one-level chain), the trivial bound for
     :func:`~cinorm.norms.trivial_norm` and 0 for every other norm; for
     m >= 2 the powers are tested only on leaves below the best so far, once
     per key of the power lemma on ``sn``/``an``."""
@@ -550,7 +586,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
         return True
 
     if norm is support_norm:
-        bound = _support_bound
+        bound = _orbit_bound(orb.chain) if isinstance(orb.chain, _StabChain) else _support_bound
     elif norm is trivial_norm:
         bound = _trivial_bound(d)
     else:

@@ -17,6 +17,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, repeat
+from operator import ne
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +62,7 @@ from cinorm.displacement import (
     _least_displacer,
     _least_leaf,
     _max_clique,
+    _orbit_bound,
     _support_bound,
     _zero_bound,
     is_abelian_subgroup,
@@ -727,6 +729,101 @@ def test_support_bound_is_the_least_support_under_a_prefix():
         assert _support_bound(head + (0,) * (6 - len(head)), len(head)) == v
 
 
+def _brute_orbits(d, h, k):
+    """The orbit of each point under N_k, the elements of the brute-force
+    normalizer that fix 0..k-1."""
+    stab = [v for v in brute_normalizer(d, h) if v[:k] == tuple(range(k))]
+    return [frozenset(v[x] for v in stab) for x in range(d.n)]
+
+
+def orbit_bound_failures(d, h, bound):
+    """The nodes ``(c, k)`` of the walks of H's commuting cosets, images of
+    0..k-1 set, where ``_support_bound(c, k) <= bound(c, k) <= the least
+    support among the leaves below c`` fails."""
+    orb = _conjugates(d, h, 10 ** 7)
+    levels = orb.chain.levels()
+    mul = _payload_ops(d)[0]
+    failures = []
+
+    def least(c, depth: int) -> int:
+        if depth == len(levels):
+            return sum(map(ne, c, range(d.n)))
+        reps, fixed = levels[depth]
+        out = d.n
+        for u in reps.values():
+            child = mul(c, u)
+            below = least(child, depth + 1)
+            if not _support_bound(child, fixed) <= bound(child, fixed) <= below:
+                failures.append((child, fixed))
+            out = min(out, below)
+        return out
+    for i in orb.commuting(_commuter(d, h, h)):
+        least(orb.trans[i], 0)
+    return failures
+
+
+def orbit_bound_mutants(d, h):
+    """Two wrong orbit bounds: one that counts the points x < k among those
+    s may keep in their orbit, and one that reads the orbits of the level
+    above (N_j, j the base point of the level whose choice set 0..k-1)."""
+    orbits = lru_cache(maxsize=None)(lambda k: _brute_orbits(d, h, k))
+    above = {fixed: min(reps) for reps, fixed in _conjugates(d, h, 10 ** 7).chain.levels()}
+
+    def counts_the_prefix(c, k):
+        kept = sum(c[x] in orbits(k)[x] for x in range(d.n))
+        return sum(map(ne, c[:k], range(k))) + d.n - k - kept
+
+    def orbits_above(c, k):
+        return sum(c[x] not in orbits(above[k])[x] for x in range(d.n))
+    return counts_the_prefix, orbits_above
+
+
+def orbit_bound_of(d, h):
+    return _orbit_bound(_conjugates(d, h, 10 ** 7).chain)
+
+
+ORBIT_BOUND_CASES = [
+    ("sn:6", "(1 2);(1 2 3)"), ("sn:6", "(2 5);(2 5 3)"), ("sn:7", "(4 1);(4 1 6)"),
+    ("sn:7", "(3 7);(3 7 5)"), ("an:7", "(2 7 4)"),
+    # conjugates that share their point orbits, keyed by element sets
+    ("sn:5", "(1 2 3 4)"), ("sn:6", "(1 2 3)(4 5 6)"), ("sn:7", "(1 2 3 4)"),
+    ("an:7", "(1 2 3)(4 5 6)"),
+]
+
+
+@pytest.mark.parametrize("text,h", ORBIT_BOUND_CASES)
+def test_orbit_bound_lies_between_the_prefix_bound_and_the_least_support(text, h):
+    d, spec = _subgroup(text, h)
+    assert orbit_bound_failures(d, spec, orbit_bound_of(d, spec)) == []
+
+
+@pytest.mark.parametrize("text,h", ORBIT_BOUND_CASES[2:])
+def test_orbit_bound_check_catches_two_mutants(text, h):
+    # in S6 each leaf of the one commuting coset of a 3-point block moves
+    # every point, and neither mutant shows there
+    d, spec = _subgroup(text, h)
+    for mutant in orbit_bound_mutants(d, spec):
+        assert orbit_bound_failures(d, spec, mutant)
+
+
+@settings(deadline=None, max_examples=12)
+@given(small_support_subgroups().filter(lambda case: case[0].n <= 7))
+def test_orbit_bound_on_small_support_subgroups(case):
+    d, h, _ = case
+    assert orbit_bound_failures(d, h, orbit_bound_of(d, h)) == []
+
+
+@pytest.mark.parametrize("text,h", ORBIT_BOUND_CASES[:2])
+def test_orbit_bound_is_the_brute_force_count(text, h):
+    # labels grown up the chain against the orbits of the brute-force N_k
+    d, spec = _subgroup(text, h)
+    bound = orbit_bound_of(d, spec)
+    for k in range(d.n + 1):
+        orbits = _brute_orbits(d, spec, k)
+        for c in random.Random(k).sample(list(permutations(range(d.n))), 50):
+            assert bound(c, k) == sum(c[x] not in orbits[x] for x in range(d.n))
+
+
 def test_negative_norm_values_are_refused():
     # the walk bounds every norm but the support norm below by 0, and the
     # message names the leaf by its literal
@@ -907,6 +1004,25 @@ def test_power_test_runs_once_per_power_image_of_supp_h(monkeypatch):
     assert calls[0] <= 504
     assert rep.witnesses == (perm_from_cycles(d, (1, 2, 3), (4, 5, 6), (7, 8, 9)),
                              perm_from_cycles(d, (1, 3, 2), (4, 6, 5), (7, 9, 8)))
+
+
+def test_orbit_bound_prunes_wherever_h_sits_in_the_base(monkeypatch):
+    # the prefix bound alone bounded 190 inner nodes for Sym{1,2,3}, but
+    # 8 099 for Sym{2,4,7} and 7 656 for Sym{9,5,1}, whose points sit deep in
+    # the base; the orbit bound, which reads the images past the prefix too,
+    # bounds 90, 199 and 202: each within 2x of the prefix bound's 190
+    d = symmetric(9)
+    nodes, count = {}, [0]
+    _counting(monkeypatch, "_orbit_bound", count)
+    for pts, phi in [((1, 2, 3), ((1, 4), (2, 5), (3, 6))),
+                     ((2, 4, 7), ((2, 3), (4, 5), (7, 8))),
+                     ((9, 5, 1), ((1, 2), (5, 6), (8, 9)))]:
+        count[0] = 0
+        e = displacement_energy(d, sym_block(d, pts), 1, support_norm)
+        assert (e.value, e.minimizer) == (6, perm_from_cycles(d, *phi))
+        nodes[pts] = count[0]
+    assert nodes[(1, 2, 3)] <= 190
+    assert max(nodes.values()) <= 2 * 190
 
 
 @pytest.mark.parametrize("fixed,moved", [((2, 4), (2, 3, 6)), ((2, 4), (4, 7))])
