@@ -71,8 +71,7 @@ larger.  The prefix bound ``#{i < k : s(i) != i} + #{i < k : s(i) >= k}``
 (:func:`_support_bound`) is the count for Sym{k..n-1} >= N_k: with its one
 orbit {k..n-1}, a point x >= k counts when s(x) < k, and there are as many
 such x as i < k with s(i) >= k.  So the orbit bound is never below the
-prefix bound, which stays the bound on one-level chains (k = 0, bound 0).
-The trivial norm is bounded below by 1 under a prefix other than the
+prefix bound.  The trivial norm is bounded below by 1 under a prefix other than the
 identity's, whose leaves are all non-identity; every other norm is bounded
 below by 0.
 
@@ -436,26 +435,31 @@ def _max_clique(near, cap: int, key=None) -> list[int]:
 
 def _support_bound(s: tuple, k: int) -> int:
     """The prefix bound (support bound, module docstring) on every
-    permutation whose images of 0..k-1 are those of ``s``."""
+    permutation whose images of 0..k-1 are those of ``s``: the reference
+    that :func:`_orbit_bound` never falls below."""
     head = s[:k]
     return sum(map(ne, head, range(k))) + k - sum(map(k.__gt__, head))
 
 
-def _orbit_bound(chain: _StabChain):
-    """The orbit bound (module docstring) of a walk down ``chain``: for a
+def _orbit_bound(n: int, levels: list):
+    """The orbit bound (module docstring) of a walk down ``levels``: for a
     node s whose images of 0..k-1 are set, the number of points x with
     ``s(x)`` outside the N_k-orbit of x.  ``labels[k][x]`` names the N_k-orbit
     of x by one of its points, grown from the bottom of the chain: N_k is
-    U_k N_(k+1), so its orbits join those of N_(k+1) by x ~ u(x), u in U_k."""
-    label = list(range(chain.n))
-    labels = [tuple(label)] * (chain.n + 1)
-    for k in reversed(range(chain.n)):
-        for u in chain.reps[k].values():
+    U_k N_(k+1), so its orbits join those of N_(k+1) by x ~ u(x), u in U_k,
+    and k is the least point of the orbit that keys U_k.  The walk bounds
+    only nodes below the top level's choice, so that level is not read, and
+    on a one-level chain (any payload) nothing is."""
+    label = list(range(n))
+    labels = [tuple(label)] * (n + 1)
+    for reps, _ in reversed(levels[1:]):
+        for u in reps.values():
             for x, y in enumerate(u):
                 a, b = label[x], label[y]
                 if a != b:
                     label = [a if z == b else z for z in label]
-        labels[k] = tuple(label)
+        k = min(reps)
+        labels[:k + 1] = [tuple(label)] * (k + 1)
 
     def bound(s: tuple, k: int) -> int:
         lab = labels[k]
@@ -557,8 +561,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     Values are the exact payload values of
     :func:`~cinorm.norms.payload_value_fn`.  The commuting cosets are walked
     down the chain of N by one :func:`_least_leaf` call, with the orbit
-    bound for :func:`~cinorm.norms.support_norm` (the prefix bound on a
-    one-level chain), the trivial bound for
+    bound for :func:`~cinorm.norms.support_norm`, the trivial bound for
     :func:`~cinorm.norms.trivial_norm` and 0 for every other norm; for
     m >= 2 the powers are tested only on leaves below the best so far, once
     per key of the power lemma on ``sn``/``an``."""
@@ -585,8 +588,9 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
                 return False
         return True
 
+    levels = orb.chain.levels()
     if norm is support_norm:
-        bound = _orbit_bound(orb.chain) if isinstance(orb.chain, _StabChain) else _support_bound
+        bound = _orbit_bound(d.n, levels)
     elif norm is trivial_norm:
         bound = _trivial_bound(d)
     else:
@@ -596,8 +600,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
         accept = powers_commute
         if d.family in PERMUTATION_FAMILIES:
             accept = _power_memo(powers_commute, moved, m)
-    best = _least_leaf(d, [orb.trans[i] for i in near0], orb.chain.levels(), value, bound,
-                       accept)
+    best = _least_leaf(d, [orb.trans[i] for i in near0], levels, value, bound, accept)
     if best is None:
         return EnergyResult(m, None, None)
     minimizer = Element(d, best[1])
