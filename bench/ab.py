@@ -1,0 +1,145 @@
+"""A/B runs of the benchmark: a base revision against the working tree.
+
+    python3 bench/ab.py --base HEAD --workload scans --seeds 1 2 --pairs 10
+
+Run from the repository root.  It makes two copies with ``git archive``: the
+base revision, and the working tree (tracked and untracked files that git
+does not ignore, written to a throwaway index).  Both are compiled alike
+with ``compileall``, so neither pays for writing its bytecode on the first
+import.  Then, for each workload and seed, it runs ``perfbench/run.py
+--trace 0`` in each copy ``--pairs`` times, one process at a time,
+alternating which side runs first.  For each end-to-end metric of
+``BENCHMARK.json`` (read, never written) it prints each side's median and
+quartiles, the pairs the change wins by the metric's ``better``, and
+whether the medians differ by more than the base's interquartile range.
+``--json FILE`` also writes every run's values and the summary.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _working_tree() -> str:
+    """A tree object of the working tree, built in a throwaway index."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        _git("read-tree", "HEAD", env=env)
+        _git("add", "-A", env=env)
+        return _git("write-tree", env=env)
+
+
+def checkout(treeish: str, dest: Path) -> Path:
+    """``git archive`` of ``treeish`` unpacked into ``dest``, compiled."""
+    dest.mkdir(parents=True)
+    archive = dest.with_suffix(".tar")
+    with open(archive, "wb") as out:
+        subprocess.run(["git", "archive", treeish], cwd=ROOT, stdout=out, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest)
+    archive.unlink()
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=dest, check=True)
+    return dest
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The end-to-end metric values of one ``perfbench/run.py`` run."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, check=True, capture_output=True, text=True).stdout
+    last = json.loads(out.strip().splitlines()[-1])
+    return {name: m["value"] for name, m in last["metrics"].items()}
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
+    """One row per metric of ``metrics`` (``BENCHMARK.json``'s end-to-end
+    entries) over ``(base, change)`` value pairs: each side's quartiles, the
+    pairs in which the change is strictly better, and whether the medians
+    differ by more than the base's interquartile range."""
+    rows = []
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        base = [b[name] for b, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        bq, cq = _quartiles(base), _quartiles(change)
+        wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+        rows.append({"name": name, "better": m["better"], "base": bq, "change": cq,
+                     "wins": wins, "pairs": len(pairs),
+                     "beyond_iqr": abs(cq[1] - bq[1]) > bq[2] - bq[0]})
+    return rows
+
+
+def format_rows(rows: list[dict]) -> str:
+    lines = [f"{'metric':<12} {'base q1/med/q3':>26} {'change q1/med/q3':>26} "
+             f"{'wins':>6} gap>IQR"]
+    for r in rows:
+        b = "/".join(f"{x:.4g}" for x in r["base"])
+        c = "/".join(f"{x:.4g}" for x in r["change"])
+        lines.append(f"{r['name']:<12} {b:>26} {c:>26} "
+                     f"{r['wins']:>3}/{r['pairs']:<2} {'yes' if r['beyond_iqr'] else 'no'}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", default="HEAD", help="the revision to compare against")
+    p.add_argument("--workload", nargs="+", default=["scans"])
+    p.add_argument("--seeds", type=int, nargs="+", default=[1])
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=20)
+    p.add_argument("--json", type=Path, help="write every run's values and the summary here")
+    args = p.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    work = Path(tempfile.mkdtemp(prefix="cinorm-ab-"))
+    report = []
+    try:
+        trees = (checkout(args.base, work / "base"), checkout(_working_tree(), work / "change"))
+        for workload in args.workload:
+            for seed in args.seeds:
+                pairs = []
+                for i in range(args.pairs):
+                    order = (0, 1) if i % 2 == 0 else (1, 0)
+                    got = {side: run_once(trees[side], workload, seed, args.seconds)
+                           for side in order}
+                    pairs.append((got[0], got[1]))
+                    print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}",
+                          file=sys.stderr, flush=True)
+                rows = summarize(pairs, metrics)
+                print(f"\n{workload}, seed {seed}, {args.base} -> working tree")
+                print(format_rows(rows), flush=True)
+                report.append({"workload": workload, "seed": seed, "pairs": pairs,
+                               "summary": rows})
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    if args.json:
+        args.json.write_text(json.dumps({"base": args.base, "runs": report}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

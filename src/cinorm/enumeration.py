@@ -66,10 +66,18 @@ def subgroups_commute(a: SubgroupSpec, b: SubgroupSpec) -> bool:
 
 
 def _checked_order(d: GroupDescriptor, limit: int | None) -> int:
-    size = gd.order(d)
-    if size is None:
+    """|d|, or a refusal above the guard.  A huge order is refused by its
+    float ``log10`` alone, with the digit count ``_order_text`` writes, when
+    that is at least 30 and further than the float's error from the guard
+    and from a whole number; any other order is computed exactly."""
+    log = gd._log10_order(d)
+    if log is None:
         raise InfiniteGroupError(f"{d} is infinite")
     guard = ENUMERATION_GUARD if limit is None else limit
+    slack, k = 1e-6 + 1e-12 * log, int(log)
+    if log - slack > max(30, math.log10(max(guard, 1))) and slack < log - k < 1 - slack:
+        raise GuardExceededError(f"|{d}| has {k + 1} digits and exceeds the guard {guard}")
+    size = gd.order(d)
     if size > guard:
         raise GuardExceededError(f"|{d}| {_order_text(size)} exceeds the guard {guard}")
     return size
@@ -251,10 +259,9 @@ def abelianization_order(d: GroupDescriptor, limit: int | None = None) -> int | 
                 return None
             total *= o
         return total
-    size = gd.order(d)
-    if size is None:
+    if not gd.finite(d):
         raise InfiniteGroupError(f"no analytic abelianization for {d}")
-    return size // len(derived_subgroup(d, limit))
+    return _checked_order(d, limit) // len(derived_subgroup(d, limit))
 
 
 def in_class_g(d: GroupDescriptor) -> bool:

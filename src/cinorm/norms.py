@@ -89,8 +89,9 @@ def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]
     other callable, so those raise as and when they did.  A table of another
     group, or one that does not cover all of G, is refused."""
     refuse_foreign_table(d, norm)
-    size = gd.order(d)
-    if isinstance(norm, NormTable) and size is not None and len(norm.values) != size:
+    # only a table needs |G|, which a huge group reaches long before its guard
+    size = gd.order(d) if isinstance(norm, NormTable) else None
+    if size is not None and len(norm.values) != size:
         raise ValueError(f"the norm table covers {len(norm.values)} elements, "
                          f"not all {size} of {d}")
     one = _payload_ops(d)[2]

@@ -69,6 +69,21 @@ def test_a_guard_on_a_huge_order_exits_3_with_a_short_message(argv, capsys):
     assert " digits and exceeds the guard 10000000" in err and len(err) < 120
 
 
+@pytest.mark.parametrize("argv", [
+    ["cl", "--group", "sn:300000"],
+    ["energy", "--group", "sn:300000", "--h", "(1 2);(1 2 3)", "--m", "1", "--norm", "support"],
+], ids=" ".join)
+def test_a_huge_order_is_refused_without_computing_it(argv, capsys, monkeypatch):
+    # sn:300000 spent 1.6 s in factorial before it was refused; the order's
+    # log now decides, and the message is the one the exact order gives
+    def no_factorial(n):
+        raise AssertionError("the order was computed")
+    monkeypatch.setattr("math.factorial", no_factorial)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == ("resource guard tripped: |sn:300000| has 1512852 "
+                                       "digits and exceeds the guard 10000000\n")
+
+
 def test_failure_report_carries_witness(tmp_path):
     out = tmp_path / "neg.json"
     main(["verify", "--suite", "negative-control", "--out", str(out)])

@@ -1,5 +1,6 @@
 """Enumeration, closures and derived subgroups against brute-force oracles."""
 
+import math
 from itertools import product as iproduct
 
 import pytest
@@ -32,7 +33,7 @@ from cinorm import (
     wreath_zn,
 )
 from cinorm import enumeration
-from cinorm.descriptors import order
+from cinorm.descriptors import finite, order
 from cinorm.elements import _perm_parity
 from cinorm.kernel import commutator_indices, group_kernel
 
@@ -226,6 +227,71 @@ def test_a_long_order_is_written_by_its_exact_digit_count():
                              (2 * 10 ** k, k + 1)):
             if size >= 10 ** 30:
                 assert _order_text(size) == f"has {digits} digits and"
+
+
+def _guard_outcome(check, d, guard):
+    try:
+        return check(d, guard)
+    except (GuardExceededError, InfiniteGroupError) as exc:
+        return type(exc), str(exc)
+
+
+def _exact_checked_order(d, guard):
+    # the guard as it was: the whole order first, then the comparison
+    size = enumeration.gd.order(d)
+    if size is None:
+        raise InfiniteGroupError(f"{d} is infinite")
+    if size > guard:
+        raise GuardExceededError(
+            f"|{d}| {enumeration._order_text(size)} exceeds the guard {guard}")
+    return size
+
+
+@pytest.mark.parametrize("text", [
+    "sn:1", "sn:2", "sn:9", "sn:27", "sn:28", "sn:29", "sn:30", "sn:500",
+    "an:1", "an:2", "an:28", "an:29", "an:300", "wreath:sn:3:zn:3",
+    "wreath:sn:3:zn:36", "wreath:sn:3:zn:37", "wreath:sn:9:zn:300", "bar:sn:14",
+    "bar:sn:15", "bar:sn:200", "slp:2:5", "slp:5:3", "slp:6:3", "slp:60:2",
+    "product:sn:20,sn:10", "product:sn:200,an:100,slp:4:7", "free:2", "wreath:free:2:zn:3",
+    "slz:3", "z2inf", "aff-z", "wreath:sn:3:z", "bar:free:2", "product:sn:3,free:2",
+])
+def test_the_log_bound_refuses_as_the_exact_order_does(text):
+    # orders on both sides of 10^30, guards on both sides of the order
+    d = parse_descriptor(text)
+    assert finite(d) == (order(d) is not None)
+    size = order(d) or 1
+    for guard in (1, 10 ** 7, size - 1, size, size + 1, 10 ** 30 - 1, 10 ** 30, 10 ** 31):
+        assert _guard_outcome(enumeration._checked_order, d, guard) == \
+            _guard_outcome(_exact_checked_order, d, guard)
+
+
+@pytest.mark.parametrize("text,refused", [("sn:300000", "|sn:300000| has 1512852"),
+                                          ("product:sn:2,an:300000", "|an:300000| has 1512851")])
+def test_abelianization_meets_the_guard_before_the_order(text, refused, monkeypatch):
+    # it computed the whole order, 1.6 s of factorial, before the guard
+    factorial = math.factorial
+
+    def small_factorial(n):
+        assert n < 1000, "a huge order was computed"
+        return factorial(n)
+    monkeypatch.setattr(math, "factorial", small_factorial)
+    with pytest.raises(GuardExceededError) as exc:
+        abelianization_order(parse_descriptor(text))
+    assert str(exc.value) == f"{refused} digits and exceeds the guard 10000000"
+
+
+@pytest.mark.parametrize("k", [30, 31, 99, 4301])
+def test_a_log_bound_off_by_its_error_keeps_the_digit_count(k, monkeypatch):
+    # near a power of ten the float cannot tell k from k + 1 digits, so the
+    # order is computed exactly there
+    d = symmetric(40)
+    for size in (10 ** k - 1, 10 ** k, 10 ** k + 1, 2 * 10 ** k):
+        for err in (-9e-7, 0.0, 9e-7):
+            monkeypatch.setattr(enumeration.gd, "order", lambda d: size)
+            monkeypatch.setattr(enumeration.gd, "_log10_order",
+                                lambda d: math.log10(size) + err)
+            assert _guard_outcome(enumeration._checked_order, d, 10 ** 7) == \
+                _guard_outcome(_exact_checked_order, d, 10 ** 7)
 
 
 @pytest.mark.parametrize("table", [trivial_norm_table, support_norm_table])

@@ -1,4 +1,6 @@
-"""The orbit key of ``_conjugates`` against the exact element-set key.
+"""The orbit key of ``_conjugates`` against the exact element-set key, and
+the chain it stops at the known order against one fed every Schreier
+generator.
 
 On ``sn``/``an`` the conjugates of H are named by their non-trivial point
 orbits, and every Schreier generator is checked to normalize H; at the
@@ -23,9 +25,17 @@ from cinorm import (
     symmetric,
     to_literal,
 )
-from cinorm.displacement import _conjugates, _exact_key, _orbit_key, _orbit_search
+from cinorm.descriptors import PERMUTATION_FAMILIES
+from cinorm.displacement import (
+    _FlatChain,
+    _StabChain,
+    _conjugates,
+    _exact_key,
+    _orbit_key,
+    _orbit_search,
+)
 from cinorm.elements import Element, _payload_ops, _perm_parity
-from cinorm.enumeration import _checked_order, closure_of
+from cinorm.enumeration import _checked_order, closure_of, enumerate_elements
 
 LIMIT = 10 ** 7
 
@@ -133,3 +143,69 @@ def test_alternating_blocks_use_the_orbit_key():
     d = alternating(7)
     h = SubgroupSpec((perm_from_cycles(d, (1, 2, 3)), perm_from_cycles(d, (2, 3, 4))))
     assert assert_same_as_exact(d, h) is not None
+
+
+# ---------------------------------------------------------------------------
+# the known order: the chain stopped at |G| / |orbit| against the chain fed
+# every Schreier generator
+
+
+def _every_generator(d, h):
+    """The orbit of ``_conjugates`` with no stop at the known order: a chain
+    whose ``order`` reads 0 never reaches it, so every Schreier generator is
+    checked and added."""
+    size = _checked_order(d, LIMIT)
+    elements = frozenset(g.payload for g in closure_of(h))
+    with pytest.MonkeyPatch.context() as m:
+        for chain in (_StabChain, _FlatChain):
+            m.setattr(chain, "order", lambda self: 0)
+        orb = None
+        if d.family in PERMUTATION_FAMILIES:
+            orb = _orbit_search(d, size, *_orbit_key(d, h, elements), None)
+        if orb is None:
+            orb = _orbit_search(d, size, *_exact_key(d, elements), None)
+    return orb
+
+
+def _chain_state(chain):
+    if isinstance(chain, _StabChain):
+        return chain.gens, chain.reps
+    return chain.gens, chain.elements
+
+
+def assert_same_as_every_generator(d, h):
+    built = _conjugates(d, h, LIMIT)
+    every = _every_generator(d, h)
+    assert (built.trans, built.trans_inv, built.action, built.tree) == \
+        (every.trans, every.trans_inv, every.action, every.tree)
+    assert _chain_state(built.chain) == _chain_state(every.chain)
+    assert built.chain.levels() == every.chain.levels()
+
+
+@settings(deadline=None, max_examples=40)
+@given(permutation_subgroups())
+def test_known_order_stop_builds_the_whole_chain(case):
+    assert_same_as_every_generator(*case)
+
+
+@pytest.mark.parametrize("text,h", [
+    ("sn:5", "(1 2 3 4)"), ("sn:7", "(1 2 3 4)"), ("sn:6", "(1 2 3)(4 5 6)"),
+    ("sn:8", "(1 2 3 4 5 6 7 8)"), ("sn:9", "(1 2);(1 2 3)"), ("sn:9", "(2 4);(2 4 7)"),
+])
+def test_known_order_stop_on_fixed_subgroups(text, h):
+    assert_same_as_every_generator(*_subgroup(text, h))
+
+
+@st.composite
+def other_family_subgroups(draw):
+    d = parse_descriptor(draw(st.sampled_from(
+        ["slp:2:5", "bar:sn:3", "product:sn:3,sn:3", "wreath:sn:2:zn:2"])))
+    elems = enumerate_elements(d)
+    return d, SubgroupSpec(tuple(draw(st.lists(st.sampled_from(elems),
+                                                min_size=1, max_size=2))))
+
+
+@settings(deadline=None, max_examples=30)
+@given(other_family_subgroups())
+def test_known_order_stop_on_flat_chains(case):
+    assert_same_as_every_generator(*case)

@@ -1043,6 +1043,48 @@ def test_power_memo_keys_the_last_power(fixed, moved):
                                                                   support_norm)
 
 
+def test_the_chain_of_n_stops_at_the_known_order(monkeypatch):
+    # |N| = |G| / |orbit| is known once the BFS ends, and the chain of N
+    # reaches it after 20, 12 and 26 Schreier generators; checking and adding
+    # every one of them took 85, 85 and 925
+    checked, added = [0], [0]
+    orbit_key, add = displacement._orbit_key, _StabChain.add
+
+    def counted_key(*args):
+        name, act, normalizes = orbit_key(*args)
+
+        def counted(g):
+            checked[0] += 1
+            return normalizes(g)
+        return name, act, counted
+
+    def counted_add(chain, g, k=0):
+        added[0] += k == 0
+        add(chain, g, k)
+    monkeypatch.setattr(displacement, "_orbit_key", counted_key)
+    monkeypatch.setattr(_StabChain, "add", counted_add)
+    for n, pts, most in [(9, (1, 2, 3), 20), (9, (2, 4, 7), 12),
+                         (12, (1, 2, 3, 4, 5, 6), 26)]:
+        d = symmetric(n)
+        checked[0] = added[0] = 0
+        orb = _conjugates(d, sym_block(d, pts), 10 ** 9)
+        assert len(orb.trans) * orb.chain.order() == order(d)
+        assert 0 < checked[0] <= most and 0 < added[0] <= most
+    d = symmetric(9)
+    for pts, witnesses, (e1, e2) in [
+            ((1, 2, 3), ("(1 4)(2 5)(3 6)", "(1 7 4)(2 8 5)(3 9 6)"),
+             ("(1 4)(2 5)(3 6)", "(1 4 7)(2 5 8)(3 6 9)")),
+            ((2, 4, 7), ("(2 3)(4 5)(7 8)", "(1 2)(4 6 5)(7 9 8)"),
+             ("(2 3)(4 5)(7 8)", "(1 2 3)(4 5 6)(7 8 9)"))]:
+        h = sym_block(d, pts)
+        res = packing_number(d, h)
+        assert res.p == 3
+        assert res.certificate.witnesses == tuple(from_literal(d, w) for w in witnesses)
+        for m, value, phi in ((1, 6, e1), (2, 9, e2)):
+            e = displacement_energy(d, h, m, support_norm)
+            assert (e.value, e.minimizer) == (value, from_literal(d, phi))
+
+
 def _corner_sym3(text):
     d = parse_descriptor(text)
     s3 = symmetric(3)
@@ -1066,7 +1108,10 @@ def test_one_level_chain_walk_makes_one_product_per_leaf(monkeypatch):
     assert least[1] == min(mul(orb.trans[1], x) for x in levels[0][0].values())
     products[0] = 0
     assert packing_number(d, h).p == 3
-    assert products[0] == 1766  # 2316 when the tails started from the identity
+    # 2316 when the tails started from the identity; 1766 while every
+    # Schreier generator was formed (2 products each), though N is complete
+    # one generator before the last
+    assert products[0] == 1764
 
 
 def test_trivial_norm_walk_keys_one_leaf_batch(monkeypatch):
