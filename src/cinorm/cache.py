@@ -1,8 +1,11 @@
 """Content-addressed on-disk cache for norm tables.
 
-Keys hash the descriptor, norm name, generator set and tool version, so a
-version bump is automatically a miss.  Entries carry a digest of their own
-payload; anything corrupt is evicted and recomputed, never trusted.
+Keys hash the descriptor, norm name, generator set and code version: the
+tool's ``__version__`` and a digest of this package's ``*.py`` sources,
+made once per process.  So an entry written by other code, a version bump
+or an edit of any module, is a miss, though every checkout shares the
+default directory.  Entries carry a digest of their own payload; anything
+corrupt is evicted and recomputed, never trusted.
 """
 
 from __future__ import annotations
@@ -23,8 +26,20 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "cinorm"
 
 
+def _code_version(package: Path) -> str:
+    """``__version__`` and the first 16 hex digits of a digest of the
+    ``*.py`` files in ``package``, by name and content."""
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return f"{__version__}+{digest.hexdigest()[:16]}"
+
+
+_CODE_VERSION = _code_version(Path(__file__).resolve().parent)
+
+
 def cache_key(group: str, norm_name: str, generators: tuple[str, ...] = (),
-              version: str = __version__) -> str:
+              version: str = _CODE_VERSION) -> str:
     body = json.dumps(
         {"group": group, "norm": norm_name,
          "generators": sorted(generators), "version": version},

@@ -205,6 +205,18 @@ def _log10_order(d: GroupDescriptor) -> float | None:
     return None
 
 
+def _order_within(d: GroupDescriptor, bound: int) -> int | None:
+    """|d| when ``d`` is finite and |d| <= ``bound``, else ``None``.  Decided
+    from :func:`_log10_order` before any order is computed: an order whose
+    log10 passes ``bound``'s by more than the float's error is never
+    computed, so a huge group costs its log alone."""
+    log = _log10_order(d)
+    if log is None or log - 1e-6 - 1e-12 * log > math.log10(max(bound, 1)):
+        return None
+    size = order(d)
+    return size if size <= bound else None
+
+
 def finite(d: GroupDescriptor) -> bool:
     return _log10_order(d) is not None
 
@@ -220,7 +232,7 @@ def is_abelian(d: GroupDescriptor) -> bool:
     if f == "z2inf":
         return True
     if f in WREATH_FAMILIES or f == "bar":
-        return order(d.base) == 1
+        return _order_within(d.base, 1) == 1
     if f == "product":
         return all(is_abelian(p) for p in d.parts)
     return False  # aff-z, slz, slp

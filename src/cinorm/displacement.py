@@ -16,36 +16,36 @@ O(K), the set of its non-trivial point orbits.  (a) O(K) depends on K
 alone, not on its generators: the orbit of p is {k(p) : k in K}.  (b)
 O(s K s^-1) = s O(K), each orbit mapped pointwise by s, since s k s^-1
 sends s(p) to s(k(p)).  (c) Let the orbit-stabilizer search run on names,
-and let every Schreier generator g met on a non-tree edge normalize H
-(g h g^-1 in H for each generator h of H).  Then the stabilizer S of O(H)
-in G is N, and distinct conjugates have distinct names.  Proof: the
-Schreier generators generate S (Schreier's lemma), so S <= N; N <= S by
-(a) and (b).  So |orbit of O(H)| = |G : S| = |G : N|, the number of
-conjugates, and by (b) t H t^-1 -> O(t H t^-1) maps the conjugates onto
-the names, so it is a bijection.  The BFS on names is then step for step
-the one keyed by element sets, since a name is met anew exactly when its
-conjugate is: same transversal, action and tree.  The checks run after
-the BFS, edge by edge in BFS order, and stop at the known order (below);
-the search runs again on element sets at the first g that fails, and
-until then nothing differs.  Finishing the BFS on names first costs
-nothing in that case: there are no more names than conjugates, so a name
-BFS that trips the clique guard means the element-set BFS trips it with
-the same count.  Failure is common: the conjugates of <(1 2 3 4)> in S5
-have 5 orbit sets and 15 element sets.
+so that its chain is the stabilizer S of O(H) in G (known order, below),
+and let every generator g of the chain's level 0, which generate S,
+normalize H (g h g^-1 in H for each generator h of H).  Then S = N, and
+distinct conjugates have distinct names.  Proof: S <= N, since its
+generators normalize H; N <= S by (a) and (b).  So |orbit of O(H)| =
+|G : S| = |G : N|, the number of conjugates, and by (b) t H t^-1 ->
+O(t H t^-1) maps the conjugates onto the names, so it is a bijection.  The
+BFS on names is then step for step the one keyed by element sets, since a
+name is met anew exactly when its conjugate is: same transversal, action
+and tree.  The check runs once, on the finished chain, and when a
+generator fails it, S is not N and the search runs again on element sets.
+Finishing the search on names first trips no guard that the other would
+not: there are no more names than conjugates, so a name BFS that trips the
+clique guard means the element-set BFS trips it with the same count.  Failure is common: the
+conjugates of <(1 2 3 4)> in S5 have 5 orbit sets and 15 element sets.
 
 Known order.  The BFS finds L names, so the stabilizer S of H's name has
-order |G|/L (orbit-stabilizer), and N <= S.  Every generator the chain
-holds lies in N (it passed the check, or N = S on the element-set key), so
-once the chain's order is |G|/L it is N = S.  Every later Schreier
-generator lies in S = N: it would pass the check, and adding it changes no
-level of the chain.  So :func:`_orbit_search` stops there, and the chain,
-the transversal, action and tree, and every witness are those of the
-search that adds every Schreier generator; the first check to fail is the
-one that failed there, so the fallback comes exactly when it did.  If the
-edges run out first (say, the generators of G miss part of it), the check
-``|orbit| |N| = |G|`` fails as before.  For Sym{1,2,3} in S9 the chain is
-complete after 20 of the 85 Schreier generators, and for Sym{1..6} in S12
-after 26 of 925.
+order |G|/L (orbit-stabilizer).  Every Schreier generator lies in S, so
+once the chain's order is |G|/L it is S, and every later Schreier generator
+lies in it already: adding it changes no level of the chain.  So
+:func:`_orbit_search` stops there, and the chain, the transversal, action
+and tree, and every witness are those of the search that adds every
+Schreier generator.  If the edges run out first, the chain holds every
+Schreier generator, so it is S by Schreier's lemma as long as the
+generators of G generate G; if they miss part of it, the check
+``|orbit| |N| = |G|`` fails as before.  The chain is S either way, so the orbit key's check passes on its level-0
+generators exactly when it passes on every Schreier generator the chain
+took.  For Sym{1,2,3} in S9 the chain is complete after 20 of the 85
+Schreier generators, with 7 at level 0, and for Sym{1..6} in S12 after 26
+of 925, with 9.
 
 The conjugates form a commutation graph, which conjugation by any element
 maps onto itself.  So only H is tested against the conjugates, which gives
@@ -83,14 +83,9 @@ generator not yet in the chain joins ``gens[0]``, and G_(k+1) is the
 stabilizer of k in G_k (:class:`_StabChain`).  So N_k = U_k N_(k+1), and
 its orbits are those of N_(k+1) joined by x ~ u(x) for u in U_k; they are
 labelled once per search, from the bottom of the chain up
-(:func:`_orbit_bound`).  A larger group has larger orbits, so a count no
-larger.  The prefix bound ``#{i < k : s(i) != i} + #{i < k : s(i) >= k}``
-(:func:`_support_bound`) is the count for Sym{k..n-1} >= N_k: with its one
-orbit {k..n-1}, a point x >= k counts when s(x) < k, and there are as many
-such x as i < k with s(i) >= k.  So the orbit bound is never below the
-prefix bound.  The trivial norm is bounded below by 1 under a prefix other than the
-identity's, whose leaves are all non-identity; every other norm is bounded
-below by 0.
+(:func:`_orbit_bound`).  The trivial norm is bounded below by 1 under a
+prefix other than the identity's, whose leaves are all non-identity; every
+other norm is bounded below by 0.
 
 Clique bound.  If H is non-abelian and phi is a strong m-displacer of H, the
 m+1 conjugates phi^k H phi^-k (k = 0..m) form an (m+1)-clique through H.
@@ -311,10 +306,9 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     Schreier vector).  ``cap`` bounds the number of conjugates.
 
     On ``sn``/``an`` the conjugates are first named by their point orbits,
-    and once that BFS ends each Schreier generator the chain takes is
-    checked to normalize H (orbit key, module docstring); at the first that
-    does not, the search runs again named by the conjugates' element
-    sets."""
+    and the finished chain's level-0 generators are checked to normalize H
+    (orbit key, module docstring); when one does not, the search runs again
+    named by the conjugates' element sets."""
     if h.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
     size = _checked_order(d, limit)
@@ -362,10 +356,10 @@ def _orbit_search(d: GroupDescriptor, size: int, name, act, normalizes,
     """The search of :func:`_conjugates` over the names of H's conjugates, in
     two phases.  First the BFS: ``act(name, s, s^-1)`` names the conjugate
     by s of the one named, and each non-tree edge is recorded, not yet
-    formed.  Then, in BFS order, the Schreier generator of each edge is put
-    through ``normalizes``, if given, and joins the chain, until the chain
-    reaches the order ``size / |orbit|`` (known order, module docstring);
-    None when one fails the check."""
+    formed.  Then, in BFS order, the Schreier generator of each edge joins
+    the chain, until the chain reaches the order ``size / |orbit|`` (known
+    order, module docstring).  None when ``normalizes`` is given and fails
+    on a generator of the chain's level 0."""
     mul, inv, one, _ = _payload_ops(d)
     steps = [(s.payload, inv(s.payload)) for s in group_generators(d)]
     names = [name]
@@ -394,10 +388,9 @@ def _orbit_search(d: GroupDescriptor, size: int, name, act, normalizes,
     for j, s, t in edges:
         if len(trans) * chain.order() == size:
             break
-        g = mul(trans_inv[j], mul(s, t))
-        if normalizes is not None and not normalizes(g):
-            return None
-        chain.add(g)
+        chain.add(mul(trans_inv[j], mul(s, t)))
+    if normalizes is not None and not all(map(normalizes, chain.gens[0])):
+        return None
     return _Orbit(trans, trans_inv, chain, action, tree)
 
 
@@ -458,14 +451,6 @@ def _max_clique(near, cap: int, key=None) -> list[int]:
 
     grow([0], sorted(near(0), key=key))
     return best
-
-
-def _support_bound(s: tuple, k: int) -> int:
-    """The prefix bound (support bound, module docstring) on every
-    permutation whose images of 0..k-1 are those of ``s``: the reference
-    that :func:`_orbit_bound` never falls below."""
-    head = s[:k]
-    return sum(map(ne, head, range(k))) + k - sum(map(k.__gt__, head))
 
 
 def _orbit_bound(n: int, levels: list):
@@ -778,8 +763,7 @@ def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
     chain: list[InequalityRow] = []
 
     ambient_cl = None
-    size = gd.order(d)
-    if size is not None and size <= AMBIENT_CL_LIMIT:
+    if gd._order_within(d, AMBIENT_CL_LIMIT) is not None:
         ambient_cl = commutator_length(d)
 
     factor = 4 if m == 1 else 14

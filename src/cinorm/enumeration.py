@@ -98,8 +98,7 @@ def kept(d: GroupDescriptor, key: Hashable, make: Callable[[], Any]) -> Any:
     """``make()``, built once per ``key`` for a group of order at most
     :data:`_KEPT_ORDER` and evicted with all else kept for it, or afresh for
     any other group.  A ``make`` that raises keeps nothing."""
-    size = gd.order(d)
-    if size is None or size > _KEPT_ORDER:
+    if gd._order_within(d, _KEPT_ORDER) is None:
         return make()
     store = _store(d)
     return store[key] if key in store else store.setdefault(key, make())

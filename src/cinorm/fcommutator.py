@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .descriptors import GroupDescriptor, order, wreath_z, wreath_zn
+from .descriptors import GroupDescriptor, finite, wreath_z, wreath_zn
 from .elements import (
     Element,
     commutator_of,
@@ -95,7 +95,7 @@ def wreath_environment(base: GroupDescriptor, capacity: int,
             raise ValueError(f"ring size {ring} cannot host {capacity} shifted copies")
         ambient = wreath_zn(base, ring)
     env = FCommEnvironment(ambient, base, capacity, Element(ambient, ((), 1)))
-    if order(base) is not None:
+    if finite(base):
         gens = group_generators(base)
         copies = [SubgroupSpec(tuple(env.shifted(g, i) for g in gens))
                   for i in range(capacity + 1)]

@@ -166,11 +166,6 @@ class FiniteGroup:
         return rows[i][j] if rows is not None else \
             self.index.get(self._mul(self.payloads[i], self.payloads[j]), -1)
 
-    def conj(self, b: int, a: int) -> int:
-        """Index of ``b a b^-1``; ``b`` must have its inverse in the set."""
-        ab = self.mul(b, a)
-        return -1 if ab < 0 else self.mul(ab, self.inv[b])
-
     def classes(self) -> tuple[array, dict[int, list[int]]]:
         """The conjugacy classes, once per kernel: each index's label, the
         least index of its class, and each class's members in index order,
@@ -277,7 +272,7 @@ def domain_kernel(d: GroupDescriptor, elements: Iterable[Element]) -> FiniteGrou
     for e in elems:
         if e.descriptor is not d:
             raise DescriptorMismatchError(f"{e} is not an element of {d}")
-    full = len(elems) == gd.order(d)
+    full = len(elems) == gd._order_within(d, len(elems))
     if full and len(elems) <= TABLE_BOUND:
         return group_kernel(d)
     return FiniteGroup(d, sorted(elems, key=sort_key), full)

@@ -89,11 +89,13 @@ def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]
     other callable, so those raise as and when they did.  A table of another
     group, or one that does not cover all of G, is refused."""
     refuse_foreign_table(d, norm)
-    # only a table needs |G|, which a huge group reaches long before its guard
-    size = gd.order(d) if isinstance(norm, NormTable) else None
-    if size is not None and len(norm.values) != size:
-        raise ValueError(f"the norm table covers {len(norm.values)} elements, "
-                         f"not all {size} of {d}")
+    # only a table needs |G|; an order of 10^30 or more is named by its group
+    if isinstance(norm, NormTable):
+        size = gd._order_within(d, 10 ** 30)
+        if len(norm.values) != size and gd.finite(d):
+            whole = "" if size is None else f"{size} "
+            raise ValueError(f"the norm table covers {len(norm.values)} elements, "
+                             f"not all {whole}of {d}")
     one = _payload_ops(d)[2]
     if norm is support_norm and d.family in PERMUTATION_FAMILIES:
         return lambda p: sum(map(ne, p, one))
@@ -379,7 +381,7 @@ def _in_abelian_span(g: Element, gens: list[Element]) -> bool:
         return _lattice_contains([_exponent_vector(x) for x in gens],
                                  _exponent_vector(g))
     if gd.finite(d):
-        return g in subgroup_closure(gens, limit=gd.order(d))
+        return g in subgroup_closure(gens)
     raise ValueError(f"span membership is undecidable for {d}")
 
 

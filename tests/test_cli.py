@@ -336,6 +336,30 @@ def test_cache_roundtrip_and_eviction(tmp_path):
     assert not path.exists()
 
 
+def test_cache_keys_follow_the_source_digest(tmp_path):
+    # __version__ is one string on every commit and every checkout shares
+    # the default directory, so keys by version alone read one revision's
+    # tables in another
+    import shutil
+    from cinorm import cache
+
+    copy = tmp_path / "cinorm"
+    shutil.copytree(Path(cache.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert cache._code_version(copy) == cache._CODE_VERSION
+    (copy / "norms.py").write_text((copy / "norms.py").read_text() + "# edited\n")
+    edited = cache._code_version(copy)
+    assert edited != cache._CODE_VERSION
+    assert edited.startswith(f"{cinorm.__version__}+")
+    args = ("sn:4", "q_K", ("(1 2)",))
+    key = cache_key(*args)
+    assert key == cache_key(*args, version=cache._CODE_VERSION)
+    assert cache_key(*args, version=edited) != key
+    cache_put(key, {"rows": [1]})
+    assert cache_get(cache_key(*args, version=edited)) is None
+    assert cache_get(key) == {"rows": [1]}
+
+
 def test_cache_put_concurrent_writers():
     # more writers than cores, and frequent thread switches, on one key
     key = cache_key("an:5", "q_K", ("(1 2 3 4 5)",))

@@ -15,25 +15,37 @@ import pytest
 
 import cinorm
 from cinorm import enumeration
-from cinorm.descriptors import GroupDescriptor, _Interned
+from cinorm.descriptors import GroupDescriptor, _Interned, _order_within
 from cinorm import (
+    GuardExceededError,
+    SubgroupSpec,
     aff_z,
     alternating,
     bar,
+    closure_of,
+    commutator_length_over,
+    displacement_energy,
     finite,
     format_descriptor,
     free_group,
     is_abelian,
     order,
     parse_descriptor,
+    perm_from_cycles,
     product,
     sl_mod,
     sl_z,
+    support_norm,
     symmetric,
+    to_literal,
+    verify_master_inequalities,
     wreath_z,
     wreath_zn,
     z2_infinity,
 )
+from cinorm.fcommutator import wreath_environment
+from cinorm.kernel import domain_kernel
+from cinorm.serialize import norm_table_payload
 
 
 def test_orders():
@@ -64,6 +76,55 @@ def test_abelian_flags():
     assert not is_abelian(sl_z(2))
     assert not is_abelian(wreath_zn(symmetric(3), 3))
     assert is_abelian(product(free_group(1), free_group(1)))
+
+
+@pytest.mark.parametrize("text", ["sn:1", "sn:5", "an:6", "slp:2:5", "bar:sn:3",
+                                  "wreath:sn:3:zn:2", "product:sn:3,an:4", "free:2",
+                                  "z2inf", "wreath:sn:3:z"])
+def test_an_order_within_a_bound_is_the_order_or_none(text):
+    d = parse_descriptor(text)
+    size = order(d)
+    bounds = (0, 1, 10 ** 30) + (() if size is None else (size - 1, size, size + 1))
+    for bound in bounds:
+        assert _order_within(d, bound) == (size if size is not None and size <= bound else None)
+
+
+def test_library_calls_size_a_huge_group_from_its_log(monkeypatch):
+    # |sn:3000| has 9131 digits: on sn:300000 these calls spent 0.1-1.6 s in
+    # factorial before any guard, and the table's coverage message raised
+    # Python's limit on writing an int instead of the library's own
+    def sym3(d):
+        return SubgroupSpec((perm_from_cycles(d, (1, 2)), perm_from_cycles(d, (1, 2, 3))))
+
+    def cl_table(d):
+        return commutator_length_over(closure_of(sym3(d)), d)
+    for text, size in (("sn:3", "6 "), ("sn:6", "720 ")):
+        d = parse_descriptor(text)
+        with pytest.raises(ValueError, match=rf"^the norm table covers 3 elements, "
+                                             rf"not all {size}of {text}$"):
+            displacement_energy(d, sym3(d), 1, cl_table(d))
+
+    def no_factorial(n):
+        raise AssertionError("the order was computed")
+    monkeypatch.setattr("math.factorial", no_factorial)
+    d = symmetric(3000)
+    h = sym3(d)
+    table = cl_table(d)
+    rows = [["()", "0/1"], ["(1 2 3)", "1/1"], ["(1 3 2)", "1/1"]]
+    assert sorted([to_literal(g), f"{v.numerator}/{v.denominator}"]
+                  for g, v in table.values.items()) == rows
+    assert norm_table_payload(table)["values"] == rows
+    assert enumeration.kept(d, "probe", list) is not enumeration.kept(d, "probe", list)
+    kernel = domain_kernel(d, closure_of(h))
+    assert kernel.n == 6 and not kernel.full
+    with pytest.raises(ValueError, match=r"^the norm table covers 3 elements, "
+                                         r"not all of sn:3000$"):
+        displacement_energy(d, h, 1, table)
+    with pytest.raises(GuardExceededError, match=r"^\|sn:3000\| has 9131 digits and "
+                                                 r"exceeds the guard 10000000$"):
+        verify_master_inequalities(d, h, 1, support_norm)
+    assert str(wreath_environment(d, 2).ambient) == "wreath:sn:3000:zn:3"
+    assert not is_abelian(wreath_zn(d, 2))
 
 
 def test_validation():

@@ -140,3 +140,28 @@ def test_one_generating_set_per_kernel():
     def reads(node):
         return isinstance(node, ast.Name) and node.id == "group_generators"
     assert _sites(tree, reads) == {"generators"}
+
+
+def test_only_descriptors_and_enumeration_compute_an_order():
+    # |G| of a huge group costs seconds of factorial before any guard; every
+    # other module sizes a group through descriptors._order_within, finite()
+    # or enumeration._checked_order, which read its log10 first
+    callers = set()
+    for p in PACKAGE.glob("*.py"):
+        tree = ast.parse(p.read_text())
+        modules, functions = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("descriptors"):
+                functions |= {a.asname or a.name for a in node.names if a.name == "order"}
+            if isinstance(node, (ast.ImportFrom, ast.Import)):
+                modules |= {a.asname or a.name for a in node.names
+                            if a.name.split(".")[-1] == "descriptors"}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id in functions) or (
+                    isinstance(f, ast.Attribute) and f.attr == "order"
+                    and isinstance(f.value, ast.Name) and f.value.id in modules):
+                callers.add(p.stem)
+    assert callers == {"enumeration"}

@@ -8,6 +8,7 @@ Oracles used here and nowhere in the library:
 
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,7 @@ from cinorm import (
     identity,
     parse_descriptor,
     perm_from_cycles,
+    power,
     product,
     product_element,
     pullback_qnorm,
@@ -50,6 +52,7 @@ from cinorm import (
     trivial_norm_table,
     verify_norm_axioms,
     verify_quasinorm,
+    wreath_element,
     z2_infinity,
 )
 from cinorm.norms import payload_value_fn
@@ -259,6 +262,56 @@ def test_generator_filtration_norm():
     assert generator_filtration_norm(vec(3, 0), gens) == 1
     with pytest.raises(ValueError):
         generator_filtration_norm(vec(1, 1), [vec(2, 0), vec(0, 1)][:1])
+
+
+def brute_filtration(g, gens, exponents):
+    """The least k with g a product of powers ``s_i^c_i`` of the first k
+    generators, every ``c_i`` in ``exponents``; None when there is none."""
+    for k in range(len(gens) + 1):
+        for cs in iter_product(exponents, repeat=k):
+            x = identity(g.descriptor)
+            for c, s in zip(cs, gens):
+                x = compose(x, power(s, c))
+            if x == g:
+                return k
+    return None
+
+
+def test_generator_filtration_norm_reduces_against_brute_force():
+    # two generators share a leading column or bit, so the lattice's gcd
+    # reduction and the GF(2) basis's reduction run; a finite abelian group
+    # takes its closure, and one that is neither finite nor free is refused
+    f1 = free_group(1)
+    z_sq = product(f1, f1)
+
+    def vec(a, b):
+        return product_element(z_sq, (power(Element(f1, (1,)), a), power(Element(f1, (1,)), b)))
+    gens = [vec(2, 0), vec(3, 0), vec(0, 1)]
+    for (a, b), k in (((1, 0), 2), ((5, 0), 2), ((1, 1), 3)):
+        assert generator_filtration_norm(vec(a, b), gens) == k
+        assert brute_filtration(vec(a, b), gens, range(-5, 6)) == k
+
+    def word(bits):
+        return binary_word(map(int, bits))
+    gens = [word("011"), word("111"), word("0001")]
+    for bits, k in (("1", 2), ("1001", 3)):
+        assert generator_filtration_norm(word(bits), gens) == k
+        assert brute_filtration(word(bits), gens, (0, 1)) == k
+    assert brute_filtration(word("001"), gens, (0, 1)) is None
+    with pytest.raises(ValueError, match="outside the span"):
+        generator_filtration_norm(word("001"), gens)
+
+    s2 = symmetric(2)
+    klein = product(s2, s2)
+    swap, one = perm_from_cycles(s2, (1, 2)), identity(s2)
+    gens = [product_element(klein, (swap, one)), product_element(klein, (one, swap))]
+    for g in enumerate_elements(klein):
+        assert generator_filtration_norm(g, gens) == brute_filtration(g, gens, (0, 1))
+
+    lamps = parse_descriptor("wreath:sn:1:z")
+    shift = wreath_element(lamps, {}, 1)
+    with pytest.raises(ValueError, match="undecidable"):
+        generator_filtration_norm(shift, [shift])
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ the chain it stops at the known order against one fed every Schreier
 generator.
 
 On ``sn``/``an`` the conjugates of H are named by their non-trivial point
-orbits, and every Schreier generator is checked to normalize H; at the
-first that does not, the search runs again with the exact key.  Either way
+orbits, and the generators of the finished chain's level 0 are checked to
+normalize H; when one does not, the search runs again with the exact key.  Either way
 the orbit must be the one the exact key builds: the same transversal,
 action, BFS tree and chain levels.  The fixed subgroups below share their
 point orbits with other conjugates, so the orbit key fails there and the
@@ -25,6 +25,7 @@ from cinorm import (
     symmetric,
     to_literal,
 )
+from cinorm import displacement
 from cinorm.descriptors import PERMUTATION_FAMILIES
 from cinorm.displacement import (
     _FlatChain,
@@ -48,7 +49,7 @@ def _subgroup(text, h):
 def _searches(d, h):
     """``(_conjugates, exact, orbit)``: the orbit the library builds, the one
     the exact key builds, and the orbit key's own search (None when a
-    Schreier generator fails to normalize H)."""
+    generator of its chain's level 0 fails to normalize H)."""
     size = _checked_order(d, LIMIT)
     elements = frozenset(g.payload for g in closure_of(h))
     return (_conjugates(d, h, LIMIT),
@@ -137,6 +138,32 @@ def test_packing_sym6_in_s12_conjugates_few_payloads():
 def test_packing_sym7_in_s14():
     d = symmetric(14)
     assert packing_number(d, _sym_block(d, 7), limit=10 ** 11).p == 2
+
+
+@pytest.mark.parametrize("n,pts,checks", [
+    (7, (1, 2, 3), 5), (9, (1, 2, 3), 7), (9, (2, 4, 7), 4),
+    (12, (1, 2, 3, 4, 5, 6), 9), (14, (1, 2, 3, 4, 5, 6, 7), 11),
+])
+def test_the_orbit_key_checks_each_level_0_generator_once(n, pts, checks, monkeypatch):
+    # the finished chain is the stabilizer of H's name, and its level-0
+    # generators generate it, so they alone decide whether it normalizes H;
+    # checking each Schreier generator the chain took made 10, 20, 12, 26 and
+    # 39 checks
+    calls = []
+    orbit_key = displacement._orbit_key
+
+    def counted_key(*args):
+        name, act, normalizes = orbit_key(*args)
+
+        def counted(g):
+            calls.append(g)
+            return normalizes(g)
+        return name, act, counted
+    monkeypatch.setattr(displacement, "_orbit_key", counted_key)
+    d = symmetric(n)
+    h = SubgroupSpec((perm_from_cycles(d, pts[:2]), perm_from_cycles(d, pts)))
+    orb = _conjugates(d, h, 10 ** 11)
+    assert calls == orb.chain.gens[0] and len(calls) == checks
 
 
 def test_alternating_blocks_use_the_orbit_key():

@@ -63,7 +63,6 @@ from cinorm.displacement import (
     _least_leaf,
     _max_clique,
     _orbit_bound,
-    _support_bound,
     _zero_bound,
     is_abelian_subgroup,
 )
@@ -716,6 +715,17 @@ def test_walk_matches_enumerated_cosets_on_sym_blocks(text, pts, pts2):
     else:
         h = sym_block(d, pts)
     assert_walk_matches_enumeration(d, h, SubgroupSpec((perm_from_cycles(d, pts2),)))
+
+
+def _support_bound(s, k):
+    """The prefix bound ``#{i < k : s(i) != i} + #{i < k : s(i) >= k}`` on
+    every permutation whose images of 0..k-1 are those of ``s``: the orbit
+    bound for Sym{k..n-1} >= N_k.  With its one orbit {k..n-1}, a point
+    x >= k counts when s(x) < k, and there are as many such x as i < k with
+    s(i) >= k.  A larger group has larger orbits, so a count no larger: the
+    orbit bound is never below the prefix bound."""
+    head = s[:k]
+    return sum(map(ne, head, range(k))) + k - sum(map(k.__gt__, head))
 
 
 def test_support_bound_is_the_least_support_under_a_prefix():

@@ -1,6 +1,7 @@
 """Quasi-morphism machinery; frozen values were derived by hand from the
 reduced-word combinatorics (no cancellation in the test words)."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -244,6 +245,22 @@ def test_scl_bounds_commutator():
     assert sb.lower > 0  # certifies stably unbounded commutator length
     assert sb.upper is None
     assert sb.lower_provenance["defect_upper"] == "6"
+
+
+def test_scl_bounds_with_a_declared_defect_of_zero():
+    # D = 0 declares q a homomorphism (checked here on every pair of words
+    # of length <= 3), so q(w) = 0 is the one consistent value, and there
+    # Bavard's bound is 0
+    q = exponent_sum_qm(F2)
+    letters = (1, -1, 2, -2)
+    words = {free_word(F2, w) for k in range(4) for w in itertools.product(letters, repeat=k)}
+    assert all(q(compose(a, b)) == q(a) + q(b) for a in words for b in words)
+    w = commutator_of(free_word(F2, (1,)), free_word(F2, (2,)))
+    sb = scl_bounds(w, q, 0)
+    assert q(w) == 0 and sb.lower == 0 and sb.upper is None
+    assert sb.lower_provenance == {"qm": q.name, "defect_upper": "0/1", "n": 64}
+    with pytest.raises(ValueError, match="^defect 0 makes q a homomorphism"):
+        scl_bounds(free_word(F2, (1, 2, 1)), q, 0)
 
 
 def test_scl_bounds_sharp_defect_stays_below_true_scl():
