@@ -12,7 +12,9 @@ alternating which side runs first.  For each end-to-end metric of
 ``BENCHMARK.json`` (read, never written) it prints each side's median and
 quartiles, the pairs the change wins by the metric's ``better``, and
 whether the medians differ by more than the base's interquartile range.
-``--json FILE`` also writes every run's values and the summary.
+For each job kind it also prints each side's median of the run's
+``run_s_per_kind`` note, so that a gain can be traced to the kinds that
+moved.  ``--json FILE`` also writes every run's values and the summary.
 """
 
 from __future__ import annotations
@@ -59,14 +61,24 @@ def checkout(treeish: str, dest: Path) -> Path:
     return dest
 
 
+def parse_run(out: str) -> dict:
+    """The end-to-end metric values in the output of one ``perfbench/run.py
+    --trace 0`` run (its last line), and under ``"run_s_per_kind"`` the
+    seconds that each job kind took (from its ``notes`` line)."""
+    lines = out.strip().splitlines()
+    run = {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
+    for line in lines:
+        if line.startswith("notes "):
+            run["run_s_per_kind"] = json.loads(line[len("notes "):])["run_s_per_kind"]
+    return run
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The end-to-end metric values of one ``perfbench/run.py`` run."""
-    out = subprocess.run(
+    """:func:`parse_run` of one ``perfbench/run.py`` run."""
+    return parse_run(subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, check=True, capture_output=True, text=True).stdout
-    last = json.loads(out.strip().splitlines()[-1])
-    return {name: m["value"] for name, m in last["metrics"].items()}
+        cwd=tree, check=True, capture_output=True, text=True).stdout)
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -105,6 +117,25 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def kind_medians(pairs: list[tuple[dict, dict]]) -> list[tuple[str, float, float]]:
+    """``(kind, base, change)`` for each job kind met in ``pairs``: the
+    median over the pairs of each side's ``run_s_per_kind`` (0 where a run
+    has no job of that kind)."""
+    kinds = sorted({k for pair in pairs for run in pair for k in run.get("run_s_per_kind", {})})
+    return [(k, *(statistics.median(pair[side].get("run_s_per_kind", {}).get(k, 0.0)
+                                    for pair in pairs) for side in (0, 1)))
+            for k in kinds]
+
+
+def format_kinds(rows: list[tuple[str, float, float]]) -> str:
+    w = max([len("job kind")] + [len(kind) for kind, _, _ in rows])
+    lines = [f"{'job kind':<{w}} {'base s':>9} {'change s':>9} {'ratio':>6}"]
+    for kind, base, change in rows:
+        ratio = f"{change / base:.3f}" if base else "-"
+        lines.append(f"{kind:<{w}} {base:>9.4f} {change:>9.4f} {ratio:>6}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", default="HEAD", help="the revision to compare against")
@@ -131,7 +162,9 @@ def main(argv=None) -> int:
                           file=sys.stderr, flush=True)
                 rows = summarize(pairs, metrics)
                 print(f"\n{workload}, seed {seed}, {args.base} -> working tree")
-                print(format_rows(rows), flush=True)
+                print(format_rows(rows))
+                print("\nmedian run seconds per job kind")
+                print(format_kinds(kind_medians(pairs)), flush=True)
                 report.append({"workload": workload, "seed": seed, "pairs": pairs,
                                "summary": rows})
     finally:

@@ -205,16 +205,53 @@ def _log10_order(d: GroupDescriptor) -> float | None:
     return None
 
 
-def _order_within(d: GroupDescriptor, bound: int) -> int | None:
-    """|d| when ``d`` is finite and |d| <= ``bound``, else ``None``.  Decided
-    from :func:`_log10_order` before any order is computed: an order whose
-    log10 passes ``bound``'s by more than the float's error is never
-    computed, so a huge group costs its log alone."""
-    log = _log10_order(d)
-    if log is None or log - 1e-6 - 1e-12 * log > math.log10(max(bound, 1)):
+def _small_order(d: GroupDescriptor) -> int | None:
+    """|d| when integer tests on the fields show that it is below 2^99 <
+    10^30, so that it costs little to compute; else ``None``, as for the
+    infinite families."""
+    f = d.family
+    if f in ("sn", "an"):
+        return order(d) if d.n <= 27 else None  # 27! < 2^94
+    if f == "slp":  # |SL(n, p)| < p^(n^2 - 1)
+        return order(d) if (d.n * d.n - 1) * d.p.bit_length() <= 99 else None
+    if f not in ("wreath-zn", "bar", "product"):
         return None
-    size = order(d)
-    return size if size <= bound else None
+    sizes = [_small_order(part) for part in d.parts or (d.base,)]
+    if None in sizes:
+        return None
+    if f == "wreath-zn":  # |base|^n n < 2^(n bits(base) + bits(n))
+        if d.n * sizes[0].bit_length() + d.n.bit_length() > 99:
+            return None
+        size = sizes[0] ** d.n * d.n
+    else:  # parts below 2^99 each: a cheap product
+        size = math.prod(sizes) * (2 * sizes[0] if f == "bar" else 1)
+    return size if size.bit_length() <= 99 else None
+
+
+def _order_or_log(d: GroupDescriptor, bound: int) -> int | float | None:
+    """|d| as an int, or ``log10 |d|`` as a float when the log alone shows,
+    beyond its float error, that |d| exceeds ``bound`` and has ``int(log) +
+    1 >= 31`` digits; ``None`` when ``d`` is infinite.  The order is taken
+    at once when :func:`_small_order` gives it, and is otherwise computed
+    only when :func:`_log10_order` leaves the answer open, so a huge group
+    costs its log alone."""
+    size = _small_order(d)
+    if size is not None:
+        return size
+    log = _log10_order(d)
+    if log is None:
+        return None
+    slack, k = 1e-6 + 1e-12 * log, int(log)
+    if log - slack > max(30, math.log10(max(bound, 1))) and slack < log - k < 1 - slack:
+        return log
+    return order(d)
+
+
+def _order_within(d: GroupDescriptor, bound: int) -> int | None:
+    """|d| when ``d`` is finite and |d| <= ``bound``, else ``None``, sized
+    by :func:`_order_or_log`."""
+    size = _order_or_log(d, bound)
+    return size if type(size) is int and size <= bound else None
 
 
 def finite(d: GroupDescriptor) -> bool:

@@ -47,6 +47,24 @@ took.  For Sym{1,2,3} in S9 the chain is complete after 20 of the 85
 Schreier generators, with 7 at level 0, and for Sym{1..6} in S12 after 26
 of 925, with 9.
 
+Kept search.  The search is kept with G in ``enumeration.kept``, under
+``("conjugates", E)`` with E the element set of H as payloads, and the
+conjugates that commute with ``fixed`` under ``("near0", E_fixed,
+E_moved)``.  The key determines the result: the names, the BFS and the
+chain are built from E and ``group_generators(d)`` alone (the orbit key's
+``normalizes`` asks whether g normalizes H, which does not depend on the
+generators it is tested on), and whether ``t moved t^-1`` commutes with
+``fixed`` depends on the two subgroups, not on their generators.  So a
+second call on H, with any generators, repeats no search.  The order guard
+runs on every call before the lookup, and the clique guard is checked
+again on a kept orbit, with the message of the search; a search that
+raises keeps nothing, and every walk and re-check still runs per call.
+Kept objects are shared, so nothing changes them: the orbit's fields and
+``near0`` are tuples, and no caller writes to the chain or its levels.  The
+store holds one orbit (its transversal, inverses, action and chain) and
+one near-list per subgroup asked, for groups of order at most 8!, and
+evicts them with the rest of their group's state.
+
 The conjugates form a commutation graph, which conjugation by any element
 maps onto itself.  So only H is tested against the conjugates, which gives
 its neighbourhood N(0); the neighbourhood of a conjugate reached from its BFS
@@ -131,6 +149,7 @@ from .enumeration import (
     _extend_closure,
     closure_of,
     group_generators,
+    kept,
     subgroups_commute,
 )
 from .errors import DescriptorMismatchError, GuardExceededError
@@ -282,16 +301,16 @@ class _FlatChain:
 class _Orbit(NamedTuple):
     """The conjugates ``H_i = t[i] H t[i]^-1`` of H (``H_0 = H``), in BFS
     order from H under conjugation by the generators of G."""
-    trans: list  # t[i], with t[0] = 1; the conjugators of H_i are t[i] N
-    trans_inv: list
+    trans: tuple  # t[i], with t[0] = 1; the conjugators of H_i are t[i] N
+    trans_inv: tuple
     chain: _StabChain | _FlatChain  # N = N_G(H)
-    action: list[list[int]]  # action[s][i] = j where s H_i s^-1 = H_j
-    tree: list  # tree[i] = (parent, s): H_i = s H_parent s^-1, for i >= 1
+    action: tuple[tuple[int, ...], ...]  # action[s][i] = j where s H_i s^-1 = H_j
+    tree: tuple  # tree[i] = (parent, s): H_i = s H_parent s^-1, for i >= 1
 
-    def commuting(self, commutes) -> list[int]:
+    def commuting(self, commutes) -> tuple[int, ...]:
         """The i with ``commutes(t[i], t[i]^-1)``, in orbit order."""
-        return [i for i, (t, ti) in enumerate(zip(self.trans, self.trans_inv))
-                if commutes(t, ti)]
+        return tuple(i for i, (t, ti) in enumerate(zip(self.trans, self.trans_inv))
+                     if commutes(t, ti))
 
 
 def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
@@ -308,20 +327,41 @@ def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
     On ``sn``/``an`` the conjugates are first named by their point orbits,
     and the finished chain's level-0 generators are checked to normalize H
     (orbit key, module docstring); when one does not, the search runs again
-    named by the conjugates' element sets."""
+    named by the conjugates' element sets.
+
+    The search is kept with G (kept search, module docstring), so the orbit
+    returned is shared: no caller may change it, its chain or its levels."""
+    return _kept_conjugates(d, h, limit, cap)[0]
+
+
+def _payloads(h: SubgroupSpec) -> frozenset:
+    """The element set of H, as payloads: the key of its kept search."""
+    return frozenset(g.payload for g in closure_of(h))
+
+
+def _kept_conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
+                     cap: int | None) -> tuple[_Orbit, frozenset]:
+    """:func:`_conjugates`, with H's element set as payloads."""
     if h.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
     size = _checked_order(d, limit)
-    elements = frozenset(g.payload for g in closure_of(h))
-    orb = None
-    if d.family in PERMUTATION_FAMILIES:
-        orb = _orbit_search(d, size, *_orbit_key(d, h, elements), cap)
-    if orb is None:  # two conjugates share their point orbits
-        orb = _orbit_search(d, size, *_exact_key(d, elements), cap)
-    if len(orb.trans) * orb.chain.order() != size:
-        raise AssertionError(f"orbit-stabilizer count {len(orb.trans)} * "
-                             f"{orb.chain.order()} is not |{d}| = {size}")
-    return orb
+    elements = _payloads(h)
+
+    def search() -> _Orbit:
+        orb = None
+        if d.family in PERMUTATION_FAMILIES:
+            orb = _orbit_search(d, size, *_orbit_key(d, h, elements), cap)
+        if orb is None:  # two conjugates share their point orbits
+            orb = _orbit_search(d, size, *_exact_key(d, elements), cap)
+        if len(orb.trans) * orb.chain.order() != size:
+            raise AssertionError(f"orbit-stabilizer count {len(orb.trans)} * "
+                                 f"{orb.chain.order()} is not |{d}| = {size}")
+        return orb
+    orb = kept(d, ("conjugates", elements), search)
+    if cap is not None and len(orb.trans) > cap:  # kept by an uncapped search
+        raise GuardExceededError(f"{cap + 1} conjugate subgroups reached, "
+                                 f"above the clique guard {cap}")
+    return orb, elements
 
 
 def _exact_key(d: GroupDescriptor, elements: frozenset):
@@ -391,7 +431,8 @@ def _orbit_search(d: GroupDescriptor, size: int, name, act, normalizes,
         chain.add(mul(trans_inv[j], mul(s, t)))
     if normalizes is not None and not all(map(normalizes, chain.gens[0])):
         return None
-    return _Orbit(trans, trans_inv, chain, action, tree)
+    return _Orbit(tuple(trans), tuple(trans_inv), chain, tuple(map(tuple, action)),
+                  tuple(tree))
 
 
 def _commuter(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec):
@@ -582,11 +623,12 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     if fixed.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {fixed.descriptor}, not {d}")
     value = None if norm is None else payload_value_fn(d, norm)
-    orb = _conjugates(d, moved, limit)
+    orb, elements = _kept_conjugates(d, moved, limit, None)
     mul, inv, _, _ = _payload_ops(d)
     commutes = _commuter(d, fixed, moved)
     # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
-    near0 = orb.commuting(commutes)
+    fixed_elements = elements if fixed is moved else _payloads(fixed)
+    near0 = kept(d, ("near0", fixed_elements, elements), lambda: orb.commuting(commutes))
     if fixed is moved and m >= 2 and not is_abelian_subgroup(fixed):
         if len(_max_clique(_commutation_graph(orb, near0), m + 1)) <= m:
             return EnergyResult(m, None, None)
@@ -676,8 +718,9 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec,
     """
     if h.descriptor == d and is_abelian_subgroup(h):  # else _conjugates refuses h
         return PackingResult(None, None, True, degenerate=True)
-    orb = _conjugates(d, h, limit, cap=CLIQUE_GUARD)
-    near0 = orb.commuting(_commuter(d, h, h))
+    orb, elements = _kept_conjugates(d, h, limit, CLIQUE_GUARD)
+    near0 = kept(d, ("near0", elements, elements),
+                 lambda: orb.commuting(_commuter(d, h, h)))
     # the clique search meets only H's vertex 0 and its neighbours
     levels = orb.chain.levels()
     least = {i: _least_leaf(d, [orb.trans[i]], levels, None, _zero_bound, None)

@@ -67,17 +67,16 @@ def subgroups_commute(a: SubgroupSpec, b: SubgroupSpec) -> bool:
 
 def _checked_order(d: GroupDescriptor, limit: int | None) -> int:
     """|d|, or a refusal above the guard.  A huge order is refused by its
-    float ``log10`` alone, with the digit count ``_order_text`` writes, when
-    that is at least 30 and further than the float's error from the guard
-    and from a whole number; any other order is computed exactly."""
-    log = gd._log10_order(d)
-    if log is None:
-        raise InfiniteGroupError(f"{d} is infinite")
+    float ``log10`` alone (:func:`~cinorm.descriptors._order_or_log`), with
+    the digit count ``_order_text`` writes; any other order is computed
+    exactly."""
     guard = ENUMERATION_GUARD if limit is None else limit
-    slack, k = 1e-6 + 1e-12 * log, int(log)
-    if log - slack > max(30, math.log10(max(guard, 1))) and slack < log - k < 1 - slack:
-        raise GuardExceededError(f"|{d}| has {k + 1} digits and exceeds the guard {guard}")
-    size = gd.order(d)
+    size = gd._order_or_log(d, guard)
+    if size is None:
+        raise InfiniteGroupError(f"{d} is infinite")
+    if type(size) is float:
+        raise GuardExceededError(f"|{d}| has {int(size) + 1} digits and exceeds "
+                                 f"the guard {guard}")
     if size > guard:
         raise GuardExceededError(f"|{d}| {_order_text(size)} exceeds the guard {guard}")
     return size

@@ -1,6 +1,7 @@
 """The summary of ``bench/ab.py``, on made-up runs: no benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -38,3 +39,28 @@ def test_one_pair_has_its_value_as_every_quartile():
     (row,) = ab.summarize(_pairs([400], [500]), METRICS[:1])
     assert row["base"] == (400, 400, 400) and row["beyond_iqr"]
     assert "1/1" in ab.format_rows([row])
+
+
+def _output(metrics, per_kind):
+    last = {"metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}}
+    notes = {"jobs": 3, "run_s_per_kind": per_kind}
+    return "\n".join(["provenance {}", "notes " + json.dumps(notes, sort_keys=True),
+                      "FAILED job 1 packing on sn:7: boom", json.dumps(last)]) + "\n"
+
+
+def test_a_run_is_parsed_with_its_seconds_per_kind():
+    out = _output({"jobs_per_s": 500.5, "ok_ratio": 1.0}, {"energy": 0.25, "packing": 0.5})
+    assert ab.parse_run(out) == {"jobs_per_s": 500.5, "ok_ratio": 1.0,
+                                 "run_s_per_kind": {"energy": 0.25, "packing": 0.5}}
+
+
+def test_kind_medians_are_taken_per_side():
+    runs = [ab.parse_run(_output({"jobs_per_s": 1.0}, kinds)) for kinds in (
+        {"energy": 1.0, "packing": 2.0}, {"energy": 0.5},
+        {"energy": 3.0, "packing": 4.0}, {"energy": 1.5, "packing": 1.0},
+        {"energy": 2.0, "packing": 6.0}, {"energy": 1.0, "packing": 2.0})]
+    pairs = list(zip(runs[0::2], runs[1::2]))
+    # a kind missing from a run counts 0 there
+    assert ab.kind_medians(pairs) == [("energy", 2.0, 1.0), ("packing", 4.0, 1.0)]
+    text = ab.format_kinds(ab.kind_medians(pairs))
+    assert text.splitlines()[1].split() == ["energy", "2.0000", "1.0000", "0.500"]

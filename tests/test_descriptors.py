@@ -15,7 +15,7 @@ import pytest
 
 import cinorm
 from cinorm import enumeration
-from cinorm.descriptors import GroupDescriptor, _Interned, _order_within
+from cinorm.descriptors import GroupDescriptor, _Interned, _order_within, _small_order
 from cinorm import (
     GuardExceededError,
     SubgroupSpec,
@@ -87,6 +87,21 @@ def test_an_order_within_a_bound_is_the_order_or_none(text):
     bounds = (0, 1, 10 ** 30) + (() if size is None else (size - 1, size, size + 1))
     for bound in bounds:
         assert _order_within(d, bound) == (size if size is not None and size <= bound else None)
+
+
+@pytest.mark.parametrize("text,small", [
+    ("sn:27", True), ("sn:28", False), ("an:27", True), ("slp:2:5", True),
+    ("slp:6:3", True), ("slp:10:3", False), ("bar:sn:15", True), ("bar:sn:25", False),
+    ("wreath:sn:3:zn:30", True), ("wreath:sn:3:zn:36", False), ("wreath:sn:1:zn:1000", False),
+    ("product:sn:20,sn:10", True), ("product:sn:27,sn:10", False), ("free:2", False),
+    ("wreath:sn:3:z", False), ("product:sn:3,free:2", False)])
+def test_a_small_order_is_read_from_the_fields(text, small):
+    # the fields' test takes the exact order only below 2^99, else leaves it
+    # to the log; both sides of that bound are listed
+    d = parse_descriptor(text)
+    size = order(d)
+    assert _small_order(d) == (size if small else None)
+    assert not small or size < 2 ** 99
 
 
 def test_library_calls_size_a_huge_group_from_its_log(monkeypatch):

@@ -175,6 +175,15 @@ def test_elements_stay_frozen_hashable_and_copyable(idx):
         assert twin.descriptor == d and twin.payload == e.payload
 
 
+@pytest.mark.parametrize("idx", range(len(FAMILIES)))
+def test_operator_and_method_forms_match_the_functions(idx):
+    d = FAMILIES[idx]
+    g, h = seeded(d, idx), seeded(d, idx + 100)
+    assert g * h == compose(g, h)
+    assert g.inverse() == invert(g)
+    assert (g * g.inverse()).is_identity()
+
+
 # ---------------------------------------------------------------------------
 # AffZ against its affine action on the integers
 

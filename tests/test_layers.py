@@ -142,10 +142,10 @@ def test_one_generating_set_per_kernel():
     assert _sites(tree, reads) == {"generators"}
 
 
-def test_only_descriptors_and_enumeration_compute_an_order():
+def test_only_descriptors_computes_an_order():
     # |G| of a huge group costs seconds of factorial before any guard; every
     # other module sizes a group through descriptors._order_within, finite()
-    # or enumeration._checked_order, which read its log10 first
+    # or enumeration._checked_order, which size it by descriptors._order_or_log
     callers = set()
     for p in PACKAGE.glob("*.py"):
         tree = ast.parse(p.read_text())
@@ -164,4 +164,4 @@ def test_only_descriptors_and_enumeration_compute_an_order():
                     isinstance(f, ast.Attribute) and f.attr == "order"
                     and isinstance(f.value, ast.Name) and f.value.id in modules):
                 callers.add(p.stem)
-    assert callers == {"enumeration"}
+    assert callers == set()
