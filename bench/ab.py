@@ -14,7 +14,9 @@ quartiles, the pairs the change wins by the metric's ``better``, and
 whether the medians differ by more than the base's interquartile range.
 For each job kind it also prints each side's median of the run's
 ``run_s_per_kind`` note, so that a gain can be traced to the kinds that
-moved.  ``--json FILE`` also writes every run's values and the summary.
+moved.  Before the runs it prints each side's line count of the ``*.py``
+files under ``src/`` and ``tests/``, and the difference.  ``--json FILE``
+also writes every run's values, the line counts and the summary.
 """
 
 from __future__ import annotations
@@ -59,6 +61,21 @@ def checkout(treeish: str, dest: Path) -> Path:
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                    cwd=dest, check=True)
     return dest
+
+
+def line_counts(tree: Path) -> dict[str, int]:
+    """The lines of the ``*.py`` files under ``src/`` and under ``tests/`` of
+    ``tree``, counted as ``wc -l`` does."""
+    return {part: sum(p.read_bytes().count(b"\n") for p in (tree / part).rglob("*.py"))
+            for part in ("src", "tests")}
+
+
+def format_line_counts(base: dict[str, int], change: dict[str, int]) -> str:
+    lines = [f"{'lines':<6} {'base':>7} {'change':>7} {'diff':>6}"]
+    for part in base:
+        lines.append(f"{part:<6} {base[part]:>7} {change[part]:>7} "
+                     f"{change[part] - base[part]:>+6}")
+    return "\n".join(lines)
 
 
 def parse_run(out: str) -> dict:
@@ -150,6 +167,8 @@ def main(argv=None) -> int:
     report = []
     try:
         trees = (checkout(args.base, work / "base"), checkout(_working_tree(), work / "change"))
+        counts = [line_counts(tree) for tree in trees]
+        print(f"{args.base} -> working tree\n{format_line_counts(*counts)}", flush=True)
         for workload in args.workload:
             for seed in args.seeds:
                 pairs = []
@@ -170,7 +189,8 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(work, ignore_errors=True)
     if args.json:
-        args.json.write_text(json.dumps({"base": args.base, "runs": report}, indent=1))
+        args.json.write_text(json.dumps({"base": args.base, "lines": counts, "runs": report},
+                                        indent=1))
     return 0
 
 

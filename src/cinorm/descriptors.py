@@ -2,7 +2,8 @@
 
 A descriptor names one concrete group (``sn:5``, ``wreath:sn:3:zn:3``, ...).
 Finiteness, group order and abelianness are decidable from the descriptor
-alone, which is what lets enumeration guards fire before any work is done.
+alone: each group is sized once, when it is interned (:func:`_size`), which
+is what lets enumeration guards fire before any work is done.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ WREATH_FAMILIES = frozenset({"wreath-z", "wreath-zn"})
 
 class _Interned(type):
     # every call of the class, dataclasses.replace and __reduce__ included,
-    # returns the one live descriptor of its fields, atomically: two racing
-    # copies would not compare equal.  base and parts key by identity.
+    # returns the one live descriptor of its fields, atomically (two racing
+    # copies would not compare equal), sized before it is published and off
+    # the fields that eq, hash and pickles read.  base and parts key by identity.
     _live, _lock = weakref.WeakValueDictionary(), threading.Lock()
 
     def __call__(cls, family, n=0, p=0, base=None, parts=()):
@@ -36,6 +38,8 @@ class _Interned(type):
         for name, v in (("n", n), ("p", p)):
             if type(v) is not int:
                 raise ValueError(f"descriptor field {name} must be an int, not {v!r}")
+            if v < 0:
+                raise ValueError(f"descriptor field {name} must be non-negative, not {v}")
         if base is not None and not isinstance(base, cls):
             raise ValueError(f"descriptor field base must be a GroupDescriptor, not {base!r}")
         if type(parts) is not tuple or not all(isinstance(x, cls) for x in parts):
@@ -44,7 +48,9 @@ class _Interned(type):
         with cls._lock:
             d = cls._live.get(key)
             if d is None:
-                d = cls._live[key] = super().__call__(*key)
+                d = super().__call__(*key)
+                object.__setattr__(d, "_size", _size(d))
+                cls._live[key] = d
             return d
 
 
@@ -55,7 +61,8 @@ class GroupDescriptor(metaclass=_Interned):
     ``n`` doubles as permutation degree, free rank, matrix dimension or
     wreath ring size depending on the family; ``p`` is the prime modulus
     for ``slp``.  Interned: one live object per field value, so equality
-    and hash are identity, and a pickle or copy carries the fields alone.
+    and hash are identity, and a pickle or copy carries the fields alone:
+    the size (``_size``) is stored off them, when the group is interned.
     :mod:`cinorm.elements` keeps the payload operations of a group on it.
     """
 
@@ -181,69 +188,55 @@ def order(d: GroupDescriptor) -> int | None:
     return None  # free, wreath-z, aff-z, z2inf, slz
 
 
-def _log10_order(d: GroupDescriptor) -> float | None:
-    """``log10`` of the group order as a float, or ``None`` for infinite
-    families, without the order itself: ``lgamma`` for ``sn``/``an``, sums
-    of logs otherwise.  Within about ``1e-14 * log10 |G|`` of the true value."""
-    f = d.family
-    if f in ("sn", "an"):
-        log = math.lgamma(d.n + 1) / math.log(10)
-        return log - math.log10(2) if f == "an" and d.n > 1 else log
-    if f == "wreath-zn":
-        b = _log10_order(d.base)
-        return None if b is None else d.n * b + math.log10(d.n)
-    if f == "bar":
-        b = _log10_order(d.base)
-        return None if b is None else math.log10(2) + 2 * b
-    if f == "slp":
-        q = d.p
-        return d.n * (d.n - 1) // 2 * math.log10(q) + sum(
-            math.log10(q ** k - 1) for k in range(2, d.n + 1))
-    if f == "product":
-        logs = [_log10_order(part) for part in d.parts]
-        return None if None in logs else sum(logs)
-    return None
-
-
-def _small_order(d: GroupDescriptor) -> int | None:
+def _size(d: GroupDescriptor) -> int | float | None:
     """|d| when integer tests on the fields show that it is below 2^99 <
-    10^30, so that it costs little to compute; else ``None``, as for the
-    infinite families."""
+    10^30, so that it costs little to compute; else ``log10 |d|`` as a float,
+    within about ``1e-14 * log10 |d|`` (``lgamma`` for ``sn``/``an``, sums of
+    logs otherwise); ``None`` for the infinite families.  A composite family
+    reads the sizes its parts stored when they were interned."""
     f = d.family
     if f in ("sn", "an"):
-        return order(d) if d.n <= 27 else None  # 27! < 2^94
-    if f == "slp":  # |SL(n, p)| < p^(n^2 - 1)
-        return order(d) if (d.n * d.n - 1) * d.p.bit_length() <= 99 else None
+        if d.n <= 27:  # 27! < 2^94
+            return order(d)
+        return math.lgamma(d.n + 1) / math.log(10) - (math.log10(2) if f == "an" else 0)
+    if f == "slp":  # |SL(n, q)| = q^(n^2 - 1) prod_{k=2..n} (1 - q^-k) < q^(n^2 - 1)
+        n, q = d.n, d.p
+        if q < 2 or (n * n - 1) * q.bit_length() <= 99:
+            return order(d)
+        log_q = math.log10(q)
+        return (n * n - 1) * log_q + sum(
+            math.log1p(-10 ** (-k * log_q)) for k in range(2, n + 1)) / math.log(10)
     if f not in ("wreath-zn", "bar", "product"):
         return None
-    sizes = [_small_order(part) for part in d.parts or (d.base,)]
+    sizes = [part._size for part in d.parts or (d.base,)]
     if None in sizes:
         return None
-    if f == "wreath-zn":  # |base|^n n < 2^(n bits(base) + bits(n))
-        if d.n * sizes[0].bit_length() + d.n.bit_length() > 99:
-            return None
-        size = sizes[0] ** d.n * d.n
-    else:  # parts below 2^99 each: a cheap product
-        size = math.prod(sizes) * (2 * sizes[0] if f == "bar" else 1)
-    return size if size.bit_length() <= 99 else None
+    if float not in map(type, sizes):  # parts below 2^99 each
+        if f != "wreath-zn":  # a cheap product
+            size = math.prod(sizes) * (2 * sizes[0] if f == "bar" else 1)
+            if size.bit_length() <= 99:
+                return size
+        elif d.n * sizes[0].bit_length() + d.n.bit_length() <= 99:  # |base|^n n
+            return sizes[0] ** d.n * d.n
+    logs = [s if type(s) is float else math.log10(max(s, 1)) for s in sizes]
+    if f == "wreath-zn":
+        return d.n * logs[0] + math.log10(max(d.n, 1))
+    return sum(logs) + (math.log10(2) + logs[0] if f == "bar" else 0)
 
 
 def _order_or_log(d: GroupDescriptor, bound: int) -> int | float | None:
     """|d| as an int, or ``log10 |d|`` as a float when the log alone shows,
     beyond its float error, that |d| exceeds ``bound`` and has ``int(log) +
-    1 >= 31`` digits; ``None`` when ``d`` is infinite.  The order is taken
-    at once when :func:`_small_order` gives it, and is otherwise computed
-    only when :func:`_log10_order` leaves the answer open, so a huge group
+    1 >= 31`` digits; ``None`` when ``d`` is infinite.  Both are read from
+    the size stored at intern time (:func:`_size`), and the order is
+    computed only when that log leaves the answer open, so a huge group
     costs its log alone."""
-    size = _small_order(d)
-    if size is not None:
+    size = d._size
+    if type(size) is not float:
         return size
-    log = _log10_order(d)
-    if log is None:
-        return None
-    slack, k = 1e-6 + 1e-12 * log, int(log)
-    if log - slack > max(30, math.log10(max(bound, 1))) and slack < log - k < 1 - slack:
-        return log
+    slack, k = 1e-6 + 1e-12 * size, int(size)
+    if size - slack > max(30, math.log10(max(bound, 1))) and slack < size - k < 1 - slack:
+        return size
     return order(d)
 
 
@@ -255,7 +248,7 @@ def _order_within(d: GroupDescriptor, bound: int) -> int | None:
 
 
 def finite(d: GroupDescriptor) -> bool:
-    return _log10_order(d) is not None
+    return d._size is not None
 
 
 def is_abelian(d: GroupDescriptor) -> bool:

@@ -61,7 +61,7 @@ again on a kept orbit, with the message of the search; a search that
 raises keeps nothing, and every walk and re-check still runs per call.
 Kept objects are shared, so nothing changes them: the orbit's fields and
 ``near0`` are tuples, and no caller writes to the chain or its levels.  The
-store holds one orbit (its transversal, inverses, action and chain) and
+store holds one orbit (its transversal, action, tree and chain) and
 one near-list per subgroup asked, for groups of order at most 8!, and
 evicts them with the rest of their group's state.
 
@@ -156,11 +156,11 @@ from .errors import DescriptorMismatchError, GuardExceededError
 from .literals import to_literal
 from .norms import (
     NormLike,
+    _refuse_partial_table,
     commutator_length,
     commutator_length_over,
     norm_value_fn,
     payload_value_fn,
-    refuse_foreign_table,
     support_norm,
     trivial_norm,
 )
@@ -302,22 +302,22 @@ class _Orbit(NamedTuple):
     """The conjugates ``H_i = t[i] H t[i]^-1`` of H (``H_0 = H``), in BFS
     order from H under conjugation by the generators of G."""
     trans: tuple  # t[i], with t[0] = 1; the conjugators of H_i are t[i] N
-    trans_inv: tuple
     chain: _StabChain | _FlatChain  # N = N_G(H)
     action: tuple[tuple[int, ...], ...]  # action[s][i] = j where s H_i s^-1 = H_j
     tree: tuple  # tree[i] = (parent, s): H_i = s H_parent s^-1, for i >= 1
 
-    def commuting(self, commutes) -> tuple[int, ...]:
-        """The i with ``commutes(t[i], t[i]^-1)``, in orbit order."""
-        return tuple(i for i, (t, ti) in enumerate(zip(self.trans, self.trans_inv))
-                     if commutes(t, ti))
+    def commuting(self, commutes, inv) -> tuple[int, ...]:
+        """The i with ``commutes(t[i], t[i]^-1)``, in orbit order, each t[i]
+        inverted by ``inv`` here: once per kept commuting list, so the orbit
+        holds no inverses."""
+        return tuple(i for i, t in enumerate(self.trans) if commutes(t, inv(t)))
 
 
 def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
                 cap: int | None = None) -> _Orbit:
     """Orbit-stabilizer for H under conjugation (Holt, Eick and O'Brien,
     *Handbook of Computational Group Theory*, 2005, ch. 4 and §4.1): the
-    transversal and its inverses, the chain of the normalizer N grown by the
+    transversal, the chain of the normalizer N grown by the
     Schreier generators ``t[j]^-1 s t[i]`` until it has order
     ``|G| / |orbit|`` (known order, module docstring; a stabilizer chain for
     ``sn``/``an``, one level holding the payload closure otherwise), and the
@@ -431,8 +431,7 @@ def _orbit_search(d: GroupDescriptor, size: int, name, act, normalizes,
         chain.add(mul(trans_inv[j], mul(s, t)))
     if normalizes is not None and not all(map(normalizes, chain.gens[0])):
         return None
-    return _Orbit(tuple(trans), tuple(trans_inv), chain, tuple(map(tuple, action)),
-                  tuple(tree))
+    return _Orbit(tuple(trans), chain, tuple(map(tuple, action)), tuple(tree))
 
 
 def _commuter(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec):
@@ -628,7 +627,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     commutes = _commuter(d, fixed, moved)
     # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
     fixed_elements = elements if fixed is moved else _payloads(fixed)
-    near0 = kept(d, ("near0", fixed_elements, elements), lambda: orb.commuting(commutes))
+    near0 = kept(d, ("near0", fixed_elements, elements), lambda: orb.commuting(commutes, inv))
     if fixed is moved and m >= 2 and not is_abelian_subgroup(fixed):
         if len(_max_clique(_commutation_graph(orb, near0), m + 1)) <= m:
             return EnergyResult(m, None, None)
@@ -720,7 +719,7 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec,
         return PackingResult(None, None, True, degenerate=True)
     orb, elements = _kept_conjugates(d, h, limit, CLIQUE_GUARD)
     near0 = kept(d, ("near0", elements, elements),
-                 lambda: orb.commuting(_commuter(d, h, h)))
+                 lambda: orb.commuting(_commuter(d, h, h), _payload_ops(d)[1]))
     # the clique search meets only H's vertex 0 and its neighbours
     levels = orb.chain.levels()
     least = {i: _least_leaf(d, [orb.trans[i]], levels, None, _zero_bound, None)
@@ -756,8 +755,9 @@ class MasterReport:
 
 
 def _refuse_foreign(d: GroupDescriptor, norm: NormLike, *subgroups: SubgroupSpec) -> None:
-    """Refuse a norm table or a subgroup of a group other than ``d``."""
-    refuse_foreign_table(d, norm)
+    """Refuse a norm table or a subgroup of a group other than ``d``, and a
+    table that does not cover all of it."""
+    _refuse_partial_table(d, norm)
     for h in subgroups:
         if h.descriptor != d:
             raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")

@@ -24,7 +24,7 @@ from .elements import (
     invert,
 )
 from .enumeration import SubgroupSpec, group_generators, subgroups_commute
-from .norms import NormLike, norm_value_fn, refuse_foreign_table
+from .norms import NormLike, _refuse_partial_table, norm_value_fn
 
 
 @dataclass(frozen=True)
@@ -302,8 +302,8 @@ def fcomm_norm_bound(decomp: FCommutatorDecomposition, env: FCommEnvironment,
                      norm: NormLike) -> NormBoundReport:
     """Check that each factor's norm is at most twice the shift's norm and the
     target's norm at most fourteen times it, under any conjugation-invariant
-    norm on the ambient group; a table of another group is refused."""
-    refuse_foreign_table(env.ambient, norm)
+    norm on the ambient group; a table of another group, or of part of it, is refused."""
+    _refuse_partial_table(env.ambient, norm)
     value = norm_value_fn(norm)
     vf = Fraction(value(env.shift))
     rows = []

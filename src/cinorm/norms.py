@@ -81,6 +81,18 @@ def refuse_foreign_table(d: GroupDescriptor, norm: "NormLike | QuasiNormSpec") -
         raise DescriptorMismatchError(f"the {kind} is on {norm.descriptor}, not {d}")
 
 
+def _refuse_partial_table(d: GroupDescriptor, norm: NormLike) -> None:
+    """:func:`refuse_foreign_table`, and raise :class:`ValueError` when
+    ``norm`` is a table that does not cover all of the finite group ``d``."""
+    refuse_foreign_table(d, norm)
+    if isinstance(norm, NormTable) and gd.finite(d):  # |G| of 10^30 or more is not written
+        size = gd._order_within(d, 10 ** 30)
+        if len(norm.values) != size:
+            whole = "" if size is None else f"{size} "
+            raise ValueError(f"the norm table covers {len(norm.values)} elements, "
+                             f"not all {whole}of {d}")
+
+
 def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]:
     """``norm`` as a function of the raw payloads of ``d``, with the same
     exact values: the moved-point count (an int) for :func:`support_norm` on
@@ -88,14 +100,7 @@ def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]
     family, and the norm of ``Element(d, payload)`` for tables and every
     other callable, so those raise as and when they did.  A table of another
     group, or one that does not cover all of G, is refused."""
-    refuse_foreign_table(d, norm)
-    # only a table needs |G|; an order of 10^30 or more is named by its group
-    if isinstance(norm, NormTable):
-        size = gd._order_within(d, 10 ** 30)
-        if len(norm.values) != size and gd.finite(d):
-            whole = "" if size is None else f"{size} "
-            raise ValueError(f"the norm table covers {len(norm.values)} elements, "
-                             f"not all {whole}of {d}")
+    _refuse_partial_table(d, norm)
     one = _payload_ops(d)[2]
     if norm is support_norm and d.family in PERMUTATION_FAMILIES:
         return lambda p: sum(map(ne, p, one))
@@ -652,7 +657,8 @@ class DominationReport:
 def check_extremal_domination(q: NormTable, K: Iterable[Element]) -> DominationReport:
     """Verify the extremal property of conjugation-generated norms: any norm
     bounded on K is dominated by ``lambda * q_K`` with lambda its maximum on
-    the conjugacy closure of K."""
+    the conjugacy closure of K; a table on part of G is refused."""
+    _refuse_partial_table(q.descriptor, q)
     G, _, closure = _cgen(q.descriptor, K, None)
     base, _ = _qk_values(G, closure)
     lam = max(q.values[G.elements[c]] for c in closure)

@@ -64,3 +64,19 @@ def test_kind_medians_are_taken_per_side():
     assert ab.kind_medians(pairs) == [("energy", 2.0, 1.0), ("packing", 4.0, 1.0)]
     text = ab.format_kinds(ab.kind_medians(pairs))
     assert text.splitlines()[1].split() == ["energy", "2.0000", "1.0000", "0.500"]
+
+
+def test_line_counts_read_the_python_files_of_src_and_tests(tmp_path):
+    for tree, src, tests in (("base", 3, 2), ("change", 1, 4)):
+        for part, n in (("src", src), ("tests", tests)):
+            pkg = tmp_path / tree / part / "pkg"
+            pkg.mkdir(parents=True)
+            (pkg / "a.py").write_text("x = 1\n" * n)
+            (pkg / "notes.txt").write_text("not code\n")
+        (tmp_path / tree / "bench.py").write_text("outside\n")
+    base, change = (ab.line_counts(tmp_path / tree) for tree in ("base", "change"))
+    assert base == {"src": 3, "tests": 2} and change == {"src": 1, "tests": 4}
+    assert ab.format_line_counts(base, change).splitlines() == [
+        "lines     base  change   diff",
+        "src          3       1     -2",
+        "tests        2       4     +2"]

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import importlib.util
+import math
 import os
 import pickle
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 
 import cinorm
 from cinorm import enumeration
-from cinorm.descriptors import GroupDescriptor, _Interned, _order_within, _small_order
+from cinorm.descriptors import GroupDescriptor, _Interned, _order_within, _size
 from cinorm import (
     GuardExceededError,
     SubgroupSpec,
@@ -89,19 +90,32 @@ def test_an_order_within_a_bound_is_the_order_or_none(text):
         assert _order_within(d, bound) == (size if size is not None and size <= bound else None)
 
 
-@pytest.mark.parametrize("text,small", [
+SMALL_OR_NOT = [
     ("sn:27", True), ("sn:28", False), ("an:27", True), ("slp:2:5", True),
     ("slp:6:3", True), ("slp:10:3", False), ("bar:sn:15", True), ("bar:sn:25", False),
     ("wreath:sn:3:zn:30", True), ("wreath:sn:3:zn:36", False), ("wreath:sn:1:zn:1000", False),
     ("product:sn:20,sn:10", True), ("product:sn:27,sn:10", False), ("free:2", False),
-    ("wreath:sn:3:z", False), ("product:sn:3,free:2", False)])
+    ("wreath:sn:3:z", False), ("product:sn:3,free:2", False)]
+
+
+@pytest.mark.parametrize("text,small", SMALL_OR_NOT)
 def test_a_small_order_is_read_from_the_fields(text, small):
     # the fields' test takes the exact order only below 2^99, else leaves it
     # to the log; both sides of that bound are listed
     d = parse_descriptor(text)
     size = order(d)
-    assert _small_order(d) == (size if small else None)
-    assert not small or size < 2 ** 99
+    assert (type(d._size) is int) == small
+    assert not small or d._size == size < 2 ** 99
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GroupDescriptor("slp", n=11, p=1),
+    lambda: GroupDescriptor("wreath-zn", n=0, base=symmetric(100)),
+    lambda: product(GroupDescriptor("an", n=0), symmetric(100)),
+], ids=["slp-modulus-1", "wreath-ring-0", "product-order-0"])
+def test_degenerate_fields_are_still_sized(make):
+    # sized at intern time: a log10(0) there would refuse these descriptors
+    assert finite(make())
 
 
 def test_library_calls_size_a_huge_group_from_its_log(monkeypatch):
@@ -202,6 +216,58 @@ ONE_PER_FAMILY = [
 ]
 
 
+# the element families of tests/test_elements.py, one of each family, both
+# sides of 2^99, and SL(n, q) above it (slp:10:3 is in SMALL_OR_NOT)
+SIZED = (["sn:4", "an:4", "free:2", "aff-z", "z2inf", "slz:3", "slp:2:5", "wreath:sn:3:zn:3",
+          "bar:sn:3", "product:sn:3,free:1"]
+         + [text for _, text in ONE_PER_FAMILY] + [text for text, _ in SMALL_OR_NOT]
+         + ["slp:8:7", "slp:30:2", "bar:wreath:sn:3:zn:40", "product:(bar:sn:20),an:30"])
+
+
+@pytest.mark.parametrize("text", SIZED)
+def test_the_stored_size_is_the_order_or_its_log(text):
+    # exact only below 2^99, where the fields' test may still leave the log
+    d = parse_descriptor(text)
+    size = order(d)
+    if size is None:
+        assert d._size is None
+    elif type(d._size) is int:
+        assert d._size == size < 2 ** 99
+    else:  # SL(n, q) from k log10(q) + log10(1 - q^-k), not log10(q^k - 1)
+        log = math.log10(size)
+        assert type(d._size) is float and abs(d._size - log) <= 1e-14 * log
+
+
+@pytest.mark.parametrize("text", ["sn:23", "an:43", "wreath:sn:2:zn:47", "slp:12:5",
+                                  "product:sn:2,free:7"])
+def test_every_copy_of_a_descriptor_carries_its_size(text):
+    # groups no other test keeps alive, so the last one can be made again
+    d = parse_descriptor(text)
+    size = d._size
+    for twin in (copy.copy(d), copy.deepcopy(d), dataclasses.replace(d),
+                 pickle.loads(pickle.dumps(d))):
+        assert vars(twin)["_size"] == size
+    # the size is off the fields: the pickle and the repr do not carry it
+    assert b"_size" not in pickle.dumps(d) and "_size" not in repr(d)
+    gone = weakref.ref(d)
+    del d, twin
+    enumeration._store.cache_clear()
+    gc.collect()
+    assert gone() is None
+    assert vars(parse_descriptor(text))["_size"] == size
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: GroupDescriptor("sn", n=-1), "n"),
+    (lambda: GroupDescriptor("slp", n=2, p=-5), "p"),
+    (lambda: GroupDescriptor("wreath-zn", n=-3, base=symmetric(3)), "n"),
+], ids=["sn", "slp", "wreath-zn"])
+def test_a_negative_field_is_refused_before_it_is_sized(make, field):
+    # sizing at intern time would raise from factorial or log10 instead
+    with pytest.raises(ValueError, match=f"^descriptor field {field} must be non-negative"):
+        make()
+
+
 def _live_texts() -> set:
     return {str(d) for d in _Interned._live.values()}
 
@@ -243,6 +309,7 @@ def test_racing_threads_get_one_descriptor():
         sys.setswitchinterval(interval)
     for i, text in enumerate(texts):
         assert len({id(mine[i]) for mine in got}) == 1 and str(got[0][i]) == text
+        assert got[0][i]._size == _size(got[0][i])
 
 
 def test_one_live_descriptor_per_value_after_the_words_jobs(monkeypatch):

@@ -345,6 +345,22 @@ def test_fcomm_norm_bound_refuses_a_table_of_the_base():
         fcomm_norm_bound(dec, env, trivial_norm_table(S3))
 
 
+def test_fcomm_norm_bound_refuses_a_table_on_part_of_the_group(monkeypatch):
+    # a table of three elements of wreath:sn:3:zn:3 raised a bare KeyError
+    env = wreath_environment(S3, capacity=2)
+    g = perm_from_cycles(S3, (1, 2, 3))
+    dec = seven_fcommutators(env, [(g, perm_from_cycles(S3, (1, 2)))])
+    whole = trivial_norm_table(env.ambient)
+    part = NormTable(env.ambient, dict(list(whole.values.items())[:3]), whole.meta)
+
+    def no_work(norm):
+        raise AssertionError("a value was read before the table was checked")
+    monkeypatch.setattr(fcommutator, "norm_value_fn", no_work)
+    with pytest.raises(ValueError, match=r"^the norm table covers 3 elements, "
+                                         rf"not all 648 of {env.ambient}$"):
+        fcomm_norm_bound(dec, env, part)
+
+
 @pytest.mark.parametrize("capacity", [1, 4, 9])
 def test_copies_are_checked_against_copy_zero_only(capacity, monkeypatch):
     # copy j is copy 0 conjugated by F^j, so the pair (i, j) is the pair

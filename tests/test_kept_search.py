@@ -175,7 +175,7 @@ def test_a_search_that_raises_keeps_nothing(monkeypatch):
 def _state(orb):
     # the chain's data without its payload operations, which copy as new objects
     chain = {k: v for k, v in vars(orb.chain).items() if not callable(v)}
-    return orb.trans, orb.trans_inv, orb.action, orb.tree, chain
+    return orb.trans, orb.action, orb.tree, chain
 
 
 @pytest.mark.parametrize("text", ["sn:7", "wreath:sn:3:zn:3"])

@@ -105,16 +105,16 @@ def _sites(tree: ast.AST, match) -> set:
 
 def test_one_owner_keeps_per_descriptor_state():
     # a descriptor is interned, one object shared by every caller: state
-    # stored on it past the frozen __setattr__ has one owner, the payload
+    # stored on it past the frozen __setattr__ has one owner per store, the
+    # size descriptors stores when it interns the group and the payload
     # record, and only descriptors decides its equality, hash and pickling
     trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
 
     def object_setattr(node):
         return (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
                 and isinstance(node.value, ast.Name) and node.value.id == "object")
-    stores = {(m, site) for m, tree in trees.items() if m != "descriptors"
-              for site in _sites(tree, object_setattr)}
-    assert stores == {("elements", "_payload_ops")}
+    stores = {(m, site) for m, tree in trees.items() for site in _sites(tree, object_setattr)}
+    assert stores == {("descriptors", "__call__"), ("elements", "_payload_ops")}
 
     dunders = {"__eq__", "__hash__", "__reduce__"}
     owners = set()
@@ -132,6 +132,15 @@ def test_one_owner_keeps_per_descriptor_state():
     assert owners == {("descriptors", "__reduce__")}
 
 
+def test_only_descriptors_reads_the_stored_size():
+    # every other module sizes a group through descriptors' functions, so the
+    # guards read one size and write one message
+    readers = {p.stem for p in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "_size"}
+    assert readers == {"descriptors"}
+
+
 def test_one_generating_set_per_kernel():
     # the table build and the class labelling read the generators of every
     # kernel, whole group or subgroup, from FiniteGroup.generators alone
@@ -145,7 +154,7 @@ def test_one_generating_set_per_kernel():
 def test_only_descriptors_computes_an_order():
     # |G| of a huge group costs seconds of factorial before any guard; every
     # other module sizes a group through descriptors._order_within, finite()
-    # or enumeration._checked_order, which size it by descriptors._order_or_log
+    # or enumeration._checked_order, which read the size stored at intern time
     callers = set()
     for p in PACKAGE.glob("*.py"):
         tree = ast.parse(p.read_text())

@@ -55,6 +55,7 @@ from cinorm import (
     wreath_element,
     z2_infinity,
 )
+from cinorm import norms
 from cinorm.norms import payload_value_fn
 from cinorm.sampling import random_element
 
@@ -521,6 +522,19 @@ def test_domination_support_norm_three_cycles():
     rep = check_extremal_domination(support_norm_table(A5), K)
     assert rep.lam == 3
     assert rep.witness_checked == 60
+
+
+def test_domination_refuses_a_table_on_part_of_the_group(monkeypatch):
+    # five rows of q_K on S4 raised a bare KeyError
+    K = [perm_from_cycles(S4, (1, 2))]
+    qk = qk_norm(S4, K)
+    part = NormTable(S4, dict(list(qk.values.items())[:5]), qk.meta)
+
+    def no_work(*args):
+        raise AssertionError("work started before the table was checked")
+    monkeypatch.setattr(norms, "_cgen", no_work)
+    with pytest.raises(ValueError, match=r"^the norm table covers 5 elements, not all 24 of sn:4$"):
+        check_extremal_domination(part, K)
 
 
 @settings(max_examples=25, deadline=None)

@@ -400,22 +400,31 @@ def test_scans_refuse_a_norm_table_of_another_group(text, table_text, monkeypatc
     # an S5 table with S7 once read "infinite" for m = 2 (the clique bound
     # fired before any lookup) and raised a bare KeyError for m = 1; an A5
     # table with S5 did the same; now each call refuses before any work
+    # a table of d on part of G (here cl over Sym{1,2,3}: 3 elements) raised
+    # a bare KeyError, or passed an inequality check, when given an energy
     d = parse_descriptor(text)
     table = trivial_norm_table(parse_descriptor(table_text))
     h, h2 = sym_block(d, (1, 2, 3)), SubgroupSpec((perm_from_cycles(d, (3, 4, 5)),))
+    part = commutator_length_over(closure_of(h), d)
+    e = displacement_energy(d, h, 1, support_norm)
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the norm was checked")
     for name in ("_conjugates", "closure_of", "commutator_length_over"):
         monkeypatch.setattr(displacement, name, no_work)
-    calls = [lambda: displacement_energy(d, h, 1, table),
-             lambda: displacement_energy(d, h, 2, table),
-             lambda: disjunction_energy(d, h, h2, table),
-             lambda: displacement.verify_master_inequalities(d, h, 1, table),
-             lambda: displacement.verify_disjunction_inequality(d, h, h2, table)]
+    calls = [lambda t: displacement_energy(d, h, 1, t),
+             lambda t: displacement_energy(d, h, 2, t),
+             lambda t: disjunction_energy(d, h, h2, t),
+             lambda t: displacement.verify_master_inequalities(d, h, 1, t),
+             lambda t: displacement.verify_master_inequalities(d, h, 1, t, energy=e),
+             lambda t: displacement.verify_disjunction_inequality(d, h, h2, t),
+             lambda t: displacement.verify_disjunction_inequality(d, h, h2, t, e)]
     for call in calls:
         with pytest.raises(DescriptorMismatchError, match=f"on {table_text}, not {text}"):
-            call()
+            call(table)
+        with pytest.raises(ValueError, match=rf"^the norm table covers 3 elements, "
+                                             rf"not all {order(d)} of {text}$"):
+            call(part)
 
 
 def test_support_energy_off_permutations_raises_as_before():
@@ -441,14 +450,14 @@ def _subgroup(text, h):
 
 def _orbit_and_graph(d, h):
     orb = _conjugates(d, h, 10 ** 7)
-    return orb, _commutation_graph(orb, orb.commuting(_commuter(d, h, h)))
+    return orb, _commutation_graph(orb, orb.commuting(_commuter(d, h, h), _payload_ops(d)[1]))
 
 
 def pairwise_graph(d, orb, h):
     """The r^2 commutation test on every pair of conjugates, itself included."""
-    mul = _payload_ops(d)[0]
+    mul, inv, _, _ = _payload_ops(d)
     gens = [g.payload for g in h.generators]
-    conj = [[mul(mul(t, g), ti) for g in gens] for t, ti in zip(orb.trans, orb.trans_inv)]
+    conj = [[mul(mul(t, g), inv(t)) for g in gens] for t in orb.trans]
     return [frozenset(k for k, ys in enumerate(conj)
                       if all(mul(x, y) == mul(y, x) for x in xs for y in ys))
             for xs in conj]
@@ -629,7 +638,7 @@ def enumerated_least_displacer(d, fixed, moved, m, norm):
     normalizer = brute_normalizer(d, moved)
     mul, inv, _, _ = _payload_ops(d)
     commutes = _commuter(d, fixed, moved)
-    near0 = orb.commuting(commutes)
+    near0 = orb.commuting(commutes, inv)
     if fixed is moved and m >= 2 and not is_abelian_subgroup(fixed):
         if len(_max_clique(_commutation_graph(orb, near0), m + 1)) <= m:
             return None, None
@@ -652,7 +661,8 @@ def enumerated_least_displacer(d, fixed, moved, m, norm):
         inverses = [inv(x) for x in normalizer]
         best = None
         for i in near0:
-            t, ti = orb.trans[i], orb.trans_inv[i]
+            t = orb.trans[i]
+            ti = inv(t)
             for key, xi in zip(keyed([mul(t, x) for x in normalizer]), inverses):
                 if (best is None or key < best) and powers_commute(key[1], mul(xi, ti)):
                     best = key
@@ -769,7 +779,7 @@ def orbit_bound_failures(d, h, bound):
                 failures.append((child, fixed))
             out = min(out, below)
         return out
-    for i in orb.commuting(_commuter(d, h, h)):
+    for i in orb.commuting(_commuter(d, h, h), _payload_ops(d)[1]):
         least(orb.trans[i], 0)
     return failures
 
