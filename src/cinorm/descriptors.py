@@ -49,7 +49,15 @@ class _Interned(type):
             d = cls._live.get(key)
             if d is None:
                 d = super().__call__(*key)
-                object.__setattr__(d, "_size", _size(d))
+                try:
+                    size = _size(d)
+                except OverflowError:  # an int field too large to convert
+                    size = math.inf
+                if size == math.inf:  # or a log past the largest float
+                    field = {"bar": "base", "product": "parts"}.get(family, "n")
+                    raise ValueError(f"descriptor field {field} is too large: the size "
+                                     f"of this {family} group does not fit a float")
+                object.__setattr__(d, "_size", size)
                 cls._live[key] = d
             return d
 
@@ -84,14 +92,22 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+#: Miller-Rabin on the first 13 primes as bases decides primality exactly
+#: below this bound (Sorenson and Webster, *Math. Comp.* 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Whether ``p`` is prime, by deterministic Miller-Rabin on
+    :data:`_PRIME_BASES`: exact for ``p <`` :data:`_PRIME_BOUND`."""
+    if p < 2 or any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s t, t odd
+    for a in _PRIME_BASES:  # a prime passes: a^t = 1, or a^(2^r t) = -1 for some r < s
+        powers = [pow(a, (p - 1) >> s << r, p) for r in range(s)]
+        if powers[0] != 1 and p - 1 not in powers:
             return False
-        d += 1
     return True
 
 
@@ -148,6 +164,8 @@ def sl_z(n: int) -> GroupDescriptor:
 def sl_mod(n: int, p: int) -> GroupDescriptor:
     """Special linear group over the prime field with ``p`` elements."""
     _require(n >= 2, "SL needs dimension >= 2")
+    _require(p < _PRIME_BOUND, f"modulus must be below {_PRIME_BOUND}, "
+                              "where its primality test is exact")
     _require(_is_prime(p), "modulus must be prime")
     return GroupDescriptor("slp", n=n, p=p)
 
@@ -164,7 +182,7 @@ def order(d: GroupDescriptor) -> int | None:
     if f == "sn":
         return math.factorial(d.n)
     if f == "an":
-        return 1 if d.n == 1 else math.factorial(d.n) // 2
+        return 1 if d.n <= 1 else math.factorial(d.n) // 2
     if f == "wreath-zn":
         b = order(d.base)
         return None if b is None else b ** d.n * d.n
@@ -190,10 +208,11 @@ def order(d: GroupDescriptor) -> int | None:
 
 def _size(d: GroupDescriptor) -> int | float | None:
     """|d| when integer tests on the fields show that it is below 2^99 <
-    10^30, so that it costs little to compute; else ``log10 |d|`` as a float,
-    within about ``1e-14 * log10 |d|`` (``lgamma`` for ``sn``/``an``, sums of
-    logs otherwise); ``None`` for the infinite families.  A composite family
-    reads the sizes its parts stored when they were interned."""
+    10^30, so that it costs little to compute, or that it is 0; else ``log10
+    |d|`` as a float, within about ``1e-14 * log10 |d|`` (``lgamma`` for
+    ``sn``/``an``, sums of logs otherwise); ``None`` for the infinite
+    families.  A composite family reads the sizes its parts stored when they
+    were interned."""
     f = d.family
     if f in ("sn", "an"):
         if d.n <= 27:  # 27! < 2^94
@@ -204,13 +223,16 @@ def _size(d: GroupDescriptor) -> int | float | None:
         if q < 2 or (n * n - 1) * q.bit_length() <= 99:
             return order(d)
         log_q = math.log10(q)
+        # q^-k underflows to 0.0 for k > 1076, and log1p(-0.0) adds nothing
         return (n * n - 1) * log_q + sum(
-            math.log1p(-10 ** (-k * log_q)) for k in range(2, n + 1)) / math.log(10)
+            math.log1p(-10 ** (-k * log_q)) for k in range(2, min(n, 1100) + 1)) / math.log(10)
     if f not in ("wreath-zn", "bar", "product"):
         return None
     sizes = [part._size for part in d.parts or (d.base,)]
     if None in sizes:
         return None
+    if 0 in sizes or (f == "wreath-zn" and d.n == 0):
+        return 0
     if float not in map(type, sizes):  # parts below 2^99 each
         if f != "wreath-zn":  # a cheap product
             size = math.prod(sizes) * (2 * sizes[0] if f == "bar" else 1)
@@ -218,9 +240,9 @@ def _size(d: GroupDescriptor) -> int | float | None:
                 return size
         elif d.n * sizes[0].bit_length() + d.n.bit_length() <= 99:  # |base|^n n
             return sizes[0] ** d.n * d.n
-    logs = [s if type(s) is float else math.log10(max(s, 1)) for s in sizes]
+    logs = [s if type(s) is float else math.log10(s) for s in sizes]
     if f == "wreath-zn":
-        return d.n * logs[0] + math.log10(max(d.n, 1))
+        return d.n * logs[0] + math.log10(d.n)
     return sum(logs) + (math.log10(2) + logs[0] if f == "bar" else 0)
 
 

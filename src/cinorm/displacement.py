@@ -129,6 +129,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, repeat
 from math import prod
 from operator import ne
@@ -139,7 +140,6 @@ from .descriptors import PERMUTATION_FAMILIES, GroupDescriptor
 from .elements import (
     Element,
     _payload_ops,
-    commutator_of,
     conjugate_of,
     sort_key,
 )
@@ -153,12 +153,13 @@ from .enumeration import (
     subgroups_commute,
 )
 from .errors import DescriptorMismatchError, GuardExceededError
+from .kernel import domain_kernel
 from .literals import to_literal
 from .norms import (
     NormLike,
+    _commutator_length,
     _refuse_partial_table,
     commutator_length,
-    commutator_length_over,
     norm_value_fn,
     payload_value_fn,
     support_norm,
@@ -793,52 +794,52 @@ def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
     ``v([f,g]) <= 2 v([f,phi]) <= 4 v(phi)`` for the found minimizer), and
     ``v(x) <= 14 e_m`` for m >= 2.  Ambient commutator length <= 2 is checked
     when the ambient order is at most :data:`AMBIENT_CL_LIMIT`.  A supplied
-    ``energy`` must be e_m, and a finite one is re-checked.
+    ``energy`` must be e_m, and a finite one is re-checked.  One kernel of H
+    gives cl_H and every [f, g] of the chain.
     """
     _refuse_foreign(d, norm, h)
-    value = norm_value_fn(norm)
     if energy is not None:
-        _check_energy(energy, m, value, h, h)
-    closure = sorted(closure_of(h), key=sort_key)
-    cl_h = commutator_length_over(closure, d, name="cl_H")
+        _check_energy(energy, m, norm_value_fn(norm), h, h)
+    K = domain_kernel(d, closure_of(h))  # H in sort_key order
+    cl_h = _commutator_length(K, "cl_H")
     e = energy if energy is not None else displacement_energy(d, h, m, norm)
     rows: list[InequalityRow] = []
     chain: list[InequalityRow] = []
 
-    ambient_cl = None
-    if gd._order_within(d, AMBIENT_CL_LIMIT) is not None:
-        ambient_cl = commutator_length(d)
+    within = gd._order_within(d, AMBIENT_CL_LIMIT) is not None
+    ambient_cl = commutator_length(d) if within else None
 
+    pvalue = payload_value_fn(d, norm)
+    value = cache(lambda p: Fraction(pvalue(p)))  # per call: each element valued once
+    lit = list(map(to_literal, K.elements))
     factor = 4 if m == 1 else 14
-    for x, clv in sorted(cl_h.values.items(), key=lambda kv: sort_key(kv[0])):
-        if clv != m:
+    for i, x in enumerate(K.elements):
+        if cl_h.values.get(x) != m:
             continue
         if e.value is not None:
-            lhs = Fraction(value(x))
+            lhs = value(K.payloads[i])
             rhs = factor * e.value
             rows.append(InequalityRow(
-                f"v(x) <= {factor} e_{m}", (to_literal(x),), lhs, rhs, lhs <= rhs))
+                f"v(x) <= {factor} e_{m}", (lit[i],), lhs, rhs, lhs <= rhs))
         if ambient_cl is not None:
             lhs = ambient_cl.values[x]
             rows.append(InequalityRow(
-                "cl_ambient(x) <= 2", (to_literal(x),), lhs, Fraction(2), lhs <= 2))
+                "cl_ambient(x) <= 2", (lit[i],), lhs, Fraction(2), lhs <= 2))
 
     if m == 1 and e.value is not None and e.minimizer is not None:
-        phi = e.minimizer
-        vphi = Fraction(value(phi))
-        for f in closure:
-            part = Fraction(value(commutator_of(f, phi)))
-            for g in closure:
-                lhs = Fraction(value(commutator_of(f, g)))
+        mul, inv, _, conj = _payload_ops(d)
+        phi = e.minimizer.payload
+        phi_inv, vphi = inv(phi), value(phi)
+        for i, f in enumerate(K.payloads):
+            part = 2 * value(mul(conj(f, phi, K.payloads[K.inv[i]]), phi_inv))
+            for j, c in enumerate(K.commutators(i)):
+                lhs = value(K.payloads[c])
                 chain.append(InequalityRow(
-                    "v([f,g]) <= 2 v([f,phi])",
-                    (to_literal(f), to_literal(g)), lhs, 2 * part, lhs <= 2 * part))
+                    "v([f,g]) <= 2 v([f,phi])", (lit[i], lit[j]), lhs, part, lhs <= part))
             chain.append(InequalityRow(
-                "2 v([f,phi]) <= 4 v(phi)", (to_literal(f),),
-                2 * part, 4 * vphi, 2 * part <= 4 * vphi))
+                "2 v([f,phi]) <= 4 v(phi)", (lit[i],), part, 4 * vphi, part <= 4 * vphi))
 
-    ok = all(r.ok for r in rows) and all(r.ok for r in chain)
-    return MasterReport(e, rows, chain, ambient_cl is not None, ok)
+    return MasterReport(e, rows, chain, within, all(r.ok for r in rows + chain))
 
 
 def verify_disjunction_inequality(d: GroupDescriptor, h1: SubgroupSpec,
@@ -848,18 +849,20 @@ def verify_disjunction_inequality(d: GroupDescriptor, h1: SubgroupSpec,
     subgroup closures.  A supplied ``energy`` must be e_1, and a finite one
     is re-checked: its minimizer conjugates ``h2`` to commute with ``h1``."""
     _refuse_foreign(d, norm, h1, h2)
-    value = norm_value_fn(norm)
     if energy is not None:
-        _check_energy(energy, 1, value, h1, h2)
+        _check_energy(energy, 1, norm_value_fn(norm), h1, h2)
     e = energy if energy is not None else disjunction_energy(d, h1, h2, norm)
     rows: list[InequalityRow] = []
     if e.value is not None:
-        for x1 in sorted(closure_of(h1), key=sort_key):
-            for x2 in sorted(closure_of(h2), key=sort_key):
-                lhs = Fraction(value(commutator_of(x1, x2)))
-                rhs = 4 * e.value
+        mul, inv, _, conj = _payload_ops(d)
+        pvalue = payload_value_fn(d, norm)
+        value = cache(lambda p: Fraction(pvalue(p)))  # per call: each element valued once
+        ones, twos = ([(to_literal(x), x.payload, inv(x.payload))
+                       for x in sorted(closure_of(s), key=sort_key)] for s in (h1, h2))
+        rhs = 4 * e.value
+        for l1, a, a_inv in ones:
+            for l2, b, b_inv in twos:
+                lhs = value(mul(conj(a, b, a_inv), b_inv))
                 rows.append(InequalityRow(
-                    "v([x1,x2]) <= 4 e(H1,H2)",
-                    (to_literal(x1), to_literal(x2)), lhs, rhs, lhs <= rhs))
-    ok = all(r.ok for r in rows)
-    return MasterReport(e, rows, [], False, ok)
+                    "v([x1,x2]) <= 4 e(H1,H2)", (l1, l2), lhs, rhs, lhs <= rhs))
+    return MasterReport(e, rows, [], False, all(r.ok for r in rows))

@@ -364,34 +364,17 @@ def generator_filtration_norm(g: Element, generators: Iterable[Element]) -> int:
 def _in_abelian_span(g: Element, gens: list[Element]) -> bool:
     d = g.descriptor
     if d.family == "z2inf":
-        # GF(2) linear basis over int masks, keyed by leading bit
-        pivots: dict[int, int] = {}
-        for x in gens:
-            b = _bit_mask(x)
-            while b:
-                h = b.bit_length() - 1
-                if h in pivots:
-                    b ^= pivots[h]
-                else:
-                    pivots[h] = b
-                    break
-        t = _bit_mask(g)
-        while t:
-            h = t.bit_length() - 1
-            if h not in pivots:
-                return False
-            t ^= pivots[h]
-        return True
+        # the GF(2) span is the integer span with 2 e_i for each coordinate i
+        width = max(len(x.payload) for x in [g, *gens])
+        rows = [x.payload + (0,) * (width - len(x.payload)) for x in gens]
+        rows += [(0,) * i + (2,) + (0,) * (width - i - 1) for i in range(width)]
+        return _lattice_contains(rows, g.payload + (0,) * (width - len(g.payload)))
     if _is_free_abelian(d):
         return _lattice_contains([_exponent_vector(x) for x in gens],
                                  _exponent_vector(g))
     if gd.finite(d):
         return g in subgroup_closure(gens)
     raise ValueError(f"span membership is undecidable for {d}")
-
-
-def _bit_mask(g: Element) -> int:
-    return sum(b << i for i, b in enumerate(g.payload))
 
 
 def _is_free_abelian(d: GroupDescriptor) -> bool:
@@ -411,36 +394,26 @@ def _exponent_vector(g: Element) -> tuple[int, ...]:
 
 
 def _lattice_contains(rows: list[tuple[int, ...]], target: tuple[int, ...]) -> bool:
-    """Integer row-span membership via gcd echelon reduction."""
-    work = [list(r) for r in rows if any(r)]
-    t = list(target)
-    cols = len(t)
-    r = 0
-    echelon: list[list[int]] = []
-    for c in range(cols):
-        while True:
-            nz = [i for i in range(r, len(work)) if work[i][c] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(work[i][c]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = work[i][c] // work[i0][c]
-                if q:
-                    work[i] = [x - q * y for x, y in zip(work[i], work[i0])]
-        nz = [i for i in range(r, len(work)) if work[i][c] != 0]
-        if not nz:
-            continue
-        work[r], work[nz[0]] = work[nz[0]], work[r]
-        echelon.append(work[r])
-        r += 1
-    for row in echelon:
-        c = next(i for i, v in enumerate(row) if v != 0)
-        if t[c] % row[c] != 0:
+    """Integer row-span membership, column by column: Euclid's algorithm
+    leaves one row with a non-zero entry in the column, the pivot, and the
+    target is in the span only if a multiple of it clears the target's entry."""
+    work, t = [list(r) for r in rows], list(target)
+    for c in range(len(t)):
+        live = [r for r in work if r[c]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda r: abs(r[c]))
+            for r in live:
+                if r is not pivot:
+                    q = r[c] // pivot[c]
+                    r[:] = [x - q * y for x, y in zip(r, pivot)]
+            live = [r for r in live if r[c]]
+        if live:  # the rows left are zero up to column c
+            work.remove(live[0])
+            q = t[c] // live[0][c]
+            t = [x - q * y for x, y in zip(t, live[0])]
+        if t[c]:
             return False
-        q = t[c] // row[c]
-        t = [x - q * y for x, y in zip(t, row)]
-    return not any(t)
+    return True
 
 
 # ---------------------------------------------------------------------------

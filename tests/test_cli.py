@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from cinorm import (
 )
 from cinorm.cache import cache_clear, cache_dir, cache_get, cache_key, cache_put, cache_stats
 from cinorm.cli import ExperimentConfig, _build_parser, main, run_suite
+from cinorm.descriptors import _Interned
 from cinorm.serialize import norm_table_payload, norm_table_to_json
 
 
@@ -82,6 +84,35 @@ def test_a_huge_order_is_refused_without_computing_it(argv, capsys, monkeypatch)
     assert main(argv) == 3
     assert capsys.readouterr().err == ("resource guard tripped: |sn:300000| has 1512852 "
                                        "digits and exceeds the guard 10000000\n")
+
+
+BIG, HUGE = "1" + "0" * 400, "1" + "0" * 305
+
+
+@pytest.mark.parametrize("group, field", [
+    (f"sn:{BIG}", "n"), (f"an:{BIG}", "n"), (f"slp:{BIG}:2", "n"),
+    (f"wreath:sn:3:zn:{BIG}", "n"), (f"wreath:sn:{BIG}:zn:3", "n"), (f"bar:sn:{BIG}", "n"),
+    (f"product:sn:3,sn:{BIG}", "n"),
+    # six logs of about 3e307 each sum past the largest float
+    ("product:" + ",".join([f"sn:{HUGE}"] * 6), "parts"),
+], ids=lambda x: x.replace(BIG, "1e400").replace(HUGE, "1e305"))
+def test_a_field_too_large_for_a_float_exits_2(group, field, capsys):
+    # its log10 overflowed a float while the descriptor was parsed, and the
+    # OverflowError ended the CLI with a traceback and exit 1
+    assert main(["cld", "--group", group]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: descriptor field {field} is too large: the size of this ")
+    assert err.endswith(" group does not fit a float\n") and err.count("\n") == 1
+    assert all(d.n < 10 ** 399 and len(d.parts) < 6 for d in list(_Interned._live.values()))
+
+
+def test_a_large_prime_modulus_is_refused_by_the_guard_at_once(capsys):
+    # trial division up to its square root ran for minutes before the guard
+    start = time.perf_counter()
+    assert main(["cld", "--group", "slp:2:1000000000000000003"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == ("resource guard tripped: |slp:2:1000000000000000003| "
+                                       "has 55 digits and exceeds the guard 10000000\n")
 
 
 def test_failure_report_carries_witness(tmp_path):

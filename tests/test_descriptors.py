@@ -16,7 +16,7 @@ import pytest
 
 import cinorm
 from cinorm import enumeration
-from cinorm.descriptors import GroupDescriptor, _Interned, _order_within, _size
+from cinorm.descriptors import GroupDescriptor, _Interned, _is_prime, _order_within, _size
 from cinorm import (
     GuardExceededError,
     SubgroupSpec,
@@ -224,10 +224,21 @@ SIZED = (["sn:4", "an:4", "free:2", "aff-z", "z2inf", "slz:3", "slp:2:5", "wreat
          + ["slp:8:7", "slp:30:2", "bar:wreath:sn:3:zn:40", "product:(bar:sn:20),an:30"])
 
 
-@pytest.mark.parametrize("text", SIZED)
+# the descriptors of test_degenerate_fields_are_still_sized, of order 0, 0
+# and 100!: A_0 is trivial, and a zero ring or part makes the order 0
+DEGENERATE = [
+    pytest.param(lambda: GroupDescriptor("slp", n=11, p=1), id="slp-modulus-1"),
+    pytest.param(lambda: GroupDescriptor("wreath-zn", n=0, base=symmetric(100)),
+                 id="wreath-ring-0"),
+    pytest.param(lambda: product(GroupDescriptor("an", n=0), symmetric(100)),
+                 id="product-order-0"),
+]
+
+
+@pytest.mark.parametrize("text", SIZED + DEGENERATE)
 def test_the_stored_size_is_the_order_or_its_log(text):
     # exact only below 2^99, where the fields' test may still leave the log
-    d = parse_descriptor(text)
+    d = parse_descriptor(text) if isinstance(text, str) else text()
     size = order(d)
     if size is None:
         assert d._size is None
@@ -255,6 +266,32 @@ def test_every_copy_of_a_descriptor_carries_its_size(text):
     gc.collect()
     assert gone() is None
     assert vars(parse_descriptor(text))["_size"] == size
+
+
+def _trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_the_primality_test_matches_trial_division():
+    assert [p for p in range(10 ** 5) if _is_prime(p) != _trial_division(p)] == []
+
+
+@pytest.mark.parametrize("p", [3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_are_not_prime(p):
+    # strong pseudoprimes to the first 4 and the first 9 prime bases
+    assert not _is_prime(p)
+    with pytest.raises(ValueError, match="^modulus must be prime$"):
+        parse_descriptor(f"slp:2:{p}")
+
+
+def test_a_modulus_past_the_exact_primality_bound_is_refused():
+    assert _is_prime(10 ** 18 + 3) and str(parse_descriptor("slp:2:1000000000000000003"))
+    bound = 3_317_044_064_679_887_385_961_981
+    for p in (bound, bound + 2, 10 ** 400 + 267):
+        with pytest.raises(ValueError, match=f"^modulus must be below {bound}, "):
+            sl_mod(2, p)
+    with pytest.raises(ValueError, match="^modulus must be prime$"):
+        parse_descriptor("slp:2:4")
 
 
 @pytest.mark.parametrize("make, field", [

@@ -132,6 +132,13 @@ def test_one_owner_keeps_per_descriptor_state():
     assert owners == {("descriptors", "__reduce__")}
 
 
+def test_displacement_forms_no_commutator_element():
+    # the inequality verifiers read [f, g] from H's kernel and form the rest
+    # on payloads; the witness re-checks conjugate, and form no commutator
+    tree = ast.parse((PACKAGE / "displacement.py").read_text())
+    assert "commutator_of" not in _names(tree)
+
+
 def test_only_descriptors_reads_the_stored_size():
     # every other module sizes a group through descriptors' functions, so the
     # guards read one size and write one message

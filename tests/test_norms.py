@@ -45,6 +45,7 @@ from cinorm import (
     qk_norm,
     quasinorm_to_norm,
     stabilization_upper,
+    subgroup_closure,
     support_norm,
     support_norm_table,
     symmetric,
@@ -263,6 +264,27 @@ def test_generator_filtration_norm():
     assert generator_filtration_norm(vec(3, 0), gens) == 1
     with pytest.raises(ValueError):
         generator_filtration_norm(vec(1, 1), [vec(2, 0), vec(0, 1)][:1])
+
+
+def test_z2inf_filtration_matches_the_closures():
+    # the GF(2) span, decided as the integer span with 2 e_i for each
+    # coordinate, against the closures of the first k words: seeded binary
+    # words of length <= 6, the empty word and repeats included
+    rng = random.Random(34)
+
+    def word():
+        return binary_word([rng.randint(0, 1) for _ in range(rng.randint(0, 6))])
+    for _ in range(300):
+        gens = [word() for _ in range(rng.randint(1, 4))]
+        g = word()
+        spans = [subgroup_closure(gens[:k]) for k in range(1, len(gens) + 1)]
+        want = 0 if g.is_identity() else next(
+            (k for k, span in enumerate(spans, 1) if g in span), None)
+        if want is None:
+            with pytest.raises(ValueError, match="outside the span"):
+                generator_filtration_norm(g, gens)
+        else:
+            assert generator_filtration_norm(g, gens) == want
 
 
 def brute_filtration(g, gens, exponents):

@@ -410,7 +410,7 @@ def test_scans_refuse_a_norm_table_of_another_group(text, table_text, monkeypatc
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the norm was checked")
-    for name in ("_conjugates", "closure_of", "commutator_length_over"):
+    for name in ("_conjugates", "closure_of", "domain_kernel"):
         monkeypatch.setattr(displacement, name, no_work)
     calls = [lambda t: displacement_energy(d, h, 1, t),
              lambda t: displacement_energy(d, h, 2, t),
