@@ -246,18 +246,35 @@ def _size(d: GroupDescriptor) -> int | float | None:
     return sum(logs) + (math.log10(2) + logs[0] if f == "bar" else 0)
 
 
+#: Most digits of an order computed only to settle its digit count.
+_EXACT_DIGITS = 100_000
+
+
+def _slack(log: float) -> float:
+    """The float error of a ``log10 |d|`` from :func:`_size`, with room."""
+    return 1e-6 + 1e-12 * log
+
+
+def _digits_settled(log: float) -> bool:
+    """Whether ``int(log) + 1`` is the digit count of |d|, beyond the float
+    error of ``log = log10 |d|``."""
+    slack = _slack(log)
+    return slack < log - int(log) < 1 - slack
+
+
 def _order_or_log(d: GroupDescriptor, bound: int) -> int | float | None:
     """|d| as an int, or ``log10 |d|`` as a float when the log alone shows,
-    beyond its float error, that |d| exceeds ``bound`` and has ``int(log) +
-    1 >= 31`` digits; ``None`` when ``d`` is infinite.  Both are read from
-    the size stored at intern time (:func:`_size`), and the order is
-    computed only when that log leaves the answer open, so a huge group
+    beyond its float error, that |d| exceeds ``bound`` and has at least 31
+    digits; ``None`` when ``d`` is infinite.  Both are read from the size
+    stored at intern time (:func:`_size`), and the order is computed only
+    when that log leaves the comparison open, or leaves the digit count open
+    on an order of at most :data:`_EXACT_DIGITS` digits, so a huge group
     costs its log alone."""
     size = d._size
     if type(size) is not float:
         return size
-    slack, k = 1e-6 + 1e-12 * size, int(size)
-    if size - slack > max(30, math.log10(max(bound, 1))) and slack < size - k < 1 - slack:
+    if size - _slack(size) > max(30, math.log10(max(bound, 1))) and (
+            size > _EXACT_DIGITS or _digits_settled(size)):
         return size
     return order(d)
 

@@ -36,7 +36,7 @@ Known order.  The BFS finds L names, so the stabilizer S of H's name has
 order |G|/L (orbit-stabilizer).  Every Schreier generator lies in S, so
 once the chain's order is |G|/L it is S, and every later Schreier generator
 lies in it already: adding it changes no level of the chain.  So
-:func:`_orbit_search` stops there, and the chain, the transversal, action
+:func:`_normalizer_chain` stops there, and the chain, the transversal, action
 and tree, and every witness are those of the search that adds every
 Schreier generator.  If the edges run out first, the chain holds every
 Schreier generator, so it is S by Schreier's lemma as long as the
@@ -47,23 +47,56 @@ took.  For Sym{1,2,3} in S9 the chain is complete after 20 of the 85
 Schreier generators, with 7 at level 0, and for Sym{1..6} in S12 after 26
 of 925, with 9.
 
-Kept search.  The search is kept with G in ``enumeration.kept``, under
-``("conjugates", E)`` with E the element set of H as payloads, and the
-conjugates that commute with ``fixed`` under ``("near0", E_fixed,
-E_moved)``.  The key determines the result: the names, the BFS and the
-chain are built from E and ``group_generators(d)`` alone (the orbit key's
-``normalizes`` asks whether g normalizes H, which does not depend on the
-generators it is tested on), and whether ``t moved t^-1`` commutes with
-``fixed`` depends on the two subgroups, not on their generators.  So a
-second call on H, with any generators, repeats no search.  The order guard
-runs on every call before the lookup, and the clique guard is checked
-again on a kept orbit, with the message of the search; a search that
-raises keeps nothing, and every walk and re-check still runs per call.
-Kept objects are shared, so nothing changes them: the orbit's fields and
-``near0`` are tuples, and no caller writes to the chain or its levels.  The
-store holds one orbit (its transversal, action, tree and chain) and
-one near-list per subgroup asked, for groups of order at most 8!, and
-evicts them with the rest of their group's state.
+Class lemma.  The orbit of H's conjugates, the generators' action on it
+and the commutation graph depend only on H's conjugacy class, so one search
+serves the class (:func:`_find_class`).  (a) The check.  Let S(K) be the
+stabilizer of the name of K.  For t in G, S(name(t H t^-1)) = S(t name(H))
+= t S t^-1 by (b) of the orbit key, and N(t H t^-1) = t N t^-1; so S = N
+for H exactly when it holds for every conjugate of H, and the orbit key's
+check, run once on the chain of the class's first subgroup H_0, covers
+every conjugate: S(name(t H_0 t^-1)) = t S t^-1 = t N t^-1 = N(t H_0 t^-1).
+A class whose H_0 fails the check is searched again on element sets and
+only then kept.  (b) Rooting.  Names and conjugates are in bijection, and
+``action[s][x]`` is the index of the name of ``s H_x s^-1``.  So for H =
+H_j the BFS over the kept action from j (:func:`_rooted`) meets the points
+in the order, and by the edges, in which the name BFS from H_j meets their
+names; its transversal is formed by the same products ``s t``, and its
+action and tree are the same after renumbering.  The chain of N_G(H_j) is
+grown from the same Schreier generators in the same order, so it is the
+one the search from H_j builds (:func:`_normalizer_chain`), and every
+witness, report and walk is unchanged.  (c) The graph.  Conjugation by t
+maps the commutation graph onto itself, so H_j's commuting conjugates are
+the neighbourhood of j in the graph the class builds from H_0's commuting
+list (below), renumbered.
+
+Kept search.  The classes are kept with G in ``enumeration.kept``, under
+``"classes"``, each built once and indexed by the hash of every
+conjugate's name: its element set (as payloads) when the class was searched
+on element sets, its orbit key name otherwise.  H's class is looked up by
+the hash of H's element set, then by that of H's name, and a candidate
+``t_j H_0 t_j^-1`` must have H's element set: hashes may collide, and names
+do (Sym(A) and <(a b c)> both name {A}).  Else the class is searched.  A
+search that raises, or whose orbit key check fails, keeps nothing.  The orbit of each
+subgroup asked is kept under ``("conjugates", E)``, E its element set, and
+its commuting conjugates under ``("near0", E_fixed, E_moved)``.  The key
+determines the result: the names, the BFS and the chain are built from E
+and ``group_generators(d)`` alone (the orbit key's ``normalizes`` asks
+whether g normalizes H, which does not depend on the generators it is
+tested on), and whether ``t moved t^-1`` commutes with ``fixed`` depends on
+the two subgroups, not on their generators.  So a second call on H, with
+any generators, repeats no search, and a conjugate of a kept class runs no
+name BFS and, for its own commuting list, no commuting test.  A chain is
+built when a walk first reads it, so a search that the clique bound ends
+builds none.  The order guard runs on every call before the lookup, the
+clique guard is checked again on a kept class, with the message of the
+search, ``|orbit| |N| = |G|`` is checked whenever a chain is built, and
+every walk and re-check still runs per call.  Kept objects are shared, so
+nothing changes them but the chain and graph they build once: the orbit's
+fields and ``near0`` are tuples, and no caller writes to the chain or its
+levels.  The store holds, for groups of order at most 8!, one class (its
+names, its H_0's orbit and its graph) per class met, and one orbit and one
+near-list per subgroup asked, and evicts them with the rest of their
+group's state.
 
 The conjugates form a commutation graph, which conjugation by any element
 maps onto itself.  So only H is tested against the conjugates, which gives
@@ -101,9 +134,21 @@ generator not yet in the chain joins ``gens[0]``, and G_(k+1) is the
 stabilizer of k in G_k (:class:`_StabChain`).  So N_k = U_k N_(k+1), and
 its orbits are those of N_(k+1) joined by x ~ u(x) for u in U_k; they are
 labelled once per search, from the bottom of the chain up
-(:func:`_orbit_bound`).  The trivial norm is bounded below by 1 under a
-prefix other than the identity's, whose leaves are all non-identity; every
-other norm is bounded below by 0.
+(:func:`_orbit_bound`).
+
+Floor bound.  Every other norm is bounded below by c under a prefix other
+than the identity's and by 0 under the identity's (:func:`_floor_bound`),
+with c = 1 for the trivial norm, c the least value off the identity,
+clamped at 0, for a table, and c = 0 for any other callable.  Valid: the
+leaves under a prefix other than the identity's are all non-identity, so
+their values are at least the least value off the identity, which is c when
+c > 0.  Refusals: a walk refuses a leaf batch holding a negative value.  If
+a table has a negative value off the identity, c = 0 and the bound is the
+zero bound every table had, so the walk is the same.  Otherwise only the
+identity's value can be negative; pruning drops only subtrees whose leaves
+could not become the best, so the best at each node walked is the same,
+and the nodes over the identity, bounded by 0 as before, are walked exactly
+when they were.  So a table is refused exactly where it was.
 
 Clique bound.  If H is non-abelian and phi is a strong m-displacer of H, the
 m+1 conjugates phi^k H phi^-k (k = 0..m) form an (m+1)-clique through H.
@@ -133,7 +178,6 @@ from functools import cache
 from itertools import combinations, repeat
 from math import prod
 from operator import ne
-from typing import NamedTuple
 
 from . import descriptors as gd
 from .descriptors import PERMUTATION_FAMILIES, GroupDescriptor
@@ -157,6 +201,7 @@ from .kernel import domain_kernel
 from .literals import to_literal
 from .norms import (
     NormLike,
+    NormTable,
     _commutator_length,
     _refuse_partial_table,
     commutator_length,
@@ -299,13 +344,24 @@ class _FlatChain:
         return [(dict(enumerate(self.elements)), 0)]
 
 
-class _Orbit(NamedTuple):
+@dataclass(eq=False, slots=True)
+class _Orbit:
     """The conjugates ``H_i = t[i] H t[i]^-1`` of H (``H_0 = H``), in BFS
-    order from H under conjugation by the generators of G."""
+    order from H under conjugation by the generators of G, and the chain of
+    N = N_G(H), built when first read (:func:`_normalizer_chain`)."""
     trans: tuple  # t[i], with t[0] = 1; the conjugators of H_i are t[i] N
-    chain: _StabChain | _FlatChain  # N = N_G(H)
-    action: tuple[tuple[int, ...], ...]  # action[s][i] = j where s H_i s^-1 = H_j
+    action: tuple  # action[s][i] = j where s H_i s^-1 = H_j
     tree: tuple  # tree[i] = (parent, s): H_i = s H_parent s^-1, for i >= 1
+    d: GroupDescriptor
+    size: int  # |G|
+    steps: tuple  # (s, s^-1) for each generator s of G
+    _chain: _StabChain | _FlatChain | None = None
+
+    @property
+    def chain(self) -> _StabChain | _FlatChain:
+        if self._chain is None:
+            self._chain = _normalizer_chain(self)
+        return self._chain
 
     def commuting(self, commutes, inv) -> tuple[int, ...]:
         """The i with ``commutes(t[i], t[i]^-1)``, in orbit order, each t[i]
@@ -314,55 +370,120 @@ class _Orbit(NamedTuple):
         return tuple(i for i, t in enumerate(self.trans) if commutes(t, inv(t)))
 
 
+@dataclass(eq=False, slots=True)
+class _Class:
+    """A conjugacy class of subgroups, kept once with its group (class
+    lemma, module docstring): the orbit of the first subgroup H_0 asked, the
+    orbit point of each conjugate by the hash of its name, and the
+    commutation graph on the conjugates, built when first asked for."""
+    orbit: _Orbit
+    root: SubgroupSpec  # H_0
+    order: int  # |H_0|
+    where: dict
+    _near: object = None
+
+    def holds(self, j: int, elements: frozenset) -> bool:
+        """Whether ``t[j] H_0 t[j]^-1`` has the element set ``elements``: it
+        has as many elements, and the conjugates of H_0's generators lie in
+        it."""
+        if len(elements) != self.order:
+            return False
+        _, inv, _, conj = _payload_ops(self.orbit.d)
+        t = self.orbit.trans[j]
+        t_inv = inv(t)
+        return all(conj(t, g.payload, t_inv) in elements for g in self.root.generators)
+
+    def near(self):
+        """The neighbourhoods of the commutation graph on the class: H_0's
+        commuting list, mapped down the tree (:func:`_commutation_graph`)."""
+        if self._near is None:
+            orb, h = self.orbit, self.root
+            self._near = _commutation_graph(
+                orb, orb.commuting(_commuter(orb.d, h, h), _payload_ops(orb.d)[1]))
+        return self._near
+
+
 def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
                 cap: int | None = None) -> _Orbit:
     """Orbit-stabilizer for H under conjugation (Holt, Eick and O'Brien,
     *Handbook of Computational Group Theory*, 2005, ch. 4 and §4.1): the
-    transversal, the chain of the normalizer N grown by the
-    Schreier generators ``t[j]^-1 s t[i]`` until it has order
-    ``|G| / |orbit|`` (known order, module docstring; a stabilizer chain for
-    ``sn``/``an``, one level holding the payload closure otherwise), and the
-    action of each generator on the orbit points with the BFS tree (a
-    Schreier vector).  ``cap`` bounds the number of conjugates.
+    transversal, the action of each generator on the orbit points with the
+    BFS tree (a Schreier vector), and the chain of the normalizer N (a
+    stabilizer chain for ``sn``/``an``, one level holding the payload
+    closure otherwise), built when first read.  ``cap`` bounds the number of
+    conjugates.
 
-    On ``sn``/``an`` the conjugates are first named by their point orbits,
-    and the finished chain's level-0 generators are checked to normalize H
-    (orbit key, module docstring); when one does not, the search runs again
-    named by the conjugates' element sets.
-
-    The search is kept with G (kept search, module docstring), so the orbit
-    returned is shared: no caller may change it, its chain or its levels."""
+    The orbit is read off H's conjugacy class, searched once and kept with G
+    (class lemma, module docstring), and the orbit itself is kept per
+    subgroup, so it is shared: no caller may change it, its chain or its
+    levels."""
     return _kept_conjugates(d, h, limit, cap)[0]
 
 
 def _payloads(h: SubgroupSpec) -> frozenset:
-    """The element set of H, as payloads: the key of its kept search."""
+    """The element set of H, as payloads: the key of its kept orbit."""
     return frozenset(g.payload for g in closure_of(h))
 
 
-def _kept_conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
-                     cap: int | None) -> tuple[_Orbit, frozenset]:
-    """:func:`_conjugates`, with H's element set as payloads."""
+def _refuse_clique(count: int, cap: int | None) -> None:
+    if cap is not None and count > cap:
+        raise GuardExceededError(f"{cap + 1} conjugate subgroups reached, "
+                                 f"above the clique guard {cap}")
+
+
+def _kept_conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int, cap: int | None):
+    """``(orbit, elements, near0)``: :func:`_conjugates`, H's element set as
+    payloads, and ``near0()``, the kept list of the conjugates that commute
+    with H, in orbit order: H's neighbourhood in its class's commutation
+    graph, renumbered."""
     if h.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
     size = _checked_order(d, limit)
     elements = _payloads(h)
+    orb, cls, j = kept(d, ("conjugates", elements),
+                       lambda: _rooted(*_find_class(d, size, h, elements, cap)))
+    _refuse_clique(len(orb.trans), cap)  # the class may be kept by an uncapped search
 
-    def search() -> _Orbit:
-        orb = None
-        if d.family in PERMUTATION_FAMILIES:
-            orb = _orbit_search(d, size, *_orbit_key(d, h, elements), cap)
-        if orb is None:  # two conjugates share their point orbits
-            orb = _orbit_search(d, size, *_exact_key(d, elements), cap)
-        if len(orb.trans) * orb.chain.order() != size:
-            raise AssertionError(f"orbit-stabilizer count {len(orb.trans)} * "
-                                 f"{orb.chain.order()} is not |{d}| = {size}")
-        return orb
-    orb = kept(d, ("conjugates", elements), search)
-    if cap is not None and len(orb.trans) > cap:  # kept by an uncapped search
-        raise GuardExceededError(f"{cap + 1} conjugate subgroups reached, "
-                                 f"above the clique guard {cap}")
-    return orb, elements
+    def renumbered() -> tuple[int, ...]:
+        near = cls.near()(j)
+        return tuple(i for i, x in enumerate(_bfs(cls.orbit.action, j)[0]) if x in near)
+    return orb, elements, lambda: kept(d, ("near0", elements, elements), renumbered)
+
+
+def _find_class(d: GroupDescriptor, size: int, h: SubgroupSpec, elements: frozenset,
+                cap: int | None) -> tuple[_Class, int]:
+    """``(cls, j)`` with H = H_j of a kept class ``cls``, looked up by the
+    hash of H's element set, then by the hash of H's orbit key name, where
+    the candidate ``t[j] H_0 t[j]^-1`` must have H's element set (hashes may
+    collide, and so do names: Sym(A) and <(a b c)> both name {A}); else a
+    new class, searched from H = H_0 and kept only once its search
+    succeeds."""
+    classes = kept(d, "classes", list)
+
+    def find(key: int) -> tuple[_Class, int] | None:
+        for cls in classes:
+            j = cls.where.get(key)
+            if j is not None and cls.holds(j, elements):
+                return cls, j
+        return None
+    hit = find(hash(elements))
+    if hit is not None:
+        return hit
+    orb = None
+    if d.family in PERMUTATION_FAMILIES:
+        name, act, normalizes = _orbit_key(d, h, elements)
+        hit = find(hash(name))
+        if hit is not None:
+            return hit
+        orb, where = _name_search(d, size, name, act, cap)
+        if not all(map(normalizes, orb.chain.gens[0])):  # conjugates share their orbits
+            orb = None
+    if orb is None:
+        name, act, _ = _exact_key(d, elements)
+        orb, where = _name_search(d, size, name, act, cap)
+    cls = _Class(orb, h, len(elements), {hash(k): j for k, j in where.items()})
+    classes.append(cls)
+    return cls, 0
 
 
 def _exact_key(d: GroupDescriptor, elements: frozenset):
@@ -392,47 +513,87 @@ def _orbit_key(d: GroupDescriptor, h: SubgroupSpec, elements: frozenset):
     return frozenset(o for o in orbits if len(o) > 1), act, normalizes
 
 
-def _orbit_search(d: GroupDescriptor, size: int, name, act, normalizes,
-                  cap: int | None) -> _Orbit | None:
-    """The search of :func:`_conjugates` over the names of H's conjugates, in
-    two phases.  First the BFS: ``act(name, s, s^-1)`` names the conjugate
-    by s of the one named, and each non-tree edge is recorded, not yet
-    formed.  Then, in BFS order, the Schreier generator of each edge joins
-    the chain, until the chain reaches the order ``size / |orbit|`` (known
-    order, module docstring).  None when ``normalizes`` is given and fails
-    on a generator of the chain's level 0."""
+def _name_search(d: GroupDescriptor, size: int, name, act,
+                 cap: int | None) -> tuple[_Orbit, dict]:
+    """The BFS over the names of H's conjugates: ``act(name, s, s^-1)``
+    names the conjugate by s of the one named.  The orbit of H, its chain
+    not yet built, and the orbit point of each name."""
     mul, inv, one, _ = _payload_ops(d)
-    steps = [(s.payload, inv(s.payload)) for s in group_generators(d)]
-    names = [name]
-    where = {name: 0}
-    trans, trans_inv, tree = [one], [one], [None]
+    steps = tuple((s.payload, inv(s.payload)) for s in group_generators(d))
+    names, where = [name], {name: 0}
+    trans, tree = [one], [None]
     action: list[list[int]] = [[] for _ in steps]
-    edges = []  # (j, s, t): the Schreier generator t[j]^-1 s t, unformed
     for i, t in enumerate(trans):  # trans grows while it is walked: a BFS
         for si, (s, s_inv) in enumerate(steps):
             k = act(names[i], s, s_inv)
             j = where.get(k)
             if j is None:
-                if cap is not None and len(names) >= cap:
-                    raise GuardExceededError(
-                        f"{len(names) + 1} conjugate subgroups reached, "
-                        f"above the clique guard {cap}")
+                _refuse_clique(len(names) + 1, cap)
                 j = where[k] = len(names)
                 names.append(k)
                 trans.append(mul(s, t))
-                trans_inv.append(mul(trans_inv[i], s_inv))
                 tree.append((i, si))
-            else:
-                edges.append((j, s, t))
             action[si].append(j)
+    return _Orbit(tuple(trans), tuple(map(tuple, action)), tuple(tree), d, size, steps), where
+
+
+def _bfs(action: tuple, j: int) -> tuple[list[int], dict, list]:
+    """The BFS over ``action`` from the point j: the points in the order met,
+    the place of each point in that order, and the tree, ``(parent, s)`` for
+    each point met after j."""
+    at, pos, tree = [j], {j: 0}, [None]
+    for i, x in enumerate(at):  # at grows while it is walked
+        for si, act in enumerate(action):
+            y = act[x]
+            if y not in pos:
+                pos[y] = len(at)
+                at.append(y)
+                tree.append((i, si))
+    return at, pos, tree
+
+
+def _rooted(cls: _Class, j: int) -> tuple[_Orbit, _Class, int]:
+    """``(orbit, cls, j)``: the orbit of H_j.  It is the BFS over the class's
+    action from j, step for step the name BFS from H_j (class lemma, module
+    docstring), with its transversal formed down the tree."""
+    orb = cls.orbit
+    if j == 0:
+        return orb, cls, j
+    at, pos, tree = _bfs(orb.action, j)
+    mul, _, one, _ = _payload_ops(orb.d)
+    trans = [one]
+    for parent, si in tree[1:]:
+        trans.append(mul(orb.steps[si][0], trans[parent]))
+    action = tuple(tuple([pos[act[x]] for x in at]) for act in orb.action)
+    return _Orbit(tuple(trans), action, tuple(tree), orb.d, orb.size, orb.steps), cls, j
+
+
+def _normalizer_chain(orb: _Orbit) -> _StabChain | _FlatChain:
+    """The chain of N, grown, in BFS order, by the Schreier generator
+    ``t[j]^-1 s t[i]`` of each edge ``s H_i s^-1 = H_j`` but those of the
+    tree, until it has the order ``|G| / |orbit|`` (known order, module
+    docstring), and checked: ``|orbit| |N| = |G|``."""
+    d, size, trans, tree, steps = orb.d, orb.size, orb.trans, orb.tree, orb.steps
+    mul, _, one, _ = _payload_ops(d)
+    trans_inv = [one]
+    for parent, s in tree[1:]:
+        trans_inv.append(mul(trans_inv[parent], steps[s][1]))
+
+    def edges():
+        for i, t in enumerate(trans):
+            for si, ((s, _), act) in enumerate(zip(steps, orb.action)):
+                j = act[i]
+                if tree[j] != (i, si):  # not the edge that found H_j
+                    yield j, s, t
     chain = _StabChain(d) if d.family in PERMUTATION_FAMILIES else _FlatChain(d, size)
-    for j, s, t in edges:
+    for j, s, t in edges():
         if len(trans) * chain.order() == size:
             break
         chain.add(mul(trans_inv[j], mul(s, t)))
-    if normalizes is not None and not all(map(normalizes, chain.gens[0])):
-        return None
-    return _Orbit(tuple(trans), chain, tuple(map(tuple, action)), tuple(tree))
+    if len(trans) * chain.order() != size:
+        raise AssertionError(f"orbit-stabilizer count {len(trans)} * "
+                             f"{chain.order()} is not |{d}| = {size}")
+    return chain
 
 
 def _commuter(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec):
@@ -520,15 +681,29 @@ def _orbit_bound(n: int, levels: list):
     return bound
 
 
-def _zero_bound(s: tuple, k: int) -> int:
-    return 0
-
-
-def _trivial_bound(d: GroupDescriptor):
-    """The bound of :func:`~cinorm.norms.trivial_norm`: 1 under a prefix
-    other than the identity's, whose leaves are all non-identity, else 0."""
+def _floor_bound(d: GroupDescriptor, c):
+    """The floor bound (module docstring): c under a prefix other than the
+    identity's, whose leaves are all non-identity, and 0 under the
+    identity's."""
+    if not c:
+        return lambda s, k: 0
     one = _payload_ops(d)[2]
-    return lambda s, k: int(s[:k] != one[:k])
+    return lambda s, k: c if s[:k] != one[:k] else 0
+
+
+def _floor(d: GroupDescriptor, norm: NormLike | None):
+    """c of the floor bound: 1 for :func:`~cinorm.norms.trivial_norm`, the
+    least value off the identity of a table, clamped at 0, and 0 for any
+    other norm.  A table's values are read as distinct objects, in one
+    C-level pass with no comparison of values."""
+    if norm is trivial_norm:
+        return 1
+    if not isinstance(norm, NormTable):
+        return 0
+    rest = dict(norm.values)
+    del rest[Element(d, _payload_ops(d)[2])]
+    values = rest.values()
+    return max(min(dict(zip(map(id, values), values)).values(), default=0), 0)
 
 
 def _power_memo(test, moved: SubgroupSpec, m: int):
@@ -563,7 +738,8 @@ def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, ac
     multiplied out once: each node above them keys its leaves at once, and
     ``accept`` is asked of them in key order, only while the key is below
     the best.  Every bound but the support norm's assumes values >= 0, so
-    a negative value among the leaves is refused."""
+    a negative value among the leaves is refused (floor bound, module
+    docstring)."""
     mul, _, one, _ = _payload_ops(d)
     best = None
     cut = max(len(levels) - 1, 0)
@@ -614,21 +790,26 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     Values are the exact payload values of
     :func:`~cinorm.norms.payload_value_fn`.  The commuting cosets are walked
     down the chain of N by one :func:`_least_leaf` call, with the orbit
-    bound for :func:`~cinorm.norms.support_norm`, the trivial bound for
-    :func:`~cinorm.norms.trivial_norm` and 0 for every other norm; for
-    m >= 2 the powers are tested only on leaves below the best so far, once
-    per key of the power lemma on ``sn``/``an``."""
+    bound for :func:`~cinorm.norms.support_norm` and the floor bound for
+    every other norm; for m >= 2 the powers are tested only on leaves below
+    the best so far, once per key of the power lemma on ``sn``/``an``.
+    Commuting lists of H with itself are read off H's class graph, and the
+    chain is built only past the clique bound."""
     if m < 1:
         raise ValueError(f"m = {m}: a displacer needs m >= 1")
     if fixed.descriptor != d:
         raise DescriptorMismatchError(f"the subgroup lives in {fixed.descriptor}, not {d}")
     value = None if norm is None else payload_value_fn(d, norm)
-    orb, elements = _kept_conjugates(d, moved, limit, None)
+    orb, elements, own = _kept_conjugates(d, moved, limit, None)
     mul, inv, _, _ = _payload_ops(d)
     commutes = _commuter(d, fixed, moved)
     # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
     fixed_elements = elements if fixed is moved else _payloads(fixed)
-    near0 = kept(d, ("near0", fixed_elements, elements), lambda: orb.commuting(commutes, inv))
+    if fixed_elements == elements:
+        near0 = own()
+    else:
+        near0 = kept(d, ("near0", fixed_elements, elements),
+                     lambda: orb.commuting(commutes, inv))
     if fixed is moved and m >= 2 and not is_abelian_subgroup(fixed):
         if len(_max_clique(_commutation_graph(orb, near0), m + 1)) <= m:
             return EnergyResult(m, None, None)
@@ -645,10 +826,8 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     levels = orb.chain.levels()
     if norm is support_norm:
         bound = _orbit_bound(d.n, levels)
-    elif norm is trivial_norm:
-        bound = _trivial_bound(d)
     else:
-        bound = _zero_bound
+        bound = _floor_bound(d, _floor(d, norm))
     accept = None
     if m >= 2:
         accept = powers_commute
@@ -718,12 +897,11 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec,
     """
     if h.descriptor == d and is_abelian_subgroup(h):  # else _conjugates refuses h
         return PackingResult(None, None, True, degenerate=True)
-    orb, elements = _kept_conjugates(d, h, limit, CLIQUE_GUARD)
-    near0 = kept(d, ("near0", elements, elements),
-                 lambda: orb.commuting(_commuter(d, h, h), _payload_ops(d)[1]))
+    orb, _, own = _kept_conjugates(d, h, limit, CLIQUE_GUARD)
+    near0 = own()
     # the clique search meets only H's vertex 0 and its neighbours
     levels = orb.chain.levels()
-    least = {i: _least_leaf(d, [orb.trans[i]], levels, None, _zero_bound, None)
+    least = {i: _least_leaf(d, [orb.trans[i]], levels, None, _floor_bound(d, 0), None)
              for i in near0}
     best = _max_clique(_commutation_graph(orb, near0), len(near0) + 1, key=least.__getitem__)
     p = len(best)

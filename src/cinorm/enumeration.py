@@ -68,14 +68,15 @@ def subgroups_commute(a: SubgroupSpec, b: SubgroupSpec) -> bool:
 def _checked_order(d: GroupDescriptor, limit: int | None) -> int:
     """|d|, or a refusal above the guard.  A huge order is refused by its
     float ``log10`` alone (:func:`~cinorm.descriptors._order_or_log`), with
-    the digit count ``_order_text`` writes; any other order is computed
-    exactly."""
+    the digit count ``_order_text`` writes, or "about" that count when the
+    float cannot settle it; any other order is computed exactly."""
     guard = ENUMERATION_GUARD if limit is None else limit
     size = gd._order_or_log(d, guard)
     if size is None:
         raise InfiniteGroupError(f"{d} is infinite")
     if type(size) is float:
-        raise GuardExceededError(f"|{d}| has {int(size) + 1} digits and exceeds "
+        about = "" if gd._digits_settled(size) else "about "
+        raise GuardExceededError(f"|{d}| has {about}{int(size) + 1} digits and exceeds "
                                  f"the guard {guard}")
     if size > guard:
         raise GuardExceededError(f"|{d}| {_order_text(size)} exceeds the guard {guard}")

@@ -306,6 +306,25 @@ def test_a_log_bound_off_by_its_error_keeps_the_digit_count(k, monkeypatch):
                 _guard_outcome(_exact_checked_order, d, 10 ** 7)
 
 
+@pytest.mark.parametrize("text", ["sn:100000000000", "an:100000000000",
+                                  "wreath:sn:3:zn:1000000000000"])
+def test_a_huge_group_is_refused_by_its_log_alone(text, monkeypatch, capsys):
+    # from log10 |G| >= 5e11 the float's slack is at least 0.5, so the digit
+    # count is never settled, and the exact order was computed instead:
+    # `cld --group sn:100000000000` ran factorial(10^11) until it was killed
+    from cinorm.cli import main
+
+    def no_order(d):
+        raise AssertionError("the order was computed")
+    monkeypatch.setattr(enumeration.gd, "order", no_order)
+    d = parse_descriptor(text)
+    with pytest.raises(GuardExceededError,
+                       match=rf"^\|{text}\| has about \d+ digits and exceeds the guard 10000000$"):
+        enumeration._checked_order(d, None)
+    assert main(["cld", "--group", text]) == 3
+    assert "has about" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("table", [trivial_norm_table, support_norm_table])
 def test_kept_tables_still_meet_the_guard(table):
     d = symmetric(5)

@@ -1,6 +1,8 @@
-"""The conjugate search kept with its group: a warm store answers as a
-cleared one does, a repeat does no search work, guards still trip on a kept
-orbit, a search that raises keeps nothing, and no scan changes a kept orbit.
+"""The conjugate search kept with its group, once per conjugacy class: a
+warm store answers as a cleared one does, a repeat does no search work, a
+conjugate of a kept class runs no name search and no commuting test, a walk
+alone builds a chain, guards still trip on a kept orbit, a search that
+raises keeps nothing, and no scan changes a kept orbit.
 """
 
 import copy
@@ -14,6 +16,7 @@ from cinorm import (
     disjunction_energy,
     displacement_energy,
     enumerate_elements,
+    from_literal,
     packing_number,
     parse_descriptor,
     perm_from_cycles,
@@ -22,8 +25,9 @@ from cinorm import (
     trivial_norm_table,
     wreath_element,
 )
-from cinorm import displacement, enumeration
+from cinorm import displacement, enumeration, find_strong_displacer, product, subgroup_closure
 from cinorm.displacement import _FlatChain, _StabChain, _conjugates
+from cinorm.elements import conjugate_of
 
 GROUPS = ["sn:5", "sn:6", "sn:7", "sn:8", "an:5", "an:6", "an:7",
           "wreath:sn:3:zn:3", "slp:3:2"]
@@ -92,15 +96,20 @@ def test_one_level_chains_are_among_the_kept(text):
     assert isinstance(_conjugates(d, h, 10 ** 7).chain, _FlatChain)
 
 
-def _counting_searches(monkeypatch):
+def _counting(monkeypatch, *names):
+    """Count the calls of ``displacement.<name>`` for each name, together."""
     calls = [0]
-    search = displacement._orbit_search
-
-    def counted(*args):
-        calls[0] += 1
-        return search(*args)
-    monkeypatch.setattr(displacement, "_orbit_search", counted)
+    for name in names:
+        def counted(*args, f=getattr(displacement, name)):
+            calls[0] += 1
+            return f(*args)
+        monkeypatch.setattr(displacement, name, counted)
     return calls
+
+
+def _counting_searches(monkeypatch):
+    """Count the name searches and the orbits rooted in a kept class."""
+    return _counting(monkeypatch, "_name_search", "_rooted")
 
 
 def _sym3(d):
@@ -153,6 +162,11 @@ def _kept_searches(d):
     return [k for k in enumeration._store(d) if isinstance(k, tuple) and k[0] == "conjugates"]
 
 
+def _kept_names(d):
+    """The keys of the conjugates of every kept class."""
+    return [k for cls in enumeration._store(d).get("classes", ()) for k in cls.where]
+
+
 def test_a_search_that_raises_keeps_nothing(monkeypatch):
     d = symmetric(5)
     h = _sym3(d)
@@ -163,13 +177,14 @@ def test_a_search_that_raises_keeps_nothing(monkeypatch):
                       lambda d: (perm_from_cycles(d, (1, 2, 3, 4)),))
         with pytest.raises(AssertionError, match="orbit-stabilizer count"):
             _conjugates(d, h, 10 ** 7)
-    assert _kept_searches(d) == []
+    assert _kept_searches(d) == _kept_names(d) == []
     # nor does a search stopped by the clique guard
     with pytest.raises(GuardExceededError, match="^6 conjugate subgroups reached"):
         _conjugates(d, h, 10 ** 7, cap=5)
-    assert _kept_searches(d) == []
+    assert _kept_searches(d) == _kept_names(d) == []
     orb = _conjugates(d, h, 10 ** 7)
     assert len(orb.trans) * orb.chain.order() == 120 and len(_kept_searches(d)) == 1
+    assert len(_kept_names(d)) == 10
 
 
 def _state(orb):
@@ -194,3 +209,151 @@ def test_no_scan_changes_a_kept_orbit(text):
         _outcome(lambda: disjunction_energy(d, h2, h, norm))
     assert _conjugates(d, h, 10 ** 7) is orb
     assert _state(orb) == _state(before)
+
+
+# ---------------------------------------------------------------------------
+# one search per conjugacy class
+
+
+def _conjugate(h, w):
+    return SubgroupSpec(tuple(conjugate_of(g, w) for g in h.generators))
+
+
+def _counting_acts(monkeypatch):
+    """Count the calls of the name searches' ``act``, for both keys."""
+    calls = [0]
+    for name in ("_orbit_key", "_exact_key"):
+        make = getattr(displacement, name)
+
+        def counted_key(*args, make=make):
+            key, act, *rest = make(*args)
+
+            def counted(*a):
+                calls[0] += 1
+                return act(*a)
+            return (key, counted, *rest)
+        monkeypatch.setattr(displacement, name, counted_key)
+    return calls
+
+
+def _counting_commutes(monkeypatch):
+    """Count the commuting tests of ``_commuter``'s predicates."""
+    calls = [0]
+    make = displacement._commuter
+
+    def counted_commuter(*args):
+        commutes = make(*args)
+
+        def counted(*a):
+            calls[0] += 1
+            return commutes(*a)
+        return counted
+    monkeypatch.setattr(displacement, "_commuter", counted_commuter)
+    return calls
+
+
+@pytest.mark.parametrize("text,w", [("sn:7", "(1 4)(2 6 7)"), ("sn:8", "(1 8 3)(2 5)"),
+                                    ("sn:5", "(1 5)(2 3)"), ("wreath:sn:3:zn:3", None)])
+def test_a_conjugate_of_a_kept_class_runs_no_name_search_and_no_commuting_test(
+        text, w, monkeypatch):
+    d = parse_descriptor(text)
+    h = _sym3(d)
+    # on the wreath product the shift moves the lamp at 0 to the lamp at 1
+    twin = _conjugate(h, wreath_element(d, {}, 1) if w is None else from_literal(d, w))
+    cold = []
+    for k in (h, twin):
+        enumeration._store.cache_clear()
+        cold.append([_outcome(call) for call in _scans(d, k, k)[:4]])
+    enumeration._store.cache_clear()
+    for call in _scans(d, h, h)[:4]:  # H's class, its graph and its orbit kept
+        _outcome(call)
+    acts, searches = _counting_acts(monkeypatch), _counting(monkeypatch, "_name_search")
+    commutes = _counting_commutes(monkeypatch)
+    # packing, e_1 and e_2 under the support norm: no power is tested for
+    # m = 2, since the clique bound stops every search here but the wreath one
+    warm = [_outcome(call) for call in _scans(d, twin, twin)[:3]]
+    assert (acts[0], searches[0]) == (0, 0)
+    if d.family != "wreath-zn":
+        assert commutes[0] == 0
+    assert warm == cold[1][:3]
+
+
+@pytest.mark.parametrize("text,pts,w", [("sn:7", (1, 2, 3), ((1, 4), (2, 6, 7))),
+                                        ("sn:8", (1, 2, 3), ((1, 8, 3), (2, 5))),
+                                        ("sn:8", (2, 4, 6, 8), ((1, 2), (3, 4)))])
+def test_an_energy_stopped_by_the_clique_bound_builds_no_chain(text, pts, w, monkeypatch):
+    d = parse_descriptor(text)
+    h = SubgroupSpec((perm_from_cycles(d, pts[:2]), perm_from_cycles(d, pts)))
+    twin = _conjugate(h, perm_from_cycles(d, *w))
+    enumeration._store.cache_clear()
+    _conjugates(d, h, 10 ** 7)  # the class: H_0's chain is built for its check
+    chains = _counting(monkeypatch, "_normalizer_chain")
+    for norm in (support_norm, trivial_norm_table(d)):
+        assert displacement_energy(d, twin, 2, norm).value is None
+    assert not find_strong_displacer(d, twin, 2).found
+    assert chains[0] == 0
+    e = displacement_energy(d, twin, 1, support_norm)  # a walk: one chain, then kept
+    displacement_energy(d, twin, 1, support_norm)
+    assert chains[0] == 1 and e.value == 2 * len(pts)
+
+
+def test_the_clique_guard_trips_on_a_conjugate_of_a_kept_class(monkeypatch):
+    d = symmetric(7)
+    h = _sym3(d)  # 35 conjugates
+    twin = _conjugate(h, perm_from_cycles(d, (1, 5), (2, 6), (3, 7)))
+    enumeration._store.cache_clear()
+    displacement_energy(d, h, 1, support_norm)  # uncapped: the class is kept
+    searches = _counting(monkeypatch, "_name_search")
+    monkeypatch.setattr(displacement, "CLIQUE_GUARD", 10)
+    with pytest.raises(GuardExceededError,
+                       match=r"^11 conjugate subgroups reached, above the clique guard 10$"):
+        packing_number(d, twin)
+    monkeypatch.setattr(displacement, "CLIQUE_GUARD", 35)
+    assert packing_number(d, twin).p == 2
+    assert searches[0] == 0  # rooted in the kept class, not searched
+
+
+def test_the_order_guard_runs_first_on_a_kept_class():
+    d = symmetric(7)
+    h = _sym3(d)
+    twin = _conjugate(h, perm_from_cycles(d, (1, 5), (2, 6), (3, 7)))
+    enumeration._store.cache_clear()
+    packing_number(d, h)
+    for k in (h, twin):
+        with pytest.raises(GuardExceededError, match=r"^\|sn:7\| = 5040 exceeds the guard 100$"):
+            displacement_energy(d, k, 1, support_norm, limit=100)
+        with pytest.raises(GuardExceededError, match=r"^\|sn:7\| = 5040 exceeds the guard 100$"):
+            packing_number(d, k, limit=100)
+
+
+def test_groups_above_the_kept_order_search_per_call(monkeypatch):
+    d = symmetric(9)
+    h = _sym3(d)
+    twin = _conjugate(h, perm_from_cycles(d, (1, 7), (2, 8), (3, 9)))
+    searches = _counting(monkeypatch, "_name_search")
+    for k in (h, twin, h):
+        packing_number(d, k)
+    assert searches[0] == 3 and _kept_searches(d) == _kept_names(d) == []
+
+
+def test_the_orbit_stabilizer_count_is_checked_on_every_chain(monkeypatch):
+    # generators that miss the second factor: the element-set search builds
+    # no chain, so the count fails where a walk first reads one, for H and
+    # for a conjugate rooted in its class, and the failed chain is not kept
+    s3 = symmetric(3)
+    d = product(s3, s3)
+    h = SubgroupSpec((enumerate_elements(d)[6],))  # a transposition of the first factor
+    first = [g for g in enumeration.group_generators(d) if g.payload[1] == (0, 1, 2)]
+    enumeration._store.cache_clear()
+    monkeypatch.setattr(displacement, "group_generators", lambda d: tuple(first))
+    try:
+        orb = _conjugates(d, h, 10 ** 7)
+        assert len(orb.trans) == 3
+        twin = _conjugate(h, first[1])
+        for k in (h, twin, h):
+            with pytest.raises(AssertionError, match=r"^orbit-stabilizer count 3 \* 2 is not "
+                                                     r"\|product:sn:3,sn:3\| = 36$"):
+                displacement_energy(d, k, 1, trivial_norm_table(d))
+        assert len(subgroup_closure(first)) == 6
+    finally:  # the class searched with the short generating set
+        enumeration._store.cache_clear()

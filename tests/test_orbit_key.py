@@ -1,6 +1,7 @@
-"""The orbit key of ``_conjugates`` against the exact element-set key, and
-the chain it stops at the known order against one fed every Schreier
-generator.
+"""The orbit key of ``_conjugates`` against the exact element-set key, the
+chain it stops at the known order against one fed every Schreier
+generator, and every orbit read off a kept conjugacy class against a fresh
+search from its own subgroup.
 
 On ``sn``/``an`` the conjugates of H are named by their non-trivial point
 orbits, and the generators of the finished chain's level 0 are checked to
@@ -9,7 +10,13 @@ the orbit must be the one the exact key builds: the same transversal,
 action, BFS tree and chain levels.  The fixed subgroups below share their
 point orbits with other conjugates, so the orbit key fails there and the
 fallback runs.
+
+The oracle is :func:`_orbit_search`, the search the library ran afresh for
+each subgroup before it kept one search per conjugacy class.
 """
+
+import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -25,20 +32,75 @@ from cinorm import (
     symmetric,
     to_literal,
 )
-from cinorm import displacement
+from cinorm import displacement, enumeration
 from cinorm.descriptors import PERMUTATION_FAMILIES
 from cinorm.displacement import (
     _FlatChain,
     _StabChain,
+    _commuter,
     _conjugates,
     _exact_key,
+    _kept_conjugates,
     _orbit_key,
-    _orbit_search,
 )
 from cinorm.elements import Element, _payload_ops, _perm_parity
 from cinorm.enumeration import _checked_order, closure_of, enumerate_elements
 
 LIMIT = 10 ** 7
+
+
+def _orbit_search(d, size, name, act, normalizes, cap):
+    """The search of one subgroup H, from scratch, in two phases.  First the
+    BFS: ``act(name, s, s^-1)`` names the conjugate by s of the one named,
+    and each non-tree edge is recorded, not yet formed.  Then, in BFS order,
+    the Schreier generator of each edge joins the chain, until the chain
+    reaches the order ``size / |orbit|``.  None when ``normalizes`` is given
+    and fails on a generator of the chain's level 0."""
+    mul, inv, one, _ = _payload_ops(d)
+    steps = [(s.payload, inv(s.payload)) for s in group_generators(d)]
+    names = [name]
+    where = {name: 0}
+    trans, trans_inv, tree = [one], [one], [None]
+    action = [[] for _ in steps]
+    edges = []  # (j, s, t): the Schreier generator t[j]^-1 s t, unformed
+    for i, t in enumerate(trans):
+        for si, (s, s_inv) in enumerate(steps):
+            k = act(names[i], s, s_inv)
+            j = where.get(k)
+            if j is None:
+                assert cap is None or len(names) < cap
+                j = where[k] = len(names)
+                names.append(k)
+                trans.append(mul(s, t))
+                trans_inv.append(mul(trans_inv[i], s_inv))
+                tree.append((i, si))
+            else:
+                edges.append((j, s, t))
+            action[si].append(j)
+    chain = _StabChain(d) if d.family in PERMUTATION_FAMILIES else _FlatChain(d, size)
+    for j, s, t in edges:
+        if len(trans) * chain.order() == size:
+            break
+        chain.add(mul(trans_inv[j], mul(s, t)))
+    if normalizes is not None and not all(map(normalizes, chain.gens[0])):
+        return None
+    return SimpleNamespace(trans=tuple(trans), chain=chain,
+                           action=tuple(map(tuple, action)), tree=tuple(tree))
+
+
+def fresh_search(d, h):
+    """The orbit of H as the library built it for each subgroup: the orbit
+    key on ``sn``/``an``, the element-set key when it fails or elsewhere,
+    and the orbit-stabilizer count checked."""
+    size = _checked_order(d, LIMIT)
+    elements = frozenset(g.payload for g in closure_of(h))
+    orb = None
+    if d.family in PERMUTATION_FAMILIES:
+        orb = _orbit_search(d, size, *_orbit_key(d, h, elements), None)
+    if orb is None:
+        orb = _orbit_search(d, size, *_exact_key(d, elements), None)
+    assert len(orb.trans) * orb.chain.order() == size
+    return orb
 
 
 def _subgroup(text, h):
@@ -162,6 +224,7 @@ def test_the_orbit_key_checks_each_level_0_generator_once(n, pts, checks, monkey
     monkeypatch.setattr(displacement, "_orbit_key", counted_key)
     d = symmetric(n)
     h = SubgroupSpec((perm_from_cycles(d, pts[:2]), perm_from_cycles(d, pts)))
+    enumeration._store.cache_clear()  # S7's class is searched here, not read
     orb = _conjugates(d, h, 10 ** 11)
     assert calls == orb.chain.gens[0] and len(calls) == checks
 
@@ -235,3 +298,116 @@ def other_family_subgroups(draw):
 @given(other_family_subgroups())
 def test_known_order_stop_on_flat_chains(case):
     assert_same_as_every_generator(*case)
+
+
+# ---------------------------------------------------------------------------
+# one search per conjugacy class: every conjugate's orbit, read off the kept
+# class, against a fresh search from that conjugate
+
+
+def _chain_fields(chain):
+    return _chain_state(chain), chain.levels()
+
+
+def _conjugate_subgroups(d, h, trans):
+    """``t H t^-1`` for each t, generated by the conjugates of H's
+    generators."""
+    _, inv, _, conj = _payload_ops(d)
+    return [SubgroupSpec(tuple(Element(d, conj(t, g.payload, inv(t))) for g in h.generators))
+            for t in trans]
+
+
+def assert_every_conjugate_matches_a_fresh_search(d, h, seed, most=40):
+    """Ask H's conjugates (at most ``most`` of them, drawn by ``seed``) in a
+    shuffled order, from an empty store: the first is the class's H_0, the
+    rest are rooted in its class.  Each orbit and chain must be the fresh
+    search's, field by field, and the commuting list read off the class
+    graph the one tested conjugate by conjugate."""
+    conjugates = _conjugate_subgroups(d, h, fresh_search(d, h).trans)
+    rng = random.Random(seed)
+    asked = rng.sample(conjugates, min(most, len(conjugates)))
+    enumeration._store.cache_clear()
+    inv = _payload_ops(d)[1]
+    for k in asked:
+        orb, _, near0 = _kept_conjugates(d, k, LIMIT, None)
+        fresh = fresh_search(d, k)
+        assert (orb.trans, orb.action, orb.tree) == (fresh.trans, fresh.action, fresh.tree)
+        assert _chain_fields(orb.chain) == _chain_fields(fresh.chain)
+        assert near0() == orb.commuting(_commuter(d, k, k), inv)
+
+
+@settings(deadline=None, max_examples=20)
+@given(permutation_subgroups(), st.integers(0, 2 ** 32))
+def test_every_conjugate_is_rooted_as_a_fresh_search_finds_it(case, seed):
+    for s in (seed, seed + 1):
+        assert_every_conjugate_matches_a_fresh_search(*case, s)
+
+
+@settings(deadline=None, max_examples=12)
+@given(other_family_subgroups(), st.integers(0, 2 ** 32))
+def test_every_conjugate_is_rooted_on_flat_chains(case, seed):
+    for s in (seed, seed + 1):
+        assert_every_conjugate_matches_a_fresh_search(*case, s)
+
+
+@pytest.mark.parametrize("text,h", [
+    ("sn:5", "(1 2 3 4)"), ("sn:6", "(1 2 3)(4 5 6)"), ("sn:7", "(1 2);(1 2 3)"),
+    ("sn:7", "(1 2 3)"), ("an:6", "(1 2 3);(2 3 4)"), ("an:7", "(1 2)(3 4)"),
+    ("slp:3:2", "[[1,1,0],[0,1,0],[0,0,1]]"),
+])
+def test_every_conjugate_of_fixed_subgroups_is_rooted(text, h):
+    d, spec = _subgroup(text, h)
+    for seed in range(3):
+        assert_every_conjugate_matches_a_fresh_search(d, spec, seed, most=80)
+
+
+def test_classes_whose_names_collide_are_told_apart():
+    # Sym{1,2,3} and <(1 2 3)> both name {{1,2,3}}, and both pass the orbit
+    # key's check: each is found in its own class
+    d = symmetric(6)
+    sym, cyc = _subgroup("sn:6", "(1 2);(1 2 3)")[1], _subgroup("sn:6", "(1 2 3)")[1]
+    enumeration._store.cache_clear()
+    _conjugates(d, sym, LIMIT)
+    for k in _conjugate_subgroups(d, cyc, fresh_search(d, cyc).trans[:8]):
+        orb = _conjugates(d, k, LIMIT)
+        assert (orb.trans, orb.action, orb.tree) == \
+            (lambda f: (f.trans, f.action, f.tree))(fresh_search(d, k))
+    name = hash(frozenset([frozenset([0, 1, 2])]))
+    assert sum(name in cls.where for cls in enumeration.kept(d, "classes", list)) == 2
+
+
+def test_conjugates_of_a_fallback_subgroup_skip_the_orbit_key(monkeypatch):
+    # <(1 2 3 4)> in S5 shares its point orbits with two other conjugates, so
+    # the orbit key's pass fails (12 calls of sift) before the element-set search;
+    # its conjugates are then found in the element-set index, with no sift
+    # and no normalizer check
+    sifts, checks = [0], [0]
+    sift, orbit_key = _StabChain.sift, displacement._orbit_key
+
+    def counted_sift(chain, g, k=0):
+        sifts[0] += 1
+        return sift(chain, g, k)
+
+    def counted_key(*args):
+        name, act, normalizes = orbit_key(*args)
+
+        def counted(g):
+            checks[0] += 1
+            return normalizes(g)
+        return name, act, counted
+    monkeypatch.setattr(_StabChain, "sift", counted_sift)
+    monkeypatch.setattr(displacement, "_orbit_key", counted_key)
+    d, h = _subgroup("sn:5", "(1 2 3 4)")
+    enumeration._store.cache_clear()
+    orb = _conjugates(d, h, LIMIT)
+    assert (sifts[0], checks[0] > 0) == (12, True)
+    # one class, indexed by the hashes of its 15 element sets alone
+    (cls,) = enumeration.kept(d, "classes", list)
+    assert len(cls.where) == len(orb.trans) == 15
+    elements = frozenset(g.payload for g in closure_of(h))
+    assert hash(elements) in cls.where
+    assert hash(_orbit_key(d, h, elements)[0]) not in cls.where
+    for k in _conjugate_subgroups(d, h, orb.trans[1:]):
+        sifts[0] = checks[0] = 0
+        _conjugates(d, k, LIMIT)
+        assert (sifts[0], checks[0]) == (0, 0)

@@ -31,6 +31,7 @@ from cinorm import (
     SubgroupSpec,
     bar_element,
     closure_of,
+    commutator_length,
     commutator_length_over,
     disjunction_energy,
     displacement_energy,
@@ -44,8 +45,10 @@ from cinorm import (
     packing_number,
     parse_descriptor,
     perm_from_cycles,
+    qk_norm,
     subgroup_closure,
     support_norm,
+    support_norm_table,
     symmetric,
     trivial_norm,
     trivial_norm_table,
@@ -59,15 +62,15 @@ from cinorm.displacement import (
     _commutation_graph,
     _commuter,
     _conjugates,
+    _floor_bound,
     _least_displacer,
     _least_leaf,
     _max_clique,
     _orbit_bound,
-    _zero_bound,
     is_abelian_subgroup,
 )
 from cinorm.elements import _payload_ops, _perm_parity, sort_key
-from cinorm.norms import norm_value_fn, payload_value_fn
+from cinorm.norms import NormTable, NormTableMeta, norm_value_fn, payload_value_fn
 from cinorm.cli import main
 
 FAMILIES = ["sn:4", "sn:5", "sn:6", "an:5", "slp:2:3", "bar:sn:3",
@@ -521,7 +524,7 @@ def assert_chain_descent(d, h, rng):
     levels = orb.chain.levels()
 
     def least_in_coset(t):
-        return _least_leaf(d, [t], levels, None, _zero_bound, None)[-1]
+        return _least_leaf(d, [t], levels, None, _floor_bound(d, 0), None)[-1]
     for t in orb.trans:
         assert least_in_coset(t) == _least_by_products(d, t, normalizer)
     # and on cosets t N of elements that are not transversal elements
@@ -1124,7 +1127,7 @@ def test_one_level_chain_walk_makes_one_product_per_leaf(monkeypatch):
     assert len(levels) == 1 and orb.chain.order() == 216
     products = [0]
     _counting(monkeypatch, "_payload_ops", products)
-    least = _least_leaf(d, [orb.trans[1]], levels, None, _zero_bound, None)
+    least = _least_leaf(d, [orb.trans[1]], levels, None, _floor_bound(d, 0), None)
     assert products[0] == 216
     mul = _payload_ops(d)[0]
     assert least[1] == min(mul(orb.trans[1], x) for x in levels[0][0].values())
@@ -1152,6 +1155,73 @@ def test_trivial_norm_walk_keys_one_leaf_batch(monkeypatch):
         assert (e.minimizer,) == find_strong_displacer(d, h, m).witnesses[:1]
         if m == 1:
             assert values[0] <= displacement.LEAF_BATCH
+
+
+def _tables(d):
+    """Whole-group tables: trivial, support, q_K of a transposition (a
+    3-cycle on ``an``) and, on the perfect ``an``, commutator length."""
+    k = perm_from_cycles(d, (1, 2) if d.family == "sn" else (1, 2, 3))
+    tables = [trivial_norm_table(d), support_norm_table(d), qk_norm(d, [k])]
+    if d.family == "an":
+        tables.append(commutator_length(d))
+    return tables
+
+
+def _shifted(table, off, at_one):
+    """``table`` with ``off`` added off the identity and ``at_one`` at it."""
+    values = {g: at_one if g.is_identity() else v + off for g, v in table.values.items()}
+    return NormTable(table.descriptor, values, NormTableMeta(name="shifted"))
+
+
+def _outcome(call):
+    try:
+        e = call()
+        return e.value, e.minimizer
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text,pts,pts2", [("sn:6", (1, 2, 3), (3, 4, 5)),
+                                           ("sn:7", (2, 5, 3), (1, 6)),
+                                           ("an:6", (1, 2, 3), (2, 4, 6))])
+def test_the_floor_bound_matches_enumerated_cosets_on_tables(text, pts, pts2, monkeypatch):
+    # tables are bounded below by their least value off the identity; a
+    # table with a value off the identity below 0 gets the floor 0, the
+    # bound every table had, and refuses its negative value where it did
+    d = parse_descriptor(text)
+    h = SubgroupSpec((perm_from_cycles(d, pts),)) if d.family == "an" else sym_block(d, pts)
+    h2 = SubgroupSpec((perm_from_cycles(d, pts2),))
+    support = support_norm_table(d)
+    for table in _tables(d) + [_shifted(support, 0, Fraction(5)),
+                               _shifted(support, Fraction(1, 2), Fraction(0))]:
+        for m in (1, 2):
+            for fixed in (h, h2):
+                e = _least_displacer(d, fixed, h, m, table, 10 ** 7)
+                assert (e.value, e.minimizer) == \
+                    enumerated_least_displacer(d, fixed, h, m, table)
+    negative = _shifted(support, -3 if d.family == "sn" else -4, Fraction(0))
+    calls = [lambda m=m, fixed=fixed: _least_displacer(d, fixed, h, m, negative, 10 ** 7)
+             for m in (1, 2) for fixed in (h, h2)]
+    floored = [_outcome(call) for call in calls]
+    monkeypatch.setattr(displacement, "_floor", lambda d, norm: 0)  # the zero bound
+    assert floored == [_outcome(call) for call in calls]
+    assert any("< 0 on" in str(o) for o in floored)
+
+
+def test_the_floor_of_a_table(monkeypatch):
+    d = symmetric(5)
+    support = support_norm_table(d)
+    assert displacement._floor(d, trivial_norm) == 1
+    assert displacement._floor(d, trivial_norm_table(d)) == 1
+    assert displacement._floor(d, support) == 2
+    assert displacement._floor(d, _shifted(support, 0, Fraction(-7))) == 2
+    assert displacement._floor(d, _shifted(support, Fraction(-3, 2), Fraction(0))) == \
+        Fraction(1, 2)
+    assert displacement._floor(d, _shifted(support, -3, Fraction(0))) == 0
+    for norm in (None, support_norm, _halved_support):
+        assert displacement._floor(d, norm) == 0
+    # the table is read, not changed
+    assert len(support.values) == 120 and support.values[identity(d)] == 0
 
 
 def test_a_norm_table_on_part_of_g_is_refused(monkeypatch):
