@@ -255,35 +255,41 @@ def _slack(log: float) -> float:
     return 1e-6 + 1e-12 * log
 
 
-def _digits_settled(log: float) -> bool:
-    """Whether ``int(log) + 1`` is the digit count of |d|, beyond the float
-    error of ``log = log10 |d|``."""
-    slack = _slack(log)
-    return slack < log - int(log) < 1 - slack
-
-
-def _order_or_log(d: GroupDescriptor, bound: int) -> int | float | None:
-    """|d| as an int, or ``log10 |d|`` as a float when the log alone shows,
-    beyond its float error, that |d| exceeds ``bound`` and has at least 31
-    digits; ``None`` when ``d`` is infinite.  Both are read from the size
-    stored at intern time (:func:`_size`), and the order is computed only
-    when that log leaves the comparison open, or leaves the digit count open
-    on an order of at most :data:`_EXACT_DIGITS` digits, so a huge group
-    costs its log alone."""
-    size = d._size
-    if type(size) is not float:
-        return size
-    if size - _slack(size) > max(30, math.log10(max(bound, 1))) and (
-            size > _EXACT_DIGITS or _digits_settled(size)):
-        return size
-    return order(d)
-
-
 def _order_within(d: GroupDescriptor, bound: int) -> int | None:
-    """|d| when ``d`` is finite and |d| <= ``bound``, else ``None``, sized
-    by :func:`_order_or_log`."""
-    size = _order_or_log(d, bound)
-    return size if type(size) is int and size <= bound else None
+    """|d| when ``d`` is finite and |d| <= ``bound``, else ``None``, read
+    from the size stored at intern time (:func:`_size`).  A stored log
+    refuses when it exceeds ``log10 bound`` beyond its float error;
+    otherwise the exact order decides, so a huge group costs its log
+    alone."""
+    size = d._size
+    if type(size) is float:
+        if size - _slack(size) > math.log10(max(bound, 1)):
+            return None
+        size = order(d)
+    return size if size is not None and size <= bound else None
+
+
+def _order_text(d: GroupDescriptor) -> str:
+    """|d| as a refusal writes it: "= N" below 10^30, else "has k digits
+    and", with k read off the stored log when the float settles it, or off
+    the exact order of at most :data:`_EXACT_DIGITS` digits, and "has about
+    k digits and" above that."""
+    size = d._size
+    if type(size) is float:
+        slack, k = _slack(size), int(size)
+        if k >= 30 and slack < size - k < 1 - slack:  # the float settles k
+            return f"has {k + 1} digits and"
+        if size > _EXACT_DIGITS:
+            return f"has about {k + 1} digits and"
+        size = order(d)
+    # exact below 10^30, else by digit count: int-to-str stops at 4 300 digits
+    if size < 10 ** 30:
+        return f"= {size}"
+    log = math.log10(size)  # off by far less than 1e-6 at any order computed
+    k = int(log)
+    if log - k < 1e-6:  # too near a power of ten for the float to decide
+        k -= 10 ** k > size
+    return f"has {k + 1} digits and"
 
 
 def finite(d: GroupDescriptor) -> bool:

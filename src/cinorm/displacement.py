@@ -57,17 +57,19 @@ check, run once on the chain of the class's first subgroup H_0, covers
 every conjugate: S(name(t H_0 t^-1)) = t S t^-1 = t N t^-1 = N(t H_0 t^-1).
 A class whose H_0 fails the check is searched again on element sets and
 only then kept.  (b) Rooting.  Names and conjugates are in bijection, and
-``action[s][x]`` is the index of the name of ``s H_x s^-1``.  So for H =
-H_j the BFS over the kept action from j (:func:`_rooted`) meets the points
-in the order, and by the edges, in which the name BFS from H_j meets their
-names; its transversal is formed by the same products ``s t``, and its
-action and tree are the same after renumbering.  The chain of N_G(H_j) is
-grown from the same Schreier generators in the same order, so it is the
-one the search from H_j builds (:func:`_normalizer_chain`), and every
-witness, report and walk is unchanged.  (c) The graph.  Conjugation by t
-maps the commutation graph onto itself, so H_j's commuting conjugates are
-the neighbourhood of j in the graph the class builds from H_0's commuting
-list (below), renumbered.
+the name BFS (:func:`_name_search`) keeps ``action[s][x]``, the point of
+the name of ``s H_x s^-1``, the points numbered as the names are met.  So
+for H = H_j the BFS over that action from j (:func:`_rooted`) meets the
+points in the order, and by the edges, in which the name BFS from H_j
+meets their names, and forms the transversal by the same products ``s t``;
+its action and tree are the same after renumbering.  H_0's orbit is the
+same BFS, run from point 0, where the renumbering is the identity.  The
+chain of N_G(H_j) is grown from the same Schreier generators in the same
+order, so it is the one the search from H_j builds
+(:func:`_normalizer_chain`), and every witness, report and walk is
+unchanged.  (c) The graph.  Conjugation by t maps the commutation graph
+onto itself, so H_j's commuting conjugates are the neighbourhood of j in
+the graph the class builds from H_0's commuting list (below), renumbered.
 
 Kept search.  The classes are kept with G in ``enumeration.kept``, under
 ``"classes"``, each built once and indexed by the hash of every
@@ -76,26 +78,29 @@ on element sets, its orbit key name otherwise.  H's class is looked up by
 the hash of H's element set, then by that of H's name, and a candidate
 ``t_j H_0 t_j^-1`` must have H's element set: hashes may collide, and names
 do (Sym(A) and <(a b c)> both name {A}).  Else the class is searched.  A
-search that raises, or whose orbit key check fails, keeps nothing.  The orbit of each
-subgroup asked is kept under ``("conjugates", E)``, E its element set, and
-its commuting conjugates under ``("near0", E_fixed, E_moved)``.  The key
-determines the result: the names, the BFS and the chain are built from E
-and ``group_generators(d)`` alone (the orbit key's ``normalizes`` asks
-whether g normalizes H, which does not depend on the generators it is
-tested on), and whether ``t moved t^-1`` commutes with ``fixed`` depends on
-the two subgroups, not on their generators.  So a second call on H, with
-any generators, repeats no search, and a conjugate of a kept class runs no
-name BFS and, for its own commuting list, no commuting test.  A chain is
-built when a walk first reads it, so a search that the clique bound ends
-builds none.  The order guard runs on every call before the lookup, the
-clique guard is checked again on a kept class, with the message of the
-search, ``|orbit| |N| = |G|`` is checked whenever a chain is built, and
-every walk and re-check still runs per call.  Kept objects are shared, so
-nothing changes them but the chain and graph they build once: the orbit's
-fields and ``near0`` are tuples, and no caller writes to the chain or its
-levels.  The store holds, for groups of order at most 8!, one class (its
-names, its H_0's orbit and its graph) per class met, and one orbit and one
-near-list per subgroup asked, and evicts them with the rest of their
+search that raises, or whose orbit key check fails, keeps nothing.  The
+orbit of each subgroup asked is kept under ``("conjugates", E)``, E its
+element set, and holds H's commuting conjugates once they are read
+(``near0()``); those of a pair of different subgroups are kept under
+``("near0", E_fixed, E_moved)``.  The key determines the result: the
+names, the BFS and the chain are built from E and ``group_generators(d)``
+alone (the orbit key's ``normalizes`` asks whether g normalizes H, which
+does not depend on the generators it is tested on), and whether ``t moved
+t^-1`` commutes with ``fixed`` depends on the two subgroups, not on their
+generators.  So a second call on H, with any generators, repeats no
+search, and a conjugate of a kept class runs no name BFS and, for its own
+commuting list, no commuting test.  A chain is built when a walk first
+reads it, so a search that the clique bound ends builds none.  The order
+guard runs on every call before the lookup, the clique guard is checked
+again on a kept class, with the message of the search, ``|orbit| |N| =
+|G|`` is checked whenever a chain is built, and every walk and re-check
+still runs per call.  Kept objects are shared, so nothing changes them but
+the chain, near-list and graph they build once: the orbit's fields and
+near-lists are tuples, and no caller writes to the chain or its levels.
+The store holds, for groups of order at most 8!, one class (its action,
+the hashes of its names, its H_0's orbit and its graph) per class met, one
+orbit with its near-list per subgroup asked, and one near-list per pair
+of different subgroups asked, and evicts them with the rest of their
 group's state.
 
 The conjugates form a commutation graph, which conjugation by any element
@@ -174,7 +179,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, repeat
 from math import prod
 from operator import ne
@@ -221,9 +226,10 @@ CLIQUE_GUARD = 20_000
 LEAF_BATCH = 16
 #: Largest ambient order on which the master inequalities also check
 #: ``cl_G(x) <= 2``, by a whole commutator length table of G: S6 (720) is in;
-#: S7 (5040) is out.  Its commutator set costs only |G| payload products, but
-#: above the kernel's ``TABLE_BOUND`` of 2048 the breadth-first search over
-#: its 2520 commutators makes about 12.7M, some 10 s.
+#: S7 (5040) is out.  S7's table takes 56-107 ms, warm or cold, against
+#: 0.47-0.86 ms for the whole S7 master check of Sym{1,2,3} (5 processes, 2
+#: shared cores, Python 3.11.7), and S7 is above the kernel's ``TABLE_BOUND``
+#: of 2048, so its kernel is not kept and each check would build it again.
 AMBIENT_CL_LIMIT = 800
 
 
@@ -345,17 +351,52 @@ class _FlatChain:
 
 
 @dataclass(eq=False, slots=True)
-class _Orbit:
-    """The conjugates ``H_i = t[i] H t[i]^-1`` of H (``H_0 = H``), in BFS
-    order from H under conjugation by the generators of G, and the chain of
-    N = N_G(H), built when first read (:func:`_normalizer_chain`)."""
-    trans: tuple  # t[i], with t[0] = 1; the conjugators of H_i are t[i] N
-    action: tuple  # action[s][i] = j where s H_i s^-1 = H_j
-    tree: tuple  # tree[i] = (parent, s): H_i = s H_parent s^-1, for i >= 1
+class _Class:
+    """A conjugacy class of subgroups, kept once with its group (class
+    lemma, module docstring): the generators' action on the class's points,
+    numbered as the name BFS from the first subgroup H_0 asked met them, the
+    point of each conjugate by the hash of its name, H_0's orbit, and the
+    commutation graph on the conjugates, built when first asked for."""
     d: GroupDescriptor
     size: int  # |G|
     steps: tuple  # (s, s^-1) for each generator s of G
+    action: tuple  # action[s][x] = y where s H_x s^-1 = H_y
+    root: SubgroupSpec  # H_0
+    order: int  # |H_0|
+    where: dict
+    orbit: _Orbit | None = None  # H_0's: _rooted(self, 0)
+    _near: object = None
+
+    def holds(self, j: int, elements: frozenset) -> bool:
+        """Whether ``t[j] H_0 t[j]^-1`` has the element set ``elements``: it
+        has as many elements, and holds the conjugates of H_0's
+        generators."""
+        return len(elements) == self.order and _conjugates_into(
+            self.d, self.root, elements, self.orbit.trans[j])
+
+    def near(self):
+        """The neighbourhoods of the commutation graph on the class: H_0's
+        commuting list, mapped down the tree (:func:`_commutation_graph`)."""
+        if self._near is None:
+            orb, h = self.orbit, self.root
+            self._near = _commutation_graph(
+                orb, orb.commuting(_commuter(self.d, h, h), _payload_ops(self.d)[1]))
+        return self._near
+
+
+@dataclass(eq=False, slots=True)
+class _Orbit:
+    """The conjugates ``H_i = t[i] H t[i]^-1`` of H (``H_0 = H``, numbered in
+    this orbit's order), in BFS order from H under conjugation by the
+    generators of G, H's point j of its class, and the chain of N = N_G(H),
+    built when first read (:func:`_normalizer_chain`)."""
+    trans: tuple  # t[i], with t[0] = 1; the conjugators of H_i are t[i] N
+    action: tuple  # action[s][i] = k where s H_i s^-1 = H_k
+    tree: tuple  # tree[i] = (parent, s): H_i = s H_parent s^-1, for i >= 1
+    cls: _Class
+    j: int  # H's point of the class
     _chain: _StabChain | _FlatChain | None = None
+    _near0: tuple | None = None
 
     @property
     def chain(self) -> _StabChain | _FlatChain:
@@ -369,38 +410,17 @@ class _Orbit:
         holds no inverses."""
         return tuple(i for i, t in enumerate(self.trans) if commutes(t, inv(t)))
 
-
-@dataclass(eq=False, slots=True)
-class _Class:
-    """A conjugacy class of subgroups, kept once with its group (class
-    lemma, module docstring): the orbit of the first subgroup H_0 asked, the
-    orbit point of each conjugate by the hash of its name, and the
-    commutation graph on the conjugates, built when first asked for."""
-    orbit: _Orbit
-    root: SubgroupSpec  # H_0
-    order: int  # |H_0|
-    where: dict
-    _near: object = None
-
-    def holds(self, j: int, elements: frozenset) -> bool:
-        """Whether ``t[j] H_0 t[j]^-1`` has the element set ``elements``: it
-        has as many elements, and the conjugates of H_0's generators lie in
-        it."""
-        if len(elements) != self.order:
-            return False
-        _, inv, _, conj = _payload_ops(self.orbit.d)
-        t = self.orbit.trans[j]
-        t_inv = inv(t)
-        return all(conj(t, g.payload, t_inv) in elements for g in self.root.generators)
-
-    def near(self):
-        """The neighbourhoods of the commutation graph on the class: H_0's
-        commuting list, mapped down the tree (:func:`_commutation_graph`)."""
-        if self._near is None:
-            orb, h = self.orbit, self.root
-            self._near = _commutation_graph(
-                orb, orb.commuting(_commuter(orb.d, h, h), _payload_ops(orb.d)[1]))
-        return self._near
+    def near0(self) -> tuple[int, ...]:
+        """The conjugates that commute with H, in orbit order: H's
+        neighbourhood in its class's commutation graph, renumbered, built
+        once."""
+        if self._near0 is None:
+            near, act = self.cls.near()(self.j), self.cls.action
+            at = [self.j]  # the class point of each orbit point
+            for parent, s in self.tree[1:]:
+                at.append(act[s][at[parent]])
+            self._near0 = tuple(i for i, x in enumerate(at) if x in near)
+        return self._near0
 
 
 def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
@@ -431,59 +451,72 @@ def _refuse_clique(count: int, cap: int | None) -> None:
                                  f"above the clique guard {cap}")
 
 
+def _refuse_foreign(d: GroupDescriptor, norm: NormLike | None, *subgroups: SubgroupSpec) -> None:
+    """Refuse a norm table or a subgroup of a group other than ``d``, and a
+    table that does not cover all of it."""
+    _refuse_partial_table(d, norm)
+    for h in subgroups:
+        if h.descriptor != d:
+            raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
+
+
 def _kept_conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int, cap: int | None):
-    """``(orbit, elements, near0)``: :func:`_conjugates`, H's element set as
-    payloads, and ``near0()``, the kept list of the conjugates that commute
-    with H, in orbit order: H's neighbourhood in its class's commutation
-    graph, renumbered."""
-    if h.descriptor != d:
-        raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
+    """``(orbit, elements)``: :func:`_conjugates`, and H's element set."""
+    _refuse_foreign(d, None, h)
     size = _checked_order(d, limit)
     elements = _payloads(h)
-    orb, cls, j = kept(d, ("conjugates", elements),
-                       lambda: _rooted(*_find_class(d, size, h, elements, cap)))
+    orb = kept(d, ("conjugates", elements), lambda: _find_class(d, size, h, elements, cap))
     _refuse_clique(len(orb.trans), cap)  # the class may be kept by an uncapped search
-
-    def renumbered() -> tuple[int, ...]:
-        near = cls.near()(j)
-        return tuple(i for i, x in enumerate(_bfs(cls.orbit.action, j)[0]) if x in near)
-    return orb, elements, lambda: kept(d, ("near0", elements, elements), renumbered)
+    return orb, elements
 
 
 def _find_class(d: GroupDescriptor, size: int, h: SubgroupSpec, elements: frozenset,
-                cap: int | None) -> tuple[_Class, int]:
-    """``(cls, j)`` with H = H_j of a kept class ``cls``, looked up by the
-    hash of H's element set, then by the hash of H's orbit key name, where
-    the candidate ``t[j] H_0 t[j]^-1`` must have H's element set (hashes may
-    collide, and so do names: Sym(A) and <(a b c)> both name {A}); else a
-    new class, searched from H = H_0 and kept only once its search
-    succeeds."""
+                cap: int | None) -> _Orbit:
+    """H's orbit, rooted in its kept class (:func:`_rooted`) at the point j
+    with H = H_j.  The class is looked up by the hash of H's element set,
+    then by the hash of H's orbit key name, where the candidate ``t[j] H_0
+    t[j]^-1`` must have H's element set (hashes may collide, and so do
+    names: Sym(A) and <(a b c)> both name {A}); else a new class is
+    searched from H = H_0, and kept only once its search succeeds."""
     classes = kept(d, "classes", list)
 
-    def find(key: int) -> tuple[_Class, int] | None:
+    def find(key: int) -> _Orbit | None:
         for cls in classes:
             j = cls.where.get(key)
             if j is not None and cls.holds(j, elements):
-                return cls, j
+                return _rooted(cls, j)
         return None
+
+    def search(name, act) -> _Class:
+        steps, action, where = _name_search(d, name, act, cap)
+        cls = _Class(d, size, steps, action, h, len(elements),
+                     {hash(k): j for k, j in where.items()})
+        cls.orbit = _rooted(cls, 0)
+        cls.action = cls.orbit.action  # the same tuples (class lemma (b)), kept once
+        return cls
     hit = find(hash(elements))
     if hit is not None:
         return hit
-    orb = None
+    cls = None
     if d.family in PERMUTATION_FAMILIES:
         name, act, normalizes = _orbit_key(d, h, elements)
         hit = find(hash(name))
         if hit is not None:
             return hit
-        orb, where = _name_search(d, size, name, act, cap)
-        if not all(map(normalizes, orb.chain.gens[0])):  # conjugates share their orbits
-            orb = None
-    if orb is None:
-        name, act, _ = _exact_key(d, elements)
-        orb, where = _name_search(d, size, name, act, cap)
-    cls = _Class(orb, h, len(elements), {hash(k): j for k, j in where.items()})
+        cls = search(name, act)
+        if not all(map(normalizes, cls.orbit.chain.gens[0])):  # conjugates share their orbits
+            cls = None
+    if cls is None:
+        cls = search(*_exact_key(d, elements)[:2])
     classes.append(cls)
-    return cls, 0
+    return cls.orbit
+
+
+def _conjugates_into(d: GroupDescriptor, h: SubgroupSpec, elements: frozenset, t) -> bool:
+    """Whether ``t g t^-1`` lies in ``elements`` for each generator g of H."""
+    _, inv, _, conj = _payload_ops(d)
+    t_inv = inv(t)
+    return all(conj(t, g.payload, t_inv) in elements for g in h.generators)
 
 
 def _exact_key(d: GroupDescriptor, elements: frozenset):
@@ -500,72 +533,54 @@ def _orbit_key(d: GroupDescriptor, h: SubgroupSpec, elements: frozenset):
     """``(name, act, normalizes)``: H named by its non-trivial point orbits,
     which conjugation by s maps by s, and the test that g normalizes H, on
     H's generators against its element set."""
-    _, inv, _, conj = _payload_ops(d)
-    gens = [g.payload for g in h.generators]
     orbits = {frozenset([x[p] for x in elements]) for p in range(d.n)}
 
     def act(name: frozenset, s, s_inv) -> frozenset:
         return frozenset([frozenset(map(s.__getitem__, o)) for o in name])
-
-    def normalizes(g) -> bool:
-        g_inv = inv(g)
-        return all(conj(g, x, g_inv) in elements for x in gens)
+    normalizes = partial(_conjugates_into, d, h, elements)
     return frozenset(o for o in orbits if len(o) > 1), act, normalizes
 
 
-def _name_search(d: GroupDescriptor, size: int, name, act,
-                 cap: int | None) -> tuple[_Orbit, dict]:
+def _name_search(d: GroupDescriptor, name, act, cap: int | None) -> tuple[tuple, tuple, dict]:
     """The BFS over the names of H's conjugates: ``act(name, s, s^-1)``
-    names the conjugate by s of the one named.  The orbit of H, its chain
-    not yet built, and the orbit point of each name."""
-    mul, inv, one, _ = _payload_ops(d)
+    names the conjugate by s of the one named.  ``(steps, action, where)``:
+    (s, s^-1) for each generator s of G, the generators' action on the
+    points, numbered in the order the names are met, and the point of each
+    name."""
+    inv = _payload_ops(d)[1]
     steps = tuple((s.payload, inv(s.payload)) for s in group_generators(d))
     names, where = [name], {name: 0}
-    trans, tree = [one], [None]
     action: list[list[int]] = [[] for _ in steps]
-    for i, t in enumerate(trans):  # trans grows while it is walked: a BFS
+    for x in names:  # names grows while it is walked: a BFS
         for si, (s, s_inv) in enumerate(steps):
-            k = act(names[i], s, s_inv)
+            k = act(x, s, s_inv)
             j = where.get(k)
             if j is None:
                 _refuse_clique(len(names) + 1, cap)
                 j = where[k] = len(names)
                 names.append(k)
-                trans.append(mul(s, t))
-                tree.append((i, si))
             action[si].append(j)
-    return _Orbit(tuple(trans), tuple(map(tuple, action)), tuple(tree), d, size, steps), where
+    return steps, tuple(map(tuple, action)), where
 
 
-def _bfs(action: tuple, j: int) -> tuple[list[int], dict, list]:
-    """The BFS over ``action`` from the point j: the points in the order met,
-    the place of each point in that order, and the tree, ``(parent, s)`` for
-    each point met after j."""
-    at, pos, tree = [j], {j: 0}, [None]
+def _rooted(cls: _Class, j: int) -> _Orbit:
+    """The orbit of H_j: the BFS over the class's action from j, which forms
+    the transversal ``t[k] = s t[parent]`` as it meets each point, step for
+    step the name BFS from H_j (class lemma, module docstring)."""
+    mul, _, one, _ = _payload_ops(cls.d)
+    at, pos, trans, tree = [j], {j: 0}, [one], [None]
+    action: list[list[int]] = [[] for _ in cls.action]
     for i, x in enumerate(at):  # at grows while it is walked
-        for si, act in enumerate(action):
+        for si, act in enumerate(cls.action):
             y = act[x]
-            if y not in pos:
-                pos[y] = len(at)
+            k = pos.get(y)
+            if k is None:
+                k = pos[y] = len(at)
                 at.append(y)
+                trans.append(mul(cls.steps[si][0], trans[i]))
                 tree.append((i, si))
-    return at, pos, tree
-
-
-def _rooted(cls: _Class, j: int) -> tuple[_Orbit, _Class, int]:
-    """``(orbit, cls, j)``: the orbit of H_j.  It is the BFS over the class's
-    action from j, step for step the name BFS from H_j (class lemma, module
-    docstring), with its transversal formed down the tree."""
-    orb = cls.orbit
-    if j == 0:
-        return orb, cls, j
-    at, pos, tree = _bfs(orb.action, j)
-    mul, _, one, _ = _payload_ops(orb.d)
-    trans = [one]
-    for parent, si in tree[1:]:
-        trans.append(mul(orb.steps[si][0], trans[parent]))
-    action = tuple(tuple([pos[act[x]] for x in at]) for act in orb.action)
-    return _Orbit(tuple(trans), action, tuple(tree), orb.d, orb.size, orb.steps), cls, j
+            action[si].append(k)
+    return _Orbit(tuple(trans), tuple(map(tuple, action)), tuple(tree), cls, j)
 
 
 def _normalizer_chain(orb: _Orbit) -> _StabChain | _FlatChain:
@@ -573,7 +588,8 @@ def _normalizer_chain(orb: _Orbit) -> _StabChain | _FlatChain:
     ``t[j]^-1 s t[i]`` of each edge ``s H_i s^-1 = H_j`` but those of the
     tree, until it has the order ``|G| / |orbit|`` (known order, module
     docstring), and checked: ``|orbit| |N| = |G|``."""
-    d, size, trans, tree, steps = orb.d, orb.size, orb.trans, orb.tree, orb.steps
+    d, size, steps = orb.cls.d, orb.cls.size, orb.cls.steps
+    trans, tree = orb.trans, orb.tree
     mul, _, one, _ = _payload_ops(d)
     trans_inv = [one]
     for parent, s in tree[1:]:
@@ -797,16 +813,15 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     chain is built only past the clique bound."""
     if m < 1:
         raise ValueError(f"m = {m}: a displacer needs m >= 1")
-    if fixed.descriptor != d:
-        raise DescriptorMismatchError(f"the subgroup lives in {fixed.descriptor}, not {d}")
+    _refuse_foreign(d, None, fixed)
     value = None if norm is None else payload_value_fn(d, norm)
-    orb, elements, own = _kept_conjugates(d, moved, limit, None)
+    orb, elements = _kept_conjugates(d, moved, limit, None)
     mul, inv, _, _ = _payload_ops(d)
     commutes = _commuter(d, fixed, moved)
     # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
     fixed_elements = elements if fixed is moved else _payloads(fixed)
     if fixed_elements == elements:
-        near0 = own()
+        near0 = orb.near0()
     else:
         near0 = kept(d, ("near0", fixed_elements, elements),
                      lambda: orb.commuting(commutes, inv))
@@ -897,8 +912,8 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec,
     """
     if h.descriptor == d and is_abelian_subgroup(h):  # else _conjugates refuses h
         return PackingResult(None, None, True, degenerate=True)
-    orb, _, own = _kept_conjugates(d, h, limit, CLIQUE_GUARD)
-    near0 = own()
+    orb = _conjugates(d, h, limit, CLIQUE_GUARD)
+    near0 = orb.near0()
     # the clique search meets only H's vertex 0 and its neighbours
     levels = orb.chain.levels()
     least = {i: _least_leaf(d, [orb.trans[i]], levels, None, _floor_bound(d, 0), None)
@@ -931,15 +946,6 @@ class MasterReport:
     chain_rows: list[InequalityRow]
     ambient_cl_checked: bool
     ok: bool
-
-
-def _refuse_foreign(d: GroupDescriptor, norm: NormLike, *subgroups: SubgroupSpec) -> None:
-    """Refuse a norm table or a subgroup of a group other than ``d``, and a
-    table that does not cover all of it."""
-    _refuse_partial_table(d, norm)
-    for h in subgroups:
-        if h.descriptor != d:
-            raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
 
 
 def _check_energy(e: EnergyResult, m: int, value, fixed: SubgroupSpec,

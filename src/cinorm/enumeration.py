@@ -6,7 +6,6 @@ witness and coset representative in the library is reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iter_product
@@ -66,32 +65,16 @@ def subgroups_commute(a: SubgroupSpec, b: SubgroupSpec) -> bool:
 
 
 def _checked_order(d: GroupDescriptor, limit: int | None) -> int:
-    """|d|, or a refusal above the guard.  A huge order is refused by its
-    float ``log10`` alone (:func:`~cinorm.descriptors._order_or_log`), with
-    the digit count ``_order_text`` writes, or "about" that count when the
-    float cannot settle it; any other order is computed exactly."""
+    """|d|, or a refusal above the guard, compared by
+    :func:`~cinorm.descriptors._order_within` and written by
+    :func:`~cinorm.descriptors._order_text`."""
     guard = ENUMERATION_GUARD if limit is None else limit
-    size = gd._order_or_log(d, guard)
-    if size is None:
+    size = gd._order_within(d, guard)
+    if size is not None:
+        return size
+    if not gd.finite(d):
         raise InfiniteGroupError(f"{d} is infinite")
-    if type(size) is float:
-        about = "" if gd._digits_settled(size) else "about "
-        raise GuardExceededError(f"|{d}| has {about}{int(size) + 1} digits and exceeds "
-                                 f"the guard {guard}")
-    if size > guard:
-        raise GuardExceededError(f"|{d}| {_order_text(size)} exceeds the guard {guard}")
-    return size
-
-
-def _order_text(size: int) -> str:
-    # exact below 10^30, else by digit count: int-to-str stops at 4 300 digits
-    if size < 10 ** 30:
-        return f"= {size}"
-    log = math.log10(size)  # off by far less than 1e-6 at any order computed
-    k = int(log)
-    if log - k < 1e-6:  # too near a power of ten for the float to decide
-        k -= 10 ** k > size
-    return f"has {k + 1} digits and"
+    raise GuardExceededError(f"|{d}| {gd._order_text(d)} exceeds the guard {guard}")
 
 
 def kept(d: GroupDescriptor, key: Hashable, make: Callable[[], Any]) -> Any:
@@ -264,5 +247,9 @@ def abelianization_order(d: GroupDescriptor, limit: int | None = None) -> int | 
 
 
 def in_class_g(d: GroupDescriptor) -> bool:
-    """Whether the abelian quotient of the group is finite."""
-    return abelianization_order(d) is not None
+    """Whether the abelian quotient of the group is finite: true of every
+    finite group, with nothing enumerated, and of a product exactly when it
+    is of each part."""
+    if d.family == "product":
+        return all(map(in_class_g, d.parts))
+    return gd.finite(d) or abelianization_order(d) is not None

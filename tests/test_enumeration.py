@@ -33,7 +33,7 @@ from cinorm import (
     wreath_zn,
 )
 from cinorm import enumeration
-from cinorm.descriptors import finite, order
+from cinorm.descriptors import _order_text, finite, order
 from cinorm.elements import _perm_parity
 from cinorm.kernel import commutator_indices, group_kernel
 
@@ -219,14 +219,22 @@ def test_kept_group_still_meets_the_guard():
     assert len(enumerate_elements(d, limit=120)) == 120
 
 
+def _exact_text(d, size):
+    """The refusal's text for ``d`` as of a group that stored its exact
+    order ``size``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setitem(vars(d), "_size", size)
+        return _order_text(d)
+
+
 def test_a_long_order_is_written_by_its_exact_digit_count():
-    from cinorm.enumeration import _order_text
-    assert _order_text(10 ** 30 - 1) == f"= {10 ** 30 - 1}"
+    d = symmetric(40)
+    assert _exact_text(d, 10 ** 30 - 1) == f"= {10 ** 30 - 1}"
     for k in (30, 31, 99, 100, 4301, 20000):
         for size, digits in ((10 ** k - 1, k), (10 ** k, k + 1), (10 ** k + 1, k + 1),
                              (2 * 10 ** k, k + 1)):
             if size >= 10 ** 30:
-                assert _order_text(size) == f"has {digits} digits and"
+                assert _exact_text(d, size) == f"has {digits} digits and"
 
 
 def _guard_outcome(check, d, guard):
@@ -243,7 +251,7 @@ def _exact_checked_order(d, guard):
         raise InfiniteGroupError(f"{d} is infinite")
     if size > guard:
         raise GuardExceededError(
-            f"|{d}| {enumeration._order_text(size)} exceeds the guard {guard}")
+            f"|{d}| {_exact_text(d, size)} exceeds the guard {guard}")
     return size
 
 
@@ -304,6 +312,31 @@ def test_a_log_bound_off_by_its_error_keeps_the_digit_count(k, monkeypatch):
             monkeypatch.setitem(vars(d), "_size", math.log10(size) + err)
             assert _guard_outcome(enumeration._checked_order, d, 10 ** 7) == \
                 _guard_outcome(_exact_checked_order, d, 10 ** 7)
+
+
+def test_a_comparison_the_log_settles_computes_no_order(monkeypatch):
+    # log10 |G| = 31 is a whole number, so the float cannot settle the digit
+    # count, yet it settles |G| > 10^7: the comparison computed the order
+    # for a digit count that no refusal asked of it
+    def no_order(d):
+        raise AssertionError("the order was computed")
+    d = symmetric(40)
+    monkeypatch.setattr(enumeration.gd, "order", no_order)
+    monkeypatch.setitem(vars(d), "_size", math.log10(10 ** 31))
+    assert enumeration.gd._order_within(d, 10 ** 7) is None
+    assert enumeration.kept(d, "elements", lambda: "made") == "made"
+
+
+def test_a_finite_group_is_in_class_g_with_nothing_enumerated(monkeypatch):
+    # G' of a finite group was computed, and refused above the guard, to
+    # answer a question every finite group answers yes
+    def no_derived(d, limit=None):
+        raise AssertionError("G' was computed")
+    monkeypatch.setattr(enumeration, "derived_subgroup", no_derived)
+    for text in ("sn:20", "an:30", "product:sn:20,slz:3", "aff-z"):
+        assert in_class_g(parse_descriptor(text))
+    for text in ("free:2", "product:sn:20,free:2"):
+        assert not in_class_g(parse_descriptor(text))
 
 
 @pytest.mark.parametrize("text", ["sn:100000000000", "an:100000000000",

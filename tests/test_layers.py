@@ -181,3 +181,17 @@ def test_only_descriptors_computes_an_order():
                     and isinstance(f.value, ast.Name) and f.value.id in modules):
                 callers.add(p.stem)
     assert callers == set()
+
+
+def test_only_descriptors_settles_a_digit_count():
+    # |G| in a refusal is written by descriptors._order_text alone, so the
+    # rules that settle its digit count from the stored log live beside it
+    rules = {"_digits_settled", "_slack", "_EXACT_DIGITS"}
+    writers = set()
+    for p in PACKAGE.glob("*.py"):
+        tree = ast.parse(p.read_text())
+        strings = [node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+        if _names(tree) & rules or any("digits and" in x for x in strings):
+            writers.add(p.stem)
+    assert writers == {"descriptors"}
