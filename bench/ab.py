@@ -12,7 +12,11 @@ alternating which side runs first.  For each end-to-end metric of
 ``BENCHMARK.json`` (read, never written) it prints each side's median and
 quartiles, the pairs the change wins by the metric's ``better``, and
 whether the medians differ by more than the base's interquartile range.
-For each job kind it also prints each side's median of the run's
+It prints the same row for two figures of the run's ``notes`` line: the raw
+loop seconds (``raw.loop_wall_s``), before any scaling to reference speed,
+and the machine-speed factor that scaled them (``median_speed_factor``,
+higher when the machine ran faster), so that a move in ``jobs_per_s`` can
+be told from a move in the machine's speed.  For each job kind it also prints each side's median of the run's
 ``run_s_per_kind`` note, so that a gain can be traced to the kinds that
 moved.  Before the runs it prints each side's line count of the ``*.py``
 files under ``src/`` and ``tests/``, and the difference.  ``--json FILE``
@@ -33,6 +37,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: The figures of a run's ``notes`` line summarized beside the metrics.
+NOTES = [{"name": "raw.loop_wall_s", "better": "lower"},
+         {"name": "median_speed_factor", "better": "higher"}]
 
 
 def _git(*args: str, env: dict | None = None) -> str:
@@ -80,13 +87,17 @@ def format_line_counts(base: dict[str, int], change: dict[str, int]) -> str:
 
 def parse_run(out: str) -> dict:
     """The end-to-end metric values in the output of one ``perfbench/run.py
-    --trace 0`` run (its last line), and under ``"run_s_per_kind"`` the
-    seconds that each job kind took (from its ``notes`` line)."""
+    --trace 0`` run (its last line), and from its ``notes`` line the figures
+    of :data:`NOTES` and, under ``"run_s_per_kind"``, the seconds that each
+    job kind took."""
     lines = out.strip().splitlines()
     run = {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
     for line in lines:
         if line.startswith("notes "):
-            run["run_s_per_kind"] = json.loads(line[len("notes "):])["run_s_per_kind"]
+            notes = json.loads(line[len("notes "):])
+            run["run_s_per_kind"] = notes["run_s_per_kind"]
+            run["raw.loop_wall_s"] = notes["raw"]["loop_wall_s"]
+            run["median_speed_factor"] = notes["median_speed_factor"]
     return run
 
 
@@ -124,12 +135,13 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
 
 
 def format_rows(rows: list[dict]) -> str:
-    lines = [f"{'metric':<12} {'base q1/med/q3':>26} {'change q1/med/q3':>26} "
+    w = max([12] + [len(r["name"]) for r in rows])
+    lines = [f"{'metric':<{w}} {'base q1/med/q3':>26} {'change q1/med/q3':>26} "
              f"{'wins':>6} gap>IQR"]
     for r in rows:
         b = "/".join(f"{x:.4g}" for x in r["base"])
         c = "/".join(f"{x:.4g}" for x in r["change"])
-        lines.append(f"{r['name']:<12} {b:>26} {c:>26} "
+        lines.append(f"{r['name']:<{w}} {b:>26} {c:>26} "
                      f"{r['wins']:>3}/{r['pairs']:<2} {'yes' if r['beyond_iqr'] else 'no'}")
     return "\n".join(lines)
 
@@ -180,12 +192,15 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}",
                           file=sys.stderr, flush=True)
                 rows = summarize(pairs, metrics)
+                notes = summarize(pairs, NOTES)
                 print(f"\n{workload}, seed {seed}, {args.base} -> working tree")
                 print(format_rows(rows))
+                print("\nraw loop seconds and machine speed (notes)")
+                print(format_rows(notes))
                 print("\nmedian run seconds per job kind")
                 print(format_kinds(kind_medians(pairs)), flush=True)
                 report.append({"workload": workload, "seed": seed, "pairs": pairs,
-                               "summary": rows})
+                               "summary": rows, "notes": notes})
     finally:
         shutil.rmtree(work, ignore_errors=True)
     if args.json:

@@ -49,66 +49,77 @@ of 925, with 9.
 
 Class lemma.  The orbit of H's conjugates, the generators' action on it
 and the commutation graph depend only on H's conjugacy class, so one search
-serves the class (:func:`_find_class`).  (a) The check.  Let S(K) be the
-stabilizer of the name of K.  For t in G, S(name(t H t^-1)) = S(t name(H))
-= t S t^-1 by (b) of the orbit key, and N(t H t^-1) = t N t^-1; so S = N
-for H exactly when it holds for every conjugate of H, and the orbit key's
-check, run once on the chain of the class's first subgroup H_0, covers
-every conjugate: S(name(t H_0 t^-1)) = t S t^-1 = t N t^-1 = N(t H_0 t^-1).
-A class whose H_0 fails the check is searched again on element sets and
-only then kept.  (b) Rooting.  Names and conjugates are in bijection, and
-the name BFS (:func:`_name_search`) keeps ``action[s][x]``, the point of
-the name of ``s H_x s^-1``, the points numbered as the names are met.  So
-for H = H_j the BFS over that action from j (:func:`_rooted`) meets the
-points in the order, and by the edges, in which the name BFS from H_j
-meets their names, and forms the transversal by the same products ``s t``;
-its action and tree are the same after renumbering.  H_0's orbit is the
-same BFS, run from point 0, where the renumbering is the identity.  The
-chain of N_G(H_j) is grown from the same Schreier generators in the same
-order, so it is the one the search from H_j builds
-(:func:`_normalizer_chain`), and every witness, report and walk is
-unchanged.  (c) The graph.  Conjugation by t maps the commutation graph
-onto itself, so H_j's commuting conjugates are the neighbourhood of j in
-the graph the class builds from H_0's commuting list (below), renumbered.
+serves the class (:func:`_find_class`), and a subgroup is a point of it.
+(a) The check.  Let S(K) be the stabilizer of the name of K.  For t in G,
+S(name(t H t^-1)) = S(t name(H)) = t S t^-1 by (b) of the orbit key, and
+N(t H t^-1) = t N t^-1; so S = N for H exactly when it holds for every
+conjugate of H, and the orbit key's check, run once on the chain of the
+class's first subgroup H_0, covers every conjugate: S(name(t H_0 t^-1)) =
+t S t^-1 = t N t^-1 = N(t H_0 t^-1).  A class whose H_0 fails the check is
+searched again on element sets and only then kept.  (b) A point of the
+class.  The name BFS from H_0 (:func:`_name_search`) forms the transversal
+t[x] and the tree as it meets the names, and H_x = t[x] H_0 t[x]^-1.  For
+H = H_j the conjugators taking H to H_x are t[x] t[j]^-1 N, with N =
+N_G(H) = t[j] N_0 t[j]^-1, so H needs only its class, j, t[j]^-1 and the
+chain of N.  :func:`_normalizer_chain` grows it from the Schreier
+generators of N_0, each conjugated by t[j]; they generate N, so the chain
+has the group and the base of the one the search from H builds, and so the
+same level orbits, though its transversal elements may differ.  Nothing
+moves.  Every result is a least (value, payload) over cosets t N, and these
+are sets.  Take any representative s v (v in N_k) of a node and any chain
+of N with base 0..n-1: the walk meets the same subtrees in the same order,
+since children are ordered by the image of k and v permutes the N_k-orbit
+of k; the orbit bound of s v is that of s, since v maps each N_k-orbit onto
+itself; the prefix and the floor bound read only the images of 0..k-1; and
+a leaf batch s N_cut is a set.  So every witness, minimizer and clique
+choice (keyed by unique least conjugators) is unchanged, and the walk of a
+coset, given the best found before it, meets the same nodes.  The cosets
+are met in class order, which for H_0 is its own search's order, so H_0's
+bounded nodes, leaves and power tests are those of that search.  (c) The
+graph.  Conjugation by t maps the commutation graph onto itself, so it is
+built once on the class from H_0's commuting list (below,
+:meth:`_Class.near`), and H's commuting conjugates are the neighbourhood
+of j.
 
 Kept search.  The classes are kept with G in ``enumeration.kept``, under
 ``"classes"``, each built once and indexed by the hash of every
 conjugate's name: its element set (as payloads) when the class was searched
 on element sets, its orbit key name otherwise.  H's class is looked up by
 the hash of H's element set, then by that of H's name, and a candidate
-``t_j H_0 t_j^-1`` must have H's element set: hashes may collide, and names
-do (Sym(A) and <(a b c)> both name {A}).  Else the class is searched.  A
-search that raises, or whose orbit key check fails, keeps nothing.  The
-orbit of each subgroup asked is kept under ``("conjugates", E)``, E its
-element set, and holds H's commuting conjugates once they are read
-(``near0()``); those of a pair of different subgroups are kept under
-``("near0", E_fixed, E_moved)``.  The key determines the result: the
-names, the BFS and the chain are built from E and ``group_generators(d)``
-alone (the orbit key's ``normalizes`` asks whether g normalizes H, which
-does not depend on the generators it is tested on), and whether ``t moved
-t^-1`` commutes with ``fixed`` depends on the two subgroups, not on their
-generators.  So a second call on H, with any generators, repeats no
-search, and a conjugate of a kept class runs no name BFS and, for its own
-commuting list, no commuting test.  A chain is built when a walk first
-reads it, so a search that the clique bound ends builds none.  The order
-guard runs on every call before the lookup, the clique guard is checked
-again on a kept class, with the message of the search, ``|orbit| |N| =
-|G|`` is checked whenever a chain is built, and every walk and re-check
-still runs per call.  Kept objects are shared, so nothing changes them but
-the chain, near-list and graph they build once: the orbit's fields and
-near-lists are tuples, and no caller writes to the chain or its levels.
-The store holds, for groups of order at most 8!, one class (its action,
-the hashes of its names, its H_0's orbit and its graph) per class met, one
-orbit with its near-list per subgroup asked, and one near-list per pair
-of different subgroups asked, and evicts them with the rest of their
-group's state.
+``H_j`` must have H's element set: hashes may collide, and names do (Sym(A)
+and <(a b c)> both name {A}).  Else the class is searched.  A search that
+raises, or whose orbit key check fails, keeps nothing.  Each subgroup asked
+is kept as its point of its class under ``("conjugates", E)``, E its
+element set: the class, j, t[j]^-1 and, once a walk reads it, the chain of
+N.  The commuting list of a pair of different subgroups is kept under
+``("commuting", E_fixed, class)``: the class points whose conjugate
+commutes with ``fixed``, tested on H_0's generators, so every conjugate of
+``moved`` shares it.  The key determines the result: the names, the BFS
+and the chain are built from E and ``group_generators(d)`` alone (the orbit
+key's ``normalizes`` asks whether g normalizes H, which does not depend on
+the generators it is tested on), and whether ``H_x`` commutes with
+``fixed`` depends on the two subgroups, not on their generators.  So a
+second call on H, with any generators, repeats no search, and a conjugate
+of a kept class runs no name BFS and, for its own commuting list, no
+commuting test.  A chain is built when a walk first reads it, so a search
+that the clique bound ends builds none.  The order guard runs on every call
+before the lookup, the clique guard is checked again on a kept class, with
+the message of the search, ``|orbit| |N| = |G|`` is checked whenever a
+chain is built, and every walk and re-check still runs per call.  Kept
+objects are shared, so nothing changes them but the chain and graph they
+build once: the class's fields and the commuting lists are tuples, and no
+caller writes to the chain or its levels.  The store holds, for groups of
+order at most 8!, one class (its transversal, action and tree, the hashes
+of its names and its graph) per class met, one point per subgroup asked,
+and one commuting list per fixed subgroup and class asked, and evicts them
+with the rest of their group's state.
 
 The conjugates form a commutation graph, which conjugation by any element
-maps onto itself.  So only H is tested against the conjugates, which gives
-its neighbourhood N(0); the neighbourhood of a conjugate reached from its BFS
-parent by the generator s is s N(parent), read off the generators' action on
-the orbit points (a Schreier vector).  A clique through H only meets N(0),
-so packing needs least conjugators there alone.
+maps onto itself.  So only H_0 is tested against the conjugates, which
+gives its neighbourhood N(0); the neighbourhood of a conjugate reached from
+its BFS parent by the generator s is s N(parent), read off the generators'
+action on the class points (a Schreier vector).  A clique through H = H_j
+only meets N(j), so packing needs least conjugators there alone.
 
 N is held as a chain whose levels are walked the same way for every
 family.  For ``sn`` and ``an`` it is a stabilizer chain with base 0, 1, ...,
@@ -353,50 +364,64 @@ class _FlatChain:
 @dataclass(eq=False, slots=True)
 class _Class:
     """A conjugacy class of subgroups, kept once with its group (class
-    lemma, module docstring): the generators' action on the class's points,
-    numbered as the name BFS from the first subgroup H_0 asked met them, the
-    point of each conjugate by the hash of its name, H_0's orbit, and the
-    commutation graph on the conjugates, built when first asked for."""
+    lemma, module docstring): the orbit of the first subgroup H_0 asked,
+    ``H_x = t[x] H_0 t[x]^-1`` at each point x, numbered as the name BFS
+    from H_0 met them, with the generators' action on the points and its
+    tree, the point of each conjugate by the hash of its name, and the
+    commutation graph on the points, built when first asked for."""
     d: GroupDescriptor
     size: int  # |G|
     steps: tuple  # (s, s^-1) for each generator s of G
+    trans: tuple  # t[x], with t[0] = 1
     action: tuple  # action[s][x] = y where s H_x s^-1 = H_y
+    tree: tuple  # tree[x] = (parent, s): H_x = s H_parent s^-1, for x >= 1
+    where: dict
     root: SubgroupSpec  # H_0
     order: int  # |H_0|
-    where: dict
-    orbit: _Orbit | None = None  # H_0's: _rooted(self, 0)
-    _near: object = None
+    _nbr: list | None = None
 
     def holds(self, j: int, elements: frozenset) -> bool:
-        """Whether ``t[j] H_0 t[j]^-1`` has the element set ``elements``: it
-        has as many elements, and holds the conjugates of H_0's
-        generators."""
+        """Whether ``H_j`` has the element set ``elements``: it has as many
+        elements, and holds the conjugates of H_0's generators."""
         return len(elements) == self.order and _conjugates_into(
-            self.d, self.root, elements, self.orbit.trans[j])
+            self.d, self.root, elements, self.trans[j])
 
-    def near(self):
-        """The neighbourhoods of the commutation graph on the class: H_0's
-        commuting list, mapped down the tree (:func:`_commutation_graph`)."""
-        if self._near is None:
-            orb, h = self.orbit, self.root
-            self._near = _commutation_graph(
-                orb, orb.commuting(_commuter(self.d, h, h), _payload_ops(self.d)[1]))
-        return self._near
+    def commuting(self, fixed: SubgroupSpec) -> tuple[int, ...]:
+        """The points x whose ``H_x`` commutes with ``fixed``, in class
+        order, decided on H_0's generators."""
+        commutes, inv = _commuter(self.d, fixed, self.root), _payload_ops(self.d)[1]
+        return tuple(x for x, t in enumerate(self.trans) if commutes(t, inv(t)))
+
+    def near(self, x: int) -> frozenset:
+        """The neighbourhood of x in the commutation graph, from H_0's
+        commuting list: conjugation by a generator s is an automorphism of
+        the graph that takes ``H_parent`` to ``H_x``, so ``N(x) = s
+        N(parent)``.  Each ``N(x)`` is mapped down the tree when first
+        asked for."""
+        nbr = self._nbr
+        if nbr is None:
+            nbr = self._nbr = [None] * len(self.trans)
+            nbr[0] = frozenset(self.commuting(self.root))
+        path = [x]
+        while nbr[path[-1]] is None:
+            path.append(self.tree[path[-1]][0])
+        for k in reversed(path[:-1]):
+            parent, s = self.tree[k]
+            act = self.action[s]
+            nbr[k] = frozenset([act[y] for y in nbr[parent]])
+        return nbr[x]
 
 
 @dataclass(eq=False, slots=True)
 class _Orbit:
-    """The conjugates ``H_i = t[i] H t[i]^-1`` of H (``H_0 = H``, numbered in
-    this orbit's order), in BFS order from H under conjugation by the
-    generators of G, H's point j of its class, and the chain of N = N_G(H),
-    built when first read (:func:`_normalizer_chain`)."""
-    trans: tuple  # t[i], with t[0] = 1; the conjugators of H_i are t[i] N
-    action: tuple  # action[s][i] = k where s H_i s^-1 = H_k
-    tree: tuple  # tree[i] = (parent, s): H_i = s H_parent s^-1, for i >= 1
+    """A subgroup H = H_j as the point j of its class.  The conjugators
+    taking H to ``H_x`` are the coset ``t[x] t[j]^-1 N`` (:meth:`coset`),
+    where ``N = N_G(H) = t[j] N_0 t[j]^-1``, and the chain of N is built
+    when first read (:func:`_normalizer_chain`)."""
     cls: _Class
     j: int  # H's point of the class
+    t_inv: tuple  # t[j]^-1
     _chain: _StabChain | _FlatChain | None = None
-    _near0: tuple | None = None
 
     @property
     def chain(self) -> _StabChain | _FlatChain:
@@ -404,44 +429,30 @@ class _Orbit:
             self._chain = _normalizer_chain(self)
         return self._chain
 
-    def commuting(self, commutes, inv) -> tuple[int, ...]:
-        """The i with ``commutes(t[i], t[i]^-1)``, in orbit order, each t[i]
-        inverted by ``inv`` here: once per kept commuting list, so the orbit
-        holds no inverses."""
-        return tuple(i for i, t in enumerate(self.trans) if commutes(t, inv(t)))
-
-    def near0(self) -> tuple[int, ...]:
-        """The conjugates that commute with H, in orbit order: H's
-        neighbourhood in its class's commutation graph, renumbered, built
-        once."""
-        if self._near0 is None:
-            near, act = self.cls.near()(self.j), self.cls.action
-            at = [self.j]  # the class point of each orbit point
-            for parent, s in self.tree[1:]:
-                at.append(act[s][at[parent]])
-            self._near0 = tuple(i for i, x in enumerate(at) if x in near)
-        return self._near0
+    def coset(self, x: int):
+        """``t[x] t[j]^-1``, which takes H to ``H_x``."""
+        t = self.cls.trans[x]
+        return _payload_ops(self.cls.d)[0](t, self.t_inv) if self.j else t
 
 
 def _conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int,
                 cap: int | None = None) -> _Orbit:
     """Orbit-stabilizer for H under conjugation (Holt, Eick and O'Brien,
-    *Handbook of Computational Group Theory*, 2005, ch. 4 and §4.1): the
-    transversal, the action of each generator on the orbit points with the
-    BFS tree (a Schreier vector), and the chain of the normalizer N (a
-    stabilizer chain for ``sn``/``an``, one level holding the payload
-    closure otherwise), built when first read.  ``cap`` bounds the number of
-    conjugates.
+    *Handbook of Computational Group Theory*, 2005, ch. 4 and §4.1): H's
+    point of its conjugacy class, whose orbit holds the transversal and the
+    action of each generator on the points with the BFS tree (a Schreier
+    vector), and the chain of the normalizer N (a stabilizer chain for
+    ``sn``/``an``, one level holding the payload closure otherwise), built
+    when first read.  ``cap`` bounds the number of conjugates.
 
-    The orbit is read off H's conjugacy class, searched once and kept with G
-    (class lemma, module docstring), and the orbit itself is kept per
-    subgroup, so it is shared: no caller may change it, its chain or its
-    levels."""
+    The class is searched once and kept with G (class lemma, module
+    docstring), and H's point is kept per subgroup, so both are shared: no
+    caller may change them, the chain or its levels."""
     return _kept_conjugates(d, h, limit, cap)[0]
 
 
 def _payloads(h: SubgroupSpec) -> frozenset:
-    """The element set of H, as payloads: the key of its kept orbit."""
+    """The element set of H, as payloads: the key of its kept point."""
     return frozenset(g.payload for g in closure_of(h))
 
 
@@ -466,50 +477,46 @@ def _kept_conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int, cap: int |
     size = _checked_order(d, limit)
     elements = _payloads(h)
     orb = kept(d, ("conjugates", elements), lambda: _find_class(d, size, h, elements, cap))
-    _refuse_clique(len(orb.trans), cap)  # the class may be kept by an uncapped search
+    _refuse_clique(len(orb.cls.trans), cap)  # the class may be kept by an uncapped search
     return orb, elements
 
 
 def _find_class(d: GroupDescriptor, size: int, h: SubgroupSpec, elements: frozenset,
                 cap: int | None) -> _Orbit:
-    """H's orbit, rooted in its kept class (:func:`_rooted`) at the point j
-    with H = H_j.  The class is looked up by the hash of H's element set,
-    then by the hash of H's orbit key name, where the candidate ``t[j] H_0
-    t[j]^-1`` must have H's element set (hashes may collide, and so do
-    names: Sym(A) and <(a b c)> both name {A}); else a new class is
-    searched from H = H_0, and kept only once its search succeeds."""
+    """H as the point j of its kept class, with ``H = H_j``.  The class is
+    looked up by the hash of H's element set, then by the hash of H's orbit
+    key name, where the candidate ``H_j`` must have H's element set (hashes
+    may collide, and so do names: Sym(A) and <(a b c)> both name {A}); else
+    a new class is searched from H = H_0, and kept only once its search
+    succeeds."""
     classes = kept(d, "classes", list)
+    inv, one = _payload_ops(d)[1:3]
 
     def find(key: int) -> _Orbit | None:
         for cls in classes:
             j = cls.where.get(key)
             if j is not None and cls.holds(j, elements):
-                return _rooted(cls, j)
+                return _Orbit(cls, j, inv(cls.trans[j]))
         return None
 
-    def search(name, act) -> _Class:
-        steps, action, where = _name_search(d, name, act, cap)
-        cls = _Class(d, size, steps, action, h, len(elements),
-                     {hash(k): j for k, j in where.items()})
-        cls.orbit = _rooted(cls, 0)
-        cls.action = cls.orbit.action  # the same tuples (class lemma (b)), kept once
-        return cls
+    def search(name, act) -> _Orbit:
+        return _Orbit(_Class(d, size, *_name_search(d, name, act, cap), h, len(elements)), 0, one)
     hit = find(hash(elements))
     if hit is not None:
         return hit
-    cls = None
+    orb = None
     if d.family in PERMUTATION_FAMILIES:
         name, act, normalizes = _orbit_key(d, h, elements)
         hit = find(hash(name))
         if hit is not None:
             return hit
-        cls = search(name, act)
-        if not all(map(normalizes, cls.orbit.chain.gens[0])):  # conjugates share their orbits
-            cls = None
-    if cls is None:
-        cls = search(*_exact_key(d, elements)[:2])
-    classes.append(cls)
-    return cls.orbit
+        orb = search(name, act)
+        if not all(map(normalizes, orb.chain.gens[0])):  # conjugates share their orbits
+            orb = None
+    if orb is None:
+        orb = search(*_exact_key(d, elements)[:2])
+    classes.append(orb.cls)
+    return orb
 
 
 def _conjugates_into(d: GroupDescriptor, h: SubgroupSpec, elements: frozenset, t) -> bool:
@@ -541,17 +548,18 @@ def _orbit_key(d: GroupDescriptor, h: SubgroupSpec, elements: frozenset):
     return frozenset(o for o in orbits if len(o) > 1), act, normalizes
 
 
-def _name_search(d: GroupDescriptor, name, act, cap: int | None) -> tuple[tuple, tuple, dict]:
+def _name_search(d: GroupDescriptor, name, act, cap: int | None):
     """The BFS over the names of H's conjugates: ``act(name, s, s^-1)``
-    names the conjugate by s of the one named.  ``(steps, action, where)``:
-    (s, s^-1) for each generator s of G, the generators' action on the
-    points, numbered in the order the names are met, and the point of each
-    name."""
-    inv = _payload_ops(d)[1]
+    names the conjugate by s of the one named.  ``(steps, trans, action,
+    tree, where)``: (s, s^-1) for each generator s of G, the transversal
+    ``t[k] = s t[parent]``, formed as each name is met, the generators'
+    action on the points, numbered in the order the names are met, the BFS
+    tree, and the point of each name by its hash."""
+    mul, inv, one, _ = _payload_ops(d)
     steps = tuple((s.payload, inv(s.payload)) for s in group_generators(d))
-    names, where = [name], {name: 0}
+    names, where, trans, tree = [name], {name: 0}, [one], [None]
     action: list[list[int]] = [[] for _ in steps]
-    for x in names:  # names grows while it is walked: a BFS
+    for i, x in enumerate(names):  # names grows while it is walked: a BFS
         for si, (s, s_inv) in enumerate(steps):
             k = act(x, s, s_inv)
             j = where.get(k)
@@ -559,53 +567,38 @@ def _name_search(d: GroupDescriptor, name, act, cap: int | None) -> tuple[tuple,
                 _refuse_clique(len(names) + 1, cap)
                 j = where[k] = len(names)
                 names.append(k)
-            action[si].append(j)
-    return steps, tuple(map(tuple, action)), where
-
-
-def _rooted(cls: _Class, j: int) -> _Orbit:
-    """The orbit of H_j: the BFS over the class's action from j, which forms
-    the transversal ``t[k] = s t[parent]`` as it meets each point, step for
-    step the name BFS from H_j (class lemma, module docstring)."""
-    mul, _, one, _ = _payload_ops(cls.d)
-    at, pos, trans, tree = [j], {j: 0}, [one], [None]
-    action: list[list[int]] = [[] for _ in cls.action]
-    for i, x in enumerate(at):  # at grows while it is walked
-        for si, act in enumerate(cls.action):
-            y = act[x]
-            k = pos.get(y)
-            if k is None:
-                k = pos[y] = len(at)
-                at.append(y)
-                trans.append(mul(cls.steps[si][0], trans[i]))
+                trans.append(mul(s, trans[i]))
                 tree.append((i, si))
-            action[si].append(k)
-    return _Orbit(tuple(trans), tuple(map(tuple, action)), tuple(tree), cls, j)
+            action[si].append(j)
+    return (steps, tuple(trans), tuple(map(tuple, action)), tuple(tree),
+            {hash(k): j for k, j in where.items()})
 
 
 def _normalizer_chain(orb: _Orbit) -> _StabChain | _FlatChain:
-    """The chain of N, grown, in BFS order, by the Schreier generator
-    ``t[j]^-1 s t[i]`` of each edge ``s H_i s^-1 = H_j`` but those of the
-    tree, until it has the order ``|G| / |orbit|`` (known order, module
-    docstring), and checked: ``|orbit| |N| = |G|``."""
-    d, size, steps = orb.cls.d, orb.cls.size, orb.cls.steps
-    trans, tree = orb.trans, orb.tree
-    mul, _, one, _ = _payload_ops(d)
+    """The chain of ``N = N_G(H_j)``, grown, in the class's BFS order, by
+    the Schreier generator ``t[y]^-1 s t[x]`` of ``N_0`` of each edge ``s
+    H_x s^-1 = H_y`` but those of the tree, conjugated by ``t[j]`` (for H_0,
+    ``t[0] = 1``), until it has the order ``|G| / |orbit|`` (known order,
+    module docstring), and checked: ``|orbit| |N| = |G|``."""
+    cls = orb.cls
+    d, size, steps, trans, tree = cls.d, cls.size, cls.steps, cls.trans, cls.tree
+    mul, _, one, conj = _payload_ops(d)
     trans_inv = [one]
     for parent, s in tree[1:]:
         trans_inv.append(mul(trans_inv[parent], steps[s][1]))
 
     def edges():
-        for i, t in enumerate(trans):
-            for si, ((s, _), act) in enumerate(zip(steps, orb.action)):
-                j = act[i]
-                if tree[j] != (i, si):  # not the edge that found H_j
-                    yield j, s, t
+        for x, t in enumerate(trans):
+            for si, ((s, _), act) in enumerate(zip(steps, cls.action)):
+                y = act[x]
+                if tree[y] != (x, si):  # not the edge that found H_y
+                    yield y, s, t
     chain = _StabChain(d) if d.family in PERMUTATION_FAMILIES else _FlatChain(d, size)
-    for j, s, t in edges():
+    for y, s, t in edges():
         if len(trans) * chain.order() == size:
             break
-        chain.add(mul(trans_inv[j], mul(s, t)))
+        g = mul(trans_inv[y], mul(s, t))
+        chain.add(conj(trans[orb.j], g, orb.t_inv) if orb.j else g)
     if len(trans) * chain.order() != size:
         raise AssertionError(f"orbit-stabilizer count {len(trans)} * "
                              f"{chain.order()} is not |{d}| = {size}")
@@ -629,31 +622,11 @@ def _commuter(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec):
     return commutes
 
 
-def _commutation_graph(orb: _Orbit, near0: list[int]):
-    """Neighbourhoods in the commutation graph on the conjugates, from the
-    one of H: conjugation by a generator s is an automorphism of the graph
-    that takes ``H_parent`` to ``H_j``, so ``N(j) = s N(parent)``.  Each
-    ``N(j)`` is mapped down the BFS tree when first asked for."""
-    nbr: list = [None] * len(orb.trans)
-    nbr[0] = frozenset(near0)
-
-    def near(j: int) -> frozenset:
-        path = [j]
-        while nbr[path[-1]] is None:
-            path.append(orb.tree[path[-1]][0])
-        for k in reversed(path[:-1]):
-            parent, s = orb.tree[k]
-            act = orb.action[s]
-            nbr[k] = frozenset([act[x] for x in nbr[parent]])
-        return nbr[j]
-    return near
-
-
-def _max_clique(near, cap: int, key=None) -> list[int]:
-    """A largest clique through vertex 0 of at most ``cap`` vertices, found
-    by branch and bound over its neighbours in ``key`` order; the first
-    largest one in that order wins."""
-    best = [0]
+def _max_clique(near, start: int, cap: int, key=None) -> list[int]:
+    """A largest clique through the vertex ``start`` of at most ``cap``
+    vertices, found by branch and bound over its neighbours in ``key``
+    order; the first largest one in that order wins."""
+    best = [start]
 
     def grow(clique: list[int], cand: list[int]) -> None:
         nonlocal best
@@ -667,7 +640,7 @@ def _max_clique(near, cap: int, key=None) -> list[int]:
             adjacent = near(v)
             grow(clique + [v], [u for u in cand[idx + 1:] if u in adjacent])
 
-    grow([0], sorted(near(0), key=key))
+    grow([start], sorted(near(start), key=key))
     return best
 
 
@@ -809,24 +782,25 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     bound for :func:`~cinorm.norms.support_norm` and the floor bound for
     every other norm; for m >= 2 the powers are tested only on leaves below
     the best so far, once per key of the power lemma on ``sn``/``an``.
-    Commuting lists of H with itself are read off H's class graph, and the
+    H's commuting list with itself is its neighbourhood in its class's
+    graph, that of a pair of different subgroups is kept per class, and the
     chain is built only past the clique bound."""
     if m < 1:
         raise ValueError(f"m = {m}: a displacer needs m >= 1")
     _refuse_foreign(d, None, fixed)
     value = None if norm is None else payload_value_fn(d, norm)
     orb, elements = _kept_conjugates(d, moved, limit, None)
+    cls = orb.cls
     mul, inv, _, _ = _payload_ops(d)
     commutes = _commuter(d, fixed, moved)
-    # phi moved phi^-1 is t moved t^-1 for every phi in the coset t N
+    # phi moved phi^-1 is H_x for every phi in the coset t[x] t[j]^-1 N
     fixed_elements = elements if fixed is moved else _payloads(fixed)
     if fixed_elements == elements:
-        near0 = orb.near0()
+        near = cls.near(orb.j)
     else:
-        near0 = kept(d, ("near0", fixed_elements, elements),
-                     lambda: orb.commuting(commutes, inv))
+        near = kept(d, ("commuting", fixed_elements, cls), lambda: cls.commuting(fixed))
     if fixed is moved and m >= 2 and not is_abelian_subgroup(fixed):
-        if len(_max_clique(_commutation_graph(orb, near0), m + 1)) <= m:
+        if len(_max_clique(cls.near, orb.j, m + 1)) <= m:
             return EnergyResult(m, None, None)
 
     def powers_commute(phi) -> bool:
@@ -848,7 +822,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
         accept = powers_commute
         if d.family in PERMUTATION_FAMILIES:
             accept = _power_memo(powers_commute, moved, m)
-    best = _least_leaf(d, [orb.trans[i] for i in near0], levels, value, bound, accept)
+    best = _least_leaf(d, list(map(orb.coset, sorted(near))), levels, value, bound, accept)
     if best is None:
         return EnergyResult(m, None, None)
     minimizer = Element(d, best[1])
@@ -913,12 +887,12 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec,
     if h.descriptor == d and is_abelian_subgroup(h):  # else _conjugates refuses h
         return PackingResult(None, None, True, degenerate=True)
     orb = _conjugates(d, h, limit, CLIQUE_GUARD)
-    near0 = orb.near0()
-    # the clique search meets only H's vertex 0 and its neighbours
+    near = sorted(orb.cls.near(orb.j))
+    # the clique search meets only H's vertex j and its neighbours
     levels = orb.chain.levels()
-    least = {i: _least_leaf(d, [orb.trans[i]], levels, None, _floor_bound(d, 0), None)
-             for i in near0}
-    best = _max_clique(_commutation_graph(orb, near0), len(near0) + 1, key=least.__getitem__)
+    least = {x: _least_leaf(d, [orb.coset(x)], levels, None, _floor_bound(d, 0), None)
+             for x in near}
+    best = _max_clique(orb.cls.near, orb.j, len(near) + 1, key=least.__getitem__)
     p = len(best)
     witnesses = tuple(Element(d, least[v][1]) for v in best[1:])
     report = DisplacementReport(h, p - 1, "weak", witnesses, p > 1)

@@ -41,9 +41,10 @@ def test_one_pair_has_its_value_as_every_quartile():
     assert "1/1" in ab.format_rows([row])
 
 
-def _output(metrics, per_kind):
+def _output(metrics, per_kind, loop_s=0.25, speed=0.75):
     last = {"metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}}
-    notes = {"jobs": 3, "run_s_per_kind": per_kind}
+    notes = {"jobs": 3, "run_s_per_kind": per_kind, "median_speed_factor": speed,
+             "raw": {"jobs_per_s": 12.0, "loop_wall_s": loop_s}}
     return "\n".join(["provenance {}", "notes " + json.dumps(notes, sort_keys=True),
                       "FAILED job 1 packing on sn:7: boom", json.dumps(last)]) + "\n"
 
@@ -51,7 +52,28 @@ def _output(metrics, per_kind):
 def test_a_run_is_parsed_with_its_seconds_per_kind():
     out = _output({"jobs_per_s": 500.5, "ok_ratio": 1.0}, {"energy": 0.25, "packing": 0.5})
     assert ab.parse_run(out) == {"jobs_per_s": 500.5, "ok_ratio": 1.0,
-                                 "run_s_per_kind": {"energy": 0.25, "packing": 0.5}}
+                                 "run_s_per_kind": {"energy": 0.25, "packing": 0.5},
+                                 "raw.loop_wall_s": 0.25, "median_speed_factor": 0.75}
+
+
+# the last two lines of a `perfbench/run.py --workload scans --trace 0` run
+NOTES_LINE = (
+    'notes {"jobs": 139, "jobs_beyond_tail": 4, "median_speed_factor": 0.6518, '
+    '"raw": {"job_ms_p50": 0.7912, "job_ms_tail": 2.0311, "jobs_per_s": 515.2, '
+    '"loop_wall_s": 0.2698}, "ref_loop_s": 0.1759, "run_s_per_kind": '
+    '{"packing": 0.0401}, "setup_samples_s": [0.11, 0.12], "tail_percentile": 95}')
+METRICS_LINE = '{"metrics": {"jobs_per_s": {"unit": "jobs/s", "value": 790.2}}}'
+
+
+def test_a_notes_line_gives_the_raw_loop_seconds_and_the_speed_factor():
+    runs = [ab.parse_run(f"provenance {{}}\n{NOTES_LINE}\n{METRICS_LINE}\n")]
+    assert runs[0]["raw.loop_wall_s"] == 0.2698 and runs[0]["median_speed_factor"] == 0.6518
+    faster = dict(runs[0], **{"raw.loop_wall_s": 0.25, "median_speed_factor": 0.7})
+    rows = ab.summarize([(runs[0], faster)] * 3, ab.NOTES)
+    assert [(r["name"], r["wins"], r["base"][1], r["change"][1]) for r in rows] == [
+        ("raw.loop_wall_s", 3, 0.2698, 0.25), ("median_speed_factor", 3, 0.6518, 0.7)]
+    text = ab.format_rows(rows).splitlines()
+    assert text[1].split()[0] == "raw.loop_wall_s" and text[2].split()[-2:] == ["3/3", "yes"]
 
 
 def test_kind_medians_are_taken_per_side():

@@ -1,8 +1,9 @@
 """The conjugate search kept with its group, once per conjugacy class: a
 warm store answers as a cleared one does, a repeat does no search work, a
-conjugate of a kept class runs no name search and no commuting test, a walk
-alone builds a chain, guards still trip on a kept orbit, a search that
-raises keeps nothing, and no scan changes a kept orbit.
+conjugate of a kept class runs no name search and no commuting test and
+keeps only its point of the class, a walk alone builds a chain, guards
+still trip on a kept orbit, a search that raises keeps nothing, and no scan
+changes a kept orbit.
 """
 
 import copy
@@ -26,7 +27,7 @@ from cinorm import (
     wreath_element,
 )
 from cinorm import displacement, enumeration, find_strong_displacer, product, subgroup_closure
-from cinorm.displacement import _FlatChain, _StabChain, _conjugates
+from cinorm.displacement import _Class, _FlatChain, _Orbit, _StabChain, _conjugates
 from cinorm.elements import conjugate_of
 
 GROUPS = ["sn:5", "sn:6", "sn:7", "sn:8", "an:5", "an:6", "an:7",
@@ -80,9 +81,16 @@ def test_a_warm_store_answers_as_a_cleared_one(text, data):
         return SubgroupSpec(tuple(data.draw(st.sampled_from(pool))
                                   for _ in range(data.draw(st.sampled_from([1, 2, 2])))))
     h, h2 = subgroup(), subgroup()
-    calls = _scans(d, h, h2)
+    # t h t^-1, asked after h: a point of the class that h's calls keep,
+    # moved against h2 as h is, so that both share one commuting list
+    twin = _conjugate(h, data.draw(st.sampled_from(pools[0])))
+    table = trivial_norm_table(d)
+    calls = _scans(d, h, h2) + [lambda: packing_number(d, twin)] + [
+        lambda norm=norm, m=m: displacement_energy(d, twin, m, norm)
+        for norm in (support_norm, table) for m in (1, 2)] + [
+        lambda k=k: disjunction_energy(d, h2, k, table) for k in (h, twin)]
     cold = [_cold(call) for call in calls]
-    for call in calls:  # every search and near-list kept
+    for call in calls:  # every search and commuting list kept
         _outcome(call)
     # packing's p, witnesses and exhausted, every energy's value and minimizer
     assert [_outcome(call) for call in calls] == cold
@@ -108,8 +116,9 @@ def _counting(monkeypatch, *names):
 
 
 def _counting_searches(monkeypatch):
-    """Count the name searches and the orbits rooted in a kept class."""
-    return _counting(monkeypatch, "_name_search", "_rooted")
+    """Count the name searches and the subgroups read as points of a
+    class."""
+    return _counting(monkeypatch, "_name_search", "_Orbit")
 
 
 def _sym3(d):
@@ -183,14 +192,15 @@ def test_a_search_that_raises_keeps_nothing(monkeypatch):
         _conjugates(d, h, 10 ** 7, cap=5)
     assert _kept_searches(d) == _kept_names(d) == []
     orb = _conjugates(d, h, 10 ** 7)
-    assert len(orb.trans) * orb.chain.order() == 120 and len(_kept_searches(d)) == 1
+    assert len(orb.cls.trans) * orb.chain.order() == 120 and len(_kept_searches(d)) == 1
     assert len(_kept_names(d)) == 10
 
 
 def _state(orb):
     # the chain's data without its payload operations, which copy as new objects
     chain = {k: v for k, v in vars(orb.chain).items() if not callable(v)}
-    return orb.trans, orb.action, orb.tree, chain
+    cls = orb.cls
+    return cls.trans, cls.action, cls.tree, cls.where, orb.j, orb.t_inv, chain
 
 
 @pytest.mark.parametrize("text", ["sn:7", "wreath:sn:3:zn:3"])
@@ -348,7 +358,7 @@ def test_the_orbit_stabilizer_count_is_checked_on_every_chain(monkeypatch):
     monkeypatch.setattr(displacement, "group_generators", lambda d: tuple(first))
     try:
         orb = _conjugates(d, h, 10 ** 7)
-        assert len(orb.trans) == 3
+        assert len(orb.cls.trans) == 3
         twin = _conjugate(h, first[1])
         for k in (h, twin, h):
             with pytest.raises(AssertionError, match=r"^orbit-stabilizer count 3 \* 2 is not "
@@ -357,3 +367,22 @@ def test_the_orbit_stabilizer_count_is_checked_on_every_chain(monkeypatch):
         assert len(subgroup_closure(first)) == 6
     finally:  # the class searched with the short generating set
         enumeration._store.cache_clear()
+
+
+def test_a_conjugate_keeps_its_point_and_not_an_orbit():
+    # an 8-cycle has 1 260 conjugates in S8; five of them share one class,
+    # and each keeps its point of it, with no transversal, action or tree
+    d = symmetric(8)
+    h = SubgroupSpec((perm_from_cycles(d, (1, 2, 3, 4, 5, 6, 7, 8)),))
+    enumeration._store.cache_clear()
+    for w in ("()", "(1 2)", "(1 5 3)(2 8)", "(3 4 5 6)", "(2 5)(3 7)"):
+        displacement_energy(d, _conjugate(h, from_literal(d, w)), 1, support_norm)
+    store = enumeration._store(d)
+    (cls,) = store["classes"]
+    assert isinstance(cls, _Class) and len(cls.where) == 1260
+    points = [store[k] for k in _kept_searches(d)]
+    assert len(points) == 5 and all(isinstance(p, _Orbit) and p.cls is cls for p in points)
+    assert sorted(p.j for p in points)[0] == 0 and len({p.j for p in points}) == 5
+    for p in points:
+        fields = [getattr(p, f) for f in p.__slots__]
+        assert not [f for f in fields if isinstance(f, (tuple, list)) and len(f) == 1260]

@@ -1,15 +1,18 @@
 """The orbit key of ``_conjugates`` against the exact element-set key, the
 chain it stops at the known order against one fed every Schreier
-generator, and every orbit read off a kept conjugacy class against a fresh
-search from its own subgroup.
+generator, and every subgroup read as a point of a kept conjugacy class
+against a fresh search from that subgroup.
 
 On ``sn``/``an`` the conjugates of H are named by their non-trivial point
 orbits, and the generators of the finished chain's level 0 are checked to
 normalize H; when one does not, the search runs again with the exact key.  Either way
-the orbit must be the one the exact key builds: the same transversal,
-action, BFS tree and chain levels.  The fixed subgroups below share their
-point orbits with other conjugates, so the orbit key fails there and the
-fallback runs.
+the class must be the orbit the exact key builds from its first subgroup
+H_0: the same transversal, action, BFS tree and chain.  The fixed subgroups
+below share their point orbits with other conjugates, so the orbit key
+fails there and the fallback runs.  A subgroup H = H_j of the class must
+reach the conjugates the search from H reaches, through the cosets
+``t[x] t[j]^-1 N``, with a chain of N whose order and level orbits are
+that search's.
 
 The oracle is :func:`_orbit_search`, the search the library ran afresh for
 each subgroup before it kept one search per conjugacy class.
@@ -49,13 +52,14 @@ from cinorm.enumeration import _checked_order, closure_of, enumerate_elements
 LIMIT = 10 ** 7
 
 
-def _orbit_search(d, size, name, act, normalizes, cap):
+def _orbit_search(d, size, name, act, normalizes, cap, t_conj=None):
     """The search of one subgroup H, from scratch, in two phases.  First the
     BFS: ``act(name, s, s^-1)`` names the conjugate by s of the one named,
     and each non-tree edge is recorded, not yet formed.  Then, in BFS order,
-    the Schreier generator of each edge joins the chain, until the chain
-    reaches the order ``size / |orbit|``.  None when ``normalizes`` is given
-    and fails on a generator of the chain's level 0."""
+    the Schreier generator of each edge, conjugated by ``t_conj`` when it is
+    given, joins the chain, until the chain reaches the order ``size /
+    |orbit|``.  None when ``normalizes`` is given and fails on a generator
+    of the chain's level 0."""
     mul, inv, one, _ = _payload_ops(d)
     steps = [(s.payload, inv(s.payload)) for s in group_generators(d)]
     names = [name]
@@ -81,7 +85,8 @@ def _orbit_search(d, size, name, act, normalizes, cap):
     for j, s, t in edges:
         if len(trans) * chain.order() == size:
             break
-        chain.add(mul(trans_inv[j], mul(s, t)))
+        g = mul(trans_inv[j], mul(s, t))
+        chain.add(g if t_conj is None else mul(mul(t_conj, g), inv(t_conj)))
     if normalizes is not None and not all(map(normalizes, chain.gens[0])):
         return None
     return SimpleNamespace(trans=tuple(trans), chain=chain,
@@ -123,9 +128,39 @@ def _fields(orb):
     return orb.trans, orb.action, orb.tree, orb.chain.levels()
 
 
+def _element_sets(d, h, trans):
+    """The element set of ``t H t^-1`` for each t."""
+    _, inv, _, conj = _payload_ops(d)
+    members = [g.payload for g in closure_of(h)]
+    return [frozenset(conj(t, x, inv(t)) for x in members) for t in trans]
+
+
+def assert_point_of_its_class(d, orb, h, fresh=None):
+    """H, asked as ``orb``, is the point j of a class that is the orbit the
+    oracle builds from the class's H_0, field by field, chain included;
+    ``coset(x) H coset(x)^-1`` is that orbit's conjugate at x, and these are
+    the conjugates the oracle's search from H reaches; the chain of N has
+    order ``|G| / |orbit|`` and the level orbits of that search's chain."""
+    cls = orb.cls
+    root = fresh_search(d, cls.root)
+    assert (cls.trans, cls.action, cls.tree) == (root.trans, root.action, root.tree)
+    h0 = _conjugates(d, cls.root, LIMIT)
+    assert h0.cls is cls and h0.j == 0
+    assert _chain_fields(h0.chain) == _chain_fields(root.chain)
+    fresh = fresh_search(d, h) if fresh is None else fresh
+    sets = _element_sets(d, h, [orb.coset(x) for x in range(len(cls.trans))])
+    assert sets == _element_sets(d, cls.root, root.trans)
+    assert set(sets) == set(_element_sets(d, h, fresh.trans))
+    assert orb.chain.order() * len(cls.trans) == _checked_order(d, LIMIT)
+    assert [sorted(reps) for reps, _ in orb.chain.levels()] == \
+        [sorted(reps) for reps, _ in fresh.chain.levels()]
+    if orb.j == 0:
+        assert _chain_fields(orb.chain) == _chain_fields(fresh.chain)
+
+
 def assert_same_as_exact(d, h):
     built, exact, orbit = _searches(d, h)
-    assert _fields(built) == _fields(exact)
+    assert_point_of_its_class(d, built, h, exact)
     if orbit is not None:
         assert _fields(orbit) == _fields(exact)
     return orbit
@@ -159,7 +194,7 @@ def test_orbit_key_builds_the_exact_orbit(case):
 def test_shared_point_orbits_fall_back_to_the_exact_key(text, h, count):
     d, spec = _subgroup(text, h)
     assert assert_same_as_exact(d, spec) is None
-    assert len(_conjugates(d, spec, LIMIT).trans) == count
+    assert len(_conjugates(d, spec, LIMIT).cls.trans) == count
 
 
 @pytest.mark.parametrize("text", ["sn:5", "sn:7", "an:5", "an:6"])
@@ -167,6 +202,7 @@ def test_the_whole_group_is_its_own_orbit(text):
     d = parse_descriptor(text)
     orbit = assert_same_as_exact(d, SubgroupSpec(group_generators(d)))
     assert orbit is not None and len(orbit.trans) == 1
+    assert len(_conjugates(d, SubgroupSpec(group_generators(d)), LIMIT).cls.trans) == 1
 
 
 def _counted_conjugations(d):
@@ -240,10 +276,10 @@ def test_alternating_blocks_use_the_orbit_key():
 # every Schreier generator
 
 
-def _every_generator(d, h):
-    """The orbit of ``_conjugates`` with no stop at the known order: a chain
-    whose ``order`` reads 0 never reaches it, so every Schreier generator is
-    checked and added."""
+def _every_generator(d, h, t_conj=None):
+    """The orbit of H with no stop at the known order: a chain whose
+    ``order`` reads 0 never reaches it, so every Schreier generator is
+    checked and added, each conjugated by ``t_conj`` when it is given."""
     size = _checked_order(d, LIMIT)
     elements = frozenset(g.payload for g in closure_of(h))
     with pytest.MonkeyPatch.context() as m:
@@ -251,9 +287,9 @@ def _every_generator(d, h):
             m.setattr(chain, "order", lambda self: 0)
         orb = None
         if d.family in PERMUTATION_FAMILIES:
-            orb = _orbit_search(d, size, *_orbit_key(d, h, elements), None)
+            orb = _orbit_search(d, size, *_orbit_key(d, h, elements), None, t_conj)
         if orb is None:
-            orb = _orbit_search(d, size, *_exact_key(d, elements), None)
+            orb = _orbit_search(d, size, *_exact_key(d, elements), None, t_conj)
     return orb
 
 
@@ -264,9 +300,12 @@ def _chain_state(chain):
 
 
 def assert_same_as_every_generator(d, h):
+    # H = H_j: the chain stopped at the known order is the one fed every
+    # Schreier generator of H_0's search, conjugated by t[j]
     built = _conjugates(d, h, LIMIT)
-    every = _every_generator(d, h)
-    assert (built.trans, built.action, built.tree) == (every.trans, every.action, every.tree)
+    cls = built.cls
+    every = _every_generator(d, cls.root, cls.trans[built.j] if built.j else None)
+    assert (cls.trans, cls.action, cls.tree) == (every.trans, every.action, every.tree)
     assert _chain_state(built.chain) == _chain_state(every.chain)
     assert built.chain.levels() == every.chain.levels()
 
@@ -320,9 +359,10 @@ def _conjugate_subgroups(d, h, trans):
 def assert_every_conjugate_matches_a_fresh_search(d, h, seed, most=40):
     """Ask H's conjugates (at most ``most`` of them, drawn by ``seed``) in a
     shuffled order, from an empty store: the first is the class's H_0, the
-    rest are rooted in its class.  Each orbit and chain must be the fresh
-    search's, field by field, and the commuting list read off the class
-    graph the one tested conjugate by conjugate."""
+    rest are points of its class.  Each must be a point of the class as the
+    fresh searches find it, and its neighbourhood in the class graph the
+    points whose conjugate a commuting test, conjugate by conjugate, finds
+    to commute with it."""
     conjugates = _conjugate_subgroups(d, h, fresh_search(d, h).trans)
     rng = random.Random(seed)
     asked = rng.sample(conjugates, min(most, len(conjugates)))
@@ -330,10 +370,11 @@ def assert_every_conjugate_matches_a_fresh_search(d, h, seed, most=40):
     inv = _payload_ops(d)[1]
     for k in asked:
         orb, _ = _kept_conjugates(d, k, LIMIT, None)
-        fresh = fresh_search(d, k)
-        assert (orb.trans, orb.action, orb.tree) == (fresh.trans, fresh.action, fresh.tree)
-        assert _chain_fields(orb.chain) == _chain_fields(fresh.chain)
-        assert orb.near0() == orb.commuting(_commuter(d, k, k), inv)
+        assert_point_of_its_class(d, orb, k)
+        commutes = _commuter(d, k, k)
+        cosets = [orb.coset(x) for x in range(len(orb.cls.trans))]
+        assert sorted(orb.cls.near(orb.j)) == \
+            [x for x, t in enumerate(cosets) if commutes(t, inv(t))]
 
 
 @settings(deadline=None, max_examples=20)
@@ -369,9 +410,7 @@ def test_classes_whose_names_collide_are_told_apart():
     enumeration._store.cache_clear()
     _conjugates(d, sym, LIMIT)
     for k in _conjugate_subgroups(d, cyc, fresh_search(d, cyc).trans[:8]):
-        orb = _conjugates(d, k, LIMIT)
-        assert (orb.trans, orb.action, orb.tree) == \
-            (lambda f: (f.trans, f.action, f.tree))(fresh_search(d, k))
+        assert_point_of_its_class(d, _conjugates(d, k, LIMIT), k)
     name = hash(frozenset([frozenset([0, 1, 2])]))
     assert sum(name in cls.where for cls in enumeration.kept(d, "classes", list)) == 2
 
@@ -403,11 +442,11 @@ def test_conjugates_of_a_fallback_subgroup_skip_the_orbit_key(monkeypatch):
     assert (sifts[0], checks[0] > 0) == (12, True)
     # one class, indexed by the hashes of its 15 element sets alone
     (cls,) = enumeration.kept(d, "classes", list)
-    assert len(cls.where) == len(orb.trans) == 15
+    assert len(cls.where) == len(cls.trans) == 15
     elements = frozenset(g.payload for g in closure_of(h))
     assert hash(elements) in cls.where
     assert hash(_orbit_key(d, h, elements)[0]) not in cls.where
-    for k in _conjugate_subgroups(d, h, orb.trans[1:]):
+    for k in _conjugate_subgroups(d, h, cls.trans[1:]):
         sifts[0] = checks[0] = 0
         _conjugates(d, k, LIMIT)
         assert (sifts[0], checks[0]) == (0, 0)

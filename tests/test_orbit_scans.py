@@ -59,7 +59,6 @@ from cinorm.descriptors import PERMUTATION_FAMILIES
 from cinorm.displacement import (
     _StabChain,
     _assert_witnesses,
-    _commutation_graph,
     _commuter,
     _conjugates,
     _floor_bound,
@@ -451,24 +450,34 @@ def _subgroup(text, h):
     return d, SubgroupSpec(tuple(from_literal(d, x) for x in h.split(";")))
 
 
-def _orbit_and_graph(d, h):
-    orb = _conjugates(d, h, 10 ** 7)
-    return orb, _commutation_graph(orb, orb.commuting(_commuter(d, h, h), _payload_ops(d)[1]))
+def _cosets(orb):
+    """A conjugator taking H to each conjugate, in class order."""
+    return [orb.coset(x) for x in range(len(orb.cls.trans))]
+
+
+def _commuting(d, fixed, moved, orb):
+    """The class points whose conjugate of ``moved`` commutes with
+    ``fixed``, tested conjugate by conjugate."""
+    commutes, inv = _commuter(d, fixed, moved), _payload_ops(d)[1]
+    return [x for x, t in enumerate(_cosets(orb)) if commutes(t, inv(t))]
 
 
 def pairwise_graph(d, orb, h):
     """The r^2 commutation test on every pair of conjugates, itself included."""
     mul, inv, _, _ = _payload_ops(d)
     gens = [g.payload for g in h.generators]
-    conj = [[mul(mul(t, g), inv(t)) for g in gens] for t in orb.trans]
+    conj = [[mul(mul(t, g), inv(t)) for g in gens] for t in _cosets(orb)]
     return [frozenset(k for k, ys in enumerate(conj)
                       if all(mul(x, y) == mul(y, x) for x in xs for y in ys))
             for xs in conj]
 
 
 def assert_graph_from_one_vertex(d, h):
-    orb, near = _orbit_and_graph(d, h)
-    assert [near(j) for j in reversed(range(len(orb.trans)))][::-1] == \
+    # the class graph, from a cleared store, its vertices asked deepest first
+    enumeration._store.cache_clear()
+    orb = _conjugates(d, h, 10 ** 7)
+    near = orb.cls.near
+    assert [near(x) for x in reversed(range(len(orb.cls.trans)))][::-1] == \
         pairwise_graph(d, orb, h)
 
 
@@ -525,7 +534,7 @@ def assert_chain_descent(d, h, rng):
 
     def least_in_coset(t):
         return _least_leaf(d, [t], levels, None, _floor_bound(d, 0), None)[-1]
-    for t in orb.trans:
+    for t in _cosets(orb):
         assert least_in_coset(t) == _least_by_products(d, t, normalizer)
     # and on cosets t N of elements that are not transversal elements
     for _ in range(20):
@@ -641,9 +650,9 @@ def enumerated_least_displacer(d, fixed, moved, m, norm):
     normalizer = brute_normalizer(d, moved)
     mul, inv, _, _ = _payload_ops(d)
     commutes = _commuter(d, fixed, moved)
-    near0 = orb.commuting(commutes, inv)
+    near0 = _commuting(d, fixed, moved, orb)
     if fixed is moved and m >= 2 and not is_abelian_subgroup(fixed):
-        if len(_max_clique(_commutation_graph(orb, near0), m + 1)) <= m:
+        if len(_max_clique(orb.cls.near, orb.j, m + 1)) <= m:
             return None, None
 
     def keyed(coset):
@@ -658,13 +667,13 @@ def enumerated_least_displacer(d, fixed, moved, m, norm):
         return True
 
     if m == 1:
-        best = min((min(keyed([mul(orb.trans[i], x) for x in normalizer]))
+        best = min((min(keyed([mul(orb.coset(i), x) for x in normalizer]))
                     for i in near0), default=None)
     else:
         inverses = [inv(x) for x in normalizer]
         best = None
         for i in near0:
-            t = orb.trans[i]
+            t = orb.coset(i)
             ti = inv(t)
             for key, xi in zip(keyed([mul(t, x) for x in normalizer]), inverses):
                 if (best is None or key < best) and powers_commute(key[1], mul(xi, ti)):
@@ -782,8 +791,8 @@ def orbit_bound_failures(d, h, bound):
                 failures.append((child, fixed))
             out = min(out, below)
         return out
-    for i in orb.commuting(_commuter(d, h, h), _payload_ops(d)[1]):
-        least(orb.trans[i], 0)
+    for i in _commuting(d, h, h, orb):
+        least(orb.coset(i), 0)
     return failures
 
 
@@ -888,8 +897,8 @@ def test_s10_energy_and_s11_packing_by_theory():
 
 
 def clique_bound_fires(d, h, m):
-    _, near = _orbit_and_graph(d, h)
-    return len(_max_clique(near, m + 1)) <= m
+    orb = _conjugates(d, h, 10 ** 7)
+    return len(_max_clique(orb.cls.near, orb.j, m + 1)) <= m
 
 
 def assert_clique_bound(d, h, m):
@@ -1093,7 +1102,7 @@ def test_the_chain_of_n_stops_at_the_known_order(monkeypatch):
         d = symmetric(n)
         checked[0] = added[0] = 0
         orb = _conjugates(d, sym_block(d, pts), 10 ** 9)
-        assert len(orb.trans) * orb.chain.order() == order(d)
+        assert len(orb.cls.trans) * orb.chain.order() == order(d)
         assert 0 < checked[0] <= most and 0 < added[0] <= most
     d = symmetric(9)
     for pts, witnesses, (e1, e2) in [
@@ -1125,12 +1134,13 @@ def test_one_level_chain_walk_makes_one_product_per_leaf(monkeypatch):
     orb = _conjugates(d, h, 10 ** 7)
     levels = orb.chain.levels()
     assert len(levels) == 1 and orb.chain.order() == 216
+    t = orb.coset(1)
     products = [0]
     _counting(monkeypatch, "_payload_ops", products)
-    least = _least_leaf(d, [orb.trans[1]], levels, None, _floor_bound(d, 0), None)
+    least = _least_leaf(d, [t], levels, None, _floor_bound(d, 0), None)
     assert products[0] == 216
     mul = _payload_ops(d)[0]
-    assert least[1] == min(mul(orb.trans[1], x) for x in levels[0][0].values())
+    assert least[1] == min(mul(t, x) for x in levels[0][0].values())
     products[0] = 0
     enumeration._store.cache_clear()  # count a cold search, not the orbit kept above
     assert packing_number(d, h).p == 3
