@@ -19,13 +19,15 @@ higher when the machine ran faster), so that a move in ``jobs_per_s`` can
 be told from a move in the machine's speed.  For each job kind it also prints each side's median of the run's
 ``run_s_per_kind`` note, so that a gain can be traced to the kinds that
 moved.  Before the runs it prints each side's line count of the ``*.py``
-files under ``src/`` and ``tests/``, and the difference.  ``--json FILE``
+files under ``src/`` and ``tests/``, the code lines of ``src/`` (without
+docstrings, comments and blank lines), and the differences.  ``--json FILE``
 also writes every run's values, the line counts and the summary.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
@@ -34,6 +36,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,17 +73,41 @@ def checkout(treeish: str, dest: Path) -> Path:
     return dest
 
 
+#: Tokens that hold no code: comments, line breaks and indentation.
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def code_lines(source: bytes) -> int:
+    """The lines of Python ``source`` that hold code: every line that a
+    token of a statement spans, except statements that are strings alone
+    (docstrings), and so without comments and blank lines."""
+    lines, statement = set(), []
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+            if any(t.type != tokenize.STRING for t in statement):
+                for t in statement:
+                    lines.update(range(t.start[0], t.end[0] + 1))
+            statement = []
+        elif tok.type not in _LAYOUT:
+            statement.append(tok)
+    return len(lines)
+
+
 def line_counts(tree: Path) -> dict[str, int]:
     """The lines of the ``*.py`` files under ``src/`` and under ``tests/`` of
-    ``tree``, counted as ``wc -l`` does."""
-    return {part: sum(p.read_bytes().count(b"\n") for p in (tree / part).rglob("*.py"))
-            for part in ("src", "tests")}
+    ``tree``, counted as ``wc -l`` does, and under ``"src code"`` the
+    :func:`code_lines` of those under ``src/``."""
+    counts = {part: sum(p.read_bytes().count(b"\n") for p in (tree / part).rglob("*.py"))
+              for part in ("src", "tests")}
+    counts["src code"] = sum(code_lines(p.read_bytes()) for p in (tree / "src").rglob("*.py"))
+    return counts
 
 
 def format_line_counts(base: dict[str, int], change: dict[str, int]) -> str:
-    lines = [f"{'lines':<6} {'base':>7} {'change':>7} {'diff':>6}"]
+    lines = [f"{'lines':<8} {'base':>7} {'change':>7} {'diff':>6}"]
     for part in base:
-        lines.append(f"{part:<6} {base[part]:>7} {change[part]:>7} "
+        lines.append(f"{part:<8} {base[part]:>7} {change[part]:>7} "
                      f"{change[part] - base[part]:>+6}")
     return "\n".join(lines)
 

@@ -184,7 +184,10 @@ def _bind_ops(d: GroupDescriptor) -> tuple:
     elif f in MATRIX_FAMILIES:
         n = d.n
         mod = d.p if f == "slp" else 0
-        mul = partial(_mat_mul_mod, mod) if mod else _mat_mul_z
+        if n in _PRODUCTS:
+            mul = partial(_PRODUCTS[n], mod)
+        else:
+            mul = partial(_mat_mul_mod, mod) if mod else _mat_mul_z
         inv = partial(_ADJUGATES.get(n, _bareiss_adjugate), mod)
         one = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     elif f in WREATH_FAMILIES:
@@ -322,6 +325,49 @@ def _mat_mul_mod(mod: int, a, b):
     return tuple([tuple([sum(map(mul, row, col)) % mod for col in cols]) for row in a])
 
 
+def _mat_mul2(mod: int, a, b):
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return _reduced(mod, ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+                          (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)))
+
+
+def _mat_mul3(mod: int, a, b):
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return _reduced(mod, (
+        (a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
+         a00 * b02 + a01 * b12 + a02 * b22),
+        (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
+         a10 * b02 + a11 * b12 + a12 * b22),
+        (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
+         a20 * b02 + a21 * b12 + a22 * b22)))
+
+
+def _mat_mul4(mod: int, a, b):
+    (a00, a01, a02, a03), (a10, a11, a12, a13), \
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = a
+    (b00, b01, b02, b03), (b10, b11, b12, b13), \
+        (b20, b21, b22, b23), (b30, b31, b32, b33) = b
+    return _reduced(mod, (
+        (a00 * b00 + a01 * b10 + a02 * b20 + a03 * b30,
+         a00 * b01 + a01 * b11 + a02 * b21 + a03 * b31,
+         a00 * b02 + a01 * b12 + a02 * b22 + a03 * b32,
+         a00 * b03 + a01 * b13 + a02 * b23 + a03 * b33),
+        (a10 * b00 + a11 * b10 + a12 * b20 + a13 * b30,
+         a10 * b01 + a11 * b11 + a12 * b21 + a13 * b31,
+         a10 * b02 + a11 * b12 + a12 * b22 + a13 * b32,
+         a10 * b03 + a11 * b13 + a12 * b23 + a13 * b33),
+        (a20 * b00 + a21 * b10 + a22 * b20 + a23 * b30,
+         a20 * b01 + a21 * b11 + a22 * b21 + a23 * b31,
+         a20 * b02 + a21 * b12 + a22 * b22 + a23 * b32,
+         a20 * b03 + a21 * b13 + a22 * b23 + a23 * b33),
+        (a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30,
+         a30 * b01 + a31 * b11 + a32 * b21 + a33 * b31,
+         a30 * b02 + a31 * b12 + a32 * b22 + a33 * b32,
+         a30 * b03 + a31 * b13 + a32 * b23 + a33 * b33)))
+
+
 def _mat_det(rows) -> int:
     # Bareiss fraction-free elimination: exact over the integers.
     n = len(rows)
@@ -437,6 +483,7 @@ def _bareiss_adjugate(mod: int, a):
 
 
 _ADJUGATES = {2: _adjugate2, 3: _adjugate3, 4: _adjugate4}
+_PRODUCTS = {2: _mat_mul2, 3: _mat_mul3, 4: _mat_mul4}
 
 
 # ---------------------------------------------------------------------------

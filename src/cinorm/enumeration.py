@@ -21,6 +21,7 @@ from .elements import (
     compose,
     elementary,
     identity,
+    mod_matrix,
     perm_from_cycles,
     product_element,
     sort_key,
@@ -129,16 +130,45 @@ def _enumerate(d: GroupDescriptor, size: int, limit: int | None) -> list[Element
 
 
 def group_generators(d: GroupDescriptor) -> tuple[Element, ...]:
-    """A small generating set of a finite group, in a fixed order."""
+    """A small generating set of a finite group, in a fixed order.
+
+    ``an`` (n >= 3) takes (1 2 3) with the n-cycle (1 2 ... n) for n odd, or
+    the (n-1)-cycle (2 3 ... n) for n even; ``slp`` takes e_12(1) with C, the
+    permutation matrix of e_i -> e_(i-1) (indices mod n) whose (1, n) entry
+    carries the cycle's sign (-1)^(n-1), so that det C = 1.  Both generate:
+
+    * *A_n.*  For n odd, conjugating (1 2 3) by the powers of (1 2 ... n)
+      gives every (i i+1 i+2), and these generate A_n.  For n even,
+      conjugating it by the powers of (2 3 ... n) gives every (1 i i+1), and
+      (1 i+1 i) (1 2 i) (1 i+1 i)^-1 = (1 2 i+1)^-1 gives by induction every
+      (1 2 i), which generate A_n.
+    * *SL(n, p).*  For n = 2, C = [[0, -1], [1, 0]] and e_12(1) generate
+      SL(2, Z), and reduction mod p maps SL(2, Z) onto SL(2, p).  For
+      n >= 3, conjugating e_12(1) by the powers of C gives e_(i,i+1)(+-1)
+      for every i < n and e_(n,1)(+-1); the commutators
+      [e_ij(a), e_jk(b)] = e_ik(ab), i != k, then give every elementary
+      matrix, and the elementary matrices generate SL(n, p).
+
+    No output depends on which generating set is chosen: enumeration is
+    sorted; a kernel row is a product, whatever Schreier tree built it;
+    class labels are least indices; q_K and cl step sets are conjugacy
+    closures, so their BFS order is fixed by the step set alone; scan
+    results are least (value, payload) over cosets, by the class lemma of
+    :mod:`~cinorm.displacement`; :func:`derived_subgroup` returns a set, and
+    :func:`~cinorm.fcommutator.wreath_environment` only checks that copies
+    commute."""
     f = d.family
     if f == "sn":
         gens = [perm_from_cycles(d, c, one_based=False)
                 for c in ((0, 1), range(d.n)) if d.n >= 2]
     elif f == "an":
-        gens = [perm_from_cycles(d, (0, 1, i), one_based=False) for i in range(2, d.n)]
+        gens = [perm_from_cycles(d, c, one_based=False)
+                for c in ((0, 1, 2), range(1 - d.n % 2, d.n)) if d.n >= 3]
     elif f == "slp":
-        gens = [elementary(d, i, j, s) for i in range(1, d.n + 1)
-                for j in range(1, d.n + 1) if i != j for s in (1, d.p - 1)]
+        n = d.n
+        gens = [elementary(d, 1, 2), mod_matrix(d, [
+            [(-1) ** (n - 1) if (i, j) == (0, n - 1) else int(j == i - 1) for j in range(n)]
+            for i in range(n)])]
     elif f in ("wreath-zn", "bar", "product"):
         parts = d.parts or (d.base,)
         ones = [identity(p) for p in parts]

@@ -97,8 +97,30 @@ def test_line_counts_read_the_python_files_of_src_and_tests(tmp_path):
             (pkg / "notes.txt").write_text("not code\n")
         (tmp_path / tree / "bench.py").write_text("outside\n")
     base, change = (ab.line_counts(tmp_path / tree) for tree in ("base", "change"))
-    assert base == {"src": 3, "tests": 2} and change == {"src": 1, "tests": 4}
+    assert base == {"src": 3, "tests": 2, "src code": 3}
+    assert change == {"src": 1, "tests": 4, "src code": 1}
     assert ab.format_line_counts(base, change).splitlines() == [
-        "lines     base  change   diff",
-        "src          3       1     -2",
-        "tests        2       4     +2"]
+        "lines       base  change   diff",
+        "src            3       1     -2",
+        "tests          2       4     +2",
+        "src code       3       1     -2"]
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path):
+    source = (b'"""A module docstring\n'
+              b'over two lines."""\n'
+              b"\n"
+              b"# a comment\n"
+              b"def f(x):  # a trailing comment counts as its line of code\n"
+              b"    'a docstring'\n"
+              b"\n"
+              b"    return (x +\n"
+              b"            1)\n"
+              b'TEXT = """a string that is\n'
+              b'code, not a docstring"""\n')
+    assert ab.code_lines(source) == 5
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_bytes(source)
+    (tmp_path / "tests").mkdir()
+    assert ab.line_counts(tmp_path) == {"src": 11, "tests": 0, "src code": 5}

@@ -941,6 +941,22 @@ def test_adjugates_match_bareiss_on_integer_matrices(rows, mod):
         assert bound_inverse(len(a), mod)(a) == want
 
 
+def square_matrices(n):
+    return st.lists(st.tuples(*[st.integers()] * n), min_size=n, max_size=n).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(square_matrices(n), square_matrices(n))),
+       st.sampled_from([0, 2, 3, 5, 7]))
+def test_products_match_the_chain_on_integer_matrices(pair, mod):
+    # any entries, singular or not: straight-line products for n <= 4, the
+    # generic comprehension at n = 5; a tuple of tuples, so payloads hash
+    a, b = pair
+    got = _payload_ops(sl_mod(len(a), mod) if mod else sl_z(len(a)))[0](a, b)
+    assert got == chain_mat_mul(a, b, mod)
+    assert type(got) is tuple and all(type(row) is tuple for row in got)
+
+
 @pytest.mark.parametrize("a", [
     ((1, 2), (2, 4)),
     ((0, 0), (0, 0)),

@@ -68,7 +68,7 @@ from cinorm.displacement import (
     _orbit_bound,
     is_abelian_subgroup,
 )
-from cinorm.elements import _payload_ops, _perm_parity, sort_key
+from cinorm.elements import _mat_det, _payload_ops, _perm_parity, sort_key
 from cinorm.norms import NormTable, NormTableMeta, norm_value_fn, payload_value_fn
 from cinorm.cli import main
 
@@ -292,11 +292,21 @@ def test_corner_sym3_matches_full_scans(text):
     assert_matches_full_scans(d, h, SubgroupSpec(h.generators[1:]))
 
 
-@pytest.mark.parametrize("text", FAMILIES + ["sn:1", "sn:2", "an:3", "an:4", "slp:2:2",
-                                             "slp:3:2", "wreath:sn:3:zn:3", "bar:an:4"])
+@pytest.mark.parametrize("text", list(dict.fromkeys(
+    FAMILIES + ["sn:1", "sn:2", "an:3", "an:4", "slp:2:2", "slp:3:2", "wreath:sn:3:zn:3",
+                "bar:an:4"] + [f"an:{n}" for n in range(3, 10)]
+    + ["slp:2:11", "slp:3:3", "slp:4:2"])))
 def test_group_generators_generate(text):
+    # by closure order; slp:5:2 (order 9 999 360) and slp:4:3 (24 261 120)
+    # rest on the proof in the docstring of group_generators, since a
+    # closure of that size takes minutes in pure Python
     d = parse_descriptor(text)
-    assert len(subgroup_closure(group_generators(d))) == order(d)
+    gens = group_generators(d)
+    assert len(subgroup_closure(gens)) == order(d)
+    if d.family == "slp" or (d.family == "an" and d.n >= 4):
+        assert len(gens) == 2
+    if d.family == "slp":
+        assert _mat_det(gens[1].payload) % d.p == 1
 
 
 # ---------------------------------------------------------------------------
