@@ -20,7 +20,8 @@ be told from a move in the machine's speed.  For each job kind it also prints ea
 ``run_s_per_kind`` note, so that a gain can be traced to the kinds that
 moved.  Before the runs it prints each side's line count of the ``*.py``
 files under ``src/`` and ``tests/``, the code lines of ``src/`` (without
-docstrings, comments and blank lines), and the differences.  ``--json FILE``
+docstrings, comments and blank lines), and the differences, then the code
+lines of each module of ``src/`` whose count differs.  ``--json FILE``
 also writes every run's values, the line counts and the summary.
 """
 
@@ -94,22 +95,37 @@ def code_lines(source: bytes) -> int:
     return len(lines)
 
 
+def module_code_lines(tree: Path) -> dict[str, int]:
+    """The :func:`code_lines` of each ``*.py`` file under ``src/`` of
+    ``tree``, by its path there (``cinorm/descriptors.py``)."""
+    src = tree / "src"
+    return {p.relative_to(src).as_posix(): code_lines(p.read_bytes()) for p in src.rglob("*.py")}
+
+
 def line_counts(tree: Path) -> dict[str, int]:
     """The lines of the ``*.py`` files under ``src/`` and under ``tests/`` of
     ``tree``, counted as ``wc -l`` does, and under ``"src code"`` the
     :func:`code_lines` of those under ``src/``."""
     counts = {part: sum(p.read_bytes().count(b"\n") for p in (tree / part).rglob("*.py"))
               for part in ("src", "tests")}
-    counts["src code"] = sum(code_lines(p.read_bytes()) for p in (tree / "src").rglob("*.py"))
+    counts["src code"] = sum(module_code_lines(tree).values())
     return counts
 
 
 def format_line_counts(base: dict[str, int], change: dict[str, int]) -> str:
-    lines = [f"{'lines':<8} {'base':>7} {'change':>7} {'diff':>6}"]
+    w = max([8] + [len(part) for part in base])
+    lines = [f"{'lines':<{w}} {'base':>7} {'change':>7} {'diff':>6}"]
     for part in base:
-        lines.append(f"{part:<8} {base[part]:>7} {change[part]:>7} "
+        lines.append(f"{part:<{w}} {base[part]:>7} {change[part]:>7} "
                      f"{change[part] - base[part]:>+6}")
     return "\n".join(lines)
+
+
+def changed_modules(base: dict[str, int], change: dict[str, int]) -> tuple[dict, dict]:
+    """The entries of two :func:`module_code_lines` whose counts differ,
+    sorted by path, each side with 0 for a module it lacks."""
+    paths = sorted(p for p in base.keys() | change.keys() if base.get(p) != change.get(p))
+    return ({p: base.get(p, 0) for p in paths}, {p: change.get(p, 0) for p in paths})
 
 
 def parse_run(out: str) -> dict:
@@ -207,7 +223,11 @@ def main(argv=None) -> int:
     try:
         trees = (checkout(args.base, work / "base"), checkout(_working_tree(), work / "change"))
         counts = [line_counts(tree) for tree in trees]
-        print(f"{args.base} -> working tree\n{format_line_counts(*counts)}", flush=True)
+        modules = changed_modules(*map(module_code_lines, trees))
+        print(f"{args.base} -> working tree\n{format_line_counts(*counts)}")
+        if modules[0]:
+            print(f"\nsrc code per module, where it differs\n{format_line_counts(*modules)}")
+        sys.stdout.flush()
         for workload in args.workload:
             for seed in args.seeds:
                 pairs = []

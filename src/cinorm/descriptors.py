@@ -207,43 +207,37 @@ def order(d: GroupDescriptor) -> int | None:
 
 
 def _size(d: GroupDescriptor) -> int | float | None:
-    """|d| when integer tests on the fields show that it is below 2^99 <
-    10^30, so that it costs little to compute, or that it is 0; else ``log10
-    |d|`` as a float, within about ``1e-14 * log10 |d|`` (``lgamma`` for
-    ``sn``/``an``, sums of logs otherwise); ``None`` for the infinite
-    families.  A composite family reads the sizes its parts stored when they
-    were interned."""
+    """``log10 |d|`` as a float, within about ``1e-14 * log10 |d|``
+    (``lgamma`` for ``sn``/``an``, sums of logs otherwise), or in its place
+    |d| itself wherever that log is below 29, so that every stored order is
+    below 10^29 and costs little to compute, and where a zero field or part
+    makes |d| 0; ``None`` for the infinite families.  A composite family
+    reads the sizes its parts stored when they were interned."""
     f = d.family
     if f in ("sn", "an"):
-        if d.n <= 27:  # 27! < 2^94
-            return order(d)
-        return math.lgamma(d.n + 1) / math.log(10) - (math.log10(2) if f == "an" else 0)
-    if f == "slp":  # |SL(n, q)| = q^(n^2 - 1) prod_{k=2..n} (1 - q^-k) < q^(n^2 - 1)
+        log = math.lgamma(d.n + 1) / math.log(10) - (math.log10(2) if f == "an" else 0)
+    elif f == "slp":  # |SL(n, q)| = q^(n^2 - 1) prod_{k=2..n} (1 - q^-k) < q^(n^2 - 1)
         n, q = d.n, d.p
-        if q < 2 or (n * n - 1) * q.bit_length() <= 99:
+        if q < 2:
             return order(d)
         log_q = math.log10(q)
         # q^-k underflows to 0.0 for k > 1076, and log1p(-0.0) adds nothing
-        return (n * n - 1) * log_q + sum(
+        log = (n * n - 1) * log_q + sum(
             math.log1p(-10 ** (-k * log_q)) for k in range(2, min(n, 1100) + 1)) / math.log(10)
-    if f not in ("wreath-zn", "bar", "product"):
+    elif f in ("wreath-zn", "bar", "product"):
+        sizes = [part._size for part in d.parts or (d.base,)]
+        if None in sizes:
+            return None
+        if 0 in sizes or (f == "wreath-zn" and d.n == 0):
+            return 0
+        logs = [s if type(s) is float else math.log10(s) for s in sizes]
+        if f == "wreath-zn":
+            log = d.n * logs[0] + math.log10(d.n)
+        else:
+            log = sum(logs) + (math.log10(2) + logs[0] if f == "bar" else 0)
+    else:
         return None
-    sizes = [part._size for part in d.parts or (d.base,)]
-    if None in sizes:
-        return None
-    if 0 in sizes or (f == "wreath-zn" and d.n == 0):
-        return 0
-    if float not in map(type, sizes):  # parts below 2^99 each
-        if f != "wreath-zn":  # a cheap product
-            size = math.prod(sizes) * (2 * sizes[0] if f == "bar" else 1)
-            if size.bit_length() <= 99:
-                return size
-        elif d.n * sizes[0].bit_length() + d.n.bit_length() <= 99:  # |base|^n n
-            return sizes[0] ** d.n * d.n
-    logs = [s if type(s) is float else math.log10(s) for s in sizes]
-    if f == "wreath-zn":
-        return d.n * logs[0] + math.log10(d.n)
-    return sum(logs) + (math.log10(2) + logs[0] if f == "bar" else 0)
+    return order(d) if log < 29 else log
 
 
 #: Most digits of an order computed only to settle its digit count.
@@ -313,23 +307,21 @@ def is_abelian(d: GroupDescriptor) -> bool:
     return False  # aff-z, slz, slp
 
 
+#: The leaf families and their constructors, with the count of the fields
+#: (``n``, then ``p``) that their text gives after the name, ``:``-separated.
+_LEAVES = {"aff-z": (aff_z, 0), "z2inf": (z2_infinity, 0), "sn": (symmetric, 1),
+           "an": (alternating, 1), "free": (free_group, 1), "slz": (sl_z, 1),
+           "slp": (sl_mod, 2)}
+#: :data:`_LEAVES` by the start of each leaf's text: the name, and ":" if
+#: fields follow it
+_HEADS = {f + ":" * (leaf[1] > 0): leaf for f, leaf in _LEAVES.items()}
+
+
 def format_descriptor(d: GroupDescriptor) -> str:
     """Canonical descriptor text; inverse of :func:`parse_descriptor`."""
     f = d.family
-    if f == "sn":
-        return f"sn:{d.n}"
-    if f == "an":
-        return f"an:{d.n}"
-    if f == "free":
-        return f"free:{d.n}"
-    if f == "aff-z":
-        return "aff-z"
-    if f == "z2inf":
-        return "z2inf"
-    if f == "slz":
-        return f"slz:{d.n}"
-    if f == "slp":
-        return f"slp:{d.n}:{d.p}"
+    if f in _LEAVES:
+        return ":".join(map(str, (f, d.n, d.p)[:_LEAVES[f][1] + 1]))
     if f == "bar":
         return f"bar:{_inner(d.base)}"
     if f == "wreath-z":
@@ -360,28 +352,18 @@ def _parse_at(s: str, i: int) -> tuple[GroupDescriptor, int]:
         if i >= len(s) or s[i] != ")":
             raise ValueError("unbalanced parenthesis in descriptor")
         return d, i + 1
-    if s.startswith("aff-z", i):
-        return aff_z(), i + 5
-    if s.startswith("z2inf", i):
-        return z2_infinity(), i + 5
-    if s.startswith("sn:", i):
-        n, i = _parse_int(s, i + 3)
-        return symmetric(n), i
-    if s.startswith("an:", i):
-        n, i = _parse_int(s, i + 3)
-        return alternating(n), i
-    if s.startswith("free:", i):
-        n, i = _parse_int(s, i + 5)
-        return free_group(n), i
-    if s.startswith("slz:", i):
-        n, i = _parse_int(s, i + 4)
-        return sl_z(n), i
-    if s.startswith("slp:", i):
-        n, i = _parse_int(s, i + 4)
-        if not s.startswith(":", i):
-            raise ValueError("slp descriptor needs a modulus: slp:<n>:<p>")
-        p, i = _parse_int(s, i + 1)
-        return sl_mod(n, p), i
+    for head in _HEADS:
+        if s.startswith(head, i):
+            make, count = _HEADS[head]
+            if not count:
+                return make(), i + len(head)
+            n, i = _parse_int(s, i + len(head))
+            if count == 1:
+                return make(n), i
+            if not s.startswith(":", i):
+                raise ValueError("slp descriptor needs a modulus: slp:<n>:<p>")
+            p, i = _parse_int(s, i + 1)
+            return make(n, p), i
     if s.startswith("bar:", i):
         b, i = _parse_at(s, i + 4)
         return bar(b), i

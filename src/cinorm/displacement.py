@@ -582,10 +582,7 @@ def _normalizer_chain(orb: _Orbit) -> _StabChain | _FlatChain:
     module docstring), and checked: ``|orbit| |N| = |G|``."""
     cls = orb.cls
     d, size, steps, trans, tree = cls.d, cls.size, cls.steps, cls.trans, cls.tree
-    mul, _, one, conj = _payload_ops(d)
-    trans_inv = [one]
-    for parent, s in tree[1:]:
-        trans_inv.append(mul(trans_inv[parent], steps[s][1]))
+    mul, inv, _, conj = _payload_ops(d)
 
     def edges():
         for x, t in enumerate(trans):
@@ -597,7 +594,7 @@ def _normalizer_chain(orb: _Orbit) -> _StabChain | _FlatChain:
     for y, s, t in edges():
         if len(trans) * chain.order() == size:
             break
-        g = mul(trans_inv[y], mul(s, t))
+        g = mul(inv(trans[y]), mul(s, t))
         chain.add(conj(trans[orb.j], g, orb.t_inv) if orb.j else g)
     if len(trans) * chain.order() != size:
         raise AssertionError(f"orbit-stabilizer count {len(trans)} * "

@@ -124,3 +124,24 @@ def test_code_lines_leave_out_docstrings_comments_and_blank_lines(tmp_path):
     (pkg / "a.py").write_bytes(source)
     (tmp_path / "tests").mkdir()
     assert ab.line_counts(tmp_path) == {"src": 11, "tests": 0, "src code": 5}
+
+
+def test_the_modules_whose_code_lines_differ_are_listed(tmp_path):
+    for tree, modules in (("base", {"a.py": 2, "b.py": 3, "c.py": 1}),
+                          ("change", {"a.py": 2, "b.py": 1, "d.py": 4})):
+        pkg = tmp_path / tree / "src" / "cinorm"
+        pkg.mkdir(parents=True)
+        for name, n in modules.items():
+            (pkg / name).write_text("# a comment\n" + "x = 1\n" * n)
+    base, change = (ab.module_code_lines(tmp_path / tree) for tree in ("base", "change"))
+    assert base == {"cinorm/a.py": 2, "cinorm/b.py": 3, "cinorm/c.py": 1}
+    assert sum(base.values()) == ab.line_counts(tmp_path / "base")["src code"]
+    # a module on one side only counts 0 on the other; an unchanged one is left out
+    moved = ab.changed_modules(base, change)
+    assert moved == ({"cinorm/b.py": 3, "cinorm/c.py": 1, "cinorm/d.py": 0},
+                     {"cinorm/b.py": 1, "cinorm/c.py": 0, "cinorm/d.py": 4})
+    assert ab.format_line_counts(*moved).splitlines() == [
+        "lines          base  change   diff",
+        "cinorm/b.py       3       1     -2",
+        "cinorm/c.py       1       0     -1",
+        "cinorm/d.py       0       4     +4"]

@@ -16,7 +16,8 @@ import pytest
 
 import cinorm
 from cinorm import enumeration
-from cinorm.descriptors import GroupDescriptor, _Interned, _is_prime, _order_within, _size
+from cinorm.descriptors import (GroupDescriptor, _Interned, _is_prime, _order_text,
+                                _order_within, _size)
 from cinorm import (
     GuardExceededError,
     SubgroupSpec,
@@ -90,22 +91,37 @@ def test_an_order_within_a_bound_is_the_order_or_none(text):
         assert _order_within(d, bound) == (size if size is not None and size <= bound else None)
 
 
+# the exact order is stored in place of log10 |G| wherever that log is below
+# 29; both sides of that bound are listed (|wreath:sn:1:zn:1000| = 1000,
+# |product:sn:26,sn:5| ~ 4.8e28 and |product:sn:27,sn:4| ~ 2.6e29)
 SMALL_OR_NOT = [
     ("sn:27", True), ("sn:28", False), ("an:27", True), ("slp:2:5", True),
     ("slp:6:3", True), ("slp:10:3", False), ("bar:sn:15", True), ("bar:sn:25", False),
-    ("wreath:sn:3:zn:30", True), ("wreath:sn:3:zn:36", False), ("wreath:sn:1:zn:1000", False),
-    ("product:sn:20,sn:10", True), ("product:sn:27,sn:10", False), ("free:2", False),
+    ("wreath:sn:3:zn:30", True), ("wreath:sn:3:zn:36", False), ("wreath:sn:1:zn:1000", True),
+    ("product:sn:20,sn:10", True), ("product:sn:27,sn:10", False),
+    ("product:sn:26,sn:5", True), ("product:sn:27,sn:4", False), ("free:2", False),
     ("wreath:sn:3:z", False), ("product:sn:3,free:2", False)]
 
 
 @pytest.mark.parametrize("text,small", SMALL_OR_NOT)
 def test_a_small_order_is_read_from_the_fields(text, small):
-    # the fields' test takes the exact order only below 2^99, else leaves it
-    # to the log; both sides of that bound are listed
     d = parse_descriptor(text)
     size = order(d)
     assert (type(d._size) is int) == small
-    assert not small or d._size == size < 2 ** 99
+    assert not small or d._size == size < 10 ** 29
+
+
+@pytest.mark.parametrize("text, size", [
+    ("wreath:sn:1:zn:1000", 1000),
+    ("product:sn:27,sn:4", 261332866810040451858432000000),
+])
+def test_an_order_stored_either_way_gives_the_same_answers(text, size):
+    # a log stored in place of the order, or the order in place of its log,
+    # compares and is written as the other was
+    d = parse_descriptor(text)
+    assert order(d) == size
+    assert [_order_within(d, b) for b in (size - 1, size, size + 1)] == [None, size, size]
+    assert _order_text(d) == f"= {size}"
 
 
 @pytest.mark.parametrize("make", [
@@ -167,21 +183,49 @@ def test_validation():
         sl_z(1)
 
 
-@pytest.mark.parametrize("text", [
+ROUND_TRIP = [
     "sn:5", "an:6", "free:2", "aff-z", "z2inf", "slz:3", "slp:2:5",
     "bar:sn:3", "wreath:sn:3:z", "wreath:sn:3:zn:4",
     "product:sn:3,an:4", "bar:wreath:sn:3:zn:3",
     "product:(product:sn:3,sn:3),an:4",
-])
+]
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP)
 def test_grammar_round_trip(text):
     d = parse_descriptor(text)
     assert parse_descriptor(format_descriptor(d)) == d
 
 
+@pytest.mark.parametrize("text", ROUND_TRIP + [
+    "bar:(product:sn:2,sn:2)", "wreath:(product:sn:2,sn:2):zn:3",
+    "wreath:wreath:sn:2:zn:2:zn:3", "product:bar:sn:3,sn:2", "product:aff-z,z2inf",
+])
+def test_canonical_text_is_formatted_back(text):
+    assert format_descriptor(parse_descriptor(text)) == text
+
+
+GARBAGE = [
+    ("sn:", "expected integer at ''"),
+    ("wreath:sn:3", "wreath descriptor needs :z or :zn:<N>"),
+    ("slp:2", "slp descriptor needs a modulus: slp:<n>:<p>"),
+    ("nope:4", "cannot parse descriptor at 'nope:4'"),
+    ("sn:3extra", "trailing text in descriptor: 'extra'"),
+    ("slp:2:", "expected integer at ''"),
+    ("an", "cannot parse descriptor at 'an'"),
+    ("sn:-1", "expected integer at '-1'"),
+    ("wreath:sn:2:zn:", "expected integer at ''"),
+    ("product:", "cannot parse descriptor at ''"),
+    ("(sn:3", "unbalanced parenthesis in descriptor"),
+    ("sn:3)", "trailing text in descriptor: ')'"),
+]
+
+
 def test_grammar_rejects_garbage():
-    for bad in ("sn:", "wreath:sn:3", "slp:2", "nope:4", "sn:3extra"):
-        with pytest.raises(ValueError):
+    for bad, message in GARBAGE:
+        with pytest.raises(ValueError) as err:
             parse_descriptor(bad)
+        assert str(err.value) == message, bad
 
 
 def test_a_pickled_descriptor_is_found_under_another_hash_seed():
@@ -217,7 +261,7 @@ ONE_PER_FAMILY = [
 
 
 # the element families of tests/test_elements.py, one of each family, both
-# sides of 2^99, and SL(n, q) above it (slp:10:3 is in SMALL_OR_NOT)
+# sides of 10^29, and SL(n, q) above it (slp:10:3 is in SMALL_OR_NOT)
 SIZED = (["sn:4", "an:4", "free:2", "aff-z", "z2inf", "slz:3", "slp:2:5", "wreath:sn:3:zn:3",
           "bar:sn:3", "product:sn:3,free:1"]
          + [text for _, text in ONE_PER_FAMILY] + [text for text, _ in SMALL_OR_NOT]
@@ -237,13 +281,13 @@ DEGENERATE = [
 
 @pytest.mark.parametrize("text", SIZED + DEGENERATE)
 def test_the_stored_size_is_the_order_or_its_log(text):
-    # exact only below 2^99, where the fields' test may still leave the log
+    # exact only below 10^29, where log10 |G| < 29 stores the order
     d = parse_descriptor(text) if isinstance(text, str) else text()
     size = order(d)
     if size is None:
         assert d._size is None
     elif type(d._size) is int:
-        assert d._size == size < 2 ** 99
+        assert d._size == size < 10 ** 29
     else:  # SL(n, q) from k log10(q) + log10(1 - q^-k), not log10(q^k - 1)
         log = math.log10(size)
         assert type(d._size) is float and abs(d._size - log) <= 1e-14 * log

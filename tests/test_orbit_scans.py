@@ -1156,8 +1156,10 @@ def test_one_level_chain_walk_makes_one_product_per_leaf(monkeypatch):
     assert packing_number(d, h).p == 3
     # 2316 when the tails started from the identity; 1766 while every
     # Schreier generator was formed (2 products each), though N is complete
-    # one generator before the last
-    assert products[0] == 1764
+    # one generator before the last; 1764 while every transversal element
+    # was inverted along the tree (2 products for the 3-point orbit), where
+    # only the generators formed now invert theirs
+    assert products[0] == 1762
 
 
 def test_trivial_norm_walk_keys_one_leaf_batch(monkeypatch):
