@@ -40,9 +40,12 @@ class _Interned(type):
                 raise ValueError(f"descriptor field {name} must be an int, not {v!r}")
             if v < 0:
                 raise ValueError(f"descriptor field {name} must be non-negative, not {v}")
-        if base is not None and not isinstance(base, cls):
+        # a composite group is sized from its base, or its parts (at least one)
+        if (base is not None or family in ("bar", "wreath-z", "wreath-zn")) \
+                and not isinstance(base, cls):
             raise ValueError(f"descriptor field base must be a GroupDescriptor, not {base!r}")
-        if type(parts) is not tuple or not all(isinstance(x, cls) for x in parts):
+        if type(parts) is not tuple or not all(isinstance(x, cls) for x in parts) \
+                or (family == "product" and not parts):
             raise ValueError(f"descriptor field parts must hold GroupDescriptors, not {parts!r}")
         key = (family, n, p, base, parts)
         with cls._lock:
@@ -390,8 +393,9 @@ def _parse_at(s: str, i: int) -> tuple[GroupDescriptor, int]:
 
 
 def _parse_int(s: str, i: int) -> tuple[int, int]:
+    # ASCII digits only: str.isdigit also holds for "²", "٣" and "３"
     j = i
-    while j < len(s) and s[j].isdigit():
+    while j < len(s) and "0" <= s[j] <= "9":
         j += 1
     if j == i:
         raise ValueError(f"expected integer at {s[i:]!r}")

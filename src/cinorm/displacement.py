@@ -155,7 +155,10 @@ labelled once per search, from the bottom of the chain up
 Floor bound.  Every other norm is bounded below by c under a prefix other
 than the identity's and by 0 under the identity's (:func:`_floor_bound`),
 with c = 1 for the trivial norm, c the least value off the identity,
-clamped at 0, for a table, and c = 0 for any other callable.  Valid: the
+clamped at 0, for a table, and c = 0 for any other callable.  A
+whole-group table whose values are unread counts as the rule it tabulates
+(:func:`~cinorm.norms._rule_of`): the trivial table takes c = 1 and the
+support table the orbit bound, with the same values.  Valid: the
 leaves under a prefix other than the identity's are all non-identity, so
 their values are at least the least value off the identity, which is c when
 c > 0.  Refusals: a walk refuses a leaf batch holding a negative value.  If
@@ -220,6 +223,7 @@ from .norms import (
     NormTable,
     _commutator_length,
     _refuse_partial_table,
+    _rule_of,
     commutator_length,
     norm_value_fn,
     payload_value_fn,
@@ -678,11 +682,15 @@ def _floor_bound(d: GroupDescriptor, c):
 
 
 def _floor(d: GroupDescriptor, norm: NormLike | None):
-    """c of the floor bound: 1 for :func:`~cinorm.norms.trivial_norm`, the
-    least value off the identity of a table, clamped at 0, and 0 for any
-    other norm.  A table's values are read as distinct objects, in one
-    C-level pass with no comparison of values."""
-    if norm is trivial_norm:
+    """c of the floor bound: 1 for :func:`~cinorm.norms.trivial_norm` and
+    for an unread trivial table, which counts as it
+    (:func:`~cinorm.norms._rule_of`); the least value off the identity of
+    any other table, clamped at 0; and 0 for any other norm.  The unread
+    table's least value off the identity is 1 but on the trivial group,
+    where no prefix but the identity's is met.  Any other table's values
+    are read as distinct objects, in one C-level pass with no comparison of
+    values."""
+    if _rule_of(norm) is trivial_norm:
         return 1
     if not isinstance(norm, NormTable):
         return 0
@@ -776,9 +784,10 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     Values are the exact payload values of
     :func:`~cinorm.norms.payload_value_fn`.  The commuting cosets are walked
     down the chain of N by one :func:`_least_leaf` call, with the orbit
-    bound for :func:`~cinorm.norms.support_norm` and the floor bound for
-    every other norm; for m >= 2 the powers are tested only on leaves below
-    the best so far, once per key of the power lemma on ``sn``/``an``.
+    bound for :func:`~cinorm.norms.support_norm` (and an unread table of
+    it) and the floor bound for every other norm; for m >= 2 the powers
+    are tested only on leaves below the best so far, once per key of the
+    power lemma on ``sn``/``an``.
     H's commuting list with itself is its neighbourhood in its class's
     graph, that of a pair of different subgroups is kept per class, and the
     chain is built only past the clique bound."""
@@ -810,7 +819,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
         return True
 
     levels = orb.chain.levels()
-    if norm is support_norm:
+    if _rule_of(norm) is support_norm:
         bound = _orbit_bound(d.n, levels)
     else:
         bound = _floor_bound(d, _floor(d, norm))

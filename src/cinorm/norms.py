@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import ne, sub
 from typing import Any, Callable, Iterable
 
@@ -52,11 +53,28 @@ class NormTableMeta:
 
 @dataclass
 class NormTable:
-    """Exact map from every element of a finite group to a rational value."""
+    """Exact map from every element of a finite group to a rational value.
+
+    A table of a rule over all of G (:func:`trivial_norm_table`,
+    :func:`support_norm_table`) is made without ``values``: it holds the
+    rule, and every function that takes a ``NormLike`` reads it as that
+    callable (:func:`_rule_of`), so a scan over it enumerates nothing.  The
+    first read of ``values`` tabulates G, a fresh dict in one assignment,
+    and drops the rule: from then on it is a dict table like any other, and
+    edits of ``values`` are read."""
 
     descriptor: GroupDescriptor
     values: dict[Element, Fraction]
     meta: NormTableMeta
+
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute: the values of a rule table
+        rule = vars(self).get("_rule")
+        if name != "values" or rule is None:
+            raise AttributeError(name)
+        self.values = rule[1]()
+        vars(self).pop("_rule", None)
+        return self.values
 
     def domain(self) -> list[Element]:
         return sorted(self.values, key=sort_key)
@@ -65,9 +83,21 @@ class NormTable:
 NormLike = NormTable | Callable[[Element], Fraction]
 
 
+def _rule_of(norm: NormLike) -> NormLike:
+    """The rule a whole-group table tabulates while its ``values`` are
+    unread, else ``norm`` itself."""
+    if isinstance(norm, NormTable):
+        state = vars(norm)
+        rule = state.get("_rule")
+        if rule is not None and "values" not in state:
+            return rule[0]
+    return norm
+
+
 def norm_value_fn(norm: NormLike) -> Callable[[Element], Fraction]:
     """Uniform accessor: tables for finite groups, callables for windowed
-    infinite-family norms."""
+    infinite-family norms, and the rule of an unread whole-group table."""
+    norm = _rule_of(norm)
     if isinstance(norm, NormTable):
         return norm.values.__getitem__
     return norm
@@ -85,6 +115,7 @@ def _refuse_partial_table(d: GroupDescriptor, norm: NormLike) -> None:
     """:func:`refuse_foreign_table`, and raise :class:`ValueError` when
     ``norm`` is a table that does not cover all of the finite group ``d``."""
     refuse_foreign_table(d, norm)
+    norm = _rule_of(norm)  # an unread whole-group table covers G
     if isinstance(norm, NormTable) and gd.finite(d):  # |G| of 10^30 or more is not written
         size = gd._order_within(d, 10 ** 30)
         if len(norm.values) != size:
@@ -98,9 +129,12 @@ def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]
     exact values: the moved-point count (an int) for :func:`support_norm` on
     ``sn``/``an``, ``int(p != one)`` for :func:`trivial_norm` on every
     family, and the norm of ``Element(d, payload)`` for tables and every
-    other callable, so those raise as and when they did.  A table of another
-    group, or one that does not cover all of G, is refused."""
+    other callable, so those raise as and when they did.  A whole-group
+    table whose ``values`` are unread counts as its rule, so it is valued
+    without enumerating G.  A table of another group, or one that does not
+    cover all of G, is refused."""
     _refuse_partial_table(d, norm)
+    norm = _rule_of(norm)
     one = _payload_ops(d)[2]
     if norm is support_norm and d.family in PERMUTATION_FAMILIES:
         return lambda p: sum(map(ne, p, one))
@@ -298,15 +332,15 @@ def trivial_norm(g: Element) -> Fraction:
 
 
 def trivial_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTable:
-    """:func:`trivial_norm` on every element."""
-    return _whole_group_table(d, limit, _trivial_values, "trivial")
+    """:func:`trivial_norm` on every element; its diameter is 1, or 0 on
+    the trivial group."""
+    return _whole_group_table(d, limit, "trivial", trivial_norm, _trivial_values, 1)
 
 
-def _trivial_values(d: GroupDescriptor, elements: list[Element]) -> tuple[dict, Fraction]:
-    one, zero = Fraction(1), Fraction(0)
-    values = dict.fromkeys(elements, one)
-    values[identity(d)] = zero
-    return values, one if len(values) > 1 else zero  # the trivial group has only 0
+def _trivial_values(d: GroupDescriptor, elements: list[Element]) -> dict:
+    values = dict.fromkeys(elements, Fraction(1))
+    values[identity(d)] = Fraction(0)
+    return values
 
 
 def support_norm(g: Element) -> Fraction:
@@ -321,23 +355,40 @@ def support_norm(g: Element) -> Fraction:
 
 
 def support_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTable:
-    return _whole_group_table(d, limit, _support_values, "support")
+    """:func:`support_norm` on every element of ``sn``/``an``; other
+    families are refused at the call.  Its diameter is n, or 0 on a trivial
+    group.  Proof: no permutation moves more than n points, and a
+    non-trivial group has one that moves all n: S_n with n >= 2 holds the
+    n-cycle; A_n with n >= 3 holds it for odd n, and (1 2)(3 ... n), the
+    product of two cycles of even length, for even n >= 4.  A_1 and A_2
+    are trivial."""
+    return _whole_group_table(d, limit, "support", support_norm, _support_values, d.n)
 
 
-def _support_values(d: GroupDescriptor, elements: list[Element]) -> tuple[dict, Fraction]:
-    # one shared Fraction per count of moved points; raises off sn/an
+def _support_values(d: GroupDescriptor, elements: list[Element]) -> dict:
+    # one shared Fraction per count of moved points
     moved, counts = payload_value_fn(d, support_norm), [Fraction(k) for k in range(d.n + 1)]
-    values = {g: counts[moved(g.payload)] for g in elements}
-    return values, max(values.values())
+    return {g: counts[moved(g.payload)] for g in elements}
 
 
-def _whole_group_table(d: GroupDescriptor, limit: int | None, build: Callable,
-                       name: str) -> NormTable:
-    """The table ``name`` of ``build(d, elements)`` (values and diameter) over
-    all of ``d``: kept after the guard on ``limit``, copied per call."""
-    _checked_order(d, limit)
-    values, diameter = kept(d, build, lambda: build(d, enumerate_elements(d, limit)))
-    return NormTable(d, dict(values), NormTableMeta(name=name, diameter=diameter))
+def _whole_group_table(d: GroupDescriptor, limit: int | None, name: str,
+                       rule: Callable, build: Callable, top: int) -> NormTable:
+    """The table ``name`` of ``rule`` over all of ``d``, refused at the call
+    above ``limit`` or where ``rule`` is undefined; its diameter is ``top``,
+    or 0 on the trivial group.  Its ``values`` are ``build(d, elements)``,
+    kept per group and copied at the first read of each table's ``values``
+    (:class:`NormTable`)."""
+    size = _checked_order(d, limit)
+    rule(identity(d))  # the support norm refuses every family but sn/an here
+    table = object.__new__(NormTable)
+    meta = NormTableMeta(name=name, diameter=Fraction(top if size > 1 else 0))
+    vars(table).update(descriptor=d, meta=meta,
+                       _rule=(rule, partial(_tabulate, d, limit, build)))
+    return table
+
+
+def _tabulate(d: GroupDescriptor, limit: int | None, build: Callable) -> dict:
+    return dict(kept(d, build, lambda: build(d, enumerate_elements(d, limit))))
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +654,7 @@ def stabilization_upper(norm: NormLike, f: Element, n_max: int) -> Stabilization
     if n_max < 1:
         raise ValueError("n_max must be positive")
     refuse_foreign_table(f.descriptor, norm)
+    norm = _rule_of(norm)  # an unread whole-group table holds every power
     value = norm_value_fn(norm)
     table = norm.values if isinstance(norm, NormTable) else None
     best: Fraction | None = None

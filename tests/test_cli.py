@@ -106,6 +106,15 @@ def test_a_field_too_large_for_a_float_exits_2(group, field, capsys):
     assert all(d.n < 10 ** 399 and len(d.parts) < 6 for d in list(_Interned._live.values()))
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff13"],
+                         ids=["superscript", "arabic-indic", "fullwidth"])
+def test_a_digit_outside_ascii_exits_2(digit, capsys):
+    # str.isdigit holds for all three: "²" ended in int()'s own message, and
+    # "٣" and "３" were read as sn:3
+    assert main(["cld", "--group", f"sn:{digit}"]) == 2
+    assert capsys.readouterr().err == f"error: expected integer at '{digit}'\n"
+
+
 def test_a_large_prime_modulus_is_refused_by_the_guard_at_once(capsys):
     # trial division up to its square root ran for minutes before the guard
     start = time.perf_counter()

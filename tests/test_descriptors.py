@@ -5,6 +5,7 @@ import importlib.util
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -346,6 +347,17 @@ def test_a_modulus_past_the_exact_primality_bound_is_refused():
 def test_a_negative_field_is_refused_before_it_is_sized(make, field):
     # sizing at intern time would raise from factorial or log10 instead
     with pytest.raises(ValueError, match=f"^descriptor field {field} must be non-negative"):
+        make()
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: GroupDescriptor("product"), "parts must hold GroupDescriptors, not ()"),
+    (lambda: GroupDescriptor("bar"), "base must be a GroupDescriptor, not None"),
+    (lambda: GroupDescriptor("wreath-zn", n=3), "base must be a GroupDescriptor, not None"),
+], ids=["product", "bar", "wreath-zn"])
+def test_a_composite_group_without_parts_is_refused(make, field):
+    # sizing it read None._size and raised AttributeError
+    with pytest.raises(ValueError, match=rf"^descriptor field {re.escape(field)}$"):
         make()
 
 

@@ -195,3 +195,25 @@ def test_only_descriptors_settles_a_digit_count():
         if _names(tree) & rules or any("digits and" in x for x in strings):
             writers.add(p.stem)
     assert writers == {"descriptors"}
+
+
+def test_only_norms_reads_or_drops_a_tables_rule():
+    # a whole-group table holds the rule it tabulates until its values are
+    # read; every other module reaches the rule through norms' helpers
+    # (_rule_of, norm_value_fn, payload_value_fn, _refuse_partial_table), so
+    # one place decides when a table counts as its rule
+    readers, asks = set(), {}
+    for p in PACKAGE.glob("*.py"):
+        tree = ast.parse(p.read_text())
+        strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        if "_rule" in _names(tree) | strings:
+            readers.add(p.stem)
+        for node in ast.walk(tree):  # `x is support_norm`: through _rule_of(x)?
+            if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Is) and \
+                    getattr(node.comparators[0], "id", None) in ("support_norm", "trivial_norm"):
+                left = node.left
+                asks.setdefault(p.stem, set()).add(
+                    isinstance(left, ast.Call) and getattr(left.func, "id", None) == "_rule_of")
+    assert readers == {"norms"}
+    assert asks.get("displacement") == {True}  # the orbit and floor bounds
+    assert set(asks) <= {"norms", "displacement"}
