@@ -21,8 +21,9 @@ be told from a move in the machine's speed.  For each job kind it also prints ea
 moved.  Before the runs it prints each side's line count of the ``*.py``
 files under ``src/`` and ``tests/``, the code lines of ``src/`` (without
 docstrings, comments and blank lines), and the differences, then the code
-lines of each module of ``src/`` whose count differs.  ``--json FILE``
-also writes every run's values, the line counts and the summary.
+lines of each module of ``src/`` whose count differs.  ``--pairs 0``
+prints the line counts alone.  ``--json FILE`` also writes every run's
+values, the line counts and the summary.
 """
 
 from __future__ import annotations
@@ -208,12 +209,19 @@ def format_kinds(rows: list[tuple[str, float, float]]) -> str:
     return "\n".join(lines)
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", default="HEAD", help="the revision to compare against")
     p.add_argument("--workload", nargs="+", default=["scans"])
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=_count, default=10, help="0 prints the line counts alone")
     p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--json", type=Path, help="write every run's values and the summary here")
     args = p.parse_args(argv)
@@ -228,7 +236,7 @@ def main(argv=None) -> int:
         if modules[0]:
             print(f"\nsrc code per module, where it differs\n{format_line_counts(*modules)}")
         sys.stdout.flush()
-        for workload in args.workload:
+        for workload in args.workload if args.pairs else []:
             for seed in args.seeds:
                 pairs = []
                 for i in range(args.pairs):

@@ -155,10 +155,12 @@ labelled once per search, from the bottom of the chain up
 Floor bound.  Every other norm is bounded below by c under a prefix other
 than the identity's and by 0 under the identity's (:func:`_floor_bound`),
 with c = 1 for the trivial norm, c the least value off the identity,
-clamped at 0, for a table, and c = 0 for any other callable.  A
-whole-group table whose values are unread counts as the rule it tabulates
-(:func:`~cinorm.norms._rule_of`): the trivial table takes c = 1 and the
-support table the orbit bound, with the same values.  Valid: the
+clamped at 0, for a table, and c = 0 for any other callable
+(:func:`~cinorm.norms._floor`, which answers None for the support norm:
+take the orbit bound).  ``norms`` alone reads a table's rule: a
+whole-group table whose values are unread counts as the rule it
+tabulates, so the trivial table takes c = 1 and the support table the
+orbit bound, with the same values.  Valid: the
 leaves under a prefix other than the identity's are all non-identity, so
 their values are at least the least value off the identity, which is c when
 c > 0.  Refusals: a walk refuses a leaf batch holding a negative value.  If
@@ -220,15 +222,10 @@ from .kernel import domain_kernel
 from .literals import to_literal
 from .norms import (
     NormLike,
-    NormTable,
     _commutator_length,
-    _refuse_partial_table,
-    _rule_of,
+    _floor,
     commutator_length,
-    norm_value_fn,
     payload_value_fn,
-    support_norm,
-    trivial_norm,
 )
 
 #: Ambient-order guard for packing searches.
@@ -466,10 +463,8 @@ def _refuse_clique(count: int, cap: int | None) -> None:
                                  f"above the clique guard {cap}")
 
 
-def _refuse_foreign(d: GroupDescriptor, norm: NormLike | None, *subgroups: SubgroupSpec) -> None:
-    """Refuse a norm table or a subgroup of a group other than ``d``, and a
-    table that does not cover all of it."""
-    _refuse_partial_table(d, norm)
+def _refuse_foreign(d: GroupDescriptor, *subgroups: SubgroupSpec) -> None:
+    """Refuse a subgroup of a group other than ``d``."""
     for h in subgroups:
         if h.descriptor != d:
             raise DescriptorMismatchError(f"the subgroup lives in {h.descriptor}, not {d}")
@@ -477,7 +472,7 @@ def _refuse_foreign(d: GroupDescriptor, norm: NormLike | None, *subgroups: Subgr
 
 def _kept_conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int, cap: int | None):
     """``(orbit, elements)``: :func:`_conjugates`, and H's element set."""
-    _refuse_foreign(d, None, h)
+    _refuse_foreign(d, h)
     size = _checked_order(d, limit)
     elements = _payloads(h)
     orb = kept(d, ("conjugates", elements), lambda: _find_class(d, size, h, elements, cap))
@@ -681,25 +676,6 @@ def _floor_bound(d: GroupDescriptor, c):
     return lambda s, k: c if s[:k] != one[:k] else 0
 
 
-def _floor(d: GroupDescriptor, norm: NormLike | None):
-    """c of the floor bound: 1 for :func:`~cinorm.norms.trivial_norm` and
-    for an unread trivial table, which counts as it
-    (:func:`~cinorm.norms._rule_of`); the least value off the identity of
-    any other table, clamped at 0; and 0 for any other norm.  The unread
-    table's least value off the identity is 1 but on the trivial group,
-    where no prefix but the identity's is met.  Any other table's values
-    are read as distinct objects, in one C-level pass with no comparison of
-    values."""
-    if _rule_of(norm) is trivial_norm:
-        return 1
-    if not isinstance(norm, NormTable):
-        return 0
-    rest = dict(norm.values)
-    del rest[Element(d, _payload_ops(d)[2])]
-    values = rest.values()
-    return max(min(dict(zip(map(id, values), values)).values(), default=0), 0)
-
-
 def _power_memo(test, moved: SubgroupSpec, m: int):
     """``test(phi)`` of the powers phi^2..phi^m, asked once per distinct
     key: the images of supp H under phi^2, ..., phi^m (power lemma, module
@@ -793,7 +769,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     chain is built only past the clique bound."""
     if m < 1:
         raise ValueError(f"m = {m}: a displacer needs m >= 1")
-    _refuse_foreign(d, None, fixed)
+    _refuse_foreign(d, fixed)
     value = None if norm is None else payload_value_fn(d, norm)
     orb, elements = _kept_conjugates(d, moved, limit, None)
     cls = orb.cls
@@ -819,10 +795,8 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
         return True
 
     levels = orb.chain.levels()
-    if _rule_of(norm) is support_norm:
-        bound = _orbit_bound(d.n, levels)
-    else:
-        bound = _floor_bound(d, _floor(d, norm))
+    c = _floor(d, norm)
+    bound = _orbit_bound(d.n, levels) if c is None else _floor_bound(d, c)
     accept = None
     if m >= 2:
         accept = powers_commute
@@ -928,24 +902,39 @@ class MasterReport:
     ok: bool
 
 
-def _check_energy(e: EnergyResult, m: int, value, fixed: SubgroupSpec,
-                  moved: SubgroupSpec) -> None:
-    """Refuse a supplied energy of another m, and re-check a finite one as a
-    computed one is: its minimizer has its value, and the minimizer's powers
-    ``phi^1..phi^m`` pass :func:`_assert_witnesses`."""
-    if e.m != m:
-        raise ValueError(f"the energy is e_{e.m}, not e_{m}")
-    if e.value is None:
-        return
-    phi = e.minimizer
-    if phi is None or Fraction(value(phi)) != e.value:
-        raise ValueError(f"the energy {e.value} is not the value of its minimizer "
+def _energy(d: GroupDescriptor, norm: NormLike, fixed: SubgroupSpec, moved: SubgroupSpec,
+            m: int, energy: EnergyResult | None):
+    """``(e, value)`` for an inequality verifier: ``energy``, or when it is
+    None the least displacer of ``moved`` against ``fixed`` (e_m of H when
+    they are one subgroup H, else e(H1, H2) with m = 1); and the
+    norm's exact values on payloads, each element valued once per call.
+    Refused in this order: the norm (:func:`~cinorm.norms.payload_value_fn`),
+    a subgroup of another group, and a supplied energy of another m.  A
+    finite supplied energy is re-checked as a computed one is: its minimizer
+    is an element of ``d``, has its value, and its powers ``phi^1..phi^m``
+    pass :func:`_assert_witnesses`."""
+    pvalue = payload_value_fn(d, norm)
+    _refuse_foreign(d, fixed, moved)
+    value = cache(lambda p: Fraction(pvalue(p)))
+    if energy is None:
+        return _least_displacer(d, fixed, moved, m, norm, ENERGY_GUARD), value
+    if energy.m != m:
+        raise ValueError(f"the energy is e_{energy.m}, not e_{m}")
+    if energy.value is None:
+        return energy, value
+    phi = energy.minimizer
+    if phi is not None and phi.descriptor != d:
+        raise DescriptorMismatchError(f"the energy's minimizer lives in {phi.descriptor}, "
+                                      f"not {d}")
+    if phi is None or value(phi.payload) != energy.value:
+        raise ValueError(f"the energy {energy.value} is not the value of its minimizer "
                          f"{None if phi is None else to_literal(phi)}")
     try:
         _assert_witnesses(fixed, moved, tuple(phi ** k for k in range(1, m + 1)))
     except AssertionError:
         raise ValueError(f"the energy's minimizer {to_literal(phi)} does not "
                          f"displace the subgroup") from None
+    return energy, value
 
 
 def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
@@ -961,20 +950,15 @@ def verify_master_inequalities(d: GroupDescriptor, h: SubgroupSpec, m: int,
     ``energy`` must be e_m, and a finite one is re-checked.  One kernel of H
     gives cl_H and every [f, g] of the chain.
     """
-    _refuse_foreign(d, norm, h)
-    if energy is not None:
-        _check_energy(energy, m, norm_value_fn(norm), h, h)
+    e, value = _energy(d, norm, h, h, m, energy)
     K = domain_kernel(d, closure_of(h))  # H in sort_key order
     cl_h = _commutator_length(K, "cl_H")
-    e = energy if energy is not None else displacement_energy(d, h, m, norm)
     rows: list[InequalityRow] = []
     chain: list[InequalityRow] = []
 
     within = gd._order_within(d, AMBIENT_CL_LIMIT) is not None
     ambient_cl = commutator_length(d) if within else None
 
-    pvalue = payload_value_fn(d, norm)
-    value = cache(lambda p: Fraction(pvalue(p)))  # per call: each element valued once
     lit = list(map(to_literal, K.elements))
     factor = 4 if m == 1 else 14
     for i, x in enumerate(K.elements):
@@ -1012,15 +996,10 @@ def verify_disjunction_inequality(d: GroupDescriptor, h1: SubgroupSpec,
     """Check ``v([x1, x2]) <= 4 e(H1, H2)`` for all pairs from the two
     subgroup closures.  A supplied ``energy`` must be e_1, and a finite one
     is re-checked: its minimizer conjugates ``h2`` to commute with ``h1``."""
-    _refuse_foreign(d, norm, h1, h2)
-    if energy is not None:
-        _check_energy(energy, 1, norm_value_fn(norm), h1, h2)
-    e = energy if energy is not None else disjunction_energy(d, h1, h2, norm)
+    e, value = _energy(d, norm, h1, h2, 1, energy)
     rows: list[InequalityRow] = []
     if e.value is not None:
         mul, inv, _, conj = _payload_ops(d)
-        pvalue = payload_value_fn(d, norm)
-        value = cache(lambda p: Fraction(pvalue(p)))  # per call: each element valued once
         ones, twos = ([(to_literal(x), x.payload, inv(x.payload))
                        for x in sorted(closure_of(s), key=sort_key)] for s in (h1, h2))
         rhs = 4 * e.value

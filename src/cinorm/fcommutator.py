@@ -24,7 +24,7 @@ from .elements import (
     invert,
 )
 from .enumeration import SubgroupSpec, group_generators, subgroups_commute
-from .norms import NormLike, _refuse_partial_table, norm_value_fn
+from .norms import NormLike, payload_value_fn
 
 
 @dataclass(frozen=True)
@@ -302,17 +302,11 @@ def fcomm_norm_bound(decomp: FCommutatorDecomposition, env: FCommEnvironment,
                      norm: NormLike) -> NormBoundReport:
     """Check that each factor's norm is at most twice the shift's norm and the
     target's norm at most fourteen times it, under any conjugation-invariant
-    norm on the ambient group; a table of another group, or of part of it, is refused."""
-    _refuse_partial_table(env.ambient, norm)
-    value = norm_value_fn(norm)
-    vf = Fraction(value(env.shift))
-    rows = []
-    ok = True
-    for c in decomp.factors:
-        v = Fraction(value(env.value(c)))
-        good = v <= 2 * vf
-        ok = ok and good
-        rows.append((v, 2 * vf, good))
-    tv = Fraction(value(decomp.target))
-    ok = ok and tv <= 14 * vf
-    return NormBoundReport(ok, rows, tv, 14 * vf, vf)
+    norm on the ambient group; the norm is read and refused as by
+    :func:`~cinorm.norms.payload_value_fn`."""
+    value = payload_value_fn(env.ambient, norm)
+    vf = Fraction(value(env.shift.payload))
+    rows = [(v, 2 * vf, v <= 2 * vf)
+            for v in (Fraction(value(env.value(c).payload)) for c in decomp.factors)]
+    tv = Fraction(value(decomp.target.payload))
+    return NormBoundReport(all(r[2] for r in rows) and tv <= 14 * vf, rows, tv, 14 * vf, vf)

@@ -94,18 +94,13 @@ def _rule_of(norm: NormLike) -> NormLike:
     return norm
 
 
-def norm_value_fn(norm: NormLike) -> Callable[[Element], Fraction]:
-    """Uniform accessor: tables for finite groups, callables for windowed
-    infinite-family norms, and the rule of an unread whole-group table."""
-    norm = _rule_of(norm)
-    if isinstance(norm, NormTable):
-        return norm.values.__getitem__
-    return norm
-
-
 def refuse_foreign_table(d: GroupDescriptor, norm: "NormLike | QuasiNormSpec") -> None:
     """Raise :class:`DescriptorMismatchError` when ``norm`` is a table or a
-    quasi-norm of a group other than ``d``."""
+    quasi-norm of a group other than ``d``, and :class:`ValueError` when it
+    is :func:`support_norm` where that is undefined, off ``sn``/``an``/``z2inf``
+    (a table of it is refused there when it is made)."""
+    if norm is support_norm and d.family not in PERMUTATION_FAMILIES:
+        norm(identity(d))  # raises but on z2inf
     if isinstance(norm, (NormTable, QuasiNormSpec)) and norm.descriptor != d:
         kind = "norm table" if isinstance(norm, NormTable) else "quasi-norm"
         raise DescriptorMismatchError(f"the {kind} is on {norm.descriptor}, not {d}")
@@ -131,8 +126,10 @@ def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]
     family, and the norm of ``Element(d, payload)`` for tables and every
     other callable, so those raise as and when they did.  A whole-group
     table whose ``values`` are unread counts as its rule, so it is valued
-    without enumerating G.  A table of another group, or one that does not
-    cover all of G, is refused."""
+    without enumerating G.  Refused at the call: a table of another group,
+    one that does not cover all of G, and :func:`support_norm` where it is
+    undefined (:func:`refuse_foreign_table`).  This is the one reader of a
+    norm's values for every module but this one."""
     _refuse_partial_table(d, norm)
     norm = _rule_of(norm)
     one = _payload_ops(d)[2]
@@ -140,8 +137,31 @@ def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]
         return lambda p: sum(map(ne, p, one))
     if norm is trivial_norm:
         return lambda p: int(p != one)
-    value = norm_value_fn(norm)
+    value = norm.values.__getitem__ if isinstance(norm, NormTable) else norm
     return lambda p: value(Element(d, p))
+
+
+def _floor(d: GroupDescriptor, norm: NormLike | None):
+    """c of the floor bound of a walk over the payloads of ``d``
+    (:mod:`cinorm.displacement`), or None for :func:`support_norm` and an
+    unread table of it, whose walk takes the orbit bound.  c is 1 for
+    :func:`trivial_norm` and an unread table of it, the least value off the
+    identity of any other table, clamped at 0, and 0 for any other norm or
+    none.  The unread trivial table's least value off the identity is 1 but
+    on the trivial group, where no prefix but the identity's is met.  Any
+    other table's values are read as distinct objects, in one C-level pass
+    with no comparison of values."""
+    norm = _rule_of(norm)
+    if norm is support_norm:
+        return None
+    if norm is trivial_norm:
+        return 1
+    if not isinstance(norm, NormTable):
+        return 0
+    rest = dict(norm.values)
+    del rest[Element(d, _payload_ops(d)[2])]
+    values = rest.values()
+    return max(min(dict(zip(map(id, values), values)).values(), default=0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -648,15 +668,16 @@ def stabilization_upper(norm: NormLike, f: Element, n_max: int) -> Stabilization
     The sequence ``v(f^n)`` is subadditive, so the limit equals the infimum
     and any prefix minimum of ``v(f^n)/n`` is a true upper bound; it hits 0
     exactly when a power of ``f`` is the identity within the horizon.  An
-    empty horizon bounds nothing, so ``n_max < 1`` is refused, and so is a
-    table of a group other than that of ``f`` or a table that misses a
+    empty horizon bounds nothing, so ``n_max < 1`` is refused, and so are a
+    table of a group other than that of ``f``, the support norm where it is
+    undefined (:func:`refuse_foreign_table`), and a table that misses a
     power of ``f`` within the horizon."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
     refuse_foreign_table(f.descriptor, norm)
     norm = _rule_of(norm)  # an unread whole-group table holds every power
-    value = norm_value_fn(norm)
     table = norm.values if isinstance(norm, NormTable) else None
+    value = norm if table is None else table.__getitem__
     best: Fraction | None = None
     cur = f
     for n in range(1, n_max + 1):

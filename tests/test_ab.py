@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location(
     "ab", Path(__file__).resolve().parent.parent / "bench" / "ab.py")
 ab = importlib.util.module_from_spec(_spec)
@@ -145,3 +147,26 @@ def test_the_modules_whose_code_lines_differ_are_listed(tmp_path):
         "cinorm/b.py       3       1     -2",
         "cinorm/c.py       1       0     -1",
         "cinorm/d.py       0       4     +4"]
+
+
+def test_no_pairs_print_the_line_counts_alone(tmp_path, monkeypatch, capsys):
+    def fake_checkout(treeish, dest):
+        (dest / "src" / "cinorm").mkdir(parents=True)
+        (dest / "src" / "cinorm" / "a.py").write_text("x = 1\n" * (2 if treeish == "HEAD" else 1))
+        (dest / "tests").mkdir()
+        return dest
+
+    def no_run(*args):
+        raise AssertionError("a benchmark was run")
+    monkeypatch.setattr(ab, "checkout", fake_checkout)
+    monkeypatch.setattr(ab, "_working_tree", lambda: "tree")
+    monkeypatch.setattr(ab, "run_once", no_run)
+    out = tmp_path / "ab.json"
+    assert ab.main(["--pairs", "0", "--workload", "scans", "tables", "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "src code       2       1     -1" in text and "scans" not in text
+    assert json.loads(out.read_text())["runs"] == []
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["--pairs", "-1"])
+    assert exc.value.code == 2
+    assert "-1 is negative" in capsys.readouterr().err

@@ -239,8 +239,21 @@ def test_element_lists_split_only_between_literals(tmp_path):
     assert main(["packing", "--group", "bar:sn:3", "--h", h, "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["p"] == 2 and rep["witnesses"] == ["(();())t"]
-    assert main(["energy", "--group", "product:sn:3,sn:3", "--h", h,
+    assert main(["energy", "--group", "product:sn:3,sn:3", "--h", h, "--norm", "trivial",
                  "--out", str(tmp_path / "e.json")]) == 0
+
+
+@pytest.mark.parametrize("group,h,family", [
+    ("slp:2:3", "[[1,1],[0,1]];[[0,2],[1,0]]", "slp"),
+    ("product:sn:3,sn:3", "((1 2);());((1 2 3);())", "product")])
+def test_energy_refuses_an_undefined_support_norm(group, h, family, tmp_path, capsys):
+    # no strong displacer exists, so the norm was never read and each
+    # energy was printed as "infinite" with exit 0
+    out = tmp_path / "e.json"
+    for norm in (["--norm", "support"], []):  # support is the default
+        assert main(["energy", "--group", group, "--h", h, *norm, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: support norm undefined for family {family!r}\n"
+    assert not out.exists()
 
 
 def test_energy_with_trivial_norm_does_not_enumerate(tmp_path, monkeypatch):

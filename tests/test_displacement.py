@@ -1,6 +1,7 @@
 """Displaceability and packing against plain brute-force tuple searches."""
 
 import inspect
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -10,24 +11,34 @@ from cinorm import (
     Element,
     GuardExceededError,
     NormTable,
+    DescriptorMismatchError,
     SubgroupSpec,
+    alternating,
     compose,
     disjunction_energy,
     displacement_energy,
     enumerate_elements,
+    fcomm_norm_bound,
     find_strong_displacer,
+    group_generators,
     identity,
     invert,
     packing_number,
+    parse_descriptor,
     perm_from_cycles,
+    seven_fcommutators,
+    stabilization_upper,
     subgroups_commute,
     support_norm,
     support_norm_table,
     symmetric,
+    trivial_norm,
     trivial_norm_table,
     verify_disjunction_inequality,
     verify_master_inequalities,
+    wreath_environment,
 )
+from cinorm import displacement
 from cinorm.displacement import PACKING_GUARD, EnergyResult
 
 S5 = symmetric(5)
@@ -283,3 +294,59 @@ def test_inequality_verifiers_recheck_a_supplied_minimizer():
         with pytest.raises(ValueError, match=match):
             verify_disjunction_inequality(S8, h1, h2, support_norm, energy=bad)
     assert verify_disjunction_inequality(S8, h1, h2, support_norm, energy=e).ok
+
+
+@pytest.mark.parametrize("text", ["slp:2:3", "bar:sn:3"])
+def test_an_undefined_support_norm_is_refused_at_the_call(text):
+    # no strong displacer of G itself exists, so a search that read the norm
+    # only at a leaf reported e = infinite, and the verifiers ok with no row
+    d = parse_descriptor(text)
+    h = SubgroupSpec(tuple(group_generators(d)))
+    calls = [lambda: displacement_energy(d, h, 1, support_norm),
+             lambda: displacement_energy(d, h, 2, support_norm),
+             lambda: disjunction_energy(d, h, h, support_norm),
+             lambda: verify_master_inequalities(d, h, 1, support_norm),
+             lambda: verify_master_inequalities(d, h, 1, support_norm,
+                                                energy=EnergyResult(1, None, None)),
+             lambda: verify_disjunction_inequality(d, h, h, support_norm),
+             lambda: verify_disjunction_inequality(d, h, h, support_norm,
+                                                   energy=EnergyResult(1, None, None)),
+             lambda: stabilization_upper(support_norm, identity(d), 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^support norm undefined for family '{d.family}'$"):
+            call()
+
+
+def test_fcomm_norm_bound_refuses_an_undefined_support_norm():
+    env = wreath_environment(symmetric(3), capacity=2)
+    dec = seven_fcommutators(env, [])
+    with pytest.raises(ValueError, match="^support norm undefined for family 'wreath-zn'$"):
+        fcomm_norm_bound(dec, env, support_norm)
+
+
+def test_a_minimizer_of_another_group_is_refused_before_any_value(monkeypatch):
+    # a minimizer in A6 supplied for S6 ended in a bare KeyError on a read
+    # table, and in the witness re-check's "cannot compose" elsewhere
+    phi = perm_from_cycles(alternating(6), (4, 5, 6))
+    energy = EnergyResult(1, Fraction(1), phi)
+    h1, h2 = sym_block(S6, (1, 2, 3)), sym_block(S6, (2, 3, 4))
+    reads = [0]
+    reader = displacement.payload_value_fn
+
+    def counted(d, norm):
+        value = reader(d, norm)
+
+        def read(p):
+            reads[0] += 1
+            return value(p)
+        return read
+    monkeypatch.setattr(displacement, "payload_value_fn", counted)
+    read_table = trivial_norm_table(S6)
+    assert len(read_table.values) == 720
+    for norm in (read_table, trivial_norm_table(S6), trivial_norm, support_norm):
+        for call in (lambda: verify_master_inequalities(S6, h1, 1, norm, energy=energy),
+                     lambda: verify_disjunction_inequality(S6, h1, h2, norm, energy=energy)):
+            with pytest.raises(DescriptorMismatchError,
+                               match="^the energy's minimizer lives in an:6, not sn:6$"):
+                call()
+    assert reads == [0]

@@ -353,9 +353,14 @@ def test_fcomm_norm_bound_refuses_a_table_on_part_of_the_group(monkeypatch):
     whole = trivial_norm_table(env.ambient)
     part = NormTable(env.ambient, dict(list(whole.values.items())[:3]), whole.meta)
 
-    def no_work(norm):
+    def no_work(payload):
         raise AssertionError("a value was read before the table was checked")
-    monkeypatch.setattr(fcommutator, "norm_value_fn", no_work)
+    reader = fcommutator.payload_value_fn
+
+    def checks_only(d, norm):
+        reader(d, norm)  # the reader's checks run, and no value may be read
+        return no_work
+    monkeypatch.setattr(fcommutator, "payload_value_fn", checks_only)
     with pytest.raises(ValueError, match=r"^the norm table covers 3 elements, "
                                          rf"not all 648 of {env.ambient}$"):
         fcomm_norm_bound(dec, env, part)

@@ -38,21 +38,22 @@ from cinorm.displacement import (
     AMBIENT_CL_LIMIT,
     InequalityRow,
     MasterReport,
-    _check_energy,
-    _refuse_foreign,
+    _energy,
 )
 from cinorm.elements import sort_key
-from cinorm.norms import norm_value_fn
+from cinorm.norms import NormTable
+
+
+def _value(norm):
+    """The oracle's own accessor: a table's dict, or the callable."""
+    return norm.values.__getitem__ if isinstance(norm, NormTable) else norm
 
 
 def master_oracle(d, h, m, norm, *, energy=None):
-    _refuse_foreign(d, norm, h)
-    value = norm_value_fn(norm)
-    if energy is not None:
-        _check_energy(energy, m, value, h, h)
+    e, _ = _energy(d, norm, h, h, m, energy)  # the verifier's refusals and energy
+    value = _value(norm)
     closure = sorted(closure_of(h), key=sort_key)
     cl_h = commutator_length_over(closure, d, name="cl_H")
-    e = energy if energy is not None else displacement_energy(d, h, m, norm)
     rows, chain = [], []
     ambient_cl = None
     if gd._order_within(d, AMBIENT_CL_LIMIT) is not None:
@@ -88,11 +89,8 @@ def master_oracle(d, h, m, norm, *, energy=None):
 
 
 def disjunction_oracle(d, h1, h2, norm, energy=None):
-    _refuse_foreign(d, norm, h1, h2)
-    value = norm_value_fn(norm)
-    if energy is not None:
-        _check_energy(energy, 1, value, h1, h2)
-    e = energy if energy is not None else disjunction_energy(d, h1, h2, norm)
+    e, _ = _energy(d, norm, h1, h2, 1, energy)
+    value = _value(norm)
     rows = []
     if e.value is not None:
         for x1 in sorted(closure_of(h1), key=sort_key):

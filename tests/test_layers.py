@@ -199,21 +199,23 @@ def test_only_descriptors_settles_a_digit_count():
 
 def test_only_norms_reads_or_drops_a_tables_rule():
     # a whole-group table holds the rule it tabulates until its values are
-    # read; every other module reaches the rule through norms' helpers
-    # (_rule_of, norm_value_fn, payload_value_fn, _refuse_partial_table), so
-    # one place decides when a table counts as its rule
-    readers, asks = set(), {}
+    # read; norms alone turns a norm into values (payload_value_fn) and a
+    # floor (_floor), and refuses it, so one module decides how a norm is read
+    private = {"_rule", "_rule_of", "_refuse_partial_table"}
+    namers, asks, names = set(), set(), {}
     for p in PACKAGE.glob("*.py"):
         tree = ast.parse(p.read_text())
+        names[p.stem] = _names(tree)
         strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
-        if "_rule" in _names(tree) | strings:
-            readers.add(p.stem)
-        for node in ast.walk(tree):  # `x is support_norm`: through _rule_of(x)?
+        if private & (names[p.stem] | strings):
+            namers.add(p.stem)
+        for node in ast.walk(tree):  # `x is support_norm` or `x is trivial_norm`
             if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Is) and \
                     getattr(node.comparators[0], "id", None) in ("support_norm", "trivial_norm"):
-                left = node.left
-                asks.setdefault(p.stem, set()).add(
-                    isinstance(left, ast.Call) and getattr(left.func, "id", None) == "_rule_of")
-    assert readers == {"norms"}
-    assert asks.get("displacement") == {True}  # the orbit and floor bounds
-    assert set(asks) <= {"norms", "displacement"}
+                asks.add(p.stem)
+    assert namers == {"norms"}
+    assert asks == {"norms"}
+    for stem in ("displacement", "fcommutator"):
+        assert "payload_value_fn" in names[stem]
+        assert not names[stem] & {"NormTable", "support_norm", "trivial_norm"}, stem
+    assert not any("norm_value_fn" in n for n in names.values())

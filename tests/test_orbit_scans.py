@@ -69,7 +69,7 @@ from cinorm.displacement import (
     is_abelian_subgroup,
 )
 from cinorm.elements import _mat_det, _payload_ops, _perm_parity, sort_key
-from cinorm.norms import NormTable, NormTableMeta, norm_value_fn, payload_value_fn
+from cinorm.norms import NormTable, NormTableMeta, _floor, payload_value_fn
 from cinorm.cli import main
 
 FAMILIES = ["sn:4", "sn:5", "sn:6", "an:5", "slp:2:3", "bar:sn:3",
@@ -240,13 +240,18 @@ def _norms(d):
     return out
 
 
+def _value(norm):
+    """The full scans' own accessor: a table's dict, or the callable."""
+    return norm.values.__getitem__ if isinstance(norm, NormTable) else norm
+
+
 def assert_matches_full_scans(d, h, h2):
     for m in (1, 2):
         rep = find_strong_displacer(d, h, m)
         assert rep.witnesses == scan_strong_displacer(d, h, m)
         assert rep.found == bool(rep.witnesses)
     for norm in _norms(d):
-        value = norm_value_fn(norm)
+        value = _value(norm)
         for m in (1, 2):
             e = displacement_energy(d, h, m, norm)
             assert (e.value, e.minimizer) == scan_displacement_energy(d, h, m, value)
@@ -920,8 +925,7 @@ def assert_clique_bound(d, h, m):
     assert not (fires and rep.found)
     if d.family in PERMUTATION_FAMILIES:
         e = displacement_energy(d, h, m, support_norm)
-        assert (e.value, e.minimizer) == scan_displacement_energy(
-            d, h, m, norm_value_fn(support_norm))
+        assert (e.value, e.minimizer) == scan_displacement_energy(d, h, m, support_norm)
     return fires, rep.found
 
 
@@ -959,8 +963,7 @@ def test_clique_bound_is_not_applied_to_two_subgroups(m):
     fixed = sym_block(d, (1, 2, 3, 4, 5))
     moved = SubgroupSpec((perm_from_cycles(d, (6, 7)),))
     assert _least_displacer(d, fixed, moved, m, None, 10 ** 7).minimizer == identity(d)
-    value = norm_value_fn(support_norm)
-    assert _least_displacer(d, fixed, moved, m, value, 10 ** 7).value == 0
+    assert _least_displacer(d, fixed, moved, m, support_norm, 10 ** 7).value == 0
 
 
 def scan_two_subgroup_energy(d, fixed, moved, m, value=lambda g: 0):
@@ -1233,15 +1236,17 @@ def test_the_floor_bound_matches_enumerated_cosets_on_tables(text, pts, pts2, mo
 def test_the_floor_of_a_table(monkeypatch):
     d = symmetric(5)
     support = support_norm_table(d)
-    assert displacement._floor(d, trivial_norm) == 1
-    assert displacement._floor(d, trivial_norm_table(d)) == 1
-    assert displacement._floor(d, support) == 2
-    assert displacement._floor(d, _shifted(support, 0, Fraction(-7))) == 2
-    assert displacement._floor(d, _shifted(support, Fraction(-3, 2), Fraction(0))) == \
-        Fraction(1, 2)
-    assert displacement._floor(d, _shifted(support, -3, Fraction(0))) == 0
-    for norm in (None, support_norm, _halved_support):
-        assert displacement._floor(d, norm) == 0
+    # the support rule, and its table while unread, take the orbit bound
+    assert _floor(d, support_norm) is None and _floor(d, support) is None
+    assert _floor(d, trivial_norm) == 1
+    assert _floor(d, trivial_norm_table(d)) == 1
+    assert len(support.values) == 120  # read: from now on a table like any other
+    assert _floor(d, support) == 2
+    assert _floor(d, _shifted(support, 0, Fraction(-7))) == 2
+    assert _floor(d, _shifted(support, Fraction(-3, 2), Fraction(0))) == Fraction(1, 2)
+    assert _floor(d, _shifted(support, -3, Fraction(0))) == 0
+    for norm in (None, _halved_support):
+        assert _floor(d, norm) == 0
     # the table is read, not changed
     assert len(support.values) == 120 and support.values[identity(d)] == 0
 
