@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product as iter_product
 from pathlib import Path
 from typing import Callable
 
@@ -53,6 +54,7 @@ from .literals import _split_top, from_literal, to_literal
 from .norms import (
     commutator_length,
     qk_norm,
+    refuse_foreign_table,
     support_norm,
     support_norm_table,
     trivial_norm,
@@ -176,28 +178,51 @@ def _suite_seven_fcomm(cfg: ExperimentConfig) -> list[Check]:
     return [("seven-fcomm:100-seeded", run)]
 
 
+def _rearrange_fails(gs: list[Element]) -> int | None:
+    """Close ``g_1 .. g_m`` with the inverse of their product, solve the
+    rearrangement at capacity m and return the first index k whose
+    component is not ``g_1 ... g_(k+1)``, or None."""
+    base = gs[0].descriptor
+    env = wreath_environment(base, capacity=len(gs))
+    prod = identity(base)
+    for g in gs:
+        prod = compose(prod, g)
+    sol, _ = solve_rearrange_id(env, gs + [invert(prod)])
+    running = identity(base)
+    for k, g in enumerate(gs):
+        running = compose(running, g)
+        if sol.components[k] != running:
+            return k
+    return None
+
+
 def _suite_rearrange_id(cfg: ExperimentConfig) -> list[Check]:
     def run():
         rng = random.Random(cfg.seed)
-        base = gd.symmetric(3)
-        elems = enumerate_elements(base)
+        elems = enumerate_elements(gd.symmetric(3))
         for trial in range(1000):
-            m = trial % 3 + 1
-            env = wreath_environment(base, capacity=m)
-            gs = [rng.choice(elems) for _ in range(m)]
-            prod = identity(base)
-            for g in gs:
-                prod = compose(prod, g)
-            gs.append(invert(prod))
-            sol, c = solve_rearrange_id(env, gs)
-            running = identity(base)
-            for k, g in enumerate(gs[:-1]):
-                running = compose(running, g)
-                if sol.components[k] != running:
-                    return False, {"trial": trial}, {"k": k}
+            k = _rearrange_fails([rng.choice(elems) for _ in range(trial % 3 + 1)])
+            if k is not None:
+                return False, {"trial": trial}, {"k": k}
         return True, {"trials": 1000}, None
 
     return [("rearrange:1000-seeded", run)]
+
+
+def _suite_rearrange_id_all(cfg: ExperimentConfig) -> list[Check]:
+    def run():
+        elems = enumerate_elements(gd.symmetric(3))
+        inputs = 0
+        for m in (1, 2, 3):
+            for gs in iter_product(elems, repeat=m):
+                k = _rearrange_fails(list(gs))
+                if k is not None:
+                    return False, {"inputs": inputs}, {
+                        "gs": [to_literal(g) for g in gs], "k": k}
+                inputs += 1
+        return True, {"inputs": inputs}, None
+
+    return [("rearrange:all-m1-3", run)]
 
 
 def _suite_qk_a5(cfg: ExperimentConfig) -> list[Check]:
@@ -390,6 +415,7 @@ SUITES: dict[str, Callable[[ExperimentConfig], list[Check]]] = {
     "aff-z": _suite_aff_z,
     "seven-fcomm": _suite_seven_fcomm,
     "rearrange-id": _suite_rearrange_id,
+    "rearrange-id-all": _suite_rearrange_id_all,
     "qk-a5": _suite_qk_a5,
     "bar-splitting": _suite_bar_splitting,
     "bar-defect": _suite_bar_defect,
@@ -527,8 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("norm-verify", "verify norm axioms exhaustively", "--group --norm --out",
             norm="trivial")
     command("packing", "algebraic packing number", "--group --h --out")
-    command("energy", "displacement energy", "--group --h --norm --m --out",
-            norm="support")
+    command("energy", "displacement energy", "--group --h --norm --m --out")
     command("fcomm", "seeded shift-commutator decomposition", "--base --seed --m --out")
     command("qm", "quasi-morphism reports",
             "--pattern --word --defect-upper --seed --budget --n-max --out",
@@ -611,7 +636,13 @@ def _dispatch(args: argparse.Namespace) -> int:
     if cmd == "energy":
         d = parse_descriptor(args.group)
         h = SubgroupSpec(tuple(_parse_elements(d, args.subgroup)))
-        norm = support_norm if args.norm == "support" else trivial_norm
+        norm = trivial_norm if args.norm == "trivial" else support_norm
+        if args.norm is None:  # the default, support, is undefined off sn/an
+            try:
+                refuse_foreign_table(d, norm)
+            except ValueError as exc:
+                raise ValueError(f"{exc}; --norm defaults to support, "
+                                 f"so pass --norm trivial") from None
         energies = []
         for m in range(1, args.m + 1):
             e = displacement_energy(d, h, m, norm)

@@ -23,7 +23,7 @@ from .elements import (
     identity,
     invert,
 )
-from .enumeration import SubgroupSpec, group_generators, subgroups_commute
+from .enumeration import SubgroupSpec, group_generators, kept, subgroups_commute
 from .norms import NormLike, payload_value_fn
 
 
@@ -84,16 +84,28 @@ def wreath_environment(base: GroupDescriptor, capacity: int,
     commute elementwise iff their generators do.  Copy j is copy 0 conjugated
     by F^j, and conjugation by F^-i takes the pair (i, j) to (0, j - i), so
     checking copy 0 against copies 1..capacity checks every pair.
+
+    The arguments are checked on every call; the environment is built and
+    checked once per shape and then :func:`~cinorm.enumeration.kept` with
+    the base's other state.
     """
     if capacity < 1:
         raise ValueError("capacity must be at least 1")
     if infinite:
-        ambient = wreath_z(base)
+        ring = None
     else:
         ring = capacity + 1 if ring is None else ring
         if ring < capacity + 1:
             raise ValueError(f"ring size {ring} cannot host {capacity} shifted copies")
-        ambient = wreath_zn(base, ring)
+    return kept(base, ("wreath_environment", capacity, ring),
+                lambda: _checked_environment(base, capacity, ring))
+
+
+def _checked_environment(base: GroupDescriptor, capacity: int,
+                         ring: int | None) -> FCommEnvironment:
+    """The environment on ``wreath-zn`` of ``ring`` coordinates, or on
+    ``wreath-z`` when ``ring`` is None, with its copies checked."""
+    ambient = wreath_z(base) if ring is None else wreath_zn(base, ring)
     env = FCommEnvironment(ambient, base, capacity, Element(ambient, ((), 1)))
     if finite(base):
         gens = group_generators(base)

@@ -9,6 +9,8 @@ and is never promoted from sampling.
 
 from __future__ import annotations
 
+import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import countOf
@@ -29,7 +31,7 @@ from .enumeration import ENUMERATION_GUARD, SubgroupSpec, closure_of, subgroups_
 from .errors import GuardExceededError, InfiniteGroupError
 from .kernel import domain_kernel, group_kernel, scaled
 from .literals import to_literal
-from .sampling import random_element
+from .sampling import random_payload
 
 ZERO = Fraction(0)
 
@@ -49,6 +51,10 @@ class QuasiMorphism:
     name: str = "qm"
     notes: dict = field(default_factory=dict)
     _on_payload: Callable[[Any], Any] = field(init=False, repr=False, compare=False)
+    #: The payload function whose sum over the coordinates this is, set by
+    #: :func:`bar_extension`.
+    _summand: Callable[[Any], Any] | None = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self) -> None:
         self._on_payload = lambda p: Fraction(self.fn(Element(self.domain, p)))
@@ -75,9 +81,31 @@ def _payload_qm(domain: GroupDescriptor, count: Callable[[Any], Any],
 # counting quasi-morphisms on free groups
 
 
-def _signed_count(pat: tuple, pat_inv: tuple) -> Callable[[tuple], int]:
-    """Occurrences of ``pat`` minus those of ``pat_inv`` in a word: zipping
-    the word's k shifts yields each length-k window once, overlaps included."""
+def _signed_count(pat: tuple, pat_inv: tuple, rank: int) -> Callable[[tuple], int]:
+    """Occurrences of ``pat`` minus those of ``pat_inv`` in a word of a free
+    group of rank ``rank``, overlaps included.
+
+    Below rank 128 every letter fits one signed byte, so the word is encoded
+    once and each pattern is found by ``bytes.find``, restarting one byte
+    past each hit so that overlapping occurrences count; the encoding is
+    injective, so a byte match is a letter match.  Larger ranks zip the
+    word's k shifts, which yields each length-k window once."""
+    if rank < 128:
+        p, p_inv = array("b", pat).tobytes(), array("b", pat_inv).tobytes()
+
+        def count(w: tuple) -> int:
+            b = array("b", w).tobytes()
+            n = 0
+            i = b.find(p)
+            while i >= 0:
+                n += 1
+                i = b.find(p, i + 1)
+            i = b.find(p_inv)
+            while i >= 0:
+                n -= 1
+                i = b.find(p_inv, i + 1)
+            return n
+        return count
     starts = range(len(pat))
 
     def count(w: tuple) -> int:
@@ -95,8 +123,8 @@ def counting_qm(pattern: Element) -> QuasiMorphism:
         raise ValueError("counting quasi-morphisms live on free groups")
     if not pattern.payload:
         raise ValueError("pattern must be non-empty")
-    return _payload_qm(pattern.descriptor,
-                       _signed_count(pattern.payload, invert(pattern).payload),
+    d = pattern.descriptor
+    return _payload_qm(d, _signed_count(pattern.payload, invert(pattern).payload, d.n),
                        kind="counting", name=f"count[{to_literal(pattern)}]",
                        notes={"occurrences": "all overlapping"})
 
@@ -127,7 +155,8 @@ def defect(q: QuasiMorphism, mode: str = "exact", budget: int = 2000,
     """Additivity defect ``sup |q(ab) - q(a) - q(b)|``.
 
     Exact mode enumerates all pairs of a finite domain; sampled mode draws
-    ``budget`` seeded pairs and yields a true lower bound of the supremum.
+    ``budget`` seeded pairs and yields a true lower bound of the supremum,
+    and refuses a negative budget.
     """
     if mode == "exact":
         if not gd.finite(q.domain):
@@ -142,24 +171,21 @@ def defect(q: QuasiMorphism, mode: str = "exact", budget: int = 2000,
         return DefectEstimate(Fraction(best, den), "exact", G.n ** 2, None)
     if mode != "sampled":
         raise ValueError(f"unknown defect mode {mode!r}")
-    import random
+    _refuse_negative(budget)
     rng = random.Random(seed)
-    gap = _additivity_gap(q)
+    d, iq = q.domain, q._on_payload
+    mul = _payload_ops(d)[0]
     best = 0
     for _ in range(budget):
-        a = random_element(q.domain, rng, size=size)
-        b = random_element(q.domain, rng, size=size)
-        best = max(best, gap(a.payload, b.payload))
+        a = random_payload(d, rng, size)
+        b = random_payload(d, rng, size)
+        best = max(best, abs(iq(mul(a, b)) - iq(a) - iq(b)))
     return DefectEstimate(Fraction(best), "sampled_lower_bound", budget, seed)
 
 
-def _additivity_gap(q: QuasiMorphism) -> Callable[[Any, Any], Any]:
-    """``|q(ab) - q(a) - q(b)|`` for two raw payloads of q's domain."""
-    iq, mul = q._on_payload, _payload_ops(q.domain)[0]
-
-    def gap(a, b):
-        return abs(iq(mul(a, b)) - iq(a) - iq(b))
-    return gap
+def _refuse_negative(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"budget {budget} is negative")
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +244,10 @@ def bar_extension(r: QuasiMorphism, bar_descriptor: GroupDescriptor | None = Non
         raise ValueError("target descriptor must be the bar cover of the domain")
 
     base = r._on_payload
-    return _payload_qm(bd, lambda p: base(p[0]) + base(p[1]),
-                       kind="bar_extension", name=f"bar[{r.name}]")
+    q = _payload_qm(bd, lambda p: base(p[0]) + base(p[1]),
+                    kind="bar_extension", name=f"bar[{r.name}]")
+    q._summand = base
+    return q
 
 
 @dataclass
@@ -243,9 +271,17 @@ def bar_defect_decomposition(r: QuasiMorphism, rbar: QuasiMorphism,
     hf = compose(h, f)
     rbar._check(hf)
     r._check(Element(h.descriptor.base, h1))
-    vbar, gap = rbar._on_payload, _additivity_gap(r)
-    lhs = abs(vbar(hf.payload) - vbar(h.payload) - vbar(f.payload))
-    rhs = gap(h1, f1) + gap(h2, f2)
+    # hf is (h1 f1, h2 f2) after the swap, so each of the six coordinates is
+    # valued once, and the component defects read hf's coordinates
+    x1, x2, _ = hf.payload
+    v = r._on_payload
+    a1, a2, b1, b2, c1, c2 = v(h1), v(h2), v(f1), v(f2), v(x1), v(x2)
+    rhs = abs(c1 - a1 - b1) + abs(c2 - a2 - b2)
+    if rbar._summand is v:  # rbar sums r over the coordinates
+        lhs = abs(c1 + c2 - a1 - a2 - b1 - b2)
+    else:
+        vbar = rbar._on_payload
+        lhs = abs(vbar(hf.payload) - vbar(h.payload) - vbar(f.payload))
     return DefectDecompositionRow(h, f, Fraction(lhs), Fraction(rhs), lhs <= rhs)
 
 
@@ -301,7 +337,8 @@ def commutator_sup(q: QuasiMorphism, h: SubgroupSpec | None = None,
     """Supremum of ``q([x, y])``.
 
     Exact over a finite subgroup closure; otherwise a seeded sampled lower
-    bound over the whole domain.
+    bound over the whole domain from ``budget`` seeded pairs, where a
+    negative budget is refused.
     """
     if mode == "exact":
         if h is None:
@@ -309,33 +346,24 @@ def commutator_sup(q: QuasiMorphism, h: SubgroupSpec | None = None,
         return _exact_commutator_sup(q, h, max_witnesses)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    import random
+    _refuse_negative(budget)
     rng = random.Random(seed)
-    value = _commutator_value(q)
+    d, iq = q.domain, q._on_payload
+    mul, inv, _, _ = _payload_ops(d)
     best = 0
-    witnesses: list[tuple[Element, Element]] = []
+    pairs: list[tuple[Any, Any]] = []  # witness payloads
     for _ in range(budget):
-        x = random_element(q.domain, rng, size=size)
-        y = random_element(q.domain, rng, size=size)
-        v = value(x, y)
+        x = random_payload(d, rng, size)
+        y = random_payload(d, rng, size)
+        v = iq(mul(mul(x, y), mul(inv(x), inv(y))))  # q([x, y])
         if v > best:
             best = v
-            witnesses = [(x, y)]
-        elif v == best and v > 0 and len(witnesses) < max_witnesses:
-            witnesses.append((x, y))
+            pairs = [(x, y)]
+        elif v == best and v > 0 and len(pairs) < max_witnesses:
+            pairs.append((x, y))
+    witnesses = [(Element(d, x), Element(d, y)) for x, y in pairs]
     return CommutatorSupEstimate(Fraction(best), witnesses, "sampled_lower_bound",
                                  budget, seed)
-
-
-def _commutator_value(q: QuasiMorphism) -> Callable[[Element, Element], Any]:
-    """``q([x, y])`` on the raw payload product ``x y x^-1 y^-1``."""
-    iq = q._on_payload
-    mul, inv, _, _ = _payload_ops(q.domain)
-
-    def value(x: Element, y: Element):
-        a, b = x.payload, y.payload
-        return iq(mul(mul(a, b), mul(inv(a), inv(b))))
-    return value
 
 
 def _exact_commutator_sup(q: QuasiMorphism, h: SubgroupSpec,

@@ -7,6 +7,7 @@ so any report that records its seed is reproducible.
 from __future__ import annotations
 
 from random import Random
+from typing import Any
 
 from .descriptors import (
     MATRIX_FAMILIES,
@@ -16,21 +17,24 @@ from .descriptors import (
 )
 from .elements import (
     Element,
+    _payload_ops,
     _perm_parity,
     affz_element,
     binary_word,
-    compose,
     elementary,
-    identity,
 )
 
 
 def random_permutation(d: GroupDescriptor, rng: Random) -> Element:
+    return Element(d, _permutation(d, rng))
+
+
+def _permutation(d: GroupDescriptor, rng: Random) -> tuple:
     images = list(range(d.n))
     rng.shuffle(images)
     if d.family == "an" and _perm_parity(tuple(images)) and d.n >= 2:
         images[0], images[1] = images[1], images[0]
-    return Element(d, tuple(images))
+    return tuple(images)
 
 
 def random_word(d: GroupDescriptor, rng: Random, length: int) -> Element:
@@ -41,6 +45,10 @@ def random_word(d: GroupDescriptor, rng: Random, length: int) -> Element:
     draws it on the running Python, with ``_randbelow``'s rejection loop
     inline, and a letter that would cancel the last one is drawn again.
     """
+    return Element(d, _word(d, rng, length))
+
+
+def _word(d: GroupDescriptor, rng: Random, length: int) -> tuple:
     if d.family != "free":
         raise ValueError(f"{d} is not a free group")
     n = d.n
@@ -66,14 +74,21 @@ def random_word(d: GroupDescriptor, rng: Random, length: int) -> Element:
                 break
         letters.append(x)
         last = x
-    return Element(d, tuple(letters))
+    return tuple(letters)
 
 
 def random_element(d: GroupDescriptor, rng: Random, size: int = 8) -> Element:
-    """One seeded element; ``size`` caps word lengths and similar knobs."""
+    """One seeded element: :func:`random_payload` as an Element."""
+    return Element(d, random_payload(d, rng, size))
+
+
+def random_payload(d: GroupDescriptor, rng: Random, size: int = 8) -> Any:
+    """The raw payload of one seeded element, drawn from the same stream as
+    :func:`random_element` draws it; ``size`` caps word lengths and similar
+    knobs."""
     f = d.family
     if f in PERMUTATION_FAMILIES:
-        return random_permutation(d, rng)
+        return _permutation(d, rng)
     if f == "free":
         # the length as randint(0, size) draws it from getrandbits on the
         # running Python, with _randbelow's rejection loop inline; a
@@ -86,32 +101,31 @@ def random_element(d: GroupDescriptor, rng: Random, size: int = 8) -> Element:
         length = rng.getrandbits(k)
         while length >= width:
             length = rng.getrandbits(k)
-        return random_word(d, rng, length)
+        return _word(d, rng, length)
     if f == "z2inf":
-        return binary_word(rng.randint(0, 1) for _ in range(rng.randint(0, size)))
+        return binary_word(rng.randint(0, 1) for _ in range(rng.randint(0, size))).payload
     if f == "aff-z":
-        return affz_element(rng.randint(-size, size), rng.randint(0, 1))
+        return affz_element(rng.randint(-size, size), rng.randint(0, 1)).payload
     if f in MATRIX_FAMILIES:
-        out = identity(d)
+        mul, _, out, _ = _payload_ops(d)
         for _ in range(rng.randint(1, max(1, size // 2))):
             i = rng.randint(1, d.n)
             j = rng.randint(1, d.n - 1)
             j = j if j < i else j + 1
-            out = compose(out, elementary(d, i, j, rng.choice((-2, -1, 1, 2))))
+            out = mul(out, elementary(d, i, j, rng.choice((-2, -1, 1, 2))).payload)
         return out
     if f in WREATH_FAMILIES:
         ring = d.n if f == "wreath-zn" else size
-        coords = range(ring)
+        one = _payload_ops(d.base)[2]
         lamps = {}
-        for i in coords:
+        for i in range(ring):
             if rng.random() < 0.5:
-                g = random_element(d.base, rng, size)
-                if not g.is_identity():
-                    lamps[i] = g.payload
+                g = random_payload(d.base, rng, size)
+                if g != one:
+                    lamps[i] = g
         shift = rng.randrange(ring) if f == "wreath-zn" else rng.randint(-size, size)
-        return Element(d, (tuple(sorted(lamps.items())), shift))
+        return (tuple(sorted(lamps.items())), shift)
     if f == "bar":
-        return Element(d, (random_element(d.base, rng, size).payload,
-                           random_element(d.base, rng, size).payload,
-                           rng.randint(0, 1)))
-    return Element(d, tuple(random_element(p, rng, size).payload for p in d.parts))
+        return (random_payload(d.base, rng, size), random_payload(d.base, rng, size),
+                rng.randint(0, 1))
+    return tuple(random_payload(p, rng, size) for p in d.parts)

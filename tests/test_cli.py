@@ -10,7 +10,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -248,12 +248,35 @@ def test_element_lists_split_only_between_literals(tmp_path):
     ("product:sn:3,sn:3", "((1 2);());((1 2 3);())", "product")])
 def test_energy_refuses_an_undefined_support_norm(group, h, family, tmp_path, capsys):
     # no strong displacer exists, so the norm was never read and each
-    # energy was printed as "infinite" with exit 0
+    # energy was printed as "infinite" with exit 0; support is the default,
+    # and only when it was not asked for does the message name the way out
     out = tmp_path / "e.json"
-    for norm in (["--norm", "support"], []):  # support is the default
+    undefined = f"error: support norm undefined for family {family!r}"
+    for norm, err in ((["--norm", "support"], f"{undefined}\n"),
+                      ([], f"{undefined}; --norm defaults to support, "
+                           f"so pass --norm trivial\n")):
         assert main(["energy", "--group", group, "--h", h, *norm, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: support norm undefined for family {family!r}\n"
+        assert capsys.readouterr().err == err
     assert not out.exists()
+    assert main(["energy", "--group", group, "--h", h, "--norm", "trivial",
+                 "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("group,h", [
+    ("bar:sn:3", "((1 2);());((1 2 3);())"),
+    ("wreath:sn:3:zn:3", "{0:(1 2)};{0:(1 2 3)}")])
+def test_energy_default_norm_names_the_trivial_norm(group, h, tmp_path, capsys):
+    # a displacer exists here, and the default is still refused before the search
+    family = group.split(":")[0].replace("wreath", "wreath-zn")
+    out = tmp_path / "e.json"
+    assert main(["energy", "--group", group, "--h", h, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: support norm undefined for family {family!r}; "
+        f"--norm defaults to support, so pass --norm trivial\n")
+    assert not out.exists()
+    assert main(["energy", "--group", group, "--h", h, "--norm", "trivial",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["group"] == group
 
 
 def test_energy_with_trivial_norm_does_not_enumerate(tmp_path, monkeypatch):
@@ -574,3 +597,43 @@ def test_config_echo_with_a_nonzero_seed(tmp_path):
     assert json.loads(out.read_text())["config"] == echo
     _, report = run_suite("aff-z", ExperimentConfig(seed=5), console=io.StringIO())
     assert report["config"] == echo
+
+
+def test_exhaustive_rearrangement_suite_catches_an_input_the_seeded_one_misses(monkeypatch):
+    # the seeded suite draws 1000 of the 258 inputs (m = 1..3 over S3) with
+    # repeats; a mutant wrong on one input it never draws passes it, and
+    # the exhaustive suite fails on that input alone
+    from itertools import product as tuples
+
+    from cinorm import cli, enumerate_elements
+
+    solve = cli.solve_rearrange_id
+    drawn = set()
+
+    def recording(env, gs):
+        drawn.add(tuple(gs[:-1]))
+        return solve(env, gs)
+    monkeypatch.setattr(cli, "solve_rearrange_id", recording)
+    seeded = run_suite("rearrange-id", ExperimentConfig(), console=io.StringIO())
+    assert seeded[0] == 0
+    elems = enumerate_elements(symmetric(3))
+    inputs = [gs for m in (1, 2, 3) for gs in tuples(elems, repeat=m)]
+    assert len(inputs) == 258 and drawn < set(inputs)
+    missed = next(gs for gs in inputs if gs not in drawn and not gs[0].is_identity())
+
+    def mutant(env, gs):
+        sol, c = solve(env, gs)
+        if tuple(gs[:-1]) == missed:  # component 0 should be g_1, not 1
+            one = cinorm.identity(env.base)
+            sol = replace(sol, components=(one,) + sol.components[1:])
+        return sol, c
+    monkeypatch.setattr(cli, "solve_rearrange_id", mutant)
+    assert run_suite("rearrange-id", ExperimentConfig(), console=io.StringIO()) == seeded
+    code, report = run_suite("rearrange-id-all", ExperimentConfig(), console=io.StringIO())
+    assert code == 1 and not report["passed"]
+    (row,) = report["checks"]
+    assert row["witness"] == {"gs": [cinorm.to_literal(g) for g in missed], "k": 0}
+    assert row["detail"]["inputs"] == inputs.index(missed)
+    monkeypatch.setattr(cli, "solve_rearrange_id", solve)
+    code, report = run_suite("rearrange-id-all", ExperimentConfig(), console=io.StringIO())
+    assert code == 0 and report["checks"][0]["detail"] == {"inputs": 258}

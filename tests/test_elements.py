@@ -57,7 +57,7 @@ from cinorm import elements
 from cinorm.descriptors import GroupDescriptor, finite, parse_descriptor
 from cinorm.elements import _mat_det, _payload_ops, normalized, sort_key
 from cinorm.literals import from_literal, to_literal
-from cinorm.sampling import random_element, random_word
+from cinorm.sampling import random_element, random_payload, random_permutation, random_word
 
 S3 = symmetric(3)
 AFFZ = aff_z()
@@ -600,6 +600,61 @@ def test_seeded_words_are_unchanged(d):
         for _ in range(5):
             assert random_element(d, fast, 8) == random_element_by_free_word(d, slow, 8)
         assert fast.getstate() == slow.getstate()
+
+
+def random_element_by_elements(d, rng, size):
+    """Draw as ``random_element`` once did, composing Elements: every family
+    through the public constructors and ``compose``."""
+    f = d.family
+    if f in ("sn", "an"):
+        return random_permutation(d, rng)
+    if f == "free":
+        return random_word(d, rng, rng.randint(0, size))
+    if f == "z2inf":
+        return binary_word(rng.randint(0, 1) for _ in range(rng.randint(0, size)))
+    if f == "aff-z":
+        return affz_element(rng.randint(-size, size), rng.randint(0, 1))
+    if f in ("slz", "slp"):
+        out = identity(d)
+        for _ in range(rng.randint(1, max(1, size // 2))):
+            i = rng.randint(1, d.n)
+            j = rng.randint(1, d.n - 1)
+            j = j if j < i else j + 1
+            out = compose(out, elementary(d, i, j, rng.choice((-2, -1, 1, 2))))
+        return out
+    if f in ("wreath-zn", "wreath-z"):
+        ring = d.n if f == "wreath-zn" else size
+        lamps = {}
+        for i in range(ring):
+            if rng.random() < 0.5:
+                g = random_element_by_elements(d.base, rng, size)
+                if not g.is_identity():
+                    lamps[i] = g.payload
+        shift = rng.randrange(ring) if f == "wreath-zn" else rng.randint(-size, size)
+        return Element(d, (tuple(sorted(lamps.items())), shift))
+    if f == "bar":
+        return Element(d, (random_element_by_elements(d.base, rng, size).payload,
+                           random_element_by_elements(d.base, rng, size).payload,
+                           rng.randint(0, 1)))
+    return Element(d, tuple(random_element_by_elements(p, rng, size).payload
+                            for p in d.parts))
+
+
+@pytest.mark.parametrize("name", [
+    "sn:5", "an:5", "free:2", "free:3", "z2inf", "aff-z", "slz:3", "slp:3:5",
+    "wreath:sn:3:zn:4", "wreath:sn:3:z", "wreath:free:2:zn:3", "bar:free:2",
+    "bar:slz:2", "product:sn:3,free:2"])
+def test_payload_draws_match_element_draws(name):
+    # random_element wraps random_payload; both draw the stream the Element
+    # loop drew, and leave the generator in the same state
+    d = parse_descriptor(name)
+    for seed, size in iproduct(range(6), (0, 1, 5, 12)):
+        by_payload, by_element, wrapped = (random.Random(seed) for _ in range(3))
+        for _ in range(4):
+            g = random_element_by_elements(d, by_element, size)
+            assert random_payload(d, by_payload, size) == g.payload
+            assert random_element(d, wrapped, size) == g
+        assert by_payload.getstate() == by_element.getstate() == wrapped.getstate()
 
 
 def test_random_word_needs_a_free_group():

@@ -33,7 +33,7 @@ from cinorm import (
     wreath_environment,
     wreath_zn,
 )
-from cinorm import fcommutator
+from cinorm import enumeration, fcommutator
 from cinorm.enumeration import group_generators
 from cinorm.fcommutator import FCommEnvironment
 from cinorm.norms import NormTable, NormTableMeta
@@ -99,7 +99,9 @@ def environment_check_passes(base, capacity, ring):
 def test_commuting_copies_check_against_element_sweep(name, capacity, collapse,
                                                       monkeypatch):
     # collapse maps coordinates i and i + 1 (i even) to one copy, so the
-    # copies fail to commute and both checks must say so
+    # copies fail to commute and both checks must say so; environments are
+    # kept per shape, so the store is emptied for the check to run again
+    enumeration._store.cache_clear()
     if collapse:
         shifted = FCommEnvironment.shifted
         monkeypatch.setattr(FCommEnvironment, "shifted",
@@ -116,6 +118,7 @@ def test_commuting_copies_check_against_element_sweep(name, capacity, collapse,
 @pytest.mark.parametrize("n", [3, 6])
 def test_unshifted_copies_are_rejected(n, monkeypatch):
     # S6 has 720 elements, above the order at which the element sweep ran
+    enumeration._store.cache_clear()
     monkeypatch.setattr(FCommEnvironment, "shifted",
                         lambda env, h, i: env.embed(h))
     with pytest.raises(AssertionError, match="coordinates 0 and 1 fail to commute"):
@@ -370,6 +373,7 @@ def test_fcomm_norm_bound_refuses_a_table_on_part_of_the_group(monkeypatch):
 def test_copies_are_checked_against_copy_zero_only(capacity, monkeypatch):
     # copy j is copy 0 conjugated by F^j, so the pair (i, j) is the pair
     # (0, j - i) conjugated by F^i: capacity checks, not capacity (capacity + 1) / 2
+    enumeration._store.cache_clear()
     calls = []
 
     def counting(a, b):
@@ -381,3 +385,37 @@ def test_copies_are_checked_against_copy_zero_only(capacity, monkeypatch):
     for j, (a, b) in enumerate(calls, 1):
         assert a.generators == tuple(env.shifted(g, 0) for g in group_generators(S3))
         assert b.generators == tuple(env.shifted(g, j) for g in group_generators(S3))
+
+
+def test_warm_environment_is_the_kept_one(monkeypatch):
+    # one environment per (capacity, resolved ring, infinite) shape of a
+    # base, checked once; the arguments are still refused on every call
+    enumeration._store.cache_clear()
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return subgroups_commute(a, b)
+    monkeypatch.setattr(fcommutator, "subgroups_commute", counting)
+    env = wreath_environment(S3, 2)
+    assert len(calls) == 2
+    assert wreath_environment(S3, 2) is env
+    assert wreath_environment(S3, capacity=2, ring=3) is env  # the ring it resolves to
+    assert len(calls) == 2
+    wide, line = wreath_environment(S3, 2, ring=5), wreath_environment(S3, 2, infinite=True)
+    assert len({id(env), id(wide), id(line)}) == 3 and len(calls) == 6
+    assert (wide.ring, line.ring, line.ambient.family) == (5, 0, "wreath-z")
+    assert wreath_environment(S3, 2, ring=1, infinite=True) is line  # ring unread on Z
+    for _ in range(2):
+        with pytest.raises(ValueError, match="capacity must be at least 1"):
+            wreath_environment(S3, 0)
+        with pytest.raises(ValueError, match="ring size 2 cannot host 2 shifted copies"):
+            wreath_environment(S3, 2, ring=2)
+    assert len(calls) == 6
+
+
+def test_environment_on_an_infinite_base_is_built_each_call():
+    # only finite groups keep state; a free base has no copies to check
+    f2 = parse_descriptor("free:2")
+    a, b = wreath_environment(f2, 2), wreath_environment(f2, 2)
+    assert a == b and a is not b

@@ -82,6 +82,7 @@ CASES = {
     "verify-qk-a5": ["verify", "--suite", "qk-a5"],
     "verify-elementary-sl": ["verify", "--suite", "elementary-sl"],
     "verify-rearrange-id": ["verify", "--suite", "rearrange-id"],
+    "verify-rearrange-id-all": ["verify", "--suite", "rearrange-id-all"],
     "verify-seven-fcomm": ["verify", "--suite", "seven-fcomm"],
     "verify-aff-z": ["verify", "--suite", "aff-z"],
     "verify-bar-splitting": ["verify", "--suite", "bar-splitting"],

@@ -219,3 +219,11 @@ def test_only_norms_reads_or_drops_a_tables_rule():
         assert "payload_value_fn" in names[stem]
         assert not names[stem] & {"NormTable", "support_norm", "trivial_norm"}, stem
     assert not any("norm_value_fn" in n for n in names.values())
+
+
+def test_only_sampling_draws_random_bits():
+    # every seeded word and element comes from one stream: a second reader
+    # of getrandbits would fork it, and seeded reports would drift apart
+    readers = {p.stem for p in PACKAGE.glob("*.py")
+               if "getrandbits" in _names(ast.parse(p.read_text()))}
+    assert readers == {"sampling"}

@@ -439,3 +439,137 @@ def test_user_quasimorphism_evaluates_through_fn():
     calls.clear()
     est = defect(q, "sampled", budget=10, seed=0)
     assert len(calls) == 30 and type(est.value) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# byte-search counting and payload draws against the earlier loops
+
+
+def occurrences_by_windows(word, pattern):
+    """The zip-window count: each length-k window of the word once."""
+    k = len(pattern)
+    return sum(1 for window in zip(*(word[i:] for i in range(k))) if window == pattern)
+
+
+def _patterns(rank, rng):
+    """Bordered patterns (a a, a b a, a b a b and their like on the top
+    letters of the rank) and seeded reduced ones of length 1..4."""
+    a, b = 1, min(2, rank)
+    top = rank
+    fixed = [(a,), (-top,), (a, a), (top, top), (-top, -top, -top), (-a, -a, -a, -a)]
+    if rank > 1:
+        fixed += [(a, b, a), (a, b, a, b), (top, -1, top), (-top, 1, -top, 1), (b, -a)]
+    d = free_group(rank)
+    return fixed + [random_word(d, rng, k).payload for k in (1, 2, 3, 4) for _ in range(3)]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 127, 128, 2 ** 40], ids=str)
+def test_counting_matches_window_oracle(rank):
+    # ranks below 128 count by byte search, larger ones by zipped windows;
+    # letters +-128 and above do not fit a signed byte, so only the window
+    # path can count them
+    d = free_group(rank)
+    rng = random.Random(rank)
+    words = [random_word(d, rng, n) for n in (0, 1, 2, 3, 5, 8, 13, 40, 120, 300)]
+    for pat in _patterns(rank, rng):
+        pattern = free_word(d, pat)
+        inv = invert(pattern).payload
+        count = quasimorphisms._signed_count(pattern.payload, inv, rank)
+        # counting_qm names itself by the pattern's literal, which spells
+        # letters up to z
+        q = counting_qm(pattern) if max(map(abs, pat)) <= 26 else None
+        # runs of the pattern, so that overlapping occurrences are many
+        runs = [free_word(d, pat * m) for m in (1, 2, 7)] + [free_word(d, pat[:1] * 300)]
+        for w in words + runs:
+            expected = occurrences_by_windows(w.payload, pattern.payload) - \
+                occurrences_by_windows(w.payload, inv)
+            assert count(w.payload) == expected, (pat, w.payload)
+            assert q is None or q(w) == expected
+
+
+def test_counting_encodes_letters_below_rank_128_as_bytes():
+    # the path is chosen from the rank: on free:127 a letter of free:128
+    # cannot be encoded, which shows that the byte search ran
+    q127 = counting_qm(free_word(free_group(127), (1, 2)))
+    q128 = counting_qm(free_word(free_group(128), (1, 2)))
+    with pytest.raises(OverflowError):
+        q127._on_payload((128, 1, 2))
+    assert q128._on_payload((128, 1, 2)) == 1
+
+
+def reference_defect(q, budget, seed, size):
+    """The sampled defect as a loop over Elements from random_element."""
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(budget):
+        a = random_element(q.domain, rng, size=size)
+        b = random_element(q.domain, rng, size=size)
+        best = max(best, abs(q(compose(a, b)) - q(a) - q(b)))
+    return best
+
+
+def reference_sup(q, budget, seed, size, max_witnesses):
+    rng = random.Random(seed)
+    best, witnesses = 0, []
+    for _ in range(budget):
+        x = random_element(q.domain, rng, size=size)
+        y = random_element(q.domain, rng, size=size)
+        v = q(commutator_of(x, y))
+        if v > best:
+            best, witnesses = v, [(x, y)]
+        elif v == best and v > 0 and len(witnesses) < max_witnesses:
+            witnesses.append((x, y))
+    return best, witnesses
+
+
+@pytest.mark.parametrize("pat", [(1,), (1, 2), (1, 1), (1, 2, 1), (1, 2, 1, 2), (2, -1, -2)],
+                         ids=str)
+def test_sampled_estimates_match_element_loop(pat):
+    q = counting_qm(free_word(F2, pat))
+    for seed, size in itertools.product((0, 3, 11), (0, 2, 6, 12)):
+        est = defect(q, "sampled", budget=60, seed=seed, size=size)
+        assert est.value == reference_defect(q, 60, seed, size)
+        assert (est.sample_count, est.seed) == (60, seed)
+        for cap in (1, 5):
+            sup = commutator_sup(q, mode="sampled", budget=60, seed=seed, size=size,
+                                 max_witnesses=cap)
+            value, witnesses = reference_sup(q, 60, seed, size, cap)
+            assert (sup.value, sup.witnesses) == (value, witnesses)
+            assert all(type(x) is Element and x.descriptor is F2
+                       for pair in sup.witnesses for x in pair)
+
+
+def test_negative_budget_is_refused():
+    q = counting_qm(AB)
+    with pytest.raises(ValueError, match="^budget -5 is negative$"):
+        defect(q, "sampled", budget=-5)
+    with pytest.raises(ValueError, match="^budget -1 is negative$"):
+        commutator_sup(q, mode="sampled", budget=-1)
+    # an empty budget is a lower bound of 0 from no samples
+    assert defect(q, "sampled", budget=0).sample_count == 0
+    assert commutator_sup(q, mode="sampled", budget=0).witnesses == []
+    # the exact modes read no budget
+    s3 = symmetric(3)
+    zero = QuasiMorphism(s3, lambda g: Fraction(0))
+    assert defect(zero, "exact", budget=-5).certified == "exact"
+    spec = SubgroupSpec((perm_from_cycles(s3, (1, 2)),))
+    assert commutator_sup(zero, spec, "exact", budget=-5).certified == "exact"
+
+
+def test_bar_defect_values_each_coordinate_once():
+    # rbar built by bar_extension sums r's payload function, so the
+    # decomposition values h1, h2, f1, f2 and hf's two coordinates once each;
+    # any other rbar is valued whole
+    calls = []
+    count = counting_qm(AB)._on_payload
+    r = quasimorphisms._payload_qm(F2, lambda p: calls.append(p) or count(p))
+    rbar = bar_extension(r)
+    assert rbar._summand is r._on_payload and element_path(rbar)._summand is None
+    rng = random.Random(5)
+    for _ in range(20):
+        h, f = random_element(bar(F2), rng, size=6), random_element(bar(F2), rng, size=6)
+        calls.clear()
+        row = bar_defect_decomposition(r, rbar, h, f)
+        hf = compose(h, f)
+        assert sorted(calls) == sorted([*h.payload[:2], *f.payload[:2], *hf.payload[:2]])
+        assert row.lhs == abs(rbar(hf) - rbar(h) - rbar(f))
