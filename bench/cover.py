@@ -20,7 +20,8 @@ statements, read with ``ast`` (docstrings, ``global`` and ``nonlocal`` run
 no code and are left out), then each function that no run entered.  A
 statement ran when any line of it ran; for a compound statement that is any
 line of its header, decorators included.  ``--json FILE`` writes the lines
-that ran, per module, so that runs can be merged.
+that ran, per module, so that runs can be merged, and the statements that
+did not run, per module, each as its first line and that line's source.
 """
 
 from __future__ import annotations
@@ -134,6 +135,20 @@ def summarize(root: Path, lines: dict[str, set[int]]) -> tuple[list[tuple], list
     return rows, never
 
 
+def missed_statements(root: Path, lines: dict[str, set[int]]) -> dict[str, list]:
+    """``[line, source]`` of each statement of each ``*.py`` file under
+    ``root`` that none of ``lines`` ran, by its first line, keyed by file."""
+    missed = {}
+    for path in sorted(root.glob("*.py")):
+        hit = lines.get(path.name, set())
+        source = path.read_text().splitlines()
+        statements, _ = module_map(path)
+        missed[path.name] = [[line, source[line - 1].strip()]
+                             for line, span in sorted(statements.items())
+                             if hit.isdisjoint(span)]
+    return missed
+
+
 def format_summary(rows: list[tuple], never: list[str]) -> str:
     out = [f"{'module':<20} {'run':>6} {'of':>6} {'share':>7}"]
     for name, ran, total in rows + [("total", sum(r[1] for r in rows), sum(r[2] for r in rows))]:
@@ -188,7 +203,8 @@ def main(argv=None) -> int:
         lines = trace(PACKAGE, run_tests)
     if args.json:
         args.json.write_text(json.dumps(
-            {"lines": {name: sorted(hit) for name, hit in sorted(lines.items())}}))
+            {"lines": {name: sorted(hit) for name, hit in sorted(lines.items())},
+             "missed": missed_statements(PACKAGE, lines)}))
     print(format_summary(*summarize(PACKAGE, lines)))
     return code
 

@@ -184,10 +184,7 @@ def _bind_ops(d: GroupDescriptor) -> tuple:
     elif f in MATRIX_FAMILIES:
         n = d.n
         mod = d.p if f == "slp" else 0
-        if n in _PRODUCTS:
-            mul = partial(_PRODUCTS[n], mod)
-        else:
-            mul = partial(_mat_mul_mod, mod) if mod else _mat_mul_z
+        mul = partial(_PRODUCTS.get(n, _mat_mul), mod)
         inv = partial(_ADJUGATES.get(n, _bareiss_adjugate), mod)
         one = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     elif f in WREATH_FAMILIES:
@@ -264,7 +261,9 @@ def _z2_inv(a):
 
 
 def _wreath_mul(ring: int, mul, one, a, b):
-    # ring 0 is the integer shift of wreath-z
+    # ring 0 is the integer shift of wreath-z; b's lamps are merged one by
+    # one, so a coordinate b repeats (as a raw payload in normalized may)
+    # takes their product in b's order
     lamps_a, s = a
     lamps_b, u = b
     lamps = dict(lamps_a)
@@ -315,14 +314,11 @@ def _product_inv(invs, a):
     return tuple([inv(x) for inv, x in zip(invs, a)])
 
 
-def _mat_mul_z(a, b):
+def _mat_mul(mod: int, a, b):
+    # n >= 5: row by column; the straight-line products below cover n <= 4
     cols = list(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
-
-
-def _mat_mul_mod(mod: int, a, b):
-    cols = list(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) % mod for col in cols]) for row in a])
+    return _reduced(mod, tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                                for row in a]))
 
 
 def _mat_mul2(mod: int, a, b):
@@ -391,6 +387,7 @@ def _mat_det(rows) -> int:
 
 
 def _reduced(mod: int, rows):
+    # the one reduction mod p of every SL(n) product, inverse and constructor
     if mod:
         return tuple([tuple([x % mod for x in row]) for row in rows])
     return rows
@@ -477,9 +474,7 @@ def _bareiss_adjugate(mod: int, a):
                 f = m[i][k]
                 m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], rk)]
         prev = p
-    if mod:
-        return tuple(tuple(sign * x % mod for x in row[n:]) for row in m)
-    return tuple(tuple(sign * x for x in row[n:]) for row in m)
+    return _reduced(mod, tuple([tuple([sign * x for x in row[n:]]) for row in m]))
 
 
 _ADJUGATES = {2: _adjugate2, 3: _adjugate3, 4: _adjugate4}
@@ -493,12 +488,14 @@ _PRODUCTS = {2: _mat_mul2, 3: _mat_mul3, 4: _mat_mul4}
 def normalized(d: GroupDescriptor, payload):
     """Bring a raw ``slp``, ``slz``, ``free``, ``z2inf`` or ``wreath-*``
     payload into canonical form (idempotent by construction); the other
-    families' payloads are canonical as built and pass through as tuples."""
+    families' payloads are canonical as built and pass through as tuples.
+    A ``z2inf`` word and a wreath payload with its identity lamps dropped
+    are read as their product with the identity, so that each family's
+    canonical form is kept by its product alone."""
     f = d.family
-    if f == "slp":
-        return tuple(tuple(int(x) % d.p for x in row) for row in payload)
-    if f == "slz":
-        return tuple(tuple(int(x) for x in row) for row in payload)
+    if f in MATRIX_FAMILIES:
+        return _reduced(d.p if f == "slp" else 0,
+                        tuple([tuple([int(x) for x in row]) for row in payload]))
     if f == "free":
         out: list[int] = []
         for x in payload:
@@ -509,25 +506,13 @@ def normalized(d: GroupDescriptor, payload):
                 out.append(x)
         return tuple(out)
     if f == "z2inf":
-        bits = [int(b) & 1 for b in payload]
-        while bits and bits[-1] == 0:
-            bits.pop()
-        return tuple(bits)
+        return _z2_mul([int(b) & 1 for b in payload], ())
     if f in WREATH_FAMILIES:
         lamps, shift = payload
-        ring = d.n if f == "wreath-zn" else 0
-        mul, _, one, _ = _payload_ops(d.base)
-        out_l = {}
-        for i, g in lamps:
-            i = int(i) if ring == 0 else int(i) % ring
-            cur = out_l.get(i)
-            g2 = g if cur is None else mul(cur, g)
-            if g2 == one:
-                out_l.pop(i, None)
-            else:
-                out_l[i] = g2
-        shift = int(shift) if ring == 0 else int(shift) % ring
-        return (tuple(sorted(out_l.items())), shift)
+        mul, _, one, _ = _payload_ops(d)
+        base_one = _payload_ops(d.base)[2]
+        lamps = [(int(i), g) for i, g in lamps]
+        return mul(one, ([lamp for lamp in lamps if lamp[1] != base_one], int(shift)))
     return tuple(payload)
 
 
@@ -627,9 +612,8 @@ def elementary(d: GroupDescriptor, i: int, j: int, p: int = 1) -> Element:
     if i == j or not (1 <= i <= d.n and 1 <= j <= d.n):
         raise ValueError("elementary position must be off-diagonal and in range")
     # unipotent, so of determinant one: no check is needed
-    x = int(p) % d.p if d.family == "slp" else int(p)
-    return Element(d, tuple(tuple(x if (r, c) == (i - 1, j - 1) else int(r == c)
-                                  for c in range(d.n)) for r in range(d.n)))
+    return Element(d, normalized(d, [[p if (r, c) == (i - 1, j - 1) else r == c
+                                      for c in range(d.n)] for r in range(d.n)]))
 
 
 def wreath_element(d: GroupDescriptor, lamps: Mapping[int, Element] | Iterable,

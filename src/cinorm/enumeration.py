@@ -50,7 +50,7 @@ class SubgroupSpec:
             raise ValueError("subgroup needs at least one generator")
         d = self.generators[0].descriptor
         if any(g.descriptor != d for g in self.generators):
-            raise ValueError("subgroup generators must share one descriptor")
+            raise DescriptorMismatchError("subgroup generators must share one descriptor")
 
     @property
     def descriptor(self) -> GroupDescriptor:
@@ -60,7 +60,7 @@ class SubgroupSpec:
 def subgroups_commute(a: SubgroupSpec, b: SubgroupSpec) -> bool:
     """Elementwise commutation of two subgroups, decided on generator pairs."""
     if a.descriptor != b.descriptor:
-        raise ValueError("subgroups live in different ambient groups")
+        raise DescriptorMismatchError("subgroups live in different ambient groups")
     return all(compose(x, y) == compose(y, x)
                for x in a.generators for y in b.generators)
 

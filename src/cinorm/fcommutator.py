@@ -24,6 +24,7 @@ from .elements import (
     invert,
 )
 from .enumeration import SubgroupSpec, group_generators, kept, subgroups_commute
+from .errors import DescriptorMismatchError
 from .norms import NormLike, payload_value_fn
 
 
@@ -46,7 +47,7 @@ class FCommEnvironment:
     def embed(self, h: Element, coordinate: int = 0) -> Element:
         """The base element placed at one coordinate of the wreath product."""
         if h.descriptor is not self.base:
-            raise ValueError("embed expects a base-group element")
+            raise DescriptorMismatchError("embed expects a base-group element")
         if self.ring:
             coordinate %= self.ring
         if h.is_identity():
@@ -173,7 +174,7 @@ def solve_rearrange_id(env: FCommEnvironment, gs) -> tuple[RearrangeSolution, FC
     if m > env.capacity:
         raise ValueError(f"tuple of length {m + 1} exceeds capacity {env.capacity}")
     if any(g.descriptor != env.base for g in gs):
-        raise ValueError("tuple entries must be base-group elements")
+        raise DescriptorMismatchError("tuple entries must be base-group elements")
     running = identity(env.base)
     components = []
     for g in gs:
@@ -283,6 +284,16 @@ class TwoCommutatorWitness:
 
 
 def two_commutator_witness(env: FCommEnvironment, pairs) -> TwoCommutatorWitness:
+    """Write the embedded product ``[f_m, g_m] ... [f_1, g_1]`` of the base
+    pairs ``(f_i, g_i)`` as two ambient commutators ``[F, c] [phi, psi]``.
+
+    :func:`rearrange` splits the target into one shift-commutator ``[F, c]``
+    times the spread ``prod_i Conj_{F^i}([f_i, g_i])``; the shifted copies
+    commute pairwise, so the spread is ``[phi, psi]`` with ``phi`` the spread
+    of the ``f_i`` and ``psi`` that of the ``g_i``.  ``verified`` records
+    whether the product, rebuilt by exact multiplication, is the target.
+    No pairs give the identity; more pairs than the capacity are refused.
+    """
     pairs = list(pairs)
     m = len(pairs)
     one = identity(env.ambient)

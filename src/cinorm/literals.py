@@ -3,7 +3,8 @@
 Syntax by family (``1`` is always accepted for the identity):
 
 * permutations -- 1-based cycle notation, ``(1 2)(3 4 5)``, identity ``()``
-* free words   -- letters ``a..z`` with capitals for inverses, ``a b A``
+* free words   -- letters ``a..z`` with capitals for inverses, ``a b A``; a
+  letter past ``z`` (rank above 26) has no literal and is refused
 * aff-z        -- ``z^3 t``, ``z^-2``, ``t``
 * z2inf        -- bit string ``10110`` (bit k is generator k+1)
 * matrices     -- row-major nested lists ``[[1,2],[0,1]]``
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+from string import ascii_lowercase, ascii_uppercase
 
 from .descriptors import (
     MATRIX_FAMILIES,
@@ -83,10 +85,10 @@ def from_literal(d: GroupDescriptor, text: str) -> Element:
     if f == "free":
         letters = []
         for tok in s.replace(" ", ""):
-            if not tok.isalpha():
+            x = _LETTERS.get(tok)
+            if x is None:
                 raise ValueError(f"bad word letter {tok!r}")
-            idx = ord(tok.lower()) - ord("a") + 1
-            letters.append(idx if tok.islower() else -idx)
+            letters.append(x)
         return free_word(d, letters)
     if f == "aff-z":
         return _parse_affz(s)
@@ -108,9 +110,17 @@ def from_literal(d: GroupDescriptor, text: str) -> Element:
     return _parse_product(d, s)
 
 
+#: The one free-word alphabet, both ways: letter k is the k-th of a..z and
+#: -k its capital, so a letter past z has no literal.
+_LETTERS = {c: k for k, c in enumerate(ascii_lowercase, 1)} | {
+    c: -k for k, c in enumerate(ascii_uppercase, 1)}
+_SPELLING = {k: c for c, k in _LETTERS.items()}
+
+
 def _letter(x: int) -> str:
-    c = chr(ord("a") + abs(x) - 1)
-    return c if x > 0 else c.upper()
+    if x not in _SPELLING:
+        raise ValueError(f"letter {x} has no literal: words are spelt in a..z")
+    return _SPELLING[x]
 
 
 def _perm_literal(images: tuple[int, ...]) -> str:

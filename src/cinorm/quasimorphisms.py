@@ -28,7 +28,7 @@ from .elements import (
     power,
 )
 from .enumeration import ENUMERATION_GUARD, SubgroupSpec, closure_of, subgroups_commute
-from .errors import GuardExceededError, InfiniteGroupError
+from .errors import DescriptorMismatchError, GuardExceededError, InfiniteGroupError
 from .kernel import domain_kernel, group_kernel, scaled
 from .literals import to_literal
 from .sampling import random_payload
@@ -65,7 +65,7 @@ class QuasiMorphism:
 
     def _check(self, g: Element) -> None:
         if g.descriptor is not self.domain:
-            raise ValueError(f"{self.name} is defined on {self.domain}, not {g.descriptor}")
+            raise DescriptorMismatchError(f"{self.name} is defined on {self.domain}, not {g.descriptor}")
 
 
 def _payload_qm(domain: GroupDescriptor, count: Callable[[Any], Any],
@@ -118,6 +118,8 @@ def counting_qm(pattern: Element) -> QuasiMorphism:
     """Signed count of pattern occurrences in the reduced word: occurrences of
     the pattern minus occurrences of its inverse.  All overlapping occurrences
     count; the convention is recorded because defect values depend on it.
+    The name is the pattern's literal, so a pattern with a letter past ``z``
+    (of a rank above 26) is refused with ``ValueError``.
     """
     if pattern.descriptor.family != "free":
         raise ValueError("counting quasi-morphisms live on free groups")

@@ -637,3 +637,87 @@ def test_exhaustive_rearrangement_suite_catches_an_input_the_seeded_one_misses(m
     monkeypatch.setattr(cli, "solve_rearrange_id", solve)
     code, report = run_suite("rearrange-id-all", ExperimentConfig(), console=io.StringIO())
     assert code == 0 and report["checks"][0]["detail"] == {"inputs": 258}
+
+
+def _replacing(**fields):
+    """A wrapper of a library call whose result has ``fields`` replaced."""
+    return lambda orig: lambda *args: replace(orig(*args), **fields)
+
+
+def _rearranged_to_identity(orig):
+    def solve(env, gs):
+        sol, c = orig(env, gs)
+        one = cinorm.identity(env.base)
+        return replace(sol, components=tuple(one for _ in sol.components)), c
+    return solve
+
+
+# case -> (library call broken, how, {failing check: its witness keys}),
+# each case named by its suite (and a tag where a suite has two); every
+# other check of the suite still passes
+BROKEN_SUITES = {
+    "elementary-sl": ("cinorm.cli.commutator_of", lambda orig: lambda a, b: a,
+                      {"slz3:e13=[e12,e23^p]": {"p", "lhs"},
+                       "slz4:e13=[e12,e23^p]": {"p", "lhs"},
+                       "slz4:e24=[e23,e34^p]": {"p", "lhs"}}),
+    "aff-z": ("cinorm.cli.invert", lambda orig: lambda g: g,
+              {"affz:presentation": {"relation"}}),
+    # t becomes the identity and z the involution z t
+    "aff-z:swapped": ("cinorm.cli.affz_element", lambda orig: lambda a, e=0: orig(a, 1 - e),
+                      {"affz:conjugation": {"n", "lhs"}, "affz:commutator": {"n"}}),
+    "seven-fcomm": ("cinorm.cli.two_commutator_witness", _replacing(verified=False),
+                    {"seven-fcomm:100-seeded": {"m", "pairs"}}),
+    "rearrange-id": ("cinorm.cli.solve_rearrange_id", _rearranged_to_identity,
+                     {"rearrange:1000-seeded": {"k"}}),
+    "rearrange-id-all": ("cinorm.cli.solve_rearrange_id", _rearranged_to_identity,
+                         {"rearrange:all-m1-3": {"gs", "k"}}),
+    "qk-a5": ("cinorm.cli.verify_norm_axioms", _replacing(passed=False),
+              {"qk-a5:axioms": {"violations"}}),
+    "bar-splitting": ("cinorm.cli.verify_bar_splitting", _replacing(passed=False),
+                      {"bar:power-splitting": {"w", "failures"}}),
+    "bar-defect": ("cinorm.cli.bar_defect_decomposition", _replacing(ok=False),
+                   {"bar:defect-decomposition": {"h", "f", "lhs", "rhs"}}),
+    "witness-additivity": ("cinorm.cli.verify_witness_additivity", _replacing(ok=False),
+                           {"additivity:combined-witness": {"combined", "parts"}}),
+    "stabilization": ("cinorm.norms.stabilization_upper",
+                      lambda orig: lambda norm, f, n_max: replace(
+                          orig(norm, f, n_max), exact_zero=False, upper=n_max),
+                      {"stabilization:torsion-zero": {"element"},
+                       "stabilization:antitone": {"n_max"}}),
+    "displacement-s9": ("cinorm.cli.verify_master_inequalities",
+                        lambda orig: lambda *args, **kw: replace(
+                            orig(*args, **kw), ok=False),
+                        {"displacement-s9:master": {"failing"}}),
+    "packing-s6": ("cinorm.cli.packing_number",
+                   lambda orig: lambda d, h: replace(orig(d, h), exhausted=False),
+                   {"packing-s6:p=2": {"p", "exhausted", "witnesses"}}),
+    "packing-s9": ("cinorm.cli.packing_number",
+                   lambda orig: lambda d, h: replace(orig(d, h), p=2),
+                   {"packing-s9:p=3": {"p", "exhausted", "witnesses"}}),
+    "negative-control": (None, None,
+                         {"negative-control:always-fails": {"group", "element"}}),
+}
+
+
+def test_every_suite_has_a_broken_case():
+    assert {case.partition(":")[0] for case in BROKEN_SUITES} == set(cinorm.cli.SUITES)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_SUITES))
+def test_a_broken_library_call_fails_its_suite_with_a_witness(case, tmp_path, monkeypatch,
+                                                              capsys):
+    target, breaking, failing = BROKEN_SUITES[case]
+    suite = case.partition(":")[0]
+    if target is not None:
+        module, _, name = target.rpartition(".")
+        monkeypatch.setattr(target, breaking(getattr(sys.modules[module], name)))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", suite, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["passed"] is False
+    for row in report["checks"]:
+        assert row["ok"] is (row["name"] not in failing), row["name"]
+        if not row["ok"]:
+            assert set(row["witness"]) == failing[row["name"]]
+    assert {row["name"] for row in report["checks"]} >= set(failing)
+    assert "FAIL" in capsys.readouterr().out

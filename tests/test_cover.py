@@ -2,6 +2,7 @@
 no test suite or workload is traced."""
 
 import importlib.util
+import json
 import runpy
 import sys
 import threading
@@ -82,3 +83,39 @@ def test_a_small_module_is_traced(tmp_path):
     report = cover.format_summary(rows, never)
     assert report.splitlines()[3].split() == ["total", "17", "22", "77.3%"]
     assert "functions never run (3):" in report
+
+
+def test_the_statements_that_did_not_run_are_listed_with_their_source(tmp_path):
+    (tmp_path / "mod.py").write_text(SOURCE)
+    (tmp_path / "other.py").write_text("def other():\n    return 6\n")
+    lines = cover.trace(tmp_path, lambda: runpy.run_path(str(tmp_path / "mod.py"))["used"](2))
+    missed = cover.missed_statements(tmp_path, lines)
+    # used(2) returns from its header's branch, and method() and
+    # in_thread() never ran; a compound statement is named by its first line
+    assert missed == {
+        "mod.py": [[14, "try:"], [15, "pass"], [17, "raise"], [18, "return 2"], [22, "return 3"], [27, "return 4"],
+                   [35, "with open(os.devnull) as f:"], [36, "return used(0)"],
+                   [40, "return 5"]],
+        "other.py": [[1, "def other():"], [2, "return 6"]],
+    }
+
+
+def test_json_records_lines_and_missed_statements(tmp_path, capsys):
+    # --merge reads the lines of earlier runs; a module none of them ran is
+    # missed at every statement, one that ran in full at none
+    package = cover.PACKAGE
+    version = package / "_version.py"
+    statements, _ = cover.module_map(version)
+    ran = tmp_path / "ran.json"
+    ran.write_text(json.dumps({"lines": {"_version.py": sorted(statements)}}))
+    out = tmp_path / "out.json"
+    assert cover.main(["--merge", str(ran), "--json", str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert written["lines"] == {"_version.py": sorted(statements)}
+    assert written["missed"]["_version.py"] == []
+    source = (package / "errors.py").read_text().splitlines()
+    assert written["missed"]["errors.py"] == [
+        [line, source[line - 1].strip()]
+        for line in sorted(cover.module_map(package / "errors.py")[0])]
+    assert set(written["missed"]) == {p.name for p in package.glob("*.py")}
+    capsys.readouterr()

@@ -1097,3 +1097,85 @@ def test_operations_on_one_descriptor_never_compare_or_hash_it(monkeypatch):
     calls.clear()  # finding it hashed its base sn:3, in the intern key
     assert compose(a, twin) == compose(a, b)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# canonical forms through the family products, against the loops they replaced
+
+
+def wreath_by_merging(d, payload):
+    """A raw wreath payload by merging lamps coordinate by coordinate, as
+    ``normalized`` did before it read the payload as a product."""
+    lamps, shift = payload
+    ring = d.n if d.family == "wreath-zn" else 0
+    mul, _, one, _ = _payload_ops(d.base)
+    out = {}
+    for i, g in lamps:
+        i = int(i) if ring == 0 else int(i) % ring
+        cur = out.get(i)
+        g2 = g if cur is None else mul(cur, g)
+        if g2 == one:
+            out.pop(i, None)
+        else:
+            out[i] = g2
+    shift = int(shift) if ring == 0 else int(shift) % ring
+    return (tuple(sorted(out.items())), shift)
+
+
+def z2_by_stripping(payload):
+    bits = [int(b) & 1 for b in payload]
+    while bits and bits[-1] == 0:
+        bits.pop()
+    return tuple(bits)
+
+
+@pytest.mark.parametrize("text", ["wreath:sn:3:zn:4", "wreath:sn:3:z", "wreath:free:2:zn:3",
+                                  "wreath:(wreath:sn:2:zn:2):z"])
+def test_wreath_normal_form_matches_lamp_merging(text):
+    # repeated coordinates (which may cancel), identity lamps, negative and
+    # out-of-ring coordinates, and shifts outside the ring
+    d = parse_descriptor(text)
+    rng = random.Random(text)
+    one = _payload_ops(d.base)[2]
+    for _ in range(300):
+        lamps = []
+        for _ in range(rng.randint(0, 8)):
+            g = random_payload(d.base, rng, 3)
+            i = rng.randint(-9, 9)
+            lamps.append((i, g))
+            if rng.random() < 0.3:
+                lamps.append((i, _payload_ops(d.base)[1](g)))
+            if rng.random() < 0.2:
+                lamps.append((rng.randint(-9, 9), one))
+        rng.shuffle(lamps)
+        payload = (lamps, rng.randint(-20, 20))
+        assert normalized(d, payload) == wreath_by_merging(d, payload), payload
+
+
+@pytest.mark.parametrize("bits", [(), (0,), (0, 0, 0), (1,), (1, 0, 0), (0, 1, 0, 1, 0, 0),
+                                  (2, 3, -1, 4), (1, 2, 0), (True, False, 5, 6, 2)])
+def test_z2_normal_form_matches_stripping(bits):
+    # trailing zeros go, and ints other than 0 and 1 are read mod 2
+    assert normalized(z2_infinity(), bits) == z2_by_stripping(bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-5, 5), max_size=20))
+def test_z2_normal_form_matches_stripping_on_any_ints(bits):
+    assert normalized(z2_infinity(), bits) == z2_by_stripping(bits)
+
+
+@pytest.mark.parametrize("text", ["slz:5", "slz:6", "slp:5:3"])
+def test_generic_matrix_product_is_row_by_column(text):
+    # the product bound for n >= 5 is _mat_mul, and it reduces through
+    # _reduced as the straight-line products for n <= 4 do
+    d = parse_descriptor(text)
+    mod = d.p if d.family == "slp" else 0
+    assert _payload_ops(d)[0].func is elements._mat_mul
+    rng = random.Random(text)
+    for _ in range(30):
+        a, b = (random_payload(d, rng, 6) for _ in range(2))
+        want = chain_mat_mul(a, b, mod)
+        assert elements._mat_mul(mod, a, b) == want == _payload_ops(d)[0](a, b)
+        raw = tuple(tuple(rng.randint(-50, 50) for _ in range(d.n)) for _ in range(d.n))
+        assert elements._mat_mul(mod, raw, b) == chain_mat_mul(raw, b, mod)

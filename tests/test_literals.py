@@ -83,6 +83,31 @@ def test_bad_literals():
         from_literal(z2_infinity(), "102")
 
 
+@pytest.mark.parametrize("rank", [26, 300])
+def test_free_letters_spell_a_to_z_both_ways(rank):
+    d = free_group(rank)
+    for k in range(1, 27):
+        for x in (k, -k):
+            w = free_word(d, (x,))
+            assert from_literal(d, to_literal(w)) == w
+    assert to_literal(free_word(d, (1, 26, -25, -2))) == "a z Y B"
+
+
+@pytest.mark.parametrize("letter", [27, 100, -100, 20000])
+def test_a_letter_past_z_has_no_literal(letter):
+    d = free_group(20000)
+    with pytest.raises(ValueError, match=f"^letter {letter} has no literal: words are "
+                                         "spelt in a..z$"):
+        to_literal(free_word(d, (1, letter)))
+
+
+@pytest.mark.parametrize("char", ["Ä", "ä", "亀", "{", "1"])
+def test_only_ascii_letters_read_as_word_letters(char):
+    # each of these once read back as some letter, or wrote a letter past z
+    with pytest.raises(ValueError, match=f"^bad word letter '{char}'$"):
+        from_literal(free_group(300), f"a {char}")
+
+
 @pytest.mark.parametrize("text,point", [
     ("(1 1)", 1), ("(1 2 2)", 2), ("(2 2)(1 3)", 2), ("(1 2)(2 3)", 2), ("(1)(1 2)", 1)])
 def test_repeated_cycle_point_is_refused(text, point):
