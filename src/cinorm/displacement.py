@@ -189,6 +189,25 @@ memoized on those images (:func:`_power_memo`): the full test runs once per
 distinct key, and the memo holds at most one entry per leaf tested (at most
 9 * 8 * 7 = 504 for m = 2 and |supp H| = 3 in S9).  This is the property
 pruning of Leon (J. Symbolic Comput. 12, 1991) at the leaves.
+
+Bytes images.  On ``sn``/``an`` the walk (:func:`_least_leaf`) holds each
+element as ``bytes(p)``, its image tuple, so every product is one C call.
+(a) Products: a.b sends i to a[b[i]] (``elements._gather``), so a.b is
+``b.translate(a + pad)`` with ``pad = bytes(range(n, 256))``, which makes
+``a + pad`` a full translation table.  (b) Order: bytes compare
+lexicographically by their values, as image tuples do, so payload order,
+every key ``(value, leaf)`` and every prefix test are unchanged.  (c) The
+power memo's key: with ``tab = phi + pad``, ``supp.translate(tab)`` is
+phi(supp H), and translating again gives phi^2(supp H) and so on; the key
+concatenates phi^2(supp H) .. phi^m(supp H), each |supp H| bytes long, so
+equal keys are exactly equal image lists.  (d) Points 0..255 alone fit in a
+byte, so a degree above 256 is refused, after the order guard and before
+any search.  The chain's levels are encoded once per chain
+(:attr:`_Orbit.levels`); cosets enter and the best leaf leaves the walk
+as tuples, the value, bound and power-memo callables read bytes (a bytes
+never equals a tuple, so each compares with an encoded identity), and the
+power test itself runs on tuples at each memo miss.  So the walk meets the
+same nodes, leaves, memo hits and witnesses as on tuples.
 """
 
 from __future__ import annotations
@@ -423,12 +442,22 @@ class _Orbit:
     j: int  # H's point of the class
     t_inv: tuple  # t[j]^-1
     _chain: _StabChain | _FlatChain | None = None
+    _levels: list | None = None
 
     @property
     def chain(self) -> _StabChain | _FlatChain:
         if self._chain is None:
             self._chain = _normalizer_chain(self)
         return self._chain
+
+    @property
+    def levels(self) -> list:
+        """The chain's levels as :func:`_least_leaf` walks them, built once:
+        on ``sn``/``an`` with bytes images (module docstring)."""
+        if self._levels is None:
+            levels = self.chain.levels()
+            self._levels = _images(levels) if isinstance(self.chain, _StabChain) else levels
+        return self._levels
 
     def coset(self, x: int):
         """``t[x] t[j]^-1``, which takes H to ``H_x``."""
@@ -474,6 +503,9 @@ def _kept_conjugates(d: GroupDescriptor, h: SubgroupSpec, limit: int, cap: int |
     """``(orbit, elements)``: :func:`_conjugates`, and H's element set."""
     _refuse_foreign(d, h)
     size = _checked_order(d, limit)
+    if d.family in PERMUTATION_FAMILIES and d.n > 256:
+        raise GuardExceededError(f"{d} has degree {d.n}, above the 256 points "
+                                 f"a bytes image holds")
     elements = _payloads(h)
     orb = kept(d, ("conjugates", elements), lambda: _find_class(d, size, h, elements, cap))
     _refuse_clique(len(orb.cls.trans), cap)  # the class may be kept by an uncapped search
@@ -669,31 +701,45 @@ def _orbit_bound(n: int, levels: list):
 def _floor_bound(d: GroupDescriptor, c):
     """The floor bound (module docstring): c under a prefix other than the
     identity's, whose leaves are all non-identity, and 0 under the
-    identity's."""
+    identity's.  On ``sn``/``an`` it reads the walk's bytes images."""
     if not c:
         return lambda s, k: 0
     one = _payload_ops(d)[2]
+    if d.family in PERMUTATION_FAMILIES:
+        one = bytes(one)  # a bytes image never equals a tuple
     return lambda s, k: c if s[:k] != one[:k] else 0
 
 
 def _power_memo(test, moved: SubgroupSpec, m: int):
-    """``test(phi)`` of the powers phi^2..phi^m, asked once per distinct
-    key: the images of supp H under phi^2, ..., phi^m (power lemma, module
-    docstring).  Permutation payloads only."""
-    supp = sorted({i for g in moved.generators for i, x in enumerate(g.payload) if i != x})
-    memo: dict[tuple, bool] = {}
+    """``accept(phi)`` of a bytes image phi (module docstring): ``test`` of
+    the powers phi^2..phi^m, asked of phi as a tuple once per distinct key,
+    the images of supp H under phi^2, ..., phi^m (power lemma, module
+    docstring), each one translate of the last by phi."""
+    supp = bytes(sorted({i for g in moved.generators
+                         for i, x in enumerate(g.payload) if i != x}))
+    pad = bytes(range(moved.descriptor.n, 256))
+    memo: dict[bytes, bool] = {}
 
-    def accept(phi) -> bool:
-        get, key = phi.__getitem__, ()
-        img = tuple(map(get, supp))
+    def accept(phi: bytes) -> bool:
+        tab, key = phi + pad, b""
+        img = supp.translate(tab)
         for _ in range(1, m):
-            img = tuple(map(get, img))
+            img = img.translate(tab)
             key += img
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = test(phi)
+            hit = memo[key] = test(tuple(phi))
         return hit
     return accept
+
+
+def _images(levels: list) -> list:
+    """The levels of a stabilizer chain with each transversal element as
+    its bytes image; levels that hold them already are returned as they
+    are."""
+    if not levels or isinstance(next(iter(levels[0][0].values())), bytes):
+        return levels
+    return [({b: bytes(u) for b, u in reps.items()}, fixed) for reps, fixed in levels]
 
 
 def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, accept):
@@ -709,23 +755,38 @@ def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, ac
     ``accept`` is asked of them in key order, only while the key is below
     the best.  Every bound but the support norm's assumes values >= 0, so
     a negative value among the leaves is refused (floor bound, module
-    docstring)."""
-    mul, _, one, _ = _payload_ops(d)
+    docstring).
+
+    On ``sn``/``an`` the walk runs on bytes images (module docstring), so
+    every product is one C call: the cosets and any tuple ``levels`` are
+    encoded here, ``value``, ``bound`` and ``accept`` read bytes, and the
+    best leaf is returned as a tuple."""
+    if d.family in PERMUTATION_FAMILIES:
+        pad = bytes(range(d.n, 256))
+        cosets, levels, one = map(bytes, cosets), _images(levels), bytes(range(d.n))
+
+        def left(s, xs):  # s x for each x in xs
+            return map(bytes.translate, xs, repeat(s + pad))
+    else:
+        mul, _, one, _ = _payload_ops(d)
+
+        def left(s, xs):
+            return map(mul, repeat(s), xs)
     best = None
     cut = max(len(levels) - 1, 0)
     while cut > 0 and prod(len(reps) for reps, _ in levels[cut - 1:]) <= LEAF_BATCH:
         cut -= 1
     tails = list(levels[-1][0].values()) if levels else [one]
     for reps, _ in reversed(levels[cut:-1]):
-        tails = [mul(u, x) for u in reps.values() for x in tails]
+        tails = [p for u in reps.values() for p in left(u, tails)]
 
     def settle(s) -> None:
         nonlocal best
-        leaves = [mul(s, x) for x in tails]
+        leaves = list(left(s, tails))
         keys = sorted(zip(repeat(0) if value is None else map(value, leaves), leaves))
         if keys[0][0] < 0:
             raise ValueError(f"norm value {keys[0][0]} < 0 on "
-                             f"{to_literal(Element(d, keys[0][1]))}")
+                             f"{to_literal(Element(d, tuple(keys[0][1])))}")
         for key in keys:
             if best is not None and key >= best:
                 return
@@ -738,14 +799,14 @@ def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, ac
             settle(s)
             return
         reps, fixed = levels[depth]
-        for b in sorted(reps, key=s.__getitem__):
-            c = mul(s, reps[b])
+        for c in left(s, [reps[b] for b in sorted(reps, key=s.__getitem__)]):
             if best is None or (bound(c, fixed), c[:fixed]) <= (best[0], best[1][:fixed]):
                 walk(c, depth + 1)
 
     for t in cosets:
         walk(t, 0)
-    return best
+    # tuple() decodes a bytes image, and returns any other payload, a tuple, as it is
+    return best if best is None else (best[0], tuple(best[1]))
 
 
 def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpec,
@@ -770,7 +831,9 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     if m < 1:
         raise ValueError(f"m = {m}: a displacer needs m >= 1")
     _refuse_foreign(d, fixed)
-    value = None if norm is None else payload_value_fn(d, norm)
+    # bytes images, but for a degree that _kept_conjugates refuses past the order guard
+    perm = d.family in PERMUTATION_FAMILIES and d.n <= 256
+    value = None if norm is None else payload_value_fn(d, norm, perm)
     orb, elements = _kept_conjugates(d, moved, limit, None)
     cls = orb.cls
     mul, inv, _, _ = _payload_ops(d)
@@ -794,15 +857,12 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
                 return False
         return True
 
-    levels = orb.chain.levels()
     c = _floor(d, norm)
-    bound = _orbit_bound(d.n, levels) if c is None else _floor_bound(d, c)
+    bound = _orbit_bound(d.n, orb.levels) if c is None else _floor_bound(d, c)
     accept = None
     if m >= 2:
-        accept = powers_commute
-        if d.family in PERMUTATION_FAMILIES:
-            accept = _power_memo(powers_commute, moved, m)
-    best = _least_leaf(d, list(map(orb.coset, sorted(near))), levels, value, bound, accept)
+        accept = _power_memo(powers_commute, moved, m) if perm else powers_commute
+    best = _least_leaf(d, list(map(orb.coset, sorted(near))), orb.levels, value, bound, accept)
     if best is None:
         return EnergyResult(m, None, None)
     minimizer = Element(d, best[1])
@@ -869,8 +929,7 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec,
     orb = _conjugates(d, h, limit, CLIQUE_GUARD)
     near = sorted(orb.cls.near(orb.j))
     # the clique search meets only H's vertex j and its neighbours
-    levels = orb.chain.levels()
-    least = {x: _least_leaf(d, [orb.coset(x)], levels, None, _floor_bound(d, 0), None)
+    least = {x: _least_leaf(d, [orb.coset(x)], orb.levels, None, _floor_bound(d, 0), None)
              for x in near}
     best = _max_clique(orb.cls.near, orb.j, len(near) + 1, key=least.__getitem__)
     p = len(best)

@@ -584,24 +584,25 @@ def binary_word(bits: Iterable[int]) -> Element:
 
 
 def int_matrix(d: GroupDescriptor, rows) -> Element:
-    if d.family != "slz":
-        raise ValueError(f"{d} is not an integer SL family")
-    payload = normalized(d, rows)
-    if len(payload) != d.n or any(len(r) != d.n for r in payload):
-        raise ValueError(f"matrix is not {d.n}x{d.n}")
-    if _mat_det(payload) != 1:
-        raise ValueError("matrix determinant is not 1")
-    return Element(d, payload)
+    return _sl_matrix(d, rows, "slz")
 
 
 def mod_matrix(d: GroupDescriptor, rows) -> Element:
-    if d.family != "slp":
-        raise ValueError(f"{d} is not a modular SL family")
+    return _sl_matrix(d, rows, "slp")
+
+
+def _sl_matrix(d: GroupDescriptor, rows, family: str) -> Element:
+    """``rows`` as an element of ``d``, checked: ``d`` is of ``family``, the
+    matrix is n x n, and its determinant is 1, read mod p on ``slp``."""
+    modular = family == "slp"
+    if d.family != family:
+        raise ValueError(f"{d} is not {'a modular' if modular else 'an integer'} SL family")
     payload = normalized(d, rows)
     if len(payload) != d.n or any(len(r) != d.n for r in payload):
         raise ValueError(f"matrix is not {d.n}x{d.n}")
-    if _mat_det(payload) % d.p != 1:
-        raise ValueError("matrix determinant is not 1 mod p")
+    det = _mat_det(payload)
+    if (det % d.p if modular else det) != 1:
+        raise ValueError("matrix determinant is not 1" + " mod p" * modular)
     return Element(d, payload)
 
 

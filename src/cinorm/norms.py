@@ -119,7 +119,8 @@ def _refuse_partial_table(d: GroupDescriptor, norm: NormLike) -> None:
                              f"not all {whole}of {d}")
 
 
-def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]:
+def payload_value_fn(d: GroupDescriptor, norm: NormLike,
+                     images: bool = False) -> Callable[[Any], Any]:
     """``norm`` as a function of the raw payloads of ``d``, with the same
     exact values: the moved-point count (an int) for :func:`support_norm` on
     ``sn``/``an``, ``int(p != one)`` for :func:`trivial_norm` on every
@@ -129,15 +130,25 @@ def payload_value_fn(d: GroupDescriptor, norm: NormLike) -> Callable[[Any], Any]
     without enumerating G.  Refused at the call: a table of another group,
     one that does not cover all of G, and :func:`support_norm` where it is
     undefined (:func:`refuse_foreign_table`).  This is the one reader of a
-    norm's values for every module but this one."""
+    norm's values for every module but this one.
+
+    With ``images`` the payloads are the bytes images that the ``sn``/``an``
+    walks of :mod:`cinorm.displacement` read: the support count reads them
+    as it stands, the trivial value compares them with the encoded identity
+    (a bytes never equals a tuple), and any other norm decodes the payload
+    it values."""
     _refuse_partial_table(d, norm)
     norm = _rule_of(norm)
     one = _payload_ops(d)[2]
+    if images:
+        one = bytes(one)
     if norm is support_norm and d.family in PERMUTATION_FAMILIES:
         return lambda p: sum(map(ne, p, one))
     if norm is trivial_norm:
         return lambda p: int(p != one)
     value = norm.values.__getitem__ if isinstance(norm, NormTable) else norm
+    if images:
+        return lambda p: value(Element(d, tuple(p)))
     return lambda p: value(Element(d, p))
 
 
