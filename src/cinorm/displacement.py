@@ -70,13 +70,13 @@ are sets.  Take any representative s v (v in N_k) of a node and any chain
 of N with base 0..n-1: the walk meets the same subtrees in the same order,
 since children are ordered by the image of k and v permutes the N_k-orbit
 of k; the orbit bound of s v is that of s, since v maps each N_k-orbit onto
-itself; the prefix and the floor bound read only the images of 0..k-1; and
-a leaf batch s N_cut is a set.  So every witness, minimizer and clique
-choice (keyed by unique least conjugators) is unchanged, and the walk of a
-coset, given the best found before it, meets the same nodes.  The cosets
-are met in class order, which for H_0 is its own search's order, so H_0's
-bounded nodes, leaves and power tests are those of that search.  (c) The
-graph.  Conjugation by t maps the commutation graph onto itself, so it is
+itself; the prefix reads only the images of 0..k-1, and the floor bound
+nothing; and a leaf batch s N_cut is a set.  So every witness, minimizer
+and clique choice (keyed by unique least conjugators) is unchanged, and the
+walk of a coset, given the best found before it, meets the same nodes.  The
+cosets are met in class order, which for H_0 is its own search's order,
+so H_0's bounded nodes, leaves and power tests are those of that search.
+(c) The graph.  Conjugation by t maps the commutation graph onto itself, so it is
 built once on the class from H_0's commuting list (below,
 :meth:`_Class.near`), and H's commuting conjugates are the neighbourhood
 of j.
@@ -152,24 +152,28 @@ its orbits are those of N_(k+1) joined by x ~ u(x) for u in U_k; they are
 labelled once per search, from the bottom of the chain up
 (:func:`_orbit_bound`).
 
-Floor bound.  Every other norm is bounded below by c under a prefix other
-than the identity's and by 0 under the identity's (:func:`_floor_bound`),
-with c = 1 for the trivial norm, c the least value off the identity,
-clamped at 0, for a table, and c = 0 for any other callable
+Floor bound.  Every other norm is bounded below by a constant c under
+every prefix, with c = 1 for the trivial norm, c the least value off the
+identity, clamped at 0, for a table, and c = 0 for any other callable
 (:func:`~cinorm.norms._floor`, which answers None for the support norm:
 take the orbit bound).  ``norms`` alone reads a table's rule: a
 whole-group table whose values are unread counts as the rule it
 tabulates, so the trivial table takes c = 1 and the support table the
-orbit bound, with the same values.  Valid: the
-leaves under a prefix other than the identity's are all non-identity, so
-their values are at least the least value off the identity, which is c when
-c > 0.  Refusals: a walk refuses a leaf batch holding a negative value.  If
-a table has a negative value off the identity, c = 0 and the bound is the
-zero bound every table had, so the walk is the same.  Otherwise only the
-identity's value can be negative; pruning drops only subtrees whose leaves
-could not become the best, so the best at each node walked is the same,
-and the nodes over the identity, bounded by 0 as before, are walked exactly
-when they were.  So a table is refused exactly where it was.
+orbit bound, with the same values.  Valid: every leaf but the identity has
+a value at least the least value off the identity, which is c when c > 0.
+The identity's prefix 0..k-1 is the least prefix of depth k, so a node
+under it is pruned only when c exceeds the best value v, and then the best
+is the identity itself: any other leaf has a value at least c.  No leaf
+beats the identity at v < c, so pruning drops only subtrees whose leaves
+could not become the best, and the best at each node walked is that of a
+walk bounded by 0.  Refusals: a walk refuses a leaf batch holding a
+negative value.  If a table has a negative value off the identity, c = 0
+and the bound is the zero bound every table had, so the walk is the same.
+Otherwise only the identity's value can be negative, and the identity's
+batch is met whenever its coset is walked: a node over the identity's
+prefix is pruned only once the best is the identity, which that batch
+must have set first, and a negative value there is refused when the batch
+is met.  So a table is refused exactly where the zero bound refuses it.
 
 Clique bound.  If H is non-abelian and phi is a strong m-displacer of H, the
 m+1 conjugates phi^k H phi^-k (k = 0..m) form an (m+1)-clique through H.
@@ -190,24 +194,30 @@ distinct key, and the memo holds at most one entry per leaf tested (at most
 9 * 8 * 7 = 504 for m = 2 and |supp H| = 3 in S9).  This is the property
 pruning of Leon (J. Symbolic Comput. 12, 1991) at the leaves.
 
-Bytes images.  On ``sn``/``an`` the walk (:func:`_least_leaf`) holds each
-element as ``bytes(p)``, its image tuple, so every product is one C call.
-(a) Products: a.b sends i to a[b[i]] (``elements._gather``), so a.b is
-``b.translate(a + pad)`` with ``pad = bytes(range(n, 256))``, which makes
-``a + pad`` a full translation table.  (b) Order: bytes compare
-lexicographically by their values, as image tuples do, so payload order,
-every key ``(value, leaf)`` and every prefix test are unchanged.  (c) The
-power memo's key: with ``tab = phi + pad``, ``supp.translate(tab)`` is
-phi(supp H), and translating again gives phi^2(supp H) and so on; the key
-concatenates phi^2(supp H) .. phi^m(supp H), each |supp H| bytes long, so
-equal keys are exactly equal image lists.  (d) Points 0..255 alone fit in a
-byte, so a degree above 256 is refused, after the order guard and before
-any search.  The chain's levels are encoded once per chain
-(:attr:`_Orbit.levels`); cosets enter and the best leaf leaves the walk
-as tuples, the value, bound and power-memo callables read bytes (a bytes
-never equals a tuple, so each compares with an encoded identity), and the
-power test itself runs on tuples at each memo miss.  So the walk meets the
-same nodes, leaves, memo hits and witnesses as on tuples.
+Bytes images.  On ``sn``/``an`` the stabilizer chain (:class:`_StabChain`)
+and the walk (:func:`_least_leaf`) hold each element as ``bytes(p)``, its
+image tuple, so every product is one C call.  (a) Products: a.b sends i to
+a[b[i]] (``elements._gather``), so a.b is ``b.translate(a + pad)`` with
+``pad = bytes(range(n, 256))``, which makes ``a + pad`` a full translation
+table.  The chain keeps the inverse of each transversal element u as the
+table ``bytes.maketrans(u, one)``, which sends u[i] to i, so u^-1 g is one
+``translate`` of g.  (b) Order: bytes compare lexicographically by their
+values, as image tuples do, so payload order, every key ``(value, leaf)``
+and every prefix test are unchanged.  (c) The power memo's key: with
+``tab = phi + pad``, ``supp.translate(tab)`` is phi(supp H), and
+translating again gives phi^2(supp H) and so on; the key concatenates
+phi^2(supp H) .. phi^m(supp H), each |supp H| bytes long, so equal keys
+are exactly equal image lists.  (d) Points 0..255 alone fit in a byte, so
+a degree above 256 is refused, after the order guard and before any
+search.  Encoding happens only at the edges: the chain sifts each Schreier
+generator it is given to bytes, so its levels are walked as they are;
+cosets enter the walk and the best leaf leaves it as tuples; and the orbit
+key's check decodes the chain's level-0 generators.  The value and
+power-memo callables read bytes (a bytes never equals a tuple, so the
+trivial value compares with an encoded identity), the floor bound reads
+nothing, and the power test itself runs on tuples at each memo miss.  So
+the chain's levels are those it grows on tuples, encoded, and the walk
+meets the same nodes, leaves, memo hits and witnesses as on tuples.
 """
 
 from __future__ import annotations
@@ -297,60 +307,63 @@ def is_abelian_subgroup(h: SubgroupSpec) -> bool:
 
 
 class _StabChain:
-    """Stabilizer chain with base 0, 1, ..., n-1 of a group of permutations
-    (image tuples), grown by deterministic Schreier-Sims in Knuth's
-    incremental form (Knuth, "Efficient representation of perm groups",
-    Combinatorica 11, 1991; Seress, 2003, §4.2).
+    """Stabilizer chain with base 0, 1, ..., n-1 of a group of permutations,
+    grown by deterministic Schreier-Sims in Knuth's incremental form (Knuth,
+    "Efficient representation of perm groups", Combinatorica 11, 1991;
+    Seress, 2003, §4.2), on bytes images (module docstring).
 
     Level k holds generators ``gens[k]`` of a group G_k that fixes 0..k-1,
     and ``reps[k][b]``, an element of G_k taking k to b, for each b in the
-    orbit of k.  Each generator added to level k + 1 is a Schreier
-    generator of level k or differs from one by elements of G_(k+1), and
-    every Schreier generator of level k is sifted into level k + 1, so
-    G_(k+1) is the stabilizer of k in G_k and ``|G_0|`` is the product of
-    the orbit lengths."""
+    orbit of k, each as its bytes image u, with ``reps_inv[k][b]``, the
+    translation table ``bytes.maketrans(u, one)`` of its inverse, so that
+    u^-1 g is ``g.translate(reps_inv[k][b])``.  Each generator added to
+    level k + 1 is a Schreier generator of level k or differs from one by
+    elements of G_(k+1), and every Schreier generator of level k is sifted
+    into level k + 1, so G_(k+1) is the stabilizer of k in G_k and ``|G_0|``
+    is the product of the orbit lengths."""
 
     def __init__(self, d: GroupDescriptor):
-        _, self.inv, one, _ = _payload_ops(d)
-        self.n = d.n
-        self.gens: list[list[tuple]] = [[] for _ in range(d.n)]
-        self.reps: list[dict] = [{k: one} for k in range(d.n)]
-        self.reps_inv: list[dict] = [{k: one} for k in range(d.n)]
+        self.n, self.one, self.pad = d.n, bytes(range(d.n)), bytes(range(d.n, 256))
+        self.gens: list[list[bytes]] = [[] for _ in range(d.n)]
+        self.reps: list[dict] = [{k: self.one} for k in range(d.n)]
+        self.reps_inv: list[dict] = [{k: bytes(range(256))} for k in range(d.n)]
 
-    def sift(self, g: tuple, k: int = 0) -> tuple[int, tuple]:
-        """``(j, r)``: g, which fixes 0..k-1, stripped by the transversals of
-        levels k, k+1, ... down to the first level j whose orbit lacks r(j);
-        ``j = n`` (and r is the identity) when g is in G_k."""
+    def sift(self, g, k: int = 0) -> tuple[int, bytes]:
+        """``(j, r)``: g, a permutation (tuple or bytes image) that fixes
+        0..k-1, stripped by the transversals of levels k, k+1, ... down to
+        the first level j whose orbit lacks r(j), as a bytes image; ``j = n``
+        (and r is the identity) when g is in G_k."""
+        g = bytes(g)  # a bytes image is returned as it is
         for j in range(k, self.n):
             b = g[j]
             if b != j:
                 u_inv = self.reps_inv[j].get(b)
                 if u_inv is None:
                     return j, g
-                g = tuple(map(u_inv.__getitem__, g))
+                g = g.translate(u_inv)
         return self.n, g
 
-    def add(self, g: tuple, k: int = 0) -> None:
+    def add(self, g, k: int = 0) -> None:
         """Make g, which fixes 0..k-1, a member of G_k."""
         j, r = self.sift(g, k)
         if j < self.n:
             self._extend(k, r)
 
-    def _extend(self, k: int, g: tuple) -> None:
+    def _extend(self, k: int, g: bytes) -> None:
         gens, reps, reps_inv = self.gens[k], self.reps[k], self.reps_inv[k]
         gens.append(g)
         # the pairs (b, s) not met before: each old point with g, then each
         # new point with every generator
         todo = [(b, g) for b in reps]
         for b, s in todo:  # todo grows while it is walked
-            w = tuple(map(s.__getitem__, reps[b]))
+            w = reps[b].translate(s + self.pad)  # s reps[b]
             u_inv = reps_inv.get(w[k])
             if u_inv is None:
                 reps[w[k]] = w
-                reps_inv[w[k]] = self.inv(w)
+                reps_inv[w[k]] = bytes.maketrans(w, self.one)
                 todo += [(w[k], x) for x in gens]
             else:
-                self.add(tuple(map(u_inv.__getitem__, w)), k + 1)
+                self.add(w.translate(u_inv), k + 1)
 
     def order(self) -> int:
         return prod(len(reps) for reps in self.reps)
@@ -452,11 +465,9 @@ class _Orbit:
 
     @property
     def levels(self) -> list:
-        """The chain's levels as :func:`_least_leaf` walks them, built once:
-        on ``sn``/``an`` with bytes images (module docstring)."""
+        """The chain's levels as :func:`_least_leaf` walks them, built once."""
         if self._levels is None:
-            levels = self.chain.levels()
-            self._levels = _images(levels) if isinstance(self.chain, _StabChain) else levels
+            self._levels = self.chain.levels()
         return self._levels
 
     def coset(self, x: int):
@@ -542,7 +553,8 @@ def _find_class(d: GroupDescriptor, size: int, h: SubgroupSpec, elements: frozen
         if hit is not None:
             return hit
         orb = search(name, act)
-        if not all(map(normalizes, orb.chain.gens[0])):  # conjugates share their orbits
+        # conjugates share their orbits; the chain holds bytes images
+        if not all(map(normalizes, map(tuple, orb.chain.gens[0]))):
             orb = None
     if orb is None:
         orb = search(*_exact_key(d, elements)[:2])
@@ -698,18 +710,6 @@ def _orbit_bound(n: int, levels: list):
     return bound
 
 
-def _floor_bound(d: GroupDescriptor, c):
-    """The floor bound (module docstring): c under a prefix other than the
-    identity's, whose leaves are all non-identity, and 0 under the
-    identity's.  On ``sn``/``an`` it reads the walk's bytes images."""
-    if not c:
-        return lambda s, k: 0
-    one = _payload_ops(d)[2]
-    if d.family in PERMUTATION_FAMILIES:
-        one = bytes(one)  # a bytes image never equals a tuple
-    return lambda s, k: c if s[:k] != one[:k] else 0
-
-
 def _power_memo(test, moved: SubgroupSpec, m: int):
     """``accept(phi)`` of a bytes image phi (module docstring): ``test`` of
     the powers phi^2..phi^m, asked of phi as a tuple once per distinct key,
@@ -733,15 +733,6 @@ def _power_memo(test, moved: SubgroupSpec, m: int):
     return accept
 
 
-def _images(levels: list) -> list:
-    """The levels of a stabilizer chain with each transversal element as
-    its bytes image; levels that hold them already are returned as they
-    are."""
-    if not levels or isinstance(next(iter(levels[0][0].values())), bytes):
-        return levels
-    return [({b: bytes(u) for b, u in reps.items()}, fixed) for reps, fixed in levels]
-
-
 def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, accept):
     """Least ``(value(s), s)`` over the payloads s of the cosets ``t N`` (t
     in ``cosets``) with ``accept(s)``, or None; without ``value`` every value
@@ -758,12 +749,12 @@ def _least_leaf(d: GroupDescriptor, cosets: list, levels: list, value, bound, ac
     docstring).
 
     On ``sn``/``an`` the walk runs on bytes images (module docstring), so
-    every product is one C call: the cosets and any tuple ``levels`` are
-    encoded here, ``value``, ``bound`` and ``accept`` read bytes, and the
-    best leaf is returned as a tuple."""
+    every product is one C call: the cosets are encoded here, ``levels``
+    are the chain's own bytes images, ``value``, ``bound`` and ``accept``
+    read bytes, and the best leaf is returned as a tuple."""
     if d.family in PERMUTATION_FAMILIES:
         pad = bytes(range(d.n, 256))
-        cosets, levels, one = map(bytes, cosets), _images(levels), bytes(range(d.n))
+        cosets, one = map(bytes, cosets), bytes(range(d.n))
 
         def left(s, xs):  # s x for each x in xs
             return map(bytes.translate, xs, repeat(s + pad))
@@ -822,7 +813,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
     :func:`~cinorm.norms.payload_value_fn`.  The commuting cosets are walked
     down the chain of N by one :func:`_least_leaf` call, with the orbit
     bound for :func:`~cinorm.norms.support_norm` (and an unread table of
-    it) and the floor bound for every other norm; for m >= 2 the powers
+    it) and the constant floor bound for every other norm; for m >= 2 the powers
     are tested only on leaves below the best so far, once per key of the
     power lemma on ``sn``/``an``.
     H's commuting list with itself is its neighbourhood in its class's
@@ -858,7 +849,7 @@ def _least_displacer(d: GroupDescriptor, fixed: SubgroupSpec, moved: SubgroupSpe
         return True
 
     c = _floor(d, norm)
-    bound = _orbit_bound(d.n, orb.levels) if c is None else _floor_bound(d, c)
+    bound = _orbit_bound(d.n, orb.levels) if c is None else lambda s, k: c
     accept = None
     if m >= 2:
         accept = _power_memo(powers_commute, moved, m) if perm else powers_commute
@@ -929,7 +920,7 @@ def packing_number(d: GroupDescriptor, h: SubgroupSpec,
     orb = _conjugates(d, h, limit, CLIQUE_GUARD)
     near = sorted(orb.cls.near(orb.j))
     # the clique search meets only H's vertex j and its neighbours
-    least = {x: _least_leaf(d, [orb.coset(x)], orb.levels, None, _floor_bound(d, 0), None)
+    least = {x: _least_leaf(d, [orb.coset(x)], orb.levels, None, lambda s, k: 0, None)
              for x in near}
     best = _max_clique(orb.cls.near, orb.j, len(near) + 1, key=least.__getitem__)
     p = len(best)

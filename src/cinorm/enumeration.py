@@ -109,7 +109,7 @@ def _enumerate(d: GroupDescriptor, size: int, limit: int | None) -> list[Element
                  if not _perm_parity(p)]
     elif f == "slp":
         elems = sorted(subgroup_closure(group_generators(d), limit=size), key=sort_key)
-    elif f in ("wreath-zn", "bar", "product"):
+    else:  # wreath-zn, bar or product: _checked_order refused every infinite group
         lists = [[e.payload for e in enumerate_elements(p, limit)]
                  for p in (d.parts if f == "product" else (d.base,))]
         if f == "product":
@@ -122,8 +122,6 @@ def _enumerate(d: GroupDescriptor, size: int, limit: int | None) -> list[Element
                         for shift in range(d.n)
                         for combo in iter_product(lists[0], repeat=d.n))
         elems = [Element(d, p) for p in sorted(payloads)]
-    else:
-        raise InfiniteGroupError(f"{d} cannot be enumerated")
     if len(elems) != size:
         raise AssertionError(f"enumerated {len(elems)} elements of {d}, not {size}")
     return elems

@@ -159,7 +159,7 @@ def _floor(d: GroupDescriptor, norm: NormLike | None):
     :func:`trivial_norm` and an unread table of it, the least value off the
     identity of any other table, clamped at 0, and 0 for any other norm or
     none.  The unread trivial table's least value off the identity is 1 but
-    on the trivial group, where no prefix but the identity's is met.  Any
+    on the trivial group, where every leaf is the identity.  Any
     other table's values are read as distinct objects, in one C-level pass
     with no comparison of values."""
     norm = _rule_of(norm)

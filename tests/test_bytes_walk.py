@@ -207,15 +207,21 @@ def test_a_degree_above_256_is_refused_after_the_order_guard(call, monkeypatch):
 def test_the_orbit_keeps_its_chain_levels_as_bytes(d, h):
     h = SubgroupSpec(tuple(perm_from_cycles(d, c) for c in h))
     orb = displacement._conjugates(d, h, 10 ** 7)
-    levels = orb.chain.levels()
-    assert orb.levels is orb.levels  # encoded once
-    assert [({b: tuple(u) for b, u in reps.items()}, fixed) for reps, fixed in orb.levels] \
-        == levels
-    assert all(type(u) is bytes for reps, _ in orb.levels for u in reps.values())
-    # the walk reads the kept bytes levels and tuple levels alike
-    bound = displacement._floor_bound(d, 0)
+    assert orb.levels is orb.levels  # built once
+    # the chain is grown on bytes images: its levels are walked as they are
+    assert orb.levels == orb.chain.levels()
+    assert all(type(u) is bytes for reps, _ in orb.chain.levels() for u in reps.values())
+    assert all(type(g) is bytes for gens in orb.chain.gens for g in gens)
+    # and the walk over them takes the least element of each coset t N,
+    # against N and its cosets enumerated
+    mul, inv, _, conj = displacement._payload_ops(d)
+    elements = displacement._payloads(h)
+    normalizer = [g for g in permutations(range(d.n))
+                  if not (d.family == "an" and _perm_parity(g))
+                  and all(conj(g, x.payload, inv(g)) in elements for x in h.generators)]
+    assert len(normalizer) == orb.chain.order()
     for x in range(len(orb.cls.trans)):
         t = orb.coset(x)
-        least = displacement._least_leaf(d, [t], orb.levels, None, bound, None)
-        assert least == displacement._least_leaf(d, [t], levels, None, bound, None)
+        least = displacement._least_leaf(d, [t], orb.levels, None, lambda s, k: 0, None)
+        assert least == (0, min(mul(t, g) for g in normalizer))
         assert type(least[1]) is tuple

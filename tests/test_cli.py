@@ -485,6 +485,24 @@ def test_failed_cache_put_leaves_no_temp_file(capsys):
     assert cache_clear() == 0 and (cache_dir() / f"{key}.json").is_dir()
 
 
+def test_cache_dir_defaults_to_the_home_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.delenv("CINORM_CACHE_DIR")
+    assert cache_dir() == tmp_path / ".cache" / "cinorm"
+    monkeypatch.setenv("CINORM_CACHE_DIR", "")  # empty counts as unset
+    assert cache_dir() == tmp_path / ".cache" / "cinorm"
+
+
+def test_cache_clear_unlinks_every_entry(capsys):
+    keys = [cache_key("sn:3", "q_K", (k,)) for k in ("(1 2)", "(1 2 3)")]
+    for key in keys:
+        cache_put(key, {"key": key})
+    assert cache_stats()["entries"] == 2
+    assert main(["cache", "clear"]) == 0
+    assert capsys.readouterr().out == "evicted 2 entries\n"
+    assert list(cache_dir().iterdir()) == [] and cache_clear() == 0
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(cinorm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}

@@ -24,6 +24,7 @@ from cinorm import (
     invert,
     parse_descriptor,
     perm_from_cycles,
+    product,
     sl_mod,
     sort_key,
     subgroup_closure,
@@ -162,6 +163,18 @@ def test_abelianization():
     assert abelianization_order(sl_mod(2, 5)) == 1
     assert in_class_g(aff_z())
     assert not in_class_g(free_group(2))
+    # a product is infinite-abelianized exactly when a part is
+    assert abelianization_order(product(S4, free_group(2))) is None
+    assert not in_class_g(product(S4, free_group(2)))
+
+
+def test_enumeration_count_check_catches_a_lost_parity_filter(monkeypatch):
+    # every permutation taken as even: A4 enumerates all of S4
+    monkeypatch.setattr(enumeration, "_perm_parity", lambda p: 0)
+    enumeration._store.cache_clear()  # enumerate, not read the kept list
+    with pytest.raises(AssertionError, match="^enumerated 24 elements of an:4, not 12$"):
+        enumerate_elements(alternating(4))
+    enumeration._store.cache_clear()
 
 
 def test_commutator_pool_is_conjugation_closed():

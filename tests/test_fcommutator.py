@@ -35,7 +35,7 @@ from cinorm import (
 )
 from cinorm import enumeration, fcommutator
 from cinorm.enumeration import group_generators
-from cinorm.fcommutator import FCommEnvironment
+from cinorm.fcommutator import FCommEnvironment, FCommutator
 from cinorm.norms import NormTable, NormTableMeta
 
 S3 = symmetric(3)
@@ -419,3 +419,65 @@ def test_environment_on_an_infinite_base_is_built_each_call():
     f2 = parse_descriptor("free:2")
     a, b = wreath_environment(f2, 2), wreath_environment(f2, 2)
     assert a == b and a is not b
+
+
+# ---------------------------------------------------------------------------
+# every self-check fires on a fault patched in: reconstruction never does
+# on working code, so these checks would otherwise go unexercised
+
+
+def test_inverse_check_catches_a_swapped_conjugator(monkeypatch):
+    # Conj_(c h) in place of Conj_(h c): not the inverse's value here
+    env = wreath_environment(S3, capacity=2)
+    c = FCommutator(env.embed(perm_from_cycles(S3, (2, 3))),
+                    env.embed(perm_from_cycles(S3, (1, 2))))
+    assert env.value(env.inverse_of(c)) == invert(env.value(c))
+    monkeypatch.setattr(fcommutator, "compose", lambda x, y: compose(y, x))
+    with pytest.raises(AssertionError, match="^inverse representation failed to verify$"):
+        env.inverse_of(c)
+
+
+def test_rearrange_identity_check_catches_an_uninverted_phi(monkeypatch):
+    # [F, phi] in place of [F, phi^-1]
+    env = wreath_environment(S3, capacity=2)
+    a, b = perm_from_cycles(S3, (2, 3)), perm_from_cycles(S3, (1, 2))
+    gs = [a, b, invert(compose(a, b))]
+    solve_rearrange_id(env, gs)
+    monkeypatch.setattr(fcommutator, "invert", lambda x: x)
+    with pytest.raises(AssertionError, match="^rearrangement identity failed to verify$"):
+        solve_rearrange_id(env, gs)
+
+
+def test_rearrange_split_check_catches_a_residual_at_coordinate_0(monkeypatch):
+    # the residual spread from coordinate 0, not 1
+    env = wreath_environment(S3, capacity=2)
+    gs = [perm_from_cycles(S3, (1, 2)), perm_from_cycles(S3, (1, 2, 3))]
+    rearrange(env, gs)
+    spread = fcommutator._spread
+    monkeypatch.setattr(fcommutator, "_spread", lambda env, gs, start=0: spread(env, gs))
+    with pytest.raises(AssertionError, match="^rearrangement split failed to verify$"):
+        rearrange(env, gs)
+
+
+def test_residual_factorization_check_catches_an_uninverted_factor(monkeypatch):
+    # X built from the commutator cx itself, not from its inverse
+    env = wreath_environment(S3, capacity=2)
+    pairs = [(perm_from_cycles(S3, (1, 2)), perm_from_cycles(S3, (1, 2, 3)))]
+    assert seven_fcommutators(env, pairs).verified
+    monkeypatch.setattr(FCommEnvironment, "inverse_of", lambda self, c: c)
+    with pytest.raises(AssertionError, match="^residual factorization failed to verify$"):
+        seven_fcommutators(env, pairs)
+
+
+def test_componentwise_check_catches_commutators_taken_as_g_f(monkeypatch):
+    # the pairs' commutators formed as [g, f], while [phi, psi] is formed
+    # as [f, g] componentwise
+    env = wreath_environment(S3, capacity=2)
+    pairs = [(perm_from_cycles(S3, (1, 2)), perm_from_cycles(S3, (1, 2, 3)))]
+    assert seven_fcommutators(env, pairs).verified
+
+    def commutator(x, y):
+        return commutator_of(y, x) if x.descriptor == S3 else commutator_of(x, y)
+    monkeypatch.setattr(fcommutator, "commutator_of", commutator)
+    with pytest.raises(AssertionError, match="^componentwise commutator identity failed$"):
+        seven_fcommutators(env, pairs)

@@ -368,6 +368,17 @@ def test_quasinorm_violation_reported():
     assert any(kind == "subadditivity" for kind, _ in rep.violations)
 
 
+def test_quasinorm_conjugation_violation_reported():
+    # the image of 1 is not a class function, so with c_conj = 0 a
+    # conjugate's gap is reported, and subadditivity holds with c_add = 2
+    vals = {g: Fraction(g.payload[0]) for g in enumerate_elements(S3)}
+    q = QuasiNormSpec(S3, Fraction(2), Fraction(0), table=vals)
+    elems = enumerate_elements(S3)
+    rep = verify_quasinorm(q, [(a, b) for a in elems for b in elems])
+    assert not rep.passed and rep.max_conj_gap == 2
+    assert {kind for kind, _ in rep.violations} == {"conjugation"}
+
+
 def test_quasinorm_to_norm_shifts_a_norm_by_constant():
     table = support_norm_table(S3)
     q = QuasiNormSpec(S3, Fraction(0), Fraction(0), table=dict(table.values))
@@ -537,6 +548,21 @@ def test_domination_by_itself_and_trivial():
     assert rep.lam == 1 and rep.witness_checked == 60
     rep2 = check_extremal_domination(trivial_norm_table(A5), K)
     assert rep2.lam == 1
+
+
+def test_domination_check_catches_a_halved_q_k(monkeypatch):
+    # q_K at half its value: q_K itself, with lambda = 1, is then not
+    # dominated, and the check names the first element it fails at
+    K = [perm_from_cycles(A5, (1, 2, 3, 4, 5))]
+    qk = qk_norm(A5, K)
+    real = norms._qk_values
+
+    def halved(G, closure):
+        values, diameter = real(G, closure)
+        return {g: v / 2 for g, v in values.items()}, diameter
+    monkeypatch.setattr(norms, "_qk_values", halved)
+    with pytest.raises(AssertionError, match=r"^domination failed at \(.*\): 1 > 1 \* 1/2$"):
+        check_extremal_domination(qk, K)
 
 
 def test_domination_support_norm_three_cycles():

@@ -1,6 +1,7 @@
 """Quasi-morphism machinery; frozen values were derived by hand from the
 reduced-word combinatorics (no cancellation in the test words)."""
 
+import dataclasses
 import itertools
 import os
 import random
@@ -182,6 +183,23 @@ def test_bar_splitting_cases():
     assert verify_bar_splitting(identity(b5), 5).passed
 
 
+def test_bar_splitting_failures_are_listed(monkeypatch):
+    # products formed in the wrong order split the swapped pair as
+    # (g2 g1, g1 g2): the powers agree only where (g1 g2)^j = (g2 g1)^j,
+    # at the multiples of their order 6
+    s5 = symmetric(5)
+    w = bar_element(bar(s5), perm_from_cycles(s5, (1, 2, 3, 4, 5)),
+                    perm_from_cycles(s5, (1, 3)), 1)
+    real = quasimorphisms._payload_ops
+
+    def swapped(d):
+        mul, *rest = real(d)
+        return (lambda a, b: mul(b, a), *rest)
+    monkeypatch.setattr(quasimorphisms, "_payload_ops", swapped)
+    rep = verify_bar_splitting(w, 20)
+    assert not rep.passed and rep.failures == [j for j in range(1, 21) if j % 6]
+
+
 def test_commutator_sup():
     zero = QuasiMorphism(F2, lambda g: Fraction(0), name="zero")
     est = commutator_sup(zero, mode="sampled", budget=100, seed=0)
@@ -271,6 +289,26 @@ def test_scl_bounds_sharp_defect_stays_below_true_scl():
     sb = scl_bounds(w, q, defect_upper=Fraction(3), n=64)
     assert sb.lower == Fraction(61, 768)  # (1 - 3/64) / (4 * 3)
     assert sb.lower <= Fraction(1, 2)
+
+
+def test_scl_bounds_check_catches_an_undivided_homogenization(monkeypatch):
+    # with q(w^n) left undivided by n the certified lower bound passes the
+    # upper bound of an oracle of cl([a, b]^k) = floor(k/2) + 1 in F2 (Culler)
+    q = counting_qm(AB)
+    w = commutator_of(free_word(F2, (1,)), free_word(F2, (2,)))
+
+    def oracle(g):  # g = [a, b]^k, 4k letters
+        return len(g.payload) // 8 + 1
+    sb = scl_bounds(w, q, defect_upper=Fraction(6), n=64, cl_oracle=oracle)
+    assert (sb.lower, sb.upper) == (Fraction(29, 768), Fraction(5, 8))
+    real = quasimorphisms.homogenize
+
+    def undivided(q, g, n, defect_upper=None):
+        iv = real(q, g, n, defect_upper)
+        return dataclasses.replace(iv, center=iv.center * n)
+    monkeypatch.setattr(quasimorphisms, "homogenize", undivided)
+    with pytest.raises(AssertionError, match="^certified lower bound exceeded the upper bound$"):
+        scl_bounds(w, q, defect_upper=Fraction(6), n=64, cl_oracle=oracle)
 
 
 def test_scl_bounds_trivial_qm():
