@@ -40,31 +40,34 @@ _CODE_VERSION = _code_version(Path(__file__).resolve().parent)
 
 def cache_key(group: str, norm_name: str, generators: tuple[str, ...] = (),
               version: str = _CODE_VERSION) -> str:
-    body = json.dumps(
-        {"group": group, "norm": norm_name,
-         "generators": sorted(generators), "version": version},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(body.encode()).hexdigest()
+    return _digest(_text({"group": group, "norm": norm_name,
+                          "generators": sorted(generators), "version": version}))
 
 
 def _entry_path(key: str) -> Path:
     return cache_dir() / f"{key}.json"
 
 
-def _digest(payload: dict) -> str:
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(body.encode()).hexdigest()
+def _text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def cache_put(key: str, payload: dict) -> Path:
     path = _entry_path(key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    entry = {"key": key, "digest": _digest(payload), "payload": payload}
+    # the payload is dumped once, for its digest and the entry alike; the
+    # text is json.dumps(entry, sort_keys=True, ...), as digest < key < payload
+    body = _text(payload)
+    text = '{"digest":"%s","key":%s,"payload":%s}' % (_digest(body), json.dumps(key), body)
     tmp = tempfile.NamedTemporaryFile("w", dir=path.parent, suffix=".tmp",
                                       delete=False)  # one per writer
     try:
         with tmp:
-            tmp.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+            tmp.write(text)
         os.replace(tmp.name, path)
     except BaseException:
         os.unlink(tmp.name)  # a failed write leaves no temp file behind
@@ -78,7 +81,7 @@ def cache_get(key: str) -> dict | None:
         return None
     try:
         entry = json.loads(path.read_text())
-        if entry["key"] == key and entry["digest"] == _digest(entry["payload"]):
+        if entry["key"] == key and entry["digest"] == _digest(_text(entry["payload"])):
             return entry["payload"]
     except (OSError, ValueError, KeyError, TypeError):
         pass

@@ -280,10 +280,19 @@ def domain_kernel(d: GroupDescriptor, elements: Iterable[Element]) -> FiniteGrou
 
 def scaled(values: Iterable) -> tuple[list[int], int]:
     """Exact rationals as integers over their common denominator, so inner
-    loops compare and add ints instead of fractions."""
-    fracs = [Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in fracs))
-    return [v.numerator * (den // v.denominator) for v in fracs], den
+    loops compare and add ints instead of fractions.
+
+    Tables hold few distinct values, often shared objects, so each distinct
+    value object is converted once, keyed by ``id``: ``vals`` holds every
+    value until the call returns, so no id is reused for another object.  A
+    value of type exactly ``Fraction`` is taken as it is."""
+    vals = list(values)
+    ids = list(map(id, vals))
+    fracs = {k: v if type(v) is Fraction else Fraction(v)
+             for k, v in dict(zip(ids, vals)).items()}
+    den = lcm(*(v.denominator for v in fracs.values()))
+    ints = {k: v.numerator * (den // v.denominator) for k, v in fracs.items()}
+    return list(map(ints.__getitem__, ids)), den
 
 
 def conjugacy_indices(G: FiniteGroup, base: Iterable[Element]) -> list[int]:

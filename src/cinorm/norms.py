@@ -579,16 +579,18 @@ def quasinorm_to_norm(q: QuasiNormSpec, d: GroupDescriptor,
         if covered != G.n:
             raise ValueError(f"the quasi-norm table covers {covered} elements, "
                              f"not all {G.n} of {d}")
-    sym, den = scaled(max(q.value(a), q.value(elems[G.inv[i]]))
-                      for i, a in enumerate(elems))
+    raw, den = scaled(map(q.value, elems))
+    sym = list(map(max, raw, map(raw.__getitem__, G.inv)))
     label, members = G.classes()
-    conj_sup = {r: max(map(sym.__getitem__, cls)) for r, cls in members.items()}
     const = q.c_add + q.c_conj + 1
-    values = {g: (ZERO if i == G.one else Fraction(conj_sup[label[i]], den) + const)
-              for i, g in enumerate(elems)}
+    # one value per class; the identity's class is the identity alone
+    by_class = {r: Fraction(max(map(sym.__getitem__, cls)), den) + const
+                for r, cls in members.items()}
+    by_class[label[G.one]] = ZERO
+    values = dict(zip(elems, map(by_class.__getitem__, label)))
     meta = NormTableMeta(
         name=f"normed[{q.name}]",
-        diameter=max(values.values()),
+        diameter=max(by_class.values()),
         notes={"added_constant": str(const)},
     )
     return NormTable(d, values, meta)

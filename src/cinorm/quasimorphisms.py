@@ -29,7 +29,7 @@ from .elements import (
 )
 from .enumeration import ENUMERATION_GUARD, SubgroupSpec, closure_of, subgroups_commute
 from .errors import DescriptorMismatchError, GuardExceededError, InfiniteGroupError
-from .kernel import domain_kernel, group_kernel, scaled
+from .kernel import FiniteGroup, domain_kernel, group_kernel, scaled
 from .literals import to_literal
 from .sampling import random_payload
 
@@ -57,15 +57,19 @@ class QuasiMorphism:
                                                   compare=False)
 
     def __post_init__(self) -> None:
-        self._on_payload = lambda p: Fraction(self.fn(Element(self.domain, p)))
+        self._on_payload = lambda p: _fraction(self.fn(Element(self.domain, p)))
 
     def __call__(self, g: Element) -> Fraction:
         self._check(g)
-        return Fraction(self._on_payload(g.payload))
+        return _fraction(self._on_payload(g.payload))
 
     def _check(self, g: Element) -> None:
         if g.descriptor is not self.domain:
             raise DescriptorMismatchError(f"{self.name} is defined on {self.domain}, not {g.descriptor}")
+
+
+def _fraction(v: Any) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def _payload_qm(domain: GroupDescriptor, count: Callable[[Any], Any],
@@ -164,7 +168,7 @@ def defect(q: QuasiMorphism, mode: str = "exact", budget: int = 2000,
         if not gd.finite(q.domain):
             raise InfiniteGroupError("exact defect needs a finite domain")
         G = group_kernel(q.domain)
-        vals, den = scaled(q(g) for g in G.elements)
+        vals, den = _scaled_on(q, G)
         best = 0
         for a in range(G.n):
             # |q(ab) - q(a) - q(b)| over the row, from the extremes of q(ab) - q(b)
@@ -183,6 +187,13 @@ def defect(q: QuasiMorphism, mode: str = "exact", budget: int = 2000,
         b = random_payload(d, rng, size)
         best = max(best, abs(iq(mul(a, b)) - iq(a) - iq(b)))
     return DefectEstimate(Fraction(best), "sampled_lower_bound", budget, seed)
+
+
+def _scaled_on(q: QuasiMorphism, G: FiniteGroup) -> tuple[list[int], int]:
+    """q over the kernel's elements, scaled: read on its payloads after one
+    domain check, as every element of a kernel shares its descriptor."""
+    q._check(G.elements[0])
+    return scaled(map(q._on_payload, G.payloads))
 
 
 def _refuse_negative(budget: int) -> None:
@@ -374,7 +385,7 @@ def _exact_commutator_sup(q: QuasiMorphism, h: SubgroupSpec,
     # pairs in (x, y) order that attain a positive sup, at least one of them
     G = domain_kernel(h.descriptor, closure_of(h))
     elems = G.elements
-    vals, den = scaled(q(g) for g in elems)
+    vals, den = _scaled_on(q, G)
     cap = max(max_witnesses, 1)
     best, witnesses = 0, []
     for x in range(G.n):

@@ -57,8 +57,12 @@ def norm_table_payload(table: NormTable) -> dict:
         lit = to_literal(g)
         literals[g], elements[lit] = lit, g
         return lit
-    rows = sorted((literal(g) or miss(g), fraction_str(v))
-                  for g, v in table.values.items())
+    # one string per distinct value object: vals holds every value until the
+    # rows are built, so no id is reused for another object
+    elems, vals = list(table.values), list(table.values.values())
+    ids = list(map(id, vals))
+    text = {k: fraction_str(v) for k, v in dict(zip(ids, vals)).items()}
+    rows = sorted(zip([literal(g) or miss(g) for g in elems], map(text.__getitem__, ids)))
     meta = table.meta
     return {
         "group": format_descriptor(table.descriptor),

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -410,6 +411,21 @@ def test_cache_roundtrip_and_eviction(tmp_path):
     path.write_text(path.read_text().replace("hello", "hacked"))
     assert cache_get(key) is None
     assert not path.exists()
+
+
+def test_cache_entry_bytes_are_the_dumped_entry():
+    # the entry text built around one dump of the payload is the dump of the
+    # whole entry, for a real table, any key text and non-ASCII payloads
+    table = qk_norm(alternating(6), [perm_from_cycles(alternating(6), (1, 2, 3))])
+    for key, payload in ((cache_key("an:6", "q_K", ("(1 2 3)",)), norm_table_payload(table)),
+                         ('key "é"', {"z": ["é", None, 1.5, True], "a": {"b": [], "c": {}}}),
+                         ("empty", {})):
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        entry = {"key": key, "digest": hashlib.sha256(body.encode()).hexdigest(),
+                 "payload": payload}
+        old = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        assert cache_put(key, payload).read_text() == old
+        assert cache_get(key) == payload
 
 
 def test_cache_keys_follow_the_source_digest(tmp_path):

@@ -12,7 +12,7 @@ import os
 import random
 import re
 from collections import Counter
-from math import factorial, prod
+from math import factorial, lcm, prod
 import subprocess
 import sys
 import threading
@@ -1068,6 +1068,66 @@ def test_exact_quasimorphism_paths_match_oracle(text):
     cs = commutator_sup(q, SubgroupSpec(gens), "exact", max_witnesses=4)
     assert (cs.value, cs.witnesses, cs.sample_count) == \
         oracle_commutator_sup(q, SubgroupSpec(gens), 4)
+
+
+# ---------------------------------------------------------------------------
+# scaled and quasinorm_to_norm against their per-value definitions
+
+
+def scaled_by_definition(values):
+    fracs = [Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+class SubFraction(Fraction):
+    pass
+
+
+def test_scaled_matches_the_per_value_definition():
+    shared = Fraction(-7, 6)
+    cases = [
+        [],
+        [0, 1, -3, 12],
+        [10 ** 40, -(10 ** 40) - 1, 10 ** 40, 2 ** 100],
+        [shared, shared, Fraction(1, 4), shared],
+        [Fraction(2, 3), Fraction(4, 6), Fraction(2, 3)],  # distinct objects, equal
+        [SubFraction(1, 2), SubFraction(3, 4), 1],
+        [True, False, True, Fraction(1, 3)],
+        [Fraction(5, 7), Fraction(-5, 14), -2, Fraction(-10, 21), Fraction(9, 10 ** 30)],
+    ]
+    for values in cases:
+        want = scaled_by_definition(values)
+        for got in (kernel.scaled(values), kernel.scaled(iter(values))):
+            assert got == want
+            assert list(map(type, got[0])) == list(map(type, want[0])) and type(got[1]) is int
+    assert kernel.scaled([]) == ([], 1)
+    # one-pass generators of fresh objects: were they dropped once converted,
+    # ids would repeat (a float's Fraction keeps no reference to it)
+    for fresh in (lambda: (Fraction(i, 3 + i % 4) for i in range(200)),
+                  lambda: (i / 8 for i in range(200))):
+        assert kernel.scaled(fresh()) == scaled_by_definition(fresh())
+
+
+@pytest.mark.parametrize("text", [t for t in FAMILIES if len(enumerate_elements(
+    parse_descriptor(t))) <= 120] + ["sn:1"])
+def test_quasinorm_to_norm_matches_the_elementwise_definition(text):
+    d = parse_descriptor(text)
+    rng = random.Random(f"qn:{text}")
+    shared = [Fraction(k, 3) for k in range(4)]
+    table = {g: rng.choice(shared) if rng.random() < 0.5 else rng.randint(0, 3)
+             for g in enumerate_elements(d)}
+    # the second pair of constants makes every value off the identity negative
+    for c_add, c_conj in ((Fraction(1, 2), Fraction(0)), (Fraction(-9), Fraction(1, 3))):
+        q = QuasiNormSpec(d, c_add, c_conj, table=table)
+        out = quasinorm_to_norm(q, d)
+        want = oracle_quasinorm_to_norm(q, d)
+        assert list(out.values.items()) == want
+        assert all(type(v) is Fraction for v in out.values.values())
+        assert out.meta.diameter == max(v for _, v in want)
+        assert type(out.meta.diameter) is Fraction
+    if len(want) == 1:
+        assert out.meta.diameter == 0
 
 
 # ---------------------------------------------------------------------------

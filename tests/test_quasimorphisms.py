@@ -22,6 +22,7 @@ from cinorm import (
     bar_defect_decomposition,
     bar_element,
     bar_extension,
+    closure_of,
     commutator_length,
     commutator_of,
     commutator_sup,
@@ -40,6 +41,7 @@ from cinorm import (
     product,
     product_element,
     scl_bounds,
+    sort_key,
     symmetric,
     verify_bar_splitting,
     verify_witness_additivity,
@@ -477,6 +479,29 @@ def test_user_quasimorphism_evaluates_through_fn():
     calls.clear()
     est = defect(q, "sampled", budget=10, seed=0)
     assert len(calls) == 30 and type(est.value) is Fraction
+    # the exact scans call fn once per element of the group they run over
+    S3 = symmetric(3)
+    third = Fraction(1, 3)
+    q3 = QuasiMorphism(S3, lambda g: calls.append(g) or third, name="third")
+    g = perm_from_cycles(S3, (1, 2))
+    calls.clear()
+    assert q3(g) is third and calls == [g]  # a Fraction is returned as it is
+    calls.clear()
+    assert defect(q3, "exact").value == third
+    assert sorted(calls, key=sort_key) == sorted(enumerate_elements(S3), key=sort_key)
+    calls.clear()
+    h = SubgroupSpec((perm_from_cycles(S3, (1, 2, 3)),))
+    assert commutator_sup(q3, h, "exact").value == third
+    assert sorted(calls, key=sort_key) == sorted(closure_of(h), key=sort_key)
+
+
+def test_exact_commutator_sup_refuses_another_group_before_reading_a_value():
+    calls = []
+    q = QuasiMorphism(symmetric(4), lambda g: calls.append(g) or 1, name="one")
+    h = SubgroupSpec((perm_from_cycles(symmetric(3), (1, 2, 3)),))
+    with pytest.raises(cinorm.DescriptorMismatchError, match="one is defined on sn:4, not sn:3"):
+        commutator_sup(q, h, "exact")
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
