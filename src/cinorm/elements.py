@@ -23,6 +23,11 @@ Payload shapes:
 
 Payloads are plain ints and tuples at every depth, never Elements, so
 Python's tuple order is the payload order of every family.
+
+The ``slz`` / ``slp`` inverse is the adjugate, and it is the one
+determinant code: the matrix constructors read det A as (A adj A)[0][0],
+the first row of A times the first column of its inverse, and a singular
+matrix, which the inverse refuses, as det A = 0.
 """
 
 from __future__ import annotations
@@ -364,28 +369,6 @@ def _mat_mul4(mod: int, a, b):
          a30 * b03 + a31 * b13 + a32 * b23 + a33 * b33)))
 
 
-def _mat_det(rows) -> int:
-    # Bareiss fraction-free elimination: exact over the integers.
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _reduced(mod: int, rows):
     # the one reduction mod p of every SL(n) product, inverse and constructor
     if mod:
@@ -593,14 +576,18 @@ def mod_matrix(d: GroupDescriptor, rows) -> Element:
 
 def _sl_matrix(d: GroupDescriptor, rows, family: str) -> Element:
     """``rows`` as an element of ``d``, checked: ``d`` is of ``family``, the
-    matrix is n x n, and its determinant is 1, read mod p on ``slp``."""
+    matrix is n x n, and its determinant is 1, read mod p on ``slp`` from
+    the adjugate that the inverse returns."""
     modular = family == "slp"
     if d.family != family:
         raise ValueError(f"{d} is not {'a modular' if modular else 'an integer'} SL family")
     payload = normalized(d, rows)
     if len(payload) != d.n or any(len(r) != d.n for r in payload):
         raise ValueError(f"matrix is not {d.n}x{d.n}")
-    det = _mat_det(payload)
+    try:  # det A = (A adj A)[0][0]; the inverse refuses a singular A
+        det = sum(map(mul, payload[0], [row[0] for row in _payload_ops(d)[1](payload)]))
+    except ValueError:
+        det = 0
     if (det % d.p if modular else det) != 1:
         raise ValueError("matrix determinant is not 1" + " mod p" * modular)
     return Element(d, payload)

@@ -108,7 +108,8 @@ def refuse_foreign_table(d: GroupDescriptor, norm: "NormLike | QuasiNormSpec") -
 
 def _refuse_partial_table(d: GroupDescriptor, norm: NormLike) -> None:
     """:func:`refuse_foreign_table`, and raise :class:`ValueError` when
-    ``norm`` is a table that does not cover all of the finite group ``d``."""
+    ``norm`` is a table that does not cover all of the finite group ``d``,
+    and :class:`DescriptorMismatchError` at its first key of another group."""
     refuse_foreign_table(d, norm)
     norm = _rule_of(norm)  # an unread whole-group table covers G
     if isinstance(norm, NormTable) and gd.finite(d):  # |G| of 10^30 or more is not written
@@ -117,6 +118,9 @@ def _refuse_partial_table(d: GroupDescriptor, norm: NormLike) -> None:
             whole = "" if size is None else f"{size} "
             raise ValueError(f"the norm table covers {len(norm.values)} elements, "
                              f"not all {whole}of {d}")
+        for g in norm.values:
+            if g.descriptor is not d:
+                raise DescriptorMismatchError(f"{g} is not an element of {d}")
 
 
 def payload_value_fn(d: GroupDescriptor, norm: NormLike,
@@ -365,13 +369,7 @@ def trivial_norm(g: Element) -> Fraction:
 def trivial_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTable:
     """:func:`trivial_norm` on every element; its diameter is 1, or 0 on
     the trivial group."""
-    return _whole_group_table(d, limit, "trivial", trivial_norm, _trivial_values, 1)
-
-
-def _trivial_values(d: GroupDescriptor, elements: list[Element]) -> dict:
-    values = dict.fromkeys(elements, Fraction(1))
-    values[identity(d)] = Fraction(0)
-    return values
+    return _whole_group_table(d, limit, "trivial", trivial_norm, 1)
 
 
 def support_norm(g: Element) -> Fraction:
@@ -393,33 +391,31 @@ def support_norm_table(d: GroupDescriptor, limit: int | None = None) -> NormTabl
     n-cycle; A_n with n >= 3 holds it for odd n, and (1 2)(3 ... n), the
     product of two cycles of even length, for even n >= 4.  A_1 and A_2
     are trivial."""
-    return _whole_group_table(d, limit, "support", support_norm, _support_values, d.n)
-
-
-def _support_values(d: GroupDescriptor, elements: list[Element]) -> dict:
-    # one shared Fraction per count of moved points
-    moved, counts = payload_value_fn(d, support_norm), [Fraction(k) for k in range(d.n + 1)]
-    return {g: counts[moved(g.payload)] for g in elements}
+    return _whole_group_table(d, limit, "support", support_norm, d.n)
 
 
 def _whole_group_table(d: GroupDescriptor, limit: int | None, name: str,
-                       rule: Callable, build: Callable, top: int) -> NormTable:
+                       rule: Callable, top: int) -> NormTable:
     """The table ``name`` of ``rule`` over all of ``d``, refused at the call
     above ``limit`` or where ``rule`` is undefined; its diameter is ``top``,
-    or 0 on the trivial group.  Its ``values`` are ``build(d, elements)``,
-    kept per group and copied at the first read of each table's ``values``
-    (:class:`NormTable`)."""
+    or 0 on the trivial group.  Its ``values`` are ``rule`` tabulated
+    through :func:`payload_value_fn`, kept per group and copied at the
+    first read of each table's ``values`` (:class:`NormTable`)."""
     size = _checked_order(d, limit)
     rule(identity(d))  # the support norm refuses every family but sn/an here
     table = object.__new__(NormTable)
     meta = NormTableMeta(name=name, diameter=Fraction(top if size > 1 else 0))
     vars(table).update(descriptor=d, meta=meta,
-                       _rule=(rule, partial(_tabulate, d, limit, build)))
+                       _rule=(rule, partial(_tabulate, d, limit, rule, top)))
     return table
 
 
-def _tabulate(d: GroupDescriptor, limit: int | None, build: Callable) -> dict:
-    return dict(kept(d, build, lambda: build(d, enumerate_elements(d, limit))))
+def _tabulate(d: GroupDescriptor, limit: int | None, rule: Callable, top: int) -> dict:
+    def make():
+        # every value is an int in 0..top, so one shared Fraction per value
+        value, counts = payload_value_fn(d, rule), [Fraction(k) for k in range(top + 1)]
+        return {g: counts[value(g.payload)] for g in enumerate_elements(d, limit)}
+    return dict(kept(d, rule, make))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +514,10 @@ class QuasiNormSpec:
 
     def value(self, g: Element) -> Fraction:
         if self.table is not None:
-            return self.table[g]
+            try:
+                return self.table[g]
+            except KeyError:
+                raise ValueError(f"the quasi-norm table has no value at {to_literal(g)}") from None
         return Fraction(self.fn(g))
 
 
@@ -540,7 +539,8 @@ def verify_quasinorm(q: QuasiNormSpec, pairs: Iterable[tuple[Element, Element]],
     The conjugation axiom is checked in the form ``|q(b^-1 a b) - q(a)|``;
     the variant comparing against ``q(b)`` is measured and reported but not
     graded, since only the first form is what the conversion construction
-    needs.
+    needs.  A pair with an element of another group is refused before any
+    of its values is read (:func:`refuse_foreign_table`).
     """
     slack_add = ZERO
     gap = ZERO
@@ -549,6 +549,8 @@ def verify_quasinorm(q: QuasiNormSpec, pairs: Iterable[tuple[Element, Element]],
     count = 0
     for a, b in pairs:
         count += 1
+        refuse_foreign_table(a.descriptor, q)
+        refuse_foreign_table(b.descriptor, q)
         qa, qb = q.value(a), q.value(b)
         s = q.value(compose(a, b)) - qa - qb
         slack_add = max(slack_add, s)

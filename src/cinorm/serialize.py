@@ -109,8 +109,10 @@ def norm_table_from_payload(payload: dict) -> NormTable:
             if q is None:
                 q = fractions[v] = parse_fraction(v)
             values[g] = q
-    except (TypeError, ValueError):  # i is bound before each row is unpacked
-        if not isinstance(rows[i], (list, tuple)) or len(rows[i]) != 2:
+    except (AttributeError, TypeError, ValueError):  # i is bound before each row is unpacked
+        row = rows[i]
+        if not isinstance(row, (list, tuple)) or len(row) != 2 \
+                or not all(isinstance(x, str) for x in row):
             raise ValueError(f"row {i} is not a [literal, value] pair") from None
         raise
     if len(values) != len(rows):  # some element has two rows

@@ -12,6 +12,7 @@ import pickle
 import random
 from itertools import permutations
 from itertools import product as iproduct
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,7 +56,7 @@ from cinorm import (
 )
 from cinorm import elements
 from cinorm.descriptors import GroupDescriptor, finite, parse_descriptor
-from cinorm.elements import _mat_det, _payload_ops, normalized, sort_key
+from cinorm.elements import _payload_ops, normalized, sort_key
 from cinorm.literals import from_literal, to_literal
 from cinorm.sampling import random_element, random_payload, random_permutation, random_word
 
@@ -489,9 +490,17 @@ def test_product_componentwise():
 # the SL(n) inverse against the adjugate by minors
 
 
+def leibniz_det(rows):
+    """The determinant as the Leibniz sum over permutations, signed by their
+    inversions: it shares no code with either elimination of ``elements``."""
+    n = len(rows)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+               * prod(rows[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
 def adjugate_by_minors(a, mod):
     """Entry (i, j) is (-1)^(i+j) times the determinant of ``a`` without row j
-    and column i: n^2 Bareiss determinants, reduced mod ``mod`` if non-zero."""
+    and column i: n^2 Leibniz determinants, reduced mod ``mod`` if non-zero."""
     n = len(a)
     rows = []
     for i in range(n):
@@ -499,7 +508,7 @@ def adjugate_by_minors(a, mod):
         for j in range(n):
             minor = [[a[r][c] for c in range(n) if c != i]
                      for r in range(n) if r != j]
-            v = _mat_det(minor) if n > 1 else 1
+            v = leibniz_det(minor)
             if (i + j) & 1:
                 v = -v
             row.append(v % mod if mod else v)
@@ -514,7 +523,7 @@ def signed_permutation_matrices(d):
         for signs in iproduct((1, -1), repeat=n):
             rows = [[signs[i] if perm[i] == j else 0 for j in range(n)]
                     for i in range(n)]
-            if _mat_det(rows) == 1:
+            if leibniz_det(rows) == 1:
                 yield int_matrix(d, rows)
 
 

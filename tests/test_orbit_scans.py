@@ -17,6 +17,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, repeat
+from math import prod
 from operator import ne
 
 import pytest
@@ -67,7 +68,7 @@ from cinorm.displacement import (
     _orbit_bound,
     is_abelian_subgroup,
 )
-from cinorm.elements import _mat_det, _payload_ops, _perm_parity, sort_key
+from cinorm.elements import _payload_ops, _perm_parity, sort_key
 from cinorm.norms import NormTable, NormTableMeta, _floor, payload_value_fn
 from cinorm.cli import main
 
@@ -296,21 +297,29 @@ def test_corner_sym3_matches_full_scans(text):
     assert_matches_full_scans(d, h, SubgroupSpec(h.generators[1:]))
 
 
+def leibniz_det(rows):
+    """The determinant as the Leibniz sum over permutations, signed by their
+    inversions: it shares no code with either elimination of ``elements``."""
+    n = len(rows)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+               * prod(rows[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
 @pytest.mark.parametrize("text", list(dict.fromkeys(
     FAMILIES + ["sn:1", "sn:2", "an:3", "an:4", "slp:2:2", "slp:3:2", "wreath:sn:3:zn:3",
                 "bar:an:4"] + [f"an:{n}" for n in range(3, 10)]
     + ["slp:2:11", "slp:3:3", "slp:4:2"])))
 def test_group_generators_generate(text):
-    # by closure order; slp:5:2 (order 9 999 360) and slp:4:3 (12 130 560)
-    # rest on the proof in the docstring of group_generators, since a
-    # closure of that size takes minutes in pure Python
+    # by closure order; slp:5:2 (order 9 999 360) and slp:4:3 (12 130 560),
+    # whose closures take minutes in pure Python, rest on the proof in the
+    # docstring of group_generators and on tests/test_sympy_oracle.py
     d = parse_descriptor(text)
     gens = group_generators(d)
     assert len(subgroup_closure(gens)) == order(d)
     if d.family == "slp" or (d.family == "an" and d.n >= 4):
         assert len(gens) == 2
     if d.family == "slp":
-        assert _mat_det(gens[1].payload) % d.p == 1
+        assert leibniz_det(gens[1].payload) % d.p == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,22 +5,31 @@ that a user makes; ``bench/cover.py --json`` lists under ``missed`` the
 statements no test runs, which is where these rows came from.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from cinorm import (
     DescriptorMismatchError,
     InfiniteGroupError,
+    QuasiNormSpec,
     bar_extension,
+    check_extremal_domination,
     commutator_sup,
     counting_qm,
     defect,
     displacement_energy,
+    fcomm_norm_bound,
     free_word,
     homogenize,
+    norm_table_from_payload,
     qk_norm,
     seven_fcommutators,
     support_norm,
+    trivial_norm_table,
     two_commutator_witness,
+    verify_master_inequalities,
+    verify_quasinorm,
 )
 from cinorm import cache, elements, enumeration, kernel, norms, quasimorphisms
 from cinorm.cli import main
@@ -30,6 +39,7 @@ from cinorm.fcommutator import solve_rearrange_id, wreath_environment
 from cinorm.literals import from_literal
 
 S3, S4, F2 = P("sn:3"), P("sn:4"), P("free:2")
+WREATH = P("wreath:sn:2:zn:2")
 
 
 def s3(text="(1 2)"):
@@ -42,6 +52,27 @@ def s4(text="(1 2)"):
 
 def ab():
     return counting_qm(free_word(F2, (1, 2)))
+
+
+def swapped(d, other):
+    """The read trivial table of ``d`` with ``other``, an element of another
+    group, as the key in place of the identity: it still has |G| entries."""
+    one = elements.identity(d)
+    values = {other if k == one else k: v for k, v in trivial_norm_table(d).values.items()}
+    return norms.NormTable(d, values, norms.NormTableMeta("trivial"))
+
+
+def s3_with_a3():
+    return swapped(S3, from_literal(P("an:3"), "(1 2 3)"))
+
+
+def s3_quasinorm():
+    return QuasiNormSpec(S3, Fraction(0), Fraction(0), table=dict(trivial_norm_table(S3).values))
+
+
+def table_rows(*rows):
+    return {"group": "sn:3", "norm": "t", "values": [["()", "0/1"], *rows],
+            "meta": {"diameter": "1/1", "fine": False, "discrete": True, "generator_set": []}}
 
 
 # name -> (call, exception type, message)
@@ -124,6 +155,40 @@ REFUSALS = {
                                ValueError, "filtration norm is defined on abelian models only"),
     "energy-m-0": (lambda: displacement_energy(S4, SubgroupSpec((s4(),)), 0, support_norm),
                    ValueError, "m = 0: a displacer needs m >= 1"),
+    # a table with |G| entries, one of them an element of another group
+    "energy-foreign-key": (lambda: displacement_energy(S3, SubgroupSpec((s3(),)), 1, s3_with_a3()),
+                           DescriptorMismatchError,
+                           "Element(an:3, (1, 2, 0)) is not an element of sn:3"),
+    "master-foreign-key": (lambda: verify_master_inequalities(S3, SubgroupSpec((s3(),)), 1,
+                                                              s3_with_a3()),
+                           DescriptorMismatchError,
+                           "Element(an:3, (1, 2, 0)) is not an element of sn:3"),
+    "domination-foreign-key": (lambda: check_extremal_domination(s3_with_a3(), [s3()]),
+                               DescriptorMismatchError,
+                               "Element(an:3, (1, 2, 0)) is not an element of sn:3"),
+    # the identity of wreath:sn:2:zn:3 has the same payload as WREATH's
+    "fcomm-foreign-key": (lambda: fcomm_norm_bound(
+                              seven_fcommutators(wreath_environment(P("sn:2"), 1), []),
+                              wreath_environment(P("sn:2"), 1),
+                              swapped(WREATH, elements.identity(P("wreath:sn:2:zn:3")))),
+                          DescriptorMismatchError,
+                          "Element(wreath:sn:2:zn:3, ((), 0)) is not an element of "
+                          "wreath:sn:2:zn:2"),
+    # quasi-norms: a pair of another group, and an element without a value
+    "quasinorm-foreign-pair": (lambda: verify_quasinorm(s3_quasinorm(), [(s3(), s4())]),
+                               DescriptorMismatchError, "the quasi-norm is on sn:3, not sn:4"),
+    "quasinorm-missing-value": (lambda: QuasiNormSpec(S3, Fraction(0), Fraction(0), table={}
+                                                      ).value(s3()),
+                                ValueError, "the quasi-norm table has no value at (1 2)"),
+    # serialize: rows whose literal or value is not a string
+    "table-row-literal-list": (lambda: norm_table_from_payload(table_rows([["x"], "1/1"])),
+                               ValueError, "row 1 is not a [literal, value] pair"),
+    "table-row-value-list": (lambda: norm_table_from_payload(table_rows(["(1 2)", ["1"]])),
+                             ValueError, "row 1 is not a [literal, value] pair"),
+    "table-row-literal-int": (lambda: norm_table_from_payload(table_rows([5, "1/1"])),
+                              ValueError, "row 1 is not a [literal, value] pair"),
+    "table-row-value-int": (lambda: norm_table_from_payload(table_rows(["(1 2)", 7])),
+                            ValueError, "row 1 is not a [literal, value] pair"),
     # quasi-morphisms
     "defect-mode": (lambda: defect(ab(), "bogus"),
                     ValueError, "unknown defect mode 'bogus'"),
