@@ -9,8 +9,10 @@ checked-in manifest ``bench/same.json`` in each copy:
 them unless the entry has ``"out": false``.  Each run is a fresh process in
 a fresh directory, with a fresh ``CINORM_CACHE_DIR`` there.  It compares
 the ``--out`` bytes, stderr, the exit code, and stdout with the per-check
-seconds that ``cinorm verify`` prints masked.  The copy's own path is
-masked in both streams, so that a traceback reads the same in either copy.
+seconds that ``cinorm verify`` prints masked.  The copy's own path and the
+run's own directory are masked in both streams, so that a traceback or the
+cache directory that ``cinorm cache stats`` prints reads the same in either
+copy.
 It prints one line per entry, ``same`` or ``DIFF``, and under each entry
 that differs the first line that differs in each output, and exits 1 if
 any entry differs.
@@ -46,10 +48,12 @@ def run(tree: Path, entry: dict) -> dict:
         proc = subprocess.run([sys.executable, "-m", "cinorm", *entry["args"], *out],
                               cwd=tmp, env=env, capture_output=True)
         path = Path(tmp) / "out"
-        here = str(tree).encode()
+
+        def mask(stream: bytes) -> bytes:
+            return stream.replace(str(tree).encode(), b"<tree>").replace(tmp.encode(), b"<run>")
         return {"out": path.read_bytes() if path.exists() else None,
-                "stdout": SECONDS.sub(b"(-s)", proc.stdout.replace(here, b"<tree>")),
-                "stderr": proc.stderr.replace(here, b"<tree>"),
+                "stdout": SECONDS.sub(b"(-s)", mask(proc.stdout)),
+                "stderr": mask(proc.stderr),
                 "exit": proc.returncode}
 
 

@@ -476,7 +476,8 @@ def run_suite(name: str, cfg: ExperimentConfig,
 
 
 def _emit(text: str, out: str | None) -> None:
-    """The one writer of tables and reports: to the file ``out``, or stdout."""
+    """The one writer of every command's output, a table, report or line:
+    to the file ``out``, or stdout."""
     if out:
         Path(out).write_text(text)
     else:
@@ -539,13 +540,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, summary: str, flags: str, actions=(), **defaults):
         """A subcommand taking only ``flags``, the options its branch of
-        :func:`_dispatch` reads."""
+        :func:`_dispatch` reads; without ``--out`` or ``--format`` its
+        output goes to stdout as JSON or text."""
         p = sub.add_parser(name, help=summary)
         if actions:
             p.add_argument("action", choices=actions)
         for flag in flags.split():
             p.add_argument(flag, **options[flag])
-        p.set_defaults(**defaults)
+        p.set_defaults(out=None, fmt="json", **defaults)
 
     command("qk", "conjugation-generated norm table", "--group --k --out --format")
     command("cl", "commutator length table", "--group --out --format")
@@ -581,61 +583,52 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.command
+    code = EXIT_OK
+    # --group, then --h: each parse refuses before the command computes
+    d = parse_descriptor(args.group) if "group" in args else None
+    h = SubgroupSpec(tuple(_parse_elements(d, args.subgroup))) if "subgroup" in args else None
 
-    if cmd in ("qk", "cl"):
-        d = parse_descriptor(args.group)
-        if cmd == "cl":
-            payload = norm_table_payload(commutator_length(d))
-        else:
-            members = _parse_elements(d, args.k)
-            lits = tuple(sorted(to_literal(k) for k in members))
-            key = cache_mod.cache_key(str(d), "q_K", lits)
-            payload = cache_mod.cache_get(key)
-            if payload is None:
-                payload = norm_table_payload(qk_norm(d, members))
-                try:
-                    cache_mod.cache_put(key, payload)
-                except OSError as exc:  # the cache only saves time: keep the table
-                    print(f"warning: table not cached: {exc}", file=sys.stderr)
-        _emit(dumps(payload) if args.fmt == "json" else payload_to_tsv(payload), args.out)
-        return EXIT_OK
+    if cmd == "cl":
+        output = norm_table_payload(commutator_length(d))
 
-    if cmd == "cld":
-        d = parse_descriptor(args.group)
-        print(fraction_str(commutator_length(d).meta.diameter))
-        return EXIT_OK
+    elif cmd == "qk":
+        members = _parse_elements(d, args.k)
+        lits = tuple(sorted(to_literal(k) for k in members))
+        key = cache_mod.cache_key(str(d), "q_K", lits)
+        output = cache_mod.cache_get(key)
+        if output is None:
+            output = norm_table_payload(qk_norm(d, members))
+            try:
+                cache_mod.cache_put(key, output)
+            except OSError as exc:  # the cache only saves time: keep the table
+                print(f"warning: table not cached: {exc}", file=sys.stderr)
 
-    if cmd == "norm-verify":
-        d = parse_descriptor(args.group)
+    elif cmd == "cld":
+        output = fraction_str(commutator_length(d).meta.diameter) + "\n"
+
+    elif cmd == "norm-verify":
         table = trivial_norm_table(d) if args.norm == "trivial" \
             else support_norm_table(d)
         rep = verify_norm_axioms(table)
-        report = {
+        output = {
             "group": str(d), "norm": args.norm, "passed": rep.passed,
             "pairs_checked": rep.pairs_checked,
             "violations": [
                 {"axiom": a, "witness": [to_literal(x) for x in w]}
                 for a, w in rep.violations],
         }
-        _emit(dumps(report), args.out)
-        return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+        code = EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
-    if cmd == "packing":
-        d = parse_descriptor(args.group)
-        h = SubgroupSpec(tuple(_parse_elements(d, args.subgroup)))
+    elif cmd == "packing":
         res = packing_number(d, h)
-        report = {
+        output = {
             "group": str(d), "p": res.p, "exhausted": res.exhausted,
             "degenerate": res.degenerate,
             "witnesses": [] if res.certificate is None else
             [to_literal(w) for w in res.certificate.witnesses],
         }
-        _emit(dumps(report), args.out)
-        return EXIT_OK
 
-    if cmd == "energy":
-        d = parse_descriptor(args.group)
-        h = SubgroupSpec(tuple(_parse_elements(d, args.subgroup)))
+    elif cmd == "energy":
         norm = trivial_norm if args.norm == "trivial" else support_norm
         if args.norm is None:  # the default, support, is undefined off sn/an
             try:
@@ -651,17 +644,16 @@ def _dispatch(args: argparse.Namespace) -> int:
                 "value": "infinite" if e.value is None else fraction_str(e.value),
                 "minimizer": None if e.minimizer is None else to_literal(e.minimizer),
             })
-        _emit(dumps({"group": str(d), "energies": energies}), args.out)
-        return EXIT_OK
+        output = {"group": str(d), "energies": energies}
 
-    if cmd == "fcomm":
+    elif cmd == "fcomm":
         base = parse_descriptor(args.base)
         rng = random.Random(args.seed)
         elems = enumerate_elements(base)
         env = wreath_environment(base, capacity=max(args.m, 2))
         pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(args.m)]
         dec = seven_fcommutators(env, pairs)
-        report = {
+        output = {
             "ambient": str(env.ambient),
             "seed": args.seed,
             "target": to_literal(dec.target),
@@ -673,24 +665,23 @@ def _dispatch(args: argparse.Namespace) -> int:
             "verified": dec.verified,
             "audit": {k: to_literal(v) for k, v in dec.audit.items()},
         }
-        _emit(dumps(report), args.out)
-        return EXIT_OK if dec.verified else EXIT_CHECK_FAILED
+        code = EXIT_OK if dec.verified else EXIT_CHECK_FAILED
 
-    if cmd == "qm":
+    elif cmd == "qm":
         f2 = gd.free_group(2)
         pattern = from_literal(f2, args.pattern)
         q = counting_qm(pattern)
         word = from_literal(f2, args.word)
         if args.action == "defect":
             est = defect(q, "sampled", budget=args.budget, seed=args.seed)
-            report = {"pattern": to_literal(pattern),
+            output = {"pattern": to_literal(pattern),
                       "value": fraction_str(est.value),
                       "certified": est.certified,
                       "budget": est.sample_count, "seed": est.seed,
                       "convention": q.notes["occurrences"]}
         elif args.action == "homogenize":
             iv = homogenize(q, word, args.n_max, args.defect_upper)
-            report = {"word": to_literal(word), "n": iv.n,
+            output = {"word": to_literal(word), "n": iv.n,
                       "center": fraction_str(iv.center),
                       "radius": None if iv.radius is None else fraction_str(iv.radius),
                       "certified": iv.certified}
@@ -698,24 +689,23 @@ def _dispatch(args: argparse.Namespace) -> int:
             if args.defect_upper is None:
                 raise ValueError("scl-bounds needs --defect-upper")
             sb = scl_bounds(word, q, args.defect_upper, n=args.n_max)
-            report = {"word": to_literal(word),
+            output = {"word": to_literal(word),
                       "lower": fraction_str(sb.lower),
                       "provenance": sb.lower_provenance}
-        report["seed"] = args.seed
-        _emit(dumps(report), args.out)
-        return EXIT_OK
+        output["seed"] = args.seed
 
-    if cmd == "verify":
-        code, report = run_suite(args.suite, ExperimentConfig(args.seed, args.threads))
-        _emit(dumps(report), args.out)
-        return code
+    elif cmd == "verify":
+        code, output = run_suite(args.suite, ExperimentConfig(args.seed, args.threads))
 
-    # cache: argparse refuses any other command
-    if args.action == "stats":
-        print(json.dumps(cache_mod.cache_stats(), sort_keys=True))
+    elif args.action == "stats":  # cache: argparse refuses any other command
+        output = json.dumps(cache_mod.cache_stats(), sort_keys=True) + "\n"
     else:
-        print(f"evicted {cache_mod.cache_clear()} entries")
-    return EXIT_OK
+        output = f"evicted {cache_mod.cache_clear()} entries\n"
+
+    if isinstance(output, dict):
+        output = payload_to_tsv(output) if args.fmt == "tsv" else dumps(output)
+    _emit(output, args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ Syntax by family (``1`` is always accepted for the identity):
 * wreath       -- ``{0:(1 2); 2:(1 3)}s^1``
 * bar          -- ``((1 2);(1 3))t`` with a trailing ``t`` for the swap bit
 * product      -- ``((1 2);(2 3);a b)``
+
+Numbers are read from ASCII digits only, signed in aff-z powers and in
+wreath lamp indices and shifts: ``int`` alone would also read "٣" and "1_0".
 """
 
 from __future__ import annotations
@@ -97,7 +100,10 @@ def from_literal(d: GroupDescriptor, text: str) -> Element:
             raise ValueError(f"bad binary word {s!r}")
         return binary_word(int(c) for c in s)
     if f in MATRIX_FAMILIES:
-        rows = json.loads(s)
+        try:
+            rows = json.loads(s)
+        except ValueError:  # not JSON: refused below with the family's message
+            rows = None
         if not (type(rows) is list and len(rows) == d.n and all(
                 type(r) is list and len(r) == d.n and all(type(x) is int for x in r)
                 for r in rows)):
@@ -143,10 +149,10 @@ def _perm_literal(images: tuple[int, ...]) -> str:
 def _parse_perm(d: GroupDescriptor, s: str) -> Element:
     if s == "()":
         return identity(d)
-    if not re.fullmatch(r"(\([\d\s,]*\)\s*)+", s):
+    if not re.fullmatch(r"(\([0-9\s,]*\)\s*)+", s):
         raise ValueError(f"bad cycle notation {s!r}")
-    return perm_from_cycles(d, *(re.findall(r"\d+", body)
-                                 for body in re.findall(r"\(([\d\s,]*)\)", s)))
+    return perm_from_cycles(d, *(re.findall(r"[0-9]+", body)
+                                 for body in re.findall(r"\(([0-9\s,]*)\)", s)))
 
 
 def _parse_affz(s: str) -> Element:
@@ -157,7 +163,7 @@ def _parse_affz(s: str) -> Element:
             e ^= 1
         elif tok == "z":
             a += 1 if e == 0 else -1
-        elif tok.startswith("z^"):
+        elif re.fullmatch(r"z\^[+-]?[0-9]+", tok):
             k = int(tok[2:])
             a += k if e == 0 else -k
         else:
@@ -185,7 +191,7 @@ def _split_top(s: str, sep: str) -> list[str]:
 
 
 def _parse_wreath(d: GroupDescriptor, s: str) -> Element:
-    m = re.fullmatch(r"\{(.*)\}\s*(?:s\^(-?\d+))?", s, re.DOTALL)
+    m = re.fullmatch(r"\{(.*)\}\s*(?:s\^(-?[0-9]+))?", s, re.DOTALL)
     if not m:
         raise ValueError(f"bad wreath literal {s!r}")
     body, shift = m.group(1).strip(), int(m.group(2) or 0)
@@ -193,7 +199,9 @@ def _parse_wreath(d: GroupDescriptor, s: str) -> Element:
     if body:
         for part in _split_top(body, ";"):
             idx_text, _, lit = part.partition(":")
-            lamps.append((int(idx_text.strip()), from_literal(d.base, lit)))
+            if not re.fullmatch(r"[+-]?[0-9]+", idx_text.strip()):
+                raise ValueError(f"bad wreath literal {s!r}")
+            lamps.append((int(idx_text), from_literal(d.base, lit)))
     return wreath_element(d, lamps, shift)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 
 from .descriptors import GroupDescriptor, format_descriptor, parse_descriptor
 from .elements import Element
@@ -86,9 +87,19 @@ def norm_table_to_json(table: NormTable) -> str:
     return dumps(norm_table_payload(table))
 
 
+def _field(obj: dict, key: str, kind: type = object, where: str = "the table payload"):
+    """``obj[key]``, refused unless ``obj`` has it and it is a ``kind``."""
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{where} has a {key!r} that is not a {kind.__name__}: {obj[key]!r}")
+    return obj[key]
+
+
 def norm_table_from_payload(payload: dict) -> NormTable:
-    """The table a payload describes; malformed or repeated rows are refused."""
-    d = parse_descriptor(payload["group"])
+    """The table a payload describes; a missing or mistyped key or meta
+    field, and malformed or repeated rows, are refused."""
+    d = parse_descriptor(_field(payload, "group", str))
     literals, elements = _literal_index(d)
     element = elements.get
 
@@ -97,7 +108,7 @@ def norm_table_from_payload(payload: dict) -> NormTable:
         canonical = literals.get(g) or to_literal(g)
         literals[g], elements[canonical] = canonical, g
         return g
-    rows = payload["values"]
+    rows = _field(payload, "values")
     if not isinstance(rows, (list, tuple)):
         raise ValueError(f"the table's values are not a list of rows: {rows!r}")
     fractions: dict[str, Fraction] = {}
@@ -121,14 +132,15 @@ def norm_table_from_payload(payload: dict) -> NormTable:
             j, other = first.setdefault(element(lit) or miss(lit), (i, lit))
             if j != i:
                 raise ValueError(f"rows {j} and {i} name one element of {d}: {other!r} and {lit!r}")
-    meta_p = payload["meta"]
+    name, meta_p = _field(payload, "norm"), _field(payload, "meta", dict)
+    field = partial(_field, meta_p, where="the table payload's meta")
+    diameter = field("diameter", str)
     meta = NormTableMeta(
-        name=payload["norm"],
-        diameter=None if meta_p["diameter"] == "unbounded"
-        else parse_fraction(meta_p["diameter"]),
-        fine=meta_p["fine"],
-        discrete=meta_p["discrete"],
-        generator_set=tuple(meta_p["generator_set"]),
+        name=name,
+        diameter=None if diameter == "unbounded" else parse_fraction(diameter),
+        fine=field("fine"),
+        discrete=field("discrete"),
+        generator_set=tuple(field("generator_set", list)),
     )
     return NormTable(d, values, meta)
 

@@ -589,6 +589,33 @@ def test_one_parser_per_process_keeps_usage_errors_and_version(capsys):
     test_each_command_takes_only_the_options_it_reads()
 
 
+# one cheap call of each command
+EACH_COMMAND = [
+    ["qk", "--group", "sn:3", "--k", "(1 2)"],
+    ["cl", "--group", "sn:3", "--format", "tsv"],
+    ["cld", "--group", "sn:3"],
+    ["norm-verify", "--group", "sn:3"],
+    ["packing", "--group", "sn:4", "--h", "(1 2)"],
+    ["energy", "--group", "sn:4", "--h", "(1 2)", "--m", "1"],
+    ["fcomm", "--m", "1"],
+    ["qm", "defect", "--budget", "10"],
+    ["verify", "--suite", "aff-z"],
+    ["cache", "stats"],
+]
+
+
+@pytest.mark.parametrize("args", EACH_COMMAND, ids=lambda args: args[0])
+def test_each_command_writes_its_output_through_one_emit(args, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("cinorm.cli._emit", lambda text, out: calls.append((text, out)))
+    assert main(args) == 0
+    assert len(calls) == 1 and calls[0][1] is None and calls[0][0].endswith("\n")
+    # nothing else reaches stdout but verify's per-check console lines
+    assert all(line.startswith(f"[{args[-1]}] ")
+               for line in capsys.readouterr().out.splitlines())
+    assert {a[0] for a in EACH_COMMAND} == set(OPTIONS)
+
+
 @pytest.mark.parametrize("args", [
     ["cld", "--group", "an:5", "--out", "f"],
     ["norm-verify", "--group", "sn:3", "--format", "tsv"],

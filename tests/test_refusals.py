@@ -75,6 +75,18 @@ def table_rows(*rows):
             "meta": {"diameter": "1/1", "fine": False, "discrete": True, "generator_set": []}}
 
 
+def table_edit(key, value=None, meta=False):
+    """Read :func:`table_rows` with ``key``, a meta field when ``meta``, set
+    to ``value``, or dropped when ``value`` is None."""
+    payload = table_rows()
+    where = payload["meta"] if meta else payload
+    if value is None:
+        del where[key]
+    else:
+        where[key] = value
+    return norm_table_from_payload(payload)
+
+
 # name -> (call, exception type, message)
 REFUSALS = {
     # elements: constructors on the wrong family, shape or parts
@@ -127,6 +139,31 @@ REFUSALS = {
                               ValueError, "product literal needs 2 components"),
     "aff-z-token": (lambda: from_literal(P("aff-z"), "z^2 q"),
                     ValueError, "bad aff-z token 'q'"),
+    # a number in a literal is read from ASCII digits only
+    "cycle-arabic-digit": (lambda: from_literal(S3, "(1 \u0662)"),
+                           ValueError, "bad cycle notation '(1 \u0662)'"),
+    "cycle-arabic-zero": (lambda: from_literal(P("sn:12"), "(1 1\u0660)"),
+                          ValueError, "bad cycle notation '(1 1\u0660)'"),
+    "aff-z-arabic-power": (lambda: from_literal(P("aff-z"), "z^\u0663 t"),
+                           ValueError, "bad aff-z token 'z^\u0663'"),
+    "aff-z-underscore-power": (lambda: from_literal(P("aff-z"), "z^1_0"),
+                               ValueError, "bad aff-z token 'z^1_0'"),
+    "aff-z-letter-power": (lambda: from_literal(P("aff-z"), "z^x"),
+                           ValueError, "bad aff-z token 'z^x'"),
+    "aff-z-decimal-power": (lambda: from_literal(P("aff-z"), "z^1.5"),
+                            ValueError, "bad aff-z token 'z^1.5'"),
+    "wreath-arabic-index": (lambda: from_literal(WREATH, "{\u0663:(1 2)}"),
+                            ValueError, "bad wreath literal '{\u0663:(1 2)}'"),
+    "wreath-arabic-shift": (lambda: from_literal(WREATH, "{0:(1 2)}s^\u0663"),
+                            ValueError, "bad wreath literal '{0:(1 2)}s^\u0663'"),
+    "wreath-underscore-index": (lambda: from_literal(WREATH, "{1_0:(1 2)}"),
+                                ValueError, "bad wreath literal '{1_0:(1 2)}'"),
+    "wreath-letter-index": (lambda: from_literal(WREATH, "{x:(1 2)}"),
+                            ValueError, "bad wreath literal '{x:(1 2)}'"),
+    "wreath-empty-index": (lambda: from_literal(WREATH, "{ :(1 2)}"),
+                           ValueError, "bad wreath literal '{ :(1 2)}'"),
+    "matrix-not-json": (lambda: from_literal(P("slp:2:5"), "[[1,1],[0,1]"), ValueError,
+                        "bad matrix literal '[[1,1],[0,1]': not 2 lists of 2 integers"),
     # descriptors and enumeration
     "unknown-family": (lambda: GroupDescriptor("foo"),
                        ValueError, "unknown group family 'foo'"),
@@ -189,6 +226,22 @@ REFUSALS = {
                               ValueError, "row 1 is not a [literal, value] pair"),
     "table-row-value-int": (lambda: norm_table_from_payload(table_rows(["(1 2)", 7])),
                             ValueError, "row 1 is not a [literal, value] pair"),
+    # serialize: a key or meta field that is missing or of the wrong type
+    **{f"table-no-{key}": (lambda key=key: table_edit(key), ValueError,
+                           f"the table payload has no {key!r}")
+       for key in ("group", "norm", "values", "meta")},
+    **{f"table-meta-no-{key}": (lambda key=key: table_edit(key, meta=True), ValueError,
+                                f"the table payload's meta has no {key!r}")
+       for key in ("diameter", "fine", "discrete", "generator_set")},
+    "table-group-int": (lambda: table_edit("group", 5), ValueError,
+                        "the table payload has a 'group' that is not a str: 5"),
+    "table-meta-list": (lambda: table_edit("meta", []), ValueError,
+                        "the table payload has a 'meta' that is not a dict: []"),
+    "table-diameter-int": (lambda: table_edit("diameter", 5, meta=True), ValueError,
+                           "the table payload's meta has a 'diameter' that is not a str: 5"),
+    "table-generator-set-int": (lambda: table_edit("generator_set", 5, meta=True), ValueError,
+                                "the table payload's meta has a 'generator_set' that is not "
+                                "a list: 5"),
     # quasi-morphisms
     "defect-mode": (lambda: defect(ab(), "bogus"),
                     ValueError, "unknown defect mode 'bogus'"),
@@ -246,6 +299,13 @@ def test_a_bare_z_in_an_aff_z_literal_is_one_power():
     assert from_literal(d, "z z t") == from_literal(d, "z^2 t")
     # past t the bare z counts down, as z^1 does
     assert from_literal(d, "t z") == from_literal(d, "t z^1") == from_literal(d, "z^-1 t")
+
+
+def test_a_sign_is_read_where_int_read_one():
+    d = P("aff-z")
+    assert from_literal(d, "z^+3 t") == from_literal(d, "z^3 t")
+    assert from_literal(WREATH, "{+1:(1 2)}") == from_literal(WREATH, "{1:(1 2)}")
+    assert from_literal(WREATH, "{ -1 :(1 2)}s^-1") == from_literal(WREATH, "{1:(1 2)}s^1")
 
 
 def test_a_cache_entry_that_is_not_json_is_a_miss_and_is_evicted(tmp_path, monkeypatch):

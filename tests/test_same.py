@@ -64,3 +64,16 @@ def test_every_output_and_the_exit_code_are_compared(tmp_path, monkeypatch):
         "stdout: line 2, byte 1: base b'b' change b'c'",
         "exit: base 0, change 2"]
     assert same.first_difference(b"a\n", b"a\nb\n") == "line 2: only in change"
+
+
+def test_the_run_directory_is_masked(tmp_path, monkeypatch):
+    # a stand-in for cinorm cache stats, which prints the run's own cache directory
+    same = load_same(monkeypatch)
+    main = "import os\nprint(os.environ['CINORM_CACHE_DIR'])\n"
+    runs = []
+    for name in ("a", "b"):
+        root = tree(tmp_path / name, "10", "0.002")
+        (root / "src" / "cinorm" / "__main__.py").write_text(main)
+        runs.append(same.run(root, {"name": "stats", "args": ["cache", "stats"], "out": False}))
+    assert runs[0]["stdout"] == runs[1]["stdout"] == b"<run>/cache\n"
+    assert same.differences(*runs) == []
